@@ -85,8 +85,6 @@ def mean_confidence_interval(
     for none), ``low``/``high`` are ∓∞, and ``n`` is the finite count.
     Zero-variance samples produce an exact zero-width interval.
     """
-    from scipy.stats import t as t_dist
-
     if not 0 < level < 1:
         raise ValueError("level must be in (0, 1)")
     arr = np.asarray(data, dtype=float)
@@ -96,9 +94,11 @@ def mean_confidence_interval(
         mean = float(arr[0]) if n == 1 else math.nan
         return MeanCI(mean=mean, low=-math.inf, high=math.inf,
                       level=level, n=n)
+    from scipy.special import stdtrit
+
     mean = float(arr.mean())
     sem = float(arr.std(ddof=1) / math.sqrt(n))
-    h = float(t_dist.ppf(0.5 + level / 2.0, n - 1)) * sem
+    h = float(stdtrit(n - 1, 0.5 + level / 2.0)) * sem
     return MeanCI(mean=mean, low=mean - h, high=mean + h, level=level, n=n)
 
 
@@ -125,8 +125,6 @@ def repetitions_needed(
       need convergence on a zero-mean response must use an absolute
       criterion instead.
     """
-    from scipy.stats import norm
-
     if target_relative_half_width <= 0:
         raise ValueError("target_relative_half_width must be positive")
     if not 0 < level < 1:
@@ -139,6 +137,8 @@ def repetitions_needed(
     s = float(arr.std(ddof=1))
     if mean == 0 or s == 0:
         return int(arr.size)
-    z = float(norm.ppf(0.5 + level / 2.0))
+    from scipy.special import ndtri
+
+    z = float(ndtri(0.5 + level / 2.0))
     n_star = (z * s / (target_relative_half_width * mean)) ** 2
     return max(int(math.ceil(n_star)), int(arr.size))

@@ -127,12 +127,12 @@ def allocate_variation(
     # CI on effects: s_e = sqrt(SSE / (2^k (r-1))) / sqrt(2^k r).
     ci_half: Optional[float] = None
     if r > 1 and sse > 0:
-        from scipy.stats import t as t_dist
+        from scipy.special import stdtrit
 
         dof = n_runs * (r - 1)
         s2e = sse / dof
         se_effect = math.sqrt(s2e / (n_runs * r))
-        ci_half = float(t_dist.ppf(0.5 + confidence / 2.0, dof)) * se_effect
+        ci_half = float(stdtrit(dof, 0.5 + confidence / 2.0)) * se_effect
 
     shares = []
     for label, q, ss in zip(labels, effects, ss_effects):

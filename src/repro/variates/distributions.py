@@ -247,20 +247,31 @@ class Erlang(Distribution):
     def sample(self, rng: np.random.Generator, size: Optional[int] = None) -> ArrayLike:
         return rng.gamma(self.k, self.theta, size)
 
-    def pdf(self, x: ArrayLike) -> ArrayLike:
-        from scipy.stats import gamma
+    # pdf/cdf/ppf evaluate the same scipy.special expressions, in the
+    # same order, as scipy.stats.gamma(k, scale=theta), so the values
+    # are bit-identical without importing scipy.stats
+    # (tests/variates/test_special_equivalence.py).
 
-        return gamma.pdf(np.asarray(x, dtype=float), self.k, scale=self.theta)
+    def pdf(self, x: ArrayLike) -> ArrayLike:
+        from scipy.special import gammaln, xlogy
+
+        x = np.asarray(x, dtype=float)
+        z = x / self.theta
+        with np.errstate(invalid="ignore"):
+            out = np.exp(xlogy(self.k - 1.0, z) - z - gammaln(self.k)) / self.theta
+        return np.where(x < 0, 0.0, out)
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
-        from scipy.stats import gamma
+        from scipy.special import gammainc
 
-        return gamma.cdf(np.asarray(x, dtype=float), self.k, scale=self.theta)
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 0, 0.0, gammainc(self.k, x / self.theta))
 
     def ppf(self, q: ArrayLike) -> ArrayLike:
-        from scipy.stats import gamma
+        from scipy.special import gammaincinv
 
-        return gamma.ppf(np.asarray(q, dtype=float), self.k, scale=self.theta)
+        # gammaincinv is NaN outside [0, 1], 0 at q = 0 and inf at q = 1.
+        return gammaincinv(self.k, np.asarray(q, dtype=float)) * self.theta
 
 
 class Lognormal(Distribution):
