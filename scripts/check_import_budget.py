@@ -1,20 +1,24 @@
 #!/usr/bin/env python
-"""Import budget: keep ``scipy.stats`` off every CLI and model path.
+"""Import budget: keep scipy off the CLI, paper-rerun and planned paths.
 
 Importing ``scipy.stats`` pulls in ``scipy.spatial``, ``sparse``,
-``linalg`` and ``optimize``: about 0.7 s and 45 MiB per process more
-than ``scipy.special``, which is all ``src/repro`` needs.  And any
-module-level scipy import would add to the start-up every CLI command
-pays.  Three checks guard both:
+``linalg`` and ``optimize``: about 0.7 s and 45 MiB per process.
+Importing ``scipy.special`` alone still costs about 0.3 s and 25 MiB,
+and the paper-rerun and planned-sweep paths need only ``ndtr``,
+``ndtri`` and ``stdtrit(df, 0.95)`` from it, which ``repro.special``
+provides without scipy.  Three checks guard this:
 
 1. **Start-up** — ``import repro.experiments.__main__`` plus
-   ``list_experiments()`` loads no scipy module at all (so neither
-   ``scipy.special`` nor ``scipy.stats``).
-2. **Artifact runs** — a quick ``figure30 --plan`` run and a
-   ``table2 figure8`` run finish without ``scipy.stats`` loaded.
-3. **Source scan** — no ``import scipy.stats``, ``from scipy.stats
-   import …`` or ``from scipy import stats`` anywhere under
-   ``src/repro``.
+   ``list_experiments()`` loads no scipy module at all.
+2. **Artifact runs** — a quick ``figure30 --plan`` run and a quick
+   ``table2 figure8 figure27 figure30 figure31`` run (the artifacts the
+   end-to-end benchmark's ``paper-rerun`` workload regenerates) finish
+   without any scipy module loaded.
+3. **Source scan** — under ``src/repro``, no ``import scipy.stats``,
+   ``from scipy.stats import …`` or ``from scipy import stats``; and no
+   ``ndtr``, ``ndtri`` or ``stdtrit`` imported from ``scipy.special``
+   except ``stdtrit`` inside ``repro.special.stdtrit`` (its table-miss
+   fallback).
 
 Checks 1 and 2 each run in a fresh interpreter with an empty temporary
 ``REPRO_CACHE_DIR``, so no cell is served from an earlier run's cache.
@@ -82,18 +86,55 @@ def probe(argv: Sequence[str], watched: Sequence[str]) -> dict:
     return json.loads(lines[-1])
 
 
+def _imports(path: Path):
+    """Yield ``(node, imported names, enclosing function name)`` per import.
+
+    The names are fully qualified: ``from a.b import c`` yields
+    ``["a.b", "a.b.c"]``.  The function is ``None`` at module level.
+    """
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                yield child, [a.name for a in child.names], func
+            elif isinstance(child, ast.ImportFrom) and child.module:
+                yield child, [child.module] + [f"{child.module}.{a.name}"
+                                               for a in child.names], func
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            yield from visit(child, inner)
+
+    yield from visit(ast.parse(path.read_text(), filename=str(path)), None)
+
+
 def scipy_stats_imports(root: Path) -> List[str]:
     """``file:line`` of every import of ``scipy.stats`` under *root*."""
     hits = []
     for path in sorted(root.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
-            else:
-                continue
+        for node, names, _ in _imports(path):
             if any(n == "scipy.stats" or n.startswith("scipy.stats.") for n in names):
+                hits.append(f"{path.relative_to(root.parent)}:{node.lineno}")
+    return hits
+
+
+PORTED = ("ndtr", "ndtri", "stdtrit")
+
+
+def ported_special_imports(root: Path) -> List[str]:
+    """``file:line`` of every ``scipy.special`` import of a ported function.
+
+    ``ndtr``, ``ndtri`` and ``stdtrit`` come from ``repro.special``; the
+    only allowed import is ``stdtrit`` inside ``special.py``'s own
+    ``stdtrit`` (the fallback for a ``(df, p)`` outside its table).
+    """
+    hits = []
+    fallback = root / "special.py"
+    for path in sorted(root.rglob("*.py")):
+        for node, names, func in _imports(path):
+            ported = {n.rsplit(".", 1)[1] for n in names
+                      if n.startswith("scipy.special.")} & set(PORTED)
+            if path == fallback and func == "stdtrit":
+                ported.discard("stdtrit")
+            if ported:
                 hits.append(f"{path.relative_to(root.parent)}:{node.lineno}")
     return hits
 
@@ -104,15 +145,19 @@ def main() -> int:
     check(res["status"] == 0 and not res["loaded"],
           f"no scipy module loaded (loaded: {res['loaded'] or 'none'})")
 
-    for argv in (["figure30", "--plan"], ["table2", "figure8"]):
+    for argv in (["figure30", "--plan"],
+                 ["table2", "figure8", "figure27", "figure30", "figure31"]):
         print(f"== artifact run: {' '.join(argv)} ==")
-        res = probe(argv, ["scipy.stats"])
+        res = probe(argv, ["scipy"])
         check(res["status"] == 0, f"exit status {res['status']}")
-        check(not res["loaded"], f"scipy.stats not loaded (loaded: {res['loaded'] or 'none'})")
+        check(not res["loaded"], f"no scipy module loaded (loaded: {res['loaded'] or 'none'})")
 
     print("== source scan: src/repro ==")
     hits = scipy_stats_imports(SRC / "repro")
     check(not hits, f"no scipy.stats import ({', '.join(hits) or 'none found'})")
+    hits = ported_special_imports(SRC / "repro")
+    check(not hits, f"no {'/'.join(PORTED)} import from scipy.special outside "
+          f"the repro.special fallback ({', '.join(hits) or 'none found'})")
 
     if _failures:
         print(f"\nimport budget FAILED: {len(_failures)} check(s)")

@@ -22,6 +22,8 @@ Package layout
     Section-3 operational analysis, equations (1)–(16), plus exact MVA.
 ``repro.expdesign``
     2^k·r factorial designs, allocation of variation, PCA, CIs.
+``repro.special``
+    The normal cdf/quantile and the 90 % t-quantile without scipy.
 ``repro.experiments``
     One registered runner per paper table/figure; ``python -m
     repro.experiments <id>`` regenerates any artifact.

@@ -94,7 +94,7 @@ def mean_confidence_interval(
         mean = float(arr[0]) if n == 1 else math.nan
         return MeanCI(mean=mean, low=-math.inf, high=math.inf,
                       level=level, n=n)
-    from scipy.special import stdtrit
+    from ..special import stdtrit
 
     mean = float(arr.mean())
     sem = float(arr.std(ddof=1) / math.sqrt(n))
@@ -137,7 +137,7 @@ def repetitions_needed(
     s = float(arr.std(ddof=1))
     if mean == 0 or s == 0:
         return int(arr.size)
-    from scipy.special import ndtri
+    from ..special import ndtri
 
     z = float(ndtri(0.5 + level / 2.0))
     n_star = (z * s / (target_relative_half_width * mean)) ** 2

@@ -127,7 +127,7 @@ def allocate_variation(
     # CI on effects: s_e = sqrt(SSE / (2^k (r-1))) / sqrt(2^k r).
     ci_half: Optional[float] = None
     if r > 1 and sse > 0:
-        from scipy.special import stdtrit
+        from ..special import stdtrit
 
         dof = n_runs * (r - 1)
         s2e = sse / dof

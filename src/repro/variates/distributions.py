@@ -37,6 +37,16 @@ __all__ = [
 ArrayLike = Union[float, np.ndarray]
 
 
+def _point_mass_ppf(q: np.ndarray, value: float) -> ArrayLike:
+    """Quantile of a zero-variance distribution: *value* on ``[0, 1]``.
+
+    ``mean + 0 * ndtri(q)`` would be NaN at ``q = 0`` and ``q = 1``
+    (``0 * -inf``, ``0 * inf``).  NaN outside ``[0, 1]`` and at NaN, as
+    ``ndtri`` gives.
+    """
+    return np.where((q >= 0) & (q <= 1), value, np.nan)[()]
+
+
 class Distribution(ABC):
     """A one-dimensional distribution over non-negative reals."""
 
@@ -317,24 +327,24 @@ class Lognormal(Distribution):
 
     def pdf(self, x: ArrayLike) -> ArrayLike:
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        pos = x > 0
-        xp = x[pos] if x.ndim else (x if x > 0 else None)
+        if self.sigma == 0:  # point mass at the mean
+            out = np.where(x == self._mean, np.inf, 0.0)
+            return out if x.ndim else float(out)
         if x.ndim:
-            if self.sigma == 0:
-                return np.where(x == self._mean, np.inf, 0.0)
+            out = np.zeros_like(x)
+            pos = x > 0
             z = (np.log(x[pos]) - self.mu) / self.sigma
             out[pos] = np.exp(-0.5 * z * z) / (
                 x[pos] * self.sigma * math.sqrt(2 * math.pi)
             )
             return out
-        if xp is None or self.sigma == 0:
+        if not x > 0:
             return 0.0
-        z = (math.log(xp) - self.mu) / self.sigma
-        return math.exp(-0.5 * z * z) / (xp * self.sigma * math.sqrt(2 * math.pi))
+        z = (math.log(x) - self.mu) / self.sigma
+        return math.exp(-0.5 * z * z) / (x * self.sigma * math.sqrt(2 * math.pi))
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
-        from scipy.special import ndtr
+        from ..special import ndtr
 
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore"):
@@ -342,9 +352,11 @@ class Lognormal(Distribution):
         return np.where(x > 0, ndtr(z), 0.0)
 
     def ppf(self, q: ArrayLike) -> ArrayLike:
-        from scipy.special import ndtri
+        from ..special import ndtri
 
         q = np.asarray(q, dtype=float)
+        if self.sigma == 0:
+            return _point_mass_ppf(q, self._mean)
         return np.exp(self.mu + self.sigma * ndtri(q))
 
 
@@ -426,15 +438,17 @@ class Normal(Distribution):
         return np.exp(-0.5 * z * z) / (s * math.sqrt(2 * math.pi))
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
-        from scipy.special import ndtr
+        from ..special import ndtr
 
         x = np.asarray(x, dtype=float)
         return ndtr((x - self._mean) / max(self._std, 1e-300))
 
     def ppf(self, q: ArrayLike) -> ArrayLike:
-        from scipy.special import ndtri
+        from ..special import ndtri
 
         q = np.asarray(q, dtype=float)
+        if self._std == 0:
+            return _point_mass_ppf(q, self._mean)
         return self._mean + self._std * ndtri(q)
 
 

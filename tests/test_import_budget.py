@@ -1,8 +1,9 @@
-"""The import budget: no scipy at CLI start-up, no scipy.stats anywhere.
+"""The import budget: no scipy on the CLI, paper-rerun or planned paths.
 
-Runs ``scripts/check_import_budget.py`` end to end (about 3 s): it
+Runs ``scripts/check_import_budget.py`` end to end (about 7 s): it
 probes the CLI start-up and two quick artifact runs in fresh
-interpreters and scans ``src/repro`` for ``scipy.stats`` imports.
+interpreters and scans ``src/repro`` for ``scipy.stats`` imports and
+for ``scipy.special`` imports of the functions ``repro.special`` ports.
 """
 
 import subprocess
@@ -20,12 +21,17 @@ def test_import_budget_script_passes():
     assert "import budget ok" in proc.stdout
 
 
-def test_source_scan_finds_every_import_form(tmp_path):
+def _script():
     sys.path.insert(0, str(SCRIPT.parent))
     try:
-        from check_import_budget import scipy_stats_imports
+        import check_import_budget
     finally:
         sys.path.remove(str(SCRIPT.parent))
+    return check_import_budget
+
+
+def test_source_scan_finds_every_import_form(tmp_path):
+    scipy_stats_imports = _script().scipy_stats_imports
     pkg = tmp_path / "repro"
     pkg.mkdir()
     (pkg / "a.py").write_text("import scipy.stats\n")
@@ -34,3 +40,29 @@ def test_source_scan_finds_every_import_form(tmp_path):
     (pkg / "d.py").write_text("from scipy.special import ndtri\nimport scipy.special\n")
     assert scipy_stats_imports(pkg) == ["repro/a.py:1", "repro/b.py:2", "repro/c.py:1"]
 
+
+
+def test_ported_scan_allows_only_the_stdtrit_fallback(tmp_path):
+    ported_special_imports = _script().ported_special_imports
+    pkg = tmp_path / "repro"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("from scipy.special import ndtr\n")
+    (pkg / "b.py").write_text("def f():\n    from scipy.special import gammainc, ndtri\n")
+    (pkg / "c.py").write_text("def stdtrit():\n    from scipy.special import stdtrit\n")
+    (pkg / "d.py").write_text("from scipy.special import chdtrc, kolmogorov\nimport scipy.special\n")
+    (pkg / "sub" / "special.py").write_text(
+        "def stdtrit():\n    from scipy.special import stdtrit\n")
+    (pkg / "special.py").write_text(
+        "def stdtrit(df, p):\n"
+        "    from scipy.special import stdtrit as s\n"
+        "    return s(df, p)\n"
+        "def ndtr(x):\n"
+        "    from scipy.special import ndtr\n"
+        "    from scipy.special import stdtrit\n"
+        "from scipy.special._ufuncs import ndtri\n"
+    )
+    assert ported_special_imports(pkg) == [
+        "repro/a.py:1", "repro/b.py:2", "repro/c.py:2",
+        "repro/special.py:5", "repro/special.py:6", "repro/special.py:7",
+        "repro/sub/special.py:2",
+    ]

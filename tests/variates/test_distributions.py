@@ -109,6 +109,35 @@ class TestLognormal:
         assert (d.sample(rng, 10_000) > 0).all()
 
 
+class TestZeroVariance:
+    """σ = 0 Lognormal and Normal are point masses at the mean."""
+
+    def test_lognormal_pdf_scalar_agrees_with_array(self):
+        d = Lognormal(5.0, 0.0)
+        assert d.pdf(5.0) == math.inf
+        assert d.pdf(np.array(5.0)) == math.inf
+        assert d.pdf(np.array([5.0]))[0] == math.inf
+        assert d.pdf(4.0) == 0.0 and d.pdf(-1.0) == 0.0
+        np.testing.assert_array_equal(d.pdf(np.array([4.0, 5.0, 6.0])), [0.0, np.inf, 0.0])
+
+    @pytest.mark.parametrize("dist", [Lognormal(5.0, 0.0), Normal(5.0, 0.0)],
+                             ids=["lognormal", "normal"])
+    def test_ppf_is_the_mean_on_the_closed_unit_interval(self, dist):
+        for q in (0.0, 0.3, 1.0):
+            assert dist.ppf(q) == 5.0
+            assert type(dist.ppf(q)) is np.float64
+        np.testing.assert_array_equal(
+            dist.ppf(np.array([0.0, 0.5, 1.0, -0.5, 1.5, np.nan])),
+            [5.0, 5.0, 5.0, np.nan, np.nan, np.nan],
+        )
+
+    def test_nondegenerate_ppf_endpoints_unchanged(self):
+        assert Lognormal(5.0, 1.0).ppf(0.0) == 0.0
+        assert Lognormal(5.0, 1.0).ppf(1.0) == math.inf
+        assert Normal(5.0, 1.0).ppf(0.0) == -math.inf
+        assert Normal(5.0, 1.0).ppf(1.0) == math.inf
+
+
 class TestWeibull:
     def test_shape_one_is_exponential(self):
         w = Weibull(1.0, 100.0)

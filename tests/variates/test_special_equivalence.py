@@ -1,20 +1,24 @@
-"""Bit-identity oracle: ``scipy.special`` calls vs the ``scipy.stats`` ones.
+"""Bit-identity oracle: ``repro.special`` and ``scipy.special`` vs scipy.
 
-``src/repro`` evaluates quantiles, tail probabilities and the Erlang
-pdf/cdf/ppf with the ``scipy.special`` ufuncs that ``scipy.stats``
-itself dispatches to, because importing ``scipy.stats`` costs about
-0.7 s and 45 MiB per process.  Each test here pins one replacement to
-the ``scipy.stats`` call it replaced with exact equality (NaN equal to
-NaN), so a scipy release that changes either side fails loudly.
+``src/repro`` never imports ``scipy.stats`` (about 0.7 s and 45 MiB per
+process).  Tail probabilities and the Erlang pdf/cdf/ppf call the
+``scipy.special`` ufuncs that ``scipy.stats`` itself dispatches to.  The
+normal cdf and quantile and the 90 % t-quantile come from
+``repro.special`` (cephes ports and a table of scipy's outputs), so the
+paper-rerun and planned paths need no scipy at all.  Each test here pins
+one replacement to the scipy call it replaced with exact equality (NaN
+equal to NaN), so a scipy release that changes either side fails loudly.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.special as sc
 from scipy import stats
 from scipy.special import chdtrc, kolmogorov, ndtri, stdtrit
 
+from repro import special
 from repro.expdesign import (
     Factor,
     FactorialDesign,
@@ -22,7 +26,14 @@ from repro.expdesign import (
     mean_confidence_interval,
     repetitions_needed,
 )
-from repro.variates import Erlang, Exponential, Lognormal, chi_square_test, ks_test
+from repro.variates import (
+    Erlang,
+    Exponential,
+    Lognormal,
+    Normal,
+    chi_square_test,
+    ks_test,
+)
 
 LEVELS = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999)
 DFS = np.arange(1, 2001)
@@ -32,7 +43,8 @@ DFS = np.arange(1, 2001)
 assert_identical = np.testing.assert_array_equal
 
 
-# --- t and normal quantiles (expdesign/confidence.py, expdesign/effects.py)
+# --- t and normal quantiles (expdesign/confidence.py, expdesign/effects.py,
+# through repro.special at the 90 % level)
 
 
 @pytest.mark.parametrize("level", LEVELS)
@@ -49,7 +61,7 @@ def test_ndtri_equals_norm_ppf():
 
 
 def test_mean_confidence_interval_matches_t_ppf(rng):
-    for n in (2, 3, 10, 50, 333):
+    for n in (2, 3, 10, 50, 256, 257, 258, 333):  # df 256 ends the 90 % table
         data = rng.lognormal(3.0, 1.0, n)
         for level in LEVELS:
             ci = mean_confidence_interval(data, level)
@@ -61,7 +73,7 @@ def test_mean_confidence_interval_matches_t_ppf(rng):
 def test_repetitions_needed_matches_norm_ppf(rng):
     data = rng.exponential(10.0, 20)
     mean, s = float(data.mean()), float(data.std(ddof=1))
-    for level in LEVELS:
+    for level in LEVELS + (0.9999,):
         for eps in (0.01, 0.05, 0.2):
             z = float(stats.norm.ppf(0.5 + level / 2.0))
             expected = max(math.ceil((z * s / (eps * mean)) ** 2), data.size)
@@ -70,7 +82,7 @@ def test_repetitions_needed_matches_norm_ppf(rng):
 
 def test_allocate_variation_ci_matches_t_ppf(rng):
     design = FactorialDesign([Factor(f"f{i}", -1, 1, chr(65 + i)) for i in range(3)])
-    for r in (2, 3, 7):
+    for r in (2, 3, 7, 33, 34):  # dof 256 ends the 90 % table, 264 is past it
         y = rng.normal(10.0, 1.0, (design.n_runs, r))
         for confidence in (0.9, 0.95):
             res = allocate_variation(design, y, confidence)
@@ -166,3 +178,140 @@ def test_erlang_scalar_inputs_match_scipy_gamma(k):
         assert_identical(d.cdf(x), ref.cdf(x))
     for q in (-0.1, 0.0, 0.3, 1.0, 1.5, float("nan")):
         assert_identical(d.ppf(q), ref.ppf(q))
+
+
+# --- repro.special: cephes ndtr/ndtri ports and the t table
+
+
+def _ulps(v, k=64):
+    """*v* and its 2k nearest float64 neighbours (both signs for v != 0)."""
+    bits = np.float64(abs(v)).view(np.int64)
+    near = np.arange(max(bits - k, 0), bits + k + 1, dtype=np.int64).view(np.float64)
+    return np.concatenate([near, -near])
+
+
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1e-300, -1e-300, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 0.5, -0.5, 1.0, -1.0, 2.0])
+
+
+def _same(ours, ref):
+    assert type(ours) is type(ref)
+    assert np.shape(ours) == np.shape(ref)
+    assert_identical(ours, ref)
+
+
+def test_ndtr_port_is_bit_identical():
+    rng = np.random.default_rng(20)
+    sqrt2 = math.sqrt(2.0)
+    maxlog = 7.09782712893383996843e2
+    # Branch edges of ndtr/erf/erfc, in ndtr's argument: |a|/sqrt2 against
+    # 1/sqrt2, 1, 8 and sqrt(MAXLOG).
+    edges = [1.0, sqrt2, 8.0 * sqrt2, math.sqrt(2.0 * maxlog), 1.0 / 7.07106781186547524401e-1,
+             sqrt2 / 7.07106781186547524401e-1, 8.0 / 7.07106781186547524401e-1,
+             math.sqrt(maxlog) / 7.07106781186547524401e-1]
+    a = np.concatenate([
+        np.linspace(-40.0, 40.0, 400_001),
+        rng.normal(0.0, 3.0, 300_000),
+        rng.uniform(-39.0, 39.0, 300_000),
+        -(10.0 ** rng.uniform(-320.0, 2.0, 20_000)),
+        10.0 ** rng.uniform(-320.0, 2.0, 20_000),
+        *[_ulps(e, 256) for e in edges],
+        SPECIALS,
+    ])
+    assert a.size > 1_000_000
+    assert_identical(special.ndtr(a), sc.ndtr(a))
+
+
+def test_ndtri_port_is_bit_identical():
+    rng = np.random.default_rng(21)
+    expm2 = 0.13533528323661269189
+    # Branch edges: exp(-2) and 1 - exp(-2) (central vs tail) and the
+    # y whose sqrt(-2 log y) is 8 (the two tail fits), on both sides.
+    edges = [expm2, 1.0 - expm2, math.exp(-32.0), 1.0 - math.exp(-32.0), 0.5,
+             1.0, 5e-324, 2.2250738585072014e-308]
+    q = np.concatenate([
+        np.linspace(0.0, 1.0, 400_001),
+        rng.uniform(0.0, 1.0, 300_000),
+        10.0 ** rng.uniform(-323.6, 0.0, 150_000),
+        1.0 - 10.0 ** rng.uniform(-16.5, 0.0, 150_000),
+        *[_ulps(e, 256) for e in edges],
+        SPECIALS,
+        [1.0 + 2.220446049250313e-16, -1e-12, 1.5],
+    ])
+    assert q.size > 1_000_000
+    assert_identical(special.ndtri(q), sc.ndtri(q))
+
+
+@pytest.mark.parametrize("fn", ["ndtr", "ndtri"])
+def test_ports_keep_ufunc_return_types(fn):
+    ours, ref = getattr(special, fn), getattr(sc, fn)
+    for x in (0.3, -0.0, float("nan"), 1, np.float64(0.7), np.array(0.2),
+              np.array([0.1, 0.9]), np.array([[0.1, 0.5], [0.0, 1.0]]),
+              np.array([]), [0.25, 0.75]):
+        _same(ours(x), ref(x))
+
+
+def test_t95_table_is_scipys_stdtrit():
+    dfs = np.arange(1, len(special.T95) + 1)
+    assert len(special.T95) == 256
+    assert_identical(np.array(special.T95), sc.stdtrit(dfs, 0.95))
+    for df in dfs:
+        assert special.stdtrit(int(df), 0.95) == sc.stdtrit(df, 0.95)
+        assert special.stdtrit(df, 0.95) == sc.stdtrit(df, 0.95)
+
+
+@pytest.mark.parametrize("df, p", [(257, 0.95), (1000, 0.95), (8, 0.975),
+                                   (2, 0.5), (8.5, 0.95), (3, 0.05)])
+def test_stdtrit_off_table_calls_scipy(df, p):
+    assert special.stdtrit(df, p) == sc.stdtrit(df, p)
+
+
+# --- Lognormal/Normal cdf/ppf against the scipy.special expressions they replaced
+
+X_GRID = np.concatenate([X_EDGES, np.linspace(0.0, 5000.0, 5001),
+                         10.0 ** np.linspace(-300.0, 300.0, 601)])
+Q_GRID = np.concatenate([Q_EDGES, np.linspace(0.0, 1.0, 1001), [1e-300, 5e-324]])
+SHAPES = (0.3, 250.0, -1.0, float("nan"), np.array(40.0), np.array([1.0, 50.0]),
+          np.array([[0.0, 0.5], [1.0, 2.0]]))
+
+
+def _lognormal_ref(d):
+    def cdf(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore"):
+            z = (np.log(np.maximum(x, 1e-300)) - d.mu) / max(d.sigma, 1e-300)
+        return np.where(x > 0, sc.ndtr(z), 0.0)
+
+    def ppf(q):
+        return np.exp(d.mu + d.sigma * sc.ndtri(np.asarray(q, dtype=float)))
+
+    return cdf, ppf
+
+
+def _normal_ref(d):
+    def cdf(x):
+        x = np.asarray(x, dtype=float)
+        return sc.ndtr((x - d.mean) / max(d.std, 1e-300))
+
+    def ppf(q):
+        return d.mean + d.std * sc.ndtri(np.asarray(q, dtype=float))
+
+    return cdf, ppf
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [Lognormal(2213.0, 3034.0), Lognormal(40.0, 1.0), Lognormal(1.0, 1e4),
+     Normal(100.0, 30.0), Normal(0.0, 1.0), Normal(-5.0, 1e-3)],
+    ids=repr,
+)
+def test_distribution_cdf_ppf_match_scipy(dist):
+    cdf, ppf = (_lognormal_ref if isinstance(dist, Lognormal) else _normal_ref)(dist)
+    with np.errstate(invalid="ignore"):  # inf - inf in the Normal references
+        assert_identical(dist.cdf(X_GRID), cdf(X_GRID))
+        assert_identical(dist.ppf(Q_GRID), ppf(Q_GRID))
+        for v in SHAPES:
+            _same(dist.cdf(v), cdf(v))
+            if np.all(np.asarray(v) <= 1):
+                _same(dist.ppf(v), ppf(v))
