@@ -1,12 +1,13 @@
 #!/usr/bin/env python
 """Chaos smoke: injected worker kills + cache corruption + resume.
 
-End-to-end proof of the resilience layer (`repro.experiments.resilience`)
-against the chaos harness (`repro.experiments.chaos`), suitable for CI:
+End-to-end proof of the engine's retries, cache quarantine and journal
+resume (`repro.experiments.engine`) against the chaos harness
+(`repro.experiments.chaos`), suitable for CI:
 
 1. **Reference** — a 16-cell sweep on a plain serial engine, no cache:
    the ground truth every resilient run must reproduce bit-identically.
-2. **Chaos sweep** — the same 16 cells on a 4-worker resilient engine
+2. **Chaos sweep** — the same 16 cells on a 4-worker engine with retries
    with 3 injected worker SIGKILLs and 1 corrupted on-disk cache entry.
    The run must complete via retries/quarantine with identical results.
 3. **Interrupted sweep + resume** — the first 10 cells are journaled,
@@ -34,13 +35,14 @@ from repro.experiments.chaos import (
     corrupt_cache_entry,
     install_chaos,
 )
+from repro.experiments import engine as engine_module
 from repro.experiments.engine import (
     CellCache,
     ExperimentEngine,
     config_fingerprint,
     results_equal,
 )
-from repro.experiments.resilience import ResilientEngine, RetryPolicy
+from repro.experiments.resilience import RetryPolicy
 from repro.rocc.config import SimulationConfig
 
 CELLS = 16
@@ -88,11 +90,13 @@ def main() -> int:
             parent_pid=os.getpid(),
         )
         t0 = time.time()
-        with ResilientEngine(
+        # Tolerate one pool failure per kill: this phase proves recovery
+        # on the pool, not the degrade-to-serial fallback.
+        engine_module.DEGRADE_AFTER = KILLS + 1
+        with ExperimentEngine(
             workers=4,
             cache=cache,
             retry=RetryPolicy(max_attempts=3),
-            degrade_after=KILLS + 1,
         ) as engine:
             install_chaos(engine, plan)
             chaotic = engine.run_cells(cells)
@@ -125,12 +129,12 @@ def main() -> int:
 
         print(f"[3/3] interrupted sweep + journal resume")
         journal = tmp / "run.jsonl"
-        with ResilientEngine(
+        with ExperimentEngine(
             workers=2, cache=CellCache(enabled=False), journal=journal
         ) as first:
             first.run_cells(cells[:RESUME_PREFIX])
         interrupted_runs = first.stats.cells_run
-        with ResilientEngine(
+        with ExperimentEngine(
             workers=2, cache=CellCache(enabled=False), journal=journal
         ) as second:
             resumed = second.run_cells(cells)

@@ -12,6 +12,7 @@ simulator's uninstrumented application throughput, and documents
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -63,12 +64,18 @@ def mva(
     population:
         Number of circulating customers N ≥ 1.
     think_time:
-        Pure delay Z between cycles, µs.
+        Pure delay Z between cycles, µs (finite, >= 0).
+
+    Raises :class:`ValueError` when the throughput overflows, which
+    happens only when every demand is zero and Z is so small (subnormal)
+    that N/Z exceeds the largest float: no finite answer exists.
     """
     if population < 1:
         raise ValueError("population must be >= 1")
     if any(c.demand < 0 for c in centers):
         raise ValueError("demands must be non-negative")
+    if not 0.0 <= think_time < math.inf:
+        raise ValueError(f"think_time must be finite and >= 0, got {think_time}")
     K = len(centers)
     queue = [0.0] * K
     throughput = 0.0
@@ -81,6 +88,11 @@ def mva(
                 residence[k] = c.demand * (1.0 + queue[k])
         total_r = sum(residence)
         throughput = n / (think_time + total_r) if (think_time + total_r) > 0 else 0.0
+        if throughput == math.inf:
+            raise ValueError(
+                f"throughput overflows: population {n} over a cycle of "
+                f"{think_time + total_r!r} µs"
+            )
         queue = [throughput * r for r in residence]
     utilization = [throughput * c.demand for c in centers]
     return MVAResult(

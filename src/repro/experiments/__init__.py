@@ -16,7 +16,8 @@ Or from the command line::
 Cells (one simulation per ``(config, replication)`` pair) are scheduled
 by an :class:`~repro.experiments.engine.ExperimentEngine` — parallel
 across processes when ``workers > 1`` (or ``REPRO_WORKERS`` is set) and
-memoized on disk by a content-addressed cell cache:
+memoized on disk by a content-addressed cell cache; retries, per-cell
+deadlines and a resumable run journal are opt-in engine parameters:
 
 >>> from repro.experiments import ExperimentEngine, use_engine, sweep
 >>> with use_engine(ExperimentEngine(workers=4)) as eng:   # doctest: +SKIP
@@ -42,12 +43,7 @@ from .reporting import (
     engine_stats_table,
     failure_report_table,
 )
-from .resilience import (
-    FailureReport,
-    ResilientEngine,
-    RetryPolicy,
-    RunJournal,
-)
+from .resilience import FailureReport, RetryPolicy, RunJournal
 from .runners import MeanResults, metric_series, replicate, run_design, sweep
 
 __all__ = [
@@ -65,7 +61,6 @@ __all__ = [
     "MeanResults",
     "CellError",
     "ExperimentEngine",
-    "ResilientEngine",
     "RetryPolicy",
     "RunJournal",
     "FailureReport",

@@ -17,6 +17,7 @@ import time
 from typing import List, Optional
 
 from .registry import get, list_experiments
+from .runflags import Checked, add_run_flags, engine_from_args, int_at_least
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -42,20 +43,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        action=Checked,
+        check=int_at_least(1),
         default=None,
         metavar="N",
         help="run simulation cells on N worker processes "
         "(default: $REPRO_WORKERS or 1)",
-    )
-    parser.add_argument(
-        "--lp-workers",
-        default=None,
-        metavar="K",
-        help="partition each eligible simulation cell across K parallel "
-        "LP worker processes, or 'auto' to partition only big cells on "
-        "multi-core machines; multiplies with --workers "
-        "(default: $REPRO_DES_PARALLEL, else sequential)",
     )
     parser.add_argument(
         "--no-cache",
@@ -63,84 +56,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="bypass the content-addressed cell cache",
     )
     parser.add_argument(
-        "--workload",
-        metavar="NAME[:k=v,...]",
-        default=None,
-        help="open-workload traffic spec passed to experiments that "
-        "accept one (e.g. open_workload; 'stationary:rate=200', "
-        "'open:avg_users=100,rpm=60')",
-    )
-    parser.add_argument(
         "--plan",
         action="store_true",
-        help="run planned experiments (planned_now, ...) under the "
-        "hybrid analytic-simulation planner; also enables forwarding "
-        "--ci-target/--budget to them",
+        help="route table4/table5/table6/figure30 to their planned "
+        "variants (planned_now, ...), run under the hybrid "
+        "analytic-simulation planner with --ci-target/--budget",
     )
-    parser.add_argument(
-        "--ci-target",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="adaptive-replication precision target: relative 90%% CI "
-        "half-width per cell (planner default: 0.35)",
-    )
-    parser.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap on total simulated cell-replications for a planned "
-        "design (default: the fixed-r baseline count)",
-    )
-    parser.add_argument(
-        "--cell-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-cell wall-clock deadline: a cell exceeding it is "
-        "aborted (in-worker watchdog, plus a parent-side guard for "
-        "hung workers) and retried per --max-retries",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="retries per cell for transient failures (worker death, "
-        "stalls, deadline breaches); 0 disables retrying (default: 2)",
-    )
-    parser.add_argument(
-        "--resume",
-        metavar="JOURNAL",
-        default=None,
-        help="record every cell attempt/success/failure to this JSONL "
-        "run journal and, when it already exists, serve completed "
-        "cells from it instead of re-simulating them",
-    )
-    parser.add_argument(
-        "--strict",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="with --no-strict, cells that exhaust their retries are "
-        "reported in a failure report and the run continues with "
-        "partial results instead of aborting",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="profile the simulation kernel in every executed cell and "
-        "print the merged profile (implies --no-cache so cells run)",
-    )
-    parser.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        default=None,
-        help="record spans of every executed cell and write a trace to "
-        "PATH (.jsonl for JSONL, otherwise Chrome trace_event JSON "
-        "loadable in Perfetto; implies --no-cache so cells run; "
-        "default: $REPRO_TRACE)",
-    )
+    add_run_flags(parser)
     args = parser.parse_args(argv)
 
     if args.ids == ["list"]:
@@ -152,13 +74,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if ids == ["all"]:
         ids = [e.id for e in list_experiments()]
 
-    from .engine import CellCache, use_engine
-    from .resilience import ResilientEngine, RetryPolicy
-
-    if args.profile:
-        import os
-
-        os.environ["REPRO_PROFILE"] = "1"
+    from contextlib import ExitStack
 
     from ..obs import (
         export_trace,
@@ -167,63 +83,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         trace_path_from_env,
         use_tracing,
     )
-    from contextlib import ExitStack
+    from .engine import CellCache, use_engine
 
-    trace_out = args.trace_out or trace_path_from_env()
-
-    if args.max_retries < 0:
-        parser.error("--max-retries must be >= 0")
-    lp_workers = args.lp_workers
-    if lp_workers is not None and lp_workers != "auto":
-        try:
-            lp_workers = int(lp_workers)
-        except ValueError:
-            parser.error("--lp-workers must be an integer or 'auto'")
-        if lp_workers < 1:
-            parser.error(f"--lp-workers must be >= 1, got {lp_workers}")
-    if args.ci_target is not None and args.ci_target <= 0:
-        parser.error("--ci-target must be positive")
-    if args.budget is not None and args.budget < 1:
-        parser.error("--budget must be >= 1")
-    plan = None
-    if args.plan or args.ci_target is not None or args.budget is not None:
-        from ..planner import PlannerConfig, ReplicationPolicy
-
-        replication = ReplicationPolicy()
-        if args.ci_target is not None:
-            replication = ReplicationPolicy(ci_target=args.ci_target)
-        plan = PlannerConfig(replication=replication, budget=args.budget)
-        # --plan routes the classic factorial ids to their planned
-        # variants; the planned_* ids also take the flags directly.
+    if args.plan:
+        # The classic factorial ids run as their planned variants.
         planned_alias = {
             "table4": "planned_now",
             "table5": "planned_smp",
             "table6": "planned_mpp",
             "figure30": "planned_validation",
         }
-        if args.plan:
-            ids = [planned_alias.get(i, i) for i in ids]
-    workload = None
-    if args.workload is not None:
-        from ..workload.generators import TrafficSpec
-
-        try:
-            workload = TrafficSpec.parse(args.workload)
-            workload.validate()
-        except ValueError as exc:
-            parser.error(str(exc))
-    engine = ResilientEngine(
-        workers=args.workers,
-        lp_workers=lp_workers,
+        ids = [planned_alias.get(i, i) for i in ids]
+    trace_out = args.trace_out or trace_path_from_env()
+    engine = engine_from_args(
+        args,
         cache=(
             CellCache(enabled=False)
             if (args.no_cache or args.profile or trace_out)
             else None
         ),
-        retry=RetryPolicy(max_attempts=args.max_retries + 1),
-        cell_timeout=args.cell_timeout,
-        journal=args.resume,
-        strict=args.strict,
+        workers=args.workers,
     )
     status = 0
     with ExitStack() as stack:
@@ -240,10 +119,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                 status = 2
                 continue
             extra = {}
-            if workload is not None and experiment.accepts("workload"):
-                extra["workload"] = workload
-            if plan is not None and experiment.accepts("plan"):
-                extra["plan"] = plan
+            if args.workload is not None and experiment.accepts("workload"):
+                extra["workload"] = args.workload
+            if experiment.accepts("plan"):
+                from ..planner import PlannerConfig, ReplicationPolicy
+
+                extra["plan"] = PlannerConfig(
+                    replication=ReplicationPolicy(ci_target=args.ci_target),
+                    budget=args.budget,
+                )
             t0 = time.time()
             if tracer is not None:
                 with tracer.span(id_, cat="experiment"):

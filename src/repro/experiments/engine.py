@@ -1,4 +1,4 @@
-"""Parallel experiment engine with a content-addressed cell cache.
+"""Experiment engine: parallel, memoized, bounded and resumable cells.
 
 Every number the paper reports is the outcome of an independent
 *simulation cell* — one ``(SimulationConfig, replication)`` pair — and
@@ -8,8 +8,7 @@ both properties:
 
 * **Scheduling** — cells submitted through :meth:`ExperimentEngine.run_cells`
   fan out across a process pool (``workers > 1``) or run inline
-  (``workers=1``, the serial fallback, which preserves the historical
-  fail-fast behavior exactly).  Failures ship back as picklable
+  (``workers=1``, failing fast).  Failures ship back as picklable
   :class:`CellError` artifacts, so ``isolate=True`` semantics survive
   the process boundary — including workers killed mid-cell.
 * **Memoization** — a :class:`CellCache` keys finished
@@ -18,6 +17,21 @@ both properties:
   distributions, fault plan, replication index) salted with a hash of
   the simulation source code, so re-running a sweep or benchmark
   recomputes only cells whose inputs or code actually changed.
+* **Bounded failure** — long sweeps die in mundane ways: a worker is
+  OOM-killed mid-cell, a pathological configuration livelocks the
+  kernel, a crash leaves a corrupt cache entry.  Per-cell deadlines,
+  retries of transient failures (:class:`~repro.experiments.resilience.RetryPolicy`),
+  a resumable run journal (:class:`~repro.experiments.resilience.RunJournal`),
+  degrade-to-serial on repeated pool breakage and, with
+  ``strict=False``, partial results plus a
+  :class:`~repro.experiments.resilience.FailureReport` make every
+  failure bounded and every sweep restartable.  The chaos harness in
+  :mod:`repro.experiments.chaos` exercises each failure mode.
+
+Counters (``engine.retries``, ``engine.cell_timeouts``,
+``engine.pool_resets``, ``engine.cache_corrupt``) are published through
+the :mod:`repro.obs` metrics registry, and every attempt runs under a
+span when tracing is enabled.
 
 Environment knobs:
 
@@ -25,6 +39,8 @@ Environment knobs:
 * ``REPRO_CELL_CACHE`` — set to ``0``/``off`` to disable the cache.
 * ``REPRO_CACHE_DIR`` — cache directory (default
   ``$XDG_CACHE_HOME/repro/cells`` or ``~/.cache/repro/cells``).
+* ``REPRO_DES_PARALLEL`` — in-cell LP count when ``lp_workers`` is not
+  given (read once, when the engine is built).
 """
 
 from __future__ import annotations
@@ -35,17 +51,18 @@ import pickle
 import time
 import traceback as _traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import TimeoutError as _FuturesTimeout
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
-from math import isnan, nan
+from math import inf, isnan, nan
 from pathlib import Path
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..des.profiling import merge_profiles, take_last_profile
-from ..obs.metrics import diff_snapshots, registry as obs_registry
+from ..obs.metrics import diff_snapshots, registry as obs_registry, timed
 from ..obs.spans import (
     SpanBatch,
     Tracer,
@@ -57,7 +74,9 @@ from ..obs.spans import (
 from ..rocc.aggregate import simulate_aggregated
 from ..rocc.config import SimulationConfig
 from ..rocc.metrics import SimulationResults
+from ..rocc.partition import lp_workers_from_env, parallel_ineligibility
 from ..rocc.system import simulate
+from .resilience import CellTimeout, FailureReport, RetryPolicy, RunJournal
 
 __all__ = [
     "CellError",
@@ -360,8 +379,8 @@ class EngineStats:
     cells_run: int = 0
     cache_hits: int = 0
     cell_errors: int = 0
-    #: Extra attempts executed by a resilient engine (beyond each cell's
-    #: first), including re-runs after pool breakage.
+    #: Extra attempts executed (beyond each cell's first), including
+    #: re-runs after pool breakage.
     retries: int = 0
     #: Cells that exceeded their wall-clock deadline (in-worker watchdog
     #: or the parent-side wait guard).
@@ -372,6 +391,9 @@ class EngineStats:
     cache_corrupt: int = 0
     #: Cells served from a resumed run journal instead of executing.
     cells_resumed: int = 0
+    #: Cells given an explicit ``lp_workers`` >= 2 whose configuration
+    #: the partitioned kernel cannot run; they ran sequentially.
+    lp_fallbacks: int = 0
     #: Design cells the experiment planner served as analytic surrogates
     #: instead of simulating (see :mod:`repro.planner`).
     cells_pruned: int = 0
@@ -421,6 +443,7 @@ class EngineStats:
             pool_resets=self.pool_resets - earlier.pool_resets,
             cache_corrupt=self.cache_corrupt - earlier.cache_corrupt,
             cells_resumed=self.cells_resumed - earlier.cells_resumed,
+            lp_fallbacks=self.lp_fallbacks - earlier.lp_fallbacks,
             cells_pruned=self.cells_pruned - earlier.cells_pruned,
             replications_saved=(
                 self.replications_saved - earlier.replications_saved
@@ -448,6 +471,7 @@ class EngineStats:
                 (self.cell_timeouts, "timeouts"),
                 (self.pool_resets, "pool resets"),
                 (self.cache_corrupt, "corrupt cache entries"),
+                (self.lp_fallbacks, "ineligible for lp_workers (ran sequential)"),
             )
             if count
         ]
@@ -496,11 +520,11 @@ def _run_cell(payload: Tuple[SimulationConfig, bool, bool, Optional[int]]) -> _C
     config, aggregated, traced, lp_workers = payload
     if aggregated:
         runner: Callable[[SimulationConfig], SimulationResults] = simulate_aggregated
-    elif lp_workers is not None and lp_workers >= 2:
-        def runner(cfg, _k=lp_workers):
-            return simulate(cfg, lp_workers=_k)
     else:
-        runner = simulate
+        # lp_workers=1 pins the sequential kernel: the engine has already
+        # resolved REPRO_DES_PARALLEL, and its cache key says which ran.
+        def runner(cfg, _k=lp_workers or 1):
+            return simulate(cfg, lp_workers=_k)
     # A traced cell records into its own fresh tracer (explicitly
     # installed — forked workers inherit the parent's tracer object, and
     # inline cells must not write parent spans twice) and ships the
@@ -551,39 +575,110 @@ def _run_cell(payload: Tuple[SimulationConfig, bool, bool, Optional[int]]) -> _C
 # The engine
 # ---------------------------------------------------------------------------
 
+#: Pool failures tolerated before an engine demotes itself to serial
+#: in-process execution.
+DEGRADE_AFTER = 3
+#: A pool worker gets ``cell_timeout × DEADLINE_GRACE + 2`` seconds before
+#: the parent-side guard declares it hung and tears the pool down.
+DEADLINE_GRACE = 3.0
+
+# Module-cached instruments (registry().reset() zeroes them in place,
+# so the references stay valid across test isolation).
+_RETRIES = obs_registry().counter(
+    "engine.retries", "cell re-executions scheduled by the engine"
+)
+_TIMEOUTS = obs_registry().counter(
+    "engine.cell_timeouts", "cells that exceeded their wall-clock deadline"
+)
+_ATTEMPT_SECONDS = obs_registry().histogram(
+    "engine.attempt_seconds", "wall seconds per executed cell attempt"
+)
+_BATCH_SECONDS = obs_registry().histogram(
+    "engine.batch_seconds", "wall seconds per run_cells batch"
+)
+
 
 class ExperimentEngine:
     """Schedules simulation cells over workers, memoized by content.
 
     ``workers=1`` (the default, or ``REPRO_WORKERS`` unset) executes
-    inline with fail-fast semantics identical to the historical serial
-    loops; ``workers=N`` fans cells out over a lazily created
+    inline, failing fast: a failed cell raises before later cells
+    start.  ``workers=N`` fans cells out over a lazily created
     :class:`~concurrent.futures.ProcessPoolExecutor` that is reused
     across batches until :meth:`close`.
+
+    The remaining parameters default to the plain run — sequential
+    cells unless ``REPRO_DES_PARALLEL`` says otherwise, no retries, no
+    deadline, no journal, ``strict=True`` — which leaves a healthy run
+    exactly as if each cell were simulated directly:
+
+    * ``lp_workers`` — in-cell LP parallelism: an LP count applied to
+      every eligible cell, ``"auto"`` to partition big cells when cores
+      allow, or ``None`` for ``REPRO_DES_PARALLEL`` (read once, here).
+      Cell workers and LP workers multiply — size the product to the
+      machine.
+    * ``retry`` — the :class:`RetryPolicy` for transient failures
+      (default :meth:`RetryPolicy.none`).
+    * ``cell_timeout`` — per-cell wall-clock deadline, seconds.
+      Enforced inside the worker via the kernel watchdog
+      (``max_wall_seconds``) and, for workers hung outside the kernel,
+      by a parent-side wait guard (:data:`DEADLINE_GRACE`) that tears
+      the pool down.
+    * ``journal`` — a :class:`RunJournal` (or a path) to checkpoint into
+      and resume from: completed cells are served from the journal
+      without executing.
+    * ``strict`` — when False, a cell that exhausts its attempts never
+      raises: it is returned as a :class:`CellError` artifact (the
+      partial-results contract of ``isolate=True``) and recorded in
+      :attr:`failure_report`.
+
+    Attempt accounting: a failure *inside* a cell (exception, watchdog
+    stall, deadline breach) consumes one of the cell's attempts.  Pool
+    shrapnel — sibling futures that die with ``BrokenProcessPool`` or
+    are cancelled because some *other* cell broke the pool — is requeued
+    without consuming the victim cells' budgets, and is bounded by
+    :data:`DEGRADE_AFTER` pool failures, after which the engine runs
+    serially.
     """
 
     def __init__(self, workers: Optional[int] = None,
                  cache: Optional[CellCache] = None,
                  stats: Optional[EngineStats] = None,
-                 lp_workers: Union[int, str, None] = None):
+                 lp_workers: Union[int, str, None] = None,
+                 retry: Optional[RetryPolicy] = None,
+                 cell_timeout: Optional[float] = None,
+                 journal: Union[RunJournal, str, Path, None] = None,
+                 strict: bool = True):
         if workers is None:
             workers = int(os.environ.get("REPRO_WORKERS", "1") or 1)
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if isinstance(lp_workers, str) and lp_workers != "auto":
-            raise ValueError("lp_workers must be an int, 'auto', or None")
-        if isinstance(lp_workers, int) and lp_workers < 1:
+        if lp_workers is None:
+            lp_workers = lp_workers_from_env()
+        elif isinstance(lp_workers, str):
+            if lp_workers != "auto":
+                raise ValueError("lp_workers must be an int, 'auto', or None")
+        elif lp_workers < 1:
             raise ValueError("lp_workers must be >= 1")
+        elif lp_workers == 1:
+            lp_workers = None
+        if cell_timeout is not None and not 0 < cell_timeout < inf:
+            raise ValueError("cell_timeout must be finite and positive (or None)")
         self.workers = workers
-        #: In-cell LP parallelism: an LP count applied to every eligible
-        #: cell, ``"auto"`` to partition big cells when cores allow, or
-        #: ``None`` to leave the choice to ``REPRO_DES_PARALLEL``.
-        #: Cell workers and in-cell LP workers multiply — size the
-        #: product to the machine.
+        #: ``None`` (sequential), an LP count >= 2, or ``"auto"``.
         self.lp_workers = lp_workers
         self.cache = cache if cache is not None else CellCache()
         self.stats = stats if stats is not None else EngineStats(workers=workers)
         self.stats.workers = workers
+        self.retry = retry if retry is not None else RetryPolicy.none()
+        self.cell_timeout = cell_timeout
+        self.journal = (
+            journal if isinstance(journal, RunJournal) or journal is None
+            else RunJournal(journal)
+        )
+        self.strict = strict
+        self.failure_report = FailureReport()
+        self._pool_failures = 0
         self._pool: Optional[ProcessPoolExecutor] = None
         #: The picklable callable executed per cell.  The chaos harness
         #: (:mod:`repro.experiments.chaos`) swaps in a fault-injecting
@@ -597,10 +692,12 @@ class ExperimentEngine:
         return self._pool
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
+        """Shut the worker pool down and close the journal (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
+        if self.journal is not None:
+            self.journal.close()
 
     def __enter__(self) -> "ExperimentEngine":
         return self
@@ -608,7 +705,7 @@ class ExperimentEngine:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- execution -----------------------------------------------------
+    # -- scheduling ----------------------------------------------------
     def run_cells(
         self,
         configs: Sequence[SimulationConfig],
@@ -617,18 +714,18 @@ class ExperimentEngine:
     ) -> List[Union[SimulationResults, CellError]]:
         """Run every cell, returning outcomes in submission order.
 
-        Cached cells are served from the :class:`CellCache` without
-        executing; the rest run inline (``workers=1``) or on the pool.
-        Failures become :class:`CellError` entries under ``isolate=True``
-        and raise otherwise — the original exception when picklable,
-        :class:`EngineCellError` when not (e.g. a worker killed
-        mid-cell, which surfaces as ``BrokenProcessPool``).
+        Journaled and cached cells are served without executing; the
+        rest run inline (``workers=1``) or on the pool.  Failures become
+        :class:`CellError` entries under ``isolate=True`` or
+        ``strict=False`` and raise otherwise — the original exception
+        when picklable, :class:`EngineCellError` when not.
         """
         configs = list(configs)
+        isolate = isolate or not self.strict
         t_start = time.perf_counter()
         hits_before = self.stats.cache_hits
         try:
-            with maybe_span(
+            with timed(_BATCH_SECONDS), maybe_span(
                 "run_cells", cat="engine.batch",
                 args={"cells": len(configs), "workers": self.workers},
             ) as span:
@@ -645,36 +742,37 @@ class ExperimentEngine:
         self.stats.cells_submitted += len(configs)
         outcomes: List[Union[SimulationResults, CellError, None]]
         outcomes = [None] * len(configs)
-        misses: List[Tuple[int, SimulationConfig, Optional[str]]] = []
+        pending = []
         for i, config in enumerate(configs):
+            lp = self._lp_workers_for(config, aggregated)
+            if lp is None and isinstance(self.lp_workers, int) and not aggregated:
+                self.stats.lp_fallbacks += 1  # ineligible configuration
             key = self._fingerprint(config, aggregated)
-            hit = self._lookup(config, key)
+            hit = self._lookup(key)
             if hit is not None:
                 outcomes[i] = hit
             else:
-                misses.append((i, config, key))
+                pending.append((i, config, key, lp, 1))
 
-        tracer = current_tracer()
-        own_pid = os.getpid()
-        for i, key, out in self._execute(misses, aggregated, isolate):
+        for i, config, key, out, attempt in self._execute(
+            pending, aggregated, isolate
+        ):
             self.stats.cells_run += 1
-            self.stats.cell_wall_time += out.wall
-            self.stats.cell_cpu_time += out.cpu
-            if tracer is not None and out.trace is not None:
-                tracer.merge(out.trace)
-            if out.metrics and out.pid != own_pid:
-                # Inline cells already published into this registry;
-                # only foreign (worker) deltas need folding in.
-                obs_registry().merge_snapshot(out.metrics)
-            if out.profile is not None:
-                self.stats.profile = merge_profiles(self.stats.profile, out.profile)
-                self.stats.sim_events += out.profile["events"]
             if out.ok:
                 outcomes[i] = out.result
+                if self.journal is not None:
+                    self.journal.record_success(
+                        key, out.result, attempt=attempt, wall=out.wall
+                    )
                 if key:
                     self.cache.put(key, out.result)
                 continue
             self.stats.cell_errors += 1
+            if self.journal is not None:
+                self.journal.record_failure(
+                    key, attempt, out.error.error.splitlines()[0]
+                )
+            self.failure_report.add(config, key, attempt, out.error)
             if not isolate:
                 if out.exc is not None:
                     raise out.exc
@@ -682,54 +780,50 @@ class ExperimentEngine:
             outcomes[i] = out.error
         return outcomes
 
-    # -- seams (overridden by the resilience layer) --------------------
     def _lp_workers_for(self, config: SimulationConfig,
                         aggregated: bool) -> Optional[int]:
         """Resolve the in-cell LP count for one cell, or ``None``.
 
         ``"auto"`` partitions only cells big enough to amortize the
         worker processes (>= 256 nodes), only on machines with cores to
-        spare, and only when the configuration is protocol-eligible;
-        everything else stays sequential.
+        spare, and only when the configuration is protocol-eligible.
+        An explicit count runs an ineligible configuration sequentially.
         """
         if aggregated or self.lp_workers is None:
             return None
+        if parallel_ineligibility(config) is not None:
+            return None
         if self.lp_workers == "auto":
-            from ..rocc.partition import parallel_ineligibility
-
             cpus = os.cpu_count() or 1
-            if (
-                cpus < 4
-                or config.nodes < 256
-                or parallel_ineligibility(config) is not None
-            ):
+            if cpus < 4 or config.nodes < 256:
                 return None
             return min(4, cpus)
-        return self.lp_workers if self.lp_workers >= 2 else None
-
-    def _payload(self, config: SimulationConfig, aggregated: bool,
-                 traced: bool) -> Tuple:
-        return (config, aggregated, traced,
-                self._lp_workers_for(config, aggregated))
+        return self.lp_workers
 
     def _fingerprint(self, config: SimulationConfig,
                      aggregated: bool) -> Optional[str]:
-        """Content key of one cell, or None when nothing will use it."""
-        if not self.cache.enabled:
+        """Cache and journal key of one cell, or None when neither is on."""
+        if not self.cache.enabled and self.journal is None:
             return None
         key = config_fingerprint(config, aggregated)
         lp = self._lp_workers_for(config, aggregated)
-        if lp is not None and lp >= 2:
+        if lp is not None:
             # A partitioned run may differ from the sequential one in
             # the last ulp of a few re-associated float sums; keep the
-            # two result streams cache-separate.
+            # two result streams apart.
             key = hashlib.sha256(f"{key}|lp{lp}".encode()).hexdigest()
         return key
 
-    def _lookup(self, config: SimulationConfig,
-                key: Optional[str]) -> Optional[SimulationResults]:
-        """Serve a cell without executing it (cache hit), else None."""
-        if key is None or not self.cache.enabled:
+    def _lookup(self, key: Optional[str]) -> Optional[SimulationResults]:
+        """Serve a cell without executing it (journal, then cache)."""
+        if key is None:
+            return None
+        if self.journal is not None:
+            result = self.journal.result_for(key)
+            if result is not None:
+                self.stats.cells_resumed += 1
+                return result
+        if not self.cache.enabled:
             return None
         corrupt_before = self.cache.corrupt_entries
         hit = self.cache.get(key)
@@ -738,51 +832,204 @@ class ExperimentEngine:
             self.stats.cache_hits += 1
         return hit
 
-    def _execute(
-        self, misses, aggregated: bool, isolate: bool
-    ) -> Iterator[Tuple[int, Optional[str], _CellOutcome]]:
-        if not misses:
-            return
+    # -- execution -----------------------------------------------------
+    def _execute(self, pending, aggregated: bool, isolate: bool):
+        """Run *pending* ``(i, config, key, lp, attempt)`` cells; yield
+        ``(i, config, key, outcome, attempts)`` for each final outcome."""
         traced = tracing_enabled()
-        if self.workers == 1 or len(misses) == 1:
-            for i, config, key in misses:
-                out = self._run_inline(config, aggregated, traced)
-                yield i, key, out
-                if not out.ok and not isolate:
-                    return  # fail fast: later cells never start
-            return
-        pool = self._ensure_pool()
-        futures = [
-            (i, config, key,
-             pool.submit(self.cell_runner,
-                         self._payload(config, aggregated, traced)))
-            for i, config, key in misses
-        ]
-        for i, config, key, future in futures:
-            try:
-                out = future.result()
-            except BaseException as exc:
-                # The worker died (BrokenProcessPool) or the outcome
-                # could not cross the boundary; synthesize an artifact.
-                if isinstance(exc, KeyboardInterrupt):
-                    raise
-                self._reset_broken_pool()
-                out = _CellOutcome(
-                    ok=False, error=CellError.from_exception(config, exc),
-                    exc=exc,
-                )
-            yield i, key, out
+        while pending:
+            if self.workers == 1 or len(pending) == 1:
+                for i, config, key, lp, attempt in pending:
+                    out, attempt = self._serial_attempts(
+                        config, key, lp, aggregated, traced, attempt
+                    )
+                    yield i, config, key, out, attempt
+                    if not out.ok and not isolate:
+                        return  # fail fast: later cells never start
+                return
+            pending, delay = yield from self._pool_round(
+                pending, aggregated, traced
+            )
+            if pending and delay > 0.0:
+                time.sleep(delay)
 
-    def _run_inline(self, config: SimulationConfig, aggregated: bool,
-                    traced: bool) -> _CellOutcome:
+    def _serial_attempts(self, config, key, lp, aggregated, traced,
+                         attempt: int) -> Tuple[_CellOutcome, int]:
+        """Run one cell inline until success or the policy gives up;
+        returns the final outcome and the attempt count."""
+        while True:
+            self._journal_attempt(key, attempt)
+            with maybe_span(
+                "attempt", cat="engine.attempt",
+                args={"attempt": attempt, "key": (key or "")[:12]},
+            ):
+                out = self._run_inline(config, lp, aggregated, traced)
+            self._book(out)
+            if out.ok or not self._retry(out, key, attempt):
+                return out, attempt
+            time.sleep(self.retry.delay(attempt, key or ""))
+            attempt += 1
+
+    def _pool_round(self, pending, aggregated, traced):
+        """One parallel wave over *pending*; yields finished cells and
+        returns ``(still_pending, backoff_delay)``."""
+        pool = self._ensure_pool()
+        futures = []
+        for item in pending:
+            i, config, key, lp, attempt = item
+            self._journal_attempt(key, attempt)
+            futures.append((item, pool.submit(
+                self.cell_runner,
+                (self._with_deadline(config), aggregated, traced, lp),
+            )))
+        next_pending: List[Tuple] = []
+        delay = 0.0
+        pool_failed = False
+        for item, future in futures:
+            i, config, key, lp, attempt = item
+            with maybe_span(
+                "attempt", cat="engine.attempt",
+                args={"attempt": attempt, "key": (key or "")[:12]},
+            ) as span:
+                try:
+                    # Once the pool is known broken, the remaining
+                    # futures fail (or were cancelled) immediately —
+                    # keep a short guard instead of a full deadline wait.
+                    wait = 15.0 if pool_failed else self._wait_timeout()
+                    out = future.result(timeout=wait)
+                except KeyboardInterrupt:
+                    raise
+                except _FuturesTimeout:
+                    # The worker is hung somewhere the in-worker
+                    # watchdog cannot reach; kill the pool and charge
+                    # this cell.
+                    out = self._timeout_outcome(config)
+                    self._note_pool_failure(hard=True)
+                    pool_failed = True
+                except BaseException:
+                    # Worker death (BrokenProcessPool) or post-reset
+                    # cancellation: pool-level shrapnel.  Requeue
+                    # without consuming the cell's attempt budget —
+                    # bounded by DEGRADE_AFTER, not max_attempts.
+                    if not pool_failed:
+                        self._note_pool_failure(hard=False)
+                        pool_failed = True
+                    self._count_retry(key, attempt, "BrokenProcessPool")
+                    next_pending.append(item)
+                    if span is not None:
+                        span.args["requeued"] = True
+                    continue
+                if span is not None:
+                    span.args["ok"] = out.ok
+            self._book(out)
+            if not out.ok and self._retry(out, key, attempt):
+                delay = max(delay, self.retry.delay(attempt, key or ""))
+                next_pending.append((i, config, key, lp, attempt + 1))
+            else:
+                yield i, config, key, out, attempt
+        return next_pending, delay
+
+    def _run_inline(self, config: SimulationConfig, lp: Optional[int],
+                    aggregated: bool, traced: bool) -> _CellOutcome:
         """One inline cell; exceptions from a swapped-in ``cell_runner``
         (chaos wrappers raise by design) become failure artifacts."""
         try:
-            return self.cell_runner(self._payload(config, aggregated, traced))
+            return self.cell_runner(
+                (self._with_deadline(config), aggregated, traced, lp)
+            )
         except Exception as exc:
             return _CellOutcome(
                 ok=False, error=CellError.from_exception(config, exc), exc=exc
             )
+
+    # -- bookkeeping ---------------------------------------------------
+    def _book(self, out: _CellOutcome) -> None:
+        """Account for one executed attempt, final or retried: its wall
+        and CPU time, spans, metrics delta and kernel profile."""
+        _ATTEMPT_SECONDS.observe(out.wall)
+        self.stats.cell_wall_time += out.wall
+        self.stats.cell_cpu_time += out.cpu
+        tracer = current_tracer()
+        if tracer is not None and out.trace is not None:
+            tracer.merge(out.trace)
+        if out.metrics and out.pid != os.getpid():
+            # Inline cells already published into this registry; only
+            # foreign (worker) deltas need folding in.
+            obs_registry().merge_snapshot(out.metrics)
+        if out.profile is not None:
+            self.stats.profile = merge_profiles(self.stats.profile, out.profile)
+            self.stats.sim_events += out.profile["events"]
+
+    def _retry(self, out: _CellOutcome, key: Optional[str],
+               attempt: int) -> bool:
+        """Note a failed attempt; True when the policy grants another."""
+        if self.retry.error_class(out.error) in ("CellTimeout", "SimulationStalled"):
+            self.stats.cell_timeouts += 1
+            self.failure_report.cell_timeouts += 1
+            _TIMEOUTS.inc()
+        if not self.retry.should_retry(out.error, attempt):
+            return False
+        self._count_retry(key, attempt, out.error.error)
+        return True
+
+    def _count_retry(self, key: Optional[str], attempt: int,
+                     error: str) -> None:
+        self.stats.retries += 1
+        self.failure_report.retries += 1
+        _RETRIES.inc()
+        if self.journal is not None:
+            self.journal.record_retry(key, attempt, error.splitlines()[0])
+
+    def _journal_attempt(self, key: Optional[str], attempt: int) -> None:
+        if self.journal is not None:
+            self.journal.record_attempt(key, attempt)
+
+    # -- deadlines and pool failure ------------------------------------
+    def _with_deadline(self, config: SimulationConfig) -> SimulationConfig:
+        if self.cell_timeout is None:
+            return config
+        current = config.max_wall_seconds
+        deadline = (
+            self.cell_timeout if current is None
+            else min(current, self.cell_timeout)
+        )
+        if current == deadline:
+            return config
+        return config.with_(max_wall_seconds=deadline)
+
+    def _wait_timeout(self) -> Optional[float]:
+        if self.cell_timeout is None:
+            return None
+        return self.cell_timeout * DEADLINE_GRACE + 2.0
+
+    def _timeout_outcome(self, config: SimulationConfig) -> _CellOutcome:
+        exc = CellTimeout(
+            f"cell exceeded its wall-clock deadline of "
+            f"{self.cell_timeout}s (worker unresponsive; pool reset)"
+        )
+        return _CellOutcome(
+            ok=False, error=CellError.from_exception(config, exc), exc=exc
+        )
+
+    def _note_pool_failure(self, hard: bool) -> None:
+        self._pool_failures += 1
+        if hard:
+            # The workers may be hung, not just dead: terminate them
+            # before shutting the executor down.
+            processes = getattr(self._pool, "_processes", None) or {}
+            for proc in list(processes.values()):
+                try:
+                    proc.terminate()
+                except Exception:
+                    pass
+        self._reset_broken_pool()
+        self.failure_report.pool_resets = self.stats.pool_resets
+        if self._pool_failures >= DEGRADE_AFTER and self.workers > 1:
+            # Graceful degradation: the pool keeps dying under us, so
+            # stop using one.  Serial execution cannot lose workers.
+            self.workers = 1
+            self.stats.workers = 1
+            self.failure_report.degraded_to_serial = True
 
     def _reset_broken_pool(self) -> None:
         if self._pool is not None:
@@ -793,7 +1040,6 @@ class ExperimentEngine:
                 "engine.pool_resets",
                 "worker-pool restarts after breakage",
             ).inc()
-
 
 # ---------------------------------------------------------------------------
 # Ambient engine

@@ -1,38 +1,25 @@
-"""Resilient experiment execution: retries, deadlines, checkpoint/resume.
+"""Formats and policies of bounded, resumable cell execution.
 
-The paper's evaluation is a large factorial sweep of independent
-simulation cells, and long sweeps die in mundane ways: a worker process
-is OOM-killed mid-cell (``BrokenProcessPool``), a pathological
-configuration livelocks the kernel, a crashed run leaves a corrupt
-cache entry behind.  :class:`ResilientEngine` wraps the
-:class:`~repro.experiments.engine.ExperimentEngine` scheduler so that
-every failure is *bounded* and every sweep is *restartable*:
+:class:`~repro.experiments.engine.ExperimentEngine` makes every failure
+bounded and every sweep restartable; this module holds the pieces that
+define *what* it does, independent of the scheduling loop:
 
-* **Deadlines** — ``cell_timeout`` arms the PR-1 kernel watchdog inside
-  the worker (``max_wall_seconds``), so a runaway cell aborts itself
-  with :class:`~repro.des.SimulationStalled`.  A worker that hangs
-  outside the kernel (so the watchdog cannot fire) is caught by a
-  parent-side wait guard and its pool is torn down.
-* **Retries** — a :class:`RetryPolicy` (max attempts, exponential
-  backoff with deterministic jitter, retry-on exception classes)
-  re-runs transient failures — worker death, stalls, deadline breaches —
-  instead of aborting the batch.  Cells are deterministic, so a retry
-  that succeeds is indistinguishable from a first-attempt success.
-* **Checkpoint/resume** — a :class:`RunJournal` (append-only JSONL,
-  keyed by the engine's content-addressed cell fingerprint) records
-  every attempt, success, and final failure.  Re-running with the same
-  journal serves completed cells from the journal without simulating
-  them again and re-runs only the remainder.
-* **Graceful degradation** — after repeated pool breakage the engine
-  demotes itself to serial in-process execution; with ``strict=False``
-  a sweep always returns (partial results plus a structured
-  :class:`FailureReport`) instead of raising.
+* :class:`RetryPolicy` — which failures are transient (by exception
+  class name), how many attempts a cell gets, and the exponential
+  backoff with deterministic jitter between them.  Cells are
+  deterministic, so a retry that succeeds is indistinguishable from a
+  first-attempt success.
+* :class:`RunJournal` — the append-only JSONL checkpoint format, keyed
+  by the engine's content-addressed cell fingerprint.  Re-running with
+  the same journal serves completed cells from it without simulating
+  them again.
+* :class:`FailureReport` — the structured account of lost cells,
+  retries, deadline breaches and pool resets returned alongside
+  partial results (``strict=False``).
+* :class:`CellTimeout` — the failure of a worker that hung past its
+  deadline outside the kernel, where the watchdog cannot reach.
 
-Counters (``engine.retries``, ``engine.cell_timeouts``,
-``engine.pool_resets``, ``engine.cache_corrupt``) are published through
-the :mod:`repro.obs` metrics registry, and every attempt runs under a
-span when tracing is enabled.  The failure modes themselves are
-exercised by the chaos harness in :mod:`repro.experiments.chaos`.
+The module imports nothing from the engine, which imports it.
 """
 
 from __future__ import annotations
@@ -43,24 +30,15 @@ import json
 import os
 import pickle
 import time
-from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
 
-from ..des.profiling import merge_profiles
-from ..obs.metrics import registry as obs_registry, timed
-from ..obs.spans import current_tracer, maybe_span, tracing_enabled
 from ..rocc.config import SimulationConfig
 from ..rocc.metrics import SimulationResults
-from .engine import (
-    CellCache,
-    CellError,
-    EngineStats,
-    ExperimentEngine,
-    _CellOutcome,
-    config_fingerprint,
-)
+
+if TYPE_CHECKING:
+    from .engine import CellError
 
 __all__ = [
     "CellTimeout",
@@ -68,7 +46,6 @@ __all__ = [
     "CellFailure",
     "FailureReport",
     "RunJournal",
-    "ResilientEngine",
 ]
 
 
@@ -90,21 +67,6 @@ DEFAULT_TRANSIENT: Tuple[str, ...] = (
     "BrokenPipeError",
     "ConnectionResetError",
     "LPWorkerLost",
-)
-
-# Module-cached instruments (registry().reset() zeroes them in place,
-# so the references stay valid across test isolation).
-_RETRIES = obs_registry().counter(
-    "engine.retries", "cell re-executions scheduled by the resilience layer"
-)
-_TIMEOUTS = obs_registry().counter(
-    "engine.cell_timeouts", "cells that exceeded their wall-clock deadline"
-)
-_ATTEMPT_SECONDS = obs_registry().histogram(
-    "engine.attempt_seconds", "wall seconds per executed cell attempt"
-)
-_BATCH_SECONDS = obs_registry().histogram(
-    "engine.batch_seconds", "wall seconds per resilient run_cells batch"
 )
 
 
@@ -401,323 +363,3 @@ class RunJournal:
                 "attempt": attempt, "error": error,
             }, fsync=True)
             self.failed[key] = error
-
-
-# ---------------------------------------------------------------------------
-# The resilient engine
-# ---------------------------------------------------------------------------
-
-
-class ResilientEngine(ExperimentEngine):
-    """An :class:`ExperimentEngine` whose failures are bounded.
-
-    Parameters beyond the base engine's:
-
-    * ``retry`` — the :class:`RetryPolicy` (default: 3 attempts with
-      exponential backoff over the transient classes).
-    * ``cell_timeout`` — per-cell wall-clock deadline, seconds.
-      Enforced inside the worker via the kernel watchdog
-      (``max_wall_seconds``) and, for workers hung outside the kernel,
-      by a parent-side wait guard of ``cell_timeout × deadline_grace +
-      2`` seconds that tears the pool down.
-    * ``journal`` — a :class:`RunJournal` (or a path) to checkpoint into
-      and resume from: completed cells are served from the journal
-      without executing.
-    * ``strict`` — when False, a cell that exhausts its attempts never
-      raises: it is returned as a :class:`CellError` artifact (the
-      partial-results contract of ``isolate=True``) and recorded in
-      :attr:`failure_report`.
-    * ``degrade_after`` — pool failures tolerated before the engine
-      demotes itself to serial in-process execution.
-
-    Attempt accounting: a failure *inside* a cell (exception, watchdog
-    stall, deadline breach) consumes one of the cell's attempts.  Pool
-    shrapnel — sibling futures that die with ``BrokenProcessPool`` or
-    are cancelled because some *other* cell broke the pool — is requeued
-    without consuming the victim cells' budgets, and is bounded by
-    ``degrade_after`` instead.
-    """
-
-    def __init__(self, workers: Optional[int] = None,
-                 cache: Optional[CellCache] = None,
-                 stats: Optional[EngineStats] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 cell_timeout: Optional[float] = None,
-                 journal: Union[RunJournal, str, Path, None] = None,
-                 strict: bool = True,
-                 degrade_after: int = 3,
-                 deadline_grace: float = 3.0,
-                 lp_workers=None):
-        super().__init__(workers=workers, cache=cache, stats=stats,
-                         lp_workers=lp_workers)
-        if cell_timeout is not None and cell_timeout <= 0:
-            raise ValueError("cell_timeout must be positive (or None)")
-        if degrade_after < 1:
-            raise ValueError("degrade_after must be >= 1")
-        if deadline_grace < 1.0:
-            raise ValueError("deadline_grace must be >= 1")
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.cell_timeout = cell_timeout
-        self.journal = (
-            journal if isinstance(journal, RunJournal) or journal is None
-            else RunJournal(journal)
-        )
-        self.strict = strict
-        self.degrade_after = degrade_after
-        self.deadline_grace = deadline_grace
-        self.failure_report = FailureReport()
-        self._pool_failures = 0
-
-    # -- lifecycle -----------------------------------------------------
-    def close(self) -> None:
-        super().close()
-        if self.journal is not None:
-            self.journal.close()
-
-    # -- base-engine seams ---------------------------------------------
-    def run_cells(self, configs, aggregated: bool = False,
-                  isolate: bool = False):
-        # strict=False is the partial-results contract: failures become
-        # artifacts instead of raising, exactly like isolate=True.
-        with timed(_BATCH_SECONDS):
-            return super().run_cells(
-                configs, aggregated=aggregated,
-                isolate=isolate or not self.strict,
-            )
-
-    def _fingerprint(self, config: SimulationConfig,
-                     aggregated: bool) -> Optional[str]:
-        # The journal needs keys even when the cache is disabled.
-        if self.journal is not None:
-            return config_fingerprint(config, aggregated)
-        return super()._fingerprint(config, aggregated)
-
-    def _lookup(self, config: SimulationConfig,
-                key: Optional[str]) -> Optional[SimulationResults]:
-        if self.journal is not None and key is not None:
-            result = self.journal.result_for(key)
-            if result is not None:
-                self.stats.cells_resumed += 1
-                return result
-        return super()._lookup(config, key)
-
-    # -- execution -----------------------------------------------------
-    def _execute(self, misses, aggregated, isolate):
-        if not misses:
-            return
-        traced = tracing_enabled()
-        pending = [(i, config, key, 1) for i, config, key in misses]
-        while pending:
-            if self.workers == 1 or len(pending) == 1:
-                for i, config, key, attempt in pending:
-                    out, attempts = self._serial_attempts(
-                        config, key, aggregated, traced, attempt
-                    )
-                    self._finalize(config, key, out, attempt=attempts)
-                    yield i, key, out
-                    if not out.ok and not isolate:
-                        return  # fail fast, like the base serial path
-                return
-            pending, delay = yield from self._pool_round(
-                pending, aggregated, traced
-            )
-            if pending and delay > 0.0:
-                time.sleep(delay)
-
-    def _serial_attempts(self, config, key, aggregated, traced,
-                         attempt: int) -> Tuple[_CellOutcome, int]:
-        """Run one cell inline until success or the policy gives up;
-        returns the final outcome and the attempt count."""
-        while True:
-            self._journal_attempt(key, attempt)
-            with maybe_span(
-                "attempt", cat="engine.attempt",
-                args={"attempt": attempt, "key": (key or "")[:12]},
-            ):
-                out = self._run_inline(
-                    self._with_deadline(config), aggregated, traced
-                )
-            _ATTEMPT_SECONDS.observe(out.wall)
-            if out.ok:
-                return out, attempt
-            self._note_timeout_if_any(out)
-            if not self.retry.should_retry(out.error, attempt):
-                return out, attempt
-            self._absorb_attempt(out)
-            self._count_retry(key, attempt, out.error.error)
-            time.sleep(self.retry.delay(attempt, key or ""))
-            attempt += 1
-
-    def _pool_round(self, pending, aggregated, traced):
-        """One parallel wave over *pending*; yields finished cells and
-        returns ``(still_pending, backoff_delay)``."""
-        pool = self._ensure_pool()
-        futures = []
-        for item in pending:
-            i, config, key, attempt = item
-            self._journal_attempt(key, attempt)
-            futures.append((item, pool.submit(
-                self.cell_runner,
-                self._payload(self._with_deadline(config), aggregated, traced),
-            )))
-        next_pending: List[Tuple] = []
-        delay = 0.0
-        pool_failed = False
-        for (i, config, key, attempt), future in futures:
-            with maybe_span(
-                "attempt", cat="engine.attempt",
-                args={"attempt": attempt, "key": (key or "")[:12]},
-            ) as span:
-                try:
-                    # Once the pool is known broken, the remaining
-                    # futures fail (or were cancelled) immediately —
-                    # keep a short guard instead of a full deadline wait.
-                    wait = 15.0 if pool_failed else self._wait_timeout()
-                    out = future.result(timeout=wait)
-                except KeyboardInterrupt:
-                    raise
-                except _FuturesTimeout:
-                    # The worker is hung somewhere the in-worker
-                    # watchdog cannot reach; kill the pool and charge
-                    # this cell.
-                    out = self._timeout_outcome(config)
-                    self._note_pool_failure(hard=True)
-                    pool_failed = True
-                except BaseException:
-                    # Worker death (BrokenProcessPool) or post-reset
-                    # cancellation: pool-level shrapnel.  Requeue
-                    # without consuming the cell's attempt budget —
-                    # bounded by degrade_after, not max_attempts.
-                    if not pool_failed:
-                        self._note_pool_failure(hard=False)
-                        pool_failed = True
-                    self._count_retry(key, attempt, "BrokenProcessPool")
-                    next_pending.append((i, config, key, attempt))
-                    if span is not None:
-                        span.args["requeued"] = True
-                    continue
-                if span is not None:
-                    span.args["ok"] = out.ok
-            _ATTEMPT_SECONDS.observe(out.wall)
-            if out.ok:
-                self._finalize(config, key, out, attempt=attempt)
-                yield i, key, out
-                continue
-            self._note_timeout_if_any(out)
-            if self.retry.should_retry(out.error, attempt):
-                self._absorb_attempt(out)
-                self._count_retry(key, attempt, out.error.error)
-                delay = max(delay, self.retry.delay(attempt, key or ""))
-                next_pending.append((i, config, key, attempt + 1))
-            else:
-                self._finalize(config, key, out, attempt=attempt)
-                yield i, key, out
-        return next_pending, delay
-
-    # -- helpers -------------------------------------------------------
-    def _with_deadline(self, config: SimulationConfig) -> SimulationConfig:
-        if self.cell_timeout is None:
-            return config
-        current = config.max_wall_seconds
-        deadline = (
-            self.cell_timeout if current is None
-            else min(current, self.cell_timeout)
-        )
-        if current == deadline:
-            return config
-        return config.with_(max_wall_seconds=deadline)
-
-    def _wait_timeout(self) -> Optional[float]:
-        if self.cell_timeout is None:
-            return None
-        return self.cell_timeout * self.deadline_grace + 2.0
-
-    def _timeout_outcome(self, config: SimulationConfig) -> _CellOutcome:
-        exc = CellTimeout(
-            f"cell exceeded its wall-clock deadline of "
-            f"{self.cell_timeout}s (worker unresponsive; pool reset)"
-        )
-        return _CellOutcome(
-            ok=False, error=CellError.from_exception(config, exc), exc=exc
-        )
-
-    def _note_timeout_if_any(self, out: _CellOutcome) -> None:
-        name = self.retry.error_class(out.error) if out.error else ""
-        if name in ("CellTimeout", "SimulationStalled"):
-            self.stats.cell_timeouts += 1
-            self.failure_report.cell_timeouts += 1
-            _TIMEOUTS.inc()
-
-    def _note_pool_failure(self, hard: bool) -> None:
-        self._pool_failures += 1
-        if hard:
-            self._hard_reset_pool()
-        else:
-            self._reset_broken_pool()
-        self.failure_report.pool_resets = self.stats.pool_resets
-        if self._pool_failures >= self.degrade_after and self.workers > 1:
-            # Graceful degradation: the pool keeps dying under us, so
-            # stop using one.  Serial execution cannot lose workers.
-            self.workers = 1
-            self.stats.workers = 1
-            self.failure_report.degraded_to_serial = True
-
-    def _hard_reset_pool(self) -> None:
-        """Tear down a pool whose workers may be hung (not just dead):
-        terminate the worker processes, then shut the executor down."""
-        pool = self._pool
-        if pool is None:
-            return
-        processes = getattr(pool, "_processes", None) or {}
-        for proc in list(processes.values()):
-            try:
-                proc.terminate()
-            except Exception:
-                pass
-        self._reset_broken_pool()
-
-    def _count_retry(self, key: Optional[str], attempt: int,
-                     error: str) -> None:
-        self.stats.retries += 1
-        self.failure_report.retries += 1
-        _RETRIES.inc()
-        if self.journal is not None:
-            self.journal.record_retry(key, attempt, error.splitlines()[0])
-
-    def _absorb_attempt(self, out: _CellOutcome) -> None:
-        """Account for a non-final (retried) attempt: the base engine
-        only books the outcomes we yield, so failed attempts' wall/CPU
-        time, spans, metrics, and profiles are folded in here."""
-        self.stats.cell_wall_time += out.wall
-        self.stats.cell_cpu_time += out.cpu
-        tracer = current_tracer()
-        if tracer is not None and out.trace is not None:
-            tracer.merge(out.trace)
-        if out.metrics and out.pid and out.pid != os.getpid():
-            obs_registry().merge_snapshot(out.metrics)
-        if out.profile is not None:
-            self.stats.profile = merge_profiles(self.stats.profile, out.profile)
-            self.stats.sim_events += out.profile["events"]
-
-    def _journal_attempt(self, key: Optional[str], attempt: int) -> None:
-        if self.journal is not None:
-            self.journal.record_attempt(key, attempt)
-
-    def _finalize(self, config: SimulationConfig, key: Optional[str],
-                  out: _CellOutcome, attempt: Optional[int]) -> None:
-        """Journal + report bookkeeping for a cell's final outcome."""
-        attempts = attempt if attempt is not None else (
-            self.journal.attempts.get(key, 1)
-            if self.journal is not None and key else 1
-        )
-        if out.ok:
-            if self.journal is not None:
-                self.journal.record_success(
-                    key, out.result, attempt=attempts, wall=out.wall
-                )
-            return
-        if self.journal is not None:
-            self.journal.record_failure(
-                key, attempts, out.error.error.splitlines()[0]
-            )
-        self.failure_report.add(config, key, attempts, out.error)

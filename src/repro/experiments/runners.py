@@ -14,10 +14,10 @@ All cells are submitted through the ambient
 batch so a multi-worker engine can overlap all of them, and finished
 cells are memoized in the engine's content-addressed cache.
 
-When the ambient engine is a
-:class:`~repro.experiments.resilience.ResilientEngine`, the same batch
-additionally gets per-cell deadlines, transparent retries of transient
-failures, and journal checkpointing — no runner changes needed.  Under
+When the ambient engine is given a deadline, a retry policy or a
+journal, the same batch gets per-cell deadlines, transparent retries
+of transient failures, and journal checkpointing — no runner changes
+needed.  Under
 ``strict=False`` a cell that exhausts its attempts arrives here as a
 :class:`CellError` artifact (exactly like ``isolate=True``), so sweeps
 return partial :class:`MeanResults` — the numeric means skip the lost

@@ -11,15 +11,15 @@ Usage examples::
 from __future__ import annotations
 
 import argparse
-import os
+from contextlib import ExitStack
 from typing import List, Optional
 
-from ..workload.generators import TrafficSpec
+from ..experiments.engine import CellCache, CellError
+from ..experiments.runflags import add_run_flags, engine_from_args
 from .adaptive import RegulatorConfig
-from .aggregate import simulate_aggregated
 from .config import Architecture, ForwardingTopology, SimulationConfig
 from .metrics import SimulationResults
-from .system import simulate
+from .partition import parallel_ineligibility
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,54 +52,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="baseline run without the IS")
     parser.add_argument("--adaptive-budget", type=float, default=None,
                         help="enable overhead regulation at this CPU fraction")
-    parser.add_argument("--workload", metavar="NAME[:k=v,...]", default=None,
-                        help="open-workload traffic spec driving external "
-                        "requests into the nodes (e.g. 'stationary:rate=200', "
-                        "'open:avg_users=100,rpm=60'); see "
-                        "repro.workload.generators for the registry")
     parser.add_argument("--plan", action="store_true",
                         help="adaptive replication: repeat the run with "
                         "fresh replication substreams until the 90%% CI "
                         "half-widths of the key metrics reach --ci-target "
                         "(or --budget replications), and report means "
                         "with confidence intervals")
-    parser.add_argument("--ci-target", type=float, default=0.35,
-                        metavar="FRACTION",
-                        help="relative CI half-width target for --plan "
-                        "(default: 0.35)")
-    parser.add_argument("--budget", type=int, default=None, metavar="N",
-                        help="cap on total replications for --plan "
-                        "(default: the per-cell cap, 8)")
-    parser.add_argument("--lp-workers", type=int, default=None, metavar="K",
-                        help="partition the run across K parallel LP worker "
-                        "processes (conservative sync; default: "
-                        "REPRO_DES_PARALLEL, else sequential); ineligible "
-                        "configurations fall back to the sequential kernel")
-    parser.add_argument("--profile", action="store_true",
-                        help="print a kernel profile of the run "
-                        "(where the simulator's wall time went)")
-    parser.add_argument("--trace-out", metavar="PATH", default=None,
-                        help="record spans and occupancy tracks of the run "
-                        "and write a trace to PATH (.jsonl for JSONL, "
-                        "otherwise Perfetto-loadable trace_event JSON; "
-                        "default: $REPRO_TRACE)")
-    parser.add_argument("--cell-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="wall-clock deadline for the run (kernel "
-                        "watchdog); exceeded runs abort and are retried "
-                        "per --max-retries")
-    parser.add_argument("--max-retries", type=int, default=0, metavar="N",
-                        help="retries on transient failures (stalls, "
-                        "deadline breaches); default 0")
-    parser.add_argument("--resume", metavar="JOURNAL", default=None,
-                        help="journal the run to this JSONL file and, on a "
-                        "re-run, serve a completed result from it instead "
-                        "of simulating again")
-    parser.add_argument("--strict", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="with --no-strict, a run that exhausts its "
-                        "retries prints a failure report and exits 1 "
-                        "instead of raising")
+    add_run_flags(parser)
     return parser
 
 
@@ -109,9 +68,8 @@ def config_from_args(args: argparse.Namespace) -> SimulationConfig:
         if args.adaptive_budget is not None
         else None
     )
-    traffic = getattr(args, "workload", None)
     return SimulationConfig(
-        traffic=TrafficSpec.parse(traffic) if traffic is not None else None,
+        traffic=args.workload,
         architecture=Architecture(args.arch),
         nodes=args.nodes,
         app_processes_per_node=args.apps,
@@ -179,10 +137,8 @@ _PLAN_METRICS = (
 )
 
 
-def _planned_run(args, config) -> int:
+def _planned_run(args, config, engine) -> int:
     """--plan path: adaptive replication of the one configuration."""
-    from ..experiments.engine import CellCache
-    from ..experiments.resilience import ResilientEngine, RetryPolicy
     from ..planner import (
         ReplicationBudget,
         ReplicationPolicy,
@@ -198,19 +154,9 @@ def _planned_run(args, config) -> int:
         max_replications=cap,
     )
     budget = ReplicationBudget(total=args.budget)
-    with ResilientEngine(
-        workers=1,
-        lp_workers=args.lp_workers,
-        cache=CellCache(enabled=False),
-        retry=RetryPolicy(max_attempts=args.max_retries + 1),
-        cell_timeout=args.cell_timeout,
-        journal=args.resume,
-        strict=args.strict,
-    ) as engine:
-        res = adaptive_replicate(
-            config, policy, budget,
-            aggregated=args.aggregated, engine=engine,
-        )
+    res = adaptive_replicate(
+        config, policy, budget, aggregated=args.aggregated, engine=engine,
+    )
     n = len(res.results)
     print(f"configuration : {res.config_summary}")
     print(f"replications  : {n} (target rel. CI half-width "
@@ -242,62 +188,27 @@ def _planned_run(args, config) -> int:
     return 0
 
 
-def _resilient_run(args, config):
-    """Run the single cell through a :class:`ResilientEngine` so the
-    CLI gets deadlines, retries, and journal resume; returns
-    ``(results_or_None, failure_report)``."""
-    from ..experiments.engine import CellCache, CellError
-    from ..experiments.resilience import ResilientEngine, RetryPolicy
-
-    with ResilientEngine(
-        workers=1,
-        lp_workers=args.lp_workers,
-        # No memoization surprises for a CLI one-off: completed runs are
-        # only reused when the user opts into a --resume journal.
-        cache=CellCache(enabled=False),
-        retry=RetryPolicy(max_attempts=args.max_retries + 1),
-        cell_timeout=args.cell_timeout,
-        journal=args.resume,
-        strict=args.strict,
-    ) as engine:
-        (outcome,) = engine.run_cells([config], aggregated=args.aggregated)
-        if engine.stats.profile is not None:
-            # _run_cell consumed the kernel profile; republish it so the
-            # --profile printout below still sees the (merged) run.
-            from ..des.profiling import set_last_profile
-
-            set_last_profile(engine.stats.profile)
-        if isinstance(outcome, CellError):
-            return None, engine.failure_report
-        return outcome, engine.failure_report
+def _single_run(args, config, engine) -> int:
+    """One cell; with default flags exactly ``simulate(config)`` (or
+    ``simulate_aggregated``)."""
+    (outcome,) = engine.run_cells([config], aggregated=args.aggregated)
+    report = engine.failure_report
+    if isinstance(outcome, CellError):
+        print(report.format())
+        return 1
+    print(format_results(outcome))
+    if report.retries or report.cell_timeouts:
+        print(f"[resilience: {report.summary()}]")
+    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.max_retries < 0:
-        parser.error("--max-retries must be >= 0")
-    if args.lp_workers is not None and args.lp_workers < 1:
-        parser.error(
-            f"--lp-workers must be >= 1, got {args.lp_workers}"
-        )
-    if args.ci_target <= 0:
-        parser.error("--ci-target must be positive")
-    if args.budget is not None and args.budget < 1:
-        parser.error("--budget must be >= 1")
     try:
         config = config_from_args(args)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.plan:
-        return _planned_run(args, config)
-    if args.aggregated:
-        runner = simulate_aggregated
-    else:
-        def runner(cfg):
-            return simulate(cfg, lp_workers=args.lp_workers)
-    if args.profile:
-        os.environ["REPRO_PROFILE"] = "1"
     from ..obs import (
         export_trace,
         registry,
@@ -306,39 +217,28 @@ def main(argv: Optional[List[str]] = None) -> int:
         use_tracing,
     )
 
-    resilient = (
-        args.cell_timeout is not None
-        or args.max_retries > 0
-        or args.resume is not None
-        or not args.strict
-    )
     trace_out = args.trace_out or trace_path_from_env()
-    report = None
-    if trace_out:
-        with use_tracing() as tracer:
-            if resilient:
-                results, report = _resilient_run(args, config)
-            else:
-                results = runner(config)
-        path = export_trace(tracer, trace_out, registry())
-    elif resilient:
-        results, report = _resilient_run(args, config)
-    else:
-        results = runner(config)
-    if results is None:
-        print(report.format())
-        return 1
-    print(format_results(results))
-    if report is not None and (report.retries or report.cell_timeouts):
-        print(f"[resilience: {report.summary()}]")
-    if args.profile:
-        from ..des.profiling import format_profile, take_last_profile
+    with ExitStack() as stack:
+        # No memoization surprises for a one-off run: a completed run is
+        # only reused when the user opts into a --resume journal.
+        engine = stack.enter_context(
+            engine_from_args(args, cache=CellCache(enabled=False))
+        )
+        tracer = stack.enter_context(use_tracing()) if trace_out else None
+        run = _planned_run if args.plan else _single_run
+        status = run(args, config, engine)
+    if engine.stats.lp_fallbacks:
+        print(f"[--lp-workers ignored, ran the sequential kernel: "
+              f"{parallel_ineligibility(config)}]")
+    if args.profile and engine.stats.profile is not None:
+        from ..des.profiling import format_profile
 
-        print(format_profile(take_last_profile()))
-    if trace_out:
+        print(format_profile(engine.stats.profile))
+    if tracer is not None:
+        path = export_trace(tracer, trace_out, registry())
         print(summarize(tracer, registry()))
         print(f"[trace written to {path}]")
-    return 0
+    return status
 
 
 if __name__ == "__main__":

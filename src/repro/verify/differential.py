@@ -11,8 +11,9 @@ but promise not to change *what* it computes:
 * the cell cache — a result loaded from disk vs freshly computed;
 * a BF flush timeout under batch size 1 — the flush loop can never see
   a non-empty batch, so enabling it must be a no-op;
-* the resilient engine — armed retries and a generous per-cell
-  deadline around a run that needs neither must leave it untouched;
+* the engine's failure machinery — armed retries, a generous per-cell
+  deadline and a run journal around a run that needs none of them
+  must leave it untouched, and a journal resume must replay it exactly;
 * ``REPRO_DES_QUEUE`` — the calendar/ladder event schedulers vs the
   reference binary heap (the schedule key is a total order, so every
   correct priority queue must pop the identical sequence);
@@ -32,6 +33,7 @@ import os
 import tempfile
 from dataclasses import fields
 from math import isnan
+from pathlib import Path
 from typing import Iterable, List, Optional
 
 from ..experiments.engine import CellCache, ExperimentEngine
@@ -213,15 +215,17 @@ def check_bf_flush_noop(config: SimulationConfig) -> List[Violation]:
 def check_resilient_engine(
     config: SimulationConfig, repetitions: int = 2
 ) -> List[Violation]:
-    """Plain engine vs :class:`ResilientEngine` with the machinery armed.
+    """The engine's defaults vs the engine with its failure machinery on.
 
     Retries, the per-cell deadline (set far above what the run needs),
-    and the attempt accounting wrap *around* the simulation; a healthy
-    run must come out bit-identical.  Together with ``check_watchdog``
-    this licenses the resilience layer's core assumption: re-executing a
-    cell under a deadline yields the same results as the first try.
+    the run journal and the attempt accounting wrap *around* the
+    simulation; a healthy run must come out bit-identical, and a second
+    run on the same journal must serve every cell from it unchanged.
+    Together with ``check_watchdog`` this licenses the engine's core
+    assumption: re-executing a cell under a deadline yields the same
+    results as the first try.
     """
-    from ..experiments.resilience import ResilientEngine, RetryPolicy
+    from ..experiments.resilience import RetryPolicy
 
     reps = [
         config.with_(replication=config.replication + i)
@@ -230,28 +234,32 @@ def check_resilient_engine(
     no_cache = CellCache(enabled=False)
     with ExperimentEngine(workers=1, cache=no_cache) as plain:
         expected = plain.run_cells(reps)
-    with ResilientEngine(
-        workers=1,
-        cache=no_cache,
-        retry=RetryPolicy(max_attempts=3),
-        cell_timeout=3600.0,
-    ) as resilient:
-        actual = resilient.run_cells(reps)
+    with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
+        journal = Path(tmp) / "run.jsonl"
+        armed = dict(workers=1, cache=no_cache, journal=journal,
+                     retry=RetryPolicy(max_attempts=3), cell_timeout=3600.0)
+        with ExperimentEngine(**armed) as resilient:
+            actual = resilient.run_cells(reps)
+        with ExperimentEngine(**armed) as resumed:
+            replayed = resumed.run_cells(reps)
     out: List[Violation] = []
-    for i, (e, a) in enumerate(zip(expected, actual)):
-        diffs = diff_results(e, a)
-        if diffs:
-            out.append(_diff_violation(
-                "differential.resilience", reps[i], diffs,
-                f"running replication {i} on the resilient engine",
-            ))
-    if resilient.stats.retries or resilient.stats.cell_timeouts:
+    for label, outcomes in (("the armed engine", actual),
+                            ("a journal resume", replayed)):
+        for i, (e, a) in enumerate(zip(expected, outcomes)):
+            diffs = diff_results(e, a)
+            if diffs:
+                out.append(_diff_violation(
+                    "differential.resilience", reps[i], diffs,
+                    f"running replication {i} on {label}",
+                ))
+    stats = resilient.stats
+    if stats.retries or stats.cell_timeouts or resumed.stats.cells_run:
         out.append(Violation(
             invariant="differential.resilience",
             detail=(
                 "a healthy run consumed resilience machinery: "
-                f"{resilient.stats.retries} retries, "
-                f"{resilient.stats.cell_timeouts} deadline breaches"
+                f"{stats.retries} retries, {stats.cell_timeouts} deadline "
+                f"breaches, {resumed.stats.cells_run} cells re-run on resume"
             ),
             subject=_subject(config),
         ))

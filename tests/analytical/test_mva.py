@@ -21,6 +21,18 @@ def test_negative_demand_rejected():
         mva([MVACenter("cpu", -1.0)], 1)
 
 
+def test_bad_think_time_rejected():
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="think_time"):
+            mva([MVACenter("cpu", 1.0)], 1, think_time=bad)
+
+
+def test_overflowing_throughput_raises():
+    # All demands zero and a tiny think time: N/Z is beyond float range.
+    with pytest.raises(ValueError, match="overflows"):
+        mva([MVACenter("cpu", 0.0)], 30, think_time=1.66e-307)
+
+
 def test_utilization_law_holds():
     centers = [MVACenter("cpu", 100.0), MVACenter("disk", 50.0)]
     res = mva(centers, 5)

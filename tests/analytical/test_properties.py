@@ -17,7 +17,8 @@ Four families of properties:
 
 import math
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analytical import (
@@ -291,12 +292,19 @@ center_lists = st.lists(
        population=st.integers(min_value=1, max_value=40),
        think=st.floats(min_value=0.0, max_value=100_000.0,
                        allow_nan=False, allow_infinity=False))
+@example(spec=[(0.0, False)], population=30, think=1.66e-307)
 def test_mva_fixed_point_satisfies_littles_law(spec, population, think):
     centers = [
         MVACenter(name=f"c{i}", demand=d, delay=delay)
         for i, (d, delay) in enumerate(spec)
     ]
     assume(think > 0 or any(d > 0 for d, _ in spec))
+    if not any(d > 0 for d, _ in spec) and population / think == math.inf:
+        # Every demand is zero and N/Z overflows: no finite throughput
+        # exists, so mva must refuse rather than return inf.
+        with pytest.raises(ValueError, match="overflows"):
+            mva(centers, population, think_time=think)
+        return
     res = mva(centers, population, think_time=think)
     # Fixed point: N = X·(Z + R) exactly (Little's law over the cycle).
     assert math.isclose(

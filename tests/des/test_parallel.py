@@ -3,11 +3,7 @@
 import pytest
 
 from repro.experiments.engine import CellCache, ExperimentEngine
-from repro.experiments.resilience import (
-    DEFAULT_TRANSIENT,
-    ResilientEngine,
-    RetryPolicy,
-)
+from repro.experiments.resilience import DEFAULT_TRANSIENT, RetryPolicy
 from repro.des.parallel import LPWorkerLost, parallel_simulate
 from repro.rocc import Architecture, ForwardingTopology, SimulationConfig, simulate
 from repro.rocc.config import NetworkMode
@@ -125,11 +121,11 @@ def test_resilient_engine_retries_killed_lp_worker(
     mpp_config, mpp_sequential, tmp_path, monkeypatch
 ):
     """An LP worker SIGKILLed mid-window: the cell fails with
-    LPWorkerLost, the resilient engine retries, and the second attempt
+    LPWorkerLost, the engine retries, and the second attempt
     (chaos marker present) reproduces the sequential results."""
     marker = tmp_path / "lp-kill-retried"
     monkeypatch.setenv("REPRO_CHAOS_LP_KILL", str(marker))
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=1,
         cache=CellCache(enabled=False),
         retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
@@ -165,3 +161,66 @@ def test_engine_fingerprint_separates_parallel_results(mpp_config):
     finally:
         seq_engine.close()
         par_engine.close()
+
+
+def test_journal_key_separates_parallel_results(mpp_config, tmp_path):
+    """A journal written by a sequential run must not serve a
+    partitioned one (and vice versa): journal keys carry the LP suffix
+    exactly like cache keys."""
+    journal = tmp_path / "run.jsonl"
+    with ExperimentEngine(
+        workers=1, cache=CellCache(enabled=False), journal=journal
+    ) as seq:
+        seq.run_cells([mpp_config])
+    with ExperimentEngine(
+        workers=1, cache=CellCache(enabled=False), journal=journal,
+        lp_workers=2,
+    ) as par:
+        par.run_cells([mpp_config])
+    assert par.stats.cells_resumed == 0
+    assert par.stats.cells_run == 1
+    with ExperimentEngine(
+        workers=1, cache=CellCache(enabled=False), journal=journal,
+        lp_workers=2,
+    ) as again:
+        again.run_cells([mpp_config])
+    assert again.stats.cells_resumed == 1
+
+
+def test_env_parallel_cells_cached_under_parallel_key(
+    mpp_config, tmp_path, monkeypatch
+):
+    """REPRO_DES_PARALLEL picks the partitioned kernel for an engine built
+    with lp_workers=None, so the result must be stored under the LP key,
+    never where a sequential engine would look."""
+    monkeypatch.setenv("REPRO_DES_PARALLEL", "2")
+    cache = CellCache(tmp_path / "cache")
+    with ExperimentEngine(workers=1, cache=cache) as env_engine:
+        (result,) = env_engine.run_cells([mpp_config])
+        env_key = env_engine._fingerprint(mpp_config, False)
+    assert env_engine.lp_workers == 2
+    assert result.observability.get("lp_windows", 0) > 0  # partitioned
+    assert cache.get(env_key) is not None
+    monkeypatch.delenv("REPRO_DES_PARALLEL")
+    with ExperimentEngine(workers=1, cache=cache) as seq:
+        assert seq._fingerprint(mpp_config, False) != env_key
+        seq.run_cells([mpp_config])
+    assert seq.stats.cache_hits == 0
+
+
+def test_explicit_lp_workers_on_ineligible_cell_is_counted(tmp_path):
+    smp = SimulationConfig(
+        architecture=Architecture.SMP, nodes=4, duration=100_000.0, seed=2,
+    )
+    with ExperimentEngine(
+        workers=1, cache=CellCache(tmp_path), lp_workers=2
+    ) as engine:
+        (result,) = engine.run_cells([smp])
+    assert engine.stats.lp_fallbacks == 1
+    assert "1 ineligible for lp_workers" in engine.stats.summary()
+    # It ran, and is cached, as the sequential cell it is.
+    assert diff_results(simulate(smp), result) == []
+    with ExperimentEngine(workers=1, cache=CellCache(tmp_path)) as seq:
+        seq.run_cells([smp])
+    assert seq.stats.cache_hits == 1
+    assert "ineligible" not in seq.stats.summary()

@@ -1,7 +1,7 @@
-"""Chaos-harness tests: the resilient engine under injected faults.
+"""Chaos-harness tests: the engine under injected faults.
 
 Every scenario asserts convergence: whatever the harness kills, hangs,
-or corrupts, the resilient engine must end up with results
+or corrupts, an engine with retries armed must end up with results
 bit-identical to an undisturbed serial run — the same determinism bar
 as the plain engine tests, held under fire.
 """
@@ -13,11 +13,11 @@ import pytest
 from repro.experiments import (
     CellCache,
     ExperimentEngine,
-    ResilientEngine,
     RetryPolicy,
     config_fingerprint,
     results_equal,
 )
+from repro.experiments import engine as engine_module
 from repro.experiments.chaos import (
     ChaosKilled,
     ChaosPlan,
@@ -78,7 +78,7 @@ def test_broken_process_pool_mid_batch_recovers(cfg, tmp_path):
         kill_once=(chaos_key(cells[1]),),
         parent_pid=os.getpid(),
     )
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=2, cache=CellCache(enabled=False),
         retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
     ) as engine:
@@ -92,7 +92,9 @@ def test_broken_process_pool_mid_batch_recovers(cfg, tmp_path):
     assert "pool reset" in engine.stats.summary()
 
 
-def test_acceptance_sixteen_cells_three_kills_one_corruption(cfg, tmp_path):
+def test_acceptance_sixteen_cells_three_kills_one_corruption(
+    cfg, tmp_path, monkeypatch
+):
     """The ISSUE acceptance scenario: a 16-cell sweep survives 3
     injected worker kills plus 1 corrupted cache entry and reproduces
     the undisturbed results exactly."""
@@ -103,16 +105,16 @@ def test_acceptance_sixteen_cells_three_kills_one_corruption(cfg, tmp_path):
     with ExperimentEngine(workers=1, cache=cache) as warm:
         warm.run_cells([cells[7]])
     corrupt_cache_entry(cache, config_fingerprint(cells[7]), mode="garbage")
+    monkeypatch.setattr(engine_module, "DEGRADE_AFTER", 4)
 
     plan = ChaosPlan(
         state_dir=str(tmp_path / "state"),
         kill_once=tuple(chaos_key(c) for c in cells[:3]),
         parent_pid=os.getpid(),
     )
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=4, cache=cache,
         retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
-        degrade_after=4,
     ) as engine:
         install_chaos(engine, plan)
         out = engine.run_cells(cells)
@@ -124,7 +126,7 @@ def test_acceptance_sixteen_cells_three_kills_one_corruption(cfg, tmp_path):
     assert engine.stats.cells_run == 16  # nothing served from bad state
 
 
-def test_hung_worker_caught_by_parent_guard(cfg, tmp_path):
+def test_hung_worker_caught_by_parent_guard(cfg, tmp_path, monkeypatch):
     """A worker hung *outside* the kernel is invisible to the in-worker
     watchdog; the parent-side wait guard must tear the pool down and
     retry the cell."""
@@ -136,10 +138,11 @@ def test_hung_worker_caught_by_parent_guard(cfg, tmp_path):
         hang_seconds=30.0,
         parent_pid=os.getpid(),
     )
-    with ResilientEngine(
+    monkeypatch.setattr(engine_module, "DEADLINE_GRACE", 1.0)  # guard: ~2.3 s
+    with ExperimentEngine(
         workers=2, cache=CellCache(enabled=False),
         retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
-        cell_timeout=0.3, deadline_grace=1.0,  # guard fires after ~2.3 s
+        cell_timeout=0.3,
     ) as engine:
         install_chaos(engine, plan)
         out = engine.run_cells(cells)
@@ -150,7 +153,7 @@ def test_hung_worker_caught_by_parent_guard(cfg, tmp_path):
     assert engine.stats.pool_resets >= 1
 
 
-def test_repeated_pool_failure_degrades_to_serial(cfg, tmp_path):
+def test_repeated_pool_failure_degrades_to_serial(cfg, tmp_path, monkeypatch):
     cells = [cfg.with_(replication=i) for i in range(6)]
     reference = _reference(cells)
     plan = ChaosPlan(
@@ -158,10 +161,10 @@ def test_repeated_pool_failure_degrades_to_serial(cfg, tmp_path):
         kill_once=tuple(chaos_key(c) for c in cells[:3]),
         parent_pid=os.getpid(),
     )
-    with ResilientEngine(
+    monkeypatch.setattr(engine_module, "DEGRADE_AFTER", 1)
+    with ExperimentEngine(
         workers=2, cache=CellCache(enabled=False),
         retry=RetryPolicy(max_attempts=4, backoff_base=0.0),
-        degrade_after=1,
     ) as engine:
         install_chaos(engine, plan)
         out = engine.run_cells(cells)
@@ -181,7 +184,7 @@ def test_serial_kill_degrades_to_raise_not_parricide(cfg, tmp_path):
         kill_once=(chaos_key(cfg),),
         parent_pid=os.getpid(),
     )
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=1, cache=CellCache(enabled=False),
         retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
     ) as engine:

@@ -17,7 +17,6 @@ from repro.experiments import (
     CellError,
     ExperimentEngine,
     FailureReport,
-    ResilientEngine,
     RetryPolicy,
     RunJournal,
     config_fingerprint,
@@ -203,7 +202,7 @@ def test_cache_accepts_legacy_entry_without_sidecar(cfg, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# ResilientEngine: retries, deadlines, partial results
+# Engine retries, deadlines, partial results
 # ---------------------------------------------------------------------------
 
 
@@ -211,7 +210,7 @@ def test_serial_transient_failure_is_retried(cfg, tmp_path):
     reference = _reference([cfg])
     plan = ChaosPlan(state_dir=str(tmp_path / "state"),
                      raise_once=(chaos_key(cfg),))
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=1, cache=CellCache(enabled=False),
         retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
     ) as engine:
@@ -225,7 +224,7 @@ def test_serial_transient_failure_is_retried(cfg, tmp_path):
 
 def test_deadline_breach_nonstrict_returns_partial_results(cfg):
     slow = cfg.with_(duration=1e10)  # far more work than 0.2 s allows
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=1, cache=CellCache(enabled=False),
         retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
         cell_timeout=0.2, strict=False,
@@ -245,7 +244,7 @@ def test_deadline_breach_nonstrict_returns_partial_results(cfg):
 
 
 def test_deadline_breach_strict_raises(cfg):
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=1, cache=CellCache(enabled=False),
         retry=RetryPolicy.none(), cell_timeout=0.2,
     ) as engine:
@@ -255,7 +254,7 @@ def test_deadline_breach_strict_raises(cfg):
 
 def test_deadline_does_not_change_results(cfg):
     reference = _reference([cfg])
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=1, cache=CellCache(enabled=False), cell_timeout=3600.0,
     ) as engine:
         out = engine.run_cells([cfg])
@@ -265,12 +264,19 @@ def test_deadline_does_not_change_results(cfg):
 
 
 def test_engine_validates_parameters():
-    with pytest.raises(ValueError):
-        ResilientEngine(cell_timeout=0.0)
-    with pytest.raises(ValueError):
-        ResilientEngine(degrade_after=0)
-    with pytest.raises(ValueError):
-        ResilientEngine(deadline_grace=0.5)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ExperimentEngine(cell_timeout=bad)
+
+
+def test_engine_defaults_are_plain():
+    """No retries, no deadline, no journal, strict: a failure raises on
+    the first attempt."""
+    engine = ExperimentEngine(cache=CellCache(enabled=False))
+    assert engine.retry == RetryPolicy.none()
+    assert engine.cell_timeout is None
+    assert engine.journal is None
+    assert engine.strict
 
 
 def test_failure_report_summary_and_format(cfg):
@@ -295,13 +301,13 @@ def test_resume_skips_completed_cells_and_matches(cfg, tmp_path):
     reference = _reference(cells)
     journal = tmp_path / "sweep.jsonl"
 
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=1, cache=CellCache(enabled=False), journal=journal,
     ) as first:
         first.run_cells(cells[:2])  # interrupted after two cells
     assert first.stats.cells_run == 2
 
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=1, cache=CellCache(enabled=False), journal=journal,
     ) as second:
         resumed = second.run_cells(cells)
@@ -314,13 +320,13 @@ def test_resume_skips_completed_cells_and_matches(cfg, tmp_path):
 
 def test_resume_works_without_cache_and_across_config_changes(cfg, tmp_path):
     journal = tmp_path / "sweep.jsonl"
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=1, cache=CellCache(enabled=False), journal=journal,
     ) as first:
         first.run_cells([cfg])
     # A changed config produces a different fingerprint: no false resume.
     other = cfg.with_(seed=6)
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=1, cache=CellCache(enabled=False), journal=journal,
     ) as second:
         second.run_cells([other])
@@ -331,7 +337,7 @@ def test_resume_works_without_cache_and_across_config_changes(cfg, tmp_path):
 def test_journal_records_failures(cfg, tmp_path):
     journal_path = tmp_path / "fail.jsonl"
     slow = cfg.with_(duration=1e10)
-    with ResilientEngine(
+    with ExperimentEngine(
         workers=1, cache=CellCache(enabled=False),
         retry=RetryPolicy.none(), cell_timeout=0.2,
         journal=journal_path, strict=False,
