@@ -13,7 +13,9 @@ Committed baseline: ``BENCH_SCALE.json``, gated in CI by
 ``scripts/check_bench_regression.py --mode relative`` (wall times
 normalized to the 64-node run, so runner speed cancels out while
 superlinear scaling — the regression these benchmarks exist to catch —
-does not).  Set ``REPRO_SCALE_RESULTS=<path>`` to emit the results in
+does not).  The 1024-node cell's construction time is gated the same
+way (``scale_now_1024n_build``): it catches per-stream seeding costs
+coming back.  Set ``REPRO_SCALE_RESULTS=<path>`` to emit the results in
 ``--benchmark-json``-compatible form for that gate::
 
     PYTHONPATH=src REPRO_SCALE_RESULTS=scale_results.json \
@@ -38,18 +40,20 @@ SEED = 1
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Self-contained probe: run one NOW cell, report wall time, kernel event
-# count (scheduler dequeues), and the process's peak RSS as one JSON
-# line on stdout.  argv: nodes duration seed.
+# Self-contained probe: build and run one NOW cell, report construction
+# and run wall times, kernel event count (scheduler dequeues), and the
+# process's peak RSS as one JSON line on stdout.  argv: nodes duration seed.
 _PROBE = r"""
 import json, resource, sys, time
 from repro.rocc.config import Architecture, SimulationConfig
 from repro.rocc.system import ParadynISSystem
 
 nodes, duration, seed = int(sys.argv[1]), float(sys.argv[2]), int(sys.argv[3])
+t0 = time.perf_counter()
 system = ParadynISSystem(SimulationConfig(
     architecture=Architecture.NOW, nodes=nodes, duration=duration, seed=seed,
 ))
+build = time.perf_counter() - t0
 t0 = time.perf_counter()
 results = system.run()
 wall = time.perf_counter() - t0
@@ -57,6 +61,7 @@ stats = system.env.scheduler.stats()
 maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
 print(json.dumps({
     "nodes": nodes,
+    "build_seconds": build,
     "wall_seconds": wall,
     "events": stats["dequeues"],
     "events_per_second": stats["dequeues"] / wall if wall > 0 else 0.0,
@@ -90,6 +95,11 @@ def scale_probes():
         payload = {"benchmarks": [
             {"name": f"scale_now_{n}n", "stats": {"min": p["wall_seconds"]}}
             for n, p in probes.items()
+        ] + [
+            # Construction of the largest cell, normalized like the rest
+            # to the 64-node run: catches per-stream seeding coming back.
+            {"name": "scale_now_1024n_build",
+             "stats": {"min": probes[1024]["build_seconds"]}},
         ]}
         Path(out).write_text(json.dumps(payload, indent=2) + "\n")
     return probes
@@ -125,9 +135,10 @@ def test_scale_memory_is_flat(scale_probes):
     tallies, capped raw latency series) makes per-*sample* memory O(1),
     and variate-stream buffers grow geometrically with consumption
     instead of prefilling full blocks, so per-node memory is dominated
-    by the irreducible object graph: ~13 independent PCG64 streams per
-    node (the common-random-numbers design) at ~1.5 KiB each, plus the
-    daemon/application/CPU/pipe entities.  Measured on the reference
+    by the irreducible object graph: ~13 named variate streams per node
+    (the common-random-numbers design), each with a PCG64 generator
+    created on its first draw, plus the daemon/application/CPU/pipe
+    entities.  Measured on the reference
     machine: 47 MiB at 256n vs 78 MiB at 1024n (1.66x); before the
     buffer-growth fix the same sweep was 161 -> 530 MiB (3.29x).  The
     1.9x bound holds that per-node slope: an eager per-stream prefill

@@ -7,7 +7,8 @@ own named substream so that
 * changing one entity's draws does not perturb the others (common random
   numbers across policy comparisons, the variance-reduction technique
   the 2^k·r design relies on), and
-* repetitions use independent spawns of the root sequence.
+* repetitions are independent: the replication index is part of every
+  stream's seed entropy.
 
 Hot-path performance follows the HPC guide: variates are drawn from
 NumPy in **blocks** (:class:`VariateStream`) and served as scalars, so
@@ -17,7 +18,7 @@ the per-event cost is an array index rather than a Generator call.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,28 +32,141 @@ def _name_to_key(name: str) -> int:
     return zlib.crc32(name.encode("utf-8")) & 0xFFFFFFFF
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool size 4.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_XSHIFT = 16
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+
+
+def _int_words(n: int) -> List[int]:
+    """Non-negative *n* as little-endian 32-bit words, split as
+    SeedSequence splits it."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _pcg64_seed_words(prefix: Sequence[int], keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence(entropy=(*prefix, key)).generate_state(4, np.uint64)``
+    for every key at once, as a ``(len(keys), 4)`` uint64 array.
+
+    *prefix* holds the 32-bit entropy words before the key.  The hash
+    constants evolve independently of the data, so each entropy and pool
+    word is one uint32 vector over all keys; numpy array arithmetic
+    wraps modulo 2**32 exactly as the C code does.
+    """
+    n = keys.shape[0]
+    entropy = [np.full(n, w, dtype=np.uint32) for w in prefix]
+    entropy.append(keys.astype(np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    zeros = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros)
+            for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    # Entropy longer than the pool (seeds of 2**64 and up).
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    out = np.empty((n, 4), dtype=np.uint64)
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        value = (value ^ (value >> _XSHIFT)).astype(np.uint64)
+        # Little-endian pairs of 32-bit words make one 64-bit word.
+        if i % 2:
+            out[:, i // 2] |= value << np.uint64(32)
+        else:
+            out[:, i // 2] = value
+    return out
+
+
+class _SeedWords:
+    """Precomputed PCG64 seed words behind numpy's public seeding interface.
+
+    ``np.random.PCG64(seed)`` accepts any ``ISeedSequence`` and asks it
+    for ``generate_state(4, np.uint64)``; handing it the words a
+    ``SeedSequence`` would produce yields the identical generator state.
+    The class is registered as a virtual ``ISeedSequence`` when the first
+    seeds are derived, so importing this module does not import
+    ``numpy.random`` (the artifact-rerun paths never need it).
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only PCG64's generate_state(4, uint64) is precomputed")
+        return self.words
+
+
 class StreamFactory:
     """Creates named, independent ``numpy.random.Generator`` streams.
 
-    Streams are derived from a root :class:`numpy.random.SeedSequence`
-    by spawning with a key computed from the stream *name*, so the same
-    ``(seed, name)`` pair always yields the same stream regardless of
-    creation order.
+    Stream *name* gets the PCG64 generator seeded by
+    ``SeedSequence(entropy=(seed, replication, crc32(name)))``, so the
+    same ``(seed, replication, name)`` always yields the same stream
+    regardless of creation order.
+
+    Seeding is batched and lazy: :meth:`variates` only records the name,
+    and the first time any stream needs its generator the seed words of
+    every name still pending are derived in one vectorised pass.  Each
+    ``Generator`` is created on its stream's first draw, so streams that
+    never draw cost a dict entry, not a generator.
 
     Parameters
     ----------
     seed:
-        Root seed of the experiment run.
+        Root seed of the experiment run (non-negative).
     replication:
-        Repetition index; folded into the root sequence so that each of
-        the *r* repetitions of a 2^k·r design is independent.
+        Repetition index (non-negative); folded into every stream's
+        entropy so that each of the *r* repetitions of a 2^k·r design
+        is independent.
     """
 
     def __init__(self, seed: int = 0, replication: int = 0):
         self.seed = int(seed)
         self.replication = int(replication)
-        self._root = np.random.SeedSequence(entropy=(self.seed, self.replication))
+        if self.seed < 0 or self.replication < 0:
+            raise ValueError(
+                f"seed and replication must be >= 0, got seed={self.seed}, "
+                f"replication={self.replication}"
+            )
+        self._prefix = _int_words(self.seed) + _int_words(self.replication)
         self._cache: Dict[str, np.random.Generator] = {}
+        #: Names registered but not yet derived (insertion-ordered set).
+        self._pending: Dict[str, None] = {}
+        #: Derived seed words of each name: (its batch's array, row).
+        self._seeds: Dict[str, Tuple[np.ndarray, int]] = {}
 
     def seed_sequence(self, name: str) -> np.random.SeedSequence:
         """The root :class:`~numpy.random.SeedSequence` of stream *name*.
@@ -66,11 +180,28 @@ class StreamFactory:
             entropy=(self.seed, self.replication, _name_to_key(name))
         )
 
+    def _derive_pending(self) -> None:
+        from numpy.random.bit_generator import ISeedSequence
+
+        ISeedSequence.register(_SeedWords)
+        names = list(self._pending)
+        self._pending.clear()
+        keys = np.fromiter(map(_name_to_key, names), dtype=np.uint32,
+                           count=len(names))
+        words = _pcg64_seed_words(self._prefix, keys)
+        self._seeds.update((name, (words, i)) for i, name in enumerate(names))
+
     def generator(self, name: str) -> np.random.Generator:
         """Return the generator for stream *name* (cached)."""
         gen = self._cache.get(name)
         if gen is None:
-            gen = np.random.Generator(np.random.PCG64(self.seed_sequence(name)))
+            seed = self._seeds.get(name)
+            if seed is None:
+                self._pending[name] = None
+                self._derive_pending()
+                seed = self._seeds[name]
+            words, row = seed
+            gen = np.random.Generator(np.random.PCG64(_SeedWords(words[row])))
             self._cache[name] = gen
         return gen
 
@@ -80,26 +211,14 @@ class StreamFactory:
         distribution: Distribution,
         block: int = 1024,
     ) -> "VariateStream":
-        """Return a block-buffered scalar variate stream for *name*."""
-        return VariateStream(distribution, self.generator(name), block=block)
+        """Return a block-buffered scalar variate stream for *name*.
 
-    def child(self, name: str) -> "StreamFactory":
-        """Derive an independent sub-factory (e.g. one per node)."""
-        sub = StreamFactory.__new__(StreamFactory)
-        sub.seed = self.seed
-        sub.replication = self.replication
-        sub._root = np.random.SeedSequence(
-            entropy=(self.seed, self.replication, _name_to_key(name), 0x5EED)
-        )
-        sub._cache = {}
-        # Prefix child stream names so they cannot collide with the parent's.
-        parent_gen = sub.generator
-
-        def generator(stream_name: str, _prefix: str = name) -> np.random.Generator:
-            return parent_gen(f"{_prefix}/{stream_name}")
-
-        sub.generator = generator  # type: ignore[method-assign]
-        return sub
+        The stream's generator is resolved on its first draw.
+        """
+        if name not in self._seeds:
+            self._pending[name] = None
+        return VariateStream(distribution, None, block=block,
+                             factory=self, name=name)
 
 
 class VariateStream:
@@ -109,9 +228,13 @@ class VariateStream:
     order of magnitude cheaper per variate than calling the generator
     for each event, which matters because variate draws sit on the
     simulator's hottest path.
+
+    Give either a generator *rng*, or the *factory* and stream *name* it
+    resolves from on the first draw.
     """
 
-    __slots__ = ("distribution", "rng", "block", "_buf", "_idx", "_next")
+    __slots__ = ("distribution", "rng", "block", "_buf", "_idx", "_next",
+                 "_factory", "_name")
 
     #: First refill size; doubles per refill up to ``block``.  A large
     #: cell creates thousands of streams that each serve only a handful
@@ -130,14 +253,21 @@ class VariateStream:
     def __init__(
         self,
         distribution: Distribution,
-        rng: np.random.Generator,
+        rng: Optional[np.random.Generator],
         block: int = 1024,
+        *,
+        factory: Optional[StreamFactory] = None,
+        name: str = "",
     ):
         if block < 1:
             raise ValueError("block must be >= 1")
+        if (rng is None) == (factory is None):
+            raise ValueError("give exactly one of rng and factory")
         self.distribution = distribution
         self.rng = rng
         self.block = int(block)
+        self._factory = factory
+        self._name = name
         # The block is converted to a plain list once per refill:
         # serving native floats skips a NumPy-scalar box + float() call
         # per variate, and the conversion cost is amortized over the
@@ -146,9 +276,15 @@ class VariateStream:
         self._idx = 0
         self._next = min(self.INITIAL_BLOCK, self.block)
 
+    def _generator(self) -> np.random.Generator:
+        rng = self.rng
+        if rng is None:
+            rng = self.rng = self._factory.generator(self._name)
+        return rng
+
     def _refill(self) -> list:
         n = self._next
-        buf = self.distribution.sample_block(self.rng, n).tolist()
+        buf = self.distribution.sample_block(self._generator(), n).tolist()
         self._buf = buf
         if n < self.block:
             self._next = min(n * 2, self.block)
@@ -192,7 +328,7 @@ class VariateStream:
 
     def draw(self, n: int) -> np.ndarray:
         """Draw *n* variates as an array (bypasses the scalar buffer)."""
-        return self.distribution.sample_block(self.rng, n)
+        return self.distribution.sample_block(self._generator(), n)
 
 
 class AntitheticStream:

@@ -1,7 +1,8 @@
 """Golden-master regression suite for the ROCC simulation.
 
-One seeded NOW, SMP, and MPP cell each is snapshotted — every field of
-its :class:`~repro.rocc.metrics.SimulationResults` — as JSON under
+One seeded NOW, SMP, and MPP cell each, plus a 64-node contention-free
+NOW cell, is snapshotted — every field of its
+:class:`~repro.rocc.metrics.SimulationResults` — as JSON under
 ``tests/golden/``.  Any silent model drift (a cost-model tweak, a
 kernel change that perturbs event order, a metrics accounting change)
 fails the comparison field by field.
@@ -25,10 +26,11 @@ import pytest
 from repro.rocc.config import (
     Architecture,
     ForwardingTopology,
+    NetworkMode,
     SimulationConfig,
 )
 from repro.rocc.metrics import SimulationResults
-from repro.rocc.system import simulate
+from repro.rocc.system import ParadynISSystem, simulate
 from repro.variates.distributions import Exponential
 
 GOLDEN_DIR = Path(__file__).parent
@@ -64,6 +66,16 @@ CONFIGS = {
         sampling_period=20_000.0,
         batch_size=4,
         forwarding=ForwardingTopology.TREE,
+        seed=7,
+    ),
+    # At scale: 64 nodes x ~13 named variate streams, many of which
+    # never draw in a quarter second, so stream seeding (batched, with
+    # generators created on first draw) is pinned stream by stream.
+    "now_cf64": SimulationConfig(
+        architecture=Architecture.NOW,
+        nodes=64,
+        network_mode=NetworkMode.CONTENTION_FREE,
+        duration=250_000.0,
         seed=7,
     ),
 }
@@ -141,6 +153,18 @@ def test_golden_master(name: str, request: pytest.FixtureRequest) -> None:
         "`python -m pytest tests/golden --update-golden` and review "
         "the diff."
     )
+
+
+def test_scale_golden_covers_lazy_streams() -> None:
+    """The 64-node cell pins hundreds of lazily seeded streams, some of
+    which never draw and so never create a generator."""
+    system = ParadynISSystem(CONFIGS["now_cf64"])
+    factory = system.streams
+    registered = len(factory._pending) + len(factory._seeds)
+    assert registered >= 800
+    system.run()
+    assert not factory._pending
+    assert 0 < len(factory._cache) < len(factory._seeds)
 
 
 def test_golden_catches_cost_model_drift(monkeypatch: pytest.MonkeyPatch) -> None:

@@ -45,14 +45,6 @@ def test_generator_cached():
     assert f.generator("x") is f.generator("x")
 
 
-def test_child_streams_are_prefixed():
-    f = StreamFactory(seed=5)
-    child = f.child("node0")
-    a = child.generator("cpu").random(4)
-    b = f.generator("node0/cpu").random(4)
-    np.testing.assert_array_equal(a, b)
-
-
 def test_variate_stream_serves_scalars():
     f = StreamFactory(seed=9)
     vs = f.variates("app/cpu", Exponential(100.0), block=16)
