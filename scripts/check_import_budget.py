@@ -1,27 +1,37 @@
 #!/usr/bin/env python
-"""Import budget: keep scipy off the CLI, paper-rerun and planned paths.
+"""Import budget: load only what a command needs, and never scipy on
+the CLI, paper-rerun and planned paths.
 
 Importing ``scipy.stats`` pulls in ``scipy.spatial``, ``sparse``,
 ``linalg`` and ``optimize``: about 0.7 s and 45 MiB per process.
 Importing ``scipy.special`` alone still costs about 0.3 s and 25 MiB,
 and the paper-rerun and planned-sweep paths need only ``ndtr``,
 ``ndtri`` and ``stdtrit(df, 0.95)`` from it, which ``repro.special``
-provides without scipy.  Three checks guard this:
+provides without scipy.  Beyond scipy, every package exports its names
+lazily and the experiment registry is a table, so start-up loads the
+argument parser and the table only.  Four checks guard this:
 
 1. **Start-up** — ``import repro.experiments.__main__`` plus
-   ``list_experiments()`` loads no scipy module at all.
+   ``list_experiments()`` loads no scipy and no numpy module, and no
+   ``repro`` module outside :data:`STARTUP_MODULES`.
 2. **Artifact runs** — a quick ``figure30 --plan`` run and a quick
    ``table2 figure8 figure27 figure30 figure31`` run (the artifacts the
    end-to-end benchmark's ``paper-rerun`` workload regenerates) finish
    without any scipy module loaded.
-3. **Source scan** — under ``src/repro``, no ``import scipy.stats``,
+3. **Warm-cache paper-rerun** — the second of two identical
+   ``table2 figure8 figure27 figure30 figure31`` runs on one cache
+   directory (every cell a cache hit) loads none of
+   :data:`WARM_FORBIDDEN` and no experiment module whose ids it did
+   not run.
+4. **Source scan** — under ``src/repro``, no ``import scipy.stats``,
    ``from scipy.stats import …`` or ``from scipy import stats``; and no
    ``ndtr``, ``ndtri`` or ``stdtrit`` imported from ``scipy.special``
    except ``stdtrit`` inside ``repro.special.stdtrit`` (its table-miss
    fallback).
 
-Checks 1 and 2 each run in a fresh interpreter with an empty temporary
-``REPRO_CACHE_DIR``, so no cell is served from an earlier run's cache.
+Checks 1–3 run in fresh interpreters with an empty temporary
+``REPRO_CACHE_DIR``, so no cell is served from an earlier run's cache
+(check 3 fills its own with the first of its two runs).
 
 Exit status 0 = every check passed, 1 = any check failed.
 
@@ -39,12 +49,31 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import List, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Runs in the child: the CLI (or only its import), then reports which of
-# the watched module prefixes ended up in sys.modules.
+#: The only ``repro`` modules CLI start-up may load.
+STARTUP_MODULES = (
+    "repro",
+    "repro._lazy",
+    "repro.experiments",
+    "repro.experiments.__main__",
+    "repro.experiments.registry",
+    "repro.experiments.runflags",
+)
+#: The artifacts the end-to-end benchmark's ``paper-rerun`` regenerates.
+PAPER_RERUN = ("table2", "figure8", "figure27", "figure30", "figure31")
+#: Packages and modules a run served entirely from the cache never needs.
+WARM_FORBIDDEN = (
+    "repro.rocc.system",
+    "repro.rocc.aggregate",
+    "repro.planner",
+    "repro.analytical",
+)
+
+# Runs in the child: the CLI (or only its import), then reports every
+# loaded module under the watched prefixes.
 PROBE = """
 import json, sys
 import repro.experiments.__main__ as cli
@@ -54,9 +83,9 @@ if argv:
 else:
     cli.list_experiments()
     status = 0
-loaded = [w for w in watched
-          if any(m == w or m.startswith(w + ".") for m in sys.modules)]
-print(json.dumps({"status": status, "loaded": loaded}))
+modules = sorted(m for m in sys.modules
+                 if any(m == w or m.startswith(w + ".") for w in watched))
+print(json.dumps({"status": status, "modules": modules}))
 """
 
 _failures: List[str] = []
@@ -68,22 +97,67 @@ def check(ok: bool, what: str) -> None:
         _failures.append(what)
 
 
-def probe(argv: Sequence[str], watched: Sequence[str]) -> dict:
-    """Run the CLI with *argv* in a fresh interpreter; report *watched*."""
+def probe(argv: Sequence[str], watched: Sequence[str], runs: int = 1) -> List[dict]:
+    """Run the CLI with *argv* *runs* times, each in a fresh interpreter,
+    on one empty cache directory; per run, report the exit status and
+    the loaded modules under the *watched* prefixes."""
+    results = []
     with tempfile.TemporaryDirectory(prefix="repro-import-budget-") as cache:
         env = dict(os.environ, REPRO_CACHE_DIR=cache, PYTHONHASHSEED="0")
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(SRC), env.get("PYTHONPATH")) if p
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", PROBE, json.dumps(list(argv)), json.dumps(list(watched))],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
-        return {"status": proc.returncode, "loaded": ["<probe failed>"]}
-    return json.loads(lines[-1])
+        for _ in range(runs):
+            proc = subprocess.run(
+                [sys.executable, "-c", PROBE, json.dumps(list(argv)),
+                 json.dumps(list(watched))],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            lines = proc.stdout.strip().splitlines()
+            if proc.returncode != 0 or not lines:
+                sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
+                results.append({"status": proc.returncode,
+                                "modules": ["<probe failed>"]})
+            else:
+                results.append(json.loads(lines[-1]))
+    return results
+
+
+def _under(module: str, prefixes: Iterable[str]) -> bool:
+    return any(module == p or module.startswith(p + ".") for p in prefixes)
+
+
+def startup_offenders(modules: Iterable[str]) -> List[str]:
+    """Loaded *modules* that CLI start-up must not load: any numpy or
+    scipy module, and any ``repro`` module outside :data:`STARTUP_MODULES`."""
+    return sorted(
+        m for m in modules
+        if _under(m, ("numpy", "scipy"))
+        or (_under(m, ("repro",)) and m not in STARTUP_MODULES)
+    )
+
+
+def runner_modules(ids: Optional[Iterable[str]] = None) -> List[str]:
+    """The experiment modules the registry maps *ids* (default: every
+    id) to."""
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
+    from repro.experiments.registry import EXPERIMENTS
+
+    return sorted({
+        "repro.experiments." + target.partition(":")[0]
+        for id_, _, _, target in EXPERIMENTS if ids is None or id_ in ids
+    })
+
+
+def warm_rerun_offenders(modules: Iterable[str], ran: Sequence[str]) -> List[str]:
+    """Loaded *modules* that a warm-cache run of the ids *ran* must not
+    load: anything under :data:`WARM_FORBIDDEN`, and the runner modules
+    of every id it did not run."""
+    unrun = set(runner_modules()) - set(runner_modules(ran))
+    return sorted(
+        m for m in modules if _under(m, WARM_FORBIDDEN) or _under(m, unrun)
+    )
 
 
 def _imports(path: Path):
@@ -141,16 +215,28 @@ def ported_special_imports(root: Path) -> List[str]:
 
 def main() -> int:
     print("== start-up: import repro.experiments.__main__ + list_experiments() ==")
-    res = probe([], ["scipy"])
-    check(res["status"] == 0 and not res["loaded"],
-          f"no scipy module loaded (loaded: {res['loaded'] or 'none'})")
+    (res,) = probe([], ["repro", "numpy", "scipy"])
+    bad = startup_offenders(res["modules"])
+    check(res["status"] == 0 and not bad,
+          f"no numpy or scipy module and only {len(STARTUP_MODULES)} repro "
+          f"modules loaded (offenders: {', '.join(bad) or 'none'})")
 
-    for argv in (["figure30", "--plan"],
-                 ["table2", "figure8", "figure27", "figure30", "figure31"]):
-        print(f"== artifact run: {' '.join(argv)} ==")
-        res = probe(argv, ["scipy"])
-        check(res["status"] == 0, f"exit status {res['status']}")
-        check(not res["loaded"], f"no scipy module loaded (loaded: {res['loaded'] or 'none'})")
+    print("== artifact run: figure30 --plan ==")
+    (res,) = probe(["figure30", "--plan"], ["scipy"])
+    check(res["status"] == 0, f"exit status {res['status']}")
+    check(not res["modules"],
+          f"no scipy module loaded (loaded: {', '.join(res['modules']) or 'none'})")
+
+    print(f"== artifact run, then warm-cache rerun: {' '.join(PAPER_RERUN)} ==")
+    cold, warm = probe(PAPER_RERUN, ["repro", "scipy"], runs=2)
+    for name, res in (("first run", cold), ("warm rerun", warm)):
+        scipy = [m for m in res["modules"] if _under(m, ("scipy",))]
+        check(res["status"] == 0, f"{name}: exit status {res['status']}")
+        check(not scipy, f"{name}: no scipy module loaded "
+              f"(loaded: {', '.join(scipy) or 'none'})")
+    bad = warm_rerun_offenders(warm["modules"], PAPER_RERUN)
+    check(not bad, "warm rerun: no simulator, planner, analytical or unrun "
+          f"experiment module loaded (offenders: {', '.join(bad) or 'none'})")
 
     print("== source scan: src/repro ==")
     hits = scipy_stats_imports(SRC / "repro")

@@ -39,15 +39,16 @@ Quick start::
 
 __version__ = "1.0.0"
 
-from . import analytical, des, expdesign, faults, rocc, variates, workload  # noqa: F401
+from ._lazy import lazy_exports
 
-__all__ = [
-    "des",
-    "variates",
-    "workload",
-    "rocc",
-    "faults",
-    "analytical",
-    "expdesign",
-    "__version__",
-]
+# Subpackages load on first use: ``import repro`` imports none of them.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "des": None,
+    "variates": None,
+    "workload": None,
+    "rocc": None,
+    "faults": None,
+    "analytical": None,
+    "expdesign": None,
+})
+__all__.append("__version__")

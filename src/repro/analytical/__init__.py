@@ -6,30 +6,19 @@ with direct or binary-tree forwarding), plus exact MVA for the closed
 application workload the paper discusses and dismisses.
 """
 
-from .mpp import MPPAnalyticalModel
-from .mva import MVACenter, MVAResult, mva
-from .now import NOWAnalyticalModel
-from .operational import (
-    ISDemands,
-    forced_flow_law,
-    littles_law_population,
-    littles_law_response,
-    residence_time_open,
-    utilization_law,
-)
-from .smp import SMPAnalyticalModel
+from .._lazy import lazy_exports
 
-__all__ = [
-    "utilization_law",
-    "forced_flow_law",
-    "littles_law_population",
-    "littles_law_response",
-    "residence_time_open",
-    "ISDemands",
-    "mva",
-    "MVACenter",
-    "MVAResult",
-    "NOWAnalyticalModel",
-    "SMPAnalyticalModel",
-    "MPPAnalyticalModel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "utilization_law": "operational",
+    "forced_flow_law": "operational",
+    "littles_law_population": "operational",
+    "littles_law_response": "operational",
+    "residence_time_open": "operational",
+    "ISDemands": "operational",
+    "mva": "mva",
+    "MVACenter": "mva",
+    "MVAResult": "mva",
+    "NOWAnalyticalModel": "now",
+    "SMPAnalyticalModel": "smp",
+    "MPPAnalyticalModel": "mpp",
+})

@@ -19,76 +19,44 @@ Quick example::
     env.run(until=35.0)
 """
 
-from .containers import Container
-from .core import Environment, Infinity
-from .events import (
-    NORMAL,
-    URGENT,
-    AllOf,
-    AnyOf,
-    Condition,
-    ConditionValue,
-    Event,
-    Hold,
-    Process,
-    Timeout,
-)
-from .exceptions import (
-    EmptySchedule,
-    Interrupt,
-    SimulationError,
-    SimulationStalled,
-    StopSimulation,
-)
-from .monitor import P2Quantile, ReservoirSample, Tally, TimeWeighted
-from .profiling import KernelProfiler, format_profile, merge_profiles
-from .resources import (
-    Preempted,
-    PreemptiveResource,
-    PriorityRequest,
-    PriorityResource,
-    Request,
-    Resource,
-)
-from .stores import FilterStore, Store
-from .tracing import EventCounter, EventLog, TraceEntry, event_kind
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Environment",
-    "Infinity",
-    "Event",
-    "Timeout",
-    "Hold",
-    "Process",
-    "Condition",
-    "ConditionValue",
-    "AllOf",
-    "AnyOf",
-    "NORMAL",
-    "URGENT",
-    "Interrupt",
-    "SimulationError",
-    "StopSimulation",
-    "EmptySchedule",
-    "SimulationStalled",
-    "Resource",
-    "PriorityResource",
-    "PreemptiveResource",
-    "Request",
-    "PriorityRequest",
-    "Preempted",
-    "Store",
-    "FilterStore",
-    "Container",
-    "P2Quantile",
-    "ReservoirSample",
-    "Tally",
-    "TimeWeighted",
-    "EventLog",
-    "EventCounter",
-    "TraceEntry",
-    "event_kind",
-    "KernelProfiler",
-    "format_profile",
-    "merge_profiles",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Environment": "core",
+    "Infinity": "core",
+    "Event": "events",
+    "Timeout": "events",
+    "Hold": "events",
+    "Process": "events",
+    "Condition": "events",
+    "ConditionValue": "events",
+    "AllOf": "events",
+    "AnyOf": "events",
+    "NORMAL": "events",
+    "URGENT": "events",
+    "Interrupt": "exceptions",
+    "SimulationError": "exceptions",
+    "StopSimulation": "exceptions",
+    "EmptySchedule": "exceptions",
+    "SimulationStalled": "exceptions",
+    "Resource": "resources",
+    "PriorityResource": "resources",
+    "PreemptiveResource": "resources",
+    "Request": "resources",
+    "PriorityRequest": "resources",
+    "Preempted": "resources",
+    "Store": "stores",
+    "FilterStore": "stores",
+    "Container": "containers",
+    "P2Quantile": "monitor",
+    "ReservoirSample": "monitor",
+    "Tally": "monitor",
+    "TimeWeighted": "monitor",
+    "EventLog": "tracing",
+    "EventCounter": "tracing",
+    "TraceEntry": "tracing",
+    "event_kind": "tracing",
+    "KernelProfiler": "profiling",
+    "format_profile": "profiling",
+    "merge_profiles": "profiling",
+})

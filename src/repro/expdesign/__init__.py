@@ -6,26 +6,21 @@ component analysis"), true PCA as an independent cross-check, and
 t-based confidence intervals on simulation output.
 """
 
-from .batchmeans import BatchMeansResult, batch_means, lag1_autocorrelation
-from .confidence import MeanCI, mean_confidence_interval, repetitions_needed
-from .effects import EffectShare, VariationResult, allocate_variation
-from .factorial import Factor, FactorialDesign
-from .fractional import FractionalFactorialDesign
-from .pca import PCAResult, pca
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Factor",
-    "FactorialDesign",
-    "FractionalFactorialDesign",
-    "batch_means",
-    "BatchMeansResult",
-    "lag1_autocorrelation",
-    "allocate_variation",
-    "VariationResult",
-    "EffectShare",
-    "pca",
-    "PCAResult",
-    "mean_confidence_interval",
-    "MeanCI",
-    "repetitions_needed",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Factor": "factorial",
+    "FactorialDesign": "factorial",
+    "FractionalFactorialDesign": "fractional",
+    "batch_means": "batchmeans",
+    "BatchMeansResult": "batchmeans",
+    "lag1_autocorrelation": "batchmeans",
+    "allocate_variation": "effects",
+    "VariationResult": "effects",
+    "EffectShare": "effects",
+    "pca": "pca",
+    "PCAResult": "pca",
+    "mean_confidence_interval": "confidence",
+    "MeanCI": "confidence",
+    "repetitions_needed": "confidence",
+})

@@ -25,51 +25,32 @@ deadlines and a resumable run journal are opt-in engine parameters:
 ...     print(eng.stats.summary())
 """
 
-from .engine import (
-    CellCache,
-    CellError,
-    EngineStats,
-    ExperimentEngine,
-    config_fingerprint,
-    current_engine,
-    results_equal,
-    use_engine,
-)
-from .registry import Experiment, get, list_experiments, run
-from .reporting import (
-    ArtifactGroup,
-    SeriesSet,
-    Table,
-    engine_stats_table,
-    failure_report_table,
-)
-from .resilience import FailureReport, RetryPolicy, RunJournal
-from .runners import MeanResults, metric_series, replicate, run_design, sweep
+from .._lazy import lazy_exports
 
-__all__ = [
-    "run",
-    "get",
-    "list_experiments",
-    "Experiment",
-    "Table",
-    "SeriesSet",
-    "ArtifactGroup",
-    "replicate",
-    "sweep",
-    "run_design",
-    "metric_series",
-    "MeanResults",
-    "CellError",
-    "ExperimentEngine",
-    "RetryPolicy",
-    "RunJournal",
-    "FailureReport",
-    "EngineStats",
-    "CellCache",
-    "config_fingerprint",
-    "results_equal",
-    "current_engine",
-    "use_engine",
-    "engine_stats_table",
-    "failure_report_table",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "run": "registry",
+    "get": "registry",
+    "list_experiments": "registry",
+    "Experiment": "registry",
+    "Table": "reporting",
+    "SeriesSet": "reporting",
+    "ArtifactGroup": "reporting",
+    "replicate": "runners",
+    "sweep": "runners",
+    "run_design": "runners",
+    "metric_series": "runners",
+    "MeanResults": "runners",
+    "CellError": "engine",
+    "ExperimentEngine": "engine",
+    "RetryPolicy": "resilience",
+    "RunJournal": "resilience",
+    "FailureReport": "resilience",
+    "EngineStats": "engine",
+    "CellCache": "engine",
+    "config_fingerprint": "engine",
+    "results_equal": "engine",
+    "current_engine": "engine",
+    "use_engine": "engine",
+    "engine_stats_table": "reporting",
+    "failure_report_table": "reporting",
+})

@@ -11,7 +11,6 @@ from typing import List, Sequence
 from ..analytical.mpp import MPPAnalyticalModel
 from ..analytical.now import NOWAnalyticalModel
 from ..analytical.smp import SMPAnalyticalModel
-from .registry import register
 from .reporting import ArtifactGroup, SeriesSet
 
 __all__ = ["figure9", "figure10", "figure12", "figure13", "figure14", "figure15"]
@@ -45,11 +44,6 @@ def _now_metrics(
     return panels
 
 
-@register(
-    "figure9",
-    "Figure 9 — analytic NOW metrics vs node count and sampling period",
-    "Figure 9",
-)
 def figure9(quick: bool = True) -> ArtifactGroup:
     """Equations (1)–(6) swept over nodes (T = 40 ms) and periods (n = 8)."""
     group = ArtifactGroup(title="Figure 9: analytic NOW, CF vs BF")
@@ -74,11 +68,6 @@ def figure9(quick: bool = True) -> ArtifactGroup:
     return group
 
 
-@register(
-    "figure10",
-    "Figure 10 — analytic NOW metrics vs batch size",
-    "Figure 10",
-)
 def figure10(quick: bool = True) -> ArtifactGroup:
     """Equations (1)–(6) swept over the BF batch size at n = 8."""
     group = ArtifactGroup(title="Figure 10: analytic NOW vs batch size (n=8)")
@@ -131,11 +120,6 @@ def _smp_group(
     return group
 
 
-@register(
-    "figure12",
-    "Figure 12 — analytic SMP metrics vs sampling period, 1–4 daemons",
-    "Figure 12",
-)
 def figure12(quick: bool = True) -> ArtifactGroup:
     """Equations (7)–(12), n = 16 CPUs, 32 application processes."""
     periods_ms = [1, 2, 4, 8, 16, 32, 64]
@@ -150,11 +134,6 @@ def figure12(quick: bool = True) -> ArtifactGroup:
     )
 
 
-@register(
-    "figure13",
-    "Figure 13 — analytic SMP metrics vs application processes, 1–4 daemons",
-    "Figure 13",
-)
 def figure13(quick: bool = True) -> ArtifactGroup:
     """Equations (7)–(12), T = 40 ms, n = 16 CPUs."""
     apps = [1, 2, 3, 4, 5, 6]
@@ -191,11 +170,6 @@ def _mpp_group(
     return group
 
 
-@register(
-    "figure14",
-    "Figure 14 — analytic MPP metrics vs sampling period, direct vs tree",
-    "Figure 14",
-)
 def figure14(quick: bool = True) -> ArtifactGroup:
     """Equations (13)–(16), n = 256, BF policy."""
     periods_ms = [1, 2, 4, 8, 16, 32, 64]
@@ -209,11 +183,6 @@ def figure14(quick: bool = True) -> ArtifactGroup:
     )
 
 
-@register(
-    "figure15",
-    "Figure 15 — analytic MPP metrics vs node count, direct vs tree",
-    "Figure 15",
-)
 def figure15(quick: bool = True) -> ArtifactGroup:
     """Equations (13)–(16), T = 40 ms, BF policy."""
     nodes = [2, 4, 8, 16, 32, 64, 128, 256]

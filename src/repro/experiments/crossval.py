@@ -12,17 +12,11 @@ from ..analytical.now import NOWAnalyticalModel
 from ..analytical.operational import ISDemands
 from ..rocc.config import NetworkMode, SimulationConfig
 from ..rocc.system import simulate
-from .registry import register
 from .reporting import Table
 
 __all__ = ["extra_crossvalidation"]
 
 
-@register(
-    "extra_crossvalidation",
-    "Extension — operational analysis vs simulation, point by point",
-    "§3 (accuracy of the back-of-the-envelope model)",
-)
 def extra_crossvalidation(quick: bool = True) -> Table:
     """Analytic vs simulated Pd utilization and latency on a NOW grid."""
     duration = 2_000_000.0 if quick else 10_000_000.0

@@ -61,7 +61,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..des.profiling import merge_profiles, take_last_profile
 from ..obs.metrics import diff_snapshots, registry as obs_registry, timed
 from ..obs.spans import (
     SpanBatch,
@@ -71,11 +70,8 @@ from ..obs.spans import (
     tracing_enabled,
     use_tracing,
 )
-from ..rocc.aggregate import simulate_aggregated
 from ..rocc.config import SimulationConfig
 from ..rocc.metrics import SimulationResults
-from ..rocc.partition import lp_workers_from_env, parallel_ineligibility
-from ..rocc.system import simulate
 from .resilience import CellTimeout, FailureReport, RetryPolicy, RunJournal
 
 __all__ = [
@@ -517,6 +513,12 @@ class _CellOutcome:
 
 def _run_cell(payload: Tuple[SimulationConfig, bool, bool, Optional[int]]) -> _CellOutcome:
     """Execute one cell; never raises (failures become artifacts)."""
+    # The simulator is imported by the first cell that runs, so a run
+    # served from the cache never loads it.
+    from ..des.profiling import take_last_profile
+    from ..rocc.aggregate import simulate_aggregated
+    from ..rocc.system import simulate
+
     config, aggregated, traced, lp_workers = payload
     if aggregated:
         runner: Callable[[SimulationConfig], SimulationResults] = simulate_aggregated
@@ -654,7 +656,12 @@ class ExperimentEngine:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if lp_workers is None:
-            lp_workers = lp_workers_from_env()
+            # Only a set variable needs its parser, whose module loads
+            # the model's network layer.
+            if os.environ.get("REPRO_DES_PARALLEL", "").strip():
+                from ..rocc.partition import lp_workers_from_env
+
+                lp_workers = lp_workers_from_env()
         elif isinstance(lp_workers, str):
             if lp_workers != "auto":
                 raise ValueError("lp_workers must be an int, 'auto', or None")
@@ -688,6 +695,10 @@ class ExperimentEngine:
     # -- lifecycle -----------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            # Import the simulator before the workers fork, so that each
+            # inherits it instead of importing it again.
+            from ..rocc import aggregate, system  # noqa: F401
+
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
@@ -791,6 +802,8 @@ class ExperimentEngine:
         """
         if aggregated or self.lp_workers is None:
             return None
+        from ..rocc.partition import parallel_ineligibility
+
         if parallel_ineligibility(config) is not None:
             return None
         if self.lp_workers == "auto":
@@ -957,6 +970,8 @@ class ExperimentEngine:
             # foreign (worker) deltas need folding in.
             obs_registry().merge_snapshot(out.metrics)
         if out.profile is not None:
+            from ..des.profiling import merge_profiles
+
             self.stats.profile = merge_profiles(self.stats.profile, out.profile)
             self.stats.sim_events += out.profile["events"]
 

@@ -19,17 +19,11 @@ from ..rocc.adaptive import RegulatorConfig
 from ..rocc.config import SimulationConfig
 from ..rocc.perturbation import measure_perturbation
 from ..rocc.system import ParadynISSystem, simulate
-from .registry import register
 from .reporting import ArtifactGroup, Table
 
 __all__ = ["extra_adaptive", "extra_perturbation"]
 
 
-@register(
-    "extra_adaptive",
-    "Extension — adaptive IS management holding an overhead budget",
-    "§6 discussion (dynamic cost model outlook)",
-)
 def extra_adaptive(quick: bool = True) -> ArtifactGroup:
     """Static vs regulated overhead at a 1 % budget, two strategies."""
     duration = 8_000_000.0 if quick else 30_000_000.0
@@ -89,11 +83,6 @@ def extra_adaptive(quick: bool = True) -> ArtifactGroup:
     return group
 
 
-@register(
-    "extra_perturbation",
-    "Extension — instrumentation perturbation across operating points",
-    "§1 motivation (10–50 % degradation range)",
-)
 def extra_perturbation(quick: bool = True) -> Table:
     """Application slowdown vs sampling period and policy."""
     duration = 2_000_000.0 if quick else 10_000_000.0

@@ -16,7 +16,6 @@ from typing import List, Tuple
 from ..expdesign.effects import allocate_variation
 from ..expdesign.factorial import Factor, FactorialDesign
 from ..rocc.config import Architecture, ForwardingTopology, SimulationConfig
-from .registry import register
 from .reporting import ArtifactGroup, SeriesSet, Table
 from .runners import replicate, run_design
 from .specs import DesignSpec
@@ -90,11 +89,6 @@ def _mpp_factorial(quick: bool) -> Tuple[FactorialDesign, tuple, tuple]:
     return design, tuple(map(tuple, cpu_rows)), tuple(map(tuple, lat_rows))
 
 
-@register(
-    "table6",
-    "Table 6 — MPP 2^4 factorial simulation results",
-    "Table 6",
-)
 def table6(quick: bool = True) -> Table:
     """Pd CPU time per node and monitoring latency, direct vs tree."""
     design, cpu_rows, lat_rows = _mpp_factorial(quick)
@@ -117,11 +111,6 @@ def table6(quick: bool = True) -> Table:
     return table
 
 
-@register(
-    "figure25",
-    "Figure 25 — MPP allocation of variation",
-    "Figure 25",
-)
 def figure25(quick: bool = True) -> ArtifactGroup:
     """Paper: sampling period (B) dominates Pd CPU time, then policy (C);
     node count (A) and period (B) dominate monitoring latency."""
@@ -172,11 +161,6 @@ def _mpp_panels(x, runs_by_key, x_label, uninstrumented=None, latency="total"):
     return panels
 
 
-@register(
-    "figure26",
-    "Figure 26 — MPP metrics vs sampling period at n=256 (aggregated)",
-    "Figure 26",
-)
 def figure26(quick: bool = True) -> ArtifactGroup:
     """BF policy; CF shown for the direct-overhead comparison (§4.4.2).
     The BF total latency includes batch accumulation — the trade-off the
@@ -222,11 +206,6 @@ def figure26(quick: bool = True) -> ArtifactGroup:
     return group
 
 
-@register(
-    "figure27",
-    "Figure 27 — MPP metrics vs node count, direct vs tree forwarding",
-    "Figure 27",
-)
 def figure27(quick: bool = True) -> ArtifactGroup:
     """T = 40 ms, BF; tree forwarding raises Pd CPU overhead (merge work)
     without helping latency at these rates (§4.4.2)."""
@@ -270,11 +249,6 @@ def figure27(quick: bool = True) -> ArtifactGroup:
     return group
 
 
-@register(
-    "figure28",
-    "Figure 28 — effect of barrier-operation frequency",
-    "Figure 28",
-)
 def figure28(quick: bool = True) -> ArtifactGroup:
     """Frequent barriers idle the application, raising the daemon's share
     of the (busy) CPU and lowering application CPU occupancy (§4.4.3)."""

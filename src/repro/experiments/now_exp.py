@@ -14,7 +14,6 @@ from typing import List, Tuple
 from ..expdesign.effects import VariationResult, allocate_variation
 from ..expdesign.factorial import Factor, FactorialDesign
 from ..rocc.config import NetworkMode, SimulationConfig
-from .registry import register
 from .reporting import ArtifactGroup, SeriesSet, Table
 from .runners import MeanResults, metric_series, run_design, sweep
 from .specs import DesignSpec
@@ -81,11 +80,6 @@ def _now_factorial(quick: bool) -> Tuple[FactorialDesign, tuple, tuple]:
     return design, tuple(map(tuple, cpu_rows)), tuple(map(tuple, lat_rows))
 
 
-@register(
-    "table4",
-    "Table 4 — NOW 2^4 factorial simulation results",
-    "Table 4",
-)
 def table4(quick: bool = True) -> Table:
     """Pd CPU time per node and monitoring latency for all 16 cells."""
     design, cpu_rows, lat_rows = _now_factorial(quick)
@@ -115,11 +109,6 @@ def table4(quick: bool = True) -> Table:
     return table
 
 
-@register(
-    "figure16",
-    "Figure 16 — NOW allocation of variation (the paper's PCA)",
-    "Figure 16",
-)
 def figure16(quick: bool = True) -> ArtifactGroup:
     """Shares of variation for Pd CPU time and monitoring latency.
 
@@ -145,11 +134,6 @@ def figure16(quick: bool = True) -> ArtifactGroup:
     return group
 
 
-@register(
-    "figure17",
-    "Figure 17 — NOW local detail: Pd CPU time and forwarding throughput",
-    "Figure 17",
-)
 def figure17(quick: bool = True) -> ArtifactGroup:
     """CF vs BF(32) at one node: vs sampling period (8 app processes) and
     vs application-process count (T = 40 ms)."""
@@ -245,11 +229,6 @@ def _now_global_panels(
     return panels
 
 
-@register(
-    "figure18",
-    "Figure 18 — NOW global detail: metrics vs node count and period",
-    "Figure 18",
-)
 def figure18(quick: bool = True) -> ArtifactGroup:
     """CF vs BF on a contention-free network (the figure's caption), with
     the uninstrumented application baseline."""
@@ -295,11 +274,6 @@ def figure18(quick: bool = True) -> ArtifactGroup:
     return group
 
 
-@register(
-    "figure19",
-    "Figure 19 — NOW batch-size sweep ('what should the batch size be?')",
-    "Figure 19",
-)
 def figure19(quick: bool = True) -> ArtifactGroup:
     """Metrics vs batch size at n = 8 for three sampling periods; shows
     the knee right after the CF→BF transition (§4.2.4)."""

@@ -16,7 +16,6 @@ from typing import List, Optional, Tuple
 
 from ..rocc.config import NetworkMode, SimulationConfig
 from ..workload.generators import TrafficSpec
-from .registry import register
 from .reporting import Table
 from .runners import sweep
 
@@ -40,11 +39,6 @@ _CLASSES: Tuple[TrafficSpec, ...] = (
 )
 
 
-@register(
-    "open_workload",
-    "Open-workload class × node count factorial (beyond the paper)",
-    "ROADMAP (open workloads)",
-)
 def open_workload(
     quick: bool = True, workload: Optional[TrafficSpec] = None
 ) -> Table:

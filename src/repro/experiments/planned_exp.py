@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..planner import PlannedDesign, PlannerConfig, run_planned
-from .registry import register
 from .reporting import ArtifactGroup, Table
 from .specs import DesignSpec
 
@@ -98,11 +97,6 @@ def _planned_artifact(
     return group
 
 
-@register(
-    "planned_now",
-    "Planned NOW factorial — analytic screening + adaptive replication",
-    "Table 4 (planned)",
-)
 def planned_now(
     quick: bool = True, plan: Optional[PlannerConfig] = None
 ) -> ArtifactGroup:
@@ -115,11 +109,6 @@ def planned_now(
     )
 
 
-@register(
-    "planned_smp",
-    "Planned SMP factorial — analytic screening + adaptive replication",
-    "Table 5 (planned)",
-)
 def planned_smp(
     quick: bool = True, plan: Optional[PlannerConfig] = None
 ) -> ArtifactGroup:
@@ -132,11 +121,6 @@ def planned_smp(
     )
 
 
-@register(
-    "planned_mpp",
-    "Planned MPP factorial — analytic screening + adaptive replication",
-    "Table 6 (planned)",
-)
 def planned_mpp(
     quick: bool = True, plan: Optional[PlannerConfig] = None
 ) -> ArtifactGroup:
@@ -149,11 +133,6 @@ def planned_mpp(
     )
 
 
-@register(
-    "planned_validation",
-    "Planned testbed factorial — analytic screening + adaptive replication",
-    "Figure 30 (planned)",
-)
 def planned_validation(
     quick: bool = True, plan: Optional[PlannerConfig] = None
 ) -> ArtifactGroup:

@@ -14,7 +14,6 @@ from typing import List, Tuple
 from ..expdesign.effects import allocate_variation
 from ..expdesign.factorial import Factor, FactorialDesign
 from ..rocc.config import Architecture, SimulationConfig
-from .registry import register
 from .reporting import ArtifactGroup, SeriesSet, Table
 from .runners import metric_series, replicate, run_design, sweep
 from .specs import DesignSpec
@@ -92,11 +91,6 @@ def _smp_factorial(quick: bool) -> Tuple[FactorialDesign, tuple, tuple]:
     return design, tuple(map(tuple, cpu_rows)), tuple(map(tuple, lat_rows))
 
 
-@register(
-    "table5",
-    "Table 5 — SMP 2^4 factorial simulation results",
-    "Table 5",
-)
 def table5(quick: bool = True) -> Table:
     """IS CPU time per node and monitoring latency for all 16 cells."""
     design, cpu_rows, lat_rows = _smp_factorial(quick)
@@ -120,11 +114,6 @@ def table5(quick: bool = True) -> Table:
     return table
 
 
-@register(
-    "figure20",
-    "Figure 20 — SMP allocation of variation",
-    "Figure 20",
-)
 def figure20(quick: bool = True) -> ArtifactGroup:
     """Paper: node count (A) dominates IS CPU time; policy (C) and node
     count (A) dominate monitoring latency."""
@@ -147,11 +136,6 @@ def figure20(quick: bool = True) -> ArtifactGroup:
     return group
 
 
-@register(
-    "figure21",
-    "Figure 21 — SMP daemon throughput vs CPU count, 1–4 daemons",
-    "Figure 21",
-)
 def figure21(quick: bool = True) -> ArtifactGroup:
     """Under CF more daemons help at high CPU counts; under BF one daemon
     suffices up to 16 CPUs (§4.3.2)."""
@@ -286,11 +270,6 @@ def _smp_daemon_figure(
     return group
 
 
-@register(
-    "figure22",
-    "Figure 22 — SMP metrics vs node (CPU) count, 1–4 daemons",
-    "Figure 22",
-)
 def figure22(quick: bool = True) -> ArtifactGroup:
     """T = 40 ms, 32 application processes; shows the bus bottleneck at
     large CPU counts (§4.3.3)."""
@@ -304,11 +283,6 @@ def figure22(quick: bool = True) -> ArtifactGroup:
     )
 
 
-@register(
-    "figure23",
-    "Figure 23 — SMP metrics vs sampling period, 1–4 daemons",
-    "Figure 23",
-)
 def figure23(quick: bool = True) -> ArtifactGroup:
     """n = 16, 32 apps; the small-period pipe-full anomaly (§4.3.3)."""
     periods = [2_000.0, 8_000.0, 40_000.0] if quick else [
@@ -323,11 +297,6 @@ def figure23(quick: bool = True) -> ArtifactGroup:
     )
 
 
-@register(
-    "figure24",
-    "Figure 24 — SMP metrics vs application-process count, 1–4 daemons",
-    "Figure 24",
-)
 def figure24(quick: bool = True) -> ArtifactGroup:
     """T = 40 ms, n = 16 CPUs; work scales with the process count."""
     apps = [4, 16, 64] if quick else [1, 2, 4, 8, 16, 32, 64]

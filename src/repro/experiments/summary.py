@@ -9,17 +9,11 @@ running any simulation.
 from __future__ import annotations
 
 from ..paper import CLAIMS, PAPER, Status
-from .registry import register
 from .reporting import ArtifactGroup, Table
 
 __all__ = ["summary"]
 
 
-@register(
-    "summary",
-    "Reproduction scorecard — every paper claim and its status",
-    "whole paper",
-)
 def summary(quick: bool = True) -> ArtifactGroup:
     """Tabulate the claim manifest (no simulation involved)."""
     group = ArtifactGroup(

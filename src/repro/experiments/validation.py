@@ -26,7 +26,6 @@ from ..expdesign.pca import pca
 from ..rocc.config import SimulationConfig
 from ..variates.distributions import Exponential, Lognormal
 from ..workload.parameters import WorkloadParameters
-from .registry import register
 from .reporting import ArtifactGroup, Table
 from .runners import replicate, run_design
 from .specs import DesignSpec
@@ -109,11 +108,6 @@ def _policy_period_runs(quick: bool) -> Tuple[FactorialDesign, tuple, tuple]:
     return design, tuple(map(tuple, pd_rows)), tuple(map(tuple, main_rows))
 
 
-@register(
-    "figure30",
-    "Figure 30 + Table 7 — measured CF vs BF overhead, two sampling periods",
-    "Figure 30 / Table 7",
-)
 def figure30(quick: bool = True) -> ArtifactGroup:
     """Pd and main CPU time under CF/BF at T = 10 and 30 ms, plus the
     allocation of variation (Table 7)."""
@@ -204,11 +198,6 @@ def _policy_app_runs(quick: bool) -> Tuple[FactorialDesign, tuple, tuple]:
     return design, tuple(map(tuple, pd_rows)), tuple(map(tuple, main_rows))
 
 
-@register(
-    "figure31",
-    "Figure 31 + Table 8 — application-independence of the BF gain",
-    "Figure 31 / Table 8",
-)
 def figure31(quick: bool = True) -> ArtifactGroup:
     """Normalized CPU occupancy for pvmbt vs pvmis under CF/BF; the
     reduction is insensitive to the application program."""

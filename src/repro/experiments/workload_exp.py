@@ -9,14 +9,12 @@ and validate the parameterized simulator against the "measurement".
 from __future__ import annotations
 
 from ..rocc.config import SimulationConfig
-from ..rocc.system import simulate
 from ..variates.fitting import fit_best
 from ..variates.goodness import histogram_series, qq_series
 from ..workload.characterize import fit_requests, summarize
 from ..workload.nas import PVMBT
 from ..workload.records import ProcessType, ResourceKind
 from ..workload.tracing import AIXTraceFacility, TracingConfig
-from .registry import register
 from .reporting import ArtifactGroup, SeriesSet, Table
 
 __all__ = ["table1", "figure8", "table2", "table3"]
@@ -36,11 +34,6 @@ def _pvmbt_trace(quick: bool, seed: int = 11):
     return AIXTraceFacility(PVMBT, cfg).trace()
 
 
-@register(
-    "table1",
-    "Table 1 — occupancy statistics of NAS pvmbt on an SP-2 (synthetic)",
-    "Table 1",
-)
 def table1(quick: bool = True, seed: int = 11) -> Table:
     """Summary statistics of CPU/network occupancy requests per process."""
     trace = _pvmbt_trace(quick, seed)
@@ -74,12 +67,6 @@ def table1(quick: bool = True, seed: int = 11) -> Table:
     return table
 
 
-@register(
-    "figure8",
-    "Figure 8 — histograms, candidate pdfs, and Q-Q plots for the "
-    "application's CPU and network request lengths",
-    "Figure 8",
-)
 def figure8(quick: bool = True, seed: int = 11) -> ArtifactGroup:
     """Distribution fitting for application CPU (lognormal wins) and
     network (exponential wins) occupancy requests."""
@@ -136,11 +123,6 @@ def figure8(quick: bool = True, seed: int = 11) -> ArtifactGroup:
     return group
 
 
-@register(
-    "table2",
-    "Table 2 — fitted ROCC model parameters per process class",
-    "Table 2",
-)
 def table2(quick: bool = True, seed: int = 11) -> Table:
     """MLE fits (with BIC parsimony) per (process, resource) pair."""
     trace = _pvmbt_trace(quick, seed)
@@ -164,11 +146,6 @@ def table2(quick: bool = True, seed: int = 11) -> Table:
     return table
 
 
-@register(
-    "table3",
-    "Table 3 — model validation: measured vs simulated CPU times",
-    "Table 3",
-)
 def table3(quick: bool = True, seed: int = 11) -> Table:
     """Compare trace-derived ("measured") CPU time against the ROCC
     simulation of the same configuration (§2.4)."""
@@ -184,6 +161,8 @@ def table3(quick: bool = True, seed: int = 11) -> Table:
     measured_pd = trace.busy_time(
         process_type=ProcessType.PARADYN_DAEMON, resource=ResourceKind.CPU
     )
+
+    from ..rocc.system import simulate
 
     sim = simulate(
         SimulationConfig(

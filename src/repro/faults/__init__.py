@@ -27,34 +27,19 @@ their own named substreams, so adding faults does not perturb the
 workload's random numbers (common random numbers across fault levels).
 """
 
-from .injector import (
-    OUTCOME_CORRUPT,
-    OUTCOME_LOST,
-    OUTCOME_OK,
-    FaultInjector,
-)
-from .recovery import RecoveryPolicy
-from .spec import (
-    CpuSlowdown,
-    DaemonCrash,
-    FaultPlan,
-    FaultSpec,
-    MessageLost,
-    NetworkFault,
-    PipeStall,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CpuSlowdown",
-    "DaemonCrash",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "MessageLost",
-    "NetworkFault",
-    "PipeStall",
-    "RecoveryPolicy",
-    "OUTCOME_OK",
-    "OUTCOME_LOST",
-    "OUTCOME_CORRUPT",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CpuSlowdown": "spec",
+    "DaemonCrash": "spec",
+    "FaultInjector": "injector",
+    "FaultPlan": "spec",
+    "FaultSpec": "spec",
+    "MessageLost": "spec",
+    "NetworkFault": "spec",
+    "PipeStall": "spec",
+    "RecoveryPolicy": "recovery",
+    "OUTCOME_OK": "injector",
+    "OUTCOME_LOST": "injector",
+    "OUTCOME_CORRUPT": "injector",
+})

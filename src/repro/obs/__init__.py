@@ -5,70 +5,36 @@ for the process-wide metrics registry, and :mod:`repro.obs.export` for the
 JSONL / Chrome ``trace_event`` / terminal exporters.
 """
 
-from .export import (
-    chrome_trace,
-    export_trace,
-    summarize,
-    trace_events,
-    validate_trace_events,
-    write_chrome_trace,
-    write_jsonl,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    diff_snapshots,
-    registry,
-    timed,
-)
-from .spans import (
-    SIM,
-    WALL,
-    CounterSample,
-    Span,
-    SpanBatch,
-    Tracer,
-    current_tracer,
-    maybe_span,
-    sim_track_pid,
-    start_tracing,
-    stop_tracing,
-    trace_path_from_env,
-    tracing_enabled,
-    use_tracing,
-    wall_now_us,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SIM",
-    "WALL",
-    "CounterSample",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Span",
-    "SpanBatch",
-    "Tracer",
-    "chrome_trace",
-    "current_tracer",
-    "diff_snapshots",
-    "export_trace",
-    "maybe_span",
-    "registry",
-    "sim_track_pid",
-    "start_tracing",
-    "stop_tracing",
-    "timed",
-    "summarize",
-    "trace_events",
-    "trace_path_from_env",
-    "tracing_enabled",
-    "use_tracing",
-    "validate_trace_events",
-    "wall_now_us",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "SIM": "spans",
+    "WALL": "spans",
+    "CounterSample": "spans",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "Span": "spans",
+    "SpanBatch": "spans",
+    "Tracer": "spans",
+    "chrome_trace": "export",
+    "current_tracer": "spans",
+    "diff_snapshots": "metrics",
+    "export_trace": "export",
+    "maybe_span": "spans",
+    "registry": "metrics",
+    "sim_track_pid": "spans",
+    "start_tracing": "spans",
+    "stop_tracing": "spans",
+    "timed": "metrics",
+    "summarize": "export",
+    "trace_events": "export",
+    "trace_path_from_env": "spans",
+    "tracing_enabled": "spans",
+    "use_tracing": "spans",
+    "validate_trace_events": "export",
+    "wall_now_us": "spans",
+    "write_chrome_trace": "export",
+    "write_jsonl": "export",
+})

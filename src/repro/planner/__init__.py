@@ -18,33 +18,24 @@ Entry points:
   golden-mastered) without running any simulation.
 """
 
-from .analytic import AnalyticPrediction, applicability, predict
-from .plan import PlannedCell, PlannedDesign, PlannerConfig, run_planned
-from .replication import (
-    ReplicationBudget,
-    ReplicationPolicy,
-    adaptive_replicate,
-    continue_replication,
-)
-from .screening import CellDecision, ScreeningPolicy, ScreeningReport, screen
-from .surrogate import SurrogateCell, build_surrogates
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AnalyticPrediction",
-    "applicability",
-    "predict",
-    "ScreeningPolicy",
-    "CellDecision",
-    "ScreeningReport",
-    "screen",
-    "ReplicationPolicy",
-    "ReplicationBudget",
-    "adaptive_replicate",
-    "continue_replication",
-    "SurrogateCell",
-    "build_surrogates",
-    "PlannerConfig",
-    "PlannedCell",
-    "PlannedDesign",
-    "run_planned",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "AnalyticPrediction": "analytic",
+    "applicability": "analytic",
+    "predict": "analytic",
+    "ScreeningPolicy": "screening",
+    "CellDecision": "screening",
+    "ScreeningReport": "screening",
+    "screen": "screening",
+    "ReplicationPolicy": "replication",
+    "ReplicationBudget": "replication",
+    "adaptive_replicate": "replication",
+    "continue_replication": "replication",
+    "SurrogateCell": "surrogate",
+    "build_surrogates": "surrogate",
+    "PlannerConfig": "plan",
+    "PlannedCell": "plan",
+    "PlannedDesign": "plan",
+    "run_planned": "plan",
+})

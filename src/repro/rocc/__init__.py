@@ -14,85 +14,50 @@ Entry point::
     print(results.pd_cpu_seconds_per_node, results.monitoring_latency_total_ms)
 """
 
-from .adaptive import (
-    AdaptiveSampler,
-    OverheadRegulator,
-    RegulatorConfig,
-    RegulatorDecision,
-)
-from .aggregate import AggregatedParadynISSystem, simulate_aggregated
-from .application import ApplicationProcess
-from .config import (
-    Architecture,
-    DaemonCostModel,
-    ForwardingTopology,
-    MainCostModel,
-    NetworkMode,
-    SimulationConfig,
-)
-from .cpu import CPUJob, ProcessorSharingCPU, RoundRobinCPU
-from .daemon import ParadynDaemon
-from .forwarding import (
-    children_indices,
-    expected_hops,
-    is_leaf,
-    live_ancestor,
-    parent_index,
-    tree_depth,
-)
-from .main_process import MainParadynProcess
-from .metrics import Metrics, SimulationResults
-from .network import BaseNetwork, ContentionFreeNetwork, FIFONetwork
-from .node import CyclicBarrier, NodeContext
-from .other import OtherProcesses, PVMDaemon
-from .perturbation import PerturbationReport, measure_perturbation
-from .pipes import SamplePipe
-from .requests import Batch, Sample
-from .system import ParadynISSystem, simulate
-from .tuning import BatchRecommendation, BatchSweepPoint, recommend_batch_size
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Architecture",
-    "ForwardingTopology",
-    "NetworkMode",
-    "SimulationConfig",
-    "DaemonCostModel",
-    "MainCostModel",
-    "simulate",
-    "simulate_aggregated",
-    "ParadynISSystem",
-    "AggregatedParadynISSystem",
-    "SimulationResults",
-    "Metrics",
-    "RoundRobinCPU",
-    "ProcessorSharingCPU",
-    "CPUJob",
-    "FIFONetwork",
-    "ContentionFreeNetwork",
-    "BaseNetwork",
-    "SamplePipe",
-    "Sample",
-    "Batch",
-    "ApplicationProcess",
-    "ParadynDaemon",
-    "MainParadynProcess",
-    "PVMDaemon",
-    "OtherProcesses",
-    "NodeContext",
-    "CyclicBarrier",
-    "RegulatorConfig",
-    "RegulatorDecision",
-    "OverheadRegulator",
-    "AdaptiveSampler",
-    "PerturbationReport",
-    "measure_perturbation",
-    "recommend_batch_size",
-    "BatchRecommendation",
-    "BatchSweepPoint",
-    "parent_index",
-    "children_indices",
-    "is_leaf",
-    "tree_depth",
-    "expected_hops",
-    "live_ancestor",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Architecture": "config",
+    "ForwardingTopology": "config",
+    "NetworkMode": "config",
+    "SimulationConfig": "config",
+    "DaemonCostModel": "config",
+    "MainCostModel": "config",
+    "simulate": "system",
+    "simulate_aggregated": "aggregate",
+    "ParadynISSystem": "system",
+    "AggregatedParadynISSystem": "aggregate",
+    "SimulationResults": "metrics",
+    "Metrics": "metrics",
+    "RoundRobinCPU": "cpu",
+    "ProcessorSharingCPU": "cpu",
+    "CPUJob": "cpu",
+    "FIFONetwork": "network",
+    "ContentionFreeNetwork": "network",
+    "BaseNetwork": "network",
+    "SamplePipe": "pipes",
+    "Sample": "requests",
+    "Batch": "requests",
+    "ApplicationProcess": "application",
+    "ParadynDaemon": "daemon",
+    "MainParadynProcess": "main_process",
+    "PVMDaemon": "other",
+    "OtherProcesses": "other",
+    "NodeContext": "node",
+    "CyclicBarrier": "node",
+    "RegulatorConfig": "adaptive",
+    "RegulatorDecision": "adaptive",
+    "OverheadRegulator": "adaptive",
+    "AdaptiveSampler": "adaptive",
+    "PerturbationReport": "perturbation",
+    "measure_perturbation": "perturbation",
+    "recommend_batch_size": "tuning",
+    "BatchRecommendation": "tuning",
+    "BatchSweepPoint": "tuning",
+    "parent_index": "forwarding",
+    "children_indices": "forwarding",
+    "is_leaf": "forwarding",
+    "tree_depth": "forwarding",
+    "expected_hops": "forwarding",
+    "live_ancestor": "forwarding",
+})

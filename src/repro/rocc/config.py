@@ -13,16 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..faults.recovery import RecoveryPolicy
 from ..faults.spec import FaultPlan
 from ..variates.distributions import Distribution, Exponential
-from ..workload.generators import TrafficSpec
 from ..workload.parameters import (
     TYPICAL_SAMPLING_PERIOD_US,
     WorkloadParameters,
 )
+
+if TYPE_CHECKING:  # imported where used: few runs drive open workloads
+    from ..workload.generators import TrafficSpec
 
 __all__ = [
     "Architecture",
@@ -241,6 +243,8 @@ class SimulationConfig:
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             self.faults = FaultPlan.coerce(self.faults)
         if self.traffic is not None:
+            from ..workload.generators import TrafficSpec
+
             if not isinstance(self.traffic, TrafficSpec):
                 self.traffic = TrafficSpec.coerce(self.traffic)
             self.traffic.validate()  # unknown name / bad params fail here

@@ -6,70 +6,37 @@ goodness-of-fit machinery behind Figure 8, and reproducible named
 random streams used by every simulation entity.
 """
 
-from .distributions import (
-    Deterministic,
-    Distribution,
-    Empirical,
-    Erlang,
-    Exponential,
-    Hyperexponential,
-    Lognormal,
-    Normal,
-    Pareto,
-    Uniform,
-    Weibull,
-)
-from .fitting import (
-    CANDIDATE_FAMILIES,
-    FitResult,
-    fit_best,
-    fit_exponential,
-    fit_lognormal,
-    fit_normal,
-    fit_weibull,
-)
-from .goodness import (
-    ChiSquareResult,
-    HistogramSeries,
-    QQSeries,
-    anderson_darling,
-    chi_square_test,
-    histogram_series,
-    ks_statistic,
-    ks_test,
-    qq_series,
-)
-from .streams import AntitheticStream, StreamFactory, VariateStream
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Distribution",
-    "Deterministic",
-    "Uniform",
-    "Exponential",
-    "Erlang",
-    "Lognormal",
-    "Weibull",
-    "Normal",
-    "Hyperexponential",
-    "Pareto",
-    "Empirical",
-    "StreamFactory",
-    "VariateStream",
-    "AntitheticStream",
-    "FitResult",
-    "fit_exponential",
-    "fit_lognormal",
-    "fit_weibull",
-    "fit_normal",
-    "fit_best",
-    "CANDIDATE_FAMILIES",
-    "ks_statistic",
-    "ks_test",
-    "anderson_darling",
-    "chi_square_test",
-    "ChiSquareResult",
-    "qq_series",
-    "QQSeries",
-    "histogram_series",
-    "HistogramSeries",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Distribution": "distributions",
+    "Deterministic": "distributions",
+    "Uniform": "distributions",
+    "Exponential": "distributions",
+    "Erlang": "distributions",
+    "Lognormal": "distributions",
+    "Weibull": "distributions",
+    "Normal": "distributions",
+    "Hyperexponential": "distributions",
+    "Pareto": "distributions",
+    "Empirical": "distributions",
+    "StreamFactory": "streams",
+    "VariateStream": "streams",
+    "AntitheticStream": "streams",
+    "FitResult": "fitting",
+    "fit_exponential": "fitting",
+    "fit_lognormal": "fitting",
+    "fit_weibull": "fitting",
+    "fit_normal": "fitting",
+    "fit_best": "fitting",
+    "CANDIDATE_FAMILIES": "fitting",
+    "ks_statistic": "goodness",
+    "ks_test": "goodness",
+    "anderson_darling": "goodness",
+    "chi_square_test": "goodness",
+    "ChiSquareResult": "goodness",
+    "qq_series": "goodness",
+    "QQSeries": "goodness",
+    "histogram_series": "goodness",
+    "HistogramSeries": "goodness",
+})

@@ -21,47 +21,26 @@ Three pillars:
 configurations over all of the above.
 """
 
-from .differential import (
-    check_bf_flush_noop,
-    check_cache,
-    check_event_queue,
-    check_fastpath,
-    check_open_workload,
-    check_parallel_kernel,
-    check_resilient_engine,
-    check_watchdog,
-    check_workers,
-    diff_results,
-    differential_checks,
-)
-from .invariants import audit_results
-from .oplaws import (
-    applicable,
-    check_against_analytic,
-    check_littles_law,
-    check_operational_laws,
-    check_utilization_law,
-)
-from .report import VerificationReport, Violation
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Violation",
-    "VerificationReport",
-    "audit_results",
-    "applicable",
-    "check_operational_laws",
-    "check_utilization_law",
-    "check_littles_law",
-    "check_against_analytic",
-    "diff_results",
-    "differential_checks",
-    "check_fastpath",
-    "check_watchdog",
-    "check_workers",
-    "check_cache",
-    "check_bf_flush_noop",
-    "check_open_workload",
-    "check_resilient_engine",
-    "check_event_queue",
-    "check_parallel_kernel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Violation": "report",
+    "VerificationReport": "report",
+    "audit_results": "invariants",
+    "applicable": "oplaws",
+    "check_operational_laws": "oplaws",
+    "check_utilization_law": "oplaws",
+    "check_littles_law": "oplaws",
+    "check_against_analytic": "oplaws",
+    "diff_results": "differential",
+    "differential_checks": "differential",
+    "check_fastpath": "differential",
+    "check_watchdog": "differential",
+    "check_workers": "differential",
+    "check_cache": "differential",
+    "check_bf_flush_noop": "differential",
+    "check_open_workload": "differential",
+    "check_resilient_engine": "differential",
+    "check_event_queue": "differential",
+    "check_parallel_kernel": "differential",
+})

@@ -6,86 +6,47 @@ the Table-1/Table-2 characterization pipeline, and the process state
 machines of Figures 6 and 7.
 """
 
-from .characterize import (
-    OccupancyStats,
-    RequestFit,
-    SummaryTable,
-    build_empirical_parameters,
-    build_parameters,
-    fit_requests,
-    summarize,
-)
-from .nas import PVMBT, PVMIS, BenchmarkProfile, ProcessProfile, benchmark_by_name
-from .parameters import (
-    CPU_QUANTUM_US,
-    PAPER_PARAMETERS,
-    TYPICAL_SAMPLING_PERIOD_US,
-    WorkloadParameters,
-)
-from .process_model import (
-    DETAILED_TRANSITIONS,
-    DetailedState,
-    ProcessStateMachine,
-    SimpleState,
-    legal_sequence,
-    simplify,
-)
-from .generators import (
-    TRAFFIC_REGISTRY,
-    BurstyWorkload,
-    FlashCrowdWorkload,
-    OpenWorkload,
-    RVConfig,
-    StationaryWorkload,
-    TraceReplayWorkload,
-    TrafficGenerator,
-    TrafficSpec,
-    available_traffic,
-    register_traffic,
-    traffic_generator,
-)
-from .records import ProcessType, ResourceKind, TraceFile, TraceRecord
-from .tracing import AIXTraceFacility, TracingConfig
+from .._lazy import lazy_exports
 
-__all__ = [
-    "TrafficSpec",
-    "TrafficGenerator",
-    "RVConfig",
-    "StationaryWorkload",
-    "TraceReplayWorkload",
-    "BurstyWorkload",
-    "FlashCrowdWorkload",
-    "OpenWorkload",
-    "TRAFFIC_REGISTRY",
-    "register_traffic",
-    "traffic_generator",
-    "available_traffic",
-    "ProcessType",
-    "ResourceKind",
-    "TraceRecord",
-    "TraceFile",
-    "AIXTraceFacility",
-    "TracingConfig",
-    "BenchmarkProfile",
-    "ProcessProfile",
-    "PVMBT",
-    "PVMIS",
-    "benchmark_by_name",
-    "WorkloadParameters",
-    "PAPER_PARAMETERS",
-    "CPU_QUANTUM_US",
-    "TYPICAL_SAMPLING_PERIOD_US",
-    "summarize",
-    "SummaryTable",
-    "OccupancyStats",
-    "fit_requests",
-    "RequestFit",
-    "build_parameters",
-    "build_empirical_parameters",
-    "DetailedState",
-    "SimpleState",
-    "DETAILED_TRANSITIONS",
-    "ProcessStateMachine",
-    "simplify",
-    "legal_sequence",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "TrafficSpec": "generators",
+    "TrafficGenerator": "generators",
+    "RVConfig": "generators",
+    "StationaryWorkload": "generators",
+    "TraceReplayWorkload": "generators",
+    "BurstyWorkload": "generators",
+    "FlashCrowdWorkload": "generators",
+    "OpenWorkload": "generators",
+    "TRAFFIC_REGISTRY": "generators",
+    "register_traffic": "generators",
+    "traffic_generator": "generators",
+    "available_traffic": "generators",
+    "ProcessType": "records",
+    "ResourceKind": "records",
+    "TraceRecord": "records",
+    "TraceFile": "records",
+    "AIXTraceFacility": "tracing",
+    "TracingConfig": "tracing",
+    "BenchmarkProfile": "nas",
+    "ProcessProfile": "nas",
+    "PVMBT": "nas",
+    "PVMIS": "nas",
+    "benchmark_by_name": "nas",
+    "WorkloadParameters": "parameters",
+    "PAPER_PARAMETERS": "parameters",
+    "CPU_QUANTUM_US": "parameters",
+    "TYPICAL_SAMPLING_PERIOD_US": "parameters",
+    "summarize": "characterize",
+    "SummaryTable": "characterize",
+    "OccupancyStats": "characterize",
+    "fit_requests": "characterize",
+    "RequestFit": "characterize",
+    "build_parameters": "characterize",
+    "build_empirical_parameters": "characterize",
+    "DetailedState": "process_model",
+    "SimpleState": "process_model",
+    "DETAILED_TRANSITIONS": "process_model",
+    "ProcessStateMachine": "process_model",
+    "simplify": "process_model",
+    "legal_sequence": "process_model",
+})

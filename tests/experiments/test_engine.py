@@ -6,8 +6,12 @@ from dedicated named substreams, the same sweep must yield identical
 worker processes, or from a warm content-addressed cache.
 """
 
+import json
 import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +82,7 @@ def test_sweep_deterministic_serial_parallel_cached(cfg, tmp_path):
     _assert_cells_identical(serial, parallel)
     _assert_cells_identical(serial, cold)
     _assert_cells_identical(serial, warm)
+
     # The second cached sweep executed nothing: every cell was a hit.
     assert cached_engine.stats.cache_hits == len(values) * 2
     assert cached_engine.stats.cells_run == len(values) * 2
@@ -90,6 +95,43 @@ def test_parallel_preserves_common_random_numbers(cfg):
         a = replicate(cfg.with_(batch_size=1), repetitions=1, engine=engine)
         b = replicate(cfg.with_(batch_size=8), repetitions=1, engine=engine)
     assert a.results[0].samples_generated == b.results[0].samples_generated
+
+
+# Runs in a fresh interpreter, where nothing has imported the simulator
+# yet: records at each fork whether the parent already holds it.
+_FORK_PROBE = """
+import json, os, sys
+from repro.experiments.engine import CellCache, ExperimentEngine, results_equal
+from repro.rocc.config import SimulationConfig
+
+at_fork = []
+os.register_at_fork(
+    before=lambda: at_fork.append("repro.rocc.system" in sys.modules))
+configs = [SimulationConfig(nodes=1, duration=300_000.0,
+                            sampling_period=p, include_pvmd=False,
+                            include_other=False, seed=5)
+           for p in (10_000.0, 20_000.0, 40_000.0)]
+assert "repro.rocc.system" not in sys.modules
+with ExperimentEngine(workers=2, cache=CellCache(enabled=False)) as eng:
+    parallel = eng.run_cells(configs)
+serial = ExperimentEngine(workers=1, cache=CellCache(enabled=False)).run_cells(configs)
+print(json.dumps({"at_fork": at_fork, "identical": all(
+    results_equal(a, b) for a, b in zip(serial, parallel))}))
+"""
+
+
+def test_pool_workers_inherit_the_simulator():
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _FORK_PROBE], capture_output=True, text=True,
+        env=dict(env, PYTHONPATH=str(src)), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    # The pool forked, and every fork came after the parent imported it.
+    assert out["at_fork"] and all(out["at_fork"]), out
+    assert out["identical"]
 
 
 # ---------------------------------------------------------------------------
@@ -266,23 +308,20 @@ def test_run_design_matches_per_run_replicate(cfg):
 
 
 def test_registry_appends_engine_note(cfg, tmp_path):
-    from repro.experiments.registry import REGISTRY, register
+    from repro.experiments.registry import Experiment
     from repro.experiments.reporting import Table
 
-    @register("enginetest", "engine note probe", "n/a")
     def _probe(quick=True):
         table = Table(title="probe", headers=["x"])
         res = replicate(cfg, repetitions=1)
         table.add_row(res.samples_received)
         return table
 
-    try:
-        engine = ExperimentEngine(workers=1, cache=CellCache(tmp_path))
-        artifact = REGISTRY["enginetest"].run(engine=engine)
-        assert any(note.startswith("engine: ") for note in artifact.notes)
-        assert engine.stats.cells_submitted == 1
-    finally:
-        REGISTRY.pop("enginetest", None)
+    experiment = Experiment("enginetest", "engine note probe", "n/a", runner=_probe)
+    engine = ExperimentEngine(workers=1, cache=CellCache(tmp_path))
+    artifact = experiment.run(engine=engine)
+    assert any(note.startswith("engine: ") for note in artifact.notes)
+    assert engine.stats.cells_submitted == 1
 
 
 # ---------------------------------------------------------------------------

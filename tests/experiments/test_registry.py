@@ -1,9 +1,20 @@
 """Tests for the experiment registry and CLI plumbing."""
 
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import get, list_experiments
-from repro.experiments.registry import REGISTRY, Experiment, register
+from repro.experiments.registry import EXPERIMENTS, REGISTRY, Experiment, _index
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+#: ``python -m repro.experiments list`` as printed before the registry
+#: became a table; the listing must not change.
+LIST_OUTPUT = Path(__file__).with_name("list_output.txt")
 
 
 def test_all_paper_artifacts_registered():
@@ -32,8 +43,9 @@ def test_get_unknown_lists_available():
 
 def test_double_registration_rejected():
     assert "table1" in REGISTRY
-    with pytest.raises(ValueError):
-        register("table1", "dup", "x")(lambda quick=True: None)
+    dup = Experiment("table1", "dup", "x", runner=lambda quick=True: None)
+    with pytest.raises(ValueError, match="'table1'"):
+        _index([get("table1"), dup])
 
 
 def test_experiments_sorted():
@@ -117,3 +129,63 @@ def test_run_forwards_known_kwargs():
 def test_open_workload_experiment_registered():
     e = get("open_workload")
     assert e.accepts("workload")
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
+    )
+
+
+def test_cli_list_output_is_unchanged():
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.experiments", "list"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == LIST_OUTPUT.read_text()
+
+
+def test_every_entry_resolves_to_a_function_of_its_module():
+    assert len(EXPERIMENTS) == len(REGISTRY)
+    for id_, _, _, target in EXPERIMENTS:
+        module_name, _, name = target.partition(":")
+        module = importlib.import_module(f"repro.experiments.{module_name}")
+        runner = get(id_).runner
+        assert callable(runner), id_
+        assert runner is getattr(module, name), id_
+        assert runner.__module__ == module.__name__, id_
+        assert get(id_).description == (runner.__doc__ or "").strip().split("\n")[0]
+
+
+def test_listing_and_lookup_import_no_runner_module():
+    proc = _fresh_python(
+        "import sys\n"
+        "from repro.experiments import get, list_experiments\n"
+        "ids = [e.id for e in list_experiments()]\n"
+        "get('table1')\n"
+        "try:\n"
+        "    get('nosuch')\n"
+        "except KeyError as exc:\n"
+        "    assert 'table1' in str(exc) and 'figure31' in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('no KeyError')\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.')))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = eval(proc.stdout)
+    assert loaded == [
+        "repro._lazy", "repro.experiments", "repro.experiments.registry"
+    ]
+
+
+def test_unimportable_runner_module_names_the_id():
+    broken = Experiment("broken_probe", "t", "r", runner="no_such_module:run")
+    with pytest.raises(ImportError, match="'broken_probe'") as err:
+        broken.runner
+    assert isinstance(err.value.__cause__, ModuleNotFoundError)
+    missing = Experiment("missing_probe", "t", "r", runner="summary:no_such_fn")
+    with pytest.raises(ImportError, match="'missing_probe'"):
+        missing.accepts("quick")

@@ -1,9 +1,11 @@
-"""The import budget: no scipy on the CLI, paper-rerun or planned paths.
+"""The import budget: a lean start-up, a lean warm rerun, no scipy.
 
-Runs ``scripts/check_import_budget.py`` end to end (about 7 s): it
-probes the CLI start-up and two quick artifact runs in fresh
-interpreters and scans ``src/repro`` for ``scipy.stats`` imports and
-for ``scipy.special`` imports of the functions ``repro.special`` ports.
+Runs ``scripts/check_import_budget.py`` end to end (about 8 s): it
+probes the CLI start-up, two quick artifact runs and a warm-cache rerun
+in fresh interpreters and scans ``src/repro`` for ``scipy.stats``
+imports and for ``scipy.special`` imports of the functions
+``repro.special`` ports.  The scan and module-list checks also run on
+planted offenders.
 """
 
 import subprocess
@@ -66,3 +68,28 @@ def test_ported_scan_allows_only_the_stdtrit_fallback(tmp_path):
         "repro/special.py:5", "repro/special.py:6", "repro/special.py:7",
         "repro/sub/special.py:2",
     ]
+
+
+def test_startup_flags_numpy_scipy_and_unlisted_repro_modules():
+    budget = _script()
+    planted = ["numpy", "numpy.core", "scipy.special", "repro.rocc",
+               "repro.experiments.engine", "repro.experiments.now_exp"]
+    allowed = list(budget.STARTUP_MODULES) + ["argparse", "numpyish", "reprox"]
+    assert budget.startup_offenders(allowed + planted) == sorted(planted)
+    assert budget.startup_offenders(allowed) == []
+
+
+def test_warm_rerun_flags_simulator_planner_analytical_and_unrun_ids():
+    budget = _script()
+    ran = ["table2", "figure27"]  # workload_exp and mpp_exp
+    needed = ["repro.experiments.workload_exp", "repro.experiments.mpp_exp",
+              "repro.experiments.engine", "repro.rocc.metrics",
+              "repro.rocc.systemic", "repro.planners"]
+    planted = ["repro.rocc.system", "repro.rocc.aggregate", "repro.planner",
+               "repro.planner.plan", "repro.analytical.mva",
+               "repro.experiments.now_exp", "repro.experiments.validation"]
+    assert budget.warm_rerun_offenders(needed + planted, ran) == sorted(planted)
+    assert budget.warm_rerun_offenders(needed, ran) == []
+    # Running an id makes its module legitimate.
+    assert budget.warm_rerun_offenders(
+        ["repro.experiments.validation"], ran + ["figure30"]) == []
