@@ -27,6 +27,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "Event": "events",
     "Timeout": "events",
     "Hold": "events",
+    "Actor": "events",
     "Process": "events",
     "Condition": "events",
     "ConditionValue": "events",

@@ -20,9 +20,11 @@ from time import monotonic
 from typing import Any, Generator, Iterable, List, Optional
 
 from .events import (
+    ACTOR_CLASSES,
     HOLD_COMPLETED,
     NORMAL,
     URGENT,
+    Actor,
     AllOf,
     AnyOf,
     Condition,
@@ -75,12 +77,14 @@ class Environment:
     def __init__(self, initial_time: float = 0.0):
         self._now: float = float(initial_time)
         #: The event scheduler (``REPRO_DES_QUEUE`` selects the
-        #: implementation); ``_push`` is its bound enqueue, cached so
-        #: the factory hot paths pay one attribute load, not two.
+        #: implementation); ``_push`` and ``_pop`` are its bound enqueue
+        #: and dequeue, cached so the hot paths pay one attribute load,
+        #: not two.
         self._scheduler = make_scheduler()
         self._push = self._scheduler.push
-        # The auto scheduler re-points the cached ``_push`` at its
-        # promoted implementation; give it the back-reference it needs.
+        self._pop = self._scheduler.pop
+        # The auto scheduler re-points the cached ``_push``/``_pop`` at
+        # its serving implementation; give it the back-reference.
         bind = getattr(self._scheduler, "bind", None)
         if bind is not None:
             bind(self)
@@ -226,6 +230,13 @@ class Environment:
         except IndexError:
             raise EmptySchedule() from None
 
+        if type(event) in ACTOR_CLASSES:
+            if self._tracers:
+                for tracer in self._tracers:
+                    tracer(event, self._now)
+            event._fire()
+            return
+
         if type(event) is Hold:
             proc = event.proc
             if self._tracers:
@@ -354,8 +365,14 @@ class Environment:
         every per-event attribute lookup hoisted into a local.  Exits by
         raising :class:`StopSimulation` / :class:`EmptySchedule`, which
         :meth:`run` handles.
+
+        ``pop`` is the serving queue's own dequeue.  When the scheduler
+        re-points ``_pop`` (an :class:`~repro.des.queues.AutoScheduler`
+        promotion empties the queue it replaced), the stale ``pop``
+        raises ``IndexError`` once and the loop picks up the new one.
         """
-        pop = self._scheduler.pop
+        pop = self._pop
+        actor_classes = ACTOR_CLASSES
         tracers = self._tracers  # mutated in place by add/remove_tracer
         hold_pool = self._hold_pool
         timeout_pool = self._timeout_pool
@@ -368,9 +385,18 @@ class Environment:
             try:
                 now, _, _, event = pop()
             except IndexError:
-                raise EmptySchedule() from None
+                if pop is self._pop:
+                    raise EmptySchedule() from None
+                pop = self._pop
+                continue
             self._now = now
             cls = event.__class__
+            if cls in actor_classes:
+                if tracers:
+                    for tracer in tracers:
+                        tracer(event, now)
+                event._fire()
+                continue
             if cls is hold_cls:
                 proc = event.proc
                 if tracers:
@@ -416,11 +442,11 @@ class Environment:
                 if proc is not None and proc.name not in blocked:
                     blocked.append(proc.name)
                 continue
-            if isinstance(event, Process) and event.name not in blocked:
+            if isinstance(event, (Process, Actor)) and event.name not in blocked:
                 blocked.append(event.name)
             for callback in event.callbacks or ():
                 owner = getattr(callback, "__self__", None)
-                if isinstance(owner, Process) and owner.name not in blocked:
+                if isinstance(owner, (Process, Actor)) and owner.name not in blocked:
                     blocked.append(owner.name)
         message = (
             f"simulation stalled ({reason}) at t={self._now:g} "

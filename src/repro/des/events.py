@@ -13,6 +13,11 @@ Derived events:
 * :class:`Process` — a running generator; itself an event that fires when
   the generator terminates, which lets processes wait for each other.
 * :class:`Condition` / :class:`AllOf` / :class:`AnyOf` — composite events.
+
+Two schedule entries are not events: :class:`Hold` (a process sleep)
+and :class:`Actor`, a model object that puts *itself* on the schedule
+for each request it makes and that the run loop dispatches with a
+single ``_fire()`` call.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ __all__ = [
     "HOLD_COMPLETED",
     "Event",
     "Hold",
+    "Actor",
+    "ACTOR_CLASSES",
     "Timeout",
     "Initialize",
     "Interruption",
@@ -200,6 +207,55 @@ class Hold:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         name = getattr(self.proc, "name", None)
         return f"<Hold proc={name!r} at {id(self):#x}>"
+
+
+#: Every :class:`Actor` subclass; the run loop tests membership by class.
+ACTOR_CLASSES: set = set()
+
+
+class Actor:
+    """A model object that is itself a kernel event.
+
+    An actor has at most one entry on the schedule at a time: for each
+    request it makes it pushes *itself*, and when that entry pops the
+    run loop calls :meth:`_fire` — no callbacks list, no generator, no
+    per-request event object.  It suits a loop that nothing ever
+    interrupts (the ROCC background load); anything a crash or a
+    timeout must be able to cancel stays a :class:`Process`.
+
+    Subclasses set ``name`` (for tracers, profilers and the watchdog)
+    and report through :attr:`kind` what the pending entry completes,
+    so traces read the same as for the equivalent process.  Like a
+    :class:`Hold`, an actor exposes the event-protocol attributes of an
+    event that always succeeds.
+    """
+
+    __slots__ = ("name",)
+
+    callbacks = None
+    triggered = True
+    processed = True
+    ok = True
+    value = None
+    _ok = True
+    _value = None
+    _defused = True
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        ACTOR_CLASSES.add(cls)
+
+    @property
+    def kind(self) -> str:
+        """Trace kind of the pending entry (see ``des.tracing.event_kind``)."""
+        raise NotImplementedError
+
+    def _fire(self) -> None:
+        """Complete the pending request; called once per schedule entry."""
+        raise NotImplementedError
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__}({self.name}) at {id(self):#x}>"
 
 
 class Timeout(Event):

@@ -25,7 +25,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from .core import Environment
-from .events import Hold, Process
+from .events import Actor, Hold, Process
 from .tracing import event_kind
 
 __all__ = [
@@ -89,10 +89,11 @@ class KernelProfiler:
             kind = event_kind(event)
             name = getattr(event, "name", None)
             if name is None:
-                # Attribute anonymous events to the process they resume.
+                # Attribute anonymous events to the process (or actor)
+                # they resume.
                 for cb in event.callbacks or ():
                     owner = getattr(cb, "__self__", None)
-                    if isinstance(owner, Process):
+                    if isinstance(owner, (Process, Actor)):
                         name = owner.name
                         break
         self.events += 1

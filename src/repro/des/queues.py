@@ -540,10 +540,12 @@ class AutoScheduler:
     in either structure yields the identical pop sequence.
 
     An :class:`~repro.des.core.Environment` caches ``scheduler.push``
-    once; :meth:`bind` lets the promotion re-point that cache at the
-    calendar's own ``push`` so the post-promotion fast path pays no
-    delegation.  ``pop`` stays a one-hop delegate (stable bound method,
-    required by the cached dispatch loop).
+    and ``scheduler.pop`` once.  :meth:`bind` points the cached ``pop``
+    at the heap's own, and the promotion re-points both caches at the
+    calendar's, so the run loop pays no delegation on either side of
+    the latch.  The promotion also empties the retired heap: a run loop
+    still holding its ``pop`` gets ``IndexError`` and re-reads the
+    cache.  :meth:`pop` itself stays a delegate for direct callers.
     """
 
     name = "auto"
@@ -560,9 +562,11 @@ class AutoScheduler:
         self._deq_offset = 0
 
     def bind(self, env) -> None:
-        """Let the owning environment's cached ``push`` be re-pointed
-        at promotion time (see :class:`~repro.des.core.Environment`)."""
+        """Serve the owning environment's cached ``pop`` from the heap
+        directly, and let the promotion re-point its cached ``push``
+        and ``pop`` (see :class:`~repro.des.core.Environment`)."""
         self._env = env
+        env._pop = self._impl.pop
 
     def push(self, entry: Entry) -> None:
         impl = self._impl
@@ -610,11 +614,17 @@ class AutoScheduler:
         self._deq_offset = heap.enqueues - len(pending)
         self._impl = calendar
         self.promotions += 1
+        # Retire the heap empty, so a dispatch loop still holding its
+        # bound ``pop`` gets IndexError and re-reads ``env._pop``.
+        heap._entries = []
         env = self._env
-        if env is not None and getattr(env._push, "__self__", None) is self:
-            # Re-point the environment's cached enqueue at the calendar
-            # directly: post-promotion pushes pay zero delegation.
-            env._push = calendar.push
+        if env is not None:
+            # Re-point the environment's cached dequeue (and enqueue,
+            # unless someone wrapped it) at the calendar directly:
+            # post-promotion operations pay zero delegation.
+            env._pop = calendar.pop
+            if getattr(env._push, "__self__", None) is self:
+                env._push = calendar.push
 
 
 class TieBreakingHeap:

@@ -20,13 +20,20 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .core import Environment
-from .events import Event, Hold, Process, Timeout
+from .events import Actor, Event, Hold, Process, Timeout
 
 __all__ = ["TraceEntry", "EventLog", "EventCounter", "event_kind"]
 
 
 def event_kind(event: Event) -> str:
-    """Short classification of an event for logs and counters."""
+    """Short classification of an event for logs and counters.
+
+    An :class:`~repro.des.events.Actor` is classified by what its entry
+    completes (``initialize``, ``timeout``, ``cpudone``, ``transfer``,
+    ...), the kind of the event the equivalent process would wait on.
+    """
+    if isinstance(event, Actor):
+        return event.kind
     if isinstance(event, Process):
         return "process"
     if isinstance(event, (Timeout, Hold)):

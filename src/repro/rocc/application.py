@@ -10,6 +10,12 @@ bursts — augmented with:
 * optional **global barriers** every ``barrier_period`` µs of CPU work
   (Figure 28): a burst never crosses a barrier point, and the process
   waits until every application process in the system arrives.
+
+The main cycle and the sampling timer are each a
+:class:`~repro.rocc.node.LoadActor`: the application is background load
+to the instrumentation system and nothing interrupts it, so it runs as
+direct kernel events.  A blocked pipe write or a barrier wait
+hooks the cycle's continuation on the store's or the barrier's event.
 """
 
 from __future__ import annotations
@@ -17,22 +23,29 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional
 
+from ..des.events import Event
 from ..workload.records import ProcessType
-from .node import CyclicBarrier, NodeContext
+from .node import CyclicBarrier, LoadActor, NodeContext
 from .pipes import SamplePipe
 from .requests import Sample
 
-__all__ = ["ApplicationProcess"]
+__all__ = ["ApplicationProcess", "SamplingTimer"]
 
 
-class ApplicationProcess:
-    """One application process on one node.
+class ApplicationProcess(LoadActor):
+    """One application process on one node: the compute/communicate
+    cycle, itself the kernel event of its pending request.
 
     ``sampler_state``, when given, is an
     :class:`~repro.rocc.adaptive.AdaptiveSampler` whose ``period`` the
     sampling timer re-reads every tick, letting an overhead regulator
     adjust the rate mid-run.
     """
+
+    __slots__ = ("ctx", "pid", "pipe", "barrier", "sampler_state", "metrics",
+                 "_cpu_var", "_net_var", "_due", "_barrier_period",
+                 "_work", "_work_since_barrier", "_wait_start", "_unblocked_cb",
+                 "_released_cb", "sampler")
 
     def __init__(
         self,
@@ -42,75 +55,111 @@ class ApplicationProcess:
         barrier: Optional[CyclicBarrier] = None,
         sampler_state=None,
     ):
+        prefix = f"node{ctx.node_id}/app{pid}"
+        super().__init__(ctx, ProcessType.APPLICATION, f"{prefix}/main")
         self.ctx = ctx
         self.pid = pid
         self.pipe = pipe
         self.barrier = barrier
         self.sampler_state = sampler_state
+        self.metrics = ctx.metrics
         wl = ctx.config.workload
-        prefix = f"node{ctx.node_id}/app{pid}"
         self._cpu_var = ctx.streams.variates(f"{prefix}/cpu", wl.app_cpu)
         self._net_var = ctx.streams.variates(f"{prefix}/network", wl.app_network)
         self._due: Deque[Sample] = deque()
+        self._barrier_period = ctx.config.barrier_period
+        #: Length of the CPU burst in progress, µs.
+        self._work = 0.0
         #: CPU work done since the last barrier, µs.
         self._work_since_barrier = 0.0
-        self.proc = ctx.env.process(self._run(), name=f"{prefix}/main")
+        self._wait_start = 0.0
+        # Bound once: the continuations hooked on a blocked put and on
+        # a barrier release.
+        self._unblocked_cb = self._unblocked
+        self._released_cb = self._released
+        self.start(ApplicationProcess._cycle)
+        self.sampler: Optional[SamplingTimer] = None
         if ctx.config.instrumented and pipe is not None:
-            ctx.env.process(self._sampler(), name=f"{prefix}/sampler")
+            self.sampler = SamplingTimer(ctx, pid, self._due, sampler_state)
 
     # ------------------------------------------------------------------
-    def _sampler(self):
-        """Create one sample per sampling period (Figure 6's timer)."""
-        env = self.ctx.env
-        hold = env.hold
-        metrics = self.ctx.metrics
-        node = self.ctx.node_id
-        pid = self.pid
-        due_append = self._due.append
-        state = self.sampler_state
-        if state is None:
-            # Static configuration: the period never changes, so the
-            # timer loop runs entirely on hoisted locals.
-            period = self.ctx.config.sampling_period
-            while True:
-                yield hold(period)
-                due_append(Sample(created_at=env.now, node=node, pid=pid))
-                metrics.samples_generated += 1
-        while True:
-            # Adaptive: the overhead regulator may change the period
-            # between ticks, so it is re-read each iteration.
-            yield hold(state.period)
-            due_append(Sample(created_at=env.now, node=node, pid=pid))
-            metrics.samples_generated += 1
+    def _cycle(self) -> None:
+        """Emit pending samples, then start the next CPU burst."""
+        due = self._due
+        while due:
+            put = self.pipe.put(due.popleft())
+            if put.callbacks is not None:
+                # A full pipe blocks us here, freeing the CPU (the
+                # §4.3.3 mechanism); the rest of the cycle resumes once
+                # the pipe accepts the sample.
+                put.callbacks.append(self._unblocked_cb)
+                return
+        work = self._cpu_var()
+        barrier_period = self._barrier_period
+        if barrier_period is not None:
+            # A burst never crosses a barrier point.
+            remaining = barrier_period - self._work_since_barrier
+            if work > remaining:
+                work = remaining
+        self._work = work
+        self.compute(work, ApplicationProcess._computed)
 
-    def _run(self):
-        env = self.ctx.env
-        cpu = self.ctx.cpu
-        network = self.ctx.network
-        metrics = self.ctx.metrics
-        barrier_period = self.ctx.config.barrier_period
-        while True:
-            # Emit pending samples first; a full pipe blocks us here,
-            # freeing the CPU (the §4.3.3 mechanism).
-            while self._due:
-                sample = self._due.popleft()
-                yield self.pipe.put(sample)
+    def _computed(self) -> None:
+        barrier_period = self._barrier_period
+        if barrier_period is not None:
+            self._work_since_barrier += self._work
+            if self._work_since_barrier >= barrier_period - 1e-9:
+                self._work_since_barrier = 0.0
+                self._wait_start = self.env._now
+                released = self.barrier.arrive()
+                released.callbacks.append(self._released_cb)
+                return
+        self._communicate()
 
-            work = self._cpu_var()
-            if barrier_period is not None:
-                # A burst never crosses a barrier point.
-                remaining = barrier_period - self._work_since_barrier
-                if work > remaining:
-                    work = remaining
-            yield cpu.execute(work, ProcessType.APPLICATION)
+    def _unblocked(self, _event: Event) -> None:
+        """The pipe accepted the blocked sample: carry on emitting."""
+        self._cycle()
 
-            if barrier_period is not None:
-                self._work_since_barrier += work
-                if self._work_since_barrier >= barrier_period - 1e-9:
-                    self._work_since_barrier = 0.0
-                    t0 = env.now
-                    yield self.barrier.arrive()
-                    metrics.barrier_wait_time += env.now - t0
+    def _released(self, _event: Event) -> None:
+        """Every party reached the barrier: communicate."""
+        self.metrics.barrier_wait_time += self.env._now - self._wait_start
+        self._communicate()
 
-            yield network.transfer(self._net_var(), ProcessType.APPLICATION)
-            metrics.app_cycles += 1
+    def _communicate(self) -> None:
+        self.transfer(self._net_var(), ApplicationProcess._transferred)
+
+    def _transferred(self) -> None:
+        self.metrics.app_cycles += 1
+        self._cycle()
+
+
+class SamplingTimer(LoadActor):
+    """Creates one sample per sampling period (Figure 6's timer) and
+    queues it for the application's next cycle boundary."""
+
+    __slots__ = ("_due", "_state", "_period", "_metrics", "_node", "_pid")
+
+    def __init__(self, ctx: NodeContext, pid: int, due: Deque[Sample],
+                 state=None):
+        super().__init__(ctx, ProcessType.APPLICATION,
+                         f"node{ctx.node_id}/app{pid}/sampler")
+        self._due = due
+        #: Adaptive runs re-read ``state.period`` every tick; a static
+        #: configuration uses the fixed period.
+        self._state = state
+        self._period = ctx.config.sampling_period
+        self._metrics = ctx.metrics
+        self._node = ctx.node_id
+        self._pid = pid
+        self.start(SamplingTimer._wait)
+
+    def _wait(self) -> None:
+        state = self._state
+        self.sleep(self._period if state is None else state.period,
+                   SamplingTimer._tick)
+
+    def _tick(self) -> None:
+        self._due.append(Sample(created_at=self.env._now, node=self._node,
+                                pid=self._pid))
+        self._metrics.samples_generated += 1
+        self._wait()

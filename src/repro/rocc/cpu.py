@@ -17,6 +17,14 @@ costs against a 10 ms quantum — therefore costs exactly one kernel
 event (its completion), where the process-per-server shape cost a
 wake-up, a hold, and a separate completion event.
 
+A request has two halves, :meth:`RoundRobinCPU.request` (queue or
+start it) and :meth:`RoundRobinCPU.release` (charge the final slice,
+hand the processor on).  :meth:`~RoundRobinCPU.execute` wraps them in a
+:class:`CPUDone` event for processes; the background-load actors
+(:mod:`repro.rocc.node`) call them directly and are their own
+completion entry, so both paths share one slice algebra and one
+accounting order.
+
 A processor-sharing variant (:class:`ProcessorSharingCPU`) is provided
 for the ablation study of quantum effects (DESIGN.md §5.2): it services
 each request in one piece but stretches it by the instantaneous load,
@@ -42,11 +50,15 @@ __all__ = ["CPUJob", "RoundRobinCPU", "ProcessorSharingCPU"]
 
 
 class CPUJob:
-    """A CPU occupancy request queued at the scheduler."""
+    """A CPU occupancy request queued at the scheduler.
+
+    ``event`` is the request's completion entry: a :class:`CPUDone`, a
+    plain event (processor sharing), or an actor.
+    """
 
     __slots__ = ("remaining", "owner", "event", "enqueued_at")
 
-    def __init__(self, amount: float, owner: ProcessType, event: Event, now: float):
+    def __init__(self, amount: float, owner: ProcessType, event, now: float):
         self.remaining = amount
         self.owner = owner
         self.event = event
@@ -75,17 +87,8 @@ class CPUDone(Event):
         self._slice = 0.0
 
     def _finish(self, _event: Event) -> None:
-        cpu = self._cpu
-        busy = cpu.busy_by_owner
-        owner = self._owner
-        busy[owner] = busy.get(owner, 0.0) + self._slice
+        self._cpu.release(self._owner, self._slice)
         self._value = None
-        ready = cpu._ready
-        if ready:
-            cpu._start(ready.popleft())
-        else:
-            cpu._free += 1
-            cpu.busy_servers.increment(-1, cpu.env._now)
 
 
 class CPUSlice(Event):
@@ -172,6 +175,18 @@ class RoundRobinCPU:
             done.succeed()
             return done
         done = CPUDone(self, owner)
+        self.request(amount, owner, done)
+        return done
+
+    def request(self, amount: float, owner: ProcessType, done) -> None:
+        """Request half of a positive-length occupancy request.
+
+        *done* is the kernel entry of the completion — a
+        :class:`CPUDone`, or an :class:`~repro.des.events.Actor` that
+        is its own event.  It gets a ``_slice`` attribute (the final
+        slice's length) and is pushed for the time that slice ends; its
+        handler must then call :meth:`release`.
+        """
         scaled = float(amount) / self.speed
         quantum = self.quantum
         slice_ = scaled if scaled < quantum else quantum
@@ -186,9 +201,20 @@ class RoundRobinCPU:
             self.busy_servers.increment(+1, env._now)
             done._slice = slice_
             env._push((env._now + slice_, NORMAL, next(env._eid), done))
-            return done
+            return
         self._enqueue(CPUJob(scaled, owner, done, self.env.now))
-        return done
+
+    def release(self, owner: ProcessType, slice_: float) -> None:
+        """Completion half: charge *owner*'s final slice, then hand the
+        processor to the next ready job (or free it)."""
+        busy = self.busy_by_owner
+        busy[owner] = busy.get(owner, 0.0) + slice_
+        ready = self._ready
+        if ready:
+            self._start(ready.popleft())
+        else:
+            self._free += 1
+            self.busy_servers.increment(-1, self.env._now)
 
     def set_speed(self, speed: float) -> None:
         """Set the relative execution speed (fault-injection hook)."""
@@ -230,7 +256,7 @@ class RoundRobinCPU:
         quantum = self.quantum
         slice_ = remaining if remaining < quantum else quantum
         if remaining - slice_ > 1e-9:
-            ev: Event = CPUSlice(self, job)
+            ev = CPUSlice(self, job)
         else:
             ev = job.event
             ev._slice = slice_
@@ -268,6 +294,15 @@ class ProcessorSharingCPU(RoundRobinCPU):
             return done
         self._enqueue(CPUJob(float(amount) / self.speed, owner, done, self.env.now))
         return done
+
+    def request(self, *_args, **_kwargs) -> None:
+        raise TypeError(
+            f"{type(self).__name__} completes requests from its sharing "
+            "loop; it has no round-robin request/release halves (use "
+            "execute())"
+        )
+
+    release = request
 
     def _enqueue(self, job: CPUJob) -> None:  # type: ignore[override]
         self._active[job] = job.remaining

@@ -24,6 +24,14 @@ event stays *untriggered* until it pops: senders and crash-cleanup code
 test ``ev.triggered`` to mean "the outcome is known", which must not
 become true before completion time.
 
+Each network exposes the two halves a transfer is made of:
+:meth:`~BaseNetwork.request` puts a completion entry on the schedule
+(or in the FIFO queue) and :meth:`~BaseNetwork.release` frees the
+server when it pops.  :class:`Transfer` uses them, and so do the
+background-load actors (:mod:`repro.rocc.other`,
+:mod:`repro.rocc.application`), which are their own completion entry
+and carry no payload — so they are never subject to message faults.
+
 When a :class:`~repro.faults.injector.FaultInjector` is attached (the
 ``injector`` attribute, set by the system builder when
 ``config.faults`` is given), every transfer *with a receiver* consults
@@ -84,11 +92,6 @@ class Transfer(Event):
         self._payload = payload
         self._deliver = deliver
 
-    def _start(self) -> None:
-        """Schedule completion ``amount`` time units from now."""
-        env = self.env
-        env._push((env._now + self._amount, NORMAL, next(env._eid), self))
-
     def _resolve(self) -> None:
         """Apply fault outcomes, deliver, and set the event's outcome.
 
@@ -118,31 +121,32 @@ class Transfer(Event):
         self._value = None
 
     def _finish(self, _event: Event) -> None:
-        net = self._net
-        net.in_flight.increment(-1, self.env._now)
+        self._net.release()
         self._resolve()
 
 
 class QueuedTransfer(Transfer):
-    """A transfer on a single shared FIFO server (Ethernet / bus)."""
+    """A transfer on a single shared FIFO server (Ethernet / bus).
+
+    Resolves (and delivers) before it hands the server on.
+    """
 
     __slots__ = ()
 
     def _finish(self, _event: Event) -> None:
         self._resolve()
-        # Hand the server to the next queued transfer at this instant;
-        # the zero-width in_flight -1/+1 pair collapses into no update.
-        net = self._net
-        queue = net._queue
-        if queue:
-            queue.popleft()._start()
-        else:
-            net._busy = False
-            net.in_flight.increment(-1, self.env._now)
+        self._net.release()
 
 
 class BaseNetwork:
-    """Common occupancy accounting for all interconnect models."""
+    """Common occupancy accounting for all interconnect models.
+
+    Subclasses implement the request and completion halves of a
+    transfer; :meth:`transfer` wraps them in a :class:`Transfer` event
+    of class ``transfer_class``.
+    """
+
+    transfer_class = Transfer
 
     def __init__(self, env: Environment, name: str = "network"):
         self.env = env
@@ -170,6 +174,26 @@ class BaseNetwork:
         (if given) is invoked with *payload* at completion time, before
         waiters resume.
         """
+        if amount <= 0.0:
+            done = Event(self.env)
+            self._complete(payload, deliver, done)
+            return done
+        ev = self.transfer_class(self, float(amount), owner, payload, deliver)
+        self.request(ev)
+        return ev
+
+    def request(self, done) -> None:
+        """Request half of a positive-length transfer.
+
+        *done* is the kernel entry of the completion — a
+        :class:`Transfer`, or an :class:`~repro.des.events.Actor` that
+        is its own event — and carries the length in ``_amount``.  Its
+        handler must charge :meth:`_account` and call :meth:`release`.
+        """
+        raise NotImplementedError
+
+    def release(self) -> None:
+        """Completion half: free the server the finished transfer held."""
         raise NotImplementedError
 
     def busy_time(self, owner: ProcessType) -> float:
@@ -215,30 +239,33 @@ class FIFONetwork(BaseNetwork):
     ``_queue`` and is started by the finishing transfer's callback.
     """
 
+    transfer_class = QueuedTransfer
+
     def __init__(self, env: Environment, name: str = "network"):
         super().__init__(env, name)
-        self._queue: Deque[QueuedTransfer] = deque()
+        self._queue: Deque = deque()
         self._busy = False
 
-    def transfer(
-        self,
-        amount: float,
-        owner: ProcessType,
-        payload: object = None,
-        deliver: Optional[DeliverFn] = None,
-    ) -> Event:
-        if amount <= 0.0:
-            done = Event(self.env)
-            self._complete(payload, deliver, done)
-            return done
-        ev = QueuedTransfer(self, float(amount), owner, payload, deliver)
+    def request(self, done) -> None:
         if self._busy:
-            self._queue.append(ev)
+            self._queue.append(done)
+            return
+        self._busy = True
+        env = self.env
+        self.in_flight.increment(+1, env._now)
+        env._push((env._now + done._amount, NORMAL, next(env._eid), done))
+
+    def release(self) -> None:
+        # Hand the server to the next queued transfer at this instant;
+        # the zero-width in_flight -1/+1 pair collapses into no update.
+        env = self.env
+        queue = self._queue
+        if queue:
+            done = queue.popleft()
+            env._push((env._now + done._amount, NORMAL, next(env._eid), done))
         else:
-            self._busy = True
-            self.in_flight.increment(+1, self.env.now)
-            ev._start()
-        return ev
+            self._busy = False
+            self.in_flight.increment(-1, env._now)
 
     @property
     def queue_length(self) -> int:
@@ -254,20 +281,10 @@ class ContentionFreeNetwork(BaseNetwork):
     units, matching how the analytical model uses it.
     """
 
-    def transfer(
-        self,
-        amount: float,
-        owner: ProcessType,
-        payload: object = None,
-        deliver: Optional[DeliverFn] = None,
-    ) -> Event:
-        if amount <= 0.0:
-            done = Event(self.env)
-            self._complete(payload, deliver, done)
-            return done
-        amount = float(amount)
-        ev = Transfer(self, amount, owner, payload, deliver)
+    def request(self, done) -> None:
         env = self.env
         self.in_flight.increment(+1, env._now)
-        env._push((env._now + amount, NORMAL, next(env._eid), ev))
-        return ev
+        env._push((env._now + done._amount, NORMAL, next(env._eid), done))
+
+    def release(self) -> None:
+        self.in_flight.increment(-1, self.env._now)

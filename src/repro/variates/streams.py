@@ -18,6 +18,7 @@ the per-event cost is an array index rather than a Generator call.
 from __future__ import annotations
 
 import zlib
+from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -268,11 +269,12 @@ class VariateStream:
         self.block = int(block)
         self._factory = factory
         self._name = name
-        # The block is converted to a plain list once per refill:
-        # serving native floats skips a NumPy-scalar box + float() call
-        # per variate, and the conversion cost is amortized over the
-        # whole block.
-        self._buf: Optional[list] = None
+        # Each refill is copied once into packed doubles: indexing an
+        # ``array('d')`` serves a native float (no NumPy-scalar box and
+        # no float() call per variate), and a buffered value takes 8
+        # bytes where a list of floats takes 32 — a large cell holds
+        # hundreds of thousands of buffered values.
+        self._buf: Optional[array] = None
         self._idx = 0
         self._next = min(self.INITIAL_BLOCK, self.block)
 
@@ -282,9 +284,10 @@ class VariateStream:
             rng = self.rng = self._factory.generator(self._name)
         return rng
 
-    def _refill(self) -> list:
+    def _refill(self) -> array:
         n = self._next
-        buf = self.distribution.sample_block(self._generator(), n).tolist()
+        block = self.distribution.sample_block(self._generator(), n)
+        buf = array("d", np.asarray(block, dtype=np.float64).tobytes())
         self._buf = buf
         if n < self.block:
             self._next = min(n * 2, self.block)

@@ -1,7 +1,8 @@
 """Golden-master regression suite for the ROCC simulation.
 
-One seeded NOW, SMP, and MPP cell each, plus a 64-node contention-free
-NOW cell, is snapshotted — every field of its
+One seeded NOW, SMP, and MPP cell each, a 64-node contention-free NOW
+cell, and two NOW cells that drive the application's blocking paths
+and the fault subsystem, is snapshotted — every field of its
 :class:`~repro.rocc.metrics.SimulationResults` — as JSON under
 ``tests/golden/``.  Any silent model drift (a cost-model tweak, a
 kernel change that perturbs event order, a metrics accounting change)
@@ -23,6 +24,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.faults import CpuSlowdown, FaultPlan, NetworkFault, RecoveryPolicy
+from repro.rocc.adaptive import RegulatorConfig
 from repro.rocc.config import (
     Architecture,
     ForwardingTopology,
@@ -77,6 +80,35 @@ CONFIGS = {
         network_mode=NetworkMode.CONTENTION_FREE,
         duration=250_000.0,
         seed=7,
+    ),
+    # Shared Ethernet, two writers on a one-slot-per-writer pipe that
+    # fills (application puts block, §4.3.3) and a global barrier every
+    # 10 ms of CPU work (Figure 28).
+    "now_fifo_barrier": SimulationConfig(
+        architecture=Architecture.NOW,
+        nodes=4,
+        app_processes_per_node=2,
+        duration=500_000.0,
+        sampling_period=4_000.0,
+        pipe_capacity=1,
+        barrier_period=10_000.0,
+        seed=11,
+    ),
+    # Adaptive sampling period, a CPU slowdown episode on one node, and
+    # message loss recovered by retransmission.
+    "now_adaptive_faults": SimulationConfig(
+        architecture=Architecture.NOW,
+        nodes=4,
+        duration=500_000.0,
+        sampling_period=5_000.0,
+        batch_size=2,
+        adaptive=RegulatorConfig(budget=0.01, control_interval=50_000.0),
+        faults=FaultPlan((
+            CpuSlowdown(node=1, at=100_000.0, duration=150_000.0, factor=3.0),
+            NetworkFault(loss_probability=0.2, start=50_000.0, stop=400_000.0),
+        )),
+        recovery=RecoveryPolicy(max_retries=3),
+        seed=13,
     ),
 }
 
@@ -165,6 +197,16 @@ def test_scale_golden_covers_lazy_streams() -> None:
     system.run()
     assert not factory._pending
     assert 0 < len(factory._cache) < len(factory._seeds)
+
+
+def test_blocking_goldens_exercise_their_paths() -> None:
+    """The two blocking-path cells keep hitting the paths they pin:
+    full-pipe puts, barrier rounds, and lost messages."""
+    fifo = json.loads(golden_path("now_fifo_barrier").read_text())
+    assert fifo["pipe_blocked_puts"] > 0
+    assert fifo["barrier_rounds"] > 0
+    faults = json.loads(golden_path("now_adaptive_faults").read_text())
+    assert faults["messages_lost"] > 0
 
 
 def test_golden_catches_cost_model_drift(monkeypatch: pytest.MonkeyPatch) -> None:
