@@ -136,9 +136,9 @@ def test_scale_memory_is_flat(scale_probes):
     and variate-stream buffers grow geometrically with consumption
     instead of prefilling full blocks, so per-node memory is dominated
     by the irreducible object graph: ~13 named variate streams per node
-    (the common-random-numbers design), each with a PCG64 generator
-    created on its first draw, plus the daemon/application/CPU/pipe
-    entities.  Measured on the reference
+    (the common-random-numbers design), each keeping four ints of PCG64
+    state once it draws (the cell shares one generator), plus the
+    daemon/application/CPU/pipe entities.  Measured on the reference
     machine: 47 MiB at 256n vs 78 MiB at 1024n (1.66x); before the
     buffer-growth fix the same sweep was 161 -> 530 MiB (3.29x).  The
     1.9x bound holds that per-node slope: an eager per-stream prefill

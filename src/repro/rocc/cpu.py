@@ -38,8 +38,7 @@ metric and consistent between compared configurations.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Dict, List, Optional
 
 from ..des.core import Environment
 from ..des.events import NORMAL, PENDING, Event
@@ -121,7 +120,7 @@ class CPUSlice(Event):
         job.remaining -= quantum
         ready = cpu._ready
         ready.append(job)
-        cpu._start(ready.popleft())
+        cpu._start(ready.pop(0))
 
 
 class RoundRobinCPU:
@@ -160,7 +159,9 @@ class RoundRobinCPU:
         #: effect are stretched by ``1 / speed``.  Already-queued jobs
         #: keep their nominal durations (a documented approximation).
         self.speed = 1.0
-        self._ready: Deque[CPUJob] = deque()
+        # At most one job per process on the node, so a list (56 B
+        # empty, a deque 760 B).
+        self._ready: List[CPUJob] = []
         self._free = self.n_cpus
         #: Accumulated busy time per owning process class, µs.
         self.busy_by_owner: Dict[ProcessType, float] = {}
@@ -211,7 +212,7 @@ class RoundRobinCPU:
         busy[owner] = busy.get(owner, 0.0) + slice_
         ready = self._ready
         if ready:
-            self._start(ready.popleft())
+            self._start(ready.pop(0))
         else:
             self._free += 1
             self.busy_servers.increment(-1, self.env._now)

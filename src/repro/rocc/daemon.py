@@ -112,8 +112,9 @@ class ParadynDaemon:
         self._down_since: Optional[float] = None
         self._crashed_at: Optional[float] = None
         self._await_recovery = False
-        #: Batches awaiting retransmission with their delivery sinks.
-        self._resend: Deque[Tuple[Batch, DeliverFn]] = deque()
+        #: Batches awaiting retransmission with their delivery sinks
+        #: (at most ``resend_queue_limit``, so a list, not a deque).
+        self._resend: List[Tuple[Batch, DeliverFn]] = []
         self._resend_wake: Optional[Event] = None
         #: Batch mid-forward-CPU (lost if the daemon crashes there).
         self._inflight: Optional[Batch] = None
@@ -305,7 +306,7 @@ class ParadynDaemon:
                     yield self._resend_wake
                     self._resend_wake = None
                     continue
-                current, deliver = self._resend.popleft()
+                current, deliver = self._resend.pop(0)
                 current.attempts += 1
                 delay = self._policy.backoff_delay(
                     current.attempts, self._backoff_rng

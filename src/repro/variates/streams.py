@@ -13,6 +13,9 @@ own named substream so that
 Hot-path performance follows the HPC guide: variates are drawn from
 NumPy in **blocks** (:class:`VariateStream`) and served as scalars, so
 the per-event cost is an array index rather than a Generator call.
+A factory's block streams share one ``Generator``: each name keeps only
+its PCG64 state (four ints), which is loaded into that generator for a
+refill and read back after it.
 """
 
 from __future__ import annotations
@@ -108,6 +111,28 @@ def _pcg64_seed_words(prefix: Sequence[int], keys: np.ndarray) -> np.ndarray:
     return out
 
 
+#: PCG64's 128-bit LCG multiplier (``PCG_DEFAULT_MULTIPLIER_128``).
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+#: A stream's PCG64 state: ``(state, inc, has_uint32, uinteger)``.
+PCG64State = Tuple[int, int, int, int]
+
+
+def _pcg64_initial_state(words: np.ndarray) -> PCG64State:
+    """The state ``PCG64`` seeds itself to from four seed words.
+
+    numpy's ``pcg64_set_seed`` reads the words as two 128-bit integers,
+    ``initstate`` and ``initseq``, and runs PCG's ``srandom`` step:
+    ``inc = (initseq << 1) | 1``, then two LCG steps from state 0 with
+    ``initstate`` added in between.  The 32-bit buffer starts empty.
+    """
+    w0, w1, w2, w3 = words.tolist()
+    initstate = (w0 << 64) | w1
+    inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
+    return (((inc + initstate) * _PCG64_MULT + inc) & _MASK128, inc, 0, 0)
+
+
 class _SeedWords:
     """Precomputed PCG64 seed words behind numpy's public seeding interface.
 
@@ -130,19 +155,33 @@ class _SeedWords:
         return self.words
 
 
-class StreamFactory:
-    """Creates named, independent ``numpy.random.Generator`` streams.
+def _used_through_both(name: str) -> ValueError:
+    return ValueError(
+        f"stream {name!r} is used through both variates() and "
+        "generator(); give each its own name"
+    )
 
-    Stream *name* gets the PCG64 generator seeded by
+
+class StreamFactory:
+    """Creates named, independent PCG64 random streams.
+
+    Stream *name* is the PCG64 stream seeded by
     ``SeedSequence(entropy=(seed, replication, crc32(name)))``, so the
     same ``(seed, replication, name)`` always yields the same stream
     regardless of creation order.
 
     Seeding is batched and lazy: :meth:`variates` only records the name,
-    and the first time any stream needs its generator the seed words of
-    every name still pending are derived in one vectorised pass.  Each
-    ``Generator`` is created on its stream's first draw, so streams that
-    never draw cost a dict entry, not a generator.
+    and the first time any stream needs its seed the seed words of every
+    name still pending are derived in one vectorised pass.
+
+    :meth:`variates` streams own no generator.  The factory keeps one
+    ``Generator`` for all of them and a table of each name's PCG64
+    state; a refill loads the name's state into that generator, draws
+    the block and stores the state back.  Streams that share a name
+    therefore continue one sequence, and streams that never draw cost
+    a dict entry.  :meth:`generator` hands out a real, cached
+    ``Generator`` per name for callers that draw from it directly.  One
+    name cannot be used through both: that raises ``ValueError``.
 
     Parameters
     ----------
@@ -163,11 +202,17 @@ class StreamFactory:
                 f"replication={self.replication}"
             )
         self._prefix = _int_words(self.seed) + _int_words(self.replication)
+        #: Generators handed out by :meth:`generator`.
         self._cache: Dict[str, np.random.Generator] = {}
         #: Names registered but not yet derived (insertion-ordered set).
         self._pending: Dict[str, None] = {}
         #: Derived seed words of each name: (its batch's array, row).
         self._seeds: Dict[str, Tuple[np.ndarray, int]] = {}
+        #: PCG64 state of each :meth:`variates` name that has drawn.
+        self._states: Dict[str, PCG64State] = {}
+        #: The generator every :meth:`variates` refill draws through;
+        #: created with the first state.
+        self._shared: Optional[np.random.Generator] = None
 
     def seed_sequence(self, name: str) -> np.random.SeedSequence:
         """The root :class:`~numpy.random.SeedSequence` of stream *name*.
@@ -192,17 +237,24 @@ class StreamFactory:
         words = _pcg64_seed_words(self._prefix, keys)
         self._seeds.update((name, (words, i)) for i, name in enumerate(names))
 
+    def _seed_words(self, name: str) -> np.ndarray:
+        """The four PCG64 seed words of *name*."""
+        seed = self._seeds.get(name)
+        if seed is None:
+            self._pending[name] = None
+            self._derive_pending()
+            seed = self._seeds[name]
+        words, row = seed
+        return words[row]
+
     def generator(self, name: str) -> np.random.Generator:
         """Return the generator for stream *name* (cached)."""
         gen = self._cache.get(name)
         if gen is None:
-            seed = self._seeds.get(name)
-            if seed is None:
-                self._pending[name] = None
-                self._derive_pending()
-                seed = self._seeds[name]
-            words, row = seed
-            gen = np.random.Generator(np.random.PCG64(_SeedWords(words[row])))
+            if name in self._states:
+                raise _used_through_both(name)
+            gen = np.random.Generator(
+                np.random.PCG64(_SeedWords(self._seed_words(name))))
             self._cache[name] = gen
         return gen
 
@@ -214,12 +266,45 @@ class StreamFactory:
     ) -> "VariateStream":
         """Return a block-buffered scalar variate stream for *name*.
 
-        The stream's generator is resolved on its first draw.
+        The stream's state is derived on its first draw, which raises
+        ``ValueError`` if :meth:`generator` has handed out *name*.
         """
         if name not in self._seeds:
             self._pending[name] = None
         return VariateStream(distribution, None, block=block,
                              factory=self, name=name)
+
+    def _initial_state(self, name: str) -> PCG64State:
+        if name in self._cache:
+            raise _used_through_both(name)
+        words = self._seed_words(name)
+        if self._shared is None:
+            # Any seed will do: every draw loads a stream's state first.
+            self._shared = np.random.Generator(
+                np.random.PCG64(_SeedWords(words)))
+        return _pcg64_initial_state(words)
+
+    def sample(self, name: str, distribution: Distribution,
+               n: int) -> np.ndarray:
+        """Draw *n* values of *distribution* from stream *name* and
+        advance the stream by exactly what the draw consumed."""
+        state = self._states.get(name)
+        if state is None:
+            state = self._initial_state(name)
+        shared = self._shared
+        bitgen = shared.bit_generator
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state[0], "inc": state[1]},
+            "has_uint32": state[2],
+            "uinteger": state[3],
+        }
+        block = distribution.sample_block(shared, n)
+        after = bitgen.state
+        pcg = after["state"]
+        self._states[name] = (pcg["state"], pcg["inc"],
+                              after["has_uint32"], after["uinteger"])
+        return block
 
 
 class VariateStream:
@@ -230,8 +315,8 @@ class VariateStream:
     for each event, which matters because variate draws sit on the
     simulator's hottest path.
 
-    Give either a generator *rng*, or the *factory* and stream *name* it
-    resolves from on the first draw.
+    Give either a generator *rng*, or the *factory* and stream *name*
+    whose state it draws from.
     """
 
     __slots__ = ("distribution", "rng", "block", "_buf", "_idx", "_next",
@@ -278,15 +363,15 @@ class VariateStream:
         self._idx = 0
         self._next = min(self.INITIAL_BLOCK, self.block)
 
-    def _generator(self) -> np.random.Generator:
-        rng = self.rng
-        if rng is None:
-            rng = self.rng = self._factory.generator(self._name)
-        return rng
+    def _sample(self, n: int) -> np.ndarray:
+        factory = self._factory
+        if factory is None:
+            return self.distribution.sample_block(self.rng, n)
+        return factory.sample(self._name, self.distribution, n)
 
     def _refill(self) -> array:
         n = self._next
-        block = self.distribution.sample_block(self._generator(), n)
+        block = self._sample(n)
         buf = array("d", np.asarray(block, dtype=np.float64).tobytes())
         self._buf = buf
         if n < self.block:
@@ -331,7 +416,7 @@ class VariateStream:
 
     def draw(self, n: int) -> np.ndarray:
         """Draw *n* variates as an array (bypasses the scalar buffer)."""
-        return self.distribution.sample_block(self._generator(), n)
+        return self._sample(n)
 
 
 class AntitheticStream:

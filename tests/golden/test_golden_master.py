@@ -17,11 +17,13 @@ and the resulting diff is reviewed like any other code change.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.faults import CpuSlowdown, FaultPlan, NetworkFault, RecoveryPolicy
@@ -73,7 +75,8 @@ CONFIGS = {
     ),
     # At scale: 64 nodes x ~13 named variate streams, many of which
     # never draw in a quarter second, so stream seeding (batched, with
-    # generators created on first draw) is pinned stream by stream.
+    # each stream's state derived on its first draw) is pinned stream by
+    # stream.
     "now_cf64": SimulationConfig(
         architecture=Architecture.NOW,
         nodes=64,
@@ -187,16 +190,48 @@ def test_golden_master(name: str, request: pytest.FixtureRequest) -> None:
     )
 
 
-def test_scale_golden_covers_lazy_streams() -> None:
-    """The 64-node cell pins hundreds of lazily seeded streams, some of
-    which never draw and so never create a generator."""
+def _live(kind) -> list:
+    return [o for o in gc.get_objects() if type(o) is kind]
+
+
+@pytest.fixture(scope="module")
+def scale_cell_run():
+    """The 64-node cell built and run, with its registration count and
+    the generators and bit generators the run left alive."""
+    gc.collect()
+    before = _live(np.random.Generator) + _live(np.random.PCG64)
     system = ParadynISSystem(CONFIGS["now_cf64"])
-    factory = system.streams
-    registered = len(factory._pending) + len(factory._seeds)
-    assert registered >= 800
+    registered = len(system.streams._pending) + len(system.streams._seeds)
     system.run()
+    gc.collect()
+    new = {kind: [o for o in _live(kind) if not any(o is b for b in before)]
+           for kind in (np.random.Generator, np.random.PCG64)}
+    return system, registered, new
+
+
+def test_scale_golden_covers_lazy_streams(scale_cell_run) -> None:
+    """The 64-node cell pins hundreds of lazily seeded streams, some of
+    which never draw and so never get a state."""
+    system, registered, _ = scale_cell_run
+    factory = system.streams
+    assert registered >= 800
     assert not factory._pending
-    assert 0 < len(factory._cache) < len(factory._seeds)
+    assert 0 < len(factory._states) < len(factory._seeds)
+
+
+def test_scale_cell_holds_one_generator_for_its_variate_streams(
+        scale_cell_run) -> None:
+    """Block streams keep a state each, not a generator each: the run
+    leaves one ``Generator``/``PCG64`` pair for all of them alive, plus
+    one per name handed out by ``generator()``."""
+    system, _, new = scale_cell_run
+    factory = system.streams
+    assert len(factory._states) >= 400
+    assert not set(factory._states) & set(factory._cache)
+    generators = new[np.random.Generator]
+    assert len(generators) == 1 + len(factory._cache)
+    assert any(g is factory._shared for g in generators)
+    assert len(new[np.random.PCG64]) == len(generators)
 
 
 def test_blocking_goldens_exercise_their_paths() -> None:
