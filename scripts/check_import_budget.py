@@ -9,7 +9,11 @@ and the paper-rerun and planned-sweep paths need only ``ndtr``,
 ``ndtri`` and ``stdtrit(df, 0.95)`` from it, which ``repro.special``
 provides without scipy.  Beyond scipy, every package exports its names
 lazily and the experiment registry is a table, so start-up loads the
-argument parser and the table only.  Four checks guard this:
+argument parser and the table only.  And a one-worker run keeps two
+stacks out of memory: the CLI blocks ``_hashlib`` (OpenSSL's hashes,
+3.3 MiB of ``libcrypto``; CPython's built-in sha256 gives the same
+digests), and the engine imports ``concurrent.futures`` only to build a
+worker pool.  Four checks guard this:
 
 1. **Start-up** — ``import repro.experiments.__main__`` plus
    ``list_experiments()`` loads no scipy and no numpy module, and no
@@ -17,21 +21,23 @@ argument parser and the table only.  Four checks guard this:
 2. **Artifact runs** — a quick ``figure30 --plan`` run and a quick
    ``table2 figure8 figure27 figure30 figure31`` run (the artifacts the
    end-to-end benchmark's ``paper-rerun`` workload regenerates) finish
-   without any scipy module loaded.
+   without any scipy module or any of :data:`ONE_WORKER_FORBIDDEN`
+   loaded.
 3. **Warm-cache paper-rerun** — the second of two identical
    ``table2 figure8 figure27 figure30 figure31`` runs on one cache
    directory (every cell a cache hit) loads none of
-   :data:`WARM_FORBIDDEN` and no experiment module whose ids it did
-   not run.
+   :data:`WARM_FORBIDDEN` or :data:`ONE_WORKER_FORBIDDEN` and no
+   experiment module whose ids it did not run.
 4. **Source scan** — under ``src/repro``, no ``import scipy.stats``,
    ``from scipy.stats import …`` or ``from scipy import stats``; and no
    ``ndtr``, ``ndtri`` or ``stdtrit`` imported from ``scipy.special``
    except ``stdtrit`` inside ``repro.special.stdtrit`` (its table-miss
    fallback).
 
-Checks 1–3 run in fresh interpreters with an empty temporary
-``REPRO_CACHE_DIR``, so no cell is served from an earlier run's cache
-(check 3 fills its own with the first of its two runs).
+Checks 1–3 run in fresh interpreters on one worker
+(``REPRO_WORKERS=1``) with an empty temporary ``REPRO_CACHE_DIR``, so
+no cell is served from an earlier run's cache (check 3 fills its own
+with the first of its two runs).
 
 Exit status 0 = every check passed, 1 = any check failed.
 
@@ -71,6 +77,9 @@ WARM_FORBIDDEN = (
     "repro.planner",
     "repro.analytical",
 )
+#: Modules a one-worker CLI run never loads: OpenSSL's hash binding
+#: (blocked by the CLI) and the process-pool stack (only a pool needs it).
+ONE_WORKER_FORBIDDEN = ("_hashlib", "concurrent.futures", "multiprocessing")
 
 # Runs in the child: the CLI (or only its import), then reports every
 # loaded module under the watched prefixes.
@@ -83,8 +92,10 @@ if argv:
 else:
     cli.list_experiments()
     status = 0
-modules = sorted(m for m in sys.modules
-                 if any(m == w or m.startswith(w + ".") for w in watched))
+# A ``None`` entry is a blocked module (the CLI blocks ``_hashlib``), not a
+# loaded one.
+modules = sorted(m for m, mod in sys.modules.items() if mod is not None
+                 and any(m == w or m.startswith(w + ".") for w in watched))
 print(json.dumps({"status": status, "modules": modules}))
 """
 
@@ -103,7 +114,8 @@ def probe(argv: Sequence[str], watched: Sequence[str], runs: int = 1) -> List[di
     the loaded modules under the *watched* prefixes."""
     results = []
     with tempfile.TemporaryDirectory(prefix="repro-import-budget-") as cache:
-        env = dict(os.environ, REPRO_CACHE_DIR=cache, PYTHONHASHSEED="0")
+        env = dict(os.environ, REPRO_CACHE_DIR=cache, PYTHONHASHSEED="0",
+                   REPRO_WORKERS="1")
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(SRC), env.get("PYTHONPATH")) if p
         )
@@ -160,6 +172,12 @@ def warm_rerun_offenders(modules: Iterable[str], ran: Sequence[str]) -> List[str
     )
 
 
+def one_worker_offenders(modules: Iterable[str]) -> List[str]:
+    """Loaded *modules* that a one-worker CLI run must not load: anything
+    under :data:`ONE_WORKER_FORBIDDEN`."""
+    return sorted(m for m in modules if _under(m, ONE_WORKER_FORBIDDEN))
+
+
 def _imports(path: Path):
     """Yield ``(node, imported names, enclosing function name)`` per import.
 
@@ -213,6 +231,12 @@ def ported_special_imports(root: Path) -> List[str]:
     return hits
 
 
+def check_one_worker(label: str, modules: Iterable[str]) -> None:
+    bad = one_worker_offenders(modules)
+    check(not bad, f"{label}no OpenSSL hash or process-pool module loaded "
+          f"(offenders: {', '.join(bad) or 'none'})")
+
+
 def main() -> int:
     print("== start-up: import repro.experiments.__main__ + list_experiments() ==")
     (res,) = probe([], ["repro", "numpy", "scipy"])
@@ -222,18 +246,21 @@ def main() -> int:
           f"modules loaded (offenders: {', '.join(bad) or 'none'})")
 
     print("== artifact run: figure30 --plan ==")
-    (res,) = probe(["figure30", "--plan"], ["scipy"])
+    (res,) = probe(["figure30", "--plan"], ["scipy", *ONE_WORKER_FORBIDDEN])
+    scipy = [m for m in res["modules"] if _under(m, ("scipy",))]
     check(res["status"] == 0, f"exit status {res['status']}")
-    check(not res["modules"],
-          f"no scipy module loaded (loaded: {', '.join(res['modules']) or 'none'})")
+    check(not scipy, f"no scipy module loaded (loaded: {', '.join(scipy) or 'none'})")
+    check_one_worker("", res["modules"])
 
     print(f"== artifact run, then warm-cache rerun: {' '.join(PAPER_RERUN)} ==")
-    cold, warm = probe(PAPER_RERUN, ["repro", "scipy"], runs=2)
+    cold, warm = probe(PAPER_RERUN, ["repro", "scipy", *ONE_WORKER_FORBIDDEN],
+                       runs=2)
     for name, res in (("first run", cold), ("warm rerun", warm)):
         scipy = [m for m in res["modules"] if _under(m, ("scipy",))]
         check(res["status"] == 0, f"{name}: exit status {res['status']}")
         check(not scipy, f"{name}: no scipy module loaded "
               f"(loaded: {', '.join(scipy) or 'none'})")
+        check_one_worker(f"{name}: ", res["modules"])
     bad = warm_rerun_offenders(warm["modules"], PAPER_RERUN)
     check(not bad, "warm rerun: no simulator, planner, analytical or unrun "
           f"experiment module loaded (offenders: {', '.join(bad) or 'none'})")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from importlib.util import find_spec
 from typing import List, Optional
 
 from .registry import get, list_experiments
@@ -21,6 +22,15 @@ from .runflags import Checked, add_run_flags, engine_from_args, int_at_least
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # The only hash this program computes is sha256 (cache keys and
+    # checksums), which CPython also builds in.  Blocking the OpenSSL binding
+    # keeps libcrypto (3.3 MiB resident) out of the process; ``numpy.random``
+    # would load it through secrets -> hmac.  A process that already has
+    # ``_hashlib`` (a test runner, say) keeps it, and digests are identical.
+    # Some distributions build CPython without its own sha256 (``_sha256``,
+    # ``_sha2`` from 3.12); there OpenSSL stays.
+    if any(find_spec(m) for m in ("_sha256", "_sha2")):
+        sys.modules.setdefault("_hashlib", None)
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Reproduce tables/figures from the Paradyn IS paper",

@@ -50,14 +50,12 @@ import os
 import pickle
 import time
 import traceback as _traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from math import inf, isnan, nan
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -73,6 +71,9 @@ from ..obs.spans import (
 from ..rocc.config import SimulationConfig
 from ..rocc.metrics import SimulationResults
 from .resilience import CellTimeout, FailureReport, RetryPolicy, RunJournal
+
+if TYPE_CHECKING:  # imported where used: a one-worker run creates no pool
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "CellError",
@@ -695,6 +696,8 @@ class ExperimentEngine:
     # -- lifecycle -----------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             # Import the simulator before the workers fork, so that each
             # inherits it instead of importing it again.
             from ..rocc import aggregate, system  # noqa: F401
@@ -886,6 +889,9 @@ class ExperimentEngine:
     def _pool_round(self, pending, aggregated, traced):
         """One parallel wave over *pending*; yields finished cells and
         returns ``(still_pending, backoff_delay)``."""
+        # Not the builtin TimeoutError: before Python 3.11 they differ.
+        from concurrent.futures import TimeoutError as _FuturesTimeout
+
         pool = self._ensure_pool()
         futures = []
         for item in pending:

@@ -25,8 +25,7 @@ or queue space run out.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..des.events import Event, Process
 from ..des.exceptions import Interrupt
@@ -207,7 +206,8 @@ class ParadynDaemon:
         env = self.ctx.env
         cpu = self.ctx.cpu
         burst = max(1, self.ctx.config.daemon_costs.collection_burst)
-        pending: Deque[Sample] = deque()
+        # At most ``burst`` samples, emptied every round: a list, not a deque.
+        pending: List[Sample] = []
         try:
             while True:
                 self._pending_get = get_ev = self.pipe.get()
@@ -226,7 +226,7 @@ class ParadynDaemon:
                 cost = self._collect_cpu.take_sum(len(pending))
                 yield cpu.execute(cost, ProcessType.PARADYN_DAEMON)
                 while pending:
-                    s = pending.popleft()
+                    s = pending.pop(0)
                     if not self._batch:
                         self._batch_started = env.now
                     self._batch.append(s)

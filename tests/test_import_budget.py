@@ -1,4 +1,5 @@
-"""The import budget: a lean start-up, a lean warm rerun, no scipy.
+"""The import budget: a lean start-up, a lean warm rerun, no scipy, and
+no OpenSSL hashes or process-pool stack on one worker.
 
 Runs ``scripts/check_import_budget.py`` end to end (about 8 s): it
 probes the CLI start-up, two quick artifact runs and a warm-cache rerun
@@ -93,3 +94,13 @@ def test_warm_rerun_flags_simulator_planner_analytical_and_unrun_ids():
     # Running an id makes its module legitimate.
     assert budget.warm_rerun_offenders(
         ["repro.experiments.validation"], ran + ["figure30"]) == []
+
+
+def test_one_worker_flags_openssl_hashes_and_the_pool_stack():
+    budget = _script()
+    needed = ["hashlib", "hmac", "secrets", "_sha256", "_sha2", "concurrent",
+              "_hashlibx", "multiprocessingx", "repro.experiments.engine"]
+    planted = ["_hashlib", "concurrent.futures", "concurrent.futures.process",
+               "multiprocessing", "multiprocessing.connection"]
+    assert budget.one_worker_offenders(needed + planted) == sorted(planted)
+    assert budget.one_worker_offenders(needed) == []
