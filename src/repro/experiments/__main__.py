@@ -70,7 +70,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="route table4/table5/table6/figure30 to their planned "
         "variants (planned_now, ...), run under the hybrid "
-        "analytic-simulation planner with --ci-target/--budget",
+        "analytic-simulation planner with --ci-target/--budget; other "
+        "ids run unplanned, with a note on stderr",
     )
     add_run_flags(parser)
     args = parser.parse_args(argv)
@@ -129,8 +130,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 status = 2
                 continue
             extra = {}
-            if args.workload is not None and experiment.accepts("workload"):
-                extra["workload"] = args.workload
             if experiment.accepts("plan"):
                 from ..planner import PlannerConfig, ReplicationPolicy
 
@@ -138,6 +137,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                     replication=ReplicationPolicy(ci_target=args.ci_target),
                     budget=args.budget,
                 )
+            elif args.plan:
+                print(f"{id_}: no planned variant; --plan ignored",
+                      file=sys.stderr)
             t0 = time.time()
             if tracer is not None:
                 with tracer.span(id_, cat="experiment"):

@@ -107,8 +107,6 @@ EXPERIMENTS = (
      "Extension — operational analysis vs simulation, point by point",
      "§3 (accuracy of the back-of-the-envelope model)",
      "crossval:extra_crossvalidation"),
-    ("open_workload", "Open-workload class × node count factorial (beyond the paper)",
-     "ROADMAP (open workloads)", "open_workload_exp:open_workload"),
     ("summary", "Reproduction scorecard — every paper claim and its status",
      "whole paper", "summary:summary"),
 )

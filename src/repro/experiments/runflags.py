@@ -4,8 +4,8 @@
 cells through one :class:`~repro.experiments.engine.ExperimentEngine`.
 :func:`add_run_flags` defines the flags that shape such a run — in-cell
 LP parallelism, deadlines, retries, the resume journal, profiling,
-tracing, the open workload, and the planner's precision target and
-budget — and :func:`engine_from_args` builds the engine from them.
+tracing, and the planner's precision target and budget — and
+:func:`engine_from_args` builds the engine from them.
 
 Each flag has one default.  The values come from outside the program,
 so each is checked as it is parsed: a count below its minimum, or a
@@ -68,14 +68,6 @@ def _lp_workers(raw: str):
     return "auto" if raw == "auto" else int_at_least(1)(raw)
 
 
-def _workload(raw: str):
-    from ..workload.generators import TrafficSpec
-
-    spec = TrafficSpec.parse(raw)
-    spec.validate()
-    return spec
-
-
 def add_run_flags(parser: argparse.ArgumentParser) -> None:
     """Define the shared run flags on *parser* (``--plan`` stays per CLI)."""
     flag = parser.add_argument
@@ -110,11 +102,6 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
          "and write a trace to PATH (.jsonl for JSONL, otherwise "
          "Perfetto-loadable trace_event JSON; bypasses the cell cache; "
          "default: $REPRO_TRACE)")
-    flag("--workload", action=Checked, check=_workload, default=None,
-         metavar="NAME[:k=v,...]",
-         help="open-workload traffic spec driving external requests into "
-         "the nodes (e.g. 'stationary:rate=200', "
-         "'open:avg_users=100,rpm=60'); see repro.workload.generators")
     flag("--ci-target", action=Checked, check=_positive, default=0.35,
          metavar="FRACTION",
          help="adaptive replication: relative 90%% CI half-width to reach "

@@ -69,9 +69,6 @@ _NUMERIC_FIELDS = [
     "barrier_wait_time",
     "daemon_downtime",
     "recovery_latency",
-    "open_offered_rate",
-    "open_active_users",
-    "open_latency_mean",
 ]
 
 

@@ -69,7 +69,6 @@ def config_from_args(args: argparse.Namespace) -> SimulationConfig:
         else None
     )
     return SimulationConfig(
-        traffic=args.workload,
         architecture=Architecture(args.arch),
         nodes=args.nodes,
         app_processes_per_node=args.apps,
@@ -116,16 +115,6 @@ def format_results(r: SimulationResults) -> str:
         lines.append(f"barriers      : {r.barrier_rounds} rounds")
     if r.merges_total:
         lines.append(f"tree merges   : {r.merges_total}")
-    if r.open_arrivals:
-        line = (
-            f"open workload : {r.open_completed}/{r.open_arrivals} requests "
-            f"served @ {r.open_offered_rate:.1f} req/s offered"
-        )
-        if r.open_latency_mean == r.open_latency_mean:  # not NaN
-            line += f", {r.open_latency_mean / 1e3:.2f} ms latency"
-        if r.open_active_users == r.open_active_users:
-            line += f", {r.open_active_users:.1f} users"
-        lines.append(line)
     return "\n".join(lines)
 
 
@@ -205,6 +194,8 @@ def _single_run(args, config, engine) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.daemons != 1 and args.arch != "smp":
+        parser.error("--daemons applies to --arch smp only")
     try:
         config = config_from_args(args)
     except ValueError as exc:

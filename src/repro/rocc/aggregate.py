@@ -45,12 +45,6 @@ class AggregatedParadynISSystem(ParadynISSystem):
                 "aggregated model has no per-node daemons/pipes to fail "
                 "(set faults=None or use repro.rocc.system.simulate)"
             )
-        if config.traffic is not None:
-            raise ValueError(
-                "open-workload traffic requires the full simulation: the "
-                "aggregated model's phantom nodes cannot serve external "
-                "requests (set traffic=None or use repro.rocc.system.simulate)"
-            )
         if (
             config.effective_network_mode.value == "shared"
             and config.nodes > 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..faults.recovery import RecoveryPolicy
 from ..faults.spec import FaultPlan
@@ -22,9 +22,6 @@ from ..workload.parameters import (
     TYPICAL_SAMPLING_PERIOD_US,
     WorkloadParameters,
 )
-
-if TYPE_CHECKING:  # imported where used: few runs drive open workloads
-    from ..workload.generators import TrafficSpec
 
 __all__ = [
     "Architecture",
@@ -171,12 +168,6 @@ class SimulationConfig:
     workload: WorkloadParameters = field(default_factory=WorkloadParameters)
     daemon_costs: DaemonCostModel = field(default_factory=DaemonCostModel)
     main_costs: MainCostModel = field(default_factory=MainCostModel)
-    #: Optional open-workload traffic driving externally-arriving
-    #: requests into the monitored nodes, alongside the closed per-node
-    #: application loops (a :class:`~repro.workload.generators.TrafficSpec`,
-    #: a CLI string ``NAME[:k=v,...]``, or a ``{"name": ...}`` dict,
-    #: coerced).  ``None`` = the paper's closed model only.
-    traffic: Optional[TrafficSpec] = None
 
     # -- adaptive IS management (§6 extension; see repro.rocc.adaptive) ----
     #: A ``RegulatorConfig`` enabling per-node overhead regulation, or
@@ -242,12 +233,6 @@ class SimulationConfig:
             raise ValueError("max_wall_seconds must be positive (or None)")
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             self.faults = FaultPlan.coerce(self.faults)
-        if self.traffic is not None:
-            from ..workload.generators import TrafficSpec
-
-            if not isinstance(self.traffic, TrafficSpec):
-                self.traffic = TrafficSpec.coerce(self.traffic)
-            self.traffic.validate()  # unknown name / bad params fail here
         if self.recovery is not None and not isinstance(self.recovery, RecoveryPolicy):
             raise TypeError("recovery must be a RecoveryPolicy (or None)")
         if (

@@ -173,12 +173,6 @@ class Metrics:
         self.daemon_downtime = 0.0
         #: Crash → first successful forward after restart, µs.
         self.recovery_latency = Tally("recovery_latency")
-        # -- open-workload traffic (repro.workload.generators) ------------
-        #: Externally-driven requests that arrived / finished service.
-        self.open_arrivals = 0
-        self.open_completed = 0
-        #: Request arrival → service completion, µs.
-        self.open_latency = Tally("open_latency")
 
     def reset(self, now: float = 0.0) -> None:
         """Restart all accumulators (used at the end of warmup).
@@ -426,26 +420,6 @@ class Metrics:
         self.daemon_crashes += other.daemon_crashes
         self.daemon_downtime += other.daemon_downtime
         self.recovery_latency.merge(other.recovery_latency)
-        self.open_arrivals += other.open_arrivals
-        self.open_completed += other.open_completed
-        self.open_latency.merge(other.open_latency)
-
-    def note_open_arrival(self, node: int) -> None:
-        """Account one open-workload request arriving at *node*."""
-        self.open_arrivals += 1
-
-    def note_open_completion(self, now: float, arrived_at: float) -> bool:
-        """Record one open request's completion; returns whether counted.
-
-        Epoch-filtered exactly like :meth:`note_receipt`: requests that
-        arrived before the warmup boundary were never counted as
-        arrivals, so their completion must not count either.
-        """
-        if arrived_at < self.epoch:
-            return False
-        self.open_completed += 1
-        self.open_latency.observe(now - arrived_at)
-        return True
 
     def note_drop(self, node: int, n_samples: int, reason: str) -> None:
         """Account *n_samples* dropped at *node* for *reason*."""
@@ -531,14 +505,6 @@ class SimulationResults:
     daemon_crashes: int = 0
     daemon_downtime: float = 0.0  # µs, summed over daemons
     recovery_latency: float = float("nan")  # mean crash → first forward, µs
-
-    # Open-workload traffic outcome (zeros / NaN when the run carried no
-    # external traffic spec).
-    open_arrivals: int = 0
-    open_completed: int = 0
-    open_offered_rate: float = 0.0  # arrivals / sec over measured duration
-    open_active_users: float = float("nan")  # time-averaged user level
-    open_latency_mean: float = float("nan")  # arrival → completion, µs
 
     # Raw per-node CPU busy breakdown (µs), keyed by (node, process type).
     cpu_busy: Dict = field(default_factory=dict, repr=False)

@@ -287,8 +287,6 @@ def parallel_ineligibility(config: SimulationConfig) -> Optional[str]:
         return "recovery policy state is not partitioned"
     if config.adaptive is not None:
         return "adaptive overhead regulation is a global control loop"
-    if config.traffic is not None:
-        return "open-workload traffic is one global arrival stream"
     return None
 
 

@@ -53,7 +53,6 @@ from .partition import (
 )
 from .other import OtherProcesses, PVMDaemon
 from .pipes import SamplePipe
-from .traffic import OpenArrivalSource
 
 __all__ = [
     "ParadynISSystem",
@@ -160,9 +159,6 @@ class RawAggregates:
     n_daemons: int = 0
     #: Downtime of daemons still down at end of run (not yet in metrics).
     daemon_downtime_extra: float = 0.0
-    #: Time-averaged open-workload active-user level (NaN: no traffic
-    #: spec, or the generator carries no user model).
-    open_users_mean: float = float("nan")
     #: Observability summary of this run (trace bookkeeping).
     obs_info: Dict[str, object] = field(default_factory=dict)
 
@@ -184,10 +180,6 @@ class RawAggregates:
         self.pipe_blocked_puts += other.pipe_blocked_puts
         self.n_daemons += other.n_daemons
         self.daemon_downtime_extra += other.daemon_downtime_extra
-        # Open traffic blocks partitioning, so at most one fragment can
-        # carry a user-level mean; adopt it if present.
-        if not math.isnan(other.open_users_mean):
-            self.open_users_mean = other.open_users_mean
 
 
 def assemble_results(
@@ -241,16 +233,12 @@ def assemble_results(
     def node0(owner: ProcessType) -> float:
         return cpu_busy.get((0, owner), 0.0)
 
-    summary = (
-        f"{cfg.architecture.value} n={n} T={cfg.sampling_period / 1e3:g}ms "
-        f"b={cfg.batch_size} {cfg.forwarding.value} "
-        f"apps={cfg.app_processes_per_node} dur={seconds:g}s"
-    )
-    if cfg.traffic is not None:
-        summary += f" wl={cfg.traffic.label()}"
-
     return SimulationResults(
-        config_summary=summary,
+        config_summary=(
+            f"{cfg.architecture.value} n={n} T={cfg.sampling_period / 1e3:g}ms "
+            f"b={cfg.batch_size} {cfg.forwarding.value} "
+            f"apps={cfg.app_processes_per_node} dur={seconds:g}s"
+        ),
         duration=duration,
         nodes=n,
         pd_cpu_time_per_node=pd_total / n,
@@ -298,11 +286,6 @@ def assemble_results(
         daemon_crashes=m.daemon_crashes,
         daemon_downtime=daemon_downtime,
         recovery_latency=m.recovery_latency.mean,
-        open_arrivals=m.open_arrivals,
-        open_completed=m.open_completed,
-        open_offered_rate=m.open_arrivals / seconds,
-        open_active_users=agg.open_users_mean,
-        open_latency_mean=m.open_latency.mean,
         cpu_busy=dict(cpu_busy),
         observability=dict(agg.obs_info),
     )
@@ -350,16 +333,6 @@ class ParadynISSystem:
             self._build_smp()
         else:
             self._build_now_or_mpp()
-
-        #: Open-workload arrival source, when config.traffic is set.
-        self.traffic_source: Optional[OpenArrivalSource] = None
-        if config.traffic is not None:
-            if lp_role is not None:
-                raise ValueError(
-                    "open-workload traffic is a global arrival stream; "
-                    "ineligible for partitioning"
-                )
-            self.traffic_source = OpenArrivalSource(self)
 
         if config.faults is not None and len(config.faults) > 0:
             self.injector = FaultInjector(
@@ -572,8 +545,6 @@ class ParadynISSystem:
         # either side — the epoch passed to reset() makes receipt/drop
         # accounting skip them, preserving sample conservation.
         self.metrics.reset(now=now)
-        if self.traffic_source is not None:
-            self.traffic_source.warmup_snapshot(now)
 
     # ------------------------------------------------------------------
     # Observability (repro.obs)
@@ -635,22 +606,6 @@ class ParadynISSystem:
         reg.counter("rocc.batches_received").inc(m.batches_received)
         if m.samples_dropped:
             reg.counter("rocc.samples_dropped").inc(m.samples_dropped)
-        if self.traffic_source is not None:
-            reg.counter(
-                "workload.arrivals", "open-workload requests arrived"
-            ).inc(m.open_arrivals)
-            reg.counter(
-                "workload.completed", "open-workload requests served"
-            ).inc(m.open_completed)
-            seconds = self.config.measured_duration / 1e6
-            reg.gauge(
-                "workload.offered_rate", "open arrivals per second"
-            ).set(m.open_arrivals / seconds if seconds > 0 else 0.0)
-            users = self.traffic_source.users_mean(self.env.now)
-            if not math.isnan(users):
-                reg.gauge(
-                    "workload.active_users", "time-averaged user level"
-                ).set(users)
 
     # ------------------------------------------------------------------
     # Execution and results
@@ -729,17 +684,10 @@ class ParadynISSystem:
             if d.down and d._down_since is not None
         )
 
-        open_users_mean = (
-            self.traffic_source.users_mean(self.env.now)
-            if self.traffic_source is not None
-            else float("nan")
-        )
-
         return RawAggregates(
             cpu_busy=cpu_busy,
             main_busy=main_busy,
             net_busy=net_busy,
-            open_users_mean=open_users_mean,
             pipe_blocked_time=(
                 sum(p.blocked_time for p in self.pipes)
                 - self._snapshot.pipe_blocked_time

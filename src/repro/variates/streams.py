@@ -214,18 +214,6 @@ class StreamFactory:
         #: created with the first state.
         self._shared: Optional[np.random.Generator] = None
 
-    def seed_sequence(self, name: str) -> np.random.SeedSequence:
-        """The root :class:`~numpy.random.SeedSequence` of stream *name*.
-
-        Exposed so consumers that need restartable streams (the lazy
-        workload generators rebuild their stream on every iteration)
-        can derive them from the same named entropy as
-        :meth:`generator`.
-        """
-        return np.random.SeedSequence(
-            entropy=(self.seed, self.replication, _name_to_key(name))
-        )
-
     def _derive_pending(self) -> None:
         from numpy.random.bit_generator import ISeedSequence
 

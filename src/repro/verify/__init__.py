@@ -39,7 +39,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "check_workers": "differential",
     "check_cache": "differential",
     "check_bf_flush_noop": "differential",
-    "check_open_workload": "differential",
     "check_resilient_engine": "differential",
     "check_event_queue": "differential",
     "check_parallel_kernel": "differential",

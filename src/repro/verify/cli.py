@@ -125,7 +125,7 @@ def run_verification(
     report.extend(
         differential_checks(diff_cfg, include_workers=True),
         section="differential",
-        checks=10,
+        checks=9,
     )
     # The differential runs also yield two more audited results' worth
     # of coverage implicitly; audit one of them explicitly for the

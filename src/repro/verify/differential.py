@@ -57,7 +57,6 @@ __all__ = [
     "check_resilient_engine",
     "check_event_queue",
     "check_parallel_kernel",
-    "check_open_workload",
     "check_planner",
     "differential_checks",
 ]
@@ -403,83 +402,6 @@ def check_parallel_kernel(config: SimulationConfig) -> List[Violation]:
     return out
 
 
-def check_open_workload(config: SimulationConfig) -> List[Violation]:
-    """Open-workload traffic is deterministic and no-op at zero rate.
-
-    Three promises of :mod:`repro.workload.generators`:
-
-    1. a ``stationary:rate=0`` spec emits no events, so the run must
-       match the traffic-free run on every field except the config
-       summary (which deliberately names the workload);
-    2. the same open-workload config simulated twice is bit-identical
-       (the generator rebuilds its stream per run from the cell's
-       seed sequence);
-    3. an open-workload cell is bit-identical across the serial
-       engine, a two-worker pool, and a warm cache reload — i.e. the
-       cell fingerprint covers the traffic spec and the result
-       survives the pickle round-trip.
-    """
-    from ..workload.generators import TrafficSpec
-
-    out: List[Violation] = []
-
-    # 1. zero-rate open workload == closed-only run.
-    closed = simulate(config.with_(traffic=None))
-    zero = simulate(config.with_(traffic=TrafficSpec.parse("stationary:rate=0")))
-    diffs = diff_results(closed, zero, ignore=("config_summary",))
-    if diffs:
-        out.append(_diff_violation(
-            "differential.open_workload", config, diffs,
-            "a zero-rate open workload",
-        ))
-
-    open_cfg = config.with_(
-        traffic=TrafficSpec.parse("open:avg_users=50,rpm=120,window_s=0.1")
-    )
-
-    # 2. replay determinism of one open-workload run.
-    first = simulate(open_cfg)
-    second = simulate(open_cfg)
-    diffs = diff_results(first, second)
-    if diffs:
-        out.append(_diff_violation(
-            "differential.open_workload", open_cfg, diffs,
-            "re-simulating the same open-workload config",
-        ))
-
-    # 3. serial vs worker pool vs warm cache on the open-workload cell.
-    no_cache = CellCache(enabled=False)
-    with ExperimentEngine(workers=1, cache=no_cache) as serial:
-        (expected,) = serial.run_cells([open_cfg])
-    with ExperimentEngine(workers=2, cache=no_cache) as pool:
-        (pooled,) = pool.run_cells([open_cfg])
-    diffs = diff_results(expected, pooled)
-    if diffs:
-        out.append(_diff_violation(
-            "differential.open_workload", open_cfg, diffs,
-            "running the open-workload cell on a worker pool",
-        ))
-    root = tempfile.mkdtemp(prefix="repro-verify-openwl-")
-    try:
-        cache = CellCache(root=root, enabled=True)
-        with ExperimentEngine(workers=1, cache=cache) as engine:
-            (cold,) = engine.run_cells([open_cfg])
-            (warm,) = engine.run_cells([open_cfg])
-        diffs = diff_results(cold, warm)
-        if not diffs:
-            diffs = diff_results(expected, warm)
-        if diffs:
-            out.append(_diff_violation(
-                "differential.open_workload", open_cfg, diffs,
-                "reloading the open-workload cell from the cache",
-            ))
-    finally:
-        import shutil
-
-        shutil.rmtree(root, ignore_errors=True)
-    return out
-
-
 def check_planner(config: SimulationConfig,
                   repetitions: int = 2) -> List[Violation]:
     """Planned runs simulate cells bit-identically to unplanned runs.
@@ -576,7 +498,6 @@ def differential_checks(
     out.extend(check_resilient_engine(config))
     out.extend(check_event_queue(config))
     out.extend(check_parallel_kernel(config))
-    out.extend(check_open_workload(config))
     out.extend(check_planner(config))
     if include_workers:
         out.extend(check_workers(config))

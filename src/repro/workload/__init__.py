@@ -9,18 +9,6 @@ machines of Figures 6 and 7.
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "TrafficSpec": "generators",
-    "TrafficGenerator": "generators",
-    "RVConfig": "generators",
-    "StationaryWorkload": "generators",
-    "TraceReplayWorkload": "generators",
-    "BurstyWorkload": "generators",
-    "FlashCrowdWorkload": "generators",
-    "OpenWorkload": "generators",
-    "TRAFFIC_REGISTRY": "generators",
-    "register_traffic": "generators",
-    "traffic_generator": "generators",
-    "available_traffic": "generators",
     "ProcessType": "records",
     "ResourceKind": "records",
     "TraceRecord": "records",

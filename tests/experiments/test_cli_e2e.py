@@ -141,38 +141,6 @@ def test_cli_trace_env_knob(tmp_path: Path) -> None:
     assert validate_trace_events(doc) == []
 
 
-def test_cli_workload_passthrough(tmp_path: Path) -> None:
-    """`--workload` narrows the open_workload sweep to one class."""
-    proc = _run_cli(
-        "repro.experiments",
-        ["open_workload", "--no-cache",
-         "--workload", "stationary:rate=150,alpha=0.5"],
-        cwd=tmp_path,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "open_workload completed" in proc.stdout
-    assert "stationary" in proc.stdout
-    # The sweep was restricted: none of the other classes ran.
-    assert "flashcrowd" not in proc.stdout
-
-
-def test_cli_workload_validation(tmp_path: Path) -> None:
-    proc = _run_cli(
-        "repro.experiments",
-        ["open_workload", "--workload", "bogus"],
-        cwd=tmp_path,
-    )
-    assert proc.returncode == 2
-    assert "unknown workload" in proc.stderr
-    proc = _run_cli(
-        "repro.experiments",
-        ["open_workload", "--workload", "open:window_s=999"],
-        cwd=tmp_path,
-    )
-    assert proc.returncode == 2
-    assert "window_s" in proc.stderr
-
-
 def test_cli_lp_workers_validation(tmp_path: Path) -> None:
     proc = _run_cli(
         "repro.experiments",
@@ -181,15 +149,3 @@ def test_cli_lp_workers_validation(tmp_path: Path) -> None:
     )
     assert proc.returncode == 2
     assert "--lp-workers must be >= 1" in proc.stderr
-
-
-def test_rocc_cli_workload_e2e(tmp_path: Path) -> None:
-    proc = _run_cli(
-        "repro.rocc",
-        ["--nodes", "2", "--duration-s", "0.4", "--seed", "11",
-         "--workload", "open:avg_users=40,rpm=120,window_s=0.1"],
-        cwd=tmp_path,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "open workload :" in proc.stdout
-    assert "wl=open" in proc.stdout

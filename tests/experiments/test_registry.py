@@ -126,11 +126,6 @@ def test_run_forwards_known_kwargs():
     assert seen == {"depth": 7}
 
 
-def test_open_workload_experiment_registered():
-    e = get("open_workload")
-    assert e.accepts("workload")
-
-
 def _fresh_python(code: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,

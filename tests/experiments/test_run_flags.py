@@ -30,7 +30,6 @@ BAD_VALUES = [
     (["--budget", "0"], "--budget must be >= 1"),
     (["--lp-workers", "0"], "--lp-workers must be >= 1"),
     (["--lp-workers", "two"], "--lp-workers must be an integer"),
-    (["--workload", "bogus"], "unknown workload"),
 ]
 
 
@@ -69,6 +68,16 @@ def test_one_default_per_flag():
     assert engine.cell_timeout is None and engine.journal is None
     assert engine.workers == 1
     assert parser.parse_args(["--lp-workers", "auto"]).lp_workers == "auto"
+
+
+def test_experiments_reports_ignored_plan(capsys):
+    """An id without a planned variant runs unplanned and says so
+    instead of dropping --plan without a word."""
+    assert experiments_main(["figure9", "--plan", "--no-cache"]) == 0
+    err = capsys.readouterr().err
+    assert "figure9: no planned variant; --plan ignored" in err
+    assert experiments_main(["figure9", "--no-cache"]) == 0
+    assert "--plan ignored" not in capsys.readouterr().err
 
 
 def test_rocc_reports_ignored_lp_workers(capsys):

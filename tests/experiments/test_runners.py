@@ -149,7 +149,6 @@ def test_mean_results_fully_failed_cell_degrades_to_nan():
                     traceback="...")
     res = MeanResults([], [err])
     assert res.pd_cpu_time_per_node != res.pd_cpu_time_per_node  # NaN
-    assert res.open_offered_rate != res.open_offered_rate
     assert res.errors == [err]
 
 
@@ -160,12 +159,3 @@ def test_mean_results_fully_failed_cell_clear_attribute_error():
     # Protocol probes still raise plain AttributeError, not IndexError.
     with pytest.raises(AttributeError):
         res.__deepcopy__
-
-
-def test_mean_results_averages_open_workload_metrics(cfg):
-    from repro.workload.generators import TrafficSpec
-
-    spec = TrafficSpec.parse("open:avg_users=30,rpm=120,window_s=0.1")
-    res = replicate(cfg.with_(traffic=spec), repetitions=2)
-    assert res.open_offered_rate > 0.0
-    assert res.open_active_users == res.open_active_users  # not NaN

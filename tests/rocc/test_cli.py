@@ -59,34 +59,18 @@ class TestRoccCli:
         assert rc == 0
         assert "n=32" in capsys.readouterr().out
 
-    def test_workload_run(self, capsys):
-        rc = main(
-            ["--nodes", "2", "--duration-s", "0.5", "--seed", "3",
-             "--workload", "stationary:rate=100"]
-        )
+    @pytest.mark.parametrize("arch", ["now", "mpp"])
+    def test_daemons_rejected_off_smp(self, arch, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--arch", arch, "--daemons", "3", "--duration-s", "0.1"])
+        assert exc.value.code == 2
+        assert "--daemons applies to --arch smp only" in capsys.readouterr().err
+
+    def test_daemons_accepted_on_smp(self, capsys):
+        rc = main(["--arch", "smp", "--nodes", "4", "--apps", "4",
+                   "--daemons", "2", "--duration-s", "0.2"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "open workload :" in out
-        assert "wl=stationary:rate=100" in out
-
-    def test_workload_open_model_reports_users(self, capsys):
-        rc = main(
-            ["--nodes", "2", "--duration-s", "0.5", "--seed", "3",
-             "--workload", "open:avg_users=40,rpm=120,window_s=0.1"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "users" in out
-
-    def test_workload_unknown_name_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--workload", "bogus"])
-        assert "unknown workload" in capsys.readouterr().err
-
-    def test_workload_bad_parameters_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--workload", "open:rpm=-5"])
-        assert "must be positive" in capsys.readouterr().err
+        assert "Pd CPU/node" in capsys.readouterr().out
 
     def test_lp_workers_rejects_non_positive(self, capsys):
         for bad in ("0", "-3"):

@@ -71,9 +71,3 @@ def test_cache_roundtrip(small_config, tmp_path):
 
 def test_workers_equivalence(small_config):
     assert check_workers(small_config, repetitions=2) == []
-
-
-def test_open_workload_checks(small_config):
-    from repro.verify import check_open_workload
-
-    assert check_open_workload(small_config) == []
