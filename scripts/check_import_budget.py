@@ -9,11 +9,15 @@ and the paper-rerun and planned-sweep paths need only ``ndtr``,
 ``ndtri`` and ``stdtrit(df, 0.95)`` from it, which ``repro.special``
 provides without scipy.  Beyond scipy, every package exports its names
 lazily and the experiment registry is a table, so start-up loads the
-argument parser and the table only.  And a one-worker run keeps two
+argument parser and the table only.  A one-worker run keeps two
 stacks out of memory: the CLI blocks ``_hashlib`` (OpenSSL's hashes,
 3.3 MiB of ``libcrypto``; CPython's built-in sha256 gives the same
 digests), and the engine imports ``concurrent.futures`` only to build a
-worker pool.  Four checks guard this:
+worker pool.  Simulating runs compute latency percentiles without
+``np.percentile``, whose ``np.unique`` loads ``numpy.ma`` (1.3 MiB).  And
+the workload characterization behind Tables 1–3 and Figure 8 is a cached
+record, so a warm rerun of those artifacts synthesizes no trace and fits
+nothing.  Five checks guard this:
 
 1. **Start-up** — ``import repro.experiments.__main__`` plus
    ``list_experiments()`` loads no scipy and no numpy module, and no
@@ -22,22 +26,28 @@ worker pool.  Four checks guard this:
    ``table2 figure8 figure27 figure30 figure31`` run (the artifacts the
    end-to-end benchmark's ``paper-rerun`` workload regenerates) finish
    without any scipy module or any of :data:`ONE_WORKER_FORBIDDEN`
-   loaded.
+   loaded; the ``figure30 --plan`` run, which simulates, also without
+   ``numpy.ma``.
 3. **Warm-cache paper-rerun** — the second of two identical
    ``table2 figure8 figure27 figure30 figure31`` runs on one cache
    directory (every cell a cache hit) loads none of
    :data:`WARM_FORBIDDEN` or :data:`ONE_WORKER_FORBIDDEN` and no
    experiment module whose ids it did not run.
-4. **Source scan** — under ``src/repro``, no ``import scipy.stats``,
+4. **Warm-cache characterization** — the same for the second of two
+   ``table1 table2 table3 figure8`` runs: ``table3``'s validation cell is
+   a cache hit and every characterization record is read from the cache,
+   so neither the simulator nor the trace synthesizer, the fitting code
+   or ``numpy.random`` loads.
+5. **Source scan** — under ``src/repro``, no ``import scipy.stats``,
    ``from scipy.stats import …`` or ``from scipy import stats``; and no
    ``ndtr``, ``ndtri`` or ``stdtrit`` imported from ``scipy.special``
    except ``stdtrit`` inside ``repro.special.stdtrit`` (its table-miss
    fallback).
 
-Checks 1–3 run in fresh interpreters on one worker
+Checks 1–4 run in fresh interpreters on one worker
 (``REPRO_WORKERS=1``) with an empty temporary ``REPRO_CACHE_DIR``, so
-no cell is served from an earlier run's cache (check 3 fills its own
-with the first of its two runs).
+no cell is served from an earlier run's cache (checks 3 and 4 fill
+their own with the first of their two runs).
 
 Exit status 0 = every check passed, 1 = any check failed.
 
@@ -70,12 +80,20 @@ STARTUP_MODULES = (
 )
 #: The artifacts the end-to-end benchmark's ``paper-rerun`` regenerates.
 PAPER_RERUN = ("table2", "figure8", "figure27", "figure30", "figure31")
-#: Packages and modules a run served entirely from the cache never needs.
+#: The artifacts whose numbers come from the workload characterization.
+CHARACTERIZATION = ("table1", "table2", "table3", "figure8")
+#: Packages and modules a run served entirely from the cache never needs:
+#: the simulator, the planner, the analytic models, and the trace
+#: synthesizer, fitting and goodness-of-fit code with ``numpy.random``.
 WARM_FORBIDDEN = (
     "repro.rocc.system",
     "repro.rocc.aggregate",
     "repro.planner",
     "repro.analytical",
+    "repro.workload.tracing",
+    "repro.variates.fitting",
+    "repro.variates.goodness",
+    "numpy.random",
 )
 #: Modules a one-worker CLI run never loads: OpenSSL's hash binding
 #: (blocked by the CLI) and the process-pool stack (only a pool needs it).
@@ -246,24 +264,30 @@ def main() -> int:
           f"modules loaded (offenders: {', '.join(bad) or 'none'})")
 
     print("== artifact run: figure30 --plan ==")
-    (res,) = probe(["figure30", "--plan"], ["scipy", *ONE_WORKER_FORBIDDEN])
+    (res,) = probe(["figure30", "--plan"],
+                   ["scipy", "numpy.ma", *ONE_WORKER_FORBIDDEN])
     scipy = [m for m in res["modules"] if _under(m, ("scipy",))]
     check(res["status"] == 0, f"exit status {res['status']}")
     check(not scipy, f"no scipy module loaded (loaded: {', '.join(scipy) or 'none'})")
+    masked = [m for m in res["modules"] if _under(m, ("numpy.ma",))]
+    check(not masked, "no numpy.ma module loaded "
+          f"(loaded: {', '.join(masked) or 'none'})")
     check_one_worker("", res["modules"])
 
-    print(f"== artifact run, then warm-cache rerun: {' '.join(PAPER_RERUN)} ==")
-    cold, warm = probe(PAPER_RERUN, ["repro", "scipy", *ONE_WORKER_FORBIDDEN],
-                       runs=2)
-    for name, res in (("first run", cold), ("warm rerun", warm)):
-        scipy = [m for m in res["modules"] if _under(m, ("scipy",))]
-        check(res["status"] == 0, f"{name}: exit status {res['status']}")
-        check(not scipy, f"{name}: no scipy module loaded "
-              f"(loaded: {', '.join(scipy) or 'none'})")
-        check_one_worker(f"{name}: ", res["modules"])
-    bad = warm_rerun_offenders(warm["modules"], PAPER_RERUN)
-    check(not bad, "warm rerun: no simulator, planner, analytical or unrun "
-          f"experiment module loaded (offenders: {', '.join(bad) or 'none'})")
+    for ids in (PAPER_RERUN, CHARACTERIZATION):
+        print(f"== artifact run, then warm-cache rerun: {' '.join(ids)} ==")
+        cold, warm = probe(ids, ["repro", "scipy", "numpy.random",
+                                 *ONE_WORKER_FORBIDDEN], runs=2)
+        for name, res in (("first run", cold), ("warm rerun", warm)):
+            scipy = [m for m in res["modules"] if _under(m, ("scipy",))]
+            check(res["status"] == 0, f"{name}: exit status {res['status']}")
+            check(not scipy, f"{name}: no scipy module loaded "
+                  f"(loaded: {', '.join(scipy) or 'none'})")
+            check_one_worker(f"{name}: ", res["modules"])
+        bad = warm_rerun_offenders(warm["modules"], ids)
+        check(not bad, "warm rerun: no simulator, planner, analytical, "
+              "tracing, fitting, numpy.random or unrun experiment module "
+              f"loaded (offenders: {', '.join(bad) or 'none'})")
 
     print("== source scan: src/repro ==")
     hits = scipy_stats_imports(SRC / "repro")

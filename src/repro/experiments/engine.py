@@ -55,7 +55,9 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from math import inf, isnan, nan
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -82,6 +84,7 @@ __all__ = [
     "CellCache",
     "ExperimentEngine",
     "config_fingerprint",
+    "content_key",
     "code_version",
     "results_equal",
     "current_engine",
@@ -206,6 +209,16 @@ def _canonical(obj) -> object:
     return ("repr", repr(obj))
 
 
+def content_key(tag: str, *parts) -> str:
+    """Cache key of *parts* under the entry kind *tag*.
+
+    Two keys match iff the tags match, every part reduces to the same
+    :func:`_canonical` form and the simulation source is unchanged.
+    """
+    payload = (tag, code_version(), *(_canonical(p) for p in parts))
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
 def config_fingerprint(config: SimulationConfig, aggregated: bool = False) -> str:
     """Stable content address of one simulation cell.
 
@@ -213,8 +226,7 @@ def config_fingerprint(config: SimulationConfig, aggregated: bool = False) -> st
     replication index and nested models — matches and the simulation
     source is unchanged.
     """
-    payload = ("cell-v1", code_version(), bool(aggregated), _canonical(config))
-    return hashlib.sha256(repr(payload).encode()).hexdigest()
+    return content_key("cell-v1", bool(aggregated), config)
 
 
 def results_equal(a: SimulationResults, b: SimulationResults) -> bool:
@@ -249,7 +261,9 @@ def _cache_enabled_by_env() -> bool:
 
 
 class CellCache:
-    """Content-addressed store of pickled :class:`SimulationResults`.
+    """Content-addressed store of pickled :class:`SimulationResults`
+    (and of the plain-data workload characterizations behind Tables 1–3
+    and Figure 8, see :mod:`repro.experiments.workload_exp`).
 
     Entries live at ``<root>/<key[:2]>/<key>.pkl`` with a sha256
     checksum stored beside each one (``<key>.pkl.sha256``).  Writes are
@@ -278,7 +292,10 @@ class CellCache:
     def quarantine_dir(self) -> Path:
         return self.root / "quarantine"
 
-    def get(self, key: str) -> Optional[SimulationResults]:
+    def get(self, key: str, kind: type = SimulationResults) -> Optional[Any]:
+        """The entry under *key*, or None on a miss.  An entry that fails
+        its checksum, does not unpickle or is not a *kind* is quarantined
+        and counts as a miss."""
         if not self.enabled:
             return None
         path = self.path_for(key)
@@ -298,12 +315,12 @@ class CellCache:
         except Exception:
             self._quarantine(key)
             return None
-        if not isinstance(result, SimulationResults):
+        if not isinstance(result, kind):
             self._quarantine(key)
             return None
         return result
 
-    def put(self, key: str, results: SimulationResults) -> None:
+    def put(self, key: str, results: Any) -> None:
         if not self.enabled:
             return
         path = self.path_for(key)

@@ -28,17 +28,37 @@ import numpy as np
 from ..des.monitor import P2Quantile, ReservoirSample, Tally
 from ..workload.records import ProcessType
 
-__all__ = ["Metrics", "NodeCounter", "SimulationResults"]
+__all__ = ["Metrics", "NodeCounter", "SimulationResults", "sorted_percentile"]
 
 #: Latency observations kept as an exact raw series.  Below this cap,
-#: percentiles are exact ``np.percentile`` order statistics; past it the
-#: recorder switches to O(1)-memory streaming estimators (P² for
-#: p50/p90/p99, a reservoir for other quantiles), keeping peak RSS flat
-#: for arbitrarily long runs.
+#: percentiles are exact order statistics (:func:`sorted_percentile`);
+#: past it the recorder switches to O(1)-memory streaming estimators (P²
+#: for p50/p90/p99, a reservoir for other quantiles), keeping peak RSS
+#: flat for arbitrarily long runs.
 RAW_LATENCY_CAP = 65536
 
 #: Reservoir size once the raw series overflows.
 _RESERVOIR_SIZE = 4096
+
+
+def sorted_percentile(ordered, q: float) -> float:
+    """The *q*-th percentile (0–100) of the ascending sequence *ordered*.
+
+    Bit for bit what ``np.percentile`` returns with its default
+    ``method="linear"``: virtual index ``(n - 1) * q / 100``, then numpy's
+    two-sided lerp between its neighbours.  ``np.percentile`` itself calls
+    ``np.unique``, which loads ``numpy.ma`` (1.3 MiB) into every
+    simulating process.
+    """
+    n = len(ordered)
+    index = (n - 1) * (q / 100)
+    lo = int(index)
+    if lo >= n - 1:
+        return float(ordered[-1])
+    a, b = ordered[lo], ordered[lo + 1]
+    t = index - lo
+    diff = b - a
+    return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
 
 
 class NodeCounter:
@@ -293,8 +313,8 @@ class Metrics:
             raise ValueError("non-finite forwarding latency observed")
         if self._lat_fwd_p2 is None:
             # Exact path: the whole stream is retained.
-            values = np.percentile(arr, qs)
-            return {q: float(v) for q, v in zip(qs, values)}
+            ordered = np.sort(arr)
+            return {q: sorted_percentile(ordered, q) for q in qs}
         # Streaming path: P² estimates for the canonical percentiles,
         # reservoir order statistics for anything else.
         res_arr = np.asarray(self._lat_fwd_res.items)
@@ -302,13 +322,14 @@ class Metrics:
             raise ValueError("non-finite forwarding latency observed")
         p2_by_q = {50.0: self._lat_fwd_p2[0], 90.0: self._lat_fwd_p2[1],
                    99.0: self._lat_fwd_p2[2]}
+        ordered = np.sort(res_arr)
         out: Dict[float, float] = {}
         for q in qs:
             est = p2_by_q.get(float(q))
             if est is not None:
                 out[q] = est.value
             else:
-                out[q] = float(np.percentile(res_arr, q))
+                out[q] = sorted_percentile(ordered, q)
         return out
 
     def note_forward(self, node: int, n_samples: int) -> None:

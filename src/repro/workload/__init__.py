@@ -14,7 +14,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "TraceRecord": "records",
     "TraceFile": "records",
     "AIXTraceFacility": "tracing",
-    "TracingConfig": "tracing",
+    "TracingConfig": "records",
     "BenchmarkProfile": "nas",
     "ProcessProfile": "nas",
     "PVMBT": "nas",
@@ -31,6 +31,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "RequestFit": "characterize",
     "build_parameters": "characterize",
     "build_empirical_parameters": "characterize",
+    "characterization": "characterize",
     "DetailedState": "process_model",
     "SimpleState": "process_model",
     "DETAILED_TRANSITIONS": "process_model",

@@ -15,8 +15,8 @@ from typing import List, Optional
 
 from .characterize import fit_requests, summarize
 from .nas import benchmark_by_name
-from .records import TraceFile
-from .tracing import AIXTraceFacility, TracingConfig
+from .records import TraceFile, TracingConfig
+from .tracing import AIXTraceFacility
 
 
 def build_parser() -> argparse.ArgumentParser:

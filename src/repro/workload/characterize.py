@@ -11,20 +11,28 @@ Given a trace (real or synthetic), this module computes
   network requests), and
 * a ready-to-simulate :class:`~repro.workload.parameters.WorkloadParameters`
   (:func:`build_parameters`).
+
+:func:`characterization` runs the whole pipeline for one tracing session
+and returns every number Tables 1–3 and Figure 8 report as plain data,
+which the experiment layer stores in its cell cache.  The fitting and
+goodness-of-fit modules load when a fit runs, not with this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..variates.distributions import Distribution, Exponential, Lognormal
-from ..variates.fitting import FitResult, fit_best
+from ..variates.distributions import Distribution
+from .nas import BenchmarkProfile
 from .parameters import WorkloadParameters
-from .records import ProcessType, ResourceKind, TraceFile
+from .records import ProcessType, ResourceKind, TraceFile, TracingConfig
+
+if TYPE_CHECKING:
+    from ..variates.fitting import FitResult
 
 __all__ = [
     "OccupancyStats",
@@ -34,6 +42,7 @@ __all__ = [
     "fit_requests",
     "build_parameters",
     "build_empirical_parameters",
+    "characterization",
 ]
 
 #: Free parameters per family, for the BIC parsimony rule.
@@ -141,6 +150,8 @@ def _bic(result: FitResult, n: int) -> float:
 
 def _select(data: Sequence[float]) -> Tuple[str, Distribution, List[FitResult]]:
     """Fit the Figure-8 candidates and pick by BIC (parsimony-aware)."""
+    from ..variates.fitting import fit_best
+
     _, results = fit_best(data)
     n = len(data)
     best = min(results, key=lambda r: _bic(r, n))
@@ -251,3 +262,81 @@ def build_empirical_parameters(
     )
     params.pdm_cpu = params.pd_cpu
     return params
+
+
+def characterization(
+    config: TracingConfig, benchmark: BenchmarkProfile
+) -> Dict[str, Any]:
+    """Trace *benchmark* under *config* and characterize the trace.
+
+    Returns plain data (dicts, lists, strings and numbers) so that the
+    record pickles into the cell cache and reads back without loading
+    the tracing, fitting or goodness-of-fit code:
+
+    * ``summary`` — Table 1: ``{process: {resource: OccupancyStats
+      fields}}`` for every (class, resource) pair the trace holds;
+    * ``busy`` — ``{process: {resource: total occupancy, µs}}``, the
+      "measurement" of Table 3;
+    * ``fits`` — Table 2 rows ``[process, resource, family, mean, std]``;
+    * ``figure8`` — ``{resource: panel}`` for the application's requests.
+      A panel holds the candidate fits as rows ``[family, loglik, ks,
+      mean, std]`` by descending log-likelihood, the likelihood winner
+      ``best``, the histogram's bin ``centers`` and ``observed``
+      densities, each candidate's pdf at the centers (``pdfs``), and the
+      Q-Q ``linearity``, ``tail_deviation`` and ``n`` against ``best``.
+    """
+    from .tracing import AIXTraceFacility
+
+    trace = AIXTraceFacility(benchmark, config).trace()
+    summary = summarize(trace)
+    record: Dict[str, Any] = {"summary": {}, "busy": {}, "fits": [], "figure8": {}}
+    for ptype in ProcessType:
+        for resource, stats in ((ResourceKind.CPU, summary.cpu),
+                                (ResourceKind.NETWORK, summary.network)):
+            if ptype in stats:
+                record["summary"].setdefault(ptype.value, {})[
+                    resource.value] = asdict(stats[ptype])
+            record["busy"].setdefault(ptype.value, {})[resource.value] = (
+                float(trace.busy_time(process_type=ptype, resource=resource))
+            )
+    for fit in fit_requests(trace):
+        record["fits"].append([
+            fit.process_type.value, fit.resource.value, fit.family,
+            float(fit.distribution.mean), float(fit.distribution.std),
+        ])
+        if fit.process_type is ProcessType.APPLICATION:
+            data = trace.durations(process_type=fit.process_type,
+                                   resource=fit.resource)
+            record["figure8"][fit.resource.value] = _figure8_panel(
+                data, fit.candidates)
+    return record
+
+
+def _figure8_panel(data: Sequence[float],
+                   candidates: List["FitResult"]) -> Dict[str, Any]:
+    """Figure 8's numbers for one request class (see :func:`characterization`)."""
+    from ..variates.goodness import histogram_series, qq_series
+
+    best = max(candidates, key=lambda r: r.loglik)
+    hist = histogram_series(
+        data, {r.family: r.distribution for r in candidates}, n_bins=24
+    )
+    centers = (hist.edges[:-1] + hist.edges[1:]) / 2.0
+    qq = qq_series(data, best.distribution)
+    return {
+        "candidates": [
+            [r.family, float(r.loglik), float(r.ks_statistic),
+             float(r.distribution.mean), float(r.distribution.std)]
+            for r in sorted(candidates, key=lambda r: -r.loglik)
+        ],
+        "best": best.family,
+        "centers": [float(c) for c in centers],
+        "observed": [float(f) for f in hist.frequencies],
+        "pdfs": {
+            fam: [float(v) for v in np.interp(centers, hist.pdf_x, curve)]
+            for fam, curve in hist.pdf_curves.items()
+        },
+        "linearity": qq.linearity(),
+        "tail_deviation": qq.max_tail_deviation(),
+        "n": len(data),
+    }

@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
-__all__ = ["ProcessType", "ResourceKind", "TraceRecord", "TraceFile"]
+__all__ = ["ProcessType", "ResourceKind", "TraceRecord", "TraceFile", "TracingConfig"]
 
 
 class ProcessType(str, Enum):
@@ -73,6 +73,32 @@ class TraceRecord:
     def end(self) -> float:
         """Timestamp at which the occupancy interval ends."""
         return self.timestamp + self.duration
+
+
+@dataclass
+class TracingConfig:
+    """Configuration of one synthetic tracing session.
+
+    It lives beside the records, not in :mod:`repro.workload.tracing`,
+    so that a characterization served from the cell cache can build its
+    key without loading the trace synthesizer.
+    """
+
+    #: Virtual duration of the traced run, µs.
+    duration: float = 10_000_000.0
+    #: Node indices to trace (the paper traces one worker node plus the
+    #: node hosting the main Paradyn process).
+    nodes: int = 1
+    #: Application processes per node.
+    app_processes_per_node: int = 1
+    #: Sampling period of the Paradyn IS, µs.
+    sampling_period: float = 40_000.0
+    #: Batch size (1 = CF policy).
+    batch_size: int = 1
+    #: Whether the traced node also runs the main Paradyn process.
+    trace_main_process: bool = False
+    #: Root seed.
+    seed: int = 0
 
 
 _CSV_HEADER = ["timestamp", "node", "pid", "process_type", "resource", "duration"]

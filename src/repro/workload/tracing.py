@@ -19,7 +19,6 @@ uses the full ROCC simulator instead).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -27,30 +26,15 @@ import numpy as np
 from ..variates.distributions import Distribution
 from ..variates.streams import StreamFactory
 from .nas import BenchmarkProfile, ProcessProfile
-from .records import ProcessType, ResourceKind, TraceFile, TraceRecord
+from .records import (
+    ProcessType,
+    ResourceKind,
+    TraceFile,
+    TraceRecord,
+    TracingConfig,
+)
 
-__all__ = ["TracingConfig", "AIXTraceFacility"]
-
-
-@dataclass
-class TracingConfig:
-    """Configuration of one synthetic tracing session."""
-
-    #: Virtual duration of the traced run, µs.
-    duration: float = 10_000_000.0
-    #: Node indices to trace (the paper traces one worker node plus the
-    #: node hosting the main Paradyn process).
-    nodes: int = 1
-    #: Application processes per node.
-    app_processes_per_node: int = 1
-    #: Sampling period of the Paradyn IS, µs.
-    sampling_period: float = 40_000.0
-    #: Batch size (1 = CF policy).
-    batch_size: int = 1
-    #: Whether the traced node also runs the main Paradyn process.
-    trace_main_process: bool = False
-    #: Root seed.
-    seed: int = 0
+__all__ = ["AIXTraceFacility"]
 
 
 class AIXTraceFacility:

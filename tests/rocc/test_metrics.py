@@ -1,8 +1,14 @@
 """Tests for the Metrics accumulator and SimulationResults container."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rocc.metrics import Metrics, SimulationResults
 
@@ -280,3 +286,56 @@ class TestMerge:
         a.merge(b)
         assert a.epoch == 100.0
         assert a.samples_generated == 1
+
+
+class TestSortedPercentile:
+    """``sorted_percentile`` is ``np.percentile`` (linear method), bit for
+    bit, without loading ``numpy.ma``."""
+
+    @staticmethod
+    def _same(data, q):
+        import numpy as np
+
+        from repro.rocc.metrics import sorted_percentile
+
+        got = sorted_percentile(np.sort(np.asarray(data, dtype=float)), q)
+        want = float(np.percentile(np.asarray(data, dtype=float), q))
+        assert got == want and math.copysign(1, got) == math.copysign(1, want)
+
+    @given(
+        data=st.lists(
+            st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
+            | st.sampled_from([0.0, 1.0, 2.5, 1e6]),
+            min_size=1, max_size=60,
+        ),
+        q=st.floats(min_value=0.0, max_value=100.0)
+        | st.sampled_from([0.0, 50.0, 90.0, 99.0, 100.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy(self, data, q):
+        self._same(data, q)
+
+    @pytest.mark.parametrize("data,q", [
+        ([7.0], 0.0), ([7.0], 50.0), ([7.0], 100.0),           # n = 1
+        ([1.0, 4.0], 50.0), ([1.0, 4.0], 25.0), ([1.0, 4.0], 99.0),  # n = 2
+        ([0.1, 0.7, 0.3], 25.0), ([3.0, 1.0, 2.0, 9.0, 5.0], 12.5),  # t = 0.5
+        ([5.0] * 9 + [6.0], 95.0),                               # ties
+    ])
+    def test_edge_cases(self, data, q):
+        self._same(data, q)
+
+    def test_percentiles_load_no_masked_arrays(self):
+        code = (
+            "import sys\n"
+            "from repro.rocc.metrics import Metrics\n"
+            "m = Metrics()\n"
+            "for i in range(50):\n"
+            "    m.note_receipt(now=float(i * i), created_at=0.0, ready_at=0.0)\n"
+            "m.latency_percentiles()\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
