@@ -14,10 +14,6 @@ Package layout
     The Resource OCCupancy model of the Paradyn instrumentation system:
     NOW / SMP / MPP architectures, CF / BF policies, direct / tree
     forwarding — the paper's primary contribution.
-``repro.faults``
-    Declarative fault injection (daemon crashes, message loss and
-    corruption, pipe stalls, CPU slowdowns) and recovery policies for
-    robustness experiments on the ROCC model.
 ``repro.analytical``
     Section-3 operational analysis, equations (1)–(16), plus exact MVA.
 ``repro.expdesign``
@@ -47,7 +43,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "variates": None,
     "workload": None,
     "rocc": None,
-    "faults": None,
     "analytical": None,
     "expdesign": None,
 })

@@ -220,7 +220,7 @@ class Actor:
     request it makes it pushes *itself*, and when that entry pops the
     run loop calls :meth:`_fire` — no callbacks list, no generator, no
     per-request event object.  It suits a loop that nothing ever
-    interrupts (the ROCC background load); anything a crash or a
+    interrupts (the ROCC background load); anything an interrupt or a
     timeout must be able to cancel stays a :class:`Process`.
 
     Subclasses set ``name`` (for tracers, profilers and the watchdog)

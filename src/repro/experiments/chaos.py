@@ -1,9 +1,8 @@
 """Chaos harness: prove the resilience layer against injected faults.
 
 The chaos harness attacks the *execution* layer — the host-side worker
-pool, cell scheduling, and on-disk cache — as opposed to
-:mod:`repro.faults`, which injects faults into the *simulated* system
-(daemon crashes, lossy pipes).  Three failure modes are injected,
+pool, cell scheduling, and on-disk cache — not the simulated system.
+Three failure modes are injected,
 deterministically targeted by cell fingerprint:
 
 * **Worker kills** (``kill_once``) — the worker ``SIGKILL``\\ s itself

@@ -14,7 +14,7 @@ both properties:
 * **Memoization** — a :class:`CellCache` keys finished
   :class:`~repro.rocc.metrics.SimulationResults` by a stable content
   fingerprint of the config (every dataclass field, nested cost models,
-  distributions, fault plan, replication index) salted with a hash of
+  distributions, replication index) salted with a hash of
   the simulation source code, so re-running a sweep or benchmark
   recomputes only cells whose inputs or code actually changed.
 * **Bounded failure** — long sweeps die in mundane ways: a worker is
@@ -147,7 +147,7 @@ class EngineCellError(RuntimeError):
 
 #: Sub-packages whose source defines simulation semantics; their content
 #: hash salts every fingerprint so stale results die with code changes.
-_SIM_PACKAGES = ("des", "rocc", "faults", "workload", "variates")
+_SIM_PACKAGES = ("des", "rocc", "workload", "variates")
 
 _code_version: Optional[str] = None
 
@@ -171,7 +171,7 @@ def _canonical(obj) -> object:
     """Recursively reduce *obj* to a deterministic, order-stable form.
 
     Covers everything a :class:`SimulationConfig` can hold: nested
-    dataclasses (cost models, workload, fault plans), enums,
+    dataclasses (cost models, workload, regulator), enums,
     distributions (plain objects — captured by class name + instance
     dict), numpy arrays, and containers.  ``repr`` of floats keeps full
     precision, so configs differing in the 17th digit fingerprint apart.

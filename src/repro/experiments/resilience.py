@@ -109,19 +109,6 @@ class RetryPolicy:
         """No retries: every first failure is final."""
         return cls(max_attempts=1)
 
-    @classmethod
-    def from_recovery_policy(cls, policy, max_attempts: int = 3) -> "RetryPolicy":
-        """Adapt a simulated-daemon :class:`~repro.faults.RecoveryPolicy`
-        (µs timescale) to host-side cell retries (seconds) — the same
-        exponential-backoff-with-jitter shape the model uses for
-        retransmissions, scaled 1 µs → 1 ms."""
-        return cls(
-            max_attempts=max_attempts,
-            backoff_base=policy.backoff_base * 1e-3,  # n µs -> n ms, in s
-            backoff_factor=policy.backoff_factor,
-            backoff_jitter=policy.backoff_jitter,
-        )
-
     def error_class(self, error: CellError) -> str:
         """The exception class name carried by a failure artifact."""
         return error.error.split(":", 1)[0].strip()

@@ -67,8 +67,6 @@ _NUMERIC_FIELDS = [
     "forward_calls_per_node",
     "pipe_blocked_time",
     "barrier_wait_time",
-    "daemon_downtime",
-    "recovery_latency",
 ]
 
 

@@ -1,10 +1,8 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
 Subsystems publish their activity here — the ROCC system publishes one
-set of per-run totals after every simulation, the fault injector counts
-injections and message outcomes as they happen, daemon recovery
-machinery counts retransmissions and crash recoveries, and the
-verification harness counts audits and violations.  The registry is a
+set of per-run totals after every simulation, and the verification
+harness counts audits and violations.  The registry is a
 plain in-process singleton (:func:`registry`): publishing is one
 attribute update, so the metrics stay cheap enough to leave on
 unconditionally — the hot DES kernel never touches them.

@@ -10,9 +10,8 @@ conditions under which the analytic model is *not* a substitute for
 simulation:
 
 * **inapplicable** — the configuration uses machinery the operational
-  laws do not model at all (fault injection, adaptive management,
-  flush timeouts, barriers, a central ingress queue, an uninstrumented
-  baseline);
+  laws do not model at all (adaptive management, flush timeouts,
+  barriers, a central ingress queue, an uninstrumented baseline);
 * **saturated** — some IS resource has analytic utilization ≥ 1, where
   flow balance breaks and the open-queue residence time diverges;
 * **drop_risk** — on a shared network the application offered load
@@ -83,9 +82,7 @@ class AnalyticPrediction:
 
 #: Config features the operational model has no equations for.
 _UNMODELED = (
-    ("faults", "fault injection"),
     ("adaptive", "adaptive IS management"),
-    ("recovery", "recovery policy"),
     ("batch_flush_timeout", "batch flush timeout"),
     ("barrier_period", "barrier synchronization"),
     ("central_ingress", "central ingress queue"),

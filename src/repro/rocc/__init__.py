@@ -59,5 +59,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "is_leaf": "forwarding",
     "tree_depth": "forwarding",
     "expected_hops": "forwarding",
-    "live_ancestor": "forwarding",
 })

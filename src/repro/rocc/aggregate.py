@@ -39,12 +39,6 @@ class AggregatedParadynISSystem(ParadynISSystem):
     def __init__(self, config: SimulationConfig):
         if config.nodes < 1:
             raise ValueError("nodes must be >= 1")
-        if config.faults is not None and len(config.faults) > 0:
-            raise ValueError(
-                "fault injection requires the full simulation: the "
-                "aggregated model has no per-node daemons/pipes to fail "
-                "(set faults=None or use repro.rocc.system.simulate)"
-            )
         if (
             config.effective_network_mode.value == "shared"
             and config.nodes > 1

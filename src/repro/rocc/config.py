@@ -15,8 +15,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
-from ..faults.recovery import RecoveryPolicy
-from ..faults.spec import FaultPlan
 from ..variates.distributions import Distribution, Exponential
 from ..workload.parameters import (
     TYPICAL_SAMPLING_PERIOD_US,
@@ -174,14 +172,6 @@ class SimulationConfig:
     #: ``None`` for the paper's static policies.
     adaptive: Optional[object] = None
 
-    # -- fault injection and recovery (repro.faults) -----------------------
-    #: A :class:`~repro.faults.spec.FaultPlan` (or a single spec / list
-    #: of specs, coerced) of faults to inject; ``None`` = ideal IS.
-    faults: Optional[FaultPlan] = None
-    #: How daemons react to lost / timed-out forwards; ``None`` applies
-    #: :meth:`RecoveryPolicy.drop_only` semantics (no retries).
-    recovery: Optional[RecoveryPolicy] = None
-
     # -- run control --------------------------------------------------------
     #: Simulated duration, µs (paper runs 100 s; sweeps here use less).
     duration: float = 10_000_000.0
@@ -231,10 +221,6 @@ class SimulationConfig:
             raise ValueError("max_events must be >= 1 (or None)")
         if self.max_wall_seconds is not None and self.max_wall_seconds <= 0:
             raise ValueError("max_wall_seconds must be positive (or None)")
-        if self.faults is not None and not isinstance(self.faults, FaultPlan):
-            self.faults = FaultPlan.coerce(self.faults)
-        if self.recovery is not None and not isinstance(self.recovery, RecoveryPolicy):
-            raise TypeError("recovery must be a RecoveryPolicy (or None)")
         if (
             self.forwarding is ForwardingTopology.TREE
             and self.architecture is not Architecture.MPP

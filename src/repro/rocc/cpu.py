@@ -154,11 +154,6 @@ class RoundRobinCPU:
         self.n_cpus = int(n_cpus)
         self.quantum = float(quantum)
         self.name = name
-        #: Relative execution speed (1.0 = nominal).  A fault-injected
-        #: slowdown episode lowers it; requests submitted while it is in
-        #: effect are stretched by ``1 / speed``.  Already-queued jobs
-        #: keep their nominal durations (a documented approximation).
-        self.speed = 1.0
         # At most one job per process on the node, so a list (56 B
         # empty, a deque 760 B).
         self._ready: List[CPUJob] = []
@@ -188,7 +183,7 @@ class RoundRobinCPU:
         slice's length) and is pushed for the time that slice ends; its
         handler must then call :meth:`release`.
         """
-        scaled = float(amount) / self.speed
+        scaled = float(amount)
         quantum = self.quantum
         slice_ = scaled if scaled < quantum else quantum
         if self._free and scaled - slice_ <= 1e-9:
@@ -216,12 +211,6 @@ class RoundRobinCPU:
         else:
             self._free += 1
             self.busy_servers.increment(-1, self.env._now)
-
-    def set_speed(self, speed: float) -> None:
-        """Set the relative execution speed (fault-injection hook)."""
-        if speed <= 0:
-            raise ValueError("speed must be positive")
-        self.speed = float(speed)
 
     @property
     def queue_length(self) -> int:
@@ -293,7 +282,7 @@ class ProcessorSharingCPU(RoundRobinCPU):
         if amount <= 0.0:
             done.succeed()
             return done
-        self._enqueue(CPUJob(float(amount) / self.speed, owner, done, self.env.now))
+        self._enqueue(CPUJob(float(amount), owner, done, self.env.now))
         return done
 
     def request(self, *_args, **_kwargs) -> None:

@@ -10,7 +10,7 @@ batches (§2.1, §3.3).
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import List
 
 __all__ = [
     "parent_index",
@@ -18,7 +18,6 @@ __all__ = [
     "is_leaf",
     "tree_depth",
     "expected_hops",
-    "live_ancestor",
 ]
 
 
@@ -52,25 +51,6 @@ def tree_depth(n: int) -> int:
         span *= 2
         total += span
     return depth
-
-
-def live_ancestor(i: int, is_down: Callable[[int], bool]) -> int:
-    """Nearest ancestor of node *i* whose daemon is up, or ``-1``.
-
-    Used by the reroute recovery policy: a daemon whose parent crashed
-    delivers to the closest live ancestor on the heap path instead of
-    piling batches into a dead daemon's inbox.  ``-1`` means every
-    ancestor (including the root) is down and the batch should go
-    straight to the main Paradyn process.
-    """
-    if i <= 0:
-        raise ValueError("node 0 has no ancestor daemon (it sends to Paradyn)")
-    j = i
-    while j > 0:
-        j = (j - 1) // 2
-        if not is_down(j):
-            return j
-    return -1
 
 
 def expected_hops(n: int) -> float:

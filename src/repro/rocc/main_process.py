@@ -62,13 +62,6 @@ class MainParadynProcess:
     def _receive(self, batch: Batch) -> None:
         now = self.ctx.env.now
         metrics = self.ctx.metrics
-        if batch.corrupted:
-            # Checksum failure: the message arrived but its payload is
-            # garbage.  Discard with accounting — the sender believes
-            # the forward succeeded, so nobody retransmits.
-            metrics.note_drop_samples(batch.origin, batch.samples, "corrupt")
-            self.inbox.put(batch)  # still pays the receive system call
-            return
         counted = 0
         for sample in batch.samples:
             if metrics.note_receipt(now, sample.created_at, batch.sent_at):
@@ -83,9 +76,7 @@ class MainParadynProcess:
         cpu = self.ctx.cpu
         while True:
             batch = yield self.inbox.get()
-            # A corrupted batch is discarded after the receive system
-            # call — no per-sample distribution work.
-            n = 0 if batch.corrupted else len(batch.samples)
+            n = len(batch.samples)
             cost = self._receive_cpu()
             if n > 0:
                 # One aggregate draw for the per-sample work: the sum of

@@ -135,11 +135,10 @@ class Metrics:
 
     def __init__(self) -> None:
         #: Measurement epoch: samples created before this simulation time
-        #: are invisible to receipt/drop accounting.  Set by
-        #: :meth:`reset` at the warmup boundary so that samples generated
-        #: before warmup but delivered after it are counted on *neither*
-        #: side of the conservation equation (generated = received +
-        #: dropped + in-flight).
+        #: are invisible to receipt accounting.  Set by :meth:`reset` at
+        #: the warmup boundary so that samples generated before warmup
+        #: but delivered after it are counted on *neither* side of the
+        #: conservation equation (generated = received + in-flight).
         self.epoch = 0.0
         #: Forwarding-unit residence time (ready → receipt), µs.
         self._lat_fwd = Tally("latency_forwarding")
@@ -174,31 +173,12 @@ class Metrics:
         #: Barrier waits observed (sum of per-process wait time), µs.
         self.barrier_wait_time = 0.0
         self.barrier_rounds = 0
-        # -- fault / recovery accounting (repro.faults) -------------------
-        #: Samples dropped (never delivered), total and by reason
-        #: ("loss" = retries exhausted, "overflow" = resend queue full,
-        #: "crash" = lost in a crashing daemon, "corrupt" = discarded at
-        #: the receiver).
-        self.samples_dropped = 0
-        self.drops_by_reason: Dict[str, int] = {}
-        #: Batch retransmission attempts performed by daemons.
-        self.retransmissions = 0
-        #: Messages the network lost / corrupted.
-        self.messages_lost = 0
-        self.messages_corrupted = 0
-        #: Forward attempts abandoned by the policy's forwarding timeout.
-        self.forward_timeouts = 0
-        #: Daemon crash count and accumulated downtime, µs.
-        self.daemon_crashes = 0
-        self.daemon_downtime = 0.0
-        #: Crash → first successful forward after restart, µs.
-        self.recovery_latency = Tally("recovery_latency")
 
     def reset(self, now: float = 0.0) -> None:
         """Restart all accumulators (used at the end of warmup).
 
         *now* becomes the new measurement :attr:`epoch`: samples created
-        before it no longer count as received or dropped.
+        before it no longer count as received.
         """
         self.__init__()
         self.epoch = float(now)
@@ -429,32 +409,6 @@ class Metrics:
         self.app_cycles += other.app_cycles
         self.barrier_wait_time += other.barrier_wait_time
         self.barrier_rounds += other.barrier_rounds
-        self.samples_dropped += other.samples_dropped
-        for reason, n in other.drops_by_reason.items():
-            self.drops_by_reason[reason] = (
-                self.drops_by_reason.get(reason, 0) + n
-            )
-        self.retransmissions += other.retransmissions
-        self.messages_lost += other.messages_lost
-        self.messages_corrupted += other.messages_corrupted
-        self.forward_timeouts += other.forward_timeouts
-        self.daemon_crashes += other.daemon_crashes
-        self.daemon_downtime += other.daemon_downtime
-        self.recovery_latency.merge(other.recovery_latency)
-
-    def note_drop(self, node: int, n_samples: int, reason: str) -> None:
-        """Account *n_samples* dropped at *node* for *reason*."""
-        self.samples_dropped += n_samples
-        self.drops_by_reason[reason] = (
-            self.drops_by_reason.get(reason, 0) + n_samples
-        )
-
-    def note_drop_samples(self, node: int, samples, reason: str) -> None:
-        """Account dropped *samples* (epoch-filtered, see note_receipt)."""
-        epoch = self.epoch
-        n = sum(1 for s in samples if s.created_at >= epoch)
-        if n:
-            self.note_drop(node, n, reason)
 
 
 @dataclass
@@ -516,17 +470,6 @@ class SimulationResults:
     barrier_rounds: int = 0
     app_cycles: int = 0
 
-    # Fault / recovery outcome (zero / NaN when no faults injected).
-    samples_dropped: int = 0
-    drops_by_reason: Dict = field(default_factory=dict)
-    retransmissions: int = 0
-    messages_lost: int = 0
-    messages_corrupted: int = 0
-    forward_timeouts: int = 0
-    daemon_crashes: int = 0
-    daemon_downtime: float = 0.0  # µs, summed over daemons
-    recovery_latency: float = float("nan")  # mean crash → first forward, µs
-
     # Raw per-node CPU busy breakdown (µs), keyed by (node, process type).
     cpu_busy: Dict = field(default_factory=dict, repr=False)
 
@@ -567,18 +510,3 @@ class SimulationResults:
         if self.samples_generated == 0:
             return float("nan")
         return self.samples_received / self.samples_generated
-
-    @property
-    def drop_ratio(self) -> float:
-        """Fraction of generated samples dropped by faults/policy."""
-        if self.samples_generated == 0:
-            return float("nan")
-        return self.samples_dropped / self.samples_generated
-
-    @property
-    def daemon_downtime_seconds(self) -> float:
-        return self.daemon_downtime / 1e6
-
-    @property
-    def recovery_latency_ms(self) -> float:
-        return self.recovery_latency / 1e3

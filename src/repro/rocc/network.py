@@ -15,14 +15,11 @@ process at delivery time.
 
 A transfer is a *self-scheduling event*: :meth:`BaseNetwork.transfer`
 returns a :class:`Transfer` that sits directly on the kernel schedule
-for its completion time, and resolution (fault outcomes, delivery,
-accounting) happens in its first callback when it pops.  That costs one
-kernel event per transfer where the earlier process-per-transfer shape
-cost four (Initialize, the process, its hold, and a separate completion
-event) — the dominant saving for large contention-free cells.  The
-event stays *untriggered* until it pops: senders and crash-cleanup code
-test ``ev.triggered`` to mean "the outcome is known", which must not
-become true before completion time.
+for its completion time, and resolution (delivery, accounting) happens
+in its first callback when it pops.  That costs one kernel event per
+transfer where the earlier process-per-transfer shape cost four
+(Initialize, the process, its hold, and a separate completion event) —
+the dominant saving for large contention-free cells.
 
 Each network exposes the two halves a transfer is made of:
 :meth:`~BaseNetwork.request` puts a completion entry on the schedule
@@ -30,19 +27,7 @@ Each network exposes the two halves a transfer is made of:
 server when it pops.  :class:`Transfer` uses them, and so do the
 background-load actors (:mod:`repro.rocc.other`,
 :mod:`repro.rocc.application`), which are their own completion entry
-and carry no payload — so they are never subject to message faults.
-
-When a :class:`~repro.faults.injector.FaultInjector` is attached (the
-``injector`` attribute, set by the system builder when
-``config.faults`` is given), every transfer *with a receiver* consults
-it at completion time: a **lost** message is not delivered and the
-transfer's completion event fails with
-:class:`~repro.faults.spec.MessageLost` (the sender's recovery policy
-takes it from there); a **corrupted** message is delivered with its
-``corrupted`` flag set for the receiver to detect and discard.  A
-transfer whose payload was ``cancelled`` by a sender that timed out is
-completed silently without delivery, so retransmissions cannot
-duplicate samples.
+and carry no payload.
 """
 
 from __future__ import annotations
@@ -53,8 +38,6 @@ from typing import Callable, Deque, Dict, Optional
 from ..des.core import Environment
 from ..des.events import NORMAL, PENDING, Event
 from ..des.monitor import TimeWeighted
-from ..faults.injector import OUTCOME_CORRUPT, OUTCOME_LOST
-from ..faults.spec import MessageLost
 from ..workload.records import ProcessType
 
 __all__ = ["BaseNetwork", "FIFONetwork", "ContentionFreeNetwork", "Transfer"]
@@ -93,31 +76,10 @@ class Transfer(Event):
         self._deliver = deliver
 
     def _resolve(self) -> None:
-        """Apply fault outcomes, deliver, and set the event's outcome.
-
-        Runs at pop time (completion).  The sender that timed out and
-        ``cancelled`` its payload gets a silent success (delivery
-        suppressed); a lost message fails the event so a waiting sender
-        can recover — a failed transfer nobody waits for is defused by
-        the sender's crash cleanup or its `AnyOf` timeout condition.
-        """
-        net = self._net
-        net._account(self._amount, self._owner)
-        payload = self._payload
-        if getattr(payload, "cancelled", False):
-            self._value = None
-            return
-        deliver = self._deliver
-        if deliver is not None:
-            if net.injector is not None:
-                outcome = net.injector.message_outcome()
-                if outcome == OUTCOME_LOST:
-                    self._ok = False
-                    self._value = MessageLost(payload)
-                    return
-                if outcome == OUTCOME_CORRUPT:
-                    payload.corrupted = True
-            deliver(payload)
+        """Account, deliver, and set the event's outcome (at pop time)."""
+        self._net._account(self._amount, self._owner)
+        if self._deliver is not None:
+            self._deliver(self._payload)
         self._value = None
 
     def _finish(self, _event: Event) -> None:
@@ -157,9 +119,6 @@ class BaseNetwork:
         self.in_flight = TimeWeighted(f"{name}.in_flight", start_time=env.now)
         #: Completed transfer count.
         self.transfers = 0
-        #: Optional :class:`~repro.faults.injector.FaultInjector`; when
-        #: set, delivered messages are subject to loss/corruption.
-        self.injector = None
 
     def transfer(
         self,
@@ -216,16 +175,6 @@ class BaseNetwork:
         self, payload: object, deliver: Optional[DeliverFn], done: Event
     ) -> None:
         """Synchronous completion for zero-length transfers."""
-        if getattr(payload, "cancelled", False):
-            done.succeed()
-            return
-        if deliver is not None and self.injector is not None:
-            outcome = self.injector.message_outcome()
-            if outcome == OUTCOME_LOST:
-                done.fail(MessageLost(payload))
-                return
-            if outcome == OUTCOME_CORRUPT:
-                payload.corrupted = True
         if deliver is not None:
             deliver(payload)
         done.succeed()

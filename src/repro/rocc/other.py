@@ -7,9 +7,9 @@ because the direct-overhead metrics are defined against a realistically
 loaded node, and the validation run (Table 3) reproduces the measured
 Pd CPU time only when this background contention is present.
 
-Each clock is a :class:`~repro.rocc.node.LoadActor`: nothing crashes or
-interrupts it, so it runs as direct kernel events (one schedule entry
-per sleep or request) instead of a generator process.
+Each clock is a :class:`~repro.rocc.node.LoadActor`: nothing interrupts
+it, so it runs as direct kernel events (one schedule entry per sleep or
+request) instead of a generator process.
 """
 
 from __future__ import annotations

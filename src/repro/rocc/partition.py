@@ -21,7 +21,7 @@ infimum 0), horizon messages alone guarantee progress.
 
 :func:`parallel_ineligibility` is the execution gate: configurations
 whose dynamics couple nodes globally (a shared FIFO network, barriers,
-fault injection, adaptive regulation, SMP CPU pooling) fall back to the
+adaptive regulation, SMP CPU pooling) fall back to the
 sequential kernel.  The partitioner itself handles any NOW/MPP
 topology, including tree forwarding; the executor currently runs only
 direct (flat) forwarding in parallel.
@@ -281,10 +281,6 @@ def parallel_ineligibility(config: SimulationConfig) -> Optional[str]:
         return "tree forwarding: daemon-to-daemon cut edges not yet run in parallel"
     if config.barrier_period is not None:
         return "synchronization barrier couples all application processes"
-    if config.faults is not None and len(config.faults) > 0:
-        return "fault injection draws from one global injector stream"
-    if config.recovery is not None:
-        return "recovery policy state is not partitioned"
     if config.adaptive is not None:
         return "adaptive overhead regulation is a global control loop"
     return None

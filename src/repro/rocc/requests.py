@@ -41,15 +41,6 @@ class Batch:
     origin: int = -1
     #: Time the batch left its daemon.
     sent_at: float = 0.0
-    #: Set by a sender that gave up on this transfer (forwarding
-    #: timeout): the network suppresses the late delivery so a
-    #: retransmission cannot duplicate the samples.
-    cancelled: bool = False
-    #: Set by the network when a fault corrupts the message in flight;
-    #: the main process detects and discards corrupted batches.
-    corrupted: bool = False
-    #: Retransmission attempts already made for this batch.
-    attempts: int = 0
 
     def __len__(self) -> int:
         return len(self.samples)

@@ -30,7 +30,6 @@ from typing import Dict, List, Optional
 from ..des.core import Environment
 from ..des.events import URGENT, Event
 from ..des.profiling import KernelProfiler, profile_enabled, set_last_profile
-from ..faults.injector import FaultInjector
 from ..obs.metrics import registry as obs_registry
 from ..obs.spans import SIM, Tracer, current_tracer, maybe_span, sim_track_pid
 from ..variates.streams import StreamFactory
@@ -39,7 +38,7 @@ from .application import ApplicationProcess
 from .config import Architecture, ForwardingTopology, NetworkMode, SimulationConfig
 from .cpu import RoundRobinCPU
 from .daemon import ParadynDaemon
-from .forwarding import live_ancestor, parent_index
+from .forwarding import parent_index
 from .main_process import MainParadynProcess
 from .metrics import Metrics, SimulationResults
 from .network import BaseNetwork, ContentionFreeNetwork, FIFONetwork
@@ -157,8 +156,6 @@ class RawAggregates:
     pipe_blocked_time: float = 0.0
     pipe_blocked_puts: int = 0
     n_daemons: int = 0
-    #: Downtime of daemons still down at end of run (not yet in metrics).
-    daemon_downtime_extra: float = 0.0
     #: Observability summary of this run (trace bookkeeping).
     obs_info: Dict[str, object] = field(default_factory=dict)
 
@@ -179,7 +176,6 @@ class RawAggregates:
         self.pipe_blocked_time += other.pipe_blocked_time
         self.pipe_blocked_puts += other.pipe_blocked_puts
         self.n_daemons += other.n_daemons
-        self.daemon_downtime_extra += other.daemon_downtime_extra
 
 
 def assemble_results(
@@ -225,8 +221,6 @@ def assemble_results(
     n_daemons = agg.n_daemons
     forwarded = sum(m.forwarded_by_node.values())
     forward_calls = sum(m.forward_calls_by_node.values())
-
-    daemon_downtime = m.daemon_downtime + agg.daemon_downtime_extra
 
     percentiles = m.latency_percentiles()
 
@@ -277,15 +271,6 @@ def assemble_results(
         barrier_wait_time=m.barrier_wait_time,
         barrier_rounds=m.barrier_rounds,
         app_cycles=m.app_cycles,
-        samples_dropped=m.samples_dropped,
-        drops_by_reason=dict(m.drops_by_reason),
-        retransmissions=m.retransmissions,
-        messages_lost=m.messages_lost,
-        messages_corrupted=m.messages_corrupted,
-        forward_timeouts=m.forward_timeouts,
-        daemon_crashes=m.daemon_crashes,
-        daemon_downtime=daemon_downtime,
-        recovery_latency=m.recovery_latency.mean,
         cpu_busy=dict(cpu_busy),
         observability=dict(agg.obs_info),
     )
@@ -322,8 +307,6 @@ class ParadynISSystem:
         self.main: Optional[MainParadynProcess] = None
         #: Overhead regulators, one per node, when config.adaptive is set.
         self.regulators: List = []
-        #: Fault injector, when config.faults is set.
-        self.injector: Optional[FaultInjector] = None
         self._snapshot = _Snapshot()
         #: ``(signal, watcher)`` pairs installed for a traced run.
         self._watchers: List[tuple] = []
@@ -333,13 +316,6 @@ class ParadynISSystem:
             self._build_smp()
         else:
             self._build_now_or_mpp()
-
-        if config.faults is not None and len(config.faults) > 0:
-            self.injector = FaultInjector(
-                self.env, config.faults, self.streams, metrics=self.metrics
-            )
-            self.network.injector = self.injector
-            self.injector.arm(self)
 
         if config.warmup > 0:
             self.env.process(self._warmup_reset(), name="warmup-reset")
@@ -413,13 +389,7 @@ class ParadynISSystem:
             if tree and i > 0:
                 parent = self.daemons[parent_index(i)]
                 parent.enable_tree_inbox()
-                if (
-                    cfg.recovery is not None
-                    and cfg.recovery.reroute_around_down_daemons
-                ):
-                    deliver = self._tree_deliver(i)
-                else:
-                    deliver = parent.deliver
+                deliver = parent.deliver
             elif self.main is not None:
                 deliver = self.main.deliver
             else:
@@ -480,24 +450,6 @@ class ParadynISSystem:
         if cfg.include_other:
             OtherProcesses(ctx)
 
-    def _tree_deliver(self, child: int):
-        """Reroute recovery: a tree child's batches land at the nearest
-        *live* ancestor's inbox (decided at delivery time), or at the
-        main process when the whole heap path is down.
-
-        Every ancestor of a node is an interior node, so its inbox is
-        guaranteed to exist once construction finishes.
-        """
-
-        def deliver(batch):
-            target = live_ancestor(child, lambda j: self.daemons[j].down)
-            if target < 0:
-                self.main.deliver(batch)
-            else:
-                self.daemons[target].deliver(batch)
-
-        return deliver
-
     def _attach_regulator(self, ctx: NodeContext, daemon: ParadynDaemon):
         """Create the adaptive sampler + regulator for a node, if enabled.
 
@@ -541,9 +493,9 @@ class ParadynISSystem:
         snap.pipe_blocked_time = sum(p.blocked_time for p in self.pipes)
         snap.pipe_blocked_puts = sum(p.blocked_puts for p in self.pipes)
         # Counters and tallies restart cleanly; samples generated before
-        # warmup but received (or dropped) after it are not counted on
-        # either side — the epoch passed to reset() makes receipt/drop
-        # accounting skip them, preserving sample conservation.
+        # warmup but received after it are not counted on either side —
+        # the epoch passed to reset() makes receipt accounting skip
+        # them, preserving sample conservation.
         self.metrics.reset(now=now)
 
     # ------------------------------------------------------------------
@@ -604,8 +556,6 @@ class ParadynISSystem:
         reg.counter("rocc.samples_generated").inc(m.samples_generated)
         reg.counter("rocc.samples_received").inc(m.samples_received)
         reg.counter("rocc.batches_received").inc(m.batches_received)
-        if m.samples_dropped:
-            reg.counter("rocc.samples_dropped").inc(m.samples_dropped)
 
     # ------------------------------------------------------------------
     # Execution and results
@@ -677,13 +627,6 @@ class ParadynISSystem:
             for k, v in self.network.busy_by_owner.items()
         }
 
-        # Downtime of daemons that are still down at the end of the run.
-        downtime_extra = sum(
-            self.env.now - d._down_since
-            for d in self.daemons
-            if d.down and d._down_since is not None
-        )
-
         return RawAggregates(
             cpu_busy=cpu_busy,
             main_busy=main_busy,
@@ -697,7 +640,6 @@ class ParadynISSystem:
                 - self._snapshot.pipe_blocked_puts
             ),
             n_daemons=len(self.daemons),
-            daemon_downtime_extra=downtime_extra,
             obs_info=dict(self._obs_info),
         )
 

@@ -24,8 +24,6 @@ import sys
 import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..faults.recovery import RecoveryPolicy
-from ..faults.spec import DaemonCrash, FaultPlan, NetworkFault
 from ..rocc.config import (
     Architecture,
     ForwardingTopology,
@@ -62,17 +60,6 @@ def _battery(quick: bool, seed: int) -> List[Tuple[str, SimulationConfig]]:
             architecture=Architecture.MPP, nodes=4,
             forwarding=ForwardingTopology.TREE,
             duration=dur, seed=seed,
-        )),
-        ("faults-recovery", SimulationConfig(
-            nodes=2, duration=dur, warmup=dur * 0.2,
-            sampling_period=20_000.0, seed=seed,
-            include_pvmd=False, include_other=False,
-            faults=FaultPlan((
-                DaemonCrash(node=0, at=dur * 0.4, restart_after=dur * 0.1),
-                NetworkFault(loss_probability=0.1,
-                             corruption_probability=0.05),
-            )),
-            recovery=RecoveryPolicy(max_retries=2),
         )),
     ]
     if not quick:
@@ -126,18 +113,6 @@ def run_verification(
         differential_checks(diff_cfg, include_workers=True),
         section="differential",
         checks=9,
-    )
-    # The differential runs also yield two more audited results' worth
-    # of coverage implicitly; audit one of them explicitly for the
-    # fault-plan + watchdog combination.
-    fault_cfg = diff_cfg.with_(
-        faults=FaultPlan((DaemonCrash(node=0, at=300_000.0,
-                                      restart_after=100_000.0),)),
-        recovery=RecoveryPolicy(max_retries=1),
-        max_events=1_000_000_000,
-    )
-    report.extend(
-        audit_results(simulate(fault_cfg), fault_cfg), section="invariants"
     )
     log(f"  differential: {time.perf_counter() - t0:.1f}s")
 

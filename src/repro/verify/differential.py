@@ -276,22 +276,10 @@ def check_event_queue(config: SimulationConfig) -> List[Violation]:
     ``ladder``, and ``auto`` (heap promoting to calendar mid-run) and
     requires bit-identical results.
 
-    Beyond the plain run it repeats the calendar-vs-heap comparison on
-    the two variants whose dispatch is most order-sensitive: the
-    watchdog ``step()`` loop and a fault-injected run (daemon crash plus
-    recovery), where a single transposed pop would skew the whole
-    recovery timeline.
+    Beyond the plain run it repeats the calendar-vs-heap comparison
+    under the watchdog ``step()`` loop, whose dispatch differs from the
+    plain run loop's.
     """
-    from ..faults.recovery import RecoveryPolicy
-    from ..faults.spec import DaemonCrash, FaultPlan
-
-    dur = config.duration
-    fault_cfg = config.with_(
-        faults=FaultPlan((
-            DaemonCrash(node=0, at=dur * 0.4, restart_after=dur * 0.1),
-        )),
-        recovery=RecoveryPolicy(max_retries=1),
-    )
     out: List[Violation] = []
 
     # Plain run: all three implementations against the heap reference.
@@ -305,19 +293,16 @@ def check_event_queue(config: SimulationConfig) -> List[Violation]:
                 f"REPRO_DES_QUEUE={name} vs heap",
             ))
 
-    # Watchdog and fault-injection variants: default impl vs heap.
-    for what, cfg in (
-        ("watchdog", config.with_(max_events=1_000_000_000)),
-        ("fault injection", fault_cfg),
-    ):
-        ref = _simulate_with_env(cfg, "REPRO_DES_QUEUE", "heap")
-        alt = _simulate_with_env(cfg, "REPRO_DES_QUEUE", "calendar")
-        diffs = diff_results(ref, alt)
-        if diffs:
-            out.append(_diff_violation(
-                "differential.event_queue", cfg, diffs,
-                f"REPRO_DES_QUEUE=calendar vs heap under {what}",
-            ))
+    # Watchdog variant: default impl vs heap.
+    cfg = config.with_(max_events=1_000_000_000)
+    ref = _simulate_with_env(cfg, "REPRO_DES_QUEUE", "heap")
+    alt = _simulate_with_env(cfg, "REPRO_DES_QUEUE", "calendar")
+    diffs = diff_results(ref, alt)
+    if diffs:
+        out.append(_diff_violation(
+            "differential.event_queue", cfg, diffs,
+            "REPRO_DES_QUEUE=calendar vs heap under the watchdog",
+        ))
     return out
 
 
@@ -344,10 +329,9 @@ def check_parallel_kernel(config: SimulationConfig) -> List[Violation]:
     must match the sequential results bit-for-bit, except for the few
     re-associated float sums in :data:`_PARALLEL_ULP_FIELDS`, which get
     a 1e-9 relative tolerance.  Ineligible configurations (tree
-    forwarding, fault injection) must fall back to the sequential
-    kernel and therefore match *exactly*.
+    forwarding, barriers) must fall back to the sequential kernel and
+    therefore match *exactly*.
     """
-    from ..faults.spec import DaemonCrash, FaultPlan
     from ..rocc.partition import parallel_ineligibility
 
     out: List[Violation] = []
@@ -389,13 +373,8 @@ def check_parallel_kernel(config: SimulationConfig) -> List[Violation]:
                         exact=False)
 
     # Ineligible variants must take the sequential fallback untouched.
-    dur = config.duration
-    faulted = config.with_(
-        faults=FaultPlan((
-            DaemonCrash(node=0, at=dur * 0.5, restart_after=dur * 0.1),
-        )),
-    )
-    compare(faulted, 4, "the fault-injection fallback", exact=True)
+    barriered = config.with_(barrier_period=10_000.0)
+    compare(barriered, 4, "the barrier fallback", exact=True)
     if config.nodes > 1 and config.architecture is Architecture.MPP:
         treed = config.with_(forwarding=ForwardingTopology.TREE)
         compare(treed, 4, "the tree-forwarding fallback", exact=True)

@@ -1,12 +1,11 @@
 """Invariant auditors over :class:`~repro.rocc.metrics.SimulationResults`.
 
-Every simulation run — whatever the architecture, policy, or fault plan
-— must satisfy a set of structural invariants that follow from the
-model itself, not from any particular parameterization:
+Every simulation run — whatever the architecture or policy — must
+satisfy a set of structural invariants that follow from the model
+itself, not from any particular parameterization:
 
-* **conservation** — every sample generated is received, dropped, or
-  still in flight; never more received+dropped than generated, and the
-  per-reason drop breakdown sums to the drop total.
+* **conservation** — every sample generated is received or still in
+  flight; never more received than generated.
 * **capacity** — no resource is busier than ``capacity × duration``:
   all CPU utilizations lie in [0, 1], per-node busy breakdowns fit the
   node, a single-server network never exceeds utilization 1.
@@ -56,13 +55,7 @@ def _audit_conservation(r: SimulationResults) -> List[Violation]:
     counters = {
         "samples_generated": r.samples_generated,
         "samples_received": r.samples_received,
-        "samples_dropped": r.samples_dropped,
         "batches_received": r.batches_received,
-        "retransmissions": r.retransmissions,
-        "messages_lost": r.messages_lost,
-        "messages_corrupted": r.messages_corrupted,
-        "forward_timeouts": r.forward_timeouts,
-        "daemon_crashes": r.daemon_crashes,
     }
     for name, value in counters.items():
         if value < 0:
@@ -71,25 +64,16 @@ def _audit_conservation(r: SimulationResults) -> List[Violation]:
                 f"{name} is negative: {value}",
                 r, **{name: value},
             ))
-    in_flight = r.samples_generated - r.samples_received - r.samples_dropped
+    in_flight = r.samples_generated - r.samples_received
     if in_flight < 0:
         out.append(_violation(
             "conservation.sample_balance",
-            "more samples received+dropped than generated: "
+            "more samples received than generated: "
             f"generated={r.samples_generated} received={r.samples_received} "
-            f"dropped={r.samples_dropped} (in-flight would be {in_flight})",
+            f"(in-flight would be {in_flight})",
             r,
             generated=r.samples_generated,
             received=r.samples_received,
-            dropped=r.samples_dropped,
-        ))
-    by_reason = sum(r.drops_by_reason.values())
-    if by_reason != r.samples_dropped:
-        out.append(_violation(
-            "conservation.drop_reasons",
-            f"drops_by_reason sums to {by_reason} but samples_dropped is "
-            f"{r.samples_dropped} ({dict(r.drops_by_reason)})",
-            r, by_reason=by_reason, samples_dropped=r.samples_dropped,
         ))
     return out
 
@@ -191,11 +175,6 @@ def _audit_capacity(r: SimulationResults,
                 f"pipe blocked time {r.pipe_blocked_time:.6g}µs exceeds "
                 f"the {limit:.6g} writer-µs available", r,
             ))
-    if r.daemon_downtime < 0:
-        out.append(_violation(
-            "capacity.daemon_downtime",
-            f"negative daemon downtime {r.daemon_downtime}", r,
-        ))
     return out
 
 
@@ -224,14 +203,6 @@ def _audit_tallies(r: SimulationResults,
                 r,
                 received_throughput=r.received_throughput,
                 expected=expected,
-            ))
-    if r.samples_generated > 0:
-        combined = r.delivery_ratio + r.drop_ratio
-        if combined > 1.0 + _REL_EPS:
-            out.append(_violation(
-                "tally.ratios",
-                f"delivery_ratio + drop_ratio = {combined} > 1", r,
-                combined=combined,
             ))
     if config is not None and r.forward_calls_per_node < 0:
         out.append(_violation(
@@ -277,7 +248,6 @@ def _audit_latency(r: SimulationResults) -> List[Violation]:
     for name, v in (
         ("monitoring_latency_forwarding", r.monitoring_latency_forwarding),
         ("monitoring_latency_total", r.monitoring_latency_total),
-        ("recovery_latency", r.recovery_latency),
     ):
         if math.isfinite(v) and v < 0:
             out.append(_violation(
@@ -314,29 +284,13 @@ def audit_results(
     """Audit one run's results against every structural invariant.
 
     *config* is optional but unlocks the checks that need to know the
-    machine (per-node CPU capacity, network mode, fault plan): with it,
-    a fault-free config additionally asserts that nothing was dropped,
-    crashed, or retransmitted.
+    machine (per-node CPU capacity, network mode).
     """
     out: List[Violation] = []
     out.extend(_audit_conservation(results))
     out.extend(_audit_capacity(results, config))
     out.extend(_audit_tallies(results, config))
     out.extend(_audit_latency(results))
-    if config is not None and config.faults is None:
-        for name, value in (
-            ("samples_dropped", results.samples_dropped),
-            ("daemon_crashes", results.daemon_crashes),
-            ("messages_lost", results.messages_lost),
-            ("messages_corrupted", results.messages_corrupted),
-            ("retransmissions", results.retransmissions),
-        ):
-            if value != 0:
-                out.append(_violation(
-                    "faultfree.clean",
-                    f"no faults injected but {name} = {value}",
-                    results, **{name: value},
-                ))
     reg = obs_registry()
     reg.counter("verify.audits", "results audited").inc()
     if out:

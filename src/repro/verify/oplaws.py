@@ -22,7 +22,7 @@ demand; the band shrinks as 1/√n with the operation count):
   saturation and lower-bound the simulated latency (the §3 caveat:
   analysis omits CPU contention, so it is systematically optimistic).
 
-All checks apply to fault-free, non-adaptive operating points with no
+All checks apply to non-adaptive operating points with no
 warmup — the regime where flow balance holds exactly; callers gate on
 :func:`applicable`.
 """
@@ -52,13 +52,12 @@ __all__ = [
 def applicable(config: SimulationConfig) -> bool:
     """Whether the operational-law regime applies to *config*.
 
-    Faults break flow balance (drops), adaptive management changes the
-    demand mid-run, warmup decouples busy-time snapshots from epoch
-    -filtered counters, and barriers throttle the arrival process.
+    Adaptive management changes the demand mid-run, warmup decouples
+    busy-time snapshots from epoch-filtered counters, and barriers
+    throttle the arrival process.
     """
     return (
-        config.faults is None
-        and config.adaptive is None
+        config.adaptive is None
         and config.warmup == 0.0
         and config.barrier_period is None
         and config.instrumented
@@ -104,7 +103,7 @@ def check_utilization_law(
     # every forwarded sample was collected, at most every generated one.
     fixed_pd = (
         forwarded * costs.per_sample_batch_cpu
-        + (forward_calls + r.retransmissions) * costs.forward_cpu.mean
+        + forward_calls * costs.forward_cpu.mean
         + r.merges_total * merge_mean
     )
     expected_lo = fixed_pd + forwarded * costs.collection_cpu.mean

@@ -1,8 +1,8 @@
 """Property-based verification over random valid configurations.
 
 Hypothesis generates small-but-varied :class:`SimulationConfig`\\ s —
-across architectures, batching policies, warmup, pipe sizes, and fault
-plans — and every generated run must satisfy the structural invariants
+across architectures, batching policies, warmup, and pipe sizes — and
+every generated run must satisfy the structural invariants
 of :mod:`repro.verify.invariants`.  A second property pins the DES
 fast-path equivalence on random configs rather than the hand-picked
 ones in the test suite.
@@ -14,12 +14,10 @@ space, not length of any one run.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from hypothesis import given, seed as hyp_seed, settings, strategies as st
 
-from ..faults.recovery import RecoveryPolicy
-from ..faults.spec import DaemonCrash, FaultPlan, NetworkFault
 from ..rocc.config import Architecture, ForwardingTopology, SimulationConfig
 from ..rocc.system import simulate
 from .differential import check_fastpath
@@ -32,29 +30,8 @@ __all__ = [
 ]
 
 
-def _fault_plans(duration: float,
-                 max_node: int) -> st.SearchStrategy[Optional[FaultPlan]]:
-    crash = st.builds(
-        DaemonCrash,
-        node=st.integers(min_value=0, max_value=max_node),
-        at=st.floats(min_value=duration * 0.1, max_value=duration * 0.6),
-        restart_after=st.one_of(
-            st.none(), st.floats(min_value=10_000.0, max_value=duration * 0.3)
-        ),
-    )
-    net = st.builds(
-        NetworkFault,
-        loss_probability=st.floats(min_value=0.0, max_value=0.3),
-        corruption_probability=st.floats(min_value=0.0, max_value=0.2),
-    )
-    plan = st.lists(st.one_of(crash, net), min_size=1, max_size=2).map(
-        lambda specs: FaultPlan(tuple(specs))
-    )
-    return st.one_of(st.none(), plan)
-
-
 @st.composite
-def simulation_configs(draw, with_faults: bool = True) -> SimulationConfig:
+def simulation_configs(draw) -> SimulationConfig:
     """A random small-but-valid :class:`SimulationConfig`."""
     arch = draw(st.sampled_from(
         [Architecture.NOW, Architecture.SMP, Architecture.MPP]
@@ -92,20 +69,6 @@ def simulation_configs(draw, with_faults: bool = True) -> SimulationConfig:
         kwargs["forwarding"] = draw(st.sampled_from(
             [ForwardingTopology.DIRECT, ForwardingTopology.TREE]
         ))
-    if with_faults:
-        # Crash targets index a *daemon*: one per node on NOW/MPP, the
-        # configured daemon count on the SMP.
-        if arch is Architecture.SMP:
-            max_node = kwargs["daemons"] - 1
-        else:
-            max_node = kwargs["nodes"] - 1
-        plan = draw(_fault_plans(duration, max_node))
-        if plan is not None:
-            kwargs["faults"] = plan
-            if draw(st.booleans()):
-                kwargs["recovery"] = RecoveryPolicy(
-                    max_retries=draw(st.integers(min_value=0, max_value=3))
-                )
     return SimulationConfig(**kwargs)
 
 
@@ -133,7 +96,7 @@ def run_property_checks(
     @hyp_seed(seed)
     @settings(max_examples=fastpath_examples, deadline=None, database=None,
               print_blob=False)
-    @given(config=simulation_configs(with_faults=False))
+    @given(config=simulation_configs())
     def fastpath_equivalent(config: SimulationConfig) -> None:
         violations = check_fastpath(config)
         assert not violations, "; ".join(str(v) for v in violations)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,19 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         help="regenerate the golden-master snapshots under tests/golden/ "
         "instead of comparing against them",
     )
+
+
+def pytest_configure(config: pytest.Config) -> None:
+    """Give the session its own cell cache, never the user's.
+
+    Runs before any engine is built, so engines in this process and CLI
+    subprocesses (which inherit the environment) all cache into one
+    temporary directory that is removed when the session ends.  Tests
+    that set ``REPRO_CACHE_DIR`` themselves still win for their scope.
+    """
+    cache = tempfile.mkdtemp(prefix="repro-test-cells-")
+    os.environ["REPRO_CACHE_DIR"] = cache
+    config.add_cleanup(lambda: shutil.rmtree(cache, ignore_errors=True))
 
 
 @pytest.fixture

@@ -203,6 +203,15 @@ def test_cache_clear_and_disable(cfg, tmp_path, monkeypatch):
     assert CellCache().root == tmp_path / "elsewhere"
 
 
+def test_suite_cache_is_not_the_users():
+    """The test session caches cells outside the user's home directory,
+    so it neither fills nor is served from ``~/.cache/repro/cells``."""
+    from repro.experiments.engine import _default_cache_root
+
+    root = _default_cache_root().resolve()
+    assert not root.is_relative_to(Path.home().resolve())
+
+
 def test_failed_cells_are_never_cached(cfg, tmp_path):
     cache = CellCache(tmp_path)
     engine = ExperimentEngine(workers=1, cache=cache)
@@ -355,7 +364,7 @@ def test_mean_results_memoizes_numeric_means(cfg):
 
 def test_mean_results_memoization_keeps_nan_semantics():
     empty = MeanResults([])
-    assert empty.recovery_latency != empty.recovery_latency  # NaN
+    assert empty.monitoring_latency_total != empty.monitoring_latency_total  # NaN
     # Second read comes from the instance dict and is still NaN.
-    assert "recovery_latency" in empty.__dict__
-    assert empty.recovery_latency != empty.recovery_latency
+    assert "monitoring_latency_total" in empty.__dict__
+    assert empty.monitoring_latency_total != empty.monitoring_latency_total

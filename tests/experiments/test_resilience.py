@@ -25,7 +25,6 @@ from repro.experiments import (
 )
 from repro.experiments.chaos import ChaosPlan, chaos_key, install_chaos
 from repro.experiments.resilience import DEFAULT_TRANSIENT
-from repro.faults.recovery import RecoveryPolicy
 from repro.rocc import SimulationConfig
 
 
@@ -95,18 +94,6 @@ def test_retry_policy_backoff_is_deterministic_and_bounded():
     assert policy.delay(1, key="cell-a") != policy.delay(1, key="cell-b")
     no_jitter = RetryPolicy(backoff_base=0.1, backoff_jitter=0.0)
     assert no_jitter.delay(3, key="anything") == pytest.approx(0.4)
-
-
-def test_retry_policy_from_recovery_policy():
-    host = RetryPolicy.from_recovery_policy(
-        RecoveryPolicy(backoff_base=500.0, backoff_factor=3.0,
-                       backoff_jitter=0.25),
-        max_attempts=5,
-    )
-    assert host.max_attempts == 5
-    assert host.backoff_base == pytest.approx(0.5)  # 500 µs -> 500 ms
-    assert host.backoff_factor == 3.0
-    assert host.backoff_jitter == 0.25
 
 
 # ---------------------------------------------------------------------------

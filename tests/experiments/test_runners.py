@@ -96,13 +96,6 @@ def test_mean_results_dunder_probes_do_not_recurse(cfg):
     assert restored.nodes == res.nodes
 
 
-def test_mean_results_averages_fault_metrics(cfg):
-    res = replicate(cfg, repetitions=2)
-    # New numeric fields are averaged (zero / NaN without faults).
-    assert res.daemon_downtime == 0.0
-    assert res.recovery_latency != res.recovery_latency  # NaN
-
-
 def test_common_random_numbers_across_levels(cfg):
     """Two sweeps differing only in policy share replication streams, so
     the app workload realization is identical (CRN variance reduction)."""

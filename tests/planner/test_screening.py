@@ -16,7 +16,6 @@ from repro.planner import (
 from repro.planner.screening import neighbors
 from repro.rocc.config import (
     Architecture,
-    FaultPlan,
     NetworkMode,
     SimulationConfig,
 )
@@ -34,10 +33,6 @@ class TestApplicability:
 
     def test_uninstrumented_rejected(self):
         assert "uninstrumented" in applicability(_cfg(instrumented=False))
-
-    def test_fault_plan_rejected(self):
-        reason = applicability(_cfg(faults=FaultPlan()))
-        assert "fault" in reason
 
     def test_barrier_rejected(self):
         assert applicability(_cfg(barrier_period=5_000.0)) is not None

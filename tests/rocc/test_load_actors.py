@@ -86,16 +86,6 @@ def test_actor_trace_kinds_name_what_the_entry_completes(network_cls,
     assert [e.kind for e in log.entries if e.name == "n"] == ["initialize", transfer_kind]
 
 
-def test_set_speed_stretches_actor_cpu_requests():
-    env = Environment()
-    ctx = make_ctx(env)
-    ctx.cpu.set_speed(0.5)
-    actor = OneShot(ctx, "cpu", 1_000.0)
-    env.run(until=10_000.0)
-    assert actor.done_at == pytest.approx(2_000.0)
-    assert ctx.cpu.busy_time(ProcessType.OTHER) == pytest.approx(2_000.0)
-
-
 def test_multi_slice_actor_request_round_robins():
     """A request longer than the quantum is sliced; the actor's final
     slice completes it, with CPU slices in between."""

@@ -59,17 +59,6 @@ class TestEpochFiltering:
         assert m.note_receipt(now=150.0, created_at=100.0, ready_at=120.0) is True
         assert m.samples_received == 1
 
-    def test_note_drop_samples_filters_by_epoch(self):
-        class FakeSample:
-            def __init__(self, created_at):
-                self.created_at = created_at
-
-        m = Metrics()
-        m.reset(now=100.0)
-        m.note_drop_samples(0, [FakeSample(50.0), FakeSample(150.0)], "loss")
-        assert m.samples_dropped == 1
-        assert m.drops_by_reason == {"loss": 1}
-
 
 class TestLatencyPercentiles:
     def test_empty_is_nan(self):
@@ -244,14 +233,11 @@ class TestMerge:
         b.note_merge(1)
         a.pipe_blocked_time = 1.5
         b.pipe_blocked_time = 0.25
-        b.note_drop(4, 2, "queue_full")
         a.merge(b)
         assert a.samples_generated == 13
         assert a.forwarded_by_node == {0: 7, 4: 7}
         assert a.merges_by_node == {1: 2}
         assert a.pipe_blocked_time == 1.75
-        assert a.samples_dropped == 2
-        assert a.drops_by_reason == {"queue_full": 2}
 
     def test_latency_recorders_adopted_from_receipt_side(self):
         main, node = Metrics(), Metrics()

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.faults.spec import DaemonCrash, FaultPlan
 from repro.rocc import Architecture, ForwardingTopology, SimulationConfig
 from repro.rocc.config import NetworkMode
 from repro.rocc.partition import (
@@ -155,9 +154,6 @@ def test_eligibility_gate():
                          duration=100_000.0),  # shared Ethernet
         base.with_(forwarding=ForwardingTopology.TREE),
         base.with_(barrier_period=10_000.0),
-        base.with_(faults=FaultPlan((
-            DaemonCrash(node=0, at=1_000.0, restart_after=100.0),
-        ))),
     ]
     for cfg in cases:
         assert parallel_ineligibility(cfg) is not None, cfg

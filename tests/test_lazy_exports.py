@@ -21,7 +21,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGES = (
     "repro", "repro.analytical", "repro.des", "repro.expdesign",
-    "repro.experiments", "repro.faults", "repro.obs", "repro.planner",
+    "repro.experiments", "repro.obs", "repro.planner",
     "repro.rocc", "repro.variates", "repro.verify", "repro.workload",
 )
 

@@ -32,8 +32,8 @@ def test_diff_results_identical(small_results):
 
 
 def test_diff_results_nan_equals_nan(small_results):
-    a = dataclasses.replace(small_results, recovery_latency=math.nan)
-    b = dataclasses.replace(small_results, recovery_latency=math.nan)
+    a = dataclasses.replace(small_results, monitoring_latency_total=math.nan)
+    b = dataclasses.replace(small_results, monitoring_latency_total=math.nan)
     assert diff_results(a, b) == []
 
 

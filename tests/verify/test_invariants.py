@@ -5,7 +5,6 @@ import math
 
 import pytest
 
-from repro.faults import DaemonCrash, FaultPlan, NetworkFault, RecoveryPolicy
 from repro.rocc import Architecture, SimulationConfig, simulate
 from repro.verify import audit_results
 
@@ -37,20 +36,6 @@ def test_warmup_run_passes():
     assert audit_results(simulate(config), config) == []
 
 
-def test_faulty_run_passes():
-    config = SimulationConfig(
-        nodes=2, duration=1_500_000.0, warmup=200_000.0,
-        sampling_period=20_000.0, seed=11,
-        include_pvmd=False, include_other=False,
-        faults=FaultPlan((
-            DaemonCrash(node=0, at=600_000.0, restart_after=200_000.0),
-            NetworkFault(loss_probability=0.1, corruption_probability=0.05),
-        )),
-        recovery=RecoveryPolicy(max_retries=2),
-    )
-    assert audit_results(simulate(config), config) == []
-
-
 def test_smp_and_mpp_pass():
     for arch, extra in (
         (Architecture.SMP, dict(app_processes_per_node=4, daemons=2)),
@@ -74,19 +59,8 @@ def test_detects_conservation_violation(clean_run):
 
 def test_detects_negative_counter(clean_run):
     config, results = clean_run
-    broken = dataclasses.replace(results, samples_dropped=-1)
+    broken = dataclasses.replace(results, batches_received=-1)
     assert "conservation.counter_sign" in _names(audit_results(broken, config))
-
-
-def test_detects_drop_reason_mismatch(clean_run):
-    config, results = clean_run
-    broken = dataclasses.replace(
-        results,
-        samples_dropped=3,
-        drops_by_reason={"loss": 1},
-        samples_received=results.samples_received - 3,
-    )
-    assert "conservation.drop_reasons" in _names(audit_results(broken, config))
 
 
 def test_detects_overcommitted_cpu(clean_run):
@@ -146,12 +120,3 @@ def test_detects_total_below_forwarding_latency(clean_run):
     assert "latency.total_dominates_forwarding" in _names(
         audit_results(broken, config)
     )
-
-
-def test_detects_faultfree_drops(clean_run):
-    config, results = clean_run
-    broken = dataclasses.replace(
-        results, samples_dropped=2, drops_by_reason={"loss": 2}
-    )
-    names = _names(audit_results(broken, config))
-    assert "faultfree.clean" in names

@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from repro.faults import DaemonCrash, FaultPlan
 from repro.rocc import Architecture, NetworkMode, SimulationConfig, simulate
 from repro.verify import (
     applicable,
@@ -30,9 +29,6 @@ def test_applicable_gating():
     assert not applicable(base.with_(warmup=1000.0))
     assert not applicable(base.with_(barrier_period=100_000.0))
     assert not applicable(base.with_(instrumented=False))
-    assert not applicable(base.with_(
-        faults=FaultPlan((DaemonCrash(node=0, at=1000.0),))
-    ))
 
 
 def test_clean_now_run_obeys_all_laws(now_run):

@@ -22,7 +22,7 @@ def test_random_configs_satisfy_invariants(config):
 
 @settings(max_examples=4, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(config=simulation_configs(with_faults=False))
+@given(config=simulation_configs())
 def test_random_configs_fastpath_equivalent(config):
     violations = check_fastpath(config)
     assert not violations, "; ".join(str(v) for v in violations)
