@@ -25,5 +25,3 @@ def test_figure31(run_once):
     rows = dict(zip(t8.column("effect"), t8.column("percent")))
     assert rows["A"] > 90.0  # policy
     assert rows["B"] < 5.0  # application program (paper: ~0.3 %)
-    pca = fig.find("PCA cross-check")
-    assert pca.column("explained_variance_ratio")[0] > 0.5

@@ -17,7 +17,8 @@ Package layout
 ``repro.analytical``
     Section-3 operational analysis, equations (1)–(16), plus exact MVA.
 ``repro.expdesign``
-    2^k·r factorial designs, allocation of variation, PCA, CIs.
+    2^k·r factorial designs and allocation of variation (the paper's
+    "PCA") in exactly rounded pure Python; batch means and CIs.
 ``repro.special``
     The normal cdf/quantile and the 90 % t-quantile without scipy.
 ``repro.experiments``

@@ -285,57 +285,6 @@ class Tally:
     def maximum(self) -> float:
         return self._max if self._n else math.nan
 
-    def merge(self, other: "Tally") -> None:
-        """Fold *other*'s observations into this tally (parallel Welford).
-
-        Merging a tally into itself double-counts by design (it behaves
-        exactly like observing every value a second time).  Merging a
-        non-empty tally that did *not* retain its series into one that
-        does is an error: the retained series could no longer mirror the
-        observation stream, which would silently corrupt any order
-        statistics computed from it.
-        """
-        if other._n == 0:
-            return
-        if self.series is not None and other.series is None:
-            raise ValueError(
-                f"cannot merge {other.name or 'tally'!r} (no retained "
-                f"series) into {self.name or 'tally'!r} (keep_series=True): "
-                "the series would stop mirroring the observations"
-            )
-        if self.series is not None and (
-            self.series_subsampled
-            or other.series_subsampled
-            or (
-                self._series_cap is not None
-                and self._n + other._n > self._series_cap
-            )
-        ):
-            raise ValueError(
-                f"cannot merge into {self.name or 'tally'!r}: a capped "
-                "series that has started subsampling no longer mirrors "
-                "the observation stream, so the merged series would be "
-                "biased (raise series_cap or merge before overflow)"
-            )
-        if self._n == 0:
-            self._n = other._n
-            self._mean = other._mean
-            self._m2 = other._m2
-            self._min = other._min
-            self._max = other._max
-            self._total = other._total
-        else:
-            n = self._n + other._n
-            delta = other._mean - self._mean
-            self._m2 += other._m2 + delta * delta * self._n * other._n / n
-            self._mean = (self._mean * self._n + other._mean * other._n) / n
-            self._n = n
-            self._total += other._total
-            self._min = min(self._min, other._min)
-            self._max = max(self._max, other._max)
-        if self.series is not None and other.series is not None:
-            self.series.extend(other.series)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Tally({self.name!r}, n={self._n}, mean={self.mean:.4g}, "

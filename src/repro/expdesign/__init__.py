@@ -1,9 +1,9 @@
 """``repro.expdesign`` — 2^k·r factorial designs and their analysis.
 
-Provides the paper's §4.1 methodology: full factorial designs,
-allocation of variation (what the paper presents as "principal
-component analysis"), true PCA as an independent cross-check, and
-t-based confidence intervals on simulation output.
+Provides the paper's §4.1 methodology: full and fractional factorial
+designs, allocation of variation (what the paper presents as "principal
+component analysis"), batch means, and t-based confidence intervals on
+simulation output.
 """
 
 from .._lazy import lazy_exports
@@ -18,8 +18,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "allocate_variation": "effects",
     "VariationResult": "effects",
     "EffectShare": "effects",
-    "pca": "pca",
-    "PCAResult": "pca",
     "mean_confidence_interval": "confidence",
     "MeanCI": "confidence",
     "repetitions_needed": "confidence",

@@ -12,7 +12,9 @@ experimental error, and each effect's share quantifies its importance:
     SST  = Σ SS_e + SSE
 
 :func:`allocate_variation` returns the fractions and, when r > 1,
-confidence intervals on the effects.
+confidence intervals on the effects.  Every sum is a ``math.fsum``, so
+the result is correctly rounded and the same on every host (a BLAS
+matrix-vector product sums in an order that depends on the CPU).
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .factorial import FactorialDesign
 
@@ -100,29 +100,36 @@ def allocate_variation(
     confidence:
         Level for the effect CIs when r > 1.
     """
-    y = np.asarray(responses, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    if not np.isfinite(y).all():
+    rows = [_repetitions(row) for row in responses]
+    if not all(math.isfinite(v) for row in rows for v in row):
         raise ValueError(
             "responses contain NaN/inf — a design cell produced no "
             "observations (e.g. a batch never completed within the "
             "simulated duration); lengthen the run or adjust the levels"
         )
-    n_runs, r = y.shape
+    n_runs = len(rows)
     if n_runs != design.n_runs:
         raise ValueError(
             f"expected {design.n_runs} runs in standard order, got {n_runs}"
         )
+    r = len(rows[0])
+    if r == 0 or any(len(row) != r for row in rows):
+        raise ValueError("every run needs the same number (>= 1) of repetitions")
 
-    run_means = y.mean(axis=1)
-    grand_mean = float(run_means.mean())
+    run_means = [math.fsum(row) / r for row in rows]
+    grand_mean = math.fsum(run_means) / n_runs
     labels, columns = design.effect_columns()
 
-    effects = columns.T @ run_means / n_runs  # q_e for each effect
-    ss_effects = n_runs * r * effects**2
-    sse = float(((y - run_means[:, None]) ** 2).sum())
-    sst = float(ss_effects.sum() + sse)
+    # q_e for each effect; a ±1 sign times a mean is exact.
+    effects = [
+        math.fsum(s * m for s, m in zip(col, run_means)) / n_runs
+        for col in columns
+    ]
+    ss_effects = [n_runs * r * (q * q) for q in effects]
+    sse = math.fsum(
+        (v - m) * (v - m) for row, m in zip(rows, run_means) for v in row
+    )
+    sst = math.fsum(ss_effects + [sse])
 
     # CI on effects: s_e = sqrt(SSE / (2^k (r-1))) / sqrt(2^k r).
     ci_half: Optional[float] = None
@@ -138,13 +145,13 @@ def allocate_variation(
     for label, q, ss in zip(labels, effects, ss_effects):
         lo = hi = None
         if ci_half is not None:
-            lo, hi = float(q - ci_half), float(q + ci_half)
+            lo, hi = q - ci_half, q + ci_half
         shares.append(
             EffectShare(
                 label=label,
-                effect=float(q),
-                sum_of_squares=float(ss),
-                fraction=float(ss / sst) if sst > 0 else 0.0,
+                effect=q,
+                sum_of_squares=ss,
+                fraction=ss / sst if sst > 0 else 0.0,
                 ci_low=lo,
                 ci_high=hi,
             )
@@ -153,5 +160,13 @@ def allocate_variation(
         mean=grand_mean,
         total_variation=sst,
         shares=shares,
-        error_fraction=float(sse / sst) if sst > 0 else 0.0,
+        error_fraction=sse / sst if sst > 0 else 0.0,
     )
+
+
+def _repetitions(row) -> Tuple[float, ...]:
+    """One run's repetitions as floats; a bare number is one repetition."""
+    try:
+        return tuple(float(v) for v in row)
+    except TypeError:  # not iterable: a single response
+        return (float(row),)

@@ -5,18 +5,22 @@ k factors at two levels each, r repetitions per cell, followed by an
 allocation-of-variation analysis (:mod:`repro.expdesign.effects`).
 
 :class:`FactorialDesign` enumerates the 2^k runs in standard (Yates)
-order and produces the sign table including all interaction columns.
+order and produces the sign table including all interaction columns,
+as plain tuples of ±1: the analysis is pure Python (``math.fsum``), so
+designing and analysing an experiment imports no numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import prod
 from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
-import numpy as np
-
 __all__ = ["Factor", "FactorialDesign"]
+
+#: A ±1 table: one tuple per row.
+SignTable = Tuple[Tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,10 @@ class FactorialDesign:
             raise ValueError(f"factor labels must be unique, got {labels}")
         self.factors = list(factors)
         self.labels = labels
+        # product varies the *last* element fastest; reverse for Yates.
+        self._signs: SignTable = tuple(
+            combo[::-1] for combo in product((-1, 1), repeat=len(factors))
+        )
 
     @property
     def k(self) -> int:
@@ -60,20 +68,15 @@ class FactorialDesign:
         return 2**self.k
 
     # ------------------------------------------------------------------
-    def signs(self) -> np.ndarray:
-        """(2^k, k) matrix of ±1 in standard order (first factor fastest)."""
-        out = np.empty((self.n_runs, self.k), dtype=int)
-        for i, combo in enumerate(product((-1, 1), repeat=self.k)):
-            # product varies the *last* element fastest; reverse for Yates.
-            out[i] = combo[::-1]
-        return out
+    def signs(self) -> SignTable:
+        """The 2^k rows of k ±1 signs, in standard order (first factor
+        fastest)."""
+        return self._signs
 
     def runs(self) -> Iterator[Dict[str, Any]]:
         """Yield factor-name → value mappings for all 2^k runs."""
-        for row in self.signs():
-            yield {
-                f.name: f.level(int(s)) for f, s in zip(self.factors, row)
-            }
+        for row in self._signs:
+            yield {f.name: f.level(s) for f, s in zip(self.factors, row)}
 
     def configs(self, make_config: Callable[[Dict[str, Any]], Any]) -> List[Any]:
         """Materialize one experiment cell description per run.
@@ -88,28 +91,27 @@ class FactorialDesign:
         return [make_config(run) for run in self.runs()]
 
     # ------------------------------------------------------------------
-    def effect_columns(self) -> Tuple[List[str], np.ndarray]:
+    def effect_columns(self) -> Tuple[List[str], SignTable]:
         """Labels and sign columns for all main effects and interactions.
 
-        Returns ``(labels, matrix)`` where matrix has shape
-        ``(2^k, 2^k - 1)``: one column per effect (A, B, AB, C, AC, ...),
-        ordered by interaction order then position.
+        Returns ``(labels, columns)``: 2^k − 1 columns of 2^k signs, one
+        per effect (A, B, AB, C, AC, ...), ordered by interaction order
+        then position.  Column *e*'s sign in run *i* is the product of
+        run *i*'s signs for the factors in effect *e*.
         """
-        base = self.signs()
         labels: List[str] = []
-        cols: List[np.ndarray] = []
+        cols: List[Tuple[int, ...]] = []
         for order in range(1, self.k + 1):
             for idxs in combinations(range(self.k), order):
                 labels.append("".join(self.labels[i] for i in idxs))
-                col = np.ones(self.n_runs, dtype=int)
-                for i in idxs:
-                    col = col * base[:, i]
-                cols.append(col)
-        return labels, np.column_stack(cols)
+                cols.append(
+                    tuple(prod(row[i] for i in idxs) for row in self._signs)
+                )
+        return labels, tuple(cols)
 
     def run_label(self, index: int) -> str:
         """Compact description of run *index* (e.g. ``A+ B- C+``)."""
-        row = self.signs()[index]
         return " ".join(
-            f"{lab}{'+' if s > 0 else '-'}" for lab, s in zip(self.labels, row)
+            f"{lab}{'+' if s > 0 else '-'}"
+            for lab, s in zip(self.labels, self._signs[index])
         )

@@ -104,20 +104,17 @@ class FractionalFactorialDesign:
         base_signs = self._base.signs()
         label_to_col = {lab: i for i, lab in enumerate(self._base.labels)}
         for row in base_signs:
-            run = {
-                f.name: f.level(int(s))
-                for f, s in zip(self.base_factors, row)
-            }
+            run = {f.name: f.level(s) for f, s in zip(self.base_factors, row)}
             for factor, word in self.generators.items():
                 sign = 1
                 for ch in word:
-                    sign *= int(row[label_to_col[ch]])
+                    sign *= row[label_to_col[ch]]
                 run[factor.name] = factor.level(sign)
             yield run
 
     def signs(self) -> Tuple[List[str], np.ndarray]:
         """Labels and ±1 columns for all k factors over the 2^(k-p) runs."""
-        base_signs = self._base.signs()
+        base_signs = np.array(self._base.signs())
         labels = list(self._base.labels)
         cols = [base_signs[:, i] for i in range(len(labels))]
         label_to_col = {lab: i for i, lab in enumerate(labels)}
@@ -151,7 +148,7 @@ class FractionalFactorialDesign:
         # Full effect columns over the *base* factorial.
         base_labels, base_cols = self._base.effect_columns()
         out: Dict[str, float] = {}
-        for label, col in zip(base_labels, base_cols.T):
+        for label, col in zip(base_labels, np.array(base_cols)):
             q = float(col @ run_means / self.n_runs)
             chain = [label] + self.aliases(label)
             # Keep only the shortest few words for readability.

@@ -48,6 +48,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import sys
 import time
 import traceback as _traceback
 from contextlib import contextmanager
@@ -58,8 +59,6 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple, Union,
 )
-
-import numpy as np
 
 from ..obs.metrics import diff_snapshots, registry as obs_registry, timed
 from ..obs.spans import (
@@ -175,6 +174,8 @@ def _canonical(obj) -> object:
     distributions (plain objects — captured by class name + instance
     dict), numpy arrays, and containers.  ``repr`` of floats keeps full
     precision, so configs differing in the 17th digit fingerprint apart.
+    numpy is looked up, not imported: while it is not loaded, no object
+    can be one of its arrays or scalars.
     """
     if obj is None or isinstance(obj, (str, int, bool)):
         return obj
@@ -195,9 +196,10 @@ def _canonical(obj) -> object:
         return ("seq", tuple(_canonical(v) for v in obj))
     if isinstance(obj, (set, frozenset)):
         return ("set", tuple(sorted((_canonical(v) for v in obj), key=repr)))
-    if isinstance(obj, np.ndarray):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, np.ndarray):
         return ("nd", obj.shape, tuple(repr(float(v)) for v in obj.ravel()))
-    if isinstance(obj, np.generic):
+    if np is not None and isinstance(obj, np.generic):
         return ("f", repr(obj.item()))
     d = getattr(obj, "__dict__", None)
     if d is not None:

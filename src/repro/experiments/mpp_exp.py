@@ -10,14 +10,13 @@ is established at small n by the ablation benchmark.
 from __future__ import annotations
 
 from functools import lru_cache
-from statistics import mean
-from typing import List, Tuple
+from typing import Tuple
 
 from ..expdesign.effects import allocate_variation
 from ..expdesign.factorial import Factor, FactorialDesign
 from ..rocc.config import Architecture, ForwardingTopology, SimulationConfig
 from .reporting import ArtifactGroup, SeriesSet, Table
-from .runners import replicate, run_design
+from .runners import mean, replicate, run_design
 from .specs import DesignSpec
 
 __all__ = [

@@ -15,7 +15,7 @@ from ..expdesign.effects import VariationResult, allocate_variation
 from ..expdesign.factorial import Factor, FactorialDesign
 from ..rocc.config import NetworkMode, SimulationConfig
 from .reporting import ArtifactGroup, SeriesSet, Table
-from .runners import MeanResults, metric_series, run_design, sweep
+from .runners import mean, metric_series, run_design, sweep
 from .specs import DesignSpec
 
 __all__ = [
@@ -95,8 +95,6 @@ def table4(quick: bool = True) -> Table:
             "EXPERIMENTS.md on the two definitions)",
         ],
     )
-    from statistics import mean
-
     for run, cpu, lat in zip(design.runs(), cpu_rows, lat_rows):
         table.add_row(
             run["sampling_period"] / 1e3,

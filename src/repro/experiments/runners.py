@@ -27,8 +27,8 @@ engine's ``failure_report`` carries the structured account.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
-from statistics import mean
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..expdesign.factorial import FactorialDesign
@@ -39,11 +39,36 @@ from .engine import CellError, ExperimentEngine, current_engine
 __all__ = [
     "CellError",
     "MeanResults",
+    "mean",
     "replicate",
     "metric_series",
     "sweep",
     "run_design",
 ]
+
+
+def mean(values: Sequence[float]) -> float:
+    """Arithmetic mean of the floats *values*, bit for bit what
+    ``statistics.mean`` returns, without importing ``statistics`` (and
+    its ``fractions`` and ``decimal``).
+
+    Every finite float is exactly ``p / 2**e`` (``as_integer_ratio``):
+    the numerators are summed exactly over the largest denominator, and
+    one ``int / int`` division, which Python rounds correctly, gives the
+    mean.  As in ``statistics.mean``, any NaN or infinity makes the
+    result the sum of the non-finite values over ``n``, and an empty
+    input raises ``ValueError``.
+    """
+    n = len(values)
+    if n == 0:
+        raise ValueError("mean requires at least one data point")
+    special = [v for v in values if not math.isfinite(v)]
+    if special:
+        return sum(special) / n
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return sum(p * (den // d) for p, d in ratios) / (den * n)
+
 
 #: SimulationResults fields averaged by :func:`replicate`.
 _NUMERIC_FIELDS = [

@@ -8,14 +8,13 @@ share the CPUs with the applications and the main Paradyn process.
 from __future__ import annotations
 
 from functools import lru_cache
-from statistics import mean
-from typing import List, Tuple
+from typing import Tuple
 
 from ..expdesign.effects import allocate_variation
 from ..expdesign.factorial import Factor, FactorialDesign
 from ..rocc.config import Architecture, SimulationConfig
 from .reporting import ArtifactGroup, SeriesSet, Table
-from .runners import metric_series, replicate, run_design, sweep
+from .runners import mean, replicate, run_design
 from .specs import DesignSpec
 
 __all__ = [

@@ -17,17 +17,15 @@ the AIX trace.  What Section 5 establishes, and what we verify:
 from __future__ import annotations
 
 from functools import lru_cache
-from statistics import mean
 from typing import Dict, List, Tuple
 
 from ..expdesign.effects import allocate_variation
 from ..expdesign.factorial import Factor, FactorialDesign
-from ..expdesign.pca import pca
 from ..rocc.config import SimulationConfig
 from ..variates.distributions import Exponential, Lognormal
 from ..workload.parameters import WorkloadParameters
 from .reporting import ArtifactGroup, Table
-from .runners import replicate, run_design
+from .runners import mean, replicate, run_design
 from .specs import DesignSpec
 
 __all__ = [
@@ -236,16 +234,4 @@ def figure31(quick: bool = True) -> ArtifactGroup:
             t.add_row(share.label, 100.0 * share.fraction)
         t.add_row("error", 100.0 * alloc.error_fraction)
         group.add(t)
-
-    # Independent check with PCA proper: the first component of the
-    # (runs × [pd, main]) matrix should separate the policy levels.
-    matrix = [[mean(pd), mean(mn)] for pd, mn in zip(pd_rows, main_rows)]
-    result = pca(matrix, standardize=True)
-    t = Table(
-        title="PCA cross-check (observations = design cells)",
-        headers=["component", "explained_variance_ratio"],
-    )
-    for i, ratio in enumerate(result.explained_variance_ratio):
-        t.add_row(f"PC{i + 1}", float(ratio))
-    group.add(t)
     return group

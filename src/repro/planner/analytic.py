@@ -29,7 +29,6 @@ nodes, CF forwarding, communication- vs compute-intensive apps).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 

@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from statistics import median
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from ..expdesign.factorial import FactorialDesign
 from ..experiments.engine import ExperimentEngine, current_engine
@@ -172,7 +171,15 @@ def _calibration_error(
         if not math.isfinite(observed) or observed == 0:
             continue
         errors.append(abs(observed - analytic) / abs(observed))
-    return median(errors) if errors else float("nan")
+    if not errors:
+        return float("nan")
+    # The sorted middle element, or the mean of the two middle ones: what
+    # ``statistics.median`` returns, without loading ``statistics``.
+    errors.sort()
+    half = len(errors) // 2
+    if len(errors) % 2:
+        return errors[half]
+    return (errors[half - 1] + errors[half]) / 2
 
 
 def run_planned(

@@ -23,10 +23,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
+from .._lazy import lazy_module
 from ..des.monitor import P2Quantile, ReservoirSample, Tally
-from ..workload.records import ProcessType
+
+np = lazy_module("numpy", globals())
 
 __all__ = ["Metrics", "NodeCounter", "SimulationResults", "sorted_percentile"]
 

@@ -18,7 +18,9 @@ import math
 from abc import ABC, abstractmethod
 from typing import Optional, Sequence, Union
 
-import numpy as np
+from .._lazy import lazy_module
+
+np = lazy_module("numpy", globals())
 
 __all__ = [
     "Distribution",
@@ -34,7 +36,7 @@ __all__ = [
     "Empirical",
 ]
 
-ArrayLike = Union[float, np.ndarray]
+ArrayLike = Union[float, "np.ndarray"]
 
 
 def _point_mass_ppf(q: np.ndarray, value: float) -> ArrayLike:

@@ -42,81 +42,6 @@ class TestTally:
         assert t.series == [1.0, 2.0]
         assert Tally().series is None
 
-    def test_merge_matches_combined(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.normal(size=50), rng.normal(loc=3, size=70)
-        ta, tb = Tally(), Tally()
-        for v in a:
-            ta.observe(v)
-        for v in b:
-            tb.observe(v)
-        ta.merge(tb)
-        combined = np.concatenate([a, b])
-        assert ta.count == 120
-        assert ta.mean == pytest.approx(np.mean(combined))
-        assert ta.variance == pytest.approx(np.var(combined, ddof=1))
-        assert ta.minimum == pytest.approx(combined.min())
-        assert ta.maximum == pytest.approx(combined.max())
-
-    def test_merge_into_empty(self):
-        ta, tb = Tally(), Tally()
-        tb.observe(2.0)
-        tb.observe(4.0)
-        ta.merge(tb)
-        assert ta.mean == pytest.approx(3.0)
-
-    def test_merge_empty_is_noop(self):
-        ta = Tally()
-        ta.observe(1.0)
-        ta.merge(Tally())
-        assert ta.count == 1
-
-    def test_merge_of_splits_equals_serial_observe(self):
-        """Splitting a stream into chunks and merging the partial
-        tallies reproduces serial observation of the whole stream."""
-        rng = np.random.default_rng(7)
-        data = rng.normal(loc=2.0, scale=5.0, size=200)
-        serial = Tally(keep_series=True)
-        for v in data:
-            serial.observe(v)
-        merged = Tally(keep_series=True)
-        for chunk in np.array_split(data, [3, 17, 18, 120]):  # uneven splits
-            part = Tally(keep_series=True)
-            for v in chunk:
-                part.observe(v)
-            merged.merge(part)
-        assert merged.count == serial.count
-        assert merged.mean == pytest.approx(serial.mean, rel=1e-12)
-        assert merged.variance == pytest.approx(serial.variance, rel=1e-9)
-        assert merged.total == pytest.approx(serial.total, rel=1e-12)
-        assert merged.minimum == serial.minimum
-        assert merged.maximum == serial.maximum
-        assert merged.series == serial.series
-
-    def test_merge_refuses_seriesless_source_into_series_keeper(self):
-        keeper = Tally("dst", keep_series=True)
-        keeper.observe(1.0)
-        other = Tally("src")
-        other.observe(2.0)
-        with pytest.raises(ValueError, match="stop mirroring"):
-            keeper.merge(other)
-        # The refused merge must not have touched the destination.
-        assert keeper.count == 1 and keeper.series == [1.0]
-
-    def test_merge_empty_seriesless_into_series_keeper_is_noop(self):
-        keeper = Tally(keep_series=True)
-        keeper.observe(1.0)
-        keeper.merge(Tally())  # empty: nothing to mirror, allowed
-        assert keeper.count == 1
-
-    def test_merge_series_keeper_into_seriesless(self):
-        dst = Tally()
-        dst.observe(1.0)
-        src = Tally(keep_series=True)
-        src.observe(3.0)
-        dst.merge(src)  # dst keeps no series; nothing can desync
-        assert dst.count == 2 and dst.mean == pytest.approx(2.0)
-
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=60))
     def test_welford_agrees_with_numpy(self, data):
         t = Tally()
@@ -283,24 +208,6 @@ class TestTallySeriesCap:
             t.observe(float(v))
         assert len(t.series) == 100
         assert not t.series_subsampled
-
-    def test_merge_refused_after_subsampling(self):
-        a = Tally("a", keep_series=True, series_cap=4)
-        b = Tally("b", keep_series=True)
-        for v in range(10):
-            a.observe(float(v))
-        b.observe(1.0)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_merge_refused_when_it_would_overflow(self):
-        a = Tally("a", keep_series=True, series_cap=4)
-        b = Tally("b", keep_series=True)
-        for v in range(3):
-            a.observe(float(v))
-            b.observe(float(v))
-        with pytest.raises(ValueError):
-            a.merge(b)
 
     def test_rejects_bad_cap(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """The workload characterization behind Tables 1–3 and Figure 8 is a
 plain-data record kept in the engine's cell cache: a warm rerun only
 formats it, gives the same artifacts, and loads neither the trace
-synthesizer nor the fitting code."""
+synthesizer nor the fitting code.  A warm rerun of the paper-rerun
+artifacts, every cell a cache hit, loads no numpy at all."""
 
 import json
 import os
@@ -116,30 +117,51 @@ print(json.dumps({"status": status, "modules": sorted(
     m for m, mod in sys.modules.items() if mod is not None)}))
 """
 
-#: What a warm rerun of the characterization artifacts never loads.
-WARM_UNUSED = ("numpy.random", "repro.workload.tracing",
+#: What a warm rerun of the characterization or paper-rerun artifacts
+#: never loads: only drawing, fitting and simulating code imports numpy.
+WARM_UNUSED = ("numpy", "statistics", "repro.workload.tracing",
                "repro.variates.fitting", "repro.variates.goodness",
                "repro.rocc.system")
+#: The artifacts the end-to-end benchmark's ``paper-rerun`` regenerates.
+PAPER_RERUN = ("table2", "figure8", "figure27", "figure30", "figure31")
 
 
-def test_warm_cli_run_loads_no_trace_fit_or_simulator_code(tmp_path):
+def _cold_then_warm(tmp_path, ids):
+    """Run the CLI on *ids* twice in fresh interpreters on one cache;
+    return both processes and the modules each had loaded."""
     env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "cache"),
                REPRO_WORKERS="1", PYTHONHASHSEED="0")
     env.pop("REPRO_CELL_CACHE", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     runs = [
-        subprocess.run([sys.executable, "-c", PROBE, *IDS], env=env,
+        subprocess.run([sys.executable, "-c", PROBE, *ids], env=env,
                        capture_output=True, text=True, timeout=300)
         for _ in range(2)
     ]
     for proc in runs:
         assert proc.returncode == 0, proc.stderr[-2000:]
-    cold, warm = (json.loads(p.stdout.strip().splitlines()[-1]) for p in runs)
-    assert "repro.workload.tracing" in cold["modules"]
-    loaded = [m for m in warm["modules"]
-              if any(m == u or m.startswith(u + ".") for u in WARM_UNUSED)]
-    assert loaded == []
+    cold, warm = (json.loads(p.stdout.strip().splitlines()[-1])["modules"]
+                  for p in runs)
+    return runs, cold, warm
+
+
+def _warm_unused(modules):
+    return [m for m in modules
+            if any(m == u or m.startswith(u + ".") for u in WARM_UNUSED)]
+
+
+def test_warm_cli_run_loads_no_trace_fit_or_simulator_code(tmp_path):
+    runs, cold, warm = _cold_then_warm(tmp_path, IDS)
+    assert "repro.workload.tracing" in cold
+    assert _warm_unused(warm) == []
     assert "[engine: 1 cells (1 run, 0 cached, 0 failed)" in runs[0].stderr
     assert "[engine: 1 cells (0 run, 1 cached, 0 failed)" in runs[1].stderr
     assert "workload characterization: cached" in runs[1].stdout
+
+
+def test_warm_paper_rerun_loads_no_numpy_or_statistics(tmp_path):
+    runs, cold, warm = _cold_then_warm(tmp_path, PAPER_RERUN)
+    assert "numpy" in cold  # the first run simulates
+    assert _warm_unused(warm) == []
+    assert "[engine: 48 cells (0 run, 48 cached, 0 failed)" in runs[1].stderr

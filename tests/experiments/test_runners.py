@@ -1,8 +1,14 @@
 """Tests for replication / sweep utilities."""
 
+import math
+import statistics
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.experiments import MeanResults, metric_series, replicate, sweep
+from repro.experiments.runners import mean
 from repro.rocc import SimulationConfig
 
 
@@ -26,8 +32,6 @@ def test_replicate_validation(cfg):
 
 def test_mean_results_averages(cfg):
     res = replicate(cfg, repetitions=3)
-    import statistics
-
     assert res.pd_cpu_time_per_node == pytest.approx(
         statistics.mean(res.raw("pd_cpu_time_per_node"))
     )
@@ -152,3 +156,24 @@ def test_mean_results_fully_failed_cell_clear_attribute_error():
     # Protocol probes still raise plain AttributeError, not IndexError.
     with pytest.raises(AttributeError):
         res.__deepcopy__
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(_finite, min_size=1))
+def test_mean_is_bit_identical_to_statistics_mean(values):
+    assert mean(values) == statistics.mean(values)
+
+
+@given(st.lists(st.one_of(_finite, st.sampled_from([math.nan, math.inf, -math.inf])),
+                min_size=1))
+def test_mean_matches_statistics_mean_on_nan_and_inf(values):
+    expected = statistics.mean(values)
+    got = mean(values)
+    assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+
+def test_mean_of_nothing_raises():
+    with pytest.raises(ValueError):
+        mean([])

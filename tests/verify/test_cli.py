@@ -30,7 +30,7 @@ def test_selftest_via_main_exits_nonzero(capsys):
 def test_run_verification_counts_sections():
     report = run_verification(quick=True, seed=1)
     assert report.ok
-    assert report.sections["invariants"] >= 4
+    assert report.sections["invariants"] >= 5
     assert report.sections["oplaws"] >= 1
     assert report.sections["differential"] == 9
 
