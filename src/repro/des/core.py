@@ -1,12 +1,13 @@
 """The simulation :class:`Environment`: clock, event queue, main loop.
 
-The environment owns the simulation clock (``env.now``) and a pluggable
-event scheduler (:mod:`repro.des.queues`) ordering scheduled events by
-``(time, priority, sequence)`` — a calendar queue by default, selectable
-via ``REPRO_DES_QUEUE={heap,calendar,ladder}``; every implementation
-pops in the identical total order.  Model code creates events through
-the factory methods (:meth:`timeout`, :meth:`process`, :meth:`event`,
-...) and drives the simulation with :meth:`run`.
+The environment owns the simulation clock (``env.now``) and one event
+scheduler (:class:`~repro.des.queues.AutoScheduler`) ordering scheduled
+events by ``(time, priority, sequence)``: a binary heap while the
+schedule is shallow, promoted once to a calendar queue when it deepens.
+Model code creates events through the factory methods (:meth:`timeout`,
+:meth:`hold`, :meth:`process`, :meth:`event`, ...) and drives the
+simulation with :meth:`run`.  There is one kernel path: holds and
+recycled timeouts are always on.
 
 Time is a plain ``float``; this package uses **microseconds** throughout
 the ROCC model, but the kernel itself is unit-agnostic.
@@ -39,7 +40,7 @@ from .exceptions import (
     SimulationStalled,
     StopSimulation,
 )
-from .queues import make_scheduler
+from .queues import AutoScheduler
 
 __all__ = ["Environment", "Infinity"]
 
@@ -50,15 +51,9 @@ Infinity: float = float("inf")
 _POOL_LIMIT = 256
 
 
-def _fastpath_enabled() -> bool:
-    """Read the ``REPRO_DES_FASTPATH`` escape hatch (default: on).
-
-    Checked once per :class:`Environment`, so tests can flip the
-    variable between runs to compare the generic and fast kernels.
-    """
-    return os.environ.get("REPRO_DES_FASTPATH", "1").strip().lower() not in (
-        "0", "off", "false", "no",
-    )
+#: Variables that used to select a kernel path or an event scheduler.
+#: Setting one now raises instead of being silently ignored.
+_REMOVED_VARIABLES = ("REPRO_DES_FASTPATH", "REPRO_DES_QUEUE")
 
 
 #: The one callback the recycler accepts: a bound ``Process._resume``.
@@ -75,19 +70,22 @@ class Environment:
     """
 
     def __init__(self, initial_time: float = 0.0):
+        for var in _REMOVED_VARIABLES:
+            if var in os.environ:
+                raise ValueError(
+                    f"{var} was removed: the kernel has one path and one "
+                    f"scheduler policy; unset {var}"
+                )
         self._now: float = float(initial_time)
-        #: The event scheduler (``REPRO_DES_QUEUE`` selects the
-        #: implementation); ``_push`` and ``_pop`` are its bound enqueue
-        #: and dequeue, cached so the hot paths pay one attribute load,
-        #: not two.
-        self._scheduler = make_scheduler()
+        #: The event scheduler; ``_push`` and ``_pop`` are the bound
+        #: enqueue and dequeue of the implementation serving it, cached
+        #: so the hot paths pay one attribute load, not two.  ``bind``
+        #: gives the scheduler the back-reference it needs to re-point
+        #: them when it promotes.
+        self._scheduler = AutoScheduler()
         self._push = self._scheduler.push
         self._pop = self._scheduler.pop
-        # The auto scheduler re-points the cached ``_push``/``_pop`` at
-        # its serving implementation; give it the back-reference.
-        bind = getattr(self._scheduler, "bind", None)
-        if bind is not None:
-            bind(self)
+        self._scheduler.bind(self)
         self._eid = count()
         self._active_proc: Optional[Process] = None
         #: Optional observers invoked as ``tracer(event, now)`` for every
@@ -95,9 +93,6 @@ class Environment:
         #: plain list checked with one truthiness test so the untraced
         #: hot path stays cheap.
         self._tracers: List = []
-        #: ``REPRO_DES_FASTPATH=0`` disables holds and event recycling,
-        #: restoring the generic kernel (the equivalence-test baseline).
-        self._fastpath: bool = _fastpath_enabled()
         # Free lists for recycled Hold / Timeout objects.  An object is
         # only ever recycled once it has been popped and fully processed,
         # so nothing can observe a pooled instance.
@@ -152,9 +147,9 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create a :class:`Timeout` firing after *delay* time units.
 
-        On the fast path the instance may come from a free list of
-        recycled timeouts (state fully reset); the observable behaviour
-        is identical to a freshly constructed :class:`Timeout`.
+        The instance may come from a free list of recycled timeouts
+        (state fully reset); the observable behaviour is identical to a
+        freshly constructed :class:`Timeout`.
         """
         pool = self._timeout_pool
         if not pool:
@@ -181,10 +176,10 @@ class Environment:
         :meth:`timeout` when the event itself is needed.
 
         Falls back to a real :class:`Timeout` when called outside a
-        process or when ``REPRO_DES_FASTPATH=0``.
+        process.
         """
         proc = self._active_proc
-        if proc is None or not self._fastpath:
+        if proc is None:
             return self.timeout(delay)
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
@@ -263,7 +258,7 @@ class Environment:
             # list is empty after an interrupt detach): such a timeout can
             # never be re-inspected, unlike condition constituents whose
             # values are read after processing.
-            if self._fastpath and len(self._timeout_pool) < _POOL_LIMIT:
+            if len(self._timeout_pool) < _POOL_LIMIT:
                 for cb in callbacks:
                     if getattr(cb, "__func__", None) is not _PROCESS_RESUME:
                         return
@@ -376,7 +371,6 @@ class Environment:
         tracers = self._tracers  # mutated in place by add/remove_tracer
         hold_pool = self._hold_pool
         timeout_pool = self._timeout_pool
-        fastpath = self._fastpath
         resume = _PROCESS_RESUME
         hold_cls = Hold
         timeout_cls = Timeout
@@ -418,7 +412,7 @@ class Environment:
             for callback in callbacks:
                 callback(event)
             if cls is timeout_cls:
-                if fastpath and len(timeout_pool) < pool_limit:
+                if len(timeout_pool) < pool_limit:
                     for cb in callbacks:
                         if getattr(cb, "__func__", None) is not resume:
                             break
@@ -436,7 +430,7 @@ class Environment:
         blocked: List[str] = []
         for _, _, _, event in self._scheduler.smallest(16):
             if type(event) is Hold:
-                # Fast-path holds carry the parked process directly
+                # Holds carry the parked process directly
                 # instead of a callbacks list.
                 proc = event.proc
                 if proc is not None and proc.name not in blocked:

@@ -1,16 +1,18 @@
-"""Pluggable event schedulers for the DES kernel.
+"""The DES kernel's event scheduler: one policy, two phases.
 
 The kernel orders scheduled events by ``(time, priority, sequence)``;
 the sequence id is unique and monotone, so that triple is a *total*
 order and any correct priority queue yields the exact same pop order.
-That is the contract every scheduler here honours, which is why
-``REPRO_DES_QUEUE`` can swap implementations without changing a single
-simulation result (verified by ``differential.event_queue``).
+That is why the scheduler can change its data structure mid-run without
+changing a single simulation result (verified by
+``differential.event_queue``).
 
-Three implementations:
+Every :class:`~repro.des.core.Environment` runs on an
+:class:`AutoScheduler`, which is built from the two phases below:
 
 * :class:`HeapScheduler` — the classic binary heap (``heapq``).  O(log n)
-  per operation but C-implemented; the reference semantics.
+  per operation but C-implemented; the reference semantics and the
+  test oracle.
 * :class:`CalendarQueue` — Brown's calendar queue (CACM 1988) with lazy
   bucket sorting: pushes append to unsorted buckets in O(1); a bucket is
   sorted once, when its time window becomes current, into a *run* list
@@ -18,14 +20,11 @@ Three implementations:
   zero-delay ``succeed()``) are insorted into the short run.  Bucket
   count resizes with occupancy and the bucket width adapts to the
   observed inter-event gap, giving amortized O(1) enqueue/dequeue.
-* :class:`LadderQueue` — a ladder-queue-style two-level lazy structure
-  for skewed schedules: an unsorted *top* collects far-future events and
-  is sorted in bounded rungs only when the sorted *bottom* run drains.
-* :class:`AutoScheduler` — the default: starts on the heap (fastest on
+* :class:`AutoScheduler` — the policy: starts on the heap (fastest on
   near-empty schedules) and promotes, once, to a calendar queue when the
-  schedule depth crosses a threshold.  The promotion is a one-way latch,
-  so oscillating occupancy cannot thrash, and it provably preserves the
-  pop order.
+  schedule depth crosses ``_PROMOTE_AT``.  The promotion is a one-way
+  latch, so oscillating occupancy cannot thrash, and it provably
+  preserves the pop order.
 
 All per-operation bookkeeping is kept off the hot path: only a single
 counter increments on push, dequeues are derived (``enqueues − len``),
@@ -38,23 +37,17 @@ wait queues outside the kernel (``des.resources``): a heap of
 
 from __future__ import annotations
 
-import os
 from bisect import insort
 from heapq import heappop, heappush, nsmallest
 from itertools import count
 from math import inf
-from typing import Any, Iterator, List, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 __all__ = [
     "HeapScheduler",
     "CalendarQueue",
-    "LadderQueue",
     "AutoScheduler",
     "TieBreakingHeap",
-    "SCHEDULERS",
-    "DEFAULT_QUEUE",
-    "scheduler_name_from_env",
-    "make_scheduler",
 ]
 
 #: A scheduled entry: ``(time, priority, sequence, event)``.
@@ -73,12 +66,12 @@ _SPREAD = 32.0
 #: below-horizon insorts and keeps gap samples flowing even when a
 #: mis-sized window holds thousands of events.
 _MAX_RUN = 1024
-#: Largest sorted run the ladder queue serves at once (one "rung").
-_LADDER_RUNG = 4096
 #: Schedule depth at which :class:`AutoScheduler` promotes its heap to a
 #: calendar queue.  Below this, C-implemented ``heapq`` beats Python
 #: bucket math (the near-empty regression BENCH_DES.json documents);
-#: above it the calendar's amortized O(1) wins.
+#: above it the calendar's amortized O(1) wins.  Read when an
+#: :class:`AutoScheduler` is built, so ``differential.event_queue`` can
+#: pin a heap-only or calendar-only run without a public switch.
 _PROMOTE_AT = 512
 
 
@@ -434,95 +427,6 @@ class CalendarQueue:
         self._cur = cur - 1
 
 
-class LadderQueue:
-    """Two-level lazy queue for skewed schedules (ladder-queue style).
-
-    Far-future pushes append to an unsorted *top*; when the sorted
-    *bottom* run drains, the top is sorted and the next rung (at most
-    ``_LADDER_RUNG`` entries) becomes the new bottom.  The sorted
-    leftover stays in the top, where Timsort re-sorts it in linear time
-    on the next spawn.  Each entry is therefore fully sorted roughly
-    once, regardless of how lopsided the schedule is.
-    """
-
-    name = "ladder"
-
-    __slots__ = ("_bottom", "_idx", "_top", "enqueues", "resizes",
-                 "max_bucket")
-
-    def __init__(self) -> None:
-        self._bottom: List[Entry] = []
-        self._idx = 0
-        self._top: List[Entry] = []
-        self.enqueues = 0
-        self.resizes = 0
-        self.max_bucket = 0
-
-    def push(self, entry: Entry) -> None:
-        self.enqueues += 1
-        bottom = self._bottom
-        if self._idx < len(bottom) and entry < bottom[-1]:
-            # Below the bottom's horizon: keep the active run sorted.
-            insort(bottom, entry, self._idx)
-        else:
-            self._top.append(entry)
-
-    def pop(self) -> Entry:
-        idx = self._idx
-        bottom = self._bottom
-        if idx >= len(bottom):
-            if not self._top:
-                raise IndexError("pop from an empty schedule")
-            self._spawn()
-            bottom = self._bottom
-            idx = 0
-        self._idx = idx + 1
-        return bottom[idx]
-
-    def peek_time(self) -> float:
-        if self._idx < len(self._bottom):
-            return self._bottom[self._idx][0]
-        if not self._top:
-            return inf
-        self._spawn()
-        return self._bottom[0][0]
-
-    def __len__(self) -> int:
-        return len(self._bottom) - self._idx + len(self._top)
-
-    def __iter__(self) -> Iterator[Entry]:
-        yield from self._bottom[self._idx:]
-        yield from self._top
-
-    def smallest(self, k: int) -> List[Entry]:
-        """The *k* earliest entries, in order (diagnostics only)."""
-        return nsmallest(k, iter(self))
-
-    def stats(self) -> dict:
-        return {
-            "impl": self.name,
-            "enqueues": self.enqueues,
-            "dequeues": self.enqueues - len(self),
-            "resizes": self.resizes,
-            "max_bucket": self.max_bucket,
-        }
-
-    # -- internals ------------------------------------------------------
-    def _spawn(self) -> None:
-        self.resizes += 1
-        top = self._top
-        top.sort()
-        if len(top) > _LADDER_RUNG:
-            self._bottom = top[:_LADDER_RUNG]
-            self._top = top[_LADDER_RUNG:]
-        else:
-            self._bottom = top
-            self._top = []
-        self._idx = 0
-        if len(self._bottom) > self.max_bucket:
-            self.max_bucket = len(self._bottom)
-
-
 class AutoScheduler:
     """Occupancy-adaptive scheduler: heap first, calendar once deep.
 
@@ -553,10 +457,10 @@ class AutoScheduler:
     __slots__ = ("_impl", "_env", "promote_at", "promotions",
                  "_enq_offset", "_deq_offset")
 
-    def __init__(self, promote_at: int = _PROMOTE_AT) -> None:
+    def __init__(self, promote_at: Optional[int] = None) -> None:
         self._impl = HeapScheduler()
         self._env = None
-        self.promote_at = promote_at
+        self.promote_at = _PROMOTE_AT if promote_at is None else promote_at
         self.promotions = 0
         self._enq_offset = 0
         self._deq_offset = 0
@@ -652,32 +556,3 @@ class TieBreakingHeap:
     def __bool__(self) -> bool:
         return bool(self._entries)
 
-
-SCHEDULERS = {
-    "heap": HeapScheduler,
-    "calendar": CalendarQueue,
-    "ladder": LadderQueue,
-    "auto": AutoScheduler,
-}
-
-#: The kernel's default event queue: heap while shallow, calendar once
-#: deep (see :class:`AutoScheduler`).
-DEFAULT_QUEUE = "auto"
-
-
-def scheduler_name_from_env() -> str:
-    """Resolve ``REPRO_DES_QUEUE`` (default: :data:`DEFAULT_QUEUE`)."""
-    name = os.environ.get("REPRO_DES_QUEUE", "").strip().lower()
-    if not name:
-        return DEFAULT_QUEUE
-    if name not in SCHEDULERS:
-        raise ValueError(
-            f"REPRO_DES_QUEUE={name!r} is not one of "
-            f"{sorted(SCHEDULERS)}"
-        )
-    return name
-
-
-def make_scheduler(name: str = None):
-    """Instantiate the scheduler *name* (or the environment's choice)."""
-    return SCHEDULERS[name or scheduler_name_from_env()]()

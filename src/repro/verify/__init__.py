@@ -14,8 +14,8 @@ Three pillars:
 * :mod:`repro.verify.oplaws` — utilization law / Little's law /
   analytic-model cross-checks with tolerance bands;
 * :mod:`repro.verify.differential` — flipped-knob re-execution
-  (fast path, watchdog, worker pool, cell cache, flush no-op) with
-  field-by-field result diffs.
+  (watchdog, worker pool, cell cache, flush no-op, event scheduler
+  phases, parallel kernel, planner) with field-by-field result diffs.
 
 :mod:`repro.verify.properties` adds Hypothesis-generated random
 configurations over all of the above.
@@ -34,7 +34,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "check_against_analytic": "oplaws",
     "diff_results": "differential",
     "differential_checks": "differential",
-    "check_fastpath": "differential",
     "check_watchdog": "differential",
     "check_workers": "differential",
     "check_cache": "differential",

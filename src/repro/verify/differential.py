@@ -3,8 +3,6 @@
 The simulator carries several knobs that change *how* a run executes
 but promise not to change *what* it computes:
 
-* ``REPRO_DES_FASTPATH`` — the DES kernel's hold/pooling/inline fast
-  path vs the generic event loop;
 * the kernel watchdog — ``max_events`` forces the ``step()`` loop
   instead of the inlined ``_run_inner``;
 * engine workers — process-pool scheduling vs the serial loop;
@@ -14,9 +12,11 @@ but promise not to change *what* it computes:
 * the engine's failure machinery — armed retries, a generous per-cell
   deadline and a run journal around a run that needs none of them
   must leave it untouched, and a journal resume must replay it exactly;
-* ``REPRO_DES_QUEUE`` — the calendar/ladder event schedulers vs the
-  reference binary heap (the schedule key is a total order, so every
-  correct priority queue must pop the identical sequence);
+* the event scheduler's two phases — a run served by the calendar queue
+  from its first event, and the default run (heap, promoted to the
+  calendar at depth 512), vs a run kept on the reference binary heap
+  (the schedule key is a total order, so every correct priority queue
+  must pop the identical sequence);
 * ``REPRO_DES_PARALLEL`` / ``lp_workers`` — the partitioned parallel
   kernel vs the sequential kernel (bit-identical up to a handful of
   re-associated float sums), including its sequential fallback on
@@ -29,12 +29,11 @@ is a :class:`~repro.verify.report.Violation` naming the field.
 
 from __future__ import annotations
 
-import os
 import tempfile
 from dataclasses import fields
-from math import isnan
+from math import inf, isnan
 from pathlib import Path
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from ..experiments.engine import CellCache, ExperimentEngine
 from ..rocc.config import (
@@ -44,12 +43,11 @@ from ..rocc.config import (
     SimulationConfig,
 )
 from ..rocc.metrics import SimulationResults
-from ..rocc.system import simulate
+from ..rocc.system import ParadynISSystem, simulate
 from .report import Violation
 
 __all__ = [
     "diff_results",
-    "check_fastpath",
     "check_watchdog",
     "check_workers",
     "check_cache",
@@ -99,33 +97,6 @@ def _diff_violation(invariant: str, config: SimulationConfig,
         detail=f"{what} changed the results: {shown}{more}",
         subject=_subject(config),
     )
-
-
-def _simulate_with_env(config: SimulationConfig, var: str,
-                       value: str) -> SimulationResults:
-    """Run one simulation with an environment knob pinned, then restore."""
-    old = os.environ.get(var)
-    os.environ[var] = value
-    try:
-        return simulate(config)
-    finally:
-        if old is None:
-            os.environ.pop(var, None)
-        else:
-            os.environ[var] = old
-
-
-def check_fastpath(config: SimulationConfig) -> List[Violation]:
-    """Fast-path kernel vs the generic kernel: bit-identical results."""
-    fast = _simulate_with_env(config, "REPRO_DES_FASTPATH", "1")
-    generic = _simulate_with_env(config, "REPRO_DES_FASTPATH", "0")
-    diffs = diff_results(fast, generic)
-    if diffs:
-        return [_diff_violation(
-            "differential.fastpath", config, diffs,
-            "REPRO_DES_FASTPATH=0 vs 1",
-        )]
-    return []
 
 
 def check_watchdog(config: SimulationConfig) -> List[Violation]:
@@ -265,44 +236,70 @@ def check_resilient_engine(
     return out
 
 
+def _run_with_promotion(
+    config: SimulationConfig, promote_at: Optional[float] = None,
+) -> Tuple[SimulationResults, str]:
+    """One sequential run whose scheduler promotes at depth *promote_at*.
+
+    The scheduler reads ``queues._PROMOTE_AT`` when the environment is
+    built, so pinning it around construction selects a heap-only
+    (``inf``) or a calendar-from-the-first-push (``1``) run; ``None``
+    keeps the default.  Returns the results and the implementation that
+    served the end of the run.
+    """
+    from ..des import queues
+
+    old = queues._PROMOTE_AT
+    if promote_at is not None:
+        queues._PROMOTE_AT = promote_at
+    try:
+        system = ParadynISSystem(config)
+    finally:
+        queues._PROMOTE_AT = old
+    return system.run(), system.env.scheduler.stats()["impl"]
+
+
 def check_event_queue(config: SimulationConfig) -> List[Violation]:
-    """Pluggable event schedulers are interchangeable.
+    """The scheduler's heap and calendar phases are interchangeable.
 
     The kernel's schedule entry is ``(time, priority, seq, event)`` with
     a monotone unique ``seq``, so the comparison key is a *total* order
     and any correct priority queue must pop entries in exactly the same
-    sequence.  This check runs the same configuration under
-    ``REPRO_DES_QUEUE=heap`` (the reference binary heap), ``calendar``,
-    ``ladder``, and ``auto`` (heap promoting to calendar mid-run) and
-    requires bit-identical results.
+    sequence.  This check runs the configuration on the heap alone (the
+    reference), on the calendar queue from the first push, and under
+    the default policy, and requires bit-identical results.  The forced
+    run must end on the calendar: small configurations never reach the
+    promotion depth, so without it the check would compare the heap
+    with itself.
 
-    Beyond the plain run it repeats the calendar-vs-heap comparison
-    under the watchdog ``step()`` loop, whose dispatch differs from the
-    plain run loop's.
+    The heap/calendar pair is repeated under the watchdog ``step()``
+    loop, which dequeues through the scheduler rather than the cached
+    ``pop`` of the plain run loop.
     """
     out: List[Violation] = []
 
-    # Plain run: all three implementations against the heap reference.
-    ref = _simulate_with_env(config, "REPRO_DES_QUEUE", "heap")
-    for name in ("calendar", "ladder", "auto"):
-        alt = _simulate_with_env(config, "REPRO_DES_QUEUE", name)
+    def compare(cfg: SimulationConfig, ref: SimulationResults,
+                promote_at: Optional[float], what: str) -> None:
+        alt, impl = _run_with_promotion(cfg, promote_at)
         diffs = diff_results(ref, alt)
         if diffs:
             out.append(_diff_violation(
-                "differential.event_queue", config, diffs,
-                f"REPRO_DES_QUEUE={name} vs heap",
+                "differential.event_queue", cfg, diffs, f"{what} vs the heap",
+            ))
+        if promote_at == 1 and impl != "auto(calendar)":
+            out.append(Violation(
+                invariant="differential.event_queue",
+                detail=f"{what} ended on {impl}: the calendar went unchecked",
+                subject=_subject(cfg),
             ))
 
-    # Watchdog variant: default impl vs heap.
-    cfg = config.with_(max_events=1_000_000_000)
-    ref = _simulate_with_env(cfg, "REPRO_DES_QUEUE", "heap")
-    alt = _simulate_with_env(cfg, "REPRO_DES_QUEUE", "calendar")
-    diffs = diff_results(ref, alt)
-    if diffs:
-        out.append(_diff_violation(
-            "differential.event_queue", cfg, diffs,
-            "REPRO_DES_QUEUE=calendar vs heap under the watchdog",
-        ))
+    ref, _ = _run_with_promotion(config, inf)
+    compare(config, ref, 1, "the calendar queue from the first push")
+    compare(config, ref, None, "the default scheduler")
+
+    watched = config.with_(max_events=1_000_000_000)
+    ref, _ = _run_with_promotion(watched, inf)
+    compare(watched, ref, 1, "the calendar queue under the watchdog")
     return out
 
 
@@ -470,7 +467,6 @@ def differential_checks(
 ) -> List[Violation]:
     """Every differential check for one configuration."""
     out: List[Violation] = []
-    out.extend(check_fastpath(config))
     out.extend(check_watchdog(config))
     out.extend(check_cache(config))
     out.extend(check_bf_flush_noop(config))

@@ -3,9 +3,7 @@
 Hypothesis generates small-but-varied :class:`SimulationConfig`\\ s —
 across architectures, batching policies, warmup, and pipe sizes — and
 every generated run must satisfy the structural invariants
-of :mod:`repro.verify.invariants`.  A second property pins the DES
-fast-path equivalence on random configs rather than the hand-picked
-ones in the test suite.
+of :mod:`repro.verify.invariants`.
 
 The strategies deliberately keep runs short (≤ 1 simulated second) so a
 property pass stays interactive; the point is breadth of the config
@@ -20,7 +18,6 @@ from hypothesis import given, seed as hyp_seed, settings, strategies as st
 
 from ..rocc.config import Architecture, ForwardingTopology, SimulationConfig
 from ..rocc.system import simulate
-from .differential import check_fastpath
 from .invariants import audit_results
 from .report import Violation
 
@@ -75,13 +72,12 @@ def simulation_configs(draw) -> SimulationConfig:
 def run_property_checks(
     seed: int = 0,
     max_examples: int = 25,
-    fastpath_examples: int = 5,
 ) -> List[Violation]:
-    """Run the Hypothesis properties programmatically (CLI entry).
+    """Run the Hypothesis invariant property programmatically (CLI entry).
 
-    Returns the violations found (first counterexample per property);
-    the pytest suite in ``tests/verify`` runs the same properties with
-    shrinking and the counterexample database.
+    Returns the violations found (the first counterexample); the pytest
+    suite in ``tests/verify`` runs the same property with shrinking and
+    the counterexample database.
     """
     found: List[Violation] = []
 
@@ -93,25 +89,13 @@ def run_property_checks(
         violations = audit_results(simulate(config), config)
         assert not violations, "; ".join(str(v) for v in violations)
 
-    @hyp_seed(seed)
-    @settings(max_examples=fastpath_examples, deadline=None, database=None,
-              print_blob=False)
-    @given(config=simulation_configs())
-    def fastpath_equivalent(config: SimulationConfig) -> None:
-        violations = check_fastpath(config)
-        assert not violations, "; ".join(str(v) for v in violations)
-
-    for name, prop in (
-        ("property.invariants", invariants_hold),
-        ("property.fastpath", fastpath_equivalent),
-    ):
-        try:
-            prop()
-        except Exception as exc:  # counterexample OR a crash mid-run
-            first = str(exc).splitlines()[0] if str(exc) else type(exc).__name__
-            found.append(Violation(
-                invariant=name,
-                detail=f"{type(exc).__name__}: {first}",
-                subject="hypothesis counterexample",
-            ))
+    try:
+        invariants_hold()
+    except Exception as exc:  # counterexample OR a crash mid-run
+        first = str(exc).splitlines()[0] if str(exc) else type(exc).__name__
+        found.append(Violation(
+            invariant="property.invariants",
+            detail=f"{type(exc).__name__}: {first}",
+            subject="hypothesis counterexample",
+        ))
     return found

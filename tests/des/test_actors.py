@@ -85,8 +85,7 @@ def test_run_loop_serves_promoted_calendar_pop_directly(monkeypatch):
     loop — the calendar's.  The facade's delegate is never called."""
     env = Environment()
     sched = env.scheduler
-    if not isinstance(sched, AutoScheduler):
-        pytest.skip("default queue overridden")
+    assert isinstance(sched, AutoScheduler)
     assert env._pop.__self__ is sched._impl  # the heap, before promotion
 
     def delegate(self):

@@ -1,11 +1,11 @@
-"""Fast-path kernel tests: holds, event pooling, and the escape hatch.
+"""Kernel fast-path tests: holds and event pooling.
 
 The optimizations under test here (``Environment.hold``, the Hold and
 Timeout free lists, the inlined ``_run_inner`` dispatch loop) promise
-*exact* equivalence with the generic kernel — same event order, same
-clock, same values — so most tests assert behaviour identical to a
-plain-timeout formulation, plus the object-identity facts (recycling)
-that make the fast path fast.
+*exact* equivalence with a plain-timeout formulation — same event
+order, same clock, same values — so most tests assert behaviour
+identical to one, plus the object-identity facts (recycling) that make
+the fast path fast.
 """
 
 import pytest
@@ -252,55 +252,38 @@ def test_stalled_watchdog_names_processes_parked_on_holds(env):
 
 
 # ----------------------------------------------------------------------
-# Escape hatch
+# Equivalence with the plain-timeout reference
 # ----------------------------------------------------------------------
-def test_fastpath_escape_hatch(monkeypatch):
-    monkeypatch.setenv("REPRO_DES_FASTPATH", "0")
-    env = Environment()
-    assert not env._fastpath
-    seen = []
-
-    def proc(env):
-        ev = env.hold(10)
-        seen.append(ev)
-        yield ev
-        first = env.timeout(1)
-        yield first
-        second = env.timeout(1)
-        yield second
-        assert second is not first  # no recycling on the generic path
-
-    env.process(proc(env))
-    env.run()
-    assert isinstance(seen[0], Timeout)  # hold degraded to a timeout
-    assert env._timeout_pool == []
-    assert env._hold_pool == []
-    assert env.now == 12.0
-
-
-def test_fastpath_and_generic_produce_identical_traces(monkeypatch):
-    """The same model stepped under both kernels yields the same event
-    history (kind, time) and final state."""
+def test_fastpath_and_generic_produce_identical_traces():
+    """The same model written with ``hold`` and with ``timeout`` yields
+    the same event history (kind, time), the same wake-up order (ties
+    included) and final state, and matches the reference kernel (every
+    hold a timeout, nothing recycled)."""
     from repro.des import EventLog
 
-    def model(env):
-        def app(env, period, n):
+    from ..kernel_reference import run_both
+
+    def model(sleep):
+        env = Environment()
+        woke = []
+
+        def app(env, tag, period, n):
             for _ in range(n):
-                yield env.hold(period)
+                yield sleep(env, period)
+                woke.append((env.now, tag))
 
         def poller(env):
             while True:
                 yield env.timeout(7.0)
+                woke.append((env.now, "poller"))
 
-        env.process(app(env, 3.0, 10), name="app")
-        env.process(app(env, 5.0, 6), name="app2")
-        env.process(poller(env), name="poller")
+        env.process(app(env, "app", 3.0, 10))
+        env.process(app(env, "app2", 5.0, 6))
+        env.process(poller(env))
         with EventLog(env) as log:
             env.run(until=30.0)
-        return [(e.time, e.kind) for e in log.entries], env.now
+        return [(e.time, e.kind) for e in log.entries], woke, env.now
 
-    monkeypatch.setenv("REPRO_DES_FASTPATH", "1")
-    fast = model(Environment())
-    monkeypatch.setenv("REPRO_DES_FASTPATH", "0")
-    generic = model(Environment())
-    assert fast == generic
+    held, reference, calls = run_both(lambda: model(Environment.hold))
+    assert calls > 0
+    assert held == reference == model(Environment.timeout)

@@ -1,8 +1,9 @@
-"""Pluggable kernel schedulers: pop-order identity with the heap oracle.
+"""Kernel scheduler phases: pop-order identity with the heap oracle.
 
-The schedule key ``(time, priority, seq)`` is a total order, so every
-correct scheduler must pop the exact same sequence as ``heapq``.  The
-fuzz here drives each implementation against a shadow heap through
+The schedule key ``(time, priority, seq)`` is a total order, so the
+heap, the calendar queue and the auto scheduler that promotes from one
+to the other must pop the exact same sequence as ``heapq``.  The fuzz
+here drives each implementation against a shadow heap through
 adversarial interleavings; the width/multiple grid deliberately lands
 event times *exactly* on bucket-window edges computed in float
 arithmetic — the calendar-queue misrouting class where ``int(t/width)``
@@ -16,16 +17,21 @@ from math import inf
 
 import pytest
 
+import repro.des.queues as queues
 from repro.des import Environment
 from repro.des.queues import (
-    DEFAULT_QUEUE,
-    SCHEDULERS,
     AutoScheduler,
     CalendarQueue,
+    HeapScheduler,
     TieBreakingHeap,
-    make_scheduler,
-    scheduler_name_from_env,
 )
+
+#: Every scheduler class, keyed by the ``impl`` name its stats report.
+IMPLS = {
+    "heap": HeapScheduler,
+    "calendar": CalendarQueue,
+    "auto": AutoScheduler,
+}
 
 
 def _drive(sched, rng, ops, gaps):
@@ -58,7 +64,7 @@ def _drive(sched, rng, ops, gaps):
         sched.pop()
 
 
-@pytest.mark.parametrize("name", sorted(SCHEDULERS))
+@pytest.mark.parametrize("name", sorted(IMPLS))
 def test_pop_order_matches_heap_oracle(name):
     def gaps(rng):
         return rng.choice((
@@ -67,7 +73,7 @@ def test_pop_order_matches_heap_oracle(name):
         ))
 
     for seed in range(20):
-        _drive(SCHEDULERS[name](), random.Random(seed), 500, gaps)
+        _drive(IMPLS[name](), random.Random(seed), 500, gaps)
 
 
 @pytest.mark.parametrize("width", [1.0, 100.0 / 22.0, 0.1, 3.0, 1e4])
@@ -111,7 +117,7 @@ def test_calendar_resize_keeps_order():
 
 
 def test_stats_shape_and_counts():
-    for name, cls in SCHEDULERS.items():
+    for name, cls in IMPLS.items():
         sched = cls()
         for i in range(10):
             sched.push((float(i), 0, i, None))
@@ -131,7 +137,7 @@ def test_stats_shape_and_counts():
 
 
 def test_smallest_and_peek():
-    for cls in SCHEDULERS.values():
+    for cls in IMPLS.values():
         sched = cls()
         assert sched.peek_time() == inf
         for i, t in enumerate((5.0, 1.0, 3.0, inf)):
@@ -188,8 +194,6 @@ def test_auto_rebinds_environment_push():
     directly — the delegation tax is paid only while shallow."""
     env = Environment()
     sched = env.scheduler
-    if sched.name != "auto":
-        pytest.skip("default queue overridden")
     assert env._push.__self__ is sched
     for i in range(sched.promote_at + 8):
         env.schedule(Environment.event(env), delay=float(i))
@@ -218,46 +222,42 @@ def test_tie_breaking_heap_is_fifo_and_never_compares_items():
     assert not heap
 
 
-def test_env_selection(monkeypatch):
-    monkeypatch.delenv("REPRO_DES_QUEUE", raising=False)
-    assert scheduler_name_from_env() == DEFAULT_QUEUE
-    for name in SCHEDULERS:
-        monkeypatch.setenv("REPRO_DES_QUEUE", name)
-        assert scheduler_name_from_env() == name
-        assert make_scheduler().name == name
-        assert Environment().scheduler.name == name
-    monkeypatch.setenv("REPRO_DES_QUEUE", "bogus")
-    with pytest.raises(ValueError, match="bogus"):
-        scheduler_name_from_env()
-
-
-@pytest.mark.parametrize("name", sorted(SCHEDULERS))
+@pytest.mark.parametrize("name", sorted(IMPLS))
 def test_kernel_run_identical_across_schedulers(name, monkeypatch):
-    """A small model produces the same trajectory on every scheduler."""
-    monkeypatch.setenv("REPRO_DES_QUEUE", name)
-    env = Environment()
-    log = []
+    """A small model follows the same trajectory on a default
+    environment (``auto``), on one promoted to the calendar queue at its
+    first push, and on one pinned to the heap, as on the heap-pinned
+    reference."""
+    promote_at = {"heap": inf, "calendar": 1, "auto": queues._PROMOTE_AT}
 
-    def ticker(env, period, tag):
-        while env.now < 50.0:
-            yield env.timeout(period)
-            log.append((env.now, tag))
+    def trajectory(promote_at):
+        monkeypatch.setattr(queues, "_PROMOTE_AT", promote_at)
+        env = Environment()
+        log = []
 
-    env.process(ticker(env, 3.0, "a"))
-    env.process(ticker(env, 7.0, "b"))
-    env.run(until=50.0)
+        def ticker(env, period, tag):
+            while env.now < 50.0:
+                yield env.timeout(period)
+                log.append((env.now, tag))
+
+        env.process(ticker(env, 3.0, "a"))
+        env.process(ticker(env, 7.0, "b"))
+        env.run(until=50.0)
+        return log, env.scheduler.stats()["impl"]
+
+    log, impl = trajectory(promote_at[name])
+    assert impl == ("auto(calendar)" if name == "calendar" else "auto(heap)")
     assert log == sorted(log, key=lambda x: x[0])
-    # Same trajectory as the reference heap.
-    monkeypatch.setenv("REPRO_DES_QUEUE", "heap")
-    env2 = Environment()
-    ref = []
-
-    def ticker2(env, period, tag):
-        while env.now < 50.0:
-            yield env.timeout(period)
-            ref.append((env.now, tag))
-
-    env2.process(ticker2(env2, 3.0, "a"))
-    env2.process(ticker2(env2, 7.0, "b"))
-    env2.run(until=50.0)
+    ref, _ = trajectory(inf)
     assert log == ref
+
+
+@pytest.mark.parametrize("var", ["REPRO_DES_FASTPATH", "REPRO_DES_QUEUE"])
+def test_removed_variables_raise(var, monkeypatch):
+    """The variables that once selected a kernel path or a scheduler
+    are rejected by name rather than silently ignored."""
+    monkeypatch.setenv(var, "heap")
+    with pytest.raises(ValueError, match=f"{var} was removed"):
+        Environment()
+    monkeypatch.delenv(var)
+    assert Environment().scheduler.stats()["impl"] == "auto(heap)"

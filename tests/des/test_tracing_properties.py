@@ -9,15 +9,12 @@ For any workload and any retention ``limit`` — including the degenerate
   (counted independently by an :class:`EventCounter`);
 * at most ``limit`` entries are retained.
 
-Both kernel paths are exercised: the fast path (holds, event pooling)
-and the generic loop (``REPRO_DES_FASTPATH=0``).  The knob is read per
-:class:`Environment`, so it is flipped around each construction.
+The workload is written both with ``hold`` (pooled entries resumed
+directly) and with ``timeout`` (recycled events resumed through
+callbacks), so both sleep paths feed the tracers.
 """
 
 from __future__ import annotations
-
-import os
-from contextlib import contextmanager
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,26 +23,12 @@ from repro.des import Environment
 from repro.des.tracing import EventCounter, EventLog
 
 
-@contextmanager
-def _fastpath(enabled: bool):
-    # Hypothesis shares one example context across its shrink loop, so
-    # monkeypatch fixtures don't compose with @given; set the variable
-    # directly and restore it whatever happens.
-    prev = os.environ.get("REPRO_DES_FASTPATH")
-    os.environ["REPRO_DES_FASTPATH"] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_DES_FASTPATH", None)
-        else:
-            os.environ["REPRO_DES_FASTPATH"] = prev
+def _workload(env: Environment, delays_per_proc, hold: bool = True) -> None:
+    sleep = env.hold if hold else env.timeout
 
-
-def _workload(env: Environment, delays_per_proc) -> None:
     def proc(delays):
         for d in delays:
-            yield env.hold(d)
+            yield sleep(d)
 
     for delays in delays_per_proc:
         env.process(proc(delays))
@@ -61,19 +44,18 @@ def _workload(env: Environment, delays_per_proc) -> None:
         min_size=1, max_size=5,
     ),
     limit=st.one_of(st.none(), st.integers(min_value=0, max_value=30)),
-    fastpath=st.booleans(),
+    hold=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
 def test_eventlog_conservation_and_monotonicity(
-    delays_per_proc, limit, fastpath
+    delays_per_proc, limit, hold
 ) -> None:
-    with _fastpath(fastpath):
-        env = Environment()
-        _workload(env, delays_per_proc)
-        log = EventLog(env, limit=limit)
-        counter = EventCounter(env)
-        with log, counter:
-            env.run(until=10_000.0)
+    env = Environment()
+    _workload(env, delays_per_proc, hold)
+    log = EventLog(env, limit=limit)
+    counter = EventCounter(env)
+    with log, counter:
+        env.run(until=10_000.0)
 
     # Conservation: every processed event was retained or dropped.
     assert log.dropped + len(log.entries) == counter.total
@@ -105,14 +87,14 @@ def test_eventlog_limit_zero_drops_everything() -> None:
 
 
 def test_eventlog_equivalent_across_kernel_paths() -> None:
-    """The same workload yields the same trace under both kernels."""
+    """The same workload yields the same trace written with ``hold`` and
+    with ``timeout``."""
     traces = {}
-    for fastpath in (True, False):
-        with _fastpath(fastpath):
-            env = Environment()
-            _workload(env, [[5.0, 1.0], [2.0, 2.0, 2.0]])
-            log = EventLog(env)
-            with log:
-                env.run(until=1_000.0)
-        traces[fastpath] = [(e.time, e.kind) for e in log.entries]
+    for hold in (True, False):
+        env = Environment()
+        _workload(env, [[5.0, 1.0], [2.0, 2.0, 2.0]], hold)
+        log = EventLog(env)
+        with log:
+            env.run(until=1_000.0)
+        traces[hold] = [(e.time, e.kind) for e in log.entries]
     assert traces[True] == traces[False]

@@ -32,7 +32,7 @@ def test_run_verification_counts_sections():
     assert report.ok
     assert report.sections["invariants"] >= 5
     assert report.sections["oplaws"] >= 1
-    assert report.sections["differential"] == 9
+    assert report.sections["differential"] == 8
 
 
 def test_report_formatting():

@@ -5,15 +5,17 @@ import math
 
 import pytest
 
+from repro.des.queues import CalendarQueue
 from repro.rocc import SimulationConfig, simulate
 from repro.verify import (
     check_bf_flush_noop,
     check_cache,
-    check_fastpath,
+    check_event_queue,
     check_watchdog,
     check_workers,
     diff_results,
 )
+from repro.verify.cli import _differential_config
 
 
 @pytest.fixture(scope="module")
@@ -53,8 +55,28 @@ def test_diff_results_honors_ignore(small_results):
                         ignore=("samples_received",)) == []
 
 
-def test_fastpath_equivalence(small_config):
-    assert check_fastpath(small_config) == []
+def test_event_queue_equivalence(small_config):
+    assert check_event_queue(small_config) == []
+
+
+def test_event_queue_sees_planted_scheduler_fault(monkeypatch):
+    """A calendar queue that pops ties in inverted priority order breaks
+    the ``(time, priority, seq)`` contract; on the quick battery's
+    differential config (which never grows deep enough to promote by
+    itself) the check must see it in its forced calendar runs."""
+    config = _differential_config(quick=True, seed=0)
+    assert check_event_queue(config) == []
+    push = CalendarQueue.push
+
+    def inverted(self, entry):
+        time, priority, seq, event = entry
+        push(self, (time, -priority, seq, event))
+
+    monkeypatch.setattr(CalendarQueue, "push", inverted)
+    violations = check_event_queue(config)
+    assert violations
+    assert {v.invariant for v in violations} == {"differential.event_queue"}
+    assert any("from the first push" in v.detail for v in violations)
 
 
 def test_watchdog_equivalence(small_config):
