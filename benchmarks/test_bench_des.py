@@ -5,7 +5,7 @@ expensive the generator-based kernel is per event, which bounds every
 ROCC simulation above it.
 """
 
-from repro.des import Environment, Resource, Store
+from repro.des import Environment, Store
 from repro.rocc.config import Architecture, ForwardingTopology, SimulationConfig
 from repro.rocc.system import simulate
 
@@ -50,30 +50,6 @@ def test_hold_event_throughput(benchmark):
     assert result == 20_000.0
 
 
-def _resource_churn(n_ops: int) -> int:
-    env = Environment()
-    res = Resource(env, capacity=2)
-    done = [0]
-
-    def user(env):
-        for _ in range(n_ops // 10):
-            with res.request() as req:
-                yield req
-                yield env.timeout(1.0)
-            done[0] += 1
-
-    for _ in range(10):
-        env.process(user(env))
-    env.run()
-    return done[0]
-
-
-def test_resource_acquire_release_throughput(benchmark):
-    """Request/hold/release cycles across ten competing processes."""
-    result = benchmark(_resource_churn, 10_000)
-    assert result == 10_000
-
-
 def _store_churn(n_items: int) -> int:
     env = Environment()
     store = Store(env, capacity=64)
@@ -98,32 +74,6 @@ def test_store_put_get_throughput(benchmark):
     """Bounded-buffer handoffs (the pipe hot path)."""
     result = benchmark(_store_churn, 10_000)
     assert result == 10_000
-
-
-def _interleaved_model(n_processes: int, cycles: int) -> float:
-    """A miniature ROCC-like node: processes alternating two resources."""
-    env = Environment()
-    cpu = Resource(env, capacity=1)
-    net = Resource(env, capacity=1)
-
-    def proc(env):
-        for _ in range(cycles):
-            with cpu.request() as r:
-                yield r
-                yield env.timeout(3.0)
-            with net.request() as r:
-                yield r
-                yield env.timeout(1.0)
-
-    for _ in range(n_processes):
-        env.process(proc(env))
-    env.run()
-    return env.now
-
-
-def test_multiprocess_contention_throughput(benchmark):
-    result = benchmark(_interleaved_model, 20, 100)
-    assert result >= 20 * 100 * 3.0  # serial bound on the CPU resource
 
 
 def _mpp_tree_cell() -> int:

@@ -1,9 +1,11 @@
 """``repro.des`` — a from-scratch discrete-event simulation kernel.
 
 This package provides the simulation substrate the ROCC model is built
-on.  It follows the process-interaction style (generator-based
-processes yielding events), with preemptible resources, finite stores
-(used to model Unix pipes), containers, and statistics monitors.
+on, and only what that model uses: generator-based processes yielding
+events (timeouts, allocation-free holds, ``&``/``|`` conditions),
+actors that schedule themselves, a finite FIFO :class:`Store` (the Unix
+pipes), statistics monitors, tracers, a kernel profiler, and the
+conservative parallel runner of one partitioned cell (``parallel``).
 
 Quick example::
 
@@ -35,20 +37,11 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "AnyOf": "events",
     "NORMAL": "events",
     "URGENT": "events",
-    "Interrupt": "exceptions",
     "SimulationError": "exceptions",
     "StopSimulation": "exceptions",
     "EmptySchedule": "exceptions",
     "SimulationStalled": "exceptions",
-    "Resource": "resources",
-    "PriorityResource": "resources",
-    "PreemptiveResource": "resources",
-    "Request": "resources",
-    "PriorityRequest": "resources",
-    "Preempted": "resources",
     "Store": "stores",
-    "FilterStore": "stores",
-    "Container": "containers",
     "P2Quantile": "monitor",
     "ReservoirSample": "monitor",
     "Tally": "monitor",

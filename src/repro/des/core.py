@@ -28,7 +28,6 @@ from .events import (
     Actor,
     AllOf,
     AnyOf,
-    Condition,
     Event,
     Hold,
     Process,
@@ -186,7 +185,6 @@ class Environment:
         pool = self._hold_pool
         hold = pool.pop() if pool else Hold()
         hold.proc = proc
-        proc._target = hold
         self._push((self._now + delay, NORMAL, next(self._eid), hold))
         return HOLD_COMPLETED
 
@@ -240,8 +238,7 @@ class Environment:
             event.proc = None
             if len(self._hold_pool) < _POOL_LIMIT:
                 self._hold_pool.append(event)
-            if proc is not None:  # None: cancelled by an interrupt
-                proc._resume(event)
+            proc._resume(event)
             return
 
         if self._tracers:
@@ -254,10 +251,10 @@ class Environment:
             callback(event)
 
         if type(event) is Timeout:
-            # Recycle iff every waiter was a plain process resume (or the
-            # list is empty after an interrupt detach): such a timeout can
-            # never be re-inspected, unlike condition constituents whose
-            # values are read after processing.
+            # Recycle iff every waiter was a plain process resume (or
+            # nobody waited): such a timeout can never be re-inspected,
+            # unlike condition constituents whose values are read after
+            # processing.
             if len(self._timeout_pool) < _POOL_LIMIT:
                 for cb in callbacks:
                     if getattr(cb, "__func__", None) is not _PROCESS_RESUME:
@@ -399,8 +396,7 @@ class Environment:
                 event.proc = None
                 if len(hold_pool) < pool_limit:
                     hold_pool.append(event)
-                if proc is not None:  # None: cancelled by an interrupt
-                    resume(proc, event)
+                resume(proc, event)
                 continue
             if tracers:
                 for tracer in tracers:
@@ -432,9 +428,8 @@ class Environment:
             if type(event) is Hold:
                 # Holds carry the parked process directly
                 # instead of a callbacks list.
-                proc = event.proc
-                if proc is not None and proc.name not in blocked:
-                    blocked.append(proc.name)
+                if event.proc.name not in blocked:
+                    blocked.append(event.proc.name)
                 continue
             if isinstance(event, (Process, Actor)) and event.name not in blocked:
                 blocked.append(event.name)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, List, Optional
 
-from .exceptions import Interrupt, SimulationError
+from .exceptions import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Environment
@@ -40,7 +40,6 @@ __all__ = [
     "ACTOR_CLASSES",
     "Timeout",
     "Initialize",
-    "Interruption",
     "Process",
     "ConditionValue",
     "Condition",
@@ -219,9 +218,9 @@ class Actor:
     An actor has at most one entry on the schedule at a time: for each
     request it makes it pushes *itself*, and when that entry pops the
     run loop calls :meth:`_fire` — no callbacks list, no generator, no
-    per-request event object.  It suits a loop that nothing ever
-    interrupts (the ROCC background load); anything an interrupt or a
-    timeout must be able to cancel stays a :class:`Process`.
+    per-request event object.  It suits a fixed loop of requests (the
+    ROCC background load); model logic written as a generator that
+    yields events stays a :class:`Process`.
 
     Subclasses set ``name`` (for tracers, profilers and the watchdog)
     and report through :attr:`kind` what the pending entry completes,
@@ -297,74 +296,6 @@ class Initialize(Event):
         env.schedule(self, URGENT)
 
 
-class Interruption(Event):
-    """Internal event that throws :class:`Interrupt` into a process."""
-
-    __slots__ = ("process", "cause")
-
-    def __init__(self, process: "Process", cause: Any):
-        self.env = process.env
-        self.callbacks = [self._interrupt]
-        self._value = None
-        self._ok = False
-        self._defused = True
-        if process.triggered:
-            raise RuntimeError(f"{process!r} has terminated and cannot be interrupted")
-        if process is self.env.active_process:
-            raise RuntimeError("a process is not allowed to interrupt itself")
-        self.process = process
-        self.cause = cause
-        self.env.schedule(self, URGENT)
-
-    def _interrupt(self, event: "Event") -> None:
-        proc = self.process
-        if proc.triggered:  # terminated between scheduling and delivery
-            return
-        # Detach from whatever the process is currently waiting on so the
-        # original event does not also resume it later.
-        target = proc._target
-        if type(target) is Hold:
-            # Fast-path hold: orphan the heap entry; the run loop recycles
-            # it without resuming anyone when it is eventually popped.
-            target.proc = None
-        elif target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(proc._resume_cb)
-            except ValueError:  # pragma: no cover - already detached
-                pass
-        proc._resume(_Thrower(Interrupt(self.cause)))
-
-
-class _Thrower:
-    """Minimal event-like object that makes ``_resume`` throw an exception."""
-
-    __slots__ = ("_value", "_defused")
-
-    # ``_resume`` reads the protocol slots directly, so mirror an Event's
-    # failed state at class level.
-    _ok = False
-
-    def __init__(self, exc: BaseException):
-        self._value = exc
-        self._defused = True
-
-    @property
-    def ok(self) -> bool:
-        return False
-
-    @property
-    def value(self) -> BaseException:
-        return self._value
-
-    @property
-    def defused(self) -> bool:
-        return True
-
-    @defused.setter
-    def defused(self, value: bool) -> None:  # pragma: no cover - trivial
-        pass
-
-
 class Process(Event):
     """Wraps a generator and runs it as a simulation process.
 
@@ -374,7 +305,7 @@ class Process(Event):
     event's value is the result of the ``yield`` expression.
     """
 
-    __slots__ = ("_generator", "_target", "name", "_resume_cb")
+    __slots__ = ("_generator", "name", "_resume_cb")
 
     def __init__(
         self,
@@ -386,7 +317,6 @@ class Process(Event):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         #: Cached bound method registered as the wake-up callback, so
         #: parking on an event does not allocate a fresh bound method.
@@ -397,22 +327,9 @@ class Process(Event):
         return f"<Process({self.name}) at {id(self):#x}>"
 
     @property
-    def target(self) -> Optional[Event]:
-        """The event this process currently waits for (``None`` if active)."""
-        return self._target
-
-    @property
     def is_alive(self) -> bool:
         """``True`` until the underlying generator terminates."""
         return self._value is PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw an :class:`Interrupt` with *cause* into this process.
-
-        Delivery happens at the current simulation time, with kernel
-        priority (before ordinary model events scheduled at that time).
-        """
-        Interruption(self, cause)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the value/exception of *event*.
@@ -458,7 +375,6 @@ class Process(Event):
                 if next_event.callbacks is not None:
                     # Event not yet processed: register and go to sleep.
                     next_event.callbacks.append(self._resume_cb)
-                    self._target = next_event
                     env._active_proc = None
                     return
                 # Already-processed event: loop immediately with its value.
@@ -470,7 +386,6 @@ class Process(Event):
                     ) from None
                 raise  # pragma: no cover
         # Reached only when the generator terminated.
-        self._target = None
         env._active_proc = None
 
 

@@ -2,9 +2,10 @@
 
 The kernel mirrors the process-interaction style popularized by SimPy:
 model logic lives in Python generator functions that ``yield`` events.
-Exceptional control flow — interrupting a waiting process, running off
-the end of the event queue, failing an event — is expressed with the
-exception classes defined here.
+Exceptional control flow — running off the end of the event queue,
+stopping at ``run(until=...)``, a runaway run caught by the watchdog —
+is expressed with the exception classes defined here.  A failed event
+carries its own exception and re-raises it in every waiter.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ __all__ = [
     "EmptySchedule",
     "SimulationStalled",
     "StopSimulation",
-    "Interrupt",
 ]
 
 
@@ -66,22 +66,3 @@ class StopSimulation(Exception):
         if event.ok:  # type: ignore[attr-defined]
             raise cls(event.value)  # type: ignore[attr-defined]
         raise event.value  # type: ignore[attr-defined]
-
-
-class Interrupt(Exception):
-    """Thrown into a process that is interrupted via :meth:`Process.interrupt`.
-
-    The interrupting party supplies an arbitrary *cause* object describing
-    why the process was interrupted (e.g. a CPU-preemption record).
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> object:
-        """The cause passed to :meth:`Process.interrupt`."""
-        return self.args[0]
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Interrupt({self.cause!r})"

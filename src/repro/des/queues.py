@@ -29,17 +29,12 @@ Every :class:`~repro.des.core.Environment` runs on an
 All per-operation bookkeeping is kept off the hot path: only a single
 counter increments on push, dequeues are derived (``enqueues − len``),
 and gap estimation happens once per window activation, not per pop.
-
-:class:`TieBreakingHeap` is the shared tie-breaking helper for ordered
-wait queues outside the kernel (``des.resources``): a heap of
-``(key, seq, item)`` whose items are never compared.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from heapq import heappop, heappush, nsmallest
-from itertools import count
 from math import inf
 from typing import Any, Iterator, List, Optional, Tuple
 
@@ -47,7 +42,6 @@ __all__ = [
     "HeapScheduler",
     "CalendarQueue",
     "AutoScheduler",
-    "TieBreakingHeap",
 ]
 
 #: A scheduled entry: ``(time, priority, sequence, event)``.
@@ -529,30 +523,3 @@ class AutoScheduler:
             env._pop = calendar.pop
             if getattr(env._push, "__self__", None) is self:
                 env._push = calendar.push
-
-
-class TieBreakingHeap:
-    """Heap of ``(key, seq, item)``: FIFO among equal keys, items never
-    compared.  The same tie-breaking discipline the kernel schedulers
-    use, packaged for ordered wait queues (``des.resources``)."""
-
-    __slots__ = ("_entries", "_seq")
-
-    def __init__(self) -> None:
-        self._entries: List[tuple] = []
-        self._seq = count()
-
-    def push(self, key: Any, item: Any) -> None:
-        heappush(self._entries, (key, next(self._seq), item))
-
-    def pop(self) -> Any:
-        """Remove and return the item with the smallest key (FIFO on
-        ties); raises ``IndexError`` when empty."""
-        return heappop(self._entries)[2]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-

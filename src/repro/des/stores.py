@@ -1,24 +1,23 @@
-"""Buffered object exchange between processes: :class:`Store` and friends.
+"""Buffered object exchange between processes: :class:`Store`.
 
 A :class:`Store` holds up to ``capacity`` items.  ``put(item)`` returns an
 event that fires once the item is accepted (immediately if there is
 room, otherwise when space frees up — this is how the ROCC model's
 finite Unix pipe blocks a writing application process).  ``get()``
-returns an event that fires with the next item.
-
-:class:`FilterStore` lets getters select items with a predicate.
+returns an event that fires with the next item.  Both sides are served
+strictly FIFO, and a pending put or get is never withdrawn.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, List
+from typing import TYPE_CHECKING, Any, List
 
 from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Environment
 
-__all__ = ["StorePut", "StoreGet", "FilterStoreGet", "Store", "FilterStore"]
+__all__ = ["StorePut", "StoreGet", "Store"]
 
 
 class StorePut(Event):
@@ -33,20 +32,6 @@ class StorePut(Event):
         store._put_waiters.append(self)
         store._trigger()
 
-    def __enter__(self) -> "StorePut":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.cancel()
-
-    def cancel(self) -> None:
-        """Withdraw the put if it has not been accepted yet."""
-        if not self.triggered:
-            try:
-                self.store._put_waiters.remove(self)
-            except ValueError:  # pragma: no cover
-                pass
-
 
 class StoreGet(Event):
     """Event that fires with the retrieved item as its value."""
@@ -58,30 +43,6 @@ class StoreGet(Event):
         self.store = store
         store._get_waiters.append(self)
         store._trigger()
-
-    def __enter__(self) -> "StoreGet":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.cancel()
-
-    def cancel(self) -> None:
-        """Withdraw the get if it has not been satisfied yet."""
-        if not self.triggered:
-            try:
-                self.store._get_waiters.remove(self)
-            except ValueError:  # pragma: no cover
-                pass
-
-
-class FilterStoreGet(StoreGet):
-    """Get event that only accepts items matching ``filter``."""
-
-    __slots__ = ("filter",)
-
-    def __init__(self, store: "Store", filter: Callable[[Any], bool]):
-        self.filter = filter
-        super().__init__(store)
 
 
 class Store:
@@ -103,16 +64,6 @@ class Store:
 
     def __len__(self) -> int:
         return len(self.items)
-
-    @property
-    def put_queue(self) -> List[StorePut]:
-        """Pending (blocked) put events."""
-        return self._put_waiters
-
-    @property
-    def get_queue(self) -> List[StoreGet]:
-        """Pending get events."""
-        return self._get_waiters
 
     def put(self, item: Any) -> StorePut:
         """Offer *item* to the store; the returned event fires on accept.
@@ -165,66 +116,21 @@ class Store:
         return StoreGet(self)
 
     # -- internals ------------------------------------------------------
-    def _do_put(self, event: StorePut) -> bool:
-        if len(self.items) < self._capacity:
-            self.items.append(event.item)
-            event.succeed()
-            return True
-        return False
-
-    def _do_get(self, event: StoreGet) -> bool:
-        if self.items:
-            event.succeed(self.items.pop(0))
-            return True
-        return False
-
     def _trigger(self) -> None:
-        """Match pending puts and gets until nothing more can proceed."""
-        progressed = True
-        while progressed:
+        """Admit pending puts and serve pending gets, oldest first, until
+        neither side can proceed."""
+        items = self.items
+        puts = self._put_waiters
+        gets = self._get_waiters
+        while True:
             progressed = False
-            i = 0
-            while i < len(self._put_waiters):
-                event = self._put_waiters[i]
-                if self._do_put(event):
-                    self._put_waiters.pop(i)
-                    progressed = True
-                else:
-                    i += 1
-            i = 0
-            while i < len(self._get_waiters):
-                event = self._get_waiters[i]
-                if self._do_get(event):
-                    self._get_waiters.pop(i)
-                    progressed = True
-                else:
-                    i += 1
-
-
-class FilterStore(Store):
-    """Store whose getters may select items with an arbitrary predicate.
-
-    Getters are still served in FIFO order, but a getter whose filter
-    matches no current item does not block getters behind it.
-
-    Filtered matching cannot use the base class's direct-handoff fast
-    paths (a waiting getter may reject the incoming item), so puts and
-    gets always go through real events here.
-    """
-
-    def put(self, item: Any) -> StorePut:
-        """Offer *item*; waiting getters are matched through filters."""
-        return StorePut(self, item)
-
-    def get(self, filter: Callable[[Any], bool] = lambda item: True) -> FilterStoreGet:
-        """Request the first item satisfying *filter*."""
-        return FilterStoreGet(self, filter)
-
-    def _do_get(self, event: StoreGet) -> bool:
-        filt = getattr(event, "filter", None) or (lambda item: True)
-        for i, item in enumerate(self.items):
-            if filt(item):
-                self.items.pop(i)
-                event.succeed(item)
-                return True
-        return False
+            while puts and len(items) < self._capacity:
+                event = puts.pop(0)
+                items.append(event.item)
+                event.succeed()
+                progressed = True
+            while gets and items:
+                gets.pop(0).succeed(items.pop(0))
+                progressed = True
+            if not progressed:
+                return

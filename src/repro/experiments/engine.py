@@ -428,10 +428,6 @@ class EngineStats:
     profile: Optional[dict] = None
 
     @property
-    def cache_misses(self) -> int:
-        return self.cells_run
-
-    @property
     def worker_utilization(self) -> float:
         """Busy fraction of the worker pool: cell wall time over
         (batch wall time × workers).  NaN until something has run."""

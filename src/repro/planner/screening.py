@@ -86,10 +86,6 @@ class ScreeningReport:
     def simulated(self) -> List[int]:
         return [d.index for d in self.decisions if d.simulate]
 
-    @property
-    def n_pruned(self) -> int:
-        return len(self.pruned)
-
     def neighbors(self, index: int) -> List[int]:
         """Hamming-1 neighbors in standard order (factor j ↔ bit j)."""
         return [index ^ (1 << bit) for bit in range(self.design.k)]

@@ -30,10 +30,6 @@ CPU_QUANTUM_US: float = 10_000.0
 TYPICAL_SAMPLING_PERIOD_US: float = 40_000.0
 
 
-def _default(dist: Optional[Distribution], fallback: Distribution) -> Distribution:
-    return fallback if dist is None else dist
-
-
 @dataclass
 class WorkloadParameters:
     """Distributions of resource-occupancy requests per process class.

@@ -1,9 +1,9 @@
-"""Edge-case tests for kernel interactions: nested conditions,
-interrupts during composite waits, process joins on finished processes."""
+"""Edge-case tests for kernel interactions: nested conditions, failures
+during composite waits, process joins on finished processes."""
 
 import pytest
 
-from repro.des import AllOf, AnyOf, Environment, Interrupt
+from repro.des import AllOf, AnyOf, Environment
 
 
 def test_nested_all_of_any_of(env):
@@ -20,23 +20,29 @@ def test_nested_all_of_any_of(env):
     assert done == [7.0]
 
 
-def test_interrupt_while_waiting_on_condition(env):
+def test_failure_wakes_waiter_on_pending_condition(env):
+    """A failing constituent wakes a process blocked on a nested ``&``
+    condition at the failure time, before the other constituents fire;
+    their later firing neither resumes it again nor crashes the run."""
     log = []
+    bad = env.event()
 
     def victim(env):
         try:
-            yield env.timeout(50) & env.timeout(60)
-        except Interrupt as i:
-            log.append((env.now, i.cause))
+            yield env.timeout(50) & env.timeout(60) & bad
+        except RuntimeError as exc:
+            log.append((env.now, str(exc)))
+        log.append(("done", env.now))
 
-    def attacker(env, v):
+    def failer(env):
         yield env.timeout(5)
-        v.interrupt("now")
+        bad.fail(RuntimeError("now"))
 
-    v = env.process(victim(env))
-    env.process(attacker(env, v))
+    env.process(victim(env))
+    env.process(failer(env))
     env.run()
-    assert log == [(5.0, "now")]
+    assert log == [(5.0, "now"), ("done", 5.0)]
+    assert env.now == 60.0
 
 
 def test_join_already_finished_process(env):

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Environment, Resource, Store
+from repro.des import Environment, Store
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
@@ -20,37 +20,6 @@ def test_timeouts_fire_in_sorted_order(delays):
     env.run()
     assert fired == sorted(fired)
     assert len(fired) == len(delays)
-
-
-@given(
-    st.lists(st.floats(min_value=0.1, max_value=100), min_size=1, max_size=30),
-    st.integers(min_value=1, max_value=4),
-)
-@settings(max_examples=50)
-def test_resource_conservation(holds, capacity):
-    """Every requester is eventually served exactly once, and total busy
-    time equals the sum of hold times (single-resource work conservation)."""
-    env = Environment()
-    res = Resource(env, capacity=capacity)
-    served = []
-
-    def user(env, hold):
-        with res.request() as req:
-            yield req
-            start = env.now
-            yield env.timeout(hold)
-            served.append((start, hold))
-
-    for h in holds:
-        env.process(user(env, h))
-    env.run()
-    assert len(served) == len(holds)
-    assert sorted(h for _, h in served) == sorted(holds)
-    # With capacity c, makespan >= total work / c and >= max hold.
-    total = sum(holds)
-    assert env.now >= max(holds) - 1e-9
-    assert env.now >= total / capacity - 1e-9
-    assert env.now <= total + 1e-9  # never slower than serial
 
 
 @given(

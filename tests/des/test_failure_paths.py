@@ -1,85 +1,15 @@
-"""Tests for kernel failure paths: interrupts on dead processes,
-failure propagation through conditions, StopSimulation with failures."""
+"""Tests for kernel failure paths: failure propagation through
+conditions, StopSimulation with failures."""
 
 import pytest
 
-from repro.des import Environment, Interrupt
+from repro.des import Environment
 from repro.des.events import AllOf, AnyOf
 from repro.des.exceptions import StopSimulation
 
 
 class Boom(Exception):
     pass
-
-
-# ----------------------------------------------------------------------
-# Interrupting terminated processes
-# ----------------------------------------------------------------------
-def test_interrupt_terminated_process_raises():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1.0)
-
-    proc = env.process(quick(env))
-    env.run(until=5.0)
-    assert not proc.is_alive
-    with pytest.raises(RuntimeError, match="terminated"):
-        proc.interrupt("too late")
-
-
-def test_interrupt_delivered_then_process_dies_before_delivery():
-    """An interrupt scheduled against a process that terminates in the
-    same instant is silently discarded, not an error."""
-    env = Environment()
-
-    def victim(env):
-        yield env.timeout(1.0)
-
-    def killer(env, proc):
-        yield env.timeout(1.0)  # same tick as the victim's wakeup
-        if proc.is_alive:
-            proc.interrupt("race")
-
-    proc = env.process(victim(env))
-    env.process(killer(env, proc))
-    env.run(until=5.0)  # must not raise
-    assert not proc.is_alive
-
-
-def test_self_interrupt_rejected():
-    env = Environment()
-
-    def selfish(env):
-        env.active_process.interrupt("me")
-        yield env.timeout(1.0)
-
-    env.process(selfish(env))
-    # The RuntimeError crashes the (unwaited-on) process, which makes it
-    # an unhandled failure when the process event is processed.
-    with pytest.raises(RuntimeError, match="interrupt itself"):
-        env.run(until=5.0)
-
-
-def test_interrupt_cause_round_trip():
-    env = Environment()
-    seen = {}
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as exc:
-            seen["cause"] = exc.cause
-
-    proc = env.process(sleeper(env))
-
-    def poker(env):
-        yield env.timeout(1.0)
-        proc.interrupt({"reason": "test"})
-
-    env.process(poker(env))
-    env.run(until=10.0)
-    assert seen["cause"] == {"reason": "test"}
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ the fast path fast.
 
 import pytest
 
-from repro.des import Environment, Interrupt, SimulationStalled, Timeout
+from repro.des import Environment, SimulationStalled, Timeout
 from repro.des.core import _POOL_LIMIT
 from repro.des.events import HOLD_COMPLETED, Hold
 
@@ -148,77 +148,8 @@ def test_condition_constituent_timeouts_are_not_recycled(env):
 
 
 # ----------------------------------------------------------------------
-# Interrupts (S4: stale state must not leak through the pools)
+# Failed events
 # ----------------------------------------------------------------------
-def test_interrupt_during_hold(env):
-    log = []
-
-    def worker(env):
-        try:
-            yield env.hold(100)
-            log.append("completed")
-        except Interrupt as exc:
-            log.append(("interrupted", env.now, exc.cause))
-            yield env.hold(10)
-            log.append(("resumed", env.now))
-
-    def canceller(env, victim):
-        yield env.hold(30)
-        victim.interrupt("stop")
-
-    victim = env.process(worker(env))
-    env.process(canceller(env, victim))
-    env.run()
-    assert log == [("interrupted", 30.0, "stop"), ("resumed", 40.0)]
-    # The orphaned heap entry for the cancelled hold was processed (and
-    # recycled) without resuming anyone.
-    assert env.now == 100.0
-
-
-def test_interrupted_timeout_reuse_does_not_leak_stale_state(env):
-    """A timeout abandoned by an interrupt is pooled once it fires; the
-    instance that later reuses it must not deliver the stale value or
-    resume the interrupted process a second time."""
-    log = []
-    stale = {}
-
-    def worker(env):
-        t = env.timeout(10, value="stale")
-        stale["t"] = t
-        try:
-            yield t
-            log.append("wrong: timeout delivered")
-        except Interrupt:
-            log.append("interrupted")
-            got = yield env.event() | env.timeout(50, value="fresh")
-            log.append(sorted(got.values()))
-
-    def canceller(env, victim):
-        yield env.hold(5)
-        victim.interrupt()
-
-    victim = env.process(worker(env))
-    env.process(canceller(env, victim))
-
-    # Run past t=10: the abandoned timeout fires with no waiters left
-    # (the interrupt detached the worker's resume callback) and is
-    # recycled into the pool.
-    env.run(until=20.0)
-    assert log == ["interrupted"]
-    assert stale["t"] in env._timeout_pool
-    assert stale["t"].processed  # stale reference still looks processed
-
-    # Reuse the pooled instance for an unrelated sleep.
-    fresh = env.timeout(1, value="other")
-    assert fresh is stale["t"]
-    assert fresh._value == "other"
-    assert fresh.callbacks == []
-
-    env.run()
-    # The worker saw only its own fresh timeout, never the stale value.
-    assert log == ["interrupted", ["fresh"]]
-
-
 def test_failed_event_semantics_survive_fastpath(env):
     caught = []
 

@@ -1,8 +1,8 @@
-"""Tests for Process: lifecycle, joins, interrupts, error propagation."""
+"""Tests for Process: lifecycle, joins, error propagation."""
 
 import pytest
 
-from repro.des import Environment, Interrupt
+from repro.des import Environment
 
 
 def test_process_is_event_with_return_value(env):
@@ -60,100 +60,6 @@ def test_waiter_sees_child_exception(env):
 
     p = env.process(parent(env))
     assert env.run(until=p) == "caught: child died"
-
-
-def test_interrupt_delivers_cause(env):
-    causes = []
-
-    def victim(env):
-        try:
-            yield env.timeout(100)
-        except Interrupt as i:
-            causes.append(i.cause)
-            causes.append(env.now)
-
-    def attacker(env, v):
-        yield env.timeout(5)
-        v.interrupt("preempted!")
-
-    v = env.process(victim(env))
-    env.process(attacker(env, v))
-    env.run()
-    assert causes == ["preempted!", 5.0]
-
-
-def test_interrupt_detaches_from_original_target(env):
-    log = []
-
-    def victim(env):
-        try:
-            yield env.timeout(10)
-            log.append("timeout fired")
-        except Interrupt:
-            log.append("interrupted")
-            yield env.timeout(100)
-            log.append("second wait done")
-
-    def attacker(env, v):
-        yield env.timeout(1)
-        v.interrupt()
-
-    v = env.process(victim(env))
-    env.process(attacker(env, v))
-    env.run()
-    # The original 10-unit timeout must not resume the process again.
-    assert log == ["interrupted", "second wait done"]
-
-
-def test_self_interrupt_forbidden(env):
-    def proc(env):
-        env.active_process.interrupt()
-        yield env.timeout(1)
-
-    env.process(proc(env))
-    with pytest.raises(RuntimeError, match="not allowed to interrupt itself"):
-        env.run()
-
-
-def test_interrupt_terminated_process_rejected(env):
-    def proc(env):
-        yield env.timeout(1)
-
-    p = env.process(proc(env))
-    env.run()
-    with pytest.raises(RuntimeError, match="terminated"):
-        p.interrupt()
-
-
-def test_interrupt_race_with_termination_is_ignored(env):
-    """An interrupt scheduled at the same instant the victim finishes
-    must not blow up."""
-
-    def victim(env):
-        yield env.timeout(5)
-
-    def attacker(env, v):
-        yield env.timeout(5)
-        if v.is_alive:
-            v.interrupt()
-
-    v = env.process(victim(env))
-    env.process(attacker(env, v))
-    env.run()  # must not raise
-
-
-def test_uncaught_interrupt_propagates(env):
-    def victim(env):
-        yield env.timeout(100)
-
-    def attacker(env, v):
-        yield env.timeout(1)
-        v.interrupt("bye")
-
-    v = env.process(victim(env))
-    env.process(attacker(env, v))
-    with pytest.raises(Interrupt):
-        env.run()
 
 
 def test_process_requires_generator(env):

@@ -19,12 +19,7 @@ import pytest
 
 import repro.des.queues as queues
 from repro.des import Environment
-from repro.des.queues import (
-    AutoScheduler,
-    CalendarQueue,
-    HeapScheduler,
-    TieBreakingHeap,
-)
+from repro.des.queues import AutoScheduler, CalendarQueue, HeapScheduler
 
 #: Every scheduler class, keyed by the ``impl`` name its stats report.
 IMPLS = {
@@ -202,24 +197,6 @@ def test_auto_rebinds_environment_push():
     # The facade keeps serving pops/stats for the promoted impl.
     env.run(until=4.0)
     assert sched.stats()["impl"] == "auto(calendar)"
-
-
-class _Opaque:
-    """No ordering protocol: items must never be compared."""
-    __lt__ = None
-
-
-def test_tie_breaking_heap_is_fifo_and_never_compares_items():
-    heap = TieBreakingHeap()
-    items = [_Opaque() for _ in range(6)]
-    for item in items[:3]:
-        heap.push((1, 0.0), item)
-    for item in items[3:]:
-        heap.push((0, 0.0), item)
-    assert len(heap) == 6 and bool(heap)
-    order = [heap.pop() for _ in range(6)]
-    assert order == items[3:] + items[:3]  # priority first, FIFO within
-    assert not heap
 
 
 @pytest.mark.parametrize("name", sorted(IMPLS))

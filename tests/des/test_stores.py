@@ -1,8 +1,8 @@
-"""Tests for Store and FilterStore (pipe-like buffers)."""
+"""Tests for Store (pipe-like FIFO buffers)."""
 
 import pytest
 
-from repro.des import FilterStore, Store
+from repro.des import Store
 
 
 def test_capacity_validation(env):
@@ -80,38 +80,6 @@ def test_len_reports_items(env):
     assert store.items == [1, 2]
 
 
-def test_put_cancel_withdraws_offer(env):
-    store = Store(env, capacity=1)
-
-    def fill(env):
-        yield store.put("a")
-
-    def canceller(env):
-        yield env.timeout(1)
-        put = store.put("b")
-        assert not put.triggered
-        put.cancel()
-
-    env.process(fill(env))
-    env.process(canceller(env))
-    env.run()
-    assert store.items == ["a"]
-    assert not store.put_queue
-
-
-def test_get_cancel_withdraws(env):
-    store = Store(env)
-
-    def canceller(env):
-        get = store.get()
-        yield env.timeout(1)
-        get.cancel()
-
-    env.process(canceller(env))
-    env.run()
-    assert not store.get_queue
-
-
 def test_multiple_getters_fifo(env):
     store = Store(env)
     got = []
@@ -130,51 +98,6 @@ def test_multiple_getters_fifo(env):
     env.process(producer(env))
     env.run()
     assert got == [("g1", "first"), ("g2", "second")]
-
-
-def test_filter_store_selects_matching(env):
-    store = FilterStore(env)
-    got = []
-
-    def getter(env):
-        item = yield store.get(lambda x: x % 2 == 0)
-        got.append(item)
-
-    def producer(env):
-        yield store.put(1)
-        yield store.put(3)
-        yield store.put(4)
-
-    env.process(getter(env))
-    env.process(producer(env))
-    env.run()
-    assert got == [4]
-    assert store.items == [1, 3]
-
-
-def test_filter_store_unmatched_getter_does_not_block_others(env):
-    store = FilterStore(env)
-    got = []
-
-    def wants_big(env):
-        item = yield store.get(lambda x: x > 100)
-        got.append(("big", item))
-
-    def wants_any(env):
-        item = yield store.get()
-        got.append(("any", item))
-
-    def producer(env):
-        yield env.timeout(1)
-        yield store.put(5)
-        yield env.timeout(1)
-        yield store.put(500)
-
-    env.process(wants_big(env))
-    env.process(wants_any(env))
-    env.process(producer(env))
-    env.run()
-    assert got == [("any", 5), ("big", 500)]
 
 
 def test_store_respects_capacity_under_churn(env):

@@ -1,8 +1,13 @@
-"""Tests for the extension experiments (adaptive, perturbation)."""
+"""Tests for the extension experiments (adaptive, perturbation,
+cross-validation)."""
+
+import json
 
 import pytest
 
 from repro.experiments import run
+from repro.experiments.engine import CellCache, ExperimentEngine
+from repro.experiments.reporting import artifact_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +81,18 @@ class TestExtraPerturbation:
             perturbation.column("indirect_pct"),
         ):
             assert s == pytest.approx(d + i, abs=1e-6)
+
+
+@pytest.mark.parametrize("id_", ["extra_perturbation", "extra_crossvalidation"])
+def test_warm_rerun_simulates_nothing(tmp_path, id_):
+    """Both extras submit their cells through the engine: a second run on
+    the same cache is served entirely from it and gives the same table."""
+    tables = []
+    for _ in range(2):
+        engine = ExperimentEngine(cache=CellCache(tmp_path))
+        table = artifact_to_dict(run(id_, quick=True, engine=engine))
+        table.pop("notes")
+        tables.append(json.dumps(table, sort_keys=True))
+    assert engine.stats.cells_run == 0
+    assert engine.stats.cache_hits == engine.stats.cells_submitted > 0
+    assert tables[0] == tables[1]

@@ -1,6 +1,8 @@
 """Tests for the round-robin CPU scheduler with quantum."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.des import Environment
 from repro.rocc import ProcessorSharingCPU, RoundRobinCPU
@@ -125,23 +127,36 @@ def test_utilization_multi_cpu(env):
     assert cpu.utilization() == pytest.approx(0.4)  # 8k busy over 2*10k
 
 
-def test_work_conservation_many_jobs(env):
-    """Total busy time equals total demand; the makespan is bounded by
-    work/capacity from below (no free lunch) and by work/capacity plus
-    one job's demand from above (RR cannot split a single job across
-    CPUs, so one processor may idle in the tail)."""
-    cpu = RoundRobinCPU(env, n_cpus=2, quantum=1_000)
-    amounts = [1_500, 2_500, 700, 4_300, 900, 100]
+@given(
+    st.lists(st.floats(min_value=1.0, max_value=20_000.0), min_size=1, max_size=30),
+    st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=50, deadline=None)
+def test_work_conservation_many_jobs(amounts, n_cpus):
+    """Every request is served exactly once and total busy time equals
+    total demand.  The makespan is at least the longest job and at least
+    work/capacity (no free lunch); it is at most the total work (never
+    slower than serial) and at most work/capacity plus one job's demand
+    (RR cannot split a single job across CPUs, so one processor may
+    idle in the tail)."""
+    env = Environment()
+    cpu = RoundRobinCPU(env, n_cpus=n_cpus, quantum=1_000)
+    served = []
 
-    def job(env, a):
+    def job(env, i, a):
         yield cpu.execute(a, APP)
+        served.append(i)
 
-    for a in amounts:
-        env.process(job(env, a))
+    for i, a in enumerate(amounts):
+        env.process(job(env, i, a))
     env.run()
-    assert cpu.busy_time(APP) == pytest.approx(sum(amounts))
-    lower = sum(amounts) / 2
-    assert lower - 1e-9 <= env.now <= lower + max(amounts) + 1e-9
+    assert sorted(served) == list(range(len(amounts)))
+    total = sum(amounts)
+    assert cpu.busy_time(APP) == pytest.approx(total)
+    assert env.now >= max(amounts) - 1e-6
+    assert env.now >= total / n_cpus - 1e-6
+    assert env.now <= total + 1e-6
+    assert env.now <= total / n_cpus + max(amounts) + 1e-6
 
 
 def test_queue_length_visible(env):
