@@ -23,6 +23,45 @@ def test_timeouts_fire_in_sorted_order(delays):
 
 
 @given(
+    st.lists(st.floats(min_value=0.1, max_value=100), min_size=1, max_size=30),
+    st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=50)
+def test_resource_conservation(holds, capacity):
+    """Every requester is eventually served exactly once, and total busy
+    time equals the sum of hold times (single-resource work conservation).
+    The resource is a store holding `capacity` server tokens: a user takes
+    a token, holds it, and puts it back."""
+    env = Environment()
+    servers = Store(env, capacity=capacity)
+    for k in range(capacity):
+        servers.put(k)
+    served = []
+    busy = [0.0] * capacity
+
+    def user(env, hold):
+        token = yield servers.get()
+        start = env.now
+        yield env.timeout(hold)
+        busy[token] += env.now - start
+        served.append((start, hold))
+        yield servers.put(token)
+
+    for h in holds:
+        env.process(user(env, h))
+    env.run()
+    assert len(served) == len(holds)
+    assert sorted(h for _, h in served) == sorted(holds)
+    assert len(servers) == capacity
+    total = sum(holds)
+    assert abs(sum(busy) - total) <= 1e-9 * max(1.0, total)
+    # With capacity c, makespan >= total work / c and >= max hold.
+    assert env.now >= max(holds) - 1e-9
+    assert env.now >= total / capacity - 1e-9
+    assert env.now <= total + 1e-9  # never slower than serial
+
+
+@given(
     st.integers(min_value=1, max_value=20),
     st.integers(min_value=1, max_value=5),
 )
