@@ -25,8 +25,10 @@ Two comparison modes against ``BENCH_DES.json``:
 
 ``--update`` rewrites the ``baseline`` section (and the tolerance
 metadata if ``--tolerance`` was given) from the results file, keeping
-the history section intact.  Exit status: 0 = within tolerance,
-1 = regression, 2 = usage/data error.
+the history section intact.  A baseline entry with no result (a
+benchmark deleted, renamed or not run) fails the check like a
+regression.  Exit status: 0 = within tolerance, 1 = regression or
+missing benchmark, 2 = usage/data error.
 """
 
 from __future__ import annotations
@@ -97,7 +99,11 @@ def check(
     mode: str,
     tolerance: float,
 ) -> list:
-    """Return a list of (name, measured, allowed, detail) regressions."""
+    """Return a list of (name, measured, allowed, detail) regressions.
+
+    A baseline entry missing from *results* is returned with
+    ``measured`` and ``allowed`` both ``None``.
+    """
     normalize_to = baseline["meta"].get("normalize_to")
     entries = baseline["baseline"]
     regressions = []
@@ -112,7 +118,9 @@ def check(
 
     for name, entry in entries.items():
         if name not in results:
-            print(f"  skip {name}: not in results file")
+            detail = "in the baseline but not in the results file"
+            print(f"  MISS {name}: {detail}")
+            regressions.append((name, None, None, detail))
             continue
         measured = results[name]
         if mode == "relative":
@@ -216,8 +224,12 @@ def main(argv=None) -> int:
         )
         return 2
     if regressions:
-        print(f"{len(regressions)} benchmark(s) regressed beyond {tolerance:.0%}:")
+        print(f"{len(regressions)} benchmark(s) regressed beyond "
+              f"{tolerance:.0%} or missing:")
         for name, value, allowed, detail in regressions:
+            if value is None:
+                print(f"  {name}: missing ({detail})")
+                continue
             over = (value / allowed - 1.0) * 100.0 if allowed else float("inf")
             print(f"  {name}: {over:+.1f}% over the allowed bound ({detail})")
         return 1

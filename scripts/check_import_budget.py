@@ -21,7 +21,9 @@ nothing.  A warm rerun imports no numpy at all (26.8 MiB with the
 interpreter, against 13.8 MiB for a bare one): only the code that
 draws, fits or simulates loads it, and the allocation of variation is
 pure Python.  Nor does it import ``statistics``, which loads
-``fractions`` and ``decimal``.  Five checks guard this:
+``fractions`` and ``decimal``.  A warm planned rerun screens its design
+again and re-reads the confidence intervals of its cached replications,
+both pure Python, so it loads no numpy either.  Six checks guard this:
 
 1. **Start-up** — ``import repro.experiments.__main__`` plus
    ``list_experiments()`` loads no scipy and no numpy module, and no
@@ -32,27 +34,32 @@ pure Python.  Nor does it import ``statistics``, which loads
    without any scipy module or any of :data:`ONE_WORKER_FORBIDDEN`
    loaded; the ``figure30 --plan`` run, which simulates, also without
    ``numpy.ma``.
-3. **Warm-cache paper-rerun** — the second of two identical
+3. **Warm-cache planned rerun** — the second of two ``figure30 --plan``
+   runs on one cache directory loads none of
+   :data:`WARM_PLANNED_FORBIDDEN` (the simulator, tracing, fitting,
+   numpy, ``statistics``) or :data:`ONE_WORKER_FORBIDDEN`; the planner
+   and the analytic models may load.
+4. **Warm-cache paper-rerun** — the second of two identical
    ``table2 figure8 figure27 figure30 figure31`` runs on one cache
    directory (every cell a cache hit) loads none of
    :data:`WARM_FORBIDDEN` (no numpy module at all, no ``statistics``)
    or :data:`ONE_WORKER_FORBIDDEN` and no experiment module whose ids
    it did not run.
-4. **Warm-cache characterization** — the same for the second of two
+5. **Warm-cache characterization** — the same for the second of two
    ``table1 table2 table3 figure8`` runs: ``table3``'s validation cell is
    a cache hit and every characterization record is read from the cache,
    so neither the simulator nor the trace synthesizer, the fitting code,
    numpy or ``statistics`` loads.
-5. **Source scan** — under ``src/repro``, no ``import scipy.stats``,
+6. **Source scan** — under ``src/repro``, no ``import scipy.stats``,
    ``from scipy.stats import …`` or ``from scipy import stats``; and no
    ``ndtr``, ``ndtri`` or ``stdtrit`` imported from ``scipy.special``
    except ``stdtrit`` inside ``repro.special.stdtrit`` (its table-miss
    fallback).
 
-Checks 1–4 run in fresh interpreters on one worker
+Checks 1–5 run in fresh interpreters on one worker
 (``REPRO_WORKERS=1``) with an empty temporary ``REPRO_CACHE_DIR``, so
-no cell is served from an earlier run's cache (checks 3 and 4 fill
-their own with the first of their two runs).
+no cell is served from an earlier run's cache (checks 3–5 fill their
+own with the first of their two runs).
 
 Exit status 0 = every check passed, 1 = any check failed.
 
@@ -101,6 +108,12 @@ WARM_FORBIDDEN = (
     "repro.variates.goodness",
     "numpy",
     "statistics",
+)
+#: What a warm planned rerun never needs: :data:`WARM_FORBIDDEN` less the
+#: planner and the analytic models, which screen the design again
+#: whether or not its cells are cached.
+WARM_PLANNED_FORBIDDEN = tuple(
+    m for m in WARM_FORBIDDEN if m not in ("repro.planner", "repro.analytical")
 )
 #: Modules a one-worker CLI run never loads: OpenSSL's hash binding
 #: (blocked by the CLI) and the process-pool stack (only a pool needs it).
@@ -270,9 +283,10 @@ def main() -> int:
           f"no numpy or scipy module and only {len(STARTUP_MODULES)} repro "
           f"modules loaded (offenders: {', '.join(bad) or 'none'})")
 
-    print("== artifact run: figure30 --plan ==")
-    (res,) = probe(["figure30", "--plan"],
-                   ["scipy", "numpy.ma", *ONE_WORKER_FORBIDDEN])
+    print("== artifact run, then warm-cache rerun: figure30 --plan ==")
+    res, warm = probe(["figure30", "--plan"],
+                      ["scipy", *WARM_PLANNED_FORBIDDEN, *ONE_WORKER_FORBIDDEN],
+                      runs=2)
     scipy = [m for m in res["modules"] if _under(m, ("scipy",))]
     check(res["status"] == 0, f"exit status {res['status']}")
     check(not scipy, f"no scipy module loaded (loaded: {', '.join(scipy) or 'none'})")
@@ -280,6 +294,12 @@ def main() -> int:
     check(not masked, "no numpy.ma module loaded "
           f"(loaded: {', '.join(masked) or 'none'})")
     check_one_worker("", res["modules"])
+    check(warm["status"] == 0, f"warm rerun: exit status {warm['status']}")
+    bad = sorted(m for m in warm["modules"]
+                 if _under(m, ("scipy", *WARM_PLANNED_FORBIDDEN)))
+    check(not bad, "warm rerun: no simulator, tracing, fitting, numpy, "
+          f"statistics or scipy module loaded (offenders: {', '.join(bad) or 'none'})")
+    check_one_worker("warm rerun: ", warm["modules"])
 
     for ids in (PAPER_RERUN, CHARACTERIZATION):
         print(f"== artifact run, then warm-cache rerun: {' '.join(ids)} ==")

@@ -2,8 +2,9 @@
 
 The environment owns the simulation clock (``env.now``) and one event
 scheduler (:class:`~repro.des.queues.AutoScheduler`) ordering scheduled
-events by ``(time, priority, sequence)``: a binary heap while the
-schedule is shallow, promoted once to a calendar queue when it deepens.
+events by ``(time, priority, sequence)``: a bare ``heapq`` list while
+the schedule is shallow, promoted once, at an event boundary, to a
+calendar queue when it deepens.
 Model code creates events through the factory methods (:meth:`timeout`,
 :meth:`hold`, :meth:`process`, :meth:`event`, ...) and drives the
 simulation with :meth:`run`.  There is one kernel path: holds and
@@ -16,7 +17,8 @@ the ROCC model, but the kernel itself is unit-agnostic.
 from __future__ import annotations
 
 import os
-from itertools import count
+from functools import partial
+from heapq import heappop, heappush
 from time import monotonic
 from typing import Any, Generator, Iterable, List, Optional
 
@@ -76,16 +78,14 @@ class Environment:
                     f"scheduler policy; unset {var}"
                 )
         self._now: float = float(initial_time)
-        #: The event scheduler; ``_push`` and ``_pop`` are the bound
-        #: enqueue and dequeue of the implementation serving it, cached
-        #: so the hot paths pay one attribute load, not two.  ``bind``
-        #: gives the scheduler the back-reference it needs to re-point
-        #: them when it promotes.
-        self._scheduler = AutoScheduler()
-        self._push = self._scheduler.push
-        self._pop = self._scheduler.pop
-        self._scheduler.bind(self)
-        self._eid = count()
+        #: The event scheduler.  ``_push`` and ``_pop`` are the enqueue
+        #: and dequeue of the phase serving it: ``heapq`` partials over
+        #: its heap list (no Python frame per operation), re-pointed at
+        #: the calendar queue's own by :meth:`_promote`.
+        self._scheduler = scheduler = AutoScheduler()
+        self._push = partial(heappush, scheduler.heap)
+        self._pop = partial(heappop, scheduler.heap)
+        self._eid = scheduler.ids
         self._active_proc: Optional[Process] = None
         #: Optional observers invoked as ``tracer(event, now)`` for every
         #: processed event (see :mod:`repro.des.tracing`).  Kept as a
@@ -105,11 +105,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_proc
 
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` if none)."""
@@ -218,8 +213,11 @@ class Environment:
         re-raises the value of any *failed* event that no waiter defused
         (an unhandled simulation error).
         """
+        scheduler = self._scheduler
+        if len(scheduler.heap) >= scheduler.promote_at:
+            self._promote()
         try:
-            self._now, _, _, event = self._scheduler.pop()
+            self._now, _, _, event = self._pop()
         except IndexError:
             raise EmptySchedule() from None
 
@@ -358,11 +356,14 @@ class Environment:
         raising :class:`StopSimulation` / :class:`EmptySchedule`, which
         :meth:`run` handles.
 
-        ``pop`` is the serving queue's own dequeue.  When the scheduler
-        re-points ``_pop`` (an :class:`~repro.des.queues.AutoScheduler`
-        promotion empties the queue it replaced), the stale ``pop``
-        raises ``IndexError`` once and the loop picks up the new one.
+        ``pop`` is the serving phase's own dequeue.  Before each event
+        the loop promotes the heap once it is ``promote_at`` deep (it
+        stays empty after that).  A promotion made elsewhere (a nested
+        :meth:`step`) empties the heap under the loop's stale ``pop``,
+        which raises ``IndexError`` once; the loop then re-reads it.
         """
+        heap = self._scheduler.heap
+        promote_at = self._scheduler.promote_at
         pop = self._pop
         actor_classes = ACTOR_CLASSES
         tracers = self._tracers  # mutated in place by add/remove_tracer
@@ -373,6 +374,8 @@ class Environment:
         timeout_cls = Timeout
         pool_limit = _POOL_LIMIT
         while True:
+            if len(heap) >= promote_at:
+                pop = self._promote()
             try:
                 now, _, _, event = pop()
             except IndexError:
@@ -420,6 +423,13 @@ class Environment:
                 if isinstance(exc, BaseException):
                     raise exc
                 raise SimulationError(repr(exc))  # pragma: no cover
+
+    def _promote(self):
+        """Promote to the calendar queue; re-point and return ``_pop``."""
+        calendar = self._scheduler.promote()
+        self._push = calendar.push
+        self._pop = calendar.pop
+        return calendar.pop
 
     def _stalled(self, reason: str, steps: int) -> SimulationStalled:
         """Build a :class:`SimulationStalled` naming blocked processes."""

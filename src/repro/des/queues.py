@@ -8,11 +8,12 @@ changing a single simulation result (verified by
 ``differential.event_queue``).
 
 Every :class:`~repro.des.core.Environment` runs on an
-:class:`AutoScheduler`, which is built from the two phases below:
+:class:`AutoScheduler`, which serves its schedule in two phases:
 
-* :class:`HeapScheduler` — the classic binary heap (``heapq``).  O(log n)
-  per operation but C-implemented; the reference semantics and the
-  test oracle.
+* a bare binary heap — a plain list the environment drives with
+  ``heapq`` directly.  O(log n) per operation but C-implemented, with
+  no Python frame per push or pop; the reference semantics and the test
+  oracle.
 * :class:`CalendarQueue` — Brown's calendar queue (CACM 1988) with lazy
   bucket sorting: pushes append to unsorted buckets in O(1); a bucket is
   sorted once, when its time window becomes current, into a *run* list
@@ -20,26 +21,27 @@ Every :class:`~repro.des.core.Environment` runs on an
   zero-delay ``succeed()``) are insorted into the short run.  Bucket
   count resizes with occupancy and the bucket width adapts to the
   observed inter-event gap, giving amortized O(1) enqueue/dequeue.
-* :class:`AutoScheduler` — the policy: starts on the heap (fastest on
-  near-empty schedules) and promotes, once, to a calendar queue when the
-  schedule depth crosses ``_PROMOTE_AT``.  The promotion is a one-way
-  latch, so oscillating occupancy cannot thrash, and it provably
-  preserves the pop order.
 
-All per-operation bookkeeping is kept off the hot path: only a single
-counter increments on push, dequeues are derived (``enqueues − len``),
-and gap estimation happens once per window activation, not per pop.
+The environment's run loop promotes the heap, once, to a calendar queue
+at the first event boundary where the schedule depth has reached
+``_PROMOTE_AT``.  The promotion is a one-way latch, so oscillating
+occupancy cannot thrash, and it provably preserves the pop order.
+
+All per-operation bookkeeping is kept off the hot path: enqueues are
+the count of sequence ids issued, dequeues are derived
+(``enqueues − len``), and gap estimation happens once per window
+activation, not per pop.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from heapq import heappop, heappush, nsmallest
+from heapq import nsmallest
+from itertools import count
 from math import inf
 from typing import Any, Iterator, List, Optional, Tuple
 
 __all__ = [
-    "HeapScheduler",
     "CalendarQueue",
     "AutoScheduler",
 ]
@@ -60,55 +62,14 @@ _SPREAD = 32.0
 #: below-horizon insorts and keeps gap samples flowing even when a
 #: mis-sized window holds thousands of events.
 _MAX_RUN = 1024
-#: Schedule depth at which :class:`AutoScheduler` promotes its heap to a
+#: Schedule depth at which an environment promotes its heap to a
 #: calendar queue.  Below this, C-implemented ``heapq`` beats Python
 #: bucket math (the near-empty regression BENCH_DES.json documents);
 #: above it the calendar's amortized O(1) wins.  Read when an
 #: :class:`AutoScheduler` is built, so ``differential.event_queue`` can
-#: pin a heap-only or calendar-only run without a public switch.
+#: pin a heap-only (``inf``) or calendar-from-the-first-event (``1``)
+#: run without a public switch.
 _PROMOTE_AT = 512
-
-
-class HeapScheduler:
-    """Reference scheduler: a binary heap of entry tuples."""
-
-    name = "heap"
-
-    __slots__ = ("_entries", "enqueues")
-
-    def __init__(self) -> None:
-        self._entries: List[Entry] = []
-        self.enqueues = 0
-
-    def push(self, entry: Entry) -> None:
-        self.enqueues += 1
-        heappush(self._entries, entry)
-
-    def pop(self) -> Entry:
-        return heappop(self._entries)  # IndexError when empty
-
-    def peek_time(self) -> float:
-        entries = self._entries
-        return entries[0][0] if entries else inf
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[Entry]:
-        return iter(self._entries)
-
-    def smallest(self, k: int) -> List[Entry]:
-        """The *k* earliest entries, in order (diagnostics only)."""
-        return nsmallest(k, self._entries)
-
-    def stats(self) -> dict:
-        return {
-            "impl": self.name,
-            "enqueues": self.enqueues,
-            "dequeues": self.enqueues - len(self._entries),
-            "resizes": 0,
-            "max_bucket": 0,
-        }
 
 
 class CalendarQueue:
@@ -421,105 +382,84 @@ class CalendarQueue:
         self._cur = cur - 1
 
 
+
+
 class AutoScheduler:
-    """Occupancy-adaptive scheduler: heap first, calendar once deep.
+    """The one scheduler policy: a bare heap, then a calendar queue.
 
     Near-empty schedules (a timeout chain, a handful of processes) are
     fastest on the C-implemented heap; deep schedules (large cells) are
-    fastest on the calendar queue.  This facade starts on a
-    :class:`HeapScheduler` and *promotes* to a :class:`CalendarQueue`
-    the first time the schedule reaches ``promote_at`` pending entries.
+    fastest on the calendar queue.  The owning
+    :class:`~repro.des.core.Environment` drives :attr:`heap` through
+    ``functools.partial(heapq.heappush, heap)`` and ``heappop``
+    partials, which run no Python frame.  Its run loop and ``step()``
+    call :meth:`promote` at an event boundary once the heap holds
+    ``promote_at`` entries, then use the calendar's own ``push``/``pop``.
 
     Promotion is a one-way latch — the queue never demotes back to the
-    heap when the schedule drains.  That hysteresis means a workload
-    oscillating around the threshold re-buckets at most once, and it
-    cannot change pop order: both implementations honour the total
-    ``(time, priority, sequence)`` order, so rebuilding the pending set
-    in either structure yields the identical pop sequence.
-
-    An :class:`~repro.des.core.Environment` caches ``scheduler.push``
-    and ``scheduler.pop`` once.  :meth:`bind` points the cached ``pop``
-    at the heap's own, and the promotion re-points both caches at the
-    calendar's, so the run loop pays no delegation on either side of
-    the latch.  The promotion also empties the retired heap: a run loop
-    still holding its ``pop`` gets ``IndexError`` and re-reads the
-    cache.  :meth:`pop` itself stays a delegate for direct callers.
+    heap when the schedule drains — so a workload oscillating around
+    the threshold re-buckets at most once.  It cannot change pop order:
+    both structures honour the total ``(time, priority, sequence)``
+    order.  Every entry takes exactly one id from :attr:`ids`, so
+    :meth:`stats` derives enqueues from the ids issued and the hot path
+    keeps no counter.
     """
 
-    name = "auto"
+    __slots__ = ("heap", "calendar", "ids", "promote_at")
 
-    __slots__ = ("_impl", "_env", "promote_at", "promotions",
-                 "_enq_offset", "_deq_offset")
+    def __init__(self) -> None:
+        self.heap: List[Entry] = []
+        self.calendar: Optional[CalendarQueue] = None
+        #: The schedule-entry sequence ids (the third key of an entry).
+        self.ids = count()
+        #: Depth (>= 1) at which the heap promotes; read when built.
+        self.promote_at = _PROMOTE_AT
 
-    def __init__(self, promote_at: Optional[int] = None) -> None:
-        self._impl = HeapScheduler()
-        self._env = None
-        self.promote_at = _PROMOTE_AT if promote_at is None else promote_at
-        self.promotions = 0
-        self._enq_offset = 0
-        self._deq_offset = 0
+    @property
+    def promotions(self) -> int:
+        return 0 if self.calendar is None else 1
 
-    def bind(self, env) -> None:
-        """Serve the owning environment's cached ``pop`` from the heap
-        directly, and let the promotion re-point its cached ``push``
-        and ``pop`` (see :class:`~repro.des.core.Environment`)."""
-        self._env = env
-        env._pop = self._impl.pop
+    def promote(self) -> CalendarQueue:
+        """Move every pending entry into a new calendar queue.
 
-    def push(self, entry: Entry) -> None:
-        impl = self._impl
-        impl.push(entry)
-        if self.promotions == 0 and len(impl._entries) >= self.promote_at:
-            self._promote()
-
-    def pop(self) -> Entry:
-        return self._impl.pop()
+        Entry order into the calendar is irrelevant: the total order
+        restores the exact heap pop sequence.  The heap list is emptied
+        in place, so a dispatch loop still holding its ``heappop``
+        partial gets ``IndexError`` and re-reads the environment's.
+        """
+        calendar = CalendarQueue()
+        push = calendar.push
+        for entry in self.heap:
+            push(entry)
+        self.heap.clear()
+        self.calendar = calendar
+        return calendar
 
     def peek_time(self) -> float:
-        return self._impl.peek_time()
+        if self.calendar is not None:
+            return self.calendar.peek_time()
+        heap = self.heap
+        return heap[0][0] if heap else inf
 
     def __len__(self) -> int:
-        return len(self._impl)
+        if self.calendar is not None:
+            return len(self.calendar)
+        return len(self.heap)
 
     def __iter__(self) -> Iterator[Entry]:
-        return iter(self._impl)
+        return iter(self.heap if self.calendar is None else self.calendar)
 
     def smallest(self, k: int) -> List[Entry]:
         """The *k* earliest entries, in order (diagnostics only)."""
-        return self._impl.smallest(k)
+        return nsmallest(k, iter(self))
 
     def stats(self) -> dict:
-        s = self._impl.stats()
-        s["impl"] = f"auto({s['impl']})"
-        s["enqueues"] += self._enq_offset
-        s["dequeues"] += self._deq_offset
-        return s
-
-    # -- internals ------------------------------------------------------
-    def _promote(self) -> None:
-        heap = self._impl
-        pending = heap._entries
-        # Entry order into the calendar is irrelevant: the total order
-        # restores the exact heap pop sequence.
-        calendar = CalendarQueue()
-        push = calendar.push
-        for entry in pending:
-            push(entry)
-        # Continuity of the counters: the calendar starts having seen
-        # only the pending set, so offset its numbers by what the heap
-        # already enqueued/served.
-        self._enq_offset = heap.enqueues - len(pending)
-        self._deq_offset = heap.enqueues - len(pending)
-        self._impl = calendar
-        self.promotions += 1
-        # Retire the heap empty, so a dispatch loop still holding its
-        # bound ``pop`` gets IndexError and re-reads ``env._pop``.
-        heap._entries = []
-        env = self._env
-        if env is not None:
-            # Re-point the environment's cached dequeue (and enqueue,
-            # unless someone wrapped it) at the calendar directly:
-            # post-promotion operations pay zero delegation.
-            env._pop = calendar.pop
-            if getattr(env._push, "__self__", None) is self:
-                env._push = calendar.push
+        enqueues = int(repr(self.ids)[6:-1])  # ids issued: ``count(n)``
+        calendar = self.calendar
+        return {
+            "impl": "auto(heap)" if calendar is None else "auto(calendar)",
+            "enqueues": enqueues,
+            "dequeues": enqueues - len(self),
+            "resizes": 0 if calendar is None else calendar.resizes,
+            "max_bucket": 0 if calendar is None else calendar.max_bucket,
+        }

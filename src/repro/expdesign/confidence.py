@@ -18,15 +18,17 @@ samples an adaptive replication driver inevitably feeds them:
   division by zero;
 * non-finite observations (NaN latency from a run with no samples) are
   excluded consistently by both helpers.
+
+Both are pure Python (no numpy on a warm planned rerun) and repeat
+numpy's float64 pairwise summation, so every interval is bit for bit
+the one ``np.mean``/``np.std`` gave.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 __all__ = ["MeanCI", "mean_confidence_interval", "repetitions_needed"]
 
@@ -71,6 +73,46 @@ class MeanCI:
         return self.low <= value <= self.high
 
 
+def _pairwise_sum(values: List[float], lo: int, n: int) -> float:
+    """numpy's float64 ``add.reduce`` of ``values[lo:lo + n]``, bit for
+    bit: fewer than 8 values are summed in order; up to 128 with eight
+    interleaved partial sums; longer runs split in two at a multiple
+    of 8."""
+    if n < 8:
+        total = 0.0
+        for i in range(lo, lo + n):
+            total += values[i]
+        return total
+    if n <= 128:
+        r = values[lo:lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, lo + n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return (_pairwise_sum(values, lo, half)
+            + _pairwise_sum(values, lo + half, n - half))
+
+
+def _finite(data: Sequence[float]) -> List[float]:
+    """The finite observations of *data*, as floats."""
+    return [x for x in map(float, data) if math.isfinite(x)]
+
+
+def _mean_std(values: List[float]) -> Tuple[float, float]:
+    """``(np.mean(values), np.std(values, ddof=1))`` for two or more
+    values, computed the way numpy computes them."""
+    n = len(values)
+    mean = _pairwise_sum(values, 0, n) / n
+    squares = [d * d for d in (x - mean for x in values)]
+    return mean, math.sqrt(_pairwise_sum(squares, 0, n) / (n - 1))
+
+
 def mean_confidence_interval(
     data: Sequence[float], level: float = 0.90
 ) -> MeanCI:
@@ -87,17 +129,16 @@ def mean_confidence_interval(
     """
     if not 0 < level < 1:
         raise ValueError("level must be in (0, 1)")
-    arr = np.asarray(data, dtype=float)
-    arr = arr[np.isfinite(arr)]
-    n = int(arr.size)
+    values = _finite(data)
+    n = len(values)
     if n < 2:
-        mean = float(arr[0]) if n == 1 else math.nan
+        mean = values[0] if n == 1 else math.nan
         return MeanCI(mean=mean, low=-math.inf, high=math.inf,
                       level=level, n=n)
     from ..special import stdtrit
 
-    mean = float(arr.mean())
-    sem = float(arr.std(ddof=1) / math.sqrt(n))
+    mean, std = _mean_std(values)
+    sem = std / math.sqrt(n)
     h = float(stdtrit(n - 1, 0.5 + level / 2.0)) * sem
     return MeanCI(mean=mean, low=mean - h, high=mean + h, level=level, n=n)
 
@@ -129,16 +170,14 @@ def repetitions_needed(
         raise ValueError("target_relative_half_width must be positive")
     if not 0 < level < 1:
         raise ValueError("level must be in (0, 1)")
-    arr = np.asarray(data, dtype=float)
-    arr = arr[np.isfinite(arr)]
-    if arr.size < 2:
-        return max(int(arr.size), 2)
-    mean = float(arr.mean())
-    s = float(arr.std(ddof=1))
+    values = _finite(data)
+    if len(values) < 2:
+        return max(len(values), 2)
+    mean, s = _mean_std(values)
     if mean == 0 or s == 0:
-        return int(arr.size)
+        return len(values)
     from ..special import ndtri
 
     z = float(ndtri(0.5 + level / 2.0))
     n_star = (z * s / (target_relative_half_width * mean)) ** 2
-    return max(int(math.ceil(n_star)), int(arr.size))
+    return max(int(math.ceil(n_star)), len(values))

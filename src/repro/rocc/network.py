@@ -7,7 +7,8 @@ Three interconnect models cover the paper's architectures:
   represented by the arrivals to a single server buffer" — Figure 2).
 * :class:`ContentionFreeNetwork` — the MPP assumption (§4.4): transfers
   never queue against each other; occupancy is still accounted so
-  utilization-style metrics remain meaningful.
+  utilization-style metrics remain meaningful.  It keeps no in-flight
+  signal: only a traced run's occupancy row would read it.
 
 Both support a ``deliver`` callback per transfer so forwarding
 topologies can hand batches to the receiving daemon or the main Paradyn
@@ -50,7 +51,9 @@ class Transfer(Event):
 
     Created untriggered with ``_finish`` as its first callback; waiters
     registered by ``yield`` run after it, observing the resolved
-    ``ok``/``value`` exactly as with a separately-triggered event.
+    ``ok``/``value`` exactly as with a separately-triggered event.  A
+    plain :class:`Transfer` holds no server (contention-free), so its
+    completion releases nothing.
     """
 
     __slots__ = ("_net", "_amount", "_owner", "_payload", "_deliver")
@@ -75,16 +78,12 @@ class Transfer(Event):
         self._payload = payload
         self._deliver = deliver
 
-    def _resolve(self) -> None:
+    def _finish(self, _event: Event) -> None:
         """Account, deliver, and set the event's outcome (at pop time)."""
         self._net._account(self._amount, self._owner)
         if self._deliver is not None:
             self._deliver(self._payload)
         self._value = None
-
-    def _finish(self, _event: Event) -> None:
-        self._net.release()
-        self._resolve()
 
 
 class QueuedTransfer(Transfer):
@@ -96,7 +95,7 @@ class QueuedTransfer(Transfer):
     __slots__ = ()
 
     def _finish(self, _event: Event) -> None:
-        self._resolve()
+        Transfer._finish(self, _event)
         self._net.release()
 
 
@@ -115,8 +114,6 @@ class BaseNetwork:
         self.name = name
         #: Accumulated network occupancy per owning process class, µs.
         self.busy_by_owner: Dict[ProcessType, float] = {}
-        #: Time-weighted number of in-flight transfers.
-        self.in_flight = TimeWeighted(f"{name}.in_flight", start_time=env.now)
         #: Completed transfer count.
         self.transfers = 0
 
@@ -194,6 +191,9 @@ class FIFONetwork(BaseNetwork):
         super().__init__(env, name)
         self._queue: Deque = deque()
         self._busy = False
+        #: Time-weighted number of transfers in service (0 or 1),
+        #: updated only when the server goes idle or busy.
+        self.in_flight = TimeWeighted(f"{name}.in_flight", start_time=env.now)
 
     def request(self, done) -> None:
         if self._busy:
@@ -232,8 +232,7 @@ class ContentionFreeNetwork(BaseNetwork):
 
     def request(self, done) -> None:
         env = self.env
-        self.in_flight.increment(+1, env._now)
         env._push((env._now + done._amount, NORMAL, next(env._eid), done))
 
     def release(self) -> None:
-        self.in_flight.increment(-1, self.env._now)
+        pass

@@ -182,8 +182,8 @@ class LPBoundaryNetwork(ContentionFreeNetwork):
     exactly the bound the receiver advances on.
 
     The underlying transfer still runs locally with ``deliver=None``,
-    so sender blocking, occupancy accounting, and ``in_flight`` match
-    the sequential kernel exactly.
+    so sender blocking and occupancy accounting match the sequential
+    kernel exactly.
     """
 
     def __init__(self, env, outbox: List[tuple], name: str = "cf-net"):

@@ -516,7 +516,9 @@ class ParadynISSystem:
 
         Each simulation run gets one synthetic sim-time process track
         (:func:`sim_track_pid` of the run label) holding a Gantt row per
-        worker CPU, the host CPU, and the interconnect.
+        worker CPU, the host CPU, and the shared (FIFO) interconnect.
+        A contention-free network keeps no in-flight signal, so it has
+        no row.
         """
         label = self._run_label()
         pid = sim_track_pid(label)
@@ -527,7 +529,8 @@ class ParadynISSystem:
         ]
         if self.host_cpu is not None:
             tracked.append(("host.cpu", self.host_cpu.busy_servers))
-        tracked.append(("network", self.network.in_flight))
+        if isinstance(self.network, FIFONetwork):
+            tracked.append(("network", self.network.in_flight))
         for tid, signal in tracked:
             watcher = _OccupancyWatcher(tracer, pid, tid, f"{tid}.level")
             signal.on_change = watcher

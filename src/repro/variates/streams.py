@@ -30,6 +30,10 @@ from .distributions import Distribution
 
 __all__ = ["StreamFactory", "VariateStream", "AntitheticStream"]
 
+#: Every :class:`VariateStream`'s first buffer: indexing it raises
+#: ``IndexError``, which refills.  Never written (refills replace it).
+_EMPTY = array("d")
+
 
 def _name_to_key(name: str) -> int:
     """Stable 32-bit key for a stream name (crc32, platform-independent)."""
@@ -347,7 +351,7 @@ class VariateStream:
         # no float() call per variate), and a buffered value takes 8
         # bytes where a list of floats takes 32 — a large cell holds
         # hundreds of thousands of buffered values.
-        self._buf: Optional[array] = None
+        self._buf: array = _EMPTY
         self._idx = 0
         self._next = min(self.INITIAL_BLOCK, self.block)
 
@@ -369,12 +373,13 @@ class VariateStream:
     def __call__(self) -> float:
         """Next variate."""
         idx = self._idx
-        buf = self._buf
-        if buf is None or idx >= len(buf):
-            buf = self._refill()
+        try:
+            value = self._buf[idx]
+        except IndexError:  # buffer used up (or the initial empty one)
+            value = self._refill()[0]
             idx = 0
         self._idx = idx + 1
-        return buf[idx]
+        return value
 
     def take_sum(self, n: int) -> float:
         """Sum of the next *n* variates.
@@ -390,7 +395,7 @@ class VariateStream:
         buf = self._buf
         remaining = n
         while remaining > 0:
-            if buf is None or idx >= len(buf):
+            if idx >= len(buf):
                 buf = self._refill()
                 idx = 0
             take = len(buf) - idx

@@ -1,6 +1,8 @@
 """Kernel support for actors (model objects that are their own event)
 and the run loop's direct use of the serving queue's ``pop``."""
 
+from heapq import heappop
+
 import pytest
 
 from repro.des import Environment, EventLog, SimulationStalled
@@ -79,19 +81,15 @@ def test_watchdog_names_actor_at_head_of_schedule():
     assert "spin-actor" in str(excinfo.value)
 
 
-def test_run_loop_serves_promoted_calendar_pop_directly(monkeypatch):
-    """The environment's cached ``pop`` is the serving queue's own: the
-    heap's, then — after a promotion triggered from inside the running
-    loop — the calendar's.  The facade's delegate is never called."""
+def test_run_loop_serves_promoted_calendar_pop_directly():
+    """The environment's cached ``pop`` is the serving phase's own: a
+    ``heappop`` partial over the heap list, then — after a promotion
+    made by the running loop, from pushes made inside it — the
+    calendar's.  No delegating scheduler method sits in between."""
     env = Environment()
     sched = env.scheduler
     assert isinstance(sched, AutoScheduler)
-    assert env._pop.__self__ is sched._impl  # the heap, before promotion
-
-    def delegate(self):
-        raise AssertionError("run loop went through AutoScheduler.pop")
-
-    monkeypatch.setattr(AutoScheduler, "pop", delegate)
+    assert env._pop.func is heappop and env._pop.args == (sched.heap,)
     fired = []
 
     def spawner(env):
@@ -105,9 +103,8 @@ def test_run_loop_serves_promoted_calendar_pop_directly(monkeypatch):
     env.process(spawner(env))
     env.run(until=sched.promote_at + 1.75)
     assert sched.promotions == 1
-    assert env._pop.__self__ is sched._impl  # now the calendar
+    assert sched.heap == []
+    assert env._pop.__self__ is sched.calendar
     assert fired == list(range(sched.promote_at + 1))
-    monkeypatch.undo()
-    # Direct callers still reach the promoted calendar via the facade.
-    assert sched.pop()[0] == sched.promote_at + 2.5
+    assert env.peek() == sched.promote_at + 2.5
 

@@ -143,19 +143,6 @@ def test_clock_is_monotonic_across_many_events(env):
     assert seen == sorted(seen)
 
 
-def test_active_process_visible_during_resume(env):
-    captured = []
-
-    def proc(env):
-        captured.append(env.active_process)
-        yield env.timeout(1)
-
-    p = env.process(proc(env))
-    env.run()
-    assert captured == [p]
-    assert env.active_process is None
-
-
 def test_failed_event_without_waiter_crashes_simulation(env):
     ev = env.event()
     ev.fail(RuntimeError("boom"))

@@ -13,19 +13,60 @@ calendar lap.
 
 import heapq
 import random
+from functools import partial
 from math import inf
 
 import pytest
 
 import repro.des.queues as queues
 from repro.des import Environment
-from repro.des.queues import AutoScheduler, CalendarQueue, HeapScheduler
+from repro.des.queues import CalendarQueue
 
-#: Every scheduler class, keyed by the ``impl`` name its stats report.
+
+class EnvSchedule:
+    """An environment's schedule driven one entry at a time.
+
+    Pushes go through ``env._push`` and each entry must carry the next
+    id of ``env._eid``, as every kernel entry does; each pop takes the
+    event boundary the run loop takes (promote once the heap is
+    ``promote_at`` deep, then ``env._pop``).
+    """
+
+    def __init__(self, promote_at=queues._PROMOTE_AT):
+        self.env = Environment()
+        self.scheduler = self.env.scheduler
+        self.scheduler.promote_at = promote_at
+
+    def push(self, entry):
+        assert entry[2] == next(self.env._eid)
+        self.env._push(entry)
+
+    def pop(self):
+        sched = self.scheduler
+        if len(sched.heap) >= sched.promote_at:
+            self.env._promote()
+        return self.env._pop()
+
+    def __len__(self):
+        return len(self.env)
+
+    def peek_time(self):
+        return self.env.peek()
+
+    def smallest(self, k):
+        return self.scheduler.smallest(k)
+
+    def stats(self):
+        return self.scheduler.stats()
+
+
+#: Every scheduler phase, keyed by test id: an environment pinned to
+#: its heap, the bare calendar queue, and an environment that promotes
+#: mid-stream.
 IMPLS = {
-    "heap": HeapScheduler,
+    "heap": partial(EnvSchedule, inf),
     "calendar": CalendarQueue,
-    "auto": AutoScheduler,
+    "auto": partial(EnvSchedule, 24),
 }
 
 
@@ -119,11 +160,11 @@ def test_stats_shape_and_counts():
         for _ in range(4):
             sched.pop()
         stats = sched.stats()
-        if name == "auto":
-            # The facade names the implementation currently serving.
-            assert stats["impl"] == "auto(heap)"
-        else:
+        if name == "calendar":
             assert stats["impl"] == name
+        else:
+            # An environment names the phase currently serving.
+            assert stats["impl"] == "auto(heap)"
         assert stats["enqueues"] == 10
         assert stats["dequeues"] == 4
         assert set(stats) == {
@@ -142,30 +183,31 @@ def test_smallest_and_peek():
 
 
 def test_auto_promotes_once_and_never_demotes():
-    """The auto scheduler's promotion is a one-way hysteresis latch.
+    """The promotion is a one-way hysteresis latch.
 
-    Drive the schedule depth across the threshold, drain it back to
-    (near) empty, and cross the threshold again: exactly one promotion
-    happens, and the serving implementation stays the calendar even
-    when the schedule is empty again.
+    Drive the schedule depth across the threshold, drain it to empty,
+    and cross the threshold again: exactly one promotion happens, and
+    the serving phase stays the calendar even when the schedule is
+    empty again.  The id-derived counters continue across it.
     """
-    sched = AutoScheduler(promote_at=32)
-    assert sched.stats()["impl"] == "auto(heap)"
-    seq = 0
+    env = Environment()
+    sched = env.scheduler
+    sched.promote_at = 32
     for i in range(40):  # cross the threshold
-        sched.push((float(i), 0, seq, None)); seq += 1
+        env.timeout(float(i))
+    assert sched.stats()["impl"] == "auto(heap)"
+    env.run()  # promotes at the first event boundary, then drains
     assert sched.promotions == 1
     assert sched.stats()["impl"] == "auto(calendar)"
-    while len(sched):  # drain to empty: must NOT demote
-        sched.pop()
-    assert sched.stats()["impl"] == "auto(calendar)"
+    assert len(env) == 0
     for i in range(40):  # re-cross: no second promotion
-        sched.push((100.0 + i, 0, seq, None)); seq += 1
+        env.timeout(float(i))
+    env.run()
     assert sched.promotions == 1
-    # Counter continuity across the promotion.
+    assert sched.heap == []
     stats = sched.stats()
     assert stats["enqueues"] == 80
-    assert stats["dequeues"] == 40
+    assert stats["dequeues"] == 80
 
 
 def test_auto_promotion_preserves_pop_order():
@@ -179,24 +221,103 @@ def test_auto_promotion_preserves_pop_order():
         return rng.choice((0.0, 1.0, rng.expovariate(0.01), inf))
 
     for seed in range(20):
-        sched = AutoScheduler(promote_at=24)
+        sched = EnvSchedule(promote_at=24)
         _drive(sched, random.Random(seed), 600, gaps)
-        assert sched.promotions == 1, "threshold never crossed: weak test"
+        assert sched.scheduler.promotions == 1, "threshold never crossed: weak test"
 
 
 def test_auto_rebinds_environment_push():
-    """After promotion the environment enqueues via the calendar
-    directly — the delegation tax is paid only while shallow."""
+    """The environment enqueues and dequeues through ``heapq`` partials
+    over the heap list while shallow, and through the calendar's own
+    methods after the promotion: no delegating frame on either side."""
     env = Environment()
     sched = env.scheduler
-    assert env._push.__self__ is sched
+    for cached, func in ((env._push, heapq.heappush), (env._pop, heapq.heappop)):
+        assert cached.func is func and cached.args == (sched.heap,)
     for i in range(sched.promote_at + 8):
-        env.schedule(Environment.event(env), delay=float(i))
-    assert sched.promotions == 1
-    assert env._push.__self__ is sched._impl
-    # The facade keeps serving pops/stats for the promoted impl.
+        env.timeout(float(i))
+    # Pushes alone never promote: the run loop does, at an event boundary.
+    assert sched.promotions == 0
+    assert len(sched.heap) == sched.promote_at + 8
     env.run(until=4.0)
+    assert sched.promotions == 1
+    assert env._push.__self__ is sched.calendar
+    assert env._pop.__self__ is sched.calendar
     assert sched.stats()["impl"] == "auto(calendar)"
+
+
+def _promotion_trajectory(promote_at, where):
+    """Log of (time, tag) for a model whose schedule deepens past
+    *promote_at*: 300 timeouts pushed before ``run()``
+    (``before_run``), or bursts of 80 pushed from a process
+    (``in_callbacks``, and ``step`` under the watchdog loop)."""
+    env = Environment()
+    env.scheduler.promote_at = promote_at
+    rng = random.Random(7)
+    log = []
+
+    def note(event):
+        log.append((env.now, event.value))
+
+    def spray(n, base):
+        for i in range(n):
+            delay = rng.choice((0.0, 1.0, 2.5, rng.random() * 50.0))
+            env.timeout(delay, value=base + i).callbacks.append(note)
+
+    def spawner(env):
+        for burst in range(5):
+            yield env.timeout(1.0)
+            spray(80, 1000 * burst)
+
+    if where == "before_run":
+        spray(300, 0)
+    else:
+        env.process(spawner(env))
+    promoted_before_run = env.scheduler.promotions
+    if where == "step":
+        env.run(max_events=1_000_000)
+    else:
+        env.run()
+    return log, promoted_before_run, env.scheduler.stats()
+
+
+@pytest.mark.parametrize("where", ["before_run", "in_callbacks", "step"])
+def test_run_loop_promotion_gives_the_heap_only_pop_order(where):
+    ref, _, ref_stats = _promotion_trajectory(inf, where)
+    log, promoted_before_run, stats = _promotion_trajectory(64, where)
+    assert ref_stats["impl"] == "auto(heap)"
+    assert stats["impl"] == "auto(calendar)"
+    assert promoted_before_run == 0
+    assert len(log) >= 300
+    assert log == ref
+    assert stats["enqueues"] == ref_stats["enqueues"]
+
+
+def test_dequeues_equal_events_processed():
+    """``stats()["dequeues"]`` counts exactly the events the loop
+    processed (every processed entry is seen by a tracer), on the heap
+    and across a promotion, in both loops."""
+    for promote_at in (inf, 16):
+        for watchdog in (False, True):
+            env = Environment()
+            env.scheduler.promote_at = promote_at
+            seen = []
+            env.add_tracer(lambda event, now: seen.append(event))
+
+            def proc(env, period):
+                while env.now < 40.0:
+                    yield env.timeout(period)
+                    yield env.hold(period)
+
+            for k in range(20):
+                env.process(proc(env, 1.0 + k * 0.25))
+            kw = {"max_events": 10**6} if watchdog else {}
+            env.run(until=50.0, **kw)
+            stats = env.scheduler.stats()
+            assert stats["dequeues"] == len(seen) > 0
+            assert stats["enqueues"] == len(seen) + len(env)
+            assert stats["impl"] == (
+                "auto(heap)" if promote_at == inf else "auto(calendar)")
 
 
 @pytest.mark.parametrize("name", sorted(IMPLS))

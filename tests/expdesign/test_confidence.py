@@ -149,3 +149,35 @@ def test_too_few_finite_observations_degenerate():
     all_nan = mean_confidence_interval([float("nan")] * 5)
     assert all_nan.degenerate and all_nan.n == 0
     assert all_nan.relative_half_width == float("inf")
+
+
+def test_pure_python_moments_are_numpys_bit_for_bit():
+    """The intervals repeat numpy's float64 pairwise summation: the mean
+    and the ddof=1 standard deviation equal ``np.mean``/``np.std`` bit
+    for bit, on every block shape (below 8, up to 128, split above)."""
+    from repro.expdesign.confidence import _mean_std, _pairwise_sum
+
+    gen = np.random.default_rng(5)
+    for n in [*range(1, 40), 127, 128, 129, 136, 255, 256, 257, 1000, 2049]:
+        for scale in (1e-3, 1.0, 1e9):
+            arr = gen.normal(gen.random() * scale, scale, n)
+            values = arr.tolist()
+            assert _pairwise_sum(values, 0, n) == float(np.add.reduce(arr))
+            if n >= 2:
+                mean, std = _mean_std(values)
+                assert mean == float(arr.mean())
+                assert std == float(arr.std(ddof=1))
+
+
+def test_interval_and_sizing_equal_the_numpy_formulas(rng):
+    from repro.special import ndtri, stdtrit
+
+    for n in (2, 3, 10, 50):
+        data = rng.lognormal(3.0, 1.0, n)
+        ci = mean_confidence_interval(data, level=0.9)
+        h = float(stdtrit(n - 1, 0.95)) * float(data.std(ddof=1) / np.sqrt(n))
+        assert ci.mean == float(data.mean())
+        assert (ci.low, ci.high) == (ci.mean - h, ci.mean + h)
+        z = float(ndtri(0.95))
+        n_star = (z * float(data.std(ddof=1)) / (0.05 * float(data.mean()))) ** 2
+        assert repetitions_needed(data, 0.05) == max(int(np.ceil(n_star)), n)

@@ -21,6 +21,7 @@ from repro.obs import (
     validate_trace_events,
 )
 from repro.rocc import Architecture, SimulationConfig, simulate
+from repro.rocc.config import NetworkMode
 
 NOW_CONFIG = SimulationConfig(
     architecture=Architecture.NOW,
@@ -93,3 +94,19 @@ def test_direct_simulate_honours_ambient_tracer() -> None:
     cats = {s.cat for s in tracer.batch().spans}
     assert "run" in cats
     assert "occupancy" in cats
+
+
+@pytest.mark.parametrize("mode", ["fifo", "cf"])
+def test_only_the_shared_network_has_an_occupancy_row(mode) -> None:
+    """A FIFO (shared) interconnect gets a ``network`` occupancy row; a
+    contention-free one keeps no in-flight signal and gets none."""
+    config = NOW_CONFIG.with_(
+        network_mode=NetworkMode.SHARED if mode == "fifo"
+        else NetworkMode.CONTENTION_FREE)
+    tracer = Tracer()
+    with use_tracing(tracer):
+        simulate(config)
+    occupancy_tids = {s.tid for s in tracer.batch().spans
+                      if s.cat == "occupancy"}
+    assert "node0.cpu" in occupancy_tids
+    assert ("network" in occupancy_tids) == (mode == "fifo")

@@ -117,3 +117,33 @@ def test_fire_and_forget_transfer_still_accounts(env):
     net.transfer(5, PD)
     env.run()
     assert net.total_busy_time() == 15.0
+
+
+def test_fifo_in_flight_integrates_server_occupancy(env):
+    """The FIFO network's ``in_flight`` is the time-weighted server
+    state: 1 while any transfer is in service (queued ones hand the
+    server on without a 0 in between), 0 while idle."""
+    net = FIFONetwork(env)
+    levels = []
+    net.in_flight.on_change = lambda t, value: levels.append((t, value))
+
+    def later(env):
+        yield env.timeout(250)
+        yield net.transfer(50, APP)
+
+    net.transfer(100, APP)
+    net.transfer(40, PD)
+    env.process(later(env))
+    env.run(until=400)
+    # Busy 0-140 (two back-to-back transfers) and 250-300: 190 of 400.
+    assert net.in_flight.time_average(400.0) == pytest.approx(190.0 / 400.0)
+    assert net.in_flight.value == 0
+    assert [v for _, v in levels] == [1, 0, 1, 0]
+
+
+def test_contention_free_network_keeps_no_in_flight_signal(env):
+    net = ContentionFreeNetwork(env)
+    assert not hasattr(net, "in_flight")
+    net.transfer(10, APP)
+    env.run()
+    assert net.transfers == 1 and net.total_busy_time() == 10.0
