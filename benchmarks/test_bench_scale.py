@@ -7,7 +7,10 @@ measure exactly that promise at 64, 256, and 1024 NOW nodes.
 Peak RSS (``ru_maxrss``) is monotonic over a process's lifetime, so
 each node count runs in its own subprocess and reports a JSON record;
 running them in-process would let the 64-node run inherit the 1024-node
-high-water mark (or vice versa).
+high-water mark (or vice versa).  Each probe runs :data:`ROUNDS` times:
+a cell's wall and build times are the minimum over its rounds (one run
+of 0.06–0.8 s on a shared host is too noisy to gate on) and its peak
+RSS the maximum.
 
 Committed baseline: ``BENCH_SCALE.json``, gated in CI by
 ``scripts/check_bench_regression.py --mode relative`` (wall times
@@ -37,6 +40,8 @@ import pytest
 NODE_COUNTS = (64, 256, 1024)
 DURATION = 1_000_000.0  # one simulated second
 SEED = 1
+#: Subprocess runs per node count.
+ROUNDS = 3
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -72,7 +77,7 @@ print(json.dumps({
 """
 
 
-def _run_probe(nodes: int) -> dict:
+def _run_probe_once(nodes: int) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(_SRC) + os.pathsep + env.get("PYTHONPATH", "")
     env.setdefault("PYTHONHASHSEED", "0")
@@ -86,9 +91,24 @@ def _run_probe(nodes: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _run_probe(nodes: int) -> dict:
+    """:data:`ROUNDS` probes of one cell: the fastest round's record,
+    with build time the minimum and peak RSS the maximum of all rounds.
+    Every round simulates the same seeded cell, so the event and
+    sample counts agree."""
+    rounds = [_run_probe_once(nodes) for _ in range(ROUNDS)]
+    best = dict(min(rounds, key=lambda r: r["wall_seconds"]))
+    best["build_seconds"] = min(r["build_seconds"] for r in rounds)
+    best["maxrss_kb"] = max(r["maxrss_kb"] for r in rounds)
+    assert {(r["events"], r["samples_received"]) for r in rounds} == {
+        (best["events"], best["samples_received"])}
+    return best
+
+
 @pytest.fixture(scope="module")
 def scale_probes():
-    """One subprocess run per node count, shared by every test below."""
+    """:data:`ROUNDS` subprocess runs per node count, shared by every
+    test below."""
     probes = {n: _run_probe(n) for n in NODE_COUNTS}
     out = os.environ.get("REPRO_SCALE_RESULTS")
     if out:

@@ -33,7 +33,8 @@ both pure Python, so it loads no numpy either.  Six checks guard this:
    end-to-end benchmark's ``paper-rerun`` workload regenerates) finish
    without any scipy module or any of :data:`ONE_WORKER_FORBIDDEN`
    loaded; the ``figure30 --plan`` run, which simulates, also without
-   ``numpy.ma``.
+   ``numpy.ma`` or any of :data:`UNTRACED_FORBIDDEN` (only a traced
+   run profiles its kernel).
 3. **Warm-cache planned rerun** — the second of two ``figure30 --plan``
    runs on one cache directory loads none of
    :data:`WARM_PLANNED_FORBIDDEN` (the simulator, tracing, fitting,
@@ -115,6 +116,8 @@ WARM_FORBIDDEN = (
 WARM_PLANNED_FORBIDDEN = tuple(
     m for m in WARM_FORBIDDEN if m not in ("repro.planner", "repro.analytical")
 )
+#: The kernel's profiler and event tracers: only a traced run loads them.
+UNTRACED_FORBIDDEN = ("repro.des.profiling", "repro.des.tracing")
 #: Modules a one-worker CLI run never loads: OpenSSL's hash binding
 #: (blocked by the CLI) and the process-pool stack (only a pool needs it).
 ONE_WORKER_FORBIDDEN = ("_hashlib", "concurrent.futures", "multiprocessing")
@@ -285,7 +288,8 @@ def main() -> int:
 
     print("== artifact run, then warm-cache rerun: figure30 --plan ==")
     res, warm = probe(["figure30", "--plan"],
-                      ["scipy", *WARM_PLANNED_FORBIDDEN, *ONE_WORKER_FORBIDDEN],
+                      ["scipy", *WARM_PLANNED_FORBIDDEN, *ONE_WORKER_FORBIDDEN,
+                       *UNTRACED_FORBIDDEN],
                       runs=2)
     scipy = [m for m in res["modules"] if _under(m, ("scipy",))]
     check(res["status"] == 0, f"exit status {res['status']}")
@@ -293,6 +297,9 @@ def main() -> int:
     masked = [m for m in res["modules"] if _under(m, ("numpy.ma",))]
     check(not masked, "no numpy.ma module loaded "
           f"(loaded: {', '.join(masked) or 'none'})")
+    profiling = [m for m in res["modules"] if _under(m, UNTRACED_FORBIDDEN)]
+    check(not profiling, "no kernel profiler or event tracer loaded "
+          f"(loaded: {', '.join(profiling) or 'none'})")
     check_one_worker("", res["modules"])
     check(warm["status"] == 0, f"warm rerun: exit status {warm['status']}")
     bad = sorted(m for m in warm["modules"]

@@ -47,10 +47,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "Tally": "monitor",
     "TimeWeighted": "monitor",
     "EventLog": "tracing",
-    "EventCounter": "tracing",
     "TraceEntry": "tracing",
     "event_kind": "tracing",
     "KernelProfiler": "profiling",
-    "format_profile": "profiling",
-    "merge_profiles": "profiling",
 })

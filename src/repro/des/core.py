@@ -52,9 +52,14 @@ Infinity: float = float("inf")
 _POOL_LIMIT = 256
 
 
-#: Variables that used to select a kernel path or an event scheduler.
-#: Setting one now raises instead of being silently ignored.
-_REMOVED_VARIABLES = ("REPRO_DES_FASTPATH", "REPRO_DES_QUEUE")
+#: Variables that used to select a kernel path, an event scheduler or
+#: kernel profiling, each with what replaced it.  Setting one now raises
+#: instead of being silently ignored.
+_REMOVED_VARIABLES = {
+    "REPRO_DES_FASTPATH": "the kernel has one path",
+    "REPRO_DES_QUEUE": "the kernel has one scheduler policy",
+    "REPRO_PROFILE": "a traced run (--trace-out, REPRO_TRACE) profiles its kernel",
+}
 
 
 #: The one callback the recycler accepts: a bound ``Process._resume``.
@@ -71,12 +76,9 @@ class Environment:
     """
 
     def __init__(self, initial_time: float = 0.0):
-        for var in _REMOVED_VARIABLES:
+        for var, reason in _REMOVED_VARIABLES.items():
             if var in os.environ:
-                raise ValueError(
-                    f"{var} was removed: the kernel has one path and one "
-                    f"scheduler policy; unset {var}"
-                )
+                raise ValueError(f"{var} was removed: {reason}; unset {var}")
         self._now: float = float(initial_time)
         #: The event scheduler.  ``_push`` and ``_pop`` are the enqueue
         #: and dequeue of the phase serving it: ``heapq`` partials over

@@ -52,15 +52,9 @@ import time
 from multiprocessing.connection import wait as _conn_wait
 from typing import Dict, List, Optional
 
-from ..obs.metrics import registry as obs_registry
+from ..obs.metrics import diff_snapshots, registry as obs_registry
 from ..obs.spans import SIM, current_tracer, maybe_span, sim_track_pid
 from .events import NORMAL, Event
-from .profiling import (
-    KernelProfiler,
-    merge_profiles,
-    profile_enabled,
-    set_last_profile,
-)
 
 __all__ = ["LPWorkerLost", "parallel_simulate"]
 
@@ -97,52 +91,63 @@ def _window_length(duration: float) -> float:
     return max(duration / _DEFAULT_WINDOWS, 1.0)
 
 
+def _kernel_profiler(env):
+    """A :class:`~repro.des.profiling.KernelProfiler` attached to *env*
+    when the run is traced, else ``None``."""
+    if current_tracer() is None:
+        return None
+    from .profiling import KernelProfiler
+
+    return KernelProfiler(env).attach()
+
+
 def _lp_worker(conn, config, role, window: float) -> None:
     """Body of one node-LP worker process.
 
     Free-runs its kernel window by window, streaming cut-edge
-    deliveries after each, then ships its metrics and raw aggregates.
-    Any exception is reported over the pipe before exiting nonzero.
+    deliveries after each, then ships its metrics, raw aggregates and
+    obs registry delta (the kernel profile of a traced run).  Any
+    exception is reported over the pipe before exiting nonzero.
     """
     from ..rocc.system import ParadynISSystem
 
     try:
+        registry_before = obs_registry().snapshot()
         chaos_marker = os.environ.get(_CHAOS_KILL_ENV)
         system = ParadynISSystem(config, lp_role=role)
         env = system.env
         outbox = role.outbox
         duration = config.duration
-        profiler = KernelProfiler(env) if profile_enabled() else None
+        profiler = _kernel_profiler(env)
 
         sent = 0
         horizon = 0.0
         w = 0
+        while horizon < duration:
+            w += 1
+            horizon = min(duration, w * window)
+            env.run(until=horizon)
+            conn.send(("window", role.lp_index, horizon, outbox[sent:]))
+            sent = len(outbox)
+            if (
+                chaos_marker
+                and role.lp_index == 0
+                and not os.path.exists(chaos_marker)
+            ):
+                with open(chaos_marker, "w"):
+                    pass
+                os.kill(os.getpid(), signal.SIGKILL)
         if profiler is not None:
-            profiler.__enter__()
-        try:
-            while horizon < duration:
-                w += 1
-                horizon = min(duration, w * window)
-                env.run(until=horizon)
-                conn.send(("window", role.lp_index, horizon, outbox[sent:]))
-                sent = len(outbox)
-                if (
-                    chaos_marker
-                    and role.lp_index == 0
-                    and not os.path.exists(chaos_marker)
-                ):
-                    with open(chaos_marker, "w"):
-                        pass
-                    os.kill(os.getpid(), signal.SIGKILL)
-        finally:
-            if profiler is not None:
-                profiler.__exit__(None, None, None)
+            profiler.detach()
+            profiler.publish()
 
         payload = {
             "metrics": system.metrics,
             "agg": system._raw_aggregates(),
             "windows": w,
-            "profile": profiler.report() if profiler is not None else None,
+            "registry": diff_snapshots(
+                registry_before, obs_registry().snapshot()
+            ),
         }
         conn.send(("done", role.lp_index, payload))
     except BaseException as exc:  # noqa: BLE001 - relayed to coordinator
@@ -295,40 +300,37 @@ def parallel_simulate(config, lp_workers: int, window: Optional[float] = None):
                 env.schedule(ev, NORMAL, t - now)
 
         t0 = time.perf_counter()
-        profiler = KernelProfiler(env) if profile_enabled() else None
-        if profiler is not None:
-            profiler.__enter__()
-        try:
-            with maybe_span(
-                "simulate", cat="run",
-                args={
-                    "config": system._run_label(),
-                    "duration_us": duration,
-                    "lp_workers": k,
-                },
-            ):
-                while True:
-                    safe = min(duration, min(
-                        horizons[lp] + la_map.get(lp, 0.0) for lp in range(k)
-                    ))
-                    if safe > last_safe:
-                        inject_up_to(safe)
-                        if safe > env.now:
-                            env.run(until=safe)
-                        last_safe = safe
-                    if all(d is not None for d in done):
-                        break
-                    sync_waits += 1
-                    for conn in _conn_wait(list(conn_by_fd.values())):
-                        handle(conn)
-        finally:
-            if profiler is not None:
-                profiler.__exit__(None, None, None)
+        profiler = _kernel_profiler(env)
+        with maybe_span(
+            "simulate", cat="run",
+            args={
+                "config": system._run_label(),
+                "duration_us": duration,
+                "lp_workers": k,
+            },
+        ):
+            while True:
+                safe = min(duration, min(
+                    horizons[lp] + la_map.get(lp, 0.0) for lp in range(k)
+                ))
+                if safe > last_safe:
+                    inject_up_to(safe)
+                    if safe > env.now:
+                        env.run(until=safe)
+                    last_safe = safe
+                if all(d is not None for d in done):
+                    break
+                sync_waits += 1
+                for conn in _conn_wait(list(conn_by_fd.values())):
+                    handle(conn)
 
         for proc in procs:
             proc.join()
 
+        reg = obs_registry()
         if tracer is not None:
+            profiler.detach()
+            profiler.publish()
             system._finish_observability()
 
         # Merge: the main LP's metrics hold every receipt; node LP
@@ -336,15 +338,11 @@ def parallel_simulate(config, lp_workers: int, window: Optional[float] = None):
         # counters, folded in ascending LP (= ascending node) order.
         metrics = system.metrics
         agg = system._raw_aggregates()
-        profile = profiler.report() if profiler is not None else None
         for lp in range(k):
             payload = done[lp]
             metrics.merge(payload["metrics"])
             agg.merge(payload["agg"])
-            if profile is not None and payload["profile"] is not None:
-                profile = merge_profiles(profile, payload["profile"])
-        if profiler is not None:
-            set_last_profile(profile)
+            reg.merge_snapshot(payload["registry"])
 
         la = plan.min_lookahead
         agg.obs_info = dict(agg.obs_info)
@@ -357,7 +355,6 @@ def parallel_simulate(config, lp_workers: int, window: Optional[float] = None):
         })
 
         system._publish_metrics()
-        reg = obs_registry()
         reg.counter(
             "parallel.lp_sync_waits",
             "coordinator blocks waiting on LP window reports",

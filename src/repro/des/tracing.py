@@ -3,8 +3,8 @@
 The ROCC study is about instrumenting systems; this module instruments
 the *simulator*: an :class:`EventLog` records every processed event
 (time, kind, process name) for debugging and for the kernel-throughput
-benchmarks, and :class:`EventCounter` keeps cheap per-kind counts for
-long runs where retaining a log would be prohibitive.
+benchmarks.  Long runs are counted by the kernel profiler
+(:mod:`repro.des.profiling`) instead, which traced runs attach.
 
 Usage::
 
@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 from .core import Environment
 from .events import Actor, Event, Hold, Process, Timeout
 
-__all__ = ["TraceEntry", "EventLog", "EventCounter", "event_kind"]
+__all__ = ["TraceEntry", "EventLog", "event_kind"]
 
 
 def event_kind(event: Event) -> str:
@@ -112,41 +112,3 @@ class EventLog:
         for e in self.entries:
             out[e.kind] = out.get(e.kind, 0) + 1
         return out
-
-
-class EventCounter:
-    """O(1)-memory event counter by kind; suitable for long runs."""
-
-    def __init__(self, env: Environment):
-        self.env = env
-        self.counts: Dict[str, int] = {}
-        self.total = 0
-        self.first_time: Optional[float] = None
-        self.last_time: Optional[float] = None
-
-    def __call__(self, event: Event, now: float) -> None:
-        kind = event_kind(event)
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        self.total += 1
-        if self.first_time is None:
-            self.first_time = now
-        self.last_time = now
-
-    def attach(self) -> "EventCounter":
-        self.env.add_tracer(self)
-        return self
-
-    def detach(self) -> None:
-        self.env.remove_tracer(self)
-
-    def __enter__(self) -> "EventCounter":
-        return self.attach()
-
-    def __exit__(self, *exc) -> None:
-        self.detach()
-
-    def events_per_sim_time(self) -> float:
-        """Event density over the observed simulated span."""
-        if self.first_time is None or self.last_time == self.first_time:
-            return float("nan")
-        return self.total / (self.last_time - self.first_time)

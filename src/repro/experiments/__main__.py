@@ -110,7 +110,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args,
         cache=(
             CellCache(enabled=False)
-            if (args.no_cache or args.profile or trace_out)
+            if (args.no_cache or trace_out)
             else None
         ),
         workers=args.workers,
@@ -160,10 +160,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if engine.failure_report:
             print(engine.failure_report.format(), file=sys.stderr)
             status = status or 1
-        if args.profile and engine.stats.profile is not None:
-            from ..des.profiling import format_profile
-
-            print(format_profile(engine.stats.profile), file=sys.stderr)
         if tracer is not None:
             path = export_trace(tracer, trace_out, registry())
             print(summarize(tracer, registry()), file=sys.stderr)

@@ -40,7 +40,8 @@ Environment knobs:
 * ``REPRO_CACHE_DIR`` — cache directory (default
   ``$XDG_CACHE_HOME/repro/cells`` or ``~/.cache/repro/cells``).
 * ``REPRO_DES_PARALLEL`` — in-cell LP count when ``lp_workers`` is not
-  given (read once, when the engine is built).
+  given (read once, when the engine is built; its only reader, so a
+  direct ``simulate(cfg)`` stays sequential).
 """
 
 from __future__ import annotations
@@ -421,11 +422,6 @@ class EngineStats:
     cell_wall_time: float = 0.0
     #: Sum of per-cell CPU seconds as measured inside the workers.
     cell_cpu_time: float = 0.0
-    #: Kernel events processed by profiled cells (0 unless REPRO_PROFILE).
-    sim_events: int = 0
-    #: Merged kernel profile of every profiled cell (None unless
-    #: REPRO_PROFILE; see :mod:`repro.des.profiling`).
-    profile: Optional[dict] = None
 
     @property
     def worker_utilization(self) -> float:
@@ -439,11 +435,7 @@ class EngineStats:
         return replace(self)
 
     def since(self, earlier: "EngineStats") -> "EngineStats":
-        """Delta of the counters relative to an earlier snapshot.
-
-        The merged ``profile`` is cumulative (profiles only ever merge),
-        so the delta carries the current one unchanged.
-        """
+        """Delta of the counters relative to an earlier snapshot."""
         return EngineStats(
             workers=self.workers,
             cells_submitted=self.cells_submitted - earlier.cells_submitted,
@@ -463,16 +455,11 @@ class EngineStats:
             wall_time=self.wall_time - earlier.wall_time,
             cell_wall_time=self.cell_wall_time - earlier.cell_wall_time,
             cell_cpu_time=self.cell_cpu_time - earlier.cell_cpu_time,
-            sim_events=self.sim_events - earlier.sim_events,
-            profile=self.profile,
         )
 
     def summary(self) -> str:
         util = self.worker_utilization
         util_s = f"{100.0 * util:.0f}%" if util == util else "-"
-        events_s = (
-            f", {self.sim_events:,} kernel events" if self.sim_events else ""
-        )
         resilience_bits = [
             f"{count} {label}"
             for count, label in (
@@ -494,8 +481,7 @@ class EngineStats:
             f"{self.cells_submitted} cells ({self.cells_run} run, "
             f"{self.cache_hits} cached, {self.cell_errors} failed) in "
             f"{self.wall_time:.2f}s wall / {self.cell_cpu_time:.2f}s cpu, "
-            f"{self.workers} worker(s), {util_s} utilization"
-            f"{resilience_s}{events_s}"
+            f"{self.workers} worker(s), {util_s} utilization{resilience_s}"
         )
 
 
@@ -516,11 +502,10 @@ class _CellOutcome:
     exc: Optional[BaseException] = None
     wall: float = 0.0
     cpu: float = 0.0
-    #: Kernel profile of the run (plain dict; set only under REPRO_PROFILE).
-    profile: Optional[dict] = None
     #: Spans recorded while running this cell (set only when traced).
     trace: Optional[SpanBatch] = None
-    #: Metrics-registry delta produced by this cell (obs snapshot diff).
+    #: Metrics-registry delta produced by this cell (obs snapshot diff;
+    #: a traced cell's kernel profile travels in it).
     metrics: Optional[dict] = None
     #: Process that executed the cell — the parent merges the metrics
     #: delta only for foreign pids (inline cells already published).
@@ -531,7 +516,6 @@ def _run_cell(payload: Tuple[SimulationConfig, bool, bool, Optional[int]]) -> _C
     """Execute one cell; never raises (failures become artifacts)."""
     # The simulator is imported by the first cell that runs, so a run
     # served from the cache never loads it.
-    from ..des.profiling import take_last_profile
     from ..rocc.aggregate import simulate_aggregated
     from ..rocc.system import simulate
 
@@ -546,7 +530,7 @@ def _run_cell(payload: Tuple[SimulationConfig, bool, bool, Optional[int]]) -> _C
     # A traced cell records into its own fresh tracer (explicitly
     # installed — forked workers inherit the parent's tracer object, and
     # inline cells must not write parent spans twice) and ships the
-    # batch back, exactly like kernel profiles do.
+    # batch back next to its metrics delta.
     tracer = Tracer() if traced else None
     metrics_before = obs_registry().snapshot()
     t0, c0 = time.perf_counter(), time.process_time()
@@ -582,7 +566,6 @@ def _run_cell(payload: Tuple[SimulationConfig, bool, bool, Optional[int]]) -> _C
     return _CellOutcome(
         ok=True, result=result,
         wall=time.perf_counter() - t0, cpu=time.process_time() - c0,
-        profile=take_last_profile(),
         trace=tracer.batch() if tracer is not None else None,
         metrics=diff_snapshots(metrics_before, obs_registry().snapshot()),
         pid=os.getpid(),
@@ -979,7 +962,7 @@ class ExperimentEngine:
     # -- bookkeeping ---------------------------------------------------
     def _book(self, out: _CellOutcome) -> None:
         """Account for one executed attempt, final or retried: its wall
-        and CPU time, spans, metrics delta and kernel profile."""
+        and CPU time, spans and metrics delta."""
         _ATTEMPT_SECONDS.observe(out.wall)
         self.stats.cell_wall_time += out.wall
         self.stats.cell_cpu_time += out.cpu
@@ -990,11 +973,6 @@ class ExperimentEngine:
             # Inline cells already published into this registry; only
             # foreign (worker) deltas need folding in.
             obs_registry().merge_snapshot(out.metrics)
-        if out.profile is not None:
-            from ..des.profiling import merge_profiles
-
-            self.stats.profile = merge_profiles(self.stats.profile, out.profile)
-            self.stats.sim_events += out.profile["events"]
 
     def _retry(self, out: _CellOutcome, key: Optional[str],
                attempt: int) -> bool:

@@ -3,9 +3,9 @@
 ``python -m repro.experiments`` and ``python -m repro.rocc`` run their
 cells through one :class:`~repro.experiments.engine.ExperimentEngine`.
 :func:`add_run_flags` defines the flags that shape such a run — in-cell
-LP parallelism, deadlines, retries, the resume journal, profiling,
-tracing, and the planner's precision target and budget — and
-:func:`engine_from_args` builds the engine from them.
+LP parallelism, deadlines, retries, the resume journal, tracing (which
+also profiles the kernel), and the planner's precision target and
+budget — and :func:`engine_from_args` builds the engine from them.
 
 Each flag has one default.  The values come from outside the program,
 so each is checked as it is parsed: a count below its minimum, or a
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 from typing import Callable, Optional
 
 __all__ = ["Checked", "add_run_flags", "engine_from_args", "int_at_least"]
@@ -94,12 +93,10 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
          help="with --no-strict, cells that exhaust their retries are "
          "reported in a failure report (exit 1) and the run continues "
          "with partial results instead of aborting")
-    flag("--profile", action="store_true",
-         help="profile the simulation kernel in every executed cell and "
-         "print the merged profile (bypasses the cell cache)")
     flag("--trace-out", metavar="PATH", default=None,
-         help="record spans and occupancy tracks of every executed cell "
-         "and write a trace to PATH (.jsonl for JSONL, otherwise "
+         help="record spans, occupancy tracks and a kernel profile of "
+         "every executed cell, print the des.* profile rows with the "
+         "metrics and write a trace to PATH (.jsonl for JSONL, otherwise "
          "Perfetto-loadable trace_event JSON; bypasses the cell cache; "
          "default: $REPRO_TRACE)")
     flag("--ci-target", action=Checked, check=_positive, default=0.35,
@@ -119,8 +116,6 @@ def engine_from_args(args: argparse.Namespace, cache=None,
     from .engine import ExperimentEngine
     from .resilience import RetryPolicy
 
-    if args.profile:
-        os.environ["REPRO_PROFILE"] = "1"
     return ExperimentEngine(
         workers=workers,
         cache=cache,

@@ -25,8 +25,9 @@ Tracing is **ambient and opt-in**: :func:`current_tracer` returns
 itself with one ``is None`` test, so a disabled trace costs nothing
 measurable (the DES kernel itself is never touched).  Worker processes
 of the experiment engine record into their own tracer and ship a
-picklable :class:`SpanBatch` back to the parent, exactly like kernel
-profiles do.
+picklable :class:`SpanBatch` back to the parent, next to their metrics
+delta.  A traced run also profiles its kernel into the metrics registry
+(:meth:`repro.des.profiling.KernelProfiler.publish`).
 
 The ``REPRO_TRACE`` environment knob enables tracing from the CLIs:
 ``REPRO_TRACE=1`` writes ``repro-trace.json``, any other non-empty

@@ -221,10 +221,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if engine.stats.lp_fallbacks:
         print(f"[--lp-workers ignored, ran the sequential kernel: "
               f"{parallel_ineligibility(config)}]")
-    if args.profile and engine.stats.profile is not None:
-        from ..des.profiling import format_profile
-
-        print(format_profile(engine.stats.profile))
     if tracer is not None:
         path = export_trace(tracer, trace_out, registry())
         print(summarize(tracer, registry()))

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional
 
 from ..des.core import Environment
 from ..des.events import URGENT, Event
-from ..des.profiling import KernelProfiler, profile_enabled, set_last_profile
 from ..obs.metrics import registry as obs_registry
 from ..obs.spans import SIM, Tracer, current_tracer, maybe_span, sim_track_pid
 from ..variates.streams import StreamFactory
@@ -47,7 +46,6 @@ from .partition import (
     LPBoundaryNetwork,
     LPRole,
     RemoteSink,
-    lp_workers_from_env,
     parallel_ineligibility,
 )
 from .other import OtherProcesses, PVMDaemon
@@ -567,28 +565,24 @@ class ParadynISSystem:
         cfg = self.config
         tracer = current_tracer()
         if tracer is not None:
+            # A traced run profiles its kernel into the obs registry.
+            from ..des.profiling import KernelProfiler
+
             self._attach_observability(tracer)
+            profiler = KernelProfiler(self.env).attach()
         t0 = time.perf_counter()
         with maybe_span(
             "simulate", cat="run",
             args={"config": self._run_label(), "duration_us": cfg.duration},
         ):
-            if profile_enabled():
-                profiler = KernelProfiler(self.env)
-                with profiler:
-                    self.env.run(
-                        until=cfg.duration,
-                        max_events=cfg.max_events,
-                        max_wall_seconds=cfg.max_wall_seconds,
-                    )
-                set_last_profile(profiler.report())
-            else:
-                self.env.run(
-                    until=cfg.duration,
-                    max_events=cfg.max_events,
-                    max_wall_seconds=cfg.max_wall_seconds,
-                )
+            self.env.run(
+                until=cfg.duration,
+                max_events=cfg.max_events,
+                max_wall_seconds=cfg.max_wall_seconds,
+            )
         if tracer is not None:
+            profiler.detach()
+            profiler.publish()
             self._finish_observability()
         self._publish_metrics()
         obs_registry().histogram(
@@ -656,15 +650,14 @@ def simulate(
 ) -> SimulationResults:
     """Build and run one ROCC simulation; returns its results.
 
-    ``lp_workers`` ≥ 2 requests the partitioned parallel kernel
-    (default: the ``REPRO_DES_PARALLEL`` environment variable).
-    Configurations the conservative protocol cannot handle — see
+    The run is sequential unless ``lp_workers`` ≥ 2 requests the
+    partitioned parallel kernel (``REPRO_DES_PARALLEL`` is read by the
+    experiment engine, not here).  Configurations the conservative
+    protocol cannot handle — see
     :func:`~repro.rocc.partition.parallel_ineligibility` — silently
     fall back to the sequential kernel, so the knob is always safe to
     set.
     """
-    if lp_workers is None:
-        lp_workers = lp_workers_from_env()
     if lp_workers is not None and lp_workers >= 2:
         if parallel_ineligibility(config) is None:
             from ..des.parallel import parallel_simulate

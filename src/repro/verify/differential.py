@@ -17,10 +17,11 @@ but promise not to change *what* it computes:
   calendar at depth 512), vs a run kept on the reference binary heap
   (the schedule key is a total order, so every correct priority queue
   must pop the identical sequence);
-* ``REPRO_DES_PARALLEL`` / ``lp_workers`` — the partitioned parallel
-  kernel vs the sequential kernel (bit-identical up to a handful of
-  re-associated float sums), including its sequential fallback on
-  ineligible configurations.
+* ``lp_workers`` — the partitioned parallel kernel vs the sequential
+  kernel of a direct ``simulate(cfg)``, which ``REPRO_DES_PARALLEL``
+  never partitions (bit-identical up to a handful of re-associated
+  float sums), including its sequential fallback on ineligible
+  configurations.
 
 Each checker here executes both sides of one such promise and diffs the
 :class:`SimulationResults` field by field (NaN == NaN); any difference

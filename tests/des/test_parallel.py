@@ -69,9 +69,19 @@ def test_single_lp_request_stays_sequential(mpp_config, mpp_sequential):
 
 
 def test_env_knob_enables_parallelism(mpp_config, monkeypatch):
+    """REPRO_DES_PARALLEL partitions engine runs (both CLIs use one)."""
     monkeypatch.setenv("REPRO_DES_PARALLEL", "2")
-    out = simulate(mpp_config)
+    with ExperimentEngine(workers=1, cache=CellCache(enabled=False)) as eng:
+        (out,) = eng.run_cells([mpp_config])
     assert out.observability.get("lp_workers") == 2
+
+
+def test_direct_simulate_ignores_env_knob(mpp_config, monkeypatch):
+    """A direct ``simulate(cfg)`` — the sequential reference of the
+    differential checks — stays sequential whatever the environment
+    says; only an explicit ``lp_workers`` partitions it."""
+    monkeypatch.setenv("REPRO_DES_PARALLEL", "2")
+    assert "lp_workers" not in simulate(mpp_config).observability
 
 
 def test_ineligible_config_falls_back(mpp_sequential, mpp_config):

@@ -350,10 +350,11 @@ def test_kernel_run_identical_across_schedulers(name, monkeypatch):
     assert log == ref
 
 
-@pytest.mark.parametrize("var", ["REPRO_DES_FASTPATH", "REPRO_DES_QUEUE"])
+@pytest.mark.parametrize(
+    "var", ["REPRO_DES_FASTPATH", "REPRO_DES_QUEUE", "REPRO_PROFILE"])
 def test_removed_variables_raise(var, monkeypatch):
-    """The variables that once selected a kernel path or a scheduler
-    are rejected by name rather than silently ignored."""
+    """The variables that once selected a kernel path, a scheduler or
+    kernel profiling are rejected by name rather than silently ignored."""
     monkeypatch.setenv(var, "heap")
     with pytest.raises(ValueError, match=f"{var} was removed"):
         Environment()

@@ -1,6 +1,6 @@
-"""Tests for kernel event tracing (EventLog, EventCounter)."""
+"""Tests for kernel event tracing (EventLog)."""
 
-from repro.des import Environment, EventCounter, EventLog, event_kind
+from repro.des import Environment, EventLog, event_kind
 from repro.des.events import Timeout
 
 
@@ -64,21 +64,6 @@ def test_event_log_queries(env):
     assert all(e.kind == "timeout" for e in log.of_kind("timeout"))
     mid = log.between(15.0, 35.0)
     assert all(15.0 <= e.time <= 35.0 for e in mid)
-
-
-def test_event_counter(env):
-    counter = EventCounter(env)
-    with counter:
-        env.process(model(env, 8))
-        env.run()
-    assert counter.counts["timeout"] == 8
-    assert counter.total >= 9
-    assert counter.events_per_sim_time() > 0
-
-
-def test_counter_density_nan_without_span(env):
-    counter = EventCounter(env)
-    assert counter.events_per_sim_time() != counter.events_per_sim_time()
 
 
 def test_tracers_do_not_disturb_simulation(env):

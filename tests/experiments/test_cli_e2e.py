@@ -26,7 +26,6 @@ def _run_cli(module: str, args, cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env.pop("REPRO_TRACE", None)
-    env.pop("REPRO_PROFILE", None)
     return subprocess.run(
         [sys.executable, "-m", module, *args],
         capture_output=True,
@@ -124,6 +123,13 @@ def test_cli_jsonl_export(tmp_path: Path) -> None:
     records = [json.loads(line) for line in lines]
     kinds = {r["type"] for r in records}
     assert {"span", "counter", "metric"} <= kinds
+    # A traced run profiles its kernel: the des.* rows reach both the
+    # printed summary and the exported metrics.
+    for row in ("des.events", "des.kind.timeout", "des.kind.timeout_s",
+                "des.heap_depth"):
+        assert row in proc.stdout, row
+    metrics = {r["name"] for r in records if r["type"] == "metric"}
+    assert {"des.events", "des.enqueues", "des.heap_depth"} <= metrics
 
 
 def test_cli_trace_env_knob(tmp_path: Path) -> None:

@@ -62,7 +62,7 @@ def test_one_default_per_flag():
     assert args.max_retries == 0
     assert args.ci_target == 0.35
     assert args.budget is None and args.cell_timeout is None
-    assert args.strict and not args.profile
+    assert args.strict and not hasattr(args, "profile")
     engine = engine_from_args(args)
     assert engine.retry.max_attempts == 1
     assert engine.cell_timeout is None and engine.journal is None

@@ -4,7 +4,9 @@ Covers the acceptance shape in-process (no subprocess): a traced
 4-node NOW engine run produces spans from the engine-cell,
 simulation-run, and resource-occupancy layers, and the trace survives
 export + validation.  Also pins the zero-cost contract: an untraced
-run records nothing and its results carry an empty ``observability``.
+run records nothing and its results carry an empty ``observability``;
+and a traced run's kernel profile reaches the parent's registry across
+engine and LP worker processes.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import CellCache, ExperimentEngine
+from repro.experiments.runners import run_design
+from repro.experiments.validation import design_spec
 from repro.obs import (
     Tracer,
     chrome_trace,
@@ -110,3 +114,60 @@ def test_only_the_shared_network_has_an_occupancy_row(mode) -> None:
                       if s.cat == "occupancy"}
     assert "node0.cpu" in occupancy_tids
     assert ("network" in occupancy_tids) == (mode == "fifo")
+
+
+def _kernel_counts() -> dict:
+    """``des.events`` and the per-kind event counts in the registry."""
+    reg = registry()
+    return {
+        name: reg.get(name).value for name in reg.names()
+        if name == "des.events"
+        or (name.startswith("des.kind.") and not name.endswith("_s"))
+    }
+
+
+def _traced_figure30(workers: int) -> dict:
+    """Kernel counts published by a traced run of figure30's cells."""
+    spec = design_spec(quick=True)
+    registry().reset()
+    with ExperimentEngine(
+        workers=workers, cache=CellCache(enabled=False)
+    ) as eng, use_tracing():
+        run_design(spec.design, spec.make, spec.repetitions, engine=eng)
+    assert eng.stats.cells_run == 4 * spec.repetitions
+    return _kernel_counts()
+
+
+def test_kernel_profile_crosses_engine_workers() -> None:
+    """A traced run's kernel profile is registry metrics, so pool
+    workers' deltas add up to what one inline worker publishes."""
+    inline = _traced_figure30(workers=1)
+    pooled = _traced_figure30(workers=2)
+    assert inline["des.events"] > 0
+    assert "des.kind.timeout" in inline
+    assert pooled == inline
+
+
+def test_kernel_profile_crosses_lp_workers(monkeypatch) -> None:
+    """Node LPs ship their profile in their registry delta, so a traced
+    partitioned run counts more events than the main LP's own."""
+    from repro.des.profiling import KernelProfiler
+
+    main_lp_events = []  # forked LP workers append to their own copy
+    publish = KernelProfiler.publish
+
+    def spy(self):
+        main_lp_events.append(self.events)
+        publish(self)
+
+    monkeypatch.setattr(KernelProfiler, "publish", spy)
+    config = SimulationConfig(
+        architecture=Architecture.MPP, nodes=8, duration=250_000.0,
+        app_processes_per_node=2, seed=13,
+    )
+    registry().reset()
+    with use_tracing():
+        result = simulate(config, lp_workers=2)
+    assert result.observability["lp_workers"] == 2
+    (own,) = main_lp_events
+    assert registry().get("des.events").value > own > 0
