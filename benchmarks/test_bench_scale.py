@@ -10,7 +10,10 @@ running them in-process would let the 64-node run inherit the 1024-node
 high-water mark (or vice versa).  Each probe runs :data:`ROUNDS` times:
 a cell's wall and build times are the minimum over its rounds (one run
 of 0.06–0.8 s on a shared host is too noisy to gate on) and its peak
-RSS the maximum.
+RSS the maximum.  The 64-node run, which every gated ratio divides by,
+is the shortest and the noisiest, so it gets the most rounds, and each
+node count's rounds are spread evenly over the whole benchmark, so a
+slow stretch of a shared host slows every count alike.
 
 Committed baseline: ``BENCH_SCALE.json``, gated in CI by
 ``scripts/check_bench_regression.py --mode relative`` (wall times
@@ -41,7 +44,7 @@ NODE_COUNTS = (64, 256, 1024)
 DURATION = 1_000_000.0  # one simulated second
 SEED = 1
 #: Subprocess runs per node count.
-ROUNDS = 3
+ROUNDS = {64: 9, 256: 3, 1024: 3}
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -91,12 +94,10 @@ def _run_probe_once(nodes: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _run_probe(nodes: int) -> dict:
-    """:data:`ROUNDS` probes of one cell: the fastest round's record,
-    with build time the minimum and peak RSS the maximum of all rounds.
-    Every round simulates the same seeded cell, so the event and
-    sample counts agree."""
-    rounds = [_run_probe_once(nodes) for _ in range(ROUNDS)]
+def _best(rounds: list) -> dict:
+    """The fastest of one cell's rounds, with build time the minimum and
+    peak RSS the maximum of all rounds.  Every round simulates the same
+    seeded cell, so the event and sample counts agree."""
     best = dict(min(rounds, key=lambda r: r["wall_seconds"]))
     best["build_seconds"] = min(r["build_seconds"] for r in rounds)
     best["maxrss_kb"] = max(r["maxrss_kb"] for r in rounds)
@@ -107,9 +108,14 @@ def _run_probe(nodes: int) -> dict:
 
 @pytest.fixture(scope="module")
 def scale_probes():
-    """:data:`ROUNDS` subprocess runs per node count, shared by every
-    test below."""
-    probes = {n: _run_probe(n) for n in NODE_COUNTS}
+    """:data:`ROUNDS` subprocess runs per node count, interleaved in
+    the order of each round's fraction of its count's rounds, and
+    shared by every test below."""
+    rounds = {n: [] for n in NODE_COUNTS}
+    for _, nodes in sorted((r / ROUNDS[n], n)
+                           for n in NODE_COUNTS for r in range(ROUNDS[n])):
+        rounds[nodes].append(_run_probe_once(nodes))
+    probes = {n: _best(rs) for n, rs in rounds.items()}
     out = os.environ.get("REPRO_SCALE_RESULTS")
     if out:
         payload = {"benchmarks": [
@@ -156,8 +162,8 @@ def test_scale_memory_is_flat(scale_probes):
     and variate-stream buffers grow geometrically with consumption
     instead of prefilling full blocks, so per-node memory is dominated
     by the irreducible object graph: ~13 named variate streams per node
-    (the common-random-numbers design), each keeping four ints of PCG64
-    state once it draws (the cell shares one generator), plus the
+    (the common-random-numbers design), each keeping a 40-byte PCG64
+    state record once it draws (the cell shares one generator), plus the
     daemon/application/CPU/pipe entities.  Measured on the reference
     machine: 47 MiB at 256n vs 78 MiB at 1024n (1.66x); before the
     buffer-growth fix the same sweep was 161 -> 530 MiB (3.29x).  The

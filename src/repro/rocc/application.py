@@ -20,8 +20,7 @@ hooks the cycle's continuation on the store's or the barrier's event.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional
+from typing import List, Optional
 
 from ..des.events import Event
 from ..workload.records import ProcessType
@@ -66,7 +65,11 @@ class ApplicationProcess(LoadActor):
         wl = ctx.config.workload
         self._cpu_var = ctx.streams.variates(f"{prefix}/cpu", wl.app_cpu)
         self._net_var = ctx.streams.variates(f"{prefix}/network", wl.app_network)
-        self._due: Deque[Sample] = deque()
+        # Samples created but not yet written, shared with the sampling
+        # timer.  A list is smaller than a deque; it holds a sample or
+        # two unless a full pipe blocks the application, and then it
+        # drains only as fast as the pipe accepts.
+        self._due: List[Sample] = []
         self._barrier_period = ctx.config.barrier_period
         #: Length of the CPU burst in progress, µs.
         self._work = 0.0
@@ -87,7 +90,7 @@ class ApplicationProcess(LoadActor):
         """Emit pending samples, then start the next CPU burst."""
         due = self._due
         while due:
-            put = self.pipe.put(due.popleft())
+            put = self.pipe.put(due.pop(0))
             if put.callbacks is not None:
                 # A full pipe blocks us here, freeing the CPU (the
                 # §4.3.3 mechanism); the rest of the cycle resumes once
@@ -139,7 +142,7 @@ class SamplingTimer(LoadActor):
 
     __slots__ = ("_due", "_state", "_period", "_metrics", "_node", "_pid")
 
-    def __init__(self, ctx: NodeContext, pid: int, due: Deque[Sample],
+    def __init__(self, ctx: NodeContext, pid: int, due: List[Sample],
                  state=None):
         super().__init__(ctx, ProcessType.APPLICATION,
                          f"node{ctx.node_id}/app{pid}/sampler")

@@ -22,7 +22,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "Empirical": "distributions",
     "StreamFactory": "streams",
     "VariateStream": "streams",
-    "AntitheticStream": "streams",
     "FitResult": "fitting",
     "fit_exponential": "fitting",
     "fit_lognormal": "fitting",

@@ -14,12 +14,13 @@ Hot-path performance follows the HPC guide: variates are drawn from
 NumPy in **blocks** (:class:`VariateStream`) and served as scalars, so
 the per-event cost is an array index rather than a Generator call.
 A factory's block streams share one ``Generator``: each name keeps only
-its PCG64 state (four ints), which is loaded into that generator for a
-refill and read back after it.
+its PCG64 state, a 40-byte record that a refill copies into that
+generator's state struct and back out.
 """
 
 from __future__ import annotations
 
+import ctypes
 import zlib
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -28,7 +29,7 @@ import numpy as np
 
 from .distributions import Distribution
 
-__all__ = ["StreamFactory", "VariateStream", "AntitheticStream"]
+__all__ = ["StreamFactory", "VariateStream"]
 
 #: Every :class:`VariateStream`'s first buffer: indexing it raises
 #: ``IndexError``, which refills.  Never written (refills replace it).
@@ -119,12 +120,23 @@ def _pcg64_seed_words(prefix: Sequence[int], keys: np.ndarray) -> np.ndarray:
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
-#: A stream's PCG64 state: ``(state, inc, has_uint32, uinteger)``.
-PCG64State = Tuple[int, int, int, int]
+#: Where ``has_uint32`` and ``uinteger`` sit in numpy's ``pcg64_state``
+#: struct, after its ``pcg_state`` pointer.
+_FLAGS_OFFSET = 8
 
 
-def _pcg64_initial_state(words: np.ndarray) -> PCG64State:
-    """The state ``PCG64`` seeds itself to from four seed words.
+def _pcg64_record(state: int, inc: int, has_uint32: int = 0,
+                  uinteger: int = 0) -> bytes:
+    """A stream's PCG64 state as the 40 bytes a refill copies: ``state``
+    and ``inc`` (16 bytes each), then ``has_uint32`` and ``uinteger``
+    (4 bytes each), all little-endian."""
+    return (state.to_bytes(16, "little") + inc.to_bytes(16, "little")
+            + has_uint32.to_bytes(4, "little")
+            + uinteger.to_bytes(4, "little"))
+
+
+def _pcg64_initial_state(words: np.ndarray) -> bytes:
+    """The state record ``PCG64`` seeds itself to from four seed words.
 
     numpy's ``pcg64_set_seed`` reads the words as two 128-bit integers,
     ``initstate`` and ``initseq``, and runs PCG's ``srandom`` step:
@@ -134,7 +146,62 @@ def _pcg64_initial_state(words: np.ndarray) -> PCG64State:
     w0, w1, w2, w3 = words.tolist()
     initstate = (w0 << 64) | w1
     inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
-    return (((inc + initstate) * _PCG64_MULT + inc) & _MASK128, inc, 0, 0)
+    return _pcg64_record(((inc + initstate) * _PCG64_MULT + inc) & _MASK128,
+                         inc)
+
+
+def _state_views(bitgen) -> Tuple[memoryview, memoryview]:
+    """Byte views of a ``PCG64``'s state: the 32 bytes of ``state`` and
+    ``inc`` behind the struct's ``pcg_state`` pointer, and the 8 flag
+    bytes (``has_uint32``, ``uinteger``) after that pointer.
+
+    numpy publishes the struct's address (``ctypes.state_address``) but
+    not its layout, so known states are round-tripped through the public
+    ``.state`` dict in both directions first: a layout that differs
+    raises ``RuntimeError`` instead of serving other numbers.
+    """
+    address = bitgen.ctypes.state_address
+    pcg = ctypes.c_void_p.from_address(address).value
+    # numpy keeps both structs inside the PCG64 object (whose CPython id
+    # is its address), so a pointer elsewhere is not dereferenced.
+    start = id(bitgen)
+    end = start + type(bitgen).__basicsize__
+    if not (start <= pcg and pcg + 32 <= end
+            and address + _FLAGS_OFFSET + 8 <= end):
+        raise _layout_error()
+    pcg_view = memoryview((ctypes.c_uint8 * 32).from_address(pcg)).cast("B")
+    flags_view = memoryview(
+        (ctypes.c_uint8 * 8).from_address(address + _FLAGS_OFFSET)).cast("B")
+    # Known states with every byte distinct and both flags set, so a
+    # swapped, shifted or truncated field cannot round-trip.
+    dict_in, bytes_in = (
+        (int.from_bytes(bytes(range(1 + k, 17 + k)), "little"),
+         int.from_bytes(bytes(range(65 + k, 81 + k)), "little"),
+         1, 0xA1B2C3D4 + k) for k in (0, 100))
+    state, inc, has_uint32, uinteger = dict_in
+    bitgen.state = {"bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": has_uint32, "uinteger": uinteger}
+    # Read the views first: a wrong layout raises before anything is
+    # written through them.
+    if bytes(pcg_view) + bytes(flags_view) != _pcg64_record(*dict_in):
+        raise _layout_error()
+    record = _pcg64_record(*bytes_in)
+    pcg_view[:] = record[:32]
+    flags_view[:] = record[32:]
+    after = bitgen.state
+    if (after["state"]["state"], after["state"]["inc"],
+            after["has_uint32"], after["uinteger"]) != bytes_in:
+        raise _layout_error()
+    return pcg_view, flags_view
+
+
+def _layout_error() -> RuntimeError:
+    return RuntimeError(
+        f"numpy {np.__version__}'s PCG64 state layout is not the expected "
+        "pcg64_state {pcg_state pointer; int has_uint32; uint32 uinteger} "
+        "over a little-endian 128-bit {state; inc}; variate streams "
+        "cannot swap states")
 
 
 class _SeedWords:
@@ -180,12 +247,14 @@ class StreamFactory:
 
     :meth:`variates` streams own no generator.  The factory keeps one
     ``Generator`` for all of them and a table of each name's PCG64
-    state; a refill loads the name's state into that generator, draws
-    the block and stores the state back.  Streams that share a name
-    therefore continue one sequence, and streams that never draw cost
-    a dict entry.  :meth:`generator` hands out a real, cached
-    ``Generator`` per name for callers that draw from it directly.  One
-    name cannot be used through both: that raises ``ValueError``.
+    state as a 40-byte record; a refill copies the name's record into
+    that generator's state struct, draws the block and copies the state
+    back out.  A name's seed words are dropped once its first state is
+    built.  Streams that share a name therefore continue one sequence,
+    and streams that never draw cost a dict entry.  :meth:`generator`
+    hands out a real, cached ``Generator`` per name for callers that
+    draw from it directly.  One name cannot be used through both: that
+    raises ``ValueError``.
 
     Parameters
     ----------
@@ -210,13 +279,18 @@ class StreamFactory:
         self._cache: Dict[str, np.random.Generator] = {}
         #: Names registered but not yet derived (insertion-ordered set).
         self._pending: Dict[str, None] = {}
-        #: Derived seed words of each name: (its batch's array, row).
+        #: Derived seed words of each name without a state yet: (its
+        #: batch's array, row).
         self._seeds: Dict[str, Tuple[np.ndarray, int]] = {}
-        #: PCG64 state of each :meth:`variates` name that has drawn.
-        self._states: Dict[str, PCG64State] = {}
-        #: The generator every :meth:`variates` refill draws through;
-        #: created with the first state.
+        #: PCG64 state record of each :meth:`variates` name that has
+        #: drawn (see :func:`_pcg64_record`).
+        self._states: Dict[str, bytes] = {}
+        #: The generator every :meth:`variates` refill draws through,
+        #: and byte views of its state (:func:`_state_views`); created
+        #: with the first state.
         self._shared: Optional[np.random.Generator] = None
+        self._pcg: Optional[memoryview] = None
+        self._flags: Optional[memoryview] = None
 
     def _derive_pending(self) -> None:
         from numpy.random.bit_generator import ISeedSequence
@@ -261,41 +335,35 @@ class StreamFactory:
         The stream's state is derived on its first draw, which raises
         ``ValueError`` if :meth:`generator` has handed out *name*.
         """
-        if name not in self._seeds:
+        if name not in self._seeds and name not in self._states:
             self._pending[name] = None
-        return VariateStream(distribution, None, block=block,
-                             factory=self, name=name)
+        return VariateStream(distribution, self, name, block=block)
 
-    def _initial_state(self, name: str) -> PCG64State:
+    def _initial_state(self, name: str) -> bytes:
         if name in self._cache:
             raise _used_through_both(name)
         words = self._seed_words(name)
+        del self._seeds[name]
         if self._shared is None:
             # Any seed will do: every draw loads a stream's state first.
             self._shared = np.random.Generator(
                 np.random.PCG64(_SeedWords(words)))
+            self._pcg, self._flags = _state_views(self._shared.bit_generator)
         return _pcg64_initial_state(words)
 
     def sample(self, name: str, distribution: Distribution,
                n: int) -> np.ndarray:
         """Draw *n* values of *distribution* from stream *name* and
         advance the stream by exactly what the draw consumed."""
-        state = self._states.get(name)
-        if state is None:
-            state = self._initial_state(name)
-        shared = self._shared
-        bitgen = shared.bit_generator
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state[0], "inc": state[1]},
-            "has_uint32": state[2],
-            "uinteger": state[3],
-        }
-        block = distribution.sample_block(shared, n)
-        after = bitgen.state
-        pcg = after["state"]
-        self._states[name] = (pcg["state"], pcg["inc"],
-                              after["has_uint32"], after["uinteger"])
+        record = self._states.get(name)
+        if record is None:
+            record = self._initial_state(name)
+        pcg = self._pcg
+        flags = self._flags
+        pcg[:] = record[:32]
+        flags[:] = record[32:]
+        block = distribution.sample_block(self._shared, n)
+        self._states[name] = bytes(pcg) + bytes(flags)
         return block
 
 
@@ -307,11 +375,10 @@ class VariateStream:
     for each event, which matters because variate draws sit on the
     simulator's hottest path.
 
-    Give either a generator *rng*, or the *factory* and stream *name*
-    whose state it draws from.
+    Each refill draws from stream *name* of *factory*.
     """
 
-    __slots__ = ("distribution", "rng", "block", "_buf", "_idx", "_next",
+    __slots__ = ("distribution", "block", "_buf", "_idx", "_next",
                  "_factory", "_name")
 
     #: First refill size; doubles per refill up to ``block``.  A large
@@ -331,18 +398,13 @@ class VariateStream:
     def __init__(
         self,
         distribution: Distribution,
-        rng: Optional[np.random.Generator],
+        factory: StreamFactory,
+        name: str,
         block: int = 1024,
-        *,
-        factory: Optional[StreamFactory] = None,
-        name: str = "",
     ):
         if block < 1:
             raise ValueError("block must be >= 1")
-        if (rng is None) == (factory is None):
-            raise ValueError("give exactly one of rng and factory")
         self.distribution = distribution
-        self.rng = rng
         self.block = int(block)
         self._factory = factory
         self._name = name
@@ -355,15 +417,9 @@ class VariateStream:
         self._idx = 0
         self._next = min(self.INITIAL_BLOCK, self.block)
 
-    def _sample(self, n: int) -> np.ndarray:
-        factory = self._factory
-        if factory is None:
-            return self.distribution.sample_block(self.rng, n)
-        return factory.sample(self._name, self.distribution, n)
-
     def _refill(self) -> array:
         n = self._next
-        block = self._sample(n)
+        block = self._factory.sample(self._name, self.distribution, n)
         buf = array("d", np.asarray(block, dtype=np.float64).tobytes())
         self._buf = buf
         if n < self.block:
@@ -409,50 +465,5 @@ class VariateStream:
 
     def draw(self, n: int) -> np.ndarray:
         """Draw *n* variates as an array (bypasses the scalar buffer)."""
-        return self._sample(n)
+        return self._factory.sample(self._name, self.distribution, n)
 
-
-class AntitheticStream:
-    """Variance-reduced variate pairs via antithetic uniforms.
-
-    Classical antithetic variates (Law & Kelton §11.3): draws come in
-    pairs ``ppf(u)``, ``ppf(1 − u)`` with a shared uniform ``u``, so
-    paired replications are negatively correlated and the variance of
-    their average drops below the iid case for monotone responses.
-
-    Construct two streams with ``antithetic=False`` / ``True`` over the
-    same generator name (same seed) to drive a paired replication.
-    """
-
-    __slots__ = ("distribution", "rng", "antithetic", "_buf", "_idx", "block")
-
-    def __init__(
-        self,
-        distribution: Distribution,
-        rng: np.random.Generator,
-        antithetic: bool = False,
-        block: int = 1024,
-    ):
-        if block < 1:
-            raise ValueError("block must be >= 1")
-        self.distribution = distribution
-        self.rng = rng
-        self.antithetic = bool(antithetic)
-        self.block = int(block)
-        self._buf: Optional[np.ndarray] = None
-        self._idx = 0
-
-    def __call__(self) -> float:
-        buf = self._buf
-        if buf is None or self._idx >= buf.shape[0]:
-            u = self.rng.random(self.block)
-            if self.antithetic:
-                u = 1.0 - u
-            # Clip away exact 0/1 to keep ppf finite.
-            u = np.clip(u, 1e-12, 1.0 - 1e-12)
-            buf = np.asarray(self.distribution.ppf(u), dtype=float)
-            self._buf = buf
-            self._idx = 0
-        value = buf[self._idx]
-        self._idx += 1
-        return float(value)

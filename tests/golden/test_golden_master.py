@@ -190,12 +190,13 @@ def _live(kind) -> list:
 
 @pytest.fixture(scope="module")
 def scale_cell_run():
-    """The 64-node cell built and run, with its registration count and
-    the generators and bit generators the run left alive."""
+    """The 64-node cell built and run, with the stream names it
+    registered and the generators and bit generators the run left
+    alive."""
     gc.collect()
     before = _live(np.random.Generator) + _live(np.random.PCG64)
     system = ParadynISSystem(CONFIGS["now_cf64"])
-    registered = len(system.streams._pending) + len(system.streams._seeds)
+    registered = set(system.streams._pending) | set(system.streams._seeds)
     system.run()
     gc.collect()
     new = {kind: [o for o in _live(kind) if not any(o is b for b in before)]
@@ -205,12 +206,16 @@ def scale_cell_run():
 
 def test_scale_golden_covers_lazy_streams(scale_cell_run) -> None:
     """The 64-node cell pins hundreds of lazily seeded streams, some of
-    which never draw and so never get a state."""
+    which never draw and so never get a state.  A name that draws
+    trades its seed words for a state, so the two tables are disjoint
+    and together hold every registered name."""
     system, registered, _ = scale_cell_run
     factory = system.streams
-    assert registered >= 800
+    assert len(registered) >= 800
     assert not factory._pending
-    assert 0 < len(factory._states) < len(factory._seeds)
+    assert factory._states and factory._seeds
+    assert not set(factory._states) & set(factory._seeds)
+    assert registered <= set(factory._states) | set(factory._seeds)
 
 
 def test_scale_cell_holds_one_generator_for_its_variate_streams(

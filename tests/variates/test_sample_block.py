@@ -17,8 +17,8 @@ from repro.variates import (
     Lognormal,
     Normal,
     Pareto,
+    StreamFactory,
     Uniform,
-    VariateStream,
     Weibull,
 )
 
@@ -46,9 +46,9 @@ def test_block_matches_vector_sample(dist):
 
 @pytest.mark.parametrize("dist", DISTS, ids=lambda d: type(d).__name__)
 def test_stream_serves_block_values_in_order(dist):
-    stream = VariateStream(dist, np.random.default_rng(3), block=16)
+    stream = StreamFactory(seed=3).variates("s", dist, block=16)
     served = [stream() for _ in range(40)]  # crosses two refills
-    rng = np.random.default_rng(3)
+    rng = StreamFactory(seed=3).generator("s")
     expected = list(dist.sample_block(rng, 16)) + list(
         dist.sample_block(rng, 16)
     ) + list(dist.sample_block(rng, 16))[:8]
@@ -71,7 +71,7 @@ def test_uniform_block_stays_in_bounds():
 
 def test_draw_uses_block_path():
     dist = Exponential(10.0)
-    stream = VariateStream(dist, np.random.default_rng(5), block=8)
+    stream = StreamFactory(seed=5).variates("s", dist, block=8)
     got = stream.draw(12)
-    expected = dist.sample_block(np.random.default_rng(5), 12)
+    expected = dist.sample_block(StreamFactory(seed=5).generator("s"), 12)
     np.testing.assert_array_equal(got, expected)

@@ -2,11 +2,11 @@
 
 ``StreamFactory`` derives the seed words of all pending stream names in
 one vectorised pass instead of building a ``SeedSequence`` per stream,
-and block streams keep a PCG64 state each (drawn through the factory's
-one shared generator) instead of a generator each.  The contract is
-bit-identity: every stream must get exactly the state, and serve exactly
-the values, of ``PCG64(SeedSequence(entropy=(seed, replication,
-crc32(name))))``.
+and block streams keep a 40-byte PCG64 state record each (copied in and
+out of the factory's one shared generator) instead of a generator each.
+The contract is bit-identity: every stream must get exactly the state,
+and serve exactly the values, of ``PCG64(SeedSequence(entropy=(seed,
+replication, crc32(name))))``.
 """
 
 import os
@@ -34,11 +34,13 @@ from repro.variates import (
     StreamFactory,
     VariateStream,
 )
+from repro.variates import streams as streams_module
 from repro.variates.streams import (
     _int_words,
     _pcg64_initial_state,
     _pcg64_seed_words,
     _SeedWords,
+    _state_views,
 )
 
 EDGE_KEYS = (0, 1, 2**32 - 1)
@@ -57,10 +59,15 @@ def _oracle_generator(seed: int, replication: int, name: str) -> np.random.Gener
         np.random.SeedSequence(entropy=(seed, replication, key))))
 
 
-def _state_tuple(bitgen) -> tuple:
+def _state_record(bitgen) -> bytes:
+    """*bitgen*'s public ``.state`` as a stream's 40-byte record:
+    ``state`` and ``inc`` (16 bytes each), then ``has_uint32`` and
+    ``uinteger`` (4 bytes each), all little-endian."""
     state = bitgen.state
-    return (state["state"]["state"], state["state"]["inc"],
-            state["has_uint32"], state["uinteger"])
+    return (state["state"]["state"].to_bytes(16, "little")
+            + state["state"]["inc"].to_bytes(16, "little")
+            + state["has_uint32"].to_bytes(4, "little")
+            + state["uinteger"].to_bytes(4, "little"))
 
 
 def _derive(seed: int, replication: int, keys) -> np.ndarray:
@@ -100,7 +107,7 @@ def test_every_registered_stream_matches_seed_sequence(cfg):
     # The hand-derived initial state of every name is PCG64's own.
     for name, row in zip(names, _derive(cfg.seed, cfg.replication, keys)):
         ref = _oracle_generator(cfg.seed, cfg.replication, name)
-        assert _pcg64_initial_state(row) == _state_tuple(ref.bit_generator), name
+        assert _pcg64_initial_state(row) == _state_record(ref.bit_generator), name
 
 
 def test_random_and_edge_keys_match_seed_sequence():
@@ -149,14 +156,16 @@ def test_variates_create_their_generator_on_first_draw():
     assert factory._states == {} and factory._shared is None
     first = streams[3]()
     # One batch derived every pending name; only the drawn one has a
-    # state, and no stream has a generator of its own.
-    assert set(factory._seeds) == {f"s{i}" for i in range(5)}
+    # state (and no seed words left), and no stream has a generator of
+    # its own.
+    assert not factory._pending
+    assert set(factory._seeds) == {f"s{i}" for i in range(5)} - {"s3"}
     assert list(factory._states) == ["s3"]
     assert factory._cache == {}
     ref_gen = _oracle_generator(4, 0, "s3")
     ref = dist.sample_block(ref_gen, 8)
     assert first == ref[0]
-    assert factory._states["s3"] == _state_tuple(ref_gen.bit_generator)
+    assert factory._states["s3"] == _state_record(ref_gen.bit_generator)
 
 
 def test_same_name_streams_share_one_generator():
@@ -292,11 +301,66 @@ def test_seed_words_only_serve_pcg64_request():
         words.generate_state(8, np.uint32)
 
 
-def test_variate_stream_needs_exactly_one_source(rng):
-    with pytest.raises(ValueError):
-        VariateStream(Exponential(1.0), None)
-    with pytest.raises(ValueError):
-        VariateStream(Exponential(1.0), rng, factory=StreamFactory(), name="x")
+def test_drawn_name_leaves_the_seed_index():
+    factory = StreamFactory(seed=6)
+    first = factory.variates("spent", Lognormal(100.0, 30.0), block=4)
+    head = [first() for _ in range(5)]
+    assert "spent" not in factory._seeds and "spent" in factory._states
+    # Registering the name again neither re-derives it nor restarts it:
+    # the new stream continues the name's one sequence after the two
+    # blocks the first one took.
+    again = factory.variates("spent", Lognormal(100.0, 30.0), block=4)
+    assert "spent" not in factory._pending
+    tail = [again() for _ in range(4)]
+    ref = Lognormal(100.0, 30.0).sample_block(
+        _oracle_generator(6, 0, "spent"), 12).tolist()
+    assert head + tail == ref[:5] + ref[8:]
+    with pytest.raises(ValueError, match="'spent'"):
+        factory.generator("spent")
+
+
+_U128 = st.integers(0, 2**128 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=_U128, inc=_U128.map(lambda x: x | 1),
+       has_uint32=st.integers(0, 1), uinteger=st.integers(0, 2**32 - 1))
+def test_byte_swap_round_trips_any_state(state, inc, has_uint32, uinteger):
+    """A state record copied through the byte views is the generator's
+    public ``.state``, and serves the draws a ``Generator`` set through
+    that dict serves: lognormals, and ``Empirical``'s ``choice``, which
+    starts from the 32-bit buffer when ``has_uint32`` is set."""
+    as_dict = {"bit_generator": "PCG64",
+               "state": {"state": state, "inc": inc},
+               "has_uint32": has_uint32, "uinteger": uinteger}
+    ref = np.random.Generator(np.random.PCG64())
+    ref.bit_generator.state = as_dict
+    record = _state_record(ref.bit_generator)
+    factory = StreamFactory()
+    factory.variates("warm", Exponential(1.0)).draw(1)  # makes the views
+    factory._pcg[:] = record[:32]
+    factory._flags[:] = record[32:]
+    assert factory._shared.bit_generator.state == as_dict
+    for dist in (Lognormal(100.0, 30.0),
+                 Empirical([1.0, 2.5, 4.0, 8.0, 16.0, 32.5, 64.0])):
+        ref.bit_generator.state = as_dict
+        factory._states["s"] = record
+        got = factory.sample("s", dist, 7)
+        np.testing.assert_array_equal(got, dist.sample_block(ref, 7))
+        assert factory._states["s"] == _state_record(ref.bit_generator)
+
+
+@pytest.mark.parametrize("offset", [4, 1 << 20])
+def test_layout_probe_raises_on_a_wrong_flag_offset(monkeypatch, offset):
+    # Offset 4 reads the pointer's high half and has_uint32: a read-only
+    # mismatch, so the probe raises before it writes anything.  A view
+    # reaching outside the PCG64 object raises before any read.
+    monkeypatch.setattr(streams_module, "_FLAGS_OFFSET", offset)
+    with pytest.raises(RuntimeError, match="PCG64 state layout"):
+        _state_views(np.random.PCG64(0))
+    factory = StreamFactory()
+    with pytest.raises(RuntimeError, match="PCG64 state layout"):
+        factory.variates("x", Exponential(1.0))()
 
 
 def test_importing_the_cli_does_not_import_numpy_random():

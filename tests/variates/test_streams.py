@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.variates import Exponential, Lognormal, StreamFactory, VariateStream
+from repro.variates import Exponential, Lognormal, StreamFactory
 
 
 def test_same_seed_same_stream():
@@ -77,12 +77,12 @@ def test_variate_stream_draw_array():
     assert arr.shape == (7,)
 
 
-def test_variate_stream_stats(rng):
-    vs = VariateStream(Exponential(50.0), rng, block=256)
+def test_variate_stream_stats():
+    vs = StreamFactory(seed=12345).variates("s", Exponential(50.0), block=256)
     xs = [vs() for _ in range(20_000)]
     assert np.mean(xs) == pytest.approx(50.0, rel=0.05)
 
 
-def test_bad_block_rejected(rng):
+def test_bad_block_rejected():
     with pytest.raises(ValueError):
-        VariateStream(Exponential(1.0), rng, block=0)
+        StreamFactory().variates("s", Exponential(1.0), block=0)
