@@ -37,30 +37,16 @@ def main() -> None:
     print()
     print(f"{'batch':>6s} {'Pd CPU %':>9s} {'analytic %':>11s} "
           f"{'fwd lat (ms)':>13s} {'total lat (ms)':>15s}")
-    rows = []
     for b in batches:
         r = simulate(base.with_(batch_size=b))
         a = NOWAnalyticalModel(nodes=8, sampling_period=20_000.0, batch_size=b)
-        rows.append((b, r))
         print(
             f"{b:6d} {100 * r.pd_cpu_utilization_per_node:9.4f} "
             f"{100 * a.pd_cpu_utilization():11.4f} "
             f"{r.monitoring_latency_forwarding_ms:13.2f} "
             f"{r.monitoring_latency_total_ms:15.1f}"
         )
-
-    # The library's knee detector (§4.2.4 operationalized), here with a
-    # latency ceiling a real-time-ish consumer might impose.
-    from repro.rocc import recommend_batch_size
-
-    rec = recommend_batch_size(base, candidates=batches)
     print()
-    print(f"Recommended batch size: {rec.batch_size}  ({rec.reason}; "
-          f"{rec.overhead_reduction:.0%} overhead reduction vs CF)")
-    capped = recommend_batch_size(base, candidates=batches,
-                                  max_latency=100_000.0)
-    print(f"With a 100 ms latency ceiling: batch {capped.batch_size} "
-          f"({capped.reason})")
     print("Past the knee, a larger batch buys little CPU but costs "
           "latency linearly (total latency ≈ batch × period / 2) — the "
           "paper recommends a batch size near the knee (§4.2.4).")

@@ -9,16 +9,16 @@ Package layout
     Distributions, reproducible streams, MLE fitting, goodness-of-fit.
 ``repro.workload``
     AIX-like synthetic tracing, NAS benchmark profiles, the Table-1/2
-    characterization pipeline, process state machines.
+    characterization pipeline.
 ``repro.rocc``
     The Resource OCCupancy model of the Paradyn instrumentation system:
     NOW / SMP / MPP architectures, CF / BF policies, direct / tree
     forwarding — the paper's primary contribution.
 ``repro.analytical``
-    Section-3 operational analysis, equations (1)–(16), plus exact MVA.
+    Section-3 operational analysis, equations (1)–(16).
 ``repro.expdesign``
     2^k·r factorial designs and allocation of variation (the paper's
-    "PCA") in exactly rounded pure Python; batch means and CIs.
+    "PCA") in exactly rounded pure Python; confidence intervals.
 ``repro.special``
     The normal cdf/quantile and the 90 % t-quantile without scipy.
 ``repro.experiments``

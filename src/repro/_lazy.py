@@ -10,12 +10,11 @@ nothing is imported until a name is first looked up::
         "Timeout": "events",
     })
 
-One exception: a name equal to the submodule that defines it (the
-function ``repro.analytical.mva`` in ``repro/analytical/mva.py``) is
-bound when the package is imported.  The import system sets a package's
-attribute to its submodule whenever that submodule is first imported,
-so a lazily bound function of the same name would be shadowed by the
-module as soon as anything ran ``import repro.analytical.mva``.
+An export may not share the name of the submodule that defines it:
+the import system sets a package's attribute to its submodule whenever
+that submodule is first imported, so such a function would silently
+turn into the module.  :func:`lazy_exports` raises ``ValueError`` for
+one instead.
 
 A module that needs a heavy dependency only in some of its functions
 binds it with :func:`lazy_module`, so importing the module does not
@@ -40,8 +39,15 @@ def lazy_exports(
     *exports* maps each exported name to the submodule (relative to
     *package*) that defines it, or to ``None`` when the name is itself
     a submodule.  A resolved name is cached on the package, so each
-    lookup pays the import once.
+    lookup pays the import once.  A name equal to its defining submodule
+    raises ``ValueError``.
     """
+    for name, sub in exports.items():
+        if name == sub:
+            raise ValueError(
+                f"{package}.{name} is exported from the submodule of the "
+                f"same name, which would shadow it once imported"
+            )
     namespace = vars(sys.modules[package])
 
     def __getattr__(name: str) -> object:
@@ -56,9 +62,6 @@ def lazy_exports(
     def __dir__() -> List[str]:
         return sorted(set(namespace) | set(exports))
 
-    for name, sub in exports.items():
-        if name == sub:
-            __getattr__(name)
     return list(exports), __getattr__, __dir__
 
 

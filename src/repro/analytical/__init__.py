@@ -2,8 +2,7 @@
 
 Implements equations (1)–(16): arrival-rate definitions, utilization /
 forced-flow / Little's laws, per-architecture models (NOW, SMP, MPP
-with direct or binary-tree forwarding), plus exact MVA for the closed
-application workload the paper discusses and dismisses.
+with direct or binary-tree forwarding).
 """
 
 from .._lazy import lazy_exports
@@ -15,9 +14,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "littles_law_response": "operational",
     "residence_time_open": "operational",
     "ISDemands": "operational",
-    "mva": "mva",
-    "MVACenter": "mva",
-    "MVAResult": "mva",
     "NOWAnalyticalModel": "now",
     "SMPAnalyticalModel": "smp",
     "MPPAnalyticalModel": "mpp",

@@ -1,9 +1,9 @@
 """``repro.expdesign`` — 2^k·r factorial designs and their analysis.
 
-Provides the paper's §4.1 methodology: full and fractional factorial
-designs, allocation of variation (what the paper presents as "principal
-component analysis"), batch means, and t-based confidence intervals on
-simulation output.
+Provides the paper's §4.1 methodology: full 2^k·r factorial designs,
+allocation of variation (what the paper presents as "principal
+component analysis"), and t-based confidence intervals on simulation
+output.
 """
 
 from .._lazy import lazy_exports
@@ -11,10 +11,6 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "Factor": "factorial",
     "FactorialDesign": "factorial",
-    "FractionalFactorialDesign": "fractional",
-    "batch_means": "batchmeans",
-    "BatchMeansResult": "batchmeans",
-    "lag1_autocorrelation": "batchmeans",
     "allocate_variation": "effects",
     "VariationResult": "effects",
     "EffectShare": "effects",

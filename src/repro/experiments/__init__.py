@@ -51,6 +51,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "results_equal": "engine",
     "current_engine": "engine",
     "use_engine": "engine",
-    "engine_stats_table": "reporting",
-    "failure_report_table": "reporting",
 })

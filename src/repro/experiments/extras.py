@@ -117,7 +117,7 @@ def extra_perturbation(quick: bool = True) -> Table:
         for policy, batch in (("CF", 1), ("BF", 32))
     ]
     # Instrumented and uninstrumented runs of each point share the seed
-    # (common random numbers), as in ``measure_perturbation``.
+    # (common random numbers).
     configs = []
     for _, _, config in points:
         configs += (config, config.with_(instrumented=False))

@@ -27,9 +27,6 @@ __all__ = [
     "artifact_to_dict",
     "save_artifact",
     "engine_stats_note",
-    "engine_stats_table",
-    "failure_report_note",
-    "failure_report_table",
 ]
 
 
@@ -170,52 +167,6 @@ def engine_stats_note(stats) -> str:
     delta of one run); duck-typed so reporting stays import-light.
     """
     return f"engine: {stats.summary()}"
-
-
-def engine_stats_table(stats) -> Table:
-    """Render an :class:`~repro.experiments.engine.EngineStats` as a
-    :class:`Table` (cells run vs cached, wall/CPU time, utilization)."""
-    table = Table(
-        title="Experiment engine activity",
-        headers=["counter", "value"],
-    )
-    util = stats.worker_utilization
-    table.add_row("workers", stats.workers)
-    table.add_row("cells submitted", stats.cells_submitted)
-    table.add_row("cells run", stats.cells_run)
-    table.add_row("cache hits", stats.cache_hits)
-    table.add_row("cell errors", stats.cell_errors)
-    if stats.cells_pruned or stats.replications_saved:
-        table.add_row("cells pruned (planner)", stats.cells_pruned)
-        table.add_row("replications saved (planner)",
-                      stats.replications_saved)
-    table.add_row("wall time (s)", stats.wall_time)
-    table.add_row("cell CPU time (s)", stats.cell_cpu_time)
-    table.add_row("worker utilization", util)
-    return table
-
-
-def failure_report_note(report) -> str:
-    """One-line provenance note for a sweep that lost cells.
-
-    *report* is a :class:`~repro.experiments.resilience.FailureReport`;
-    duck-typed like :func:`engine_stats_note`.
-    """
-    return f"resilience: {report.summary()}"
-
-
-def failure_report_table(report) -> Table:
-    """Render a :class:`~repro.experiments.resilience.FailureReport` as
-    a :class:`Table` (one row per lost cell), so partial sweeps ship a
-    structured account of what is missing alongside their numbers."""
-    table = Table(
-        title="Failed cells (after retries)",
-        headers=["cell", "attempts", "error"],
-    )
-    for f in report.failures:
-        table.add_row(f.config_summary, f.attempts, f.error)
-    table.notes.append(failure_report_note(report))
-    return table
 
 
 def _json_safe(v: Any) -> Any:

@@ -150,11 +150,11 @@ class CellFailure:
 class FailureReport:
     """Structured account of everything the resilience layer survived.
 
-    Returned alongside partial results (``strict=False``) and threaded
-    into reporting: :func:`repro.experiments.reporting.failure_report_table`
-    renders it as an artifact table.  Truthiness means "cells were
-    lost"; recovered incidents (pool resets, retries that eventually
-    succeeded) are recorded but do not make the report truthy.
+    Returned alongside partial results (``strict=False``) as
+    ``engine.failure_report``; both CLIs print :meth:`format` when it is
+    truthy.  Truthiness means "cells were lost"; recovered incidents
+    (pool resets, retries that eventually succeeded) are recorded but
+    do not make the report truthy.
     """
 
     failures: List[CellFailure] = field(default_factory=list)

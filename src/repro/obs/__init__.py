@@ -25,8 +25,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "maybe_span": "spans",
     "registry": "metrics",
     "sim_track_pid": "spans",
-    "start_tracing": "spans",
-    "stop_tracing": "spans",
     "timed": "metrics",
     "summarize": "export",
     "trace_events": "export",

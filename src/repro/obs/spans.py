@@ -20,13 +20,13 @@ Two time domains coexist:
   timeline.
 
 Tracing is **ambient and opt-in**: :func:`current_tracer` returns
-``None`` unless a tracer was installed with :func:`start_tracing` /
-:func:`use_tracing`, and every instrumentation site in the stack guards
-itself with one ``is None`` test, so a disabled trace costs nothing
-measurable (the DES kernel itself is never touched).  Worker processes
-of the experiment engine record into their own tracer and ship a
-picklable :class:`SpanBatch` back to the parent, next to their metrics
-delta.  A traced run also profiles its kernel into the metrics registry
+``None`` unless a tracer was installed with :func:`use_tracing`, and
+every instrumentation site in the stack guards itself with one
+``is None`` test, so a disabled trace costs nothing measurable (the
+DES kernel itself is never touched).  Worker processes of the experiment
+engine record into their own tracer and ship a picklable
+:class:`SpanBatch` back to the parent, next to their metrics delta.  A
+traced run also profiles its kernel into the metrics registry
 (:meth:`repro.des.profiling.KernelProfiler.publish`).
 
 The ``REPRO_TRACE`` environment knob enables tracing from the CLIs:
@@ -54,8 +54,6 @@ __all__ = [
     "Tracer",
     "current_tracer",
     "tracing_enabled",
-    "start_tracing",
-    "stop_tracing",
     "use_tracing",
     "maybe_span",
     "trace_path_from_env",
@@ -249,20 +247,6 @@ def current_tracer() -> Optional[Tracer]:
 
 def tracing_enabled() -> bool:
     return _ACTIVE is not None
-
-
-def start_tracing(tracer: Optional[Tracer] = None) -> Tracer:
-    """Install *tracer* (or a fresh one) as the ambient tracer."""
-    global _ACTIVE
-    _ACTIVE = tracer if tracer is not None else Tracer()
-    return _ACTIVE
-
-
-def stop_tracing() -> Optional[Tracer]:
-    """Remove and return the ambient tracer."""
-    global _ACTIVE
-    tracer, _ACTIVE = _ACTIVE, None
-    return tracer
 
 
 @contextmanager

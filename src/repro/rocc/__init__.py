@@ -50,13 +50,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "OverheadRegulator": "adaptive",
     "AdaptiveSampler": "adaptive",
     "PerturbationReport": "perturbation",
-    "measure_perturbation": "perturbation",
-    "recommend_batch_size": "tuning",
-    "BatchRecommendation": "tuning",
-    "BatchSweepPoint": "tuning",
     "parent_index": "forwarding",
     "children_indices": "forwarding",
-    "is_leaf": "forwarding",
-    "tree_depth": "forwarding",
-    "expected_hops": "forwarding",
 })

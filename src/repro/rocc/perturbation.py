@@ -3,9 +3,11 @@
 The paper's motivation (§1) cites measurement studies showing the IS
 "degrading the performance of an instrumented application program from
 10 % to more than 50 %" (Malony/Reed/Wijshoff's perturbation analysis,
-Gu et al., Miller et al.).  This module quantifies that effect for any
-configuration: run the ROCC model with and without instrumentation on
-common random numbers and report the slowdown decomposition.
+Gu et al., Miller et al.).  :class:`PerturbationReport` quantifies that
+effect for one configuration from two runs of the ROCC model, with and
+without instrumentation, on common random numbers (the ``perturbation``
+artifact builds them as engine cells) and reports the slowdown
+decomposition.
 
 Direct overhead (IS CPU occupancy) and *indirect* perturbation (lost
 application progress beyond the direct CPU the IS consumed — queueing
@@ -18,11 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import SimulationConfig
 from .metrics import SimulationResults
-from .system import simulate
 
-__all__ = ["PerturbationReport", "measure_perturbation"]
+__all__ = ["PerturbationReport"]
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,3 @@ class PerturbationReport:
             f"app CPU -{self.app_cpu_delta_percent:.2f} pts"
         )
 
-
-def measure_perturbation(config: SimulationConfig) -> PerturbationReport:
-    """Run *config* instrumented and uninstrumented (common random
-    numbers: same seed/replication) and compare."""
-    if not config.instrumented:
-        raise ValueError("pass an instrumented configuration")
-    instrumented = simulate(config)
-    baseline = simulate(config.with_(instrumented=False))
-    return PerturbationReport(instrumented=instrumented, baseline=baseline)

@@ -13,12 +13,9 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "Deterministic": "distributions",
     "Uniform": "distributions",
     "Exponential": "distributions",
-    "Erlang": "distributions",
     "Lognormal": "distributions",
     "Weibull": "distributions",
     "Normal": "distributions",
-    "Hyperexponential": "distributions",
-    "Pareto": "distributions",
     "Empirical": "distributions",
     "StreamFactory": "streams",
     "VariateStream": "streams",
@@ -26,7 +23,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "fit_exponential": "fitting",
     "fit_lognormal": "fitting",
     "fit_weibull": "fitting",
-    "fit_normal": "fitting",
     "fit_best": "fitting",
     "CANDIDATE_FAMILIES": "fitting",
     "ks_statistic": "goodness",

@@ -27,12 +27,9 @@ __all__ = [
     "Deterministic",
     "Uniform",
     "Exponential",
-    "Erlang",
     "Lognormal",
     "Weibull",
     "Normal",
-    "Hyperexponential",
-    "Pareto",
     "Empirical",
 ]
 
@@ -236,55 +233,6 @@ class Exponential(Distribution):
         return -self._mean * np.log1p(-q)
 
 
-class Erlang(Distribution):
-    """Erlang (gamma with integer shape ``k``) with the given **mean**."""
-
-    def __init__(self, k: int, mean: float):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if mean <= 0:
-            raise ValueError("mean must be positive")
-        self.k = int(k)
-        self._mean = float(mean)
-        self.theta = self._mean / self.k  # scale of each stage
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    @property
-    def var(self) -> float:
-        return self.k * self.theta**2
-
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None) -> ArrayLike:
-        return rng.gamma(self.k, self.theta, size)
-
-    # pdf/cdf/ppf evaluate the same scipy.special expressions, in the
-    # same order, as scipy.stats.gamma(k, scale=theta), so the values
-    # are bit-identical without importing scipy.stats
-    # (tests/variates/test_special_equivalence.py).
-
-    def pdf(self, x: ArrayLike) -> ArrayLike:
-        from scipy.special import gammaln, xlogy
-
-        x = np.asarray(x, dtype=float)
-        z = x / self.theta
-        with np.errstate(invalid="ignore"):
-            out = np.exp(xlogy(self.k - 1.0, z) - z - gammaln(self.k)) / self.theta
-        return np.where(x < 0, 0.0, out)
-
-    def cdf(self, x: ArrayLike) -> ArrayLike:
-        from scipy.special import gammainc
-
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0, 0.0, gammainc(self.k, x / self.theta))
-
-    def ppf(self, q: ArrayLike) -> ArrayLike:
-        from scipy.special import gammaincinv
-
-        # gammaincinv is NaN outside [0, 1], 0 at q = 0 and inf at q = 1.
-        return gammaincinv(self.k, np.asarray(q, dtype=float)) * self.theta
-
 
 class Lognormal(Distribution):
     """Lognormal parameterized by the **observed mean and std** of the data.
@@ -452,135 +400,6 @@ class Normal(Distribution):
         if self._std == 0:
             return _point_mass_ppf(q, self._mean)
         return self._mean + self._std * ndtri(q)
-
-
-class Hyperexponential(Distribution):
-    """Mixture of exponentials: phase *i* with probability ``p_i``.
-
-    The standard model for service times with coefficient of variation
-    above 1 (e.g. bimodal request lengths mixing short control messages
-    with large data transfers); complements the Table-2 families when
-    exploring workload sensitivity.
-    """
-
-    def __init__(self, probs: Sequence[float], means: Sequence[float]):
-        p = np.asarray(probs, dtype=float)
-        m = np.asarray(means, dtype=float)
-        if p.shape != m.shape or p.ndim != 1 or p.size == 0:
-            raise ValueError("probs and means must be equal-length 1-D")
-        if (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("probs must be non-negative and sum to 1")
-        if (m <= 0).any():
-            raise ValueError("phase means must be positive")
-        self.probs = p
-        self.means = m
-
-    @property
-    def mean(self) -> float:
-        return float(np.dot(self.probs, self.means))
-
-    @property
-    def var(self) -> float:
-        second_moment = float(np.dot(self.probs, 2.0 * self.means**2))
-        return second_moment - self.mean**2
-
-    @property
-    def cv(self) -> float:
-        """Coefficient of variation (>= 1 for any hyperexponential)."""
-        return self.std / self.mean
-
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None) -> ArrayLike:
-        if size is None:
-            phase = rng.choice(self.probs.size, p=self.probs)
-            return float(rng.exponential(self.means[phase]))
-        phases = rng.choice(self.probs.size, size=size, p=self.probs)
-        return rng.exponential(self.means[phases])
-
-    def pdf(self, x: ArrayLike) -> ArrayLike:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x, dtype=float)
-        for p, m in zip(self.probs, self.means):
-            out = out + np.where(x >= 0, p / m * np.exp(-np.maximum(x, 0) / m), 0.0)
-        return np.where(x >= 0, out, 0.0)
-
-    def cdf(self, x: ArrayLike) -> ArrayLike:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x, dtype=float)
-        for p, m in zip(self.probs, self.means):
-            out = out + p * (1.0 - np.exp(-np.maximum(x, 0) / m))
-        return np.where(x >= 0, out, 0.0)
-
-    def ppf(self, q: ArrayLike) -> ArrayLike:
-        # No closed form: bisection on the cdf (vectorized).
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        lo = np.zeros_like(q)
-        hi = np.full_like(q, float(self.means.max()))
-        # Grow hi until cdf(hi) exceeds every q.
-        for _ in range(200):
-            mask = np.asarray(self.cdf(hi)) < q
-            if not mask.any():
-                break
-            hi = np.where(mask, hi * 2.0, hi)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            below = np.asarray(self.cdf(mid)) < q
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi)
-        return out if out.size > 1 else float(out[0])
-
-    def __repr__(self) -> str:
-        return (
-            f"Hyperexponential(probs={self.probs.tolist()}, "
-            f"means={self.means.tolist()})"
-        )
-
-
-class Pareto(Distribution):
-    """Pareto (Lomax-style, ``x >= xm``) — heavy-tail fitting candidate."""
-
-    def __init__(self, alpha: float, xm: float):
-        if alpha <= 0 or xm <= 0:
-            raise ValueError("alpha and xm must be positive")
-        self.alpha = float(alpha)
-        self.xm = float(xm)
-
-    @property
-    def mean(self) -> float:
-        if self.alpha <= 1:
-            return math.inf
-        return self.alpha * self.xm / (self.alpha - 1.0)
-
-    @property
-    def var(self) -> float:
-        a = self.alpha
-        if a <= 2:
-            return math.inf
-        return self.xm**2 * a / ((a - 1.0) ** 2 * (a - 2.0))
-
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None) -> ArrayLike:
-        return self.xm * (1.0 + rng.pareto(self.alpha, size))
-
-    def pdf(self, x: ArrayLike) -> ArrayLike:
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.alpha * self.xm**self.alpha / np.maximum(x, 1e-300) ** (
-                self.alpha + 1.0
-            )
-        return np.where(x >= self.xm, out, 0.0)
-
-    def cdf(self, x: ArrayLike) -> ArrayLike:
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = 1.0 - (self.xm / np.maximum(x, 1e-300)) ** self.alpha
-        return np.where(x >= self.xm, out, 0.0)
-
-    def ppf(self, q: ArrayLike) -> ArrayLike:
-        q = np.asarray(q, dtype=float)
-        return self.xm / (1.0 - q) ** (1.0 / self.alpha)
-
-    def __repr__(self) -> str:
-        return f"Pareto(alpha={self.alpha:.6g}, xm={self.xm:.6g})"
 
 
 class Empirical(Distribution):

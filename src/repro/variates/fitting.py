@@ -6,8 +6,7 @@ Implements the estimators the paper cites from Law & Kelton
 * exponential — MLE mean is the sample mean;
 * lognormal — MLE of (μ, σ) are mean/std of the log-data;
 * Weibull — MLE via the one-dimensional profile equation for the shape,
-  solved by bisection (Law & Kelton §6.5), scale in closed form;
-* normal — sample mean/std.
+  solved by bisection (Law & Kelton §6.5), scale in closed form.
 
 :func:`fit_best` replicates the paper's model-selection step for
 Figure 8 / Table 2: fit every candidate family and rank by
@@ -26,7 +25,6 @@ from .distributions import (
     Distribution,
     Exponential,
     Lognormal,
-    Normal,
     Weibull,
 )
 
@@ -35,7 +33,6 @@ __all__ = [
     "fit_exponential",
     "fit_lognormal",
     "fit_weibull",
-    "fit_normal",
     "fit_best",
     "CANDIDATE_FAMILIES",
 ]
@@ -69,12 +66,6 @@ def fit_lognormal(data: Sequence[float]) -> Lognormal:
     if sigma == 0.0:
         sigma = 1e-12
     return Lognormal.from_log_params(mu, sigma)
-
-
-def fit_normal(data: Sequence[float]) -> Normal:
-    """MLE normal fit (sample mean, biased std)."""
-    arr = _clean(data, positive=False)
-    return Normal(float(np.mean(arr)), float(np.std(arr)))
 
 
 def fit_weibull(

@@ -388,11 +388,8 @@ class VariateStream:
     #: proportional to what each stream actually consumes (at most 2x),
     #: while hot streams still amortize to full blocks.  NumPy
     #: generators draw values sequentially from the bit stream, so for
-    #: every Table-2 workload family the served variate sequence is
-    #: independent of the chunking.  (Hyperexponential is the one
-    #: exported family whose block draw is two-pass and therefore
-    #: chunk-*dependent* — its sequence has always varied with the
-    #: ``block`` knob.)
+    #: every exported family the served variate sequence is independent
+    #: of the chunking.
     INITIAL_BLOCK = 16
 
     def __init__(

@@ -2,8 +2,7 @@
 
 This package is the measurement substrate: an AIX-like synthetic trace
 facility, generative models of the NAS ``pvmbt``/``pvmis`` workloads,
-the Table-1/Table-2 characterization pipeline, and the process state
-machines of Figures 6 and 7.
+and the Table-1/Table-2 characterization pipeline.
 """
 
 from .._lazy import lazy_exports
@@ -30,12 +29,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "fit_requests": "characterize",
     "RequestFit": "characterize",
     "build_parameters": "characterize",
-    "build_empirical_parameters": "characterize",
     "characterization": "characterize",
-    "DetailedState": "process_model",
-    "SimpleState": "process_model",
-    "DETAILED_TRANSITIONS": "process_model",
-    "ProcessStateMachine": "process_model",
-    "simplify": "process_model",
-    "legal_sequence": "process_model",
 })

@@ -41,7 +41,6 @@ __all__ = [
     "RequestFit",
     "fit_requests",
     "build_parameters",
-    "build_empirical_parameters",
     "characterization",
 ]
 
@@ -210,55 +209,6 @@ def build_parameters(trace: TraceFile) -> WorkloadParameters:
     params.main_cpu = get(ProcessType.PARADYN_MAIN, ResourceKind.CPU, params.main_cpu)
     params.main_network = get(
         ProcessType.PARADYN_MAIN, ResourceKind.NETWORK, params.main_network
-    )
-    params.pdm_cpu = params.pd_cpu
-    return params
-
-
-def build_empirical_parameters(
-    trace: TraceFile, min_observations: int = 30
-) -> WorkloadParameters:
-    """Trace-playback parameterization: resample the raw measurements.
-
-    Instead of the fitted families of :func:`build_parameters`, each
-    request-length distribution becomes an
-    :class:`~repro.variates.distributions.Empirical` over the observed
-    durations — the "drive the model straight from the trace" option
-    the workload-characterization literature (Hughes, cited in §2.2)
-    contrasts with distribution fitting.  Pairs with fewer than
-    ``min_observations`` records keep their Table-2 defaults.
-    """
-    from ..variates.distributions import Empirical
-
-    params = WorkloadParameters()
-
-    def maybe(ptype: ProcessType, res: ResourceKind, default: Distribution):
-        data = trace.durations(process_type=ptype, resource=res)
-        data = [d for d in data if d > 0]
-        if len(data) < min_observations:
-            return default
-        return Empirical(data)
-
-    params.app_cpu = maybe(ProcessType.APPLICATION, ResourceKind.CPU, params.app_cpu)
-    params.app_network = maybe(
-        ProcessType.APPLICATION, ResourceKind.NETWORK, params.app_network
-    )
-    params.pd_cpu = maybe(
-        ProcessType.PARADYN_DAEMON, ResourceKind.CPU, params.pd_cpu
-    )
-    params.pd_network = maybe(
-        ProcessType.PARADYN_DAEMON, ResourceKind.NETWORK, params.pd_network
-    )
-    params.pvmd_cpu = maybe(ProcessType.PVM_DAEMON, ResourceKind.CPU, params.pvmd_cpu)
-    params.pvmd_network = maybe(
-        ProcessType.PVM_DAEMON, ResourceKind.NETWORK, params.pvmd_network
-    )
-    params.other_cpu = maybe(ProcessType.OTHER, ResourceKind.CPU, params.other_cpu)
-    params.other_network = maybe(
-        ProcessType.OTHER, ResourceKind.NETWORK, params.other_network
-    )
-    params.main_cpu = maybe(
-        ProcessType.PARADYN_MAIN, ResourceKind.CPU, params.main_cpu
     )
     params.pdm_cpu = params.pd_cpu
     return params

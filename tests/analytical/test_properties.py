@@ -1,6 +1,6 @@
 """Hypothesis properties of the analytic layer (paper §3, eqs 1–16).
 
-Four families of properties:
+Three families of properties:
 
 * physical bounds — below saturation every utilization is in [0, 1]
   and every residence time is finite and at least the service demand;
@@ -10,25 +10,20 @@ Four families of properties:
 * law agreement — the NOW/SMP/MPP model methods are definitionally
   the raw operational laws of :mod:`repro.analytical.operational`
   applied to the IS demands, so they must agree exactly, not merely
-  approximately;
-* MVA — the exact MVA recursion lands on a Little's-law fixed point
-  and respects the bottleneck bound at every population.
+  approximately.
 """
 
 import math
 
-import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analytical import (
     ISDemands,
     MPPAnalyticalModel,
-    MVACenter,
     NOWAnalyticalModel,
     SMPAnalyticalModel,
     forced_flow_law,
-    mva,
     residence_time_open,
     utilization_law,
 )
@@ -268,74 +263,3 @@ def test_mpp_direct_is_now_on_contention_free_network(
     assert mpp.pd_network_utilization() == now.pd_network_utilization()
     assert mpp.monitoring_latency() == now.monitoring_latency()
 
-
-# ----------------------------------------------------------------- MVA
-
-# Demands are either exactly zero or sane positive service times; a
-# subnormal demand (1/d overflowing) is not a physical service center.
-center_lists = st.lists(
-    st.tuples(
-        st.one_of(
-            st.just(0.0),
-            st.floats(min_value=0.01, max_value=10_000.0,
-                      allow_nan=False, allow_infinity=False),
-        ),
-        st.booleans(),
-    ),
-    min_size=1,
-    max_size=5,
-)
-
-
-@_SETTINGS
-@given(spec=center_lists,
-       population=st.integers(min_value=1, max_value=40),
-       think=st.floats(min_value=0.0, max_value=100_000.0,
-                       allow_nan=False, allow_infinity=False))
-@example(spec=[(0.0, False)], population=30, think=1.66e-307)
-def test_mva_fixed_point_satisfies_littles_law(spec, population, think):
-    centers = [
-        MVACenter(name=f"c{i}", demand=d, delay=delay)
-        for i, (d, delay) in enumerate(spec)
-    ]
-    assume(think > 0 or any(d > 0 for d, _ in spec))
-    if not any(d > 0 for d, _ in spec) and population / think == math.inf:
-        # Every demand is zero and N/Z overflows: no finite throughput
-        # exists, so mva must refuse rather than return inf.
-        with pytest.raises(ValueError, match="overflows"):
-            mva(centers, population, think_time=think)
-        return
-    res = mva(centers, population, think_time=think)
-    # Fixed point: N = X·(Z + R) exactly (Little's law over the cycle).
-    assert math.isclose(
-        res.throughput * (think + res.response_time),
-        population,
-        rel_tol=1e-9,
-    )
-    # Queue lengths are X·R_k and sum (with the think-time population)
-    # back to N.
-    in_centers = sum(res.center_queue)
-    assert math.isclose(
-        in_centers + res.throughput * think, population, rel_tol=1e-9
-    )
-    # Bottleneck bound: X ≤ 1/max D_k at queueing centers; U ≤ 1.
-    for c, u in zip(centers, res.center_utilization):
-        assert u == res.throughput * c.demand
-        if not c.delay:
-            assert u <= 1.0 + 1e-9
-
-
-@_SETTINGS
-@given(spec=center_lists,
-       population=st.integers(min_value=1, max_value=30))
-def test_mva_throughput_monotone_in_population(spec, population):
-    centers = [
-        MVACenter(name=f"c{i}", demand=d, delay=delay)
-        for i, (d, delay) in enumerate(spec)
-    ]
-    assume(any(d > 0 for d, _ in spec))
-    x_prev = 0.0
-    for n in range(1, population + 1):
-        x = mva(centers, n).throughput
-        assert x >= x_prev * (1.0 - 1e-12)
-        x_prev = x

@@ -20,7 +20,6 @@ from repro.experiments import (
     RetryPolicy,
     RunJournal,
     config_fingerprint,
-    failure_report_table,
     results_equal,
 )
 from repro.experiments.chaos import ChaosPlan, chaos_key, install_chaos
@@ -225,9 +224,9 @@ def test_deadline_breach_nonstrict_returns_partial_results(cfg):
     assert report.failures[0].attempts == 2
     assert report.cell_timeouts == 2  # both attempts breached
     assert engine.stats.cell_timeouts == 2
-    table = failure_report_table(report)
-    assert table.rows and table.rows[0][1] == 2
-    assert any("resilience:" in note for note in table.notes)
+    summary, line = report.format().splitlines()
+    assert "1 cell(s) failed" in summary and "2 deadline breaches" in summary
+    assert "SimulationStalled" in line and line.endswith("(after 2 attempt(s))")
 
 
 def test_deadline_breach_strict_raises(cfg):

@@ -15,8 +15,6 @@ from repro.obs import (
     current_tracer,
     maybe_span,
     sim_track_pid,
-    start_tracing,
-    stop_tracing,
     trace_path_from_env,
     tracing_enabled,
     use_tracing,
@@ -39,12 +37,13 @@ def test_use_tracing_installs_and_restores() -> None:
     assert current_tracer() is None
 
 
-def test_start_stop_tracing() -> None:
-    tracer = start_tracing()
-    try:
-        assert current_tracer() is tracer
-    finally:
-        assert stop_tracing() is tracer
+def test_use_tracing_installs_a_given_tracer() -> None:
+    tracer = Tracer()
+    with pytest.raises(RuntimeError):
+        with use_tracing(tracer) as installed:
+            assert installed is tracer
+            assert current_tracer() is tracer
+            raise RuntimeError("body failed")
     assert current_tracer() is None
 
 

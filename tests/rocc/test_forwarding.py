@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.rocc import (
-    children_indices,
-    expected_hops,
-    is_leaf,
-    parent_index,
-    tree_depth,
-)
+from repro.rocc import children_indices, parent_index
 
 
 def test_parent_of_root_rejected():
@@ -40,35 +34,6 @@ def test_children_bounds_checked():
         children_indices(-1, 7)
 
 
-def test_is_leaf():
-    assert is_leaf(3, 7)
-    assert not is_leaf(0, 7)
-    assert is_leaf(0, 1)
-
-
-def test_tree_depth():
-    assert tree_depth(1) == 0
-    assert tree_depth(2) == 1
-    assert tree_depth(3) == 1
-    assert tree_depth(4) == 2
-    assert tree_depth(7) == 2
-    assert tree_depth(8) == 3
-    with pytest.raises(ValueError):
-        tree_depth(0)
-
-
-def test_expected_hops_small():
-    # n=3: node0 depth 0, nodes 1-2 depth 1 -> mean 2/3.
-    assert expected_hops(3) == pytest.approx(2 / 3)
-    assert expected_hops(1) == 0.0
-
-
-def test_expected_hops_grows_logarithmically():
-    assert expected_hops(255) == pytest.approx(
-        sum(d * 2**d for d in range(8)) / 255
-    )
-
-
 @given(st.integers(min_value=1, max_value=500))
 def test_parent_child_consistency(n):
     """Every non-root node is a child of its parent, and depth(child) =
@@ -87,4 +52,6 @@ def test_every_node_reaches_root(n):
         while j > 0:
             j = parent_index(j)
             hops += 1
-            assert hops <= tree_depth(n)
+            assert hops <= (n - 1).bit_length()
+        # Node i sits at heap depth floor(log2(i + 1)).
+        assert hops == (i + 1).bit_length() - 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.rocc import SimulationConfig, measure_perturbation
+from repro.rocc import PerturbationReport, SimulationConfig, simulate
 
 
 def cfg(**kw):
@@ -12,13 +12,17 @@ def cfg(**kw):
     return SimulationConfig(**base)
 
 
-def test_requires_instrumented_config():
-    with pytest.raises(ValueError):
-        measure_perturbation(cfg(instrumented=False))
+def report_for(config):
+    """The report of *config* run with and without instrumentation on
+    common random numbers, as the ``perturbation`` artifact builds it."""
+    return PerturbationReport(
+        instrumented=simulate(config),
+        baseline=simulate(config.with_(instrumented=False)),
+    )
 
 
 def test_report_fields_consistent():
-    report = measure_perturbation(cfg())
+    report = report_for(cfg())
     assert report.baseline.samples_generated == 0
     assert report.instrumented.samples_generated > 0
     assert 0 <= report.app_progress_ratio <= 1.001
@@ -28,30 +32,30 @@ def test_report_fields_consistent():
 
 
 def test_light_instrumentation_perturbs_little():
-    report = measure_perturbation(cfg(sampling_period=100_000.0, batch_size=32))
+    report = report_for(cfg(sampling_period=100_000.0, batch_size=32))
     assert report.slowdown_percent < 2.0
 
 
 def test_heavy_instrumentation_perturbs_more():
-    light = measure_perturbation(cfg(sampling_period=100_000.0, batch_size=32))
-    heavy = measure_perturbation(cfg(sampling_period=1_000.0, batch_size=1))
+    light = report_for(cfg(sampling_period=100_000.0, batch_size=32))
+    heavy = report_for(cfg(sampling_period=1_000.0, batch_size=1))
     assert heavy.slowdown_percent > light.slowdown_percent
     assert heavy.slowdown_percent > 2.0
 
 
 def test_bf_perturbs_less_than_cf():
-    cf = measure_perturbation(cfg(sampling_period=2_000.0, batch_size=1))
-    bf = measure_perturbation(cfg(sampling_period=2_000.0, batch_size=32))
+    cf = report_for(cfg(sampling_period=2_000.0, batch_size=1))
+    bf = report_for(cfg(sampling_period=2_000.0, batch_size=32))
     assert bf.slowdown_percent < cf.slowdown_percent
 
 
 def test_indirect_component_from_pipe_blocking():
     """A tiny pipe at a fast sampling rate adds indirect perturbation
     (the app blocks on writes) beyond the direct CPU theft."""
-    blocked = measure_perturbation(
+    blocked = report_for(
         cfg(sampling_period=1_000.0, pipe_capacity=4, duration=3_000_000.0)
     )
-    roomy = measure_perturbation(
+    roomy = report_for(
         cfg(sampling_period=1_000.0, pipe_capacity=10_000,
             duration=3_000_000.0)
     )
@@ -60,7 +64,7 @@ def test_indirect_component_from_pipe_blocking():
 
 
 def test_summary_renders():
-    report = measure_perturbation(cfg())
+    report = report_for(cfg())
     text = report.summary()
     assert "slowdown" in text and "direct" in text and "indirect" in text
 
@@ -68,7 +72,7 @@ def test_summary_renders():
 def test_paper_motivating_range_reachable():
     """§1: instrumentation degrades applications '10% to more than 50%'
     in measurement studies — aggressive settings reproduce that order."""
-    report = measure_perturbation(
+    report = report_for(
         cfg(sampling_period=500.0, batch_size=1, duration=3_000_000.0,
             app_processes_per_node=2)
     )

@@ -162,3 +162,22 @@ class TestUtilizationLawOnSimulator:
         lam_eff = waits.count / area[1]
         W = waits.mean
         assert L == pytest.approx(lam_eff * W, rel=0.12)
+
+
+def test_lone_application_cycle_rate_matches_its_demands():
+    """An uninstrumented node running only the application is a closed
+    network with one customer: a CPU burst (mean 2213 µs, Table 2) then
+    a network burst (mean 223 µs) that nothing else contends for.  With
+    population 1 there is no queueing, so by Little's law the cycle
+    rate is 1 / (D_cpu + D_net)."""
+    from repro.rocc import SimulationConfig, simulate
+
+    r = simulate(
+        SimulationConfig(
+            nodes=1, duration=3_000_000.0, instrumented=False,
+            include_pvmd=False, include_other=False, seed=31,
+        )
+    )
+    assert r.app_cycles / 3_000_000.0 == pytest.approx(
+        1.0 / (2213.0 + 223.0), rel=0.05
+    )

@@ -4,10 +4,12 @@ Every ``repro`` package builds ``__all__``, ``__getattr__`` and
 ``__dir__`` from one ``{name: submodule}`` map (``repro._lazy``).  These
 tests read that map from each ``__init__.py`` and check that every name
 resolves to the attribute of the submodule it names, is listed by
-``dir()`` and is bound by ``from pkg import *``; that the function
-named like its own submodule stays a function; that a fresh ``import
-repro`` loads no subpackage; and that ``lazy_module`` imports its module
-on first use and then rebinds the global to it.
+``dir()`` and is bound by ``from pkg import *``; that an export named
+like its own submodule is refused; that every export is used by the
+package itself or listed in :data:`NOT_USED_IN_SRC` with the reason it
+stays; that a fresh ``import repro`` loads no subpackage; and that
+``lazy_module`` imports its module on first use and then rebinds the
+global to it.
 """
 
 import ast
@@ -19,12 +21,43 @@ from pathlib import Path
 
 import pytest
 
+from repro._lazy import lazy_exports
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGES = (
     "repro", "repro.analytical", "repro.des", "repro.expdesign",
     "repro.experiments", "repro.obs", "repro.planner",
     "repro.rocc", "repro.variates", "repro.verify", "repro.workload",
 )
+
+#: Exports that no module under ``src/repro`` names, each with the
+#: reason it is kept.  Anything else that nothing in the package uses is
+#: library surface that only its own tests keep alive: delete it rather
+#: than add it here.
+NOT_USED_IN_SRC = {
+    "utilization_law": "oracle: the analytic models are these laws applied "
+                       "to the IS demands (test_operational, test_properties)",
+    "forced_flow_law": "oracle for the analytic models (test_properties)",
+    "littles_law_response": "oracle for the analytic models (test_operational)",
+    "EventLog": "the tests' event-order oracle for the kernel",
+    "results_equal": "bit-identity oracle of the engine, resilience and "
+                     "kernel-equivalence tests",
+    "validate_trace_events": "checks the Chrome traces the CLIs write "
+                             "(test_cli_e2e, repro.obs tests)",
+    "ProcessorSharingCPU": "the PS reference that RR is compared against "
+                           "(test_bench_ablation, test_queueing_theory)",
+    "children_indices": "oracle for parent_index (test_forwarding)",
+    "Deterministic": "test fixture for streams and the kernel",
+    "Uniform": "test fixture for streams and sampling",
+    "Empirical": "fixture whose choice draws exercise the streams' "
+                 "has_uint32 carry (test_seed_derivation)",
+    "Normal": "the family the Anderson-Darling oracle needs",
+    "ks_test": "benchmarks/e2e/traced.py wraps it by name",
+    "anderson_darling": "benchmarks/e2e/traced.py wraps it by name",
+    "chi_square_test": "benchmarks/e2e/traced.py wraps it by name",
+    "build_parameters": "examples/workload_characterization.py parameterizes "
+                        "the model from a trace with it",
+}
 
 
 def export_map(package: str) -> dict:
@@ -78,16 +111,44 @@ def test_unknown_name_raises_attribute_error(package):
     assert not hasattr(pkg, "no_such_name")
 
 
-def test_functions_named_like_their_submodule_stay_functions():
-    # Importing the submodule by its dotted name must not replace the
-    # package attribute with the module (the import system sets it).
-    out = run_fresh(
-        "import inspect\n"
-        "import repro.analytical.mva\n"
-        "import repro.analytical\n"
-        "print(inspect.isfunction(repro.analytical.mva))\n"
+def test_export_named_like_its_submodule_is_refused():
+    # The import system would replace such a name with the module the
+    # first time anything imported the submodule by its dotted name.
+    with pytest.raises(ValueError, match=r"repro\.fake\.thing"):
+        lazy_exports("repro.fake", {"other": "core", "thing": "thing"})
+
+
+def names_used_in_src() -> set:
+    """Every identifier that some non-``__init__`` module under
+    ``src/repro`` names: loads and stores, attributes, imported names
+    and the components of ``from X.Y import`` module paths."""
+    used = set()
+    for path in (SRC / "repro").rglob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+                used.update((node.module or "").split("."))
+    return used
+
+
+def test_every_export_is_used_in_src_or_listed_with_a_reason():
+    used = names_used_in_src()
+    unused = {name for package in PACKAGES for name in export_map(package)
+              if name not in used}
+    assert sorted(unused - set(NOT_USED_IN_SRC)) == [], (
+        "exported but used by no module under src/repro: delete them, or "
+        "list each in NOT_USED_IN_SRC with the reason it stays"
     )
-    assert out.split() == ["True"]
+    assert sorted(set(NOT_USED_IN_SRC) - unused) == [], (
+        "listed in NOT_USED_IN_SRC but used in src/repro or no longer "
+        "exported: drop the entry"
+    )
 
 
 def test_lazy_module_imports_on_first_use_and_rebinds_the_global():

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from repro.variates import (
     Deterministic,
     Empirical,
-    Erlang,
     Exponential,
     Lognormal,
     Normal,
-    Pareto,
     Uniform,
     Weibull,
 )
@@ -23,11 +21,9 @@ ALL_DISTS = [
     Deterministic(5.0),
     Uniform(2.0, 8.0),
     Exponential(223.0),
-    Erlang(3, 600.0),
     Lognormal(2213.0, 3034.0),
     Weibull(1.5, 100.0),
     Normal(50.0, 10.0),
-    Pareto(3.0, 10.0),
 ]
 
 
@@ -48,7 +44,7 @@ def test_sample_scalar_and_vector_forms(dist, rng):
 @pytest.mark.parametrize(
     "dist",
     [Uniform(2, 8), Exponential(223), Lognormal(100, 50), Weibull(1.5, 100),
-     Normal(50, 10), Pareto(3, 10), Erlang(3, 600)],
+     Normal(50, 10)],
     ids=lambda d: type(d).__name__,
 )
 def test_ppf_inverts_cdf(dist):
@@ -192,28 +188,6 @@ class TestEmpirical:
     def test_cdf_is_ecdf(self):
         d = Empirical([1.0, 2.0, 3.0, 4.0])
         assert float(d.cdf(2.5)) == 0.5
-
-
-class TestErlang:
-    def test_variance(self):
-        d = Erlang(4, 100.0)
-        assert d.var == pytest.approx(100.0**2 / 4)
-
-    def test_k_one_is_exponential(self, rng):
-        d = Erlang(1, 100.0)
-        e = Exponential(100.0)
-        x = np.linspace(1, 500, 20)
-        np.testing.assert_allclose(d.cdf(x), e.cdf(x), rtol=1e-9)
-
-
-class TestPareto:
-    def test_infinite_variance_below_two(self):
-        assert math.isinf(Pareto(1.5, 10.0).var)
-        assert math.isinf(Pareto(0.9, 10.0).mean)
-
-    def test_support(self, rng):
-        d = Pareto(3.0, 10.0)
-        assert (np.asarray(d.sample(rng, 1000)) >= 10.0).all()
 
 
 @given(

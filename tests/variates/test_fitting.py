@@ -12,7 +12,6 @@ from repro.variates import (
     fit_best,
     fit_exponential,
     fit_lognormal,
-    fit_normal,
     fit_weibull,
 )
 
@@ -43,13 +42,6 @@ def test_fit_weibull_exponential_data_shape_near_one(rng):
     data = rng.exponential(100.0, 20_000)
     fit = fit_weibull(data)
     assert fit.shape == pytest.approx(1.0, rel=0.05)
-
-
-def test_fit_normal(rng):
-    data = rng.normal(50.0, 10.0, 10_000)
-    fit = fit_normal(data)
-    assert fit.mean == pytest.approx(50.0, rel=0.05)
-    assert fit.std == pytest.approx(10.0, rel=0.1)
 
 
 def test_fit_best_picks_lognormal_for_lognormal_data(rng):

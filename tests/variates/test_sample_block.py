@@ -13,10 +13,8 @@ from repro.variates import (
     Deterministic,
     Empirical,
     Exponential,
-    Hyperexponential,
     Lognormal,
     Normal,
-    Pareto,
     StreamFactory,
     Uniform,
     Weibull,
@@ -29,8 +27,6 @@ DISTS = [
     Lognormal(267.0, 355.0),
     Weibull(1.2, 100.0),
     Normal(50.0, 10.0),
-    Hyperexponential([0.3, 0.7], [10.0, 200.0]),
-    Pareto(2.5, 1.0),
     Empirical([1.0, 2.0, 5.0, 9.0]),
 ]
 

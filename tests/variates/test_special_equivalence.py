@@ -1,12 +1,11 @@
 """Bit-identity oracle: ``repro.special`` and ``scipy.special`` vs scipy.
 
 ``src/repro`` never imports ``scipy.stats`` (about 0.7 s and 45 MiB per
-process).  Tail probabilities and the Erlang pdf/cdf/ppf call the
-``scipy.special`` ufuncs that ``scipy.stats`` itself dispatches to.  The
-normal cdf and quantile and the 90 % t-quantile come from
-``repro.special`` (cephes ports and a table of scipy's outputs), so the
-paper-rerun and planned paths need no scipy at all.  Each test here pins
-one replacement to the scipy call it replaced with exact equality (NaN
+process).  Tail probabilities call the ``scipy.special`` ufuncs that
+``scipy.stats`` itself dispatches to.  The normal cdf and quantile and
+the 90 % t-quantile come from ``repro.special`` (cephes ports and a
+table of scipy's outputs), so the paper-rerun and planned paths need no
+scipy at all.  Each test here pins one replacement to the scipy call it replaced with exact equality (NaN
 equal to NaN), so a scipy release that changes either side fails loudly.
 """
 
@@ -27,10 +26,10 @@ from repro.expdesign import (
     repetitions_needed,
 )
 from repro.variates import (
-    Erlang,
     Exponential,
     Lognormal,
     Normal,
+    Weibull,
     chi_square_test,
     ks_test,
 )
@@ -126,7 +125,7 @@ def _chi_square_reference(data, dist, n_bins, fitted_params):
 
 
 @pytest.mark.parametrize(
-    "dist", [Exponential(50.0), Lognormal(40.0, 60.0), Erlang(3, 50.0)],
+    "dist", [Exponential(50.0), Lognormal(40.0, 60.0), Weibull(1.5, 55.0)],
     ids=lambda d: type(d).__name__,
 )
 @pytest.mark.parametrize("n_bins", [5, 20, 50])
@@ -138,8 +137,8 @@ def test_chi_square_test_matches_reference(rng, dist, n_bins):
 
 
 @pytest.mark.parametrize(
-    "dist", [Exponential(10.0), Exponential(14.0), Erlang(8, 10.0)],
-    ids=["fit", "off", "erlang"],
+    "dist", [Exponential(10.0), Exponential(14.0), Weibull(1.2, 10.0)],
+    ids=["fit", "off", "weibull"],
 )
 def test_ks_test_matches_kstwobign(rng, dist):
     for n in (20, 500, 5000):
@@ -147,37 +146,6 @@ def test_ks_test_matches_kstwobign(rng, dist):
         d, p = ks_test(data, dist)
         lam = d * (np.sqrt(n) + 0.12 + 0.11 / np.sqrt(n))
         assert p == min(max(float(stats.kstwobign.sf(lam)), 0.0), 1.0)
-
-
-# --- Erlang pdf/cdf/ppf (variates/distributions.py)
-
-X_EDGES = np.array([-np.inf, -5.0, -1e-300, -0.0, 0.0, 1e-300, np.inf, np.nan])
-Q_EDGES = np.array([-np.inf, -0.5, -1e-12, 0.0, 1.0, 1.0 + 1e-12, 2.0, np.inf, np.nan])
-
-
-@pytest.mark.parametrize("k", [1, 3, 8])
-@pytest.mark.parametrize("mean", [1.0, 600.0])
-def test_erlang_matches_scipy_gamma(k, mean):
-    d = Erlang(k, mean)
-    ref = stats.gamma(k, scale=d.theta)
-    x = np.concatenate([X_EDGES, np.linspace(0.0, 12.0 * mean, 2001)])
-    q = np.concatenate([Q_EDGES, np.linspace(0.0, 1.0, 1001)])
-    with np.errstate(invalid="ignore"):  # scipy.stats's own inf - inf at x = inf
-        pdf = ref.pdf(x)
-    assert_identical(d.pdf(x), pdf)
-    assert_identical(d.cdf(x), ref.cdf(x))
-    assert_identical(d.ppf(q), ref.ppf(q))
-
-
-@pytest.mark.parametrize("k", [1, 3, 8])
-def test_erlang_scalar_inputs_match_scipy_gamma(k):
-    d = Erlang(k, 600.0)
-    ref = stats.gamma(k, scale=d.theta)
-    for x in (-1.0, 0.0, 150.0, float("nan")):
-        assert_identical(d.pdf(x), ref.pdf(x))
-        assert_identical(d.cdf(x), ref.cdf(x))
-    for q in (-0.1, 0.0, 0.3, 1.0, 1.5, float("nan")):
-        assert_identical(d.ppf(q), ref.ppf(q))
 
 
 # --- repro.special: cephes ndtr/ndtri ports and the t table
@@ -269,6 +237,8 @@ def test_stdtrit_off_table_calls_scipy(df, p):
 
 # --- Lognormal/Normal cdf/ppf against the scipy.special expressions they replaced
 
+X_EDGES = np.array([-np.inf, -5.0, -1e-300, -0.0, 0.0, 1e-300, np.inf, np.nan])
+Q_EDGES = np.array([-np.inf, -0.5, -1e-12, 0.0, 1.0, 1.0 + 1e-12, 2.0, np.inf, np.nan])
 X_GRID = np.concatenate([X_EDGES, np.linspace(0.0, 5000.0, 5001),
                          10.0 ** np.linspace(-300.0, 300.0, 601)])
 Q_GRID = np.concatenate([Q_EDGES, np.linspace(0.0, 1.0, 1001), [1e-300, 5e-324]])
