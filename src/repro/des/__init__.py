@@ -4,8 +4,9 @@ This package provides the simulation substrate the ROCC model is built
 on, and only what that model uses: generator-based processes yielding
 events (timeouts, allocation-free holds, ``&``/``|`` conditions),
 actors that schedule themselves, a finite FIFO :class:`Store` (the Unix
-pipes), statistics monitors, tracers, a kernel profiler, and the
-conservative parallel runner of one partitioned cell (``parallel``).
+pipes), O(1) statistics monitors (``Tally``, ``TimeWeighted``), tracers,
+a kernel profiler, and the conservative parallel runner of one
+partitioned cell (``parallel``).
 
 Quick example::
 
@@ -42,8 +43,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "EmptySchedule": "exceptions",
     "SimulationStalled": "exceptions",
     "Store": "stores",
-    "P2Quantile": "monitor",
-    "ReservoirSample": "monitor",
     "Tally": "monitor",
     "TimeWeighted": "monitor",
     "EventLog": "tracing",

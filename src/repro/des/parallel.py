@@ -58,11 +58,8 @@ from .events import NORMAL, Event
 
 __all__ = ["LPWorkerLost", "parallel_simulate"]
 
-#: Number of synchronization windows a run is divided into by default.
-_DEFAULT_WINDOWS = 64
-
-#: Env knob: explicit synchronization window length in µs.
-_WINDOW_ENV = "REPRO_DES_LP_WINDOW"
+#: Number of synchronization windows a run is divided into.
+_WINDOWS = 64
 
 #: Env knob (chaos harness): path of a marker file.  When set and the
 #: marker does not exist yet, LP worker 0 creates it right after its
@@ -79,16 +76,6 @@ class LPWorkerLost(RuntimeError):
     (crash, OOM kill, SIGKILL).  Listed in the resilience layer's
     transient set: a retried cell rebuilds every worker from scratch.
     """
-
-
-def _window_length(duration: float) -> float:
-    raw = os.environ.get(_WINDOW_ENV, "").strip()
-    if raw:
-        w = float(raw)
-        if w <= 0.0:
-            raise ValueError(f"{_WINDOW_ENV}={raw!r} must be positive")
-        return w
-    return max(duration / _DEFAULT_WINDOWS, 1.0)
 
 
 def _kernel_profiler(env):
@@ -173,7 +160,7 @@ class _Deliver:
         self.deliver(self.payload)
 
 
-def parallel_simulate(config, lp_workers: int, window: Optional[float] = None):
+def parallel_simulate(config, lp_workers: int):
     """Run *config* on ``lp_workers`` node LPs plus the inline main LP.
 
     Falls back to the sequential kernel when the configuration is
@@ -192,7 +179,7 @@ def parallel_simulate(config, lp_workers: int, window: Optional[float] = None):
         return ParadynISSystem(config).run()
 
     duration = config.duration
-    win = _window_length(duration) if window is None else float(window)
+    win = max(duration / _WINDOWS, 1.0)
     la_map = plan.lookahead_into(plan.main_lp)
 
     ctx = mp.get_context("fork")

@@ -11,6 +11,7 @@ Usage examples::
 from __future__ import annotations
 
 import argparse
+import sys
 from contextlib import ExitStack
 from typing import List, Optional
 
@@ -183,11 +184,11 @@ def _single_run(args, config, engine) -> int:
     (outcome,) = engine.run_cells([config], aggregated=args.aggregated)
     report = engine.failure_report
     if isinstance(outcome, CellError):
-        print(report.format())
+        print(report.format(), file=sys.stderr)
         return 1
     print(format_results(outcome))
     if report.retries or report.cell_timeouts:
-        print(f"[resilience: {report.summary()}]")
+        print(f"[resilience: {report.summary()}]", file=sys.stderr)
     return 0
 
 
@@ -220,11 +221,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         status = run(args, config, engine)
     if engine.stats.lp_fallbacks:
         print(f"[--lp-workers ignored, ran the sequential kernel: "
-              f"{parallel_ineligibility(config)}]")
+              f"{parallel_ineligibility(config)}]", file=sys.stderr)
     if tracer is not None:
         path = export_trace(tracer, trace_out, registry())
-        print(summarize(tracer, registry()))
-        print(f"[trace written to {path}]")
+        print(summarize(tracer, registry()), file=sys.stderr)
+        print(f"[trace written to {path}]", file=sys.stderr)
     return status
 
 

@@ -21,24 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .._lazy import lazy_module
-from ..des.monitor import P2Quantile, ReservoirSample, Tally
+from ..des.monitor import Tally
 
 np = lazy_module("numpy", globals())
+# Simulating runs only: a warm rerun unpickles results without loading it.
+array = lazy_module("array", globals())
 
 __all__ = ["Metrics", "NodeCounter", "SimulationResults", "sorted_percentile"]
-
-#: Latency observations kept as an exact raw series.  Below this cap,
-#: percentiles are exact order statistics (:func:`sorted_percentile`);
-#: past it the recorder switches to O(1)-memory streaming estimators (P²
-#: for p50/p90/p99, a reservoir for other quantiles), keeping peak RSS
-#: flat for arbitrarily long runs.
-RAW_LATENCY_CAP = 65536
-
-#: Reservoir size once the raw series overflows.
-_RESERVOIR_SIZE = 4096
 
 
 def sorted_percentile(ordered, q: float) -> float:
@@ -46,19 +38,28 @@ def sorted_percentile(ordered, q: float) -> float:
 
     Bit for bit what ``np.percentile`` returns with its default
     ``method="linear"``: virtual index ``(n - 1) * q / 100``, then numpy's
-    two-sided lerp between its neighbours.  ``np.percentile`` itself calls
-    ``np.unique``, which loads ``numpy.ma`` (1.3 MiB) into every
-    simulating process.
+    two-sided lerp between its neighbours (both the last element at the
+    top end, so ``-0.0`` comes back as ``0.0`` there, as numpy's does).
+    ``np.percentile`` itself calls ``np.unique``, which loads ``numpy.ma``
+    (1.3 MiB) into every simulating process.
     """
     n = len(ordered)
     index = (n - 1) * (q / 100)
     lo = int(index)
-    if lo >= n - 1:
-        return float(ordered[-1])
-    a, b = ordered[lo], ordered[lo + 1]
+    a = ordered[lo]
+    b = ordered[lo + 1] if lo < n - 1 else a
     t = index - lo
     diff = b - a
     return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+
+
+def _fold(name: str, series) -> Tally:
+    """A :class:`Tally` that observed *series* in order."""
+    tally = Tally(name)
+    observe = tally.observe
+    for value in series:
+        observe(value)
+    return tally
 
 
 class NodeCounter:
@@ -124,13 +125,12 @@ class NodeCounter:
 class Metrics:
     """Mutable accumulator attached to one simulation run.
 
-    The receipt path is the busiest metric site, so latencies are
-    buffered as raw floats (one list append each) and folded into their
-    :class:`~repro.des.monitor.Tally` objects lazily, the first time a
-    tally is read.  The fold replays values in arrival order, so means
-    and variances are bit-identical to eager observation.  The raw
-    series also makes order statistics (:meth:`latency_percentiles`)
-    available at finalize time, which a streaming tally cannot provide.
+    The receipt path is the busiest metric site, so each counted receipt
+    appends its two latencies to two ``array('d')`` series (8 bytes
+    each, no cap).  The latency tallies are folded from those series in
+    receipt order when read, so means and variances are bit-identical to
+    eager observation, and percentiles (:meth:`latency_percentiles`) are
+    exact order statistics of every receipt at any run length.
     """
 
     def __init__(self) -> None:
@@ -140,22 +140,10 @@ class Metrics:
         #: but delivered after it are counted on *neither* side of the
         #: conservation equation (generated = received + in-flight).
         self.epoch = 0.0
-        #: Forwarding-unit residence time (ready → receipt), µs.
-        self._lat_fwd = Tally("latency_forwarding")
+        #: Forwarding-unit residence time (ready → receipt) per receipt, µs.
+        self._lat_fwd = array.array("d")
         #: Sample creation → receipt, incl. batch accumulation, µs.
-        self._lat_total = Tally("latency_total")
-        self._lat_fwd_raw: List[float] = []
-        self._lat_total_raw: List[float] = []
-        self._lat_fwd_flushed = 0
-        self._lat_total_flushed = 0
-        #: Exact-retention cap for the raw latency series (see
-        #: :data:`RAW_LATENCY_CAP`; tests shrink it to exercise the
-        #: streaming path cheaply).
-        self.raw_cap = RAW_LATENCY_CAP
-        self._lat_fwd_p2: Optional[List[P2Quantile]] = None
-        self._lat_fwd_res: Optional[ReservoirSample] = None
-        self._lat_fwd_streamed = 0
-        self._lat_total_streamed = 0
+        self._lat_total = array.array("d")
         self.samples_generated = 0
         self.samples_received = 0
         self.batches_received = 0
@@ -183,134 +171,30 @@ class Metrics:
         self.__init__()
         self.epoch = float(now)
 
-    # -- lazily-folded latency tallies ---------------------------------
-    def _flush_fwd(self) -> None:
-        raw = self._lat_fwd_raw
-        i = self._lat_fwd_flushed
-        if i < len(raw):
-            observe = self._lat_fwd.observe
-            for k in range(i, len(raw)):
-                observe(raw[k])
-            self._lat_fwd_flushed = len(raw)
-
-    def _flush_total(self) -> None:
-        raw = self._lat_total_raw
-        i = self._lat_total_flushed
-        if i < len(raw):
-            observe = self._lat_total.observe
-            for k in range(i, len(raw)):
-                observe(raw[k])
-            self._lat_total_flushed = len(raw)
-
     @property
     def latency_forwarding(self) -> Tally:
-        self._flush_fwd()
-        return self._lat_fwd
-
-    @latency_forwarding.setter
-    def latency_forwarding(self, tally: Tally) -> None:
-        # Values buffered so far belong to the tally being replaced, and
-        # so does the raw series: restarting it keeps
-        # :meth:`latency_percentiles` consistent with the new tally
-        # instead of mixing observations across the replacement.
-        self._flush_fwd()
-        self._lat_fwd = tally
-        self._lat_fwd_raw = []
-        self._lat_fwd_flushed = 0
-        self._lat_fwd_p2 = None
-        self._lat_fwd_res = None
-        self._lat_fwd_streamed = 0
+        """A fresh tally per read: observing into it changes no metric."""
+        return _fold("latency_forwarding", self._lat_fwd)
 
     @property
     def latency_total(self) -> Tally:
-        self._flush_total()
-        return self._lat_total
-
-    @latency_total.setter
-    def latency_total(self, tally: Tally) -> None:
-        self._flush_total()
-        self._lat_total = tally
-        self._lat_total_raw = []
-        self._lat_total_flushed = 0
-        self._lat_total_streamed = 0
-
-    def _stream_fwd(self, value: float) -> None:
-        """Fold one forwarding latency past the raw cap (O(1) memory)."""
-        p2 = self._lat_fwd_p2
-        if p2 is None:
-            # First overflow: flush the exact prefix into the tally (so
-            # later direct observes keep arrival order) and seed the
-            # streaming estimators with it, so they describe the whole
-            # stream, not just the tail.
-            self._flush_fwd()
-            p2 = [P2Quantile(0.5), P2Quantile(0.9), P2Quantile(0.99)]
-            res = ReservoirSample(_RESERVOIR_SIZE, name="latency_forwarding")
-            for v in self._lat_fwd_raw:
-                p2[0].observe(v)
-                p2[1].observe(v)
-                p2[2].observe(v)
-                res.observe(v)
-            self._lat_fwd_p2 = p2
-            self._lat_fwd_res = res
-        self._lat_fwd.observe(value)
-        p2[0].observe(value)
-        p2[1].observe(value)
-        p2[2].observe(value)
-        self._lat_fwd_res.observe(value)
-        self._lat_fwd_streamed += 1
+        return _fold("latency_total", self._lat_total)
 
     def latency_percentiles(self, qs=(50.0, 90.0, 99.0)) -> Dict[float, float]:
-        """Order statistics of the forwarding latency, from the raw series.
+        """Exact order statistics of the forwarding latency.
 
-        Raises :class:`ValueError` instead of silently returning garbage
-        when the raw series cannot support the request: quantiles outside
-        [0, 100], a series containing non-finite values, or a series that
-        has fallen out of sync with the forwarding tally (someone observed
-        the tally directly, bypassing :meth:`note_receipt`).  An empty
-        series (no samples received) yields NaNs, the explicit
-        "no data" flag.
+        Raises :class:`ValueError` for quantiles outside [0, 100] and for
+        a series holding non-finite values.  No receipts yield NaNs, the
+        explicit "no data" flag.
         """
         if any(not 0.0 <= q <= 100.0 for q in qs):
             raise ValueError(f"quantiles must lie in [0, 100]: {qs}")
-        if not self._lat_fwd_raw:
-            if self._lat_fwd.count > 0:
-                raise ValueError(
-                    "forwarding-latency tally holds observations the raw "
-                    "series never saw; percentiles would not describe the "
-                    "same data (observe via note_receipt, not the tally)"
-                )
+        if not self._lat_fwd:
             return {q: math.nan for q in qs}
-        self._flush_fwd()
-        observed = len(self._lat_fwd_raw) + self._lat_fwd_streamed
-        if self._lat_fwd.count != observed:
-            raise ValueError(
-                "raw latency series out of sync with the forwarding tally "
-                f"({observed} raw vs {self._lat_fwd.count} "
-                "tallied); percentiles would mix data sets"
-            )
-        arr = np.asarray(self._lat_fwd_raw)
-        if not np.all(np.isfinite(arr)):
+        ordered = np.sort(self._lat_fwd)
+        if not np.all(np.isfinite(ordered)):
             raise ValueError("non-finite forwarding latency observed")
-        if self._lat_fwd_p2 is None:
-            # Exact path: the whole stream is retained.
-            ordered = np.sort(arr)
-            return {q: sorted_percentile(ordered, q) for q in qs}
-        # Streaming path: P² estimates for the canonical percentiles,
-        # reservoir order statistics for anything else.
-        res_arr = np.asarray(self._lat_fwd_res.items)
-        if not np.all(np.isfinite(res_arr)):
-            raise ValueError("non-finite forwarding latency observed")
-        p2_by_q = {50.0: self._lat_fwd_p2[0], 90.0: self._lat_fwd_p2[1],
-                   99.0: self._lat_fwd_p2[2]}
-        ordered = np.sort(res_arr)
-        out: Dict[float, float] = {}
-        for q in qs:
-            est = p2_by_q.get(float(q))
-            if est is not None:
-                out[q] = est.value
-            else:
-                out[q] = sorted_percentile(ordered, q)
-        return out
+        return {q: sorted_percentile(ordered, q) for q in qs}
 
     def note_forward(self, node: int, n_samples: int) -> None:
         self.forwarded_by_node.add(node, n_samples)
@@ -325,36 +209,13 @@ class Metrics:
         Samples created before the measurement :attr:`epoch` (i.e. before
         the warmup boundary) are ignored — they were never counted as
         generated, so counting their receipt would break conservation.
-
-        The first :attr:`raw_cap` latencies are buffered exactly (one
-        list append); past the cap the recorder streams into O(1)-memory
-        estimators so long runs stay memory-flat.
         """
         if created_at < self.epoch:
             return False
         self.samples_received += 1
-        raw = self._lat_total_raw
-        if len(raw) < self.raw_cap:
-            raw.append(now - created_at)
-        else:
-            self._flush_total()
-            self._lat_total.observe(now - created_at)
-            self._lat_total_streamed += 1
-        raw = self._lat_fwd_raw
-        if len(raw) < self.raw_cap:
-            raw.append(now - ready_at)
-        else:
-            self._stream_fwd(now - ready_at)
+        self._lat_total.append(now - created_at)
+        self._lat_fwd.append(now - ready_at)
         return True
-
-    def _has_receipts(self) -> bool:
-        return bool(
-            self.samples_received
-            or self._lat_fwd_raw
-            or self._lat_fwd.count
-            or self._lat_total_raw
-            or self._lat_total.count
-        )
 
     def merge(self, other: "Metrics") -> None:
         """Fold another kernel fragment's accumulators into this one.
@@ -364,20 +225,20 @@ class Metrics:
         per-node counters add node-wise (node ids are global across
         LPs, so the key spaces are disjoint in practice).
 
-        The latency recorders (raw series, tallies, streaming
-        estimators) are *adopted*, not merged: receipt order determines
-        their bit-exact state, and only the LP hosting the main Paradyn
-        process ever observes receipts.  Merging two fragments that
-        both saw receipts would silently discard ordering information,
-        so that case raises :class:`ValueError`.
+        The receipt counters and the two latency series are *adopted*,
+        not merged: receipt order determines the tallies' bit-exact
+        state, and only the LP hosting the main Paradyn process ever
+        observes receipts.  Merging two fragments that both saw
+        receipts would silently discard ordering information, so that
+        case raises :class:`ValueError`.
         """
         if other.epoch != self.epoch:
             raise ValueError(
                 f"cannot merge metrics with different epochs "
                 f"({self.epoch} vs {other.epoch}); run warmup in every LP"
             )
-        if other._has_receipts():
-            if self._has_receipts():
+        if other.samples_received:
+            if self.samples_received:
                 raise ValueError(
                     "both metric fragments hold receipt/latency series; "
                     "only the main-process LP may observe receipts"
@@ -386,14 +247,6 @@ class Metrics:
             self.batches_received = other.batches_received
             self._lat_fwd = other._lat_fwd
             self._lat_total = other._lat_total
-            self._lat_fwd_raw = other._lat_fwd_raw
-            self._lat_total_raw = other._lat_total_raw
-            self._lat_fwd_flushed = other._lat_fwd_flushed
-            self._lat_total_flushed = other._lat_total_flushed
-            self._lat_fwd_p2 = other._lat_fwd_p2
-            self._lat_fwd_res = other._lat_fwd_res
-            self._lat_fwd_streamed = other._lat_fwd_streamed
-            self._lat_total_streamed = other._lat_total_streamed
         self.samples_generated += other.samples_generated
         for node, n in other.forwarded_by_node.items():
             if n:
@@ -448,8 +301,8 @@ class SimulationResults:
     # Latency / throughput.
     monitoring_latency_forwarding: float = float("nan")
     monitoring_latency_total: float = float("nan")
-    # Order statistics of the forwarding latency (µs), computed from the
-    # raw receipt series at finalize time.
+    # Exact order statistics of the forwarding latency (µs), computed
+    # from every counted receipt at finalize time.
     monitoring_latency_p50: float = float("nan")
     monitoring_latency_p90: float = float("nan")
     monitoring_latency_p99: float = float("nan")

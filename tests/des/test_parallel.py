@@ -92,13 +92,11 @@ def test_ineligible_config_falls_back(mpp_sequential, mpp_config):
     assert "lp_workers" not in par.observability
 
 
-def test_window_env_knob(mpp_config, monkeypatch):
-    monkeypatch.setenv("REPRO_DES_LP_WINDOW", "50000")
+def test_default_window_count(mpp_config, mpp_sequential):
     out = simulate(mpp_config, lp_workers=2)
-    # 250 ms over 50 ms windows: 5 windows per LP.
-    assert out.observability["lp_windows"] == 10
-    seq = simulate(mpp_config)
-    _assert_equivalent(seq, out)
+    # Each LP reports 64 windows of duration / 64 (250 ms / 64 here).
+    assert out.observability["lp_windows"] == 2 * 64
+    _assert_equivalent(mpp_sequential, out)
 
 
 def test_parallel_observability_metadata(mpp_config):

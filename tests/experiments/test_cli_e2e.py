@@ -124,10 +124,10 @@ def test_cli_jsonl_export(tmp_path: Path) -> None:
     kinds = {r["type"] for r in records}
     assert {"span", "counter", "metric"} <= kinds
     # A traced run profiles its kernel: the des.* rows reach both the
-    # printed summary and the exported metrics.
+    # summary printed on stderr and the exported metrics.
     for row in ("des.events", "des.kind.timeout", "des.kind.timeout_s",
                 "des.heap_depth"):
-        assert row in proc.stdout, row
+        assert row in proc.stderr, row
     metrics = {r["name"] for r in records if r["type"] == "metric"}
     assert {"des.events", "des.enqueues", "des.heap_depth"} <= metrics
 

@@ -86,15 +86,16 @@ def test_rocc_reports_ignored_lp_workers(capsys):
     rc = rocc_main(["--arch", "smp", "--nodes", "4", "--duration-s", "0.2",
                     "--lp-workers", "2"])
     assert rc == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert "Pd CPU/node" in out
-    assert "[--lp-workers ignored, ran the sequential kernel: SMP" in out
+    assert "[--lp-workers ignored, ran the sequential kernel: SMP" in err
 
 
 def test_rocc_quiet_without_lp_workers(capsys):
     assert rocc_main(["--arch", "smp", "--nodes", "4",
                       "--duration-s", "0.2"]) == 0
-    assert "--lp-workers" not in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert "--lp-workers" not in out + err
 
 
 def test_experiments_summary_counts_ignored_lp_workers(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rocc.metrics import Metrics, SimulationResults
+from repro.des.monitor import Tally
+from repro.rocc.metrics import Metrics, SimulationResults, sorted_percentile
 
 
 class TestMetrics:
@@ -79,39 +81,11 @@ class TestLatencyPercentiles:
         with pytest.raises(ValueError, match=r"\[0, 100\]"):
             Metrics().latency_percentiles(qs=(50.0, 101.0))
 
-    def test_rejects_tally_observed_behind_raw_series(self):
-        m = Metrics()
-        m.latency_forwarding.observe(5.0)  # bypasses note_receipt
-        with pytest.raises(ValueError, match="never saw"):
-            m.latency_percentiles()
-
-    def test_rejects_desynced_series(self):
-        m = Metrics()
-        m.note_receipt(now=10.0, created_at=0.0, ready_at=5.0)
-        _ = m.latency_forwarding  # flush
-        m.latency_forwarding.observe(7.0)  # extra direct observation
-        with pytest.raises(ValueError, match="out of sync"):
-            m.latency_percentiles()
-
     def test_rejects_non_finite_latency(self):
         m = Metrics()
         m.note_receipt(now=math.inf, created_at=0.0, ready_at=0.0)
         with pytest.raises(ValueError, match="non-finite"):
             m.latency_percentiles()
-
-    def test_setter_restarts_raw_series(self):
-        from repro.des.monitor import Tally
-
-        m = Metrics()
-        m.note_receipt(now=10.0, created_at=0.0, ready_at=5.0)
-        m.latency_forwarding = Tally("replacement")
-        # The raw series belonging to the replaced tally is gone: no
-        # stale percentiles, and new receipts stay in sync.
-        ps = m.latency_percentiles()
-        assert all(math.isnan(v) for v in ps.values())
-        m.note_receipt(now=20.0, created_at=0.0, ready_at=12.0)
-        assert m.latency_percentiles()[50.0] == 8.0
-        assert m.latency_forwarding.count == 1
 
 
 def make_results(**kw):
@@ -156,67 +130,44 @@ class TestSimulationResults:
         assert math.isnan(r.delivery_ratio)
 
 
-class TestStreamingLatency:
-    """Past ``raw_cap`` the recorder switches to O(1)-memory estimators."""
+class TestExactAtVolume:
+    """Every counted receipt is kept: no cap, no streaming estimates."""
 
-    def _fill(self, m, values):
-        for i, v in enumerate(values):
-            now = 1000.0 + i
-            m.note_receipt(now, now - 2 * v, now - v)
+    N = 70_000  # past the 65,536 receipts an earlier cap allowed
 
-    def test_raw_series_stays_capped(self):
+    @pytest.fixture(scope="class")
+    def filled(self):
+        rng = random.Random(7)
         m = Metrics()
-        m.raw_cap = 64
-        self._fill(m, [float(i % 37 + 1) for i in range(500)])
-        assert len(m._lat_fwd_raw) == 64
-        assert len(m._lat_total_raw) == 64
-        assert m.latency_forwarding.count == 500
-        assert m.latency_total.count == 500
+        fwd, total = [], []
+        for i in range(self.N):
+            now = 1e6 + i
+            f = rng.lognormvariate(5.0, 0.8)
+            t = f + rng.expovariate(1e-3)
+            created, ready = now - t, now - f
+            m.note_receipt(now, created, ready)
+            fwd.append(now - ready)
+            total.append(now - created)
+        return m, fwd, total
 
-    def test_streaming_percentiles_close_to_exact(self):
-        import numpy as np
+    def test_percentiles_are_exact_order_statistics(self, filled):
+        m, fwd, _ = filled
+        qs = (0.0, 50.0, 75.0, 90.0, 99.0, 99.9, 100.0)
+        ordered = sorted(fwd)
+        assert m.latency_percentiles(qs) == {
+            q: sorted_percentile(ordered, q) for q in qs
+        }
 
-        rng = np.random.default_rng(11)
-        data = list(rng.lognormal(mean=2.0, sigma=0.8, size=20_000))
-        exact = Metrics()
-        self._fill(exact, data)
-        streaming = Metrics()
-        streaming.raw_cap = 256
-        self._fill(streaming, data)
-        pe = exact.latency_percentiles()
-        ps = streaming.latency_percentiles()
-        for q in (50.0, 90.0):
-            assert ps[q] == pytest.approx(pe[q], rel=0.05)
-        assert ps[99.0] == pytest.approx(pe[99.0], rel=0.15)
-
-    def test_streaming_mean_is_exact(self):
-        data = [float(i % 91 + 1) for i in range(3000)]
-        exact = Metrics()
-        self._fill(exact, data)
-        streaming = Metrics()
-        streaming.raw_cap = 128
-        self._fill(streaming, data)
-        assert streaming.latency_forwarding.mean == pytest.approx(
-            exact.latency_forwarding.mean
-        )
-        assert streaming.latency_total.mean == pytest.approx(
-            exact.latency_total.mean
-        )
-
-    def test_noncanonical_percentile_uses_reservoir(self):
-        m = Metrics()
-        m.raw_cap = 64
-        self._fill(m, [float(i % 101 + 1) for i in range(2000)])
-        p = m.latency_percentiles(qs=(75.0,))
-        assert 1.0 <= p[75.0] <= 101.0
-
-    def test_desync_still_detected_in_streaming_mode(self):
-        m = Metrics()
-        m.raw_cap = 32
-        self._fill(m, [float(i + 1) for i in range(100)])
-        m.latency_forwarding.observe(5.0)  # bypasses note_receipt
-        with pytest.raises(ValueError):
-            m.latency_percentiles()
+    def test_means_match_a_per_receipt_tally(self, filled):
+        m, fwd, total = filled
+        for tally, series in ((m.latency_forwarding, fwd),
+                              (m.latency_total, total)):
+            eager = Tally()
+            for v in series:
+                eager.observe(v)
+            assert tally.count == self.N
+            assert tally.mean == eager.mean
+            assert tally.variance == eager.variance
 
 
 class TestMerge:
@@ -244,12 +195,20 @@ class TestMerge:
         node.samples_generated = 4
         main.note_receipt(now=150.0, created_at=50.0, ready_at=120.0)
         main.note_receipt(now=200.0, created_at=120.0, ready_at=180.0)
+        main.batches_received = 2
         merged = Metrics()
         merged.merge(node)
         merged.merge(main)
         assert merged.samples_received == 2
-        assert merged.latency_total.mean == 90.0
+        assert merged.batches_received == 2
         assert merged.samples_generated == 4
+        # Both series come over whole, in receipt order.
+        assert list(merged._lat_fwd) == [30.0, 20.0]
+        assert list(merged._lat_total) == [100.0, 80.0]
+        assert merged.latency_total.mean == 90.0
+        assert merged.latency_forwarding.mean == 25.0
+        assert merged.latency_percentiles((0.0, 100.0)) == {0.0: 20.0,
+                                                            100.0: 30.0}
 
     def test_both_sides_with_receipts_raises(self):
         a, b = Metrics(), Metrics()
@@ -282,8 +241,6 @@ class TestSortedPercentile:
     def _same(data, q):
         import numpy as np
 
-        from repro.rocc.metrics import sorted_percentile
-
         got = sorted_percentile(np.sort(np.asarray(data, dtype=float)), q)
         want = float(np.percentile(np.asarray(data, dtype=float), q))
         assert got == want and math.copysign(1, got) == math.copysign(1, want)
@@ -306,6 +263,7 @@ class TestSortedPercentile:
         ([1.0, 4.0], 50.0), ([1.0, 4.0], 25.0), ([1.0, 4.0], 99.0),  # n = 2
         ([0.1, 0.7, 0.3], 25.0), ([3.0, 1.0, 2.0, 9.0, 5.0], 12.5),  # t = 0.5
         ([5.0] * 9 + [6.0], 95.0),                               # ties
+        ([0.0, -0.0], 100.0),                        # top end: -0.0 + 0.0
     ])
     def test_edge_cases(self, data, q):
         self._same(data, q)
