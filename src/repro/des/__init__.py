@@ -4,9 +4,8 @@ This package provides the simulation substrate the ROCC model is built
 on, and only what that model uses: generator-based processes yielding
 events (timeouts, allocation-free holds, ``&``/``|`` conditions),
 actors that schedule themselves, a finite FIFO :class:`Store` (the Unix
-pipes), O(1) statistics monitors (``Tally``, ``TimeWeighted``), tracers,
-a kernel profiler, and the conservative parallel runner of one
-partitioned cell (``parallel``).
+pipes), O(1) statistics monitors (``Tally``, ``TimeWeighted``), tracers
+and a kernel profiler.
 
 Quick example::
 

@@ -52,13 +52,15 @@ Infinity: float = float("inf")
 _POOL_LIMIT = 256
 
 
-#: Variables that used to select a kernel path, an event scheduler or
-#: kernel profiling, each with what replaced it.  Setting one now raises
-#: instead of being silently ignored.
+#: Variables that used to select a kernel path, an event scheduler,
+#: kernel profiling or in-cell parallelism, each with what replaced it.
+#: Setting one now raises instead of being silently ignored.
 _REMOVED_VARIABLES = {
     "REPRO_DES_FASTPATH": "the kernel has one path",
     "REPRO_DES_QUEUE": "the kernel has one scheduler policy",
     "REPRO_PROFILE": "a traced run (--trace-out, REPRO_TRACE) profiles its kernel",
+    "REPRO_DES_PARALLEL": "every cell runs on the sequential kernel; "
+                          "--workers N runs cells in parallel",
 }
 
 

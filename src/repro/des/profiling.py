@@ -11,10 +11,10 @@ periodic heap-occupancy samples.
 The profiler costs one ``perf_counter`` call and a couple of dict
 updates per event, so only traced runs pay it: when an obs tracer is
 installed (``--trace-out`` or ``REPRO_TRACE``),
-:class:`~repro.rocc.system.ParadynISSystem` and each LP of the
-partitioned kernel attach one and :meth:`KernelProfiler.publish` its
-report into the :mod:`repro.obs` metrics registry, which carries it
-across processes like every other metric.
+:class:`~repro.rocc.system.ParadynISSystem` attaches one and
+:meth:`KernelProfiler.publish` its report into the :mod:`repro.obs`
+metrics registry, which carries it across processes like every other
+metric.
 """
 
 from __future__ import annotations

@@ -39,9 +39,6 @@ Environment knobs:
 * ``REPRO_CELL_CACHE`` — set to ``0``/``off`` to disable the cache.
 * ``REPRO_CACHE_DIR`` — cache directory (default
   ``$XDG_CACHE_HOME/repro/cells`` or ``~/.cache/repro/cells``).
-* ``REPRO_DES_PARALLEL`` — in-cell LP count when ``lp_workers`` is not
-  given (read once, when the engine is built; its only reader, so a
-  direct ``simulate(cfg)`` stays sequential).
 """
 
 from __future__ import annotations
@@ -408,9 +405,6 @@ class EngineStats:
     cache_corrupt: int = 0
     #: Cells served from a resumed run journal instead of executing.
     cells_resumed: int = 0
-    #: Cells given an explicit ``lp_workers`` >= 2 whose configuration
-    #: the partitioned kernel cannot run; they ran sequentially.
-    lp_fallbacks: int = 0
     #: Design cells the experiment planner served as analytic surrogates
     #: instead of simulating (see :mod:`repro.planner`).
     cells_pruned: int = 0
@@ -447,7 +441,6 @@ class EngineStats:
             pool_resets=self.pool_resets - earlier.pool_resets,
             cache_corrupt=self.cache_corrupt - earlier.cache_corrupt,
             cells_resumed=self.cells_resumed - earlier.cells_resumed,
-            lp_fallbacks=self.lp_fallbacks - earlier.lp_fallbacks,
             cells_pruned=self.cells_pruned - earlier.cells_pruned,
             replications_saved=(
                 self.replications_saved - earlier.replications_saved
@@ -470,7 +463,6 @@ class EngineStats:
                 (self.cell_timeouts, "timeouts"),
                 (self.pool_resets, "pool resets"),
                 (self.cache_corrupt, "corrupt cache entries"),
-                (self.lp_fallbacks, "ineligible for lp_workers (ran sequential)"),
             )
             if count
         ]
@@ -512,21 +504,17 @@ class _CellOutcome:
     pid: int = 0
 
 
-def _run_cell(payload: Tuple[SimulationConfig, bool, bool, Optional[int]]) -> _CellOutcome:
+def _run_cell(payload: Tuple[SimulationConfig, bool, bool]) -> _CellOutcome:
     """Execute one cell; never raises (failures become artifacts)."""
     # The simulator is imported by the first cell that runs, so a run
     # served from the cache never loads it.
     from ..rocc.aggregate import simulate_aggregated
     from ..rocc.system import simulate
 
-    config, aggregated, traced, lp_workers = payload
-    if aggregated:
-        runner: Callable[[SimulationConfig], SimulationResults] = simulate_aggregated
-    else:
-        # lp_workers=1 pins the sequential kernel: the engine has already
-        # resolved REPRO_DES_PARALLEL, and its cache key says which ran.
-        def runner(cfg, _k=lp_workers or 1):
-            return simulate(cfg, lp_workers=_k)
+    config, aggregated, traced = payload
+    runner: Callable[[SimulationConfig], SimulationResults] = (
+        simulate_aggregated if aggregated else simulate
+    )
     # A traced cell records into its own fresh tracer (explicitly
     # installed — forked workers inherit the parent's tracer object, and
     # inline cells must not write parent spans twice) and ships the
@@ -608,16 +596,10 @@ class ExperimentEngine:
     :class:`~concurrent.futures.ProcessPoolExecutor` that is reused
     across batches until :meth:`close`.
 
-    The remaining parameters default to the plain run — sequential
-    cells unless ``REPRO_DES_PARALLEL`` says otherwise, no retries, no
+    The remaining parameters default to the plain run — no retries, no
     deadline, no journal, ``strict=True`` — which leaves a healthy run
     exactly as if each cell were simulated directly:
 
-    * ``lp_workers`` — in-cell LP parallelism: an LP count applied to
-      every eligible cell, ``"auto"`` to partition big cells when cores
-      allow, or ``None`` for ``REPRO_DES_PARALLEL`` (read once, here).
-      Cell workers and LP workers multiply — size the product to the
-      machine.
     * ``retry`` — the :class:`RetryPolicy` for transient failures
       (default :meth:`RetryPolicy.none`).
     * ``cell_timeout`` — per-cell wall-clock deadline, seconds.
@@ -645,7 +627,6 @@ class ExperimentEngine:
     def __init__(self, workers: Optional[int] = None,
                  cache: Optional[CellCache] = None,
                  stats: Optional[EngineStats] = None,
-                 lp_workers: Union[int, str, None] = None,
                  retry: Optional[RetryPolicy] = None,
                  cell_timeout: Optional[float] = None,
                  journal: Union[RunJournal, str, Path, None] = None,
@@ -654,25 +635,9 @@ class ExperimentEngine:
             workers = int(os.environ.get("REPRO_WORKERS", "1") or 1)
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if lp_workers is None:
-            # Only a set variable needs its parser, whose module loads
-            # the model's network layer.
-            if os.environ.get("REPRO_DES_PARALLEL", "").strip():
-                from ..rocc.partition import lp_workers_from_env
-
-                lp_workers = lp_workers_from_env()
-        elif isinstance(lp_workers, str):
-            if lp_workers != "auto":
-                raise ValueError("lp_workers must be an int, 'auto', or None")
-        elif lp_workers < 1:
-            raise ValueError("lp_workers must be >= 1")
-        elif lp_workers == 1:
-            lp_workers = None
         if cell_timeout is not None and not 0 < cell_timeout < inf:
             raise ValueError("cell_timeout must be finite and positive (or None)")
         self.workers = workers
-        #: ``None`` (sequential), an LP count >= 2, or ``"auto"``.
-        self.lp_workers = lp_workers
         self.cache = cache if cache is not None else CellCache()
         self.stats = stats if stats is not None else EngineStats(workers=workers)
         self.stats.workers = workers
@@ -756,15 +721,12 @@ class ExperimentEngine:
         outcomes = [None] * len(configs)
         pending = []
         for i, config in enumerate(configs):
-            lp = self._lp_workers_for(config, aggregated)
-            if lp is None and isinstance(self.lp_workers, int) and not aggregated:
-                self.stats.lp_fallbacks += 1  # ineligible configuration
             key = self._fingerprint(config, aggregated)
             hit = self._lookup(key)
             if hit is not None:
                 outcomes[i] = hit
             else:
-                pending.append((i, config, key, lp, 1))
+                pending.append((i, config, key, 1))
 
         for i, config, key, out, attempt in self._execute(
             pending, aggregated, isolate
@@ -792,41 +754,12 @@ class ExperimentEngine:
             outcomes[i] = out.error
         return outcomes
 
-    def _lp_workers_for(self, config: SimulationConfig,
-                        aggregated: bool) -> Optional[int]:
-        """Resolve the in-cell LP count for one cell, or ``None``.
-
-        ``"auto"`` partitions only cells big enough to amortize the
-        worker processes (>= 256 nodes), only on machines with cores to
-        spare, and only when the configuration is protocol-eligible.
-        An explicit count runs an ineligible configuration sequentially.
-        """
-        if aggregated or self.lp_workers is None:
-            return None
-        from ..rocc.partition import parallel_ineligibility
-
-        if parallel_ineligibility(config) is not None:
-            return None
-        if self.lp_workers == "auto":
-            cpus = os.cpu_count() or 1
-            if cpus < 4 or config.nodes < 256:
-                return None
-            return min(4, cpus)
-        return self.lp_workers
-
     def _fingerprint(self, config: SimulationConfig,
                      aggregated: bool) -> Optional[str]:
         """Cache and journal key of one cell, or None when neither is on."""
         if not self.cache.enabled and self.journal is None:
             return None
-        key = config_fingerprint(config, aggregated)
-        lp = self._lp_workers_for(config, aggregated)
-        if lp is not None:
-            # A partitioned run may differ from the sequential one in
-            # the last ulp of a few re-associated float sums; keep the
-            # two result streams apart.
-            key = hashlib.sha256(f"{key}|lp{lp}".encode()).hexdigest()
-        return key
+        return config_fingerprint(config, aggregated)
 
     def _lookup(self, key: Optional[str]) -> Optional[SimulationResults]:
         """Serve a cell without executing it (journal, then cache)."""
@@ -848,14 +781,14 @@ class ExperimentEngine:
 
     # -- execution -----------------------------------------------------
     def _execute(self, pending, aggregated: bool, isolate: bool):
-        """Run *pending* ``(i, config, key, lp, attempt)`` cells; yield
+        """Run *pending* ``(i, config, key, attempt)`` cells; yield
         ``(i, config, key, outcome, attempts)`` for each final outcome."""
         traced = tracing_enabled()
         while pending:
             if self.workers == 1 or len(pending) == 1:
-                for i, config, key, lp, attempt in pending:
+                for i, config, key, attempt in pending:
                     out, attempt = self._serial_attempts(
-                        config, key, lp, aggregated, traced, attempt
+                        config, key, aggregated, traced, attempt
                     )
                     yield i, config, key, out, attempt
                     if not out.ok and not isolate:
@@ -867,7 +800,7 @@ class ExperimentEngine:
             if pending and delay > 0.0:
                 time.sleep(delay)
 
-    def _serial_attempts(self, config, key, lp, aggregated, traced,
+    def _serial_attempts(self, config, key, aggregated, traced,
                          attempt: int) -> Tuple[_CellOutcome, int]:
         """Run one cell inline until success or the policy gives up;
         returns the final outcome and the attempt count."""
@@ -877,7 +810,7 @@ class ExperimentEngine:
                 "attempt", cat="engine.attempt",
                 args={"attempt": attempt, "key": (key or "")[:12]},
             ):
-                out = self._run_inline(config, lp, aggregated, traced)
+                out = self._run_inline(config, aggregated, traced)
             self._book(out)
             if out.ok or not self._retry(out, key, attempt):
                 return out, attempt
@@ -893,17 +826,17 @@ class ExperimentEngine:
         pool = self._ensure_pool()
         futures = []
         for item in pending:
-            i, config, key, lp, attempt = item
+            i, config, key, attempt = item
             self._journal_attempt(key, attempt)
             futures.append((item, pool.submit(
                 self.cell_runner,
-                (self._with_deadline(config), aggregated, traced, lp),
+                (self._with_deadline(config), aggregated, traced),
             )))
         next_pending: List[Tuple] = []
         delay = 0.0
         pool_failed = False
         for item, future in futures:
-            i, config, key, lp, attempt = item
+            i, config, key, attempt = item
             with maybe_span(
                 "attempt", cat="engine.attempt",
                 args={"attempt": attempt, "key": (key or "")[:12]},
@@ -941,18 +874,18 @@ class ExperimentEngine:
             self._book(out)
             if not out.ok and self._retry(out, key, attempt):
                 delay = max(delay, self.retry.delay(attempt, key or ""))
-                next_pending.append((i, config, key, lp, attempt + 1))
+                next_pending.append((i, config, key, attempt + 1))
             else:
                 yield i, config, key, out, attempt
         return next_pending, delay
 
-    def _run_inline(self, config: SimulationConfig, lp: Optional[int],
+    def _run_inline(self, config: SimulationConfig,
                     aggregated: bool, traced: bool) -> _CellOutcome:
         """One inline cell; exceptions from a swapped-in ``cell_runner``
         (chaos wrappers raise by design) become failure artifacts."""
         try:
             return self.cell_runner(
-                (self._with_deadline(config), aggregated, traced, lp)
+                (self._with_deadline(config), aggregated, traced)
             )
         except Exception as exc:
             return _CellOutcome(

@@ -66,7 +66,6 @@ DEFAULT_TRANSIENT: Tuple[str, ...] = (
     "EOFError",
     "BrokenPipeError",
     "ConnectionResetError",
-    "LPWorkerLost",
 )
 
 

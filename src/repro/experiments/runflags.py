@@ -2,10 +2,10 @@
 
 ``python -m repro.experiments`` and ``python -m repro.rocc`` run their
 cells through one :class:`~repro.experiments.engine.ExperimentEngine`.
-:func:`add_run_flags` defines the flags that shape such a run — in-cell
-LP parallelism, deadlines, retries, the resume journal, tracing (which
-also profiles the kernel), and the planner's precision target and
-budget — and :func:`engine_from_args` builds the engine from them.
+:func:`add_run_flags` defines the flags that shape such a run —
+deadlines, retries, the resume journal, tracing (which also profiles
+the kernel), and the planner's precision target and budget — and
+:func:`engine_from_args` builds the engine from them.
 
 Each flag has one default.  The values come from outside the program,
 so each is checked as it is parsed: a count below its minimum, or a
@@ -63,19 +63,9 @@ def _positive(raw: str) -> float:
     return x
 
 
-def _lp_workers(raw: str):
-    return "auto" if raw == "auto" else int_at_least(1)(raw)
-
-
 def add_run_flags(parser: argparse.ArgumentParser) -> None:
     """Define the shared run flags on *parser* (``--plan`` stays per CLI)."""
     flag = parser.add_argument
-    flag("--lp-workers", action=Checked, check=_lp_workers, default=None,
-         metavar="K",
-         help="partition each eligible cell across K parallel LP worker "
-         "processes, or 'auto' to partition only big cells on multi-core "
-         "machines; an ineligible configuration runs sequentially and is "
-         "reported (default: $REPRO_DES_PARALLEL, else sequential)")
     flag("--cell-timeout", action=Checked, check=_positive, default=None,
          metavar="SECONDS",
          help="per-cell wall-clock deadline: a cell exceeding it is "
@@ -119,7 +109,6 @@ def engine_from_args(args: argparse.Namespace, cache=None,
     return ExperimentEngine(
         workers=workers,
         cache=cache,
-        lp_workers=args.lp_workers,
         retry=RetryPolicy(max_attempts=args.max_retries + 1),
         cell_timeout=args.cell_timeout,
         journal=args.resume,

@@ -8,10 +8,10 @@ plain in-process singleton (:func:`registry`): publishing is one
 attribute update, so the metrics stay cheap enough to leave on
 unconditionally — the hot DES kernel never touches them.
 
-Cross-process runs (the experiment engine's workers and the partitioned
-kernel's LP workers) ship a snapshot delta back with each cell;
-:meth:`MetricsRegistry.merge_snapshot` folds it into the parent so CLI
-summaries see the whole fleet's activity.  Snapshots are plain dicts (JSON-friendly, picklable).
+Cross-process runs (the experiment engine's workers) ship a snapshot
+delta back with each cell; :meth:`MetricsRegistry.merge_snapshot` folds
+it into the parent so CLI summaries see the whole fleet's activity.
+Snapshots are plain dicts (JSON-friendly, picklable).
 """
 
 from __future__ import annotations

@@ -166,8 +166,9 @@ CLAIMS: List[Claim] = [
         experiments=("figure25",),
         status=Status.DIVERGES,
         note="with a contention-free network and receipt-at-delivery, "
-             "node count cannot influence latency; the central_ingress "
-             "option restores the dependence (see EXPERIMENTS.md)",
+             "node count cannot influence latency; stamping receipt after "
+             "main's CPU work makes it matter but breaks Figure 16's "
+             "attribution (see EXPERIMENTS.md)",
     ),
     Claim(
         id="adaptive-outlook",

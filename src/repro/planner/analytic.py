@@ -11,7 +11,7 @@ simulation:
 
 * **inapplicable** — the configuration uses machinery the operational
   laws do not model at all (adaptive management, flush timeouts,
-  barriers, a central ingress queue, an uninstrumented baseline);
+  barriers, an uninstrumented baseline);
 * **saturated** — some IS resource has analytic utilization ≥ 1, where
   flow balance breaks and the open-queue residence time diverges;
 * **drop_risk** — on a shared network the application offered load
@@ -84,7 +84,6 @@ _UNMODELED = (
     ("adaptive", "adaptive IS management"),
     ("batch_flush_timeout", "batch flush timeout"),
     ("barrier_period", "barrier synchronization"),
-    ("central_ingress", "central ingress queue"),
 )
 
 

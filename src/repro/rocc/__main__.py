@@ -20,7 +20,6 @@ from ..experiments.runflags import add_run_flags, engine_from_args
 from .adaptive import RegulatorConfig
 from .config import Architecture, ForwardingTopology, SimulationConfig
 from .metrics import SimulationResults
-from .partition import parallel_ineligibility
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,9 +218,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         tracer = stack.enter_context(use_tracing()) if trace_out else None
         run = _planned_run if args.plan else _single_run
         status = run(args, config, engine)
-    if engine.stats.lp_fallbacks:
-        print(f"[--lp-workers ignored, ran the sequential kernel: "
-              f"{parallel_ineligibility(config)}]", file=sys.stderr)
     if tracer is not None:
         path = export_trace(tracer, trace_out, registry())
         print(summarize(tracer, registry()), file=sys.stderr)

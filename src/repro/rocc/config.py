@@ -139,14 +139,6 @@ class SimulationConfig:
     daemons: int = 1
     #: Pipe capacity per application process, samples.
     pipe_capacity: int = 128
-    #: Mean service time (µs) of a FIFO ingress stage at the main
-    #: process's host — the "single server buffer" of the paper's
-    #: Figure 2 that serializes arrivals from all daemons.  ``None``
-    #: stamps receipt at network delivery (the default model).  Enabling
-    #: it makes monitoring latency sensitive to the total arrival rate
-    #: (node count), at the cost of unbounded latency when the central
-    #: stage saturates; see EXPERIMENTS.md figure25.
-    central_ingress: Optional[float] = None
 
     # -- application -----------------------------------------------------
     #: Application processes per node (NOW/MPP) or in total (SMP).
@@ -201,10 +193,6 @@ class SimulationConfig:
             raise ValueError("daemons must be >= 1")
         if self.pipe_capacity < 1:
             raise ValueError("pipe_capacity must be >= 1 sample")
-        if self.central_ingress is not None and self.central_ingress <= 0:
-            raise ValueError(
-                "central_ingress mean service time must be positive (or None)"
-            )
         if self.app_processes_per_node < 1:
             raise ValueError("app_processes_per_node must be >= 1")
         if self.workload.cpu_quantum <= 0:

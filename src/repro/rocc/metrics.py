@@ -38,17 +38,23 @@ def sorted_percentile(ordered, q: float) -> float:
 
     Bit for bit what ``np.percentile`` returns with its default
     ``method="linear"``: virtual index ``(n - 1) * q / 100``, then numpy's
-    two-sided lerp between its neighbours (both the last element at the
-    top end, so ``-0.0`` comes back as ``0.0`` there, as numpy's does).
-    ``np.percentile`` itself calls ``np.unique``, which loads ``numpy.ma``
-    (1.3 MiB) into every simulating process.
+    two-sided lerp between its neighbours.  At the top end numpy takes
+    both neighbours at index -1, so its weight is ``index + 1``; that is
+    why a lone ``-0.0`` keeps its sign while the top of a longer series
+    of ``-0.0`` comes back as ``0.0``.  ``np.percentile`` itself calls
+    ``np.unique``, which loads ``numpy.ma`` (1.3 MiB) into every
+    simulating process.
     """
     n = len(ordered)
     index = (n - 1) * (q / 100)
-    lo = int(index)
-    a = ordered[lo]
-    b = ordered[lo + 1] if lo < n - 1 else a
-    t = index - lo
+    if index >= n - 1:
+        a = b = ordered[n - 1]
+        t = index + 1
+    else:
+        lo = int(index)
+        a = ordered[lo]
+        b = ordered[lo + 1]
+        t = index - lo
     diff = b - a
     return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
 
@@ -68,7 +74,7 @@ class NodeCounter:
     Struct-of-arrays replacement for the former per-metric dicts: node
     ids are small dense integers, so a list indexed by node is both
     smaller and faster than hashing the id on every count.  The mapping
-    interface (:meth:`values`, :meth:`items`, indexing) matches how the
+    interface (:meth:`values`, indexing) matches how the
     results aggregation consumed the dicts.
     """
 
@@ -97,9 +103,6 @@ class NodeCounter:
 
     def values(self) -> List[int]:
         return list(self._counts)
-
-    def items(self):
-        return list(enumerate(self._counts))
 
     def __len__(self) -> int:
         return len(self._counts)
@@ -216,52 +219,6 @@ class Metrics:
         self._lat_total.append(now - created_at)
         self._lat_fwd.append(now - ready_at)
         return True
-
-    def merge(self, other: "Metrics") -> None:
-        """Fold another kernel fragment's accumulators into this one.
-
-        Used by the parallel in-cell kernel (:mod:`repro.des.parallel`)
-        to combine per-LP metrics into one run total.  Counters sum;
-        per-node counters add node-wise (node ids are global across
-        LPs, so the key spaces are disjoint in practice).
-
-        The receipt counters and the two latency series are *adopted*,
-        not merged: receipt order determines the tallies' bit-exact
-        state, and only the LP hosting the main Paradyn process ever
-        observes receipts.  Merging two fragments that both saw
-        receipts would silently discard ordering information, so that
-        case raises :class:`ValueError`.
-        """
-        if other.epoch != self.epoch:
-            raise ValueError(
-                f"cannot merge metrics with different epochs "
-                f"({self.epoch} vs {other.epoch}); run warmup in every LP"
-            )
-        if other.samples_received:
-            if self.samples_received:
-                raise ValueError(
-                    "both metric fragments hold receipt/latency series; "
-                    "only the main-process LP may observe receipts"
-                )
-            self.samples_received = other.samples_received
-            self.batches_received = other.batches_received
-            self._lat_fwd = other._lat_fwd
-            self._lat_total = other._lat_total
-        self.samples_generated += other.samples_generated
-        for node, n in other.forwarded_by_node.items():
-            if n:
-                self.forwarded_by_node.add(node, n)
-        for node, n in other.forward_calls_by_node.items():
-            if n:
-                self.forward_calls_by_node.add(node, n)
-        for node, n in other.merges_by_node.items():
-            if n:
-                self.merges_by_node.add(node, n)
-        self.pipe_blocked_time += other.pipe_blocked_time
-        self.pipe_blocked_puts += other.pipe_blocked_puts
-        self.app_cycles += other.app_cycles
-        self.barrier_wait_time += other.barrier_wait_time
-        self.barrier_rounds += other.barrier_rounds
 
 
 @dataclass

@@ -42,12 +42,6 @@ from .main_process import MainParadynProcess
 from .metrics import Metrics, SimulationResults
 from .network import BaseNetwork, ContentionFreeNetwork, FIFONetwork
 from .node import CyclicBarrier, NodeContext
-from .partition import (
-    LPBoundaryNetwork,
-    LPRole,
-    RemoteSink,
-    parallel_ineligibility,
-)
 from .other import OtherProcesses, PVMDaemon
 from .pipes import SamplePipe
 
@@ -139,10 +133,7 @@ class RawAggregates:
 
     :meth:`ParadynISSystem._raw_aggregates` extracts these from a
     finished run; :func:`assemble_results` turns them (plus the
-    :class:`Metrics`) into a :class:`SimulationResults`.  Splitting the
-    two steps lets the parallel kernel :meth:`merge` the aggregates of
-    every logical process and assemble one result through the exact
-    same code path as a sequential run.  Everything here is picklable.
+    :class:`Metrics`) into a :class:`SimulationResults`.
     """
 
     #: ``(global node id, owner) -> busy µs`` (strictly positive only).
@@ -157,35 +148,13 @@ class RawAggregates:
     #: Observability summary of this run (trace bookkeeping).
     obs_info: Dict[str, object] = field(default_factory=dict)
 
-    def merge(self, other: "RawAggregates") -> None:
-        """Fold another LP's aggregates into this one (in place).
-
-        CPU busy keys are disjoint across LPs (each global node lives
-        in exactly one), so the union is a plain update; per-owner
-        network busy sums across LPs.
-        """
-        overlap = self.cpu_busy.keys() & other.cpu_busy.keys()
-        if overlap:
-            raise ValueError(f"LPs share cpu_busy keys: {sorted(overlap)[:4]}")
-        self.cpu_busy.update(other.cpu_busy)
-        self.main_busy += other.main_busy
-        for owner, v in other.net_busy.items():
-            self.net_busy[owner] = self.net_busy.get(owner, 0.0) + v
-        self.pipe_blocked_time += other.pipe_blocked_time
-        self.pipe_blocked_puts += other.pipe_blocked_puts
-        self.n_daemons += other.n_daemons
-
 
 def assemble_results(
     config: SimulationConfig, m: Metrics, agg: RawAggregates
 ) -> SimulationResults:
     """Turn metrics plus raw aggregates into a :class:`SimulationResults`.
 
-    Shared by the sequential kernel and the parallel coordinator.  All
-    per-owner CPU totals are summed over *ascending* global node ids so
-    that a merged parallel run adds the identical floats in the
-    identical order as a sequential run (float addition does not
-    commute at the last ulp).
+    Per-owner CPU totals are summed over ascending node ids.
     """
     cfg = config
     duration = cfg.measured_duration
@@ -275,27 +244,15 @@ def assemble_results(
 
 
 class ParadynISSystem:
-    """A fully wired ROCC model instance, ready to run.
+    """A fully wired ROCC model instance, ready to run."""
 
-    With an :class:`~repro.rocc.partition.LPRole` the instance builds
-    only that logical process's *subset* of the topology — the role's
-    node range and, for the main LP, the host workstation — wiring cut
-    edges to :class:`~repro.rocc.partition.RemoteSink` targets that the
-    boundary network exports at send time.  Node ids, stream names, and
-    metric indices stay global, so each node's variate draws are
-    bit-identical to its draws in a sequential run.
-    """
-
-    def __init__(self, config: SimulationConfig,
-                 lp_role: Optional[LPRole] = None):
+    def __init__(self, config: SimulationConfig):
         self.config = config
-        self.lp_role = lp_role
         self.env = Environment()
         self.metrics = Metrics()
         self.streams = StreamFactory(seed=config.seed, replication=config.replication)
+        #: One CPU per node (NOW/MPP), or the pooled SMP CPUs as node 0.
         self.worker_cpus: List[RoundRobinCPU] = []
-        #: Global node id of each entry in :attr:`worker_cpus`.
-        self._node_ids: List[int] = []
         self.host_cpu: Optional[RoundRobinCPU] = None
         self.network: BaseNetwork = self._build_network()
         self.pipes: List[SamplePipe] = []
@@ -322,14 +279,7 @@ class ParadynISSystem:
     # Construction
     # ------------------------------------------------------------------
     def _build_network(self) -> BaseNetwork:
-        mode = self.config.effective_network_mode
-        if self.lp_role is not None:
-            if mode is not NetworkMode.CONTENTION_FREE:
-                raise ValueError(
-                    "partitioned kernel requires a contention-free network"
-                )
-            return LPBoundaryNetwork(self.env, self.lp_role.outbox)
-        if mode is NetworkMode.SHARED:
+        if self.config.effective_network_mode is NetworkMode.SHARED:
             return FIFONetwork(self.env, name="shared-net")
         return ContentionFreeNetwork(self.env, name="cf-net")
 
@@ -346,36 +296,21 @@ class ParadynISSystem:
 
     def _build_now_or_mpp(self) -> None:
         cfg = self.config
-        role = self.lp_role
         quantum = cfg.workload.cpu_quantum
 
         # Host workstation for the main Paradyn process (Figure 1).
-        # In a partitioned run only the main LP hosts it; node LPs send
-        # their daemon uplinks to a RemoteSink instead.
-        if role is None or role.include_main:
-            self.host_cpu = RoundRobinCPU(self.env, 1, quantum, name="host.cpu")
-            main_ctx = self._make_ctx(-1, self.host_cpu)
-            self.main = MainParadynProcess(main_ctx)
+        self.host_cpu = RoundRobinCPU(self.env, 1, quantum, name="host.cpu")
+        self.main = MainParadynProcess(self._make_ctx(-1, self.host_cpu))
 
         if cfg.barrier_period is not None:
-            if role is not None:
-                raise ValueError(
-                    "barrier couples all nodes; ineligible for partitioning"
-                )
             self.barrier = CyclicBarrier(
                 self.env, cfg.nodes * cfg.app_processes_per_node, self.metrics
             )
 
         tree = cfg.forwarding is ForwardingTopology.TREE
-        if tree and role is not None:
-            raise ValueError(
-                "tree forwarding is not yet run on the partitioned kernel"
-            )
-        node_ids = range(cfg.nodes) if role is None else role.node_ids
-        for i in node_ids:
+        for i in range(cfg.nodes):
             cpu = RoundRobinCPU(self.env, cfg.cpus_per_node, quantum, name=f"node{i}.cpu")
             self.worker_cpus.append(cpu)
-            self._node_ids.append(i)
             ctx = self._make_ctx(i, cpu)
             pipe = SamplePipe(
                 self.env,
@@ -388,10 +323,8 @@ class ParadynISSystem:
                 parent = self.daemons[parent_index(i)]
                 parent.enable_tree_inbox()
                 deliver = parent.deliver
-            elif self.main is not None:
-                deliver = self.main.deliver
             else:
-                deliver = RemoteSink(role.plan.main_lp)
+                deliver = self.main.deliver
             daemon = ParadynDaemon(ctx, pipe, deliver)
             self.daemons.append(daemon)
             sampler_state = self._attach_regulator(ctx, daemon)
@@ -412,7 +345,6 @@ class ParadynISSystem:
         n_cpus = cfg.nodes
         cpu = RoundRobinCPU(self.env, n_cpus, quantum, name="smp.cpu")
         self.worker_cpus.append(cpu)
-        self._node_ids.append(0)
         ctx = self._make_ctx(0, cpu)
 
         self.main = MainParadynProcess(ctx)
@@ -501,13 +433,10 @@ class ParadynISSystem:
     # ------------------------------------------------------------------
     def _run_label(self) -> str:
         cfg = self.config
-        label = (
+        return (
             f"{cfg.architecture.value} n={cfg.nodes} "
             f"seed={cfg.seed} rep={cfg.replication}"
         )
-        if self.lp_role is not None:
-            label += f" lp{self.lp_role.lp_index}"
-        return label
 
     def _attach_observability(self, tracer: Tracer) -> None:
         """Install occupancy watchers for a traced run.
@@ -523,7 +452,7 @@ class ParadynISSystem:
         tracer.name_process(pid, f"sim: {label}")
         tracked: List[tuple] = [
             (f"node{node}.cpu", cpu.busy_servers)
-            for node, cpu in zip(self._node_ids, self.worker_cpus)
+            for node, cpu in enumerate(self.worker_cpus)
         ]
         if self.host_cpu is not None:
             tracked.append(("host.cpu", self.host_cpu.busy_servers))
@@ -602,14 +531,13 @@ class ParadynISSystem:
         smp = self.config.architecture is Architecture.SMP
 
         cpu_busy = {}
-        for idx in range(len(self.worker_cpus)):
-            node = self._node_ids[idx]
+        for node in range(len(self.worker_cpus)):
             for owner in _WORKER_OWNERS:
-                v = self._busy(idx, owner)
+                v = self._busy(node, owner)
                 if v > 0.0:
                     cpu_busy[(node, owner)] = v
 
-        if smp or self.host_cpu is None:
+        if smp:
             main_busy = 0.0
         else:
             host_base = self._snapshot.host_busy.get(ProcessType.PARADYN_MAIN, 0.0)
@@ -644,23 +572,6 @@ class ParadynISSystem:
         return assemble_results(self.config, self.metrics, self._raw_aggregates())
 
 
-def simulate(
-    config: SimulationConfig,
-    lp_workers: Optional[int] = None,
-) -> SimulationResults:
-    """Build and run one ROCC simulation; returns its results.
-
-    The run is sequential unless ``lp_workers`` ≥ 2 requests the
-    partitioned parallel kernel (``REPRO_DES_PARALLEL`` is read by the
-    experiment engine, not here).  Configurations the conservative
-    protocol cannot handle — see
-    :func:`~repro.rocc.partition.parallel_ineligibility` — silently
-    fall back to the sequential kernel, so the knob is always safe to
-    set.
-    """
-    if lp_workers is not None and lp_workers >= 2:
-        if parallel_ineligibility(config) is None:
-            from ..des.parallel import parallel_simulate
-
-            return parallel_simulate(config, lp_workers)
+def simulate(config: SimulationConfig) -> SimulationResults:
+    """Build and run one ROCC simulation; returns its results."""
     return ParadynISSystem(config).run()

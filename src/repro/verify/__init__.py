@@ -15,7 +15,7 @@ Three pillars:
   analytic-model cross-checks with tolerance bands;
 * :mod:`repro.verify.differential` — flipped-knob re-execution
   (watchdog, worker pool, cell cache, flush no-op, event scheduler
-  phases, parallel kernel, planner) with field-by-field result diffs.
+  phases, planner) with field-by-field result diffs.
 
 :mod:`repro.verify.properties` adds Hypothesis-generated random
 configurations over all of the above.
@@ -40,5 +40,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "check_bf_flush_noop": "differential",
     "check_resilient_engine": "differential",
     "check_event_queue": "differential",
-    "check_parallel_kernel": "differential",
 })

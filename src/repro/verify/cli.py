@@ -114,7 +114,7 @@ def run_verification(
     report.extend(
         differential_checks(diff_cfg, include_workers=True),
         section="differential",
-        checks=8,
+        checks=7,
     )
     log(f"  differential: {time.perf_counter() - t0:.1f}s")
 

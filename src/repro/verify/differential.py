@@ -16,12 +16,7 @@ but promise not to change *what* it computes:
   from its first event, and the default run (heap, promoted to the
   calendar at depth 512), vs a run kept on the reference binary heap
   (the schedule key is a total order, so every correct priority queue
-  must pop the identical sequence);
-* ``lp_workers`` — the partitioned parallel kernel vs the sequential
-  kernel of a direct ``simulate(cfg)``, which ``REPRO_DES_PARALLEL``
-  never partitions (bit-identical up to a handful of re-associated
-  float sums), including its sequential fallback on ineligible
-  configurations.
+  must pop the identical sequence).
 
 Each checker here executes both sides of one such promise and diffs the
 :class:`SimulationResults` field by field (NaN == NaN); any difference
@@ -37,12 +32,7 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Tuple
 
 from ..experiments.engine import CellCache, ExperimentEngine
-from ..rocc.config import (
-    Architecture,
-    ForwardingTopology,
-    NetworkMode,
-    SimulationConfig,
-)
+from ..rocc.config import SimulationConfig
 from ..rocc.metrics import SimulationResults
 from ..rocc.system import ParadynISSystem, simulate
 from .report import Violation
@@ -55,7 +45,6 @@ __all__ = [
     "check_bf_flush_noop",
     "check_resilient_engine",
     "check_event_queue",
-    "check_parallel_kernel",
     "check_planner",
     "differential_checks",
 ]
@@ -304,81 +293,6 @@ def check_event_queue(config: SimulationConfig) -> List[Violation]:
     return out
 
 
-#: Result fields the parallel kernel may differ on in the last ulp:
-#: their sequential values accumulate floats across all nodes in one
-#: global completion-time order, while a partitioned run adds per-LP
-#: partial sums — float addition does not associate.  Everything else
-#: must be bit-identical (per-node busy times are keyed by node, and
-#: latency tallies live wholly on the main LP).
-_PARALLEL_ULP_FIELDS = (
-    "network_utilization",
-    "pd_network_utilization",
-    "pipe_blocked_time",
-)
-
-_PARALLEL_REL_TOL = 1e-9
-
-
-def check_parallel_kernel(config: SimulationConfig) -> List[Violation]:
-    """The partitioned parallel kernel reproduces the sequential kernel.
-
-    Eligible configurations (contention-free network, direct
-    forwarding, no global couplers) run under K ∈ {2, 4} LP workers and
-    must match the sequential results bit-for-bit, except for the few
-    re-associated float sums in :data:`_PARALLEL_ULP_FIELDS`, which get
-    a 1e-9 relative tolerance.  Ineligible configurations (tree
-    forwarding, barriers) must fall back to the sequential kernel and
-    therefore match *exactly*.
-    """
-    from ..rocc.partition import parallel_ineligibility
-
-    out: List[Violation] = []
-
-    def compare(cfg: SimulationConfig, k: int, what: str,
-                exact: bool) -> None:
-        seq = simulate(cfg)
-        par = simulate(cfg, lp_workers=k)
-        ignore = ("observability",) if exact else (
-            ("observability",) + _PARALLEL_ULP_FIELDS
-        )
-        diffs = diff_results(seq, par, ignore=ignore)
-        if not exact:
-            for f in _PARALLEL_ULP_FIELDS:
-                a, b = getattr(seq, f), getattr(par, f)
-                if a == b:
-                    continue
-                scale = max(abs(a), abs(b))
-                if scale == 0.0 or abs(a - b) / scale > _PARALLEL_REL_TOL:
-                    diffs.append(f"{f}: {a!r} !~ {b!r} (rel tol 1e-9)")
-        if diffs:
-            out.append(_diff_violation(
-                "differential.parallel_kernel", cfg, diffs, what,
-            ))
-
-    if parallel_ineligibility(config) is None:
-        for k in (2, 4):
-            compare(config, k, f"running on {k} LP workers", exact=False)
-    else:
-        compare(config, 2, "the sequential fallback", exact=True)
-        # If only the network model blocks partitioning (the shared-
-        # Ethernet NOW default), flip to contention-free so every
-        # battery run still exercises the real parallel path.
-        cf = config.with_(network_mode=NetworkMode.CONTENTION_FREE)
-        if parallel_ineligibility(cf) is None:
-            for k in (2, 4):
-                compare(cf, k,
-                        f"running the CF variant on {k} LP workers",
-                        exact=False)
-
-    # Ineligible variants must take the sequential fallback untouched.
-    barriered = config.with_(barrier_period=10_000.0)
-    compare(barriered, 4, "the barrier fallback", exact=True)
-    if config.nodes > 1 and config.architecture is Architecture.MPP:
-        treed = config.with_(forwarding=ForwardingTopology.TREE)
-        compare(treed, 4, "the tree-forwarding fallback", exact=True)
-    return out
-
-
 def check_planner(config: SimulationConfig,
                   repetitions: int = 2) -> List[Violation]:
     """Planned runs simulate cells bit-identically to unplanned runs.
@@ -473,7 +387,6 @@ def differential_checks(
     out.extend(check_bf_flush_noop(config))
     out.extend(check_resilient_engine(config))
     out.extend(check_event_queue(config))
-    out.extend(check_parallel_kernel(config))
     out.extend(check_planner(config))
     if include_workers:
         out.extend(check_workers(config))

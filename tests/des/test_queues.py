@@ -351,10 +351,12 @@ def test_kernel_run_identical_across_schedulers(name, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "var", ["REPRO_DES_FASTPATH", "REPRO_DES_QUEUE", "REPRO_PROFILE"])
+    "var", ["REPRO_DES_FASTPATH", "REPRO_DES_QUEUE", "REPRO_PROFILE",
+            "REPRO_DES_PARALLEL"])
 def test_removed_variables_raise(var, monkeypatch):
-    """The variables that once selected a kernel path, a scheduler or
-    kernel profiling are rejected by name rather than silently ignored."""
+    """The variables that once selected a kernel path, a scheduler,
+    kernel profiling or in-cell parallelism are rejected by name rather
+    than silently ignored."""
     monkeypatch.setenv(var, "heap")
     with pytest.raises(ValueError, match=f"{var} was removed"):
         Environment()

@@ -150,8 +150,8 @@ def test_cli_trace_env_knob(tmp_path: Path) -> None:
 def test_cli_lp_workers_validation(tmp_path: Path) -> None:
     proc = _run_cli(
         "repro.experiments",
-        ["figure9", "--lp-workers", "0"],
+        ["figure9", "--lp-workers", "2"],
         cwd=tmp_path,
     )
     assert proc.returncode == 2
-    assert "--lp-workers must be >= 1" in proc.stderr
+    assert "unrecognized arguments: --lp-workers" in proc.stderr

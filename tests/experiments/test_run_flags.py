@@ -28,8 +28,14 @@ BAD_VALUES = [
     (["--ci-target", "0"], "--ci-target must be finite and positive"),
     (["--max-retries", "-1"], "--max-retries must be >= 0"),
     (["--budget", "0"], "--budget must be >= 1"),
-    (["--lp-workers", "0"], "--lp-workers must be >= 1"),
-    (["--lp-workers", "two"], "--lp-workers must be an integer"),
+    # Cells run only on the sequential kernel; --workers N is the only
+    # parallelism.  --lp-workers is gone, so the values it once refused
+    # are now an unknown flag.  The rows keep the ids they had when the
+    # flag checked its value.
+    pytest.param(["--lp-workers", "0"], "unrecognized arguments: --lp-workers",
+                 id="flags8---lp-workers must be >= 1"),
+    pytest.param(["--lp-workers", "two"], "unrecognized arguments: --lp-workers",
+                 id="flags9---lp-workers must be an integer"),
 ]
 
 
@@ -67,7 +73,6 @@ def test_one_default_per_flag():
     assert engine.retry.max_attempts == 1
     assert engine.cell_timeout is None and engine.journal is None
     assert engine.workers == 1
-    assert parser.parse_args(["--lp-workers", "auto"]).lp_workers == "auto"
 
 
 def test_experiments_reports_ignored_plan(capsys):
@@ -81,14 +86,12 @@ def test_experiments_reports_ignored_plan(capsys):
 
 
 def test_rocc_reports_ignored_lp_workers(capsys):
-    """An SMP cell cannot be partitioned: the run goes sequential and
-    says why instead of dropping --lp-workers without a word."""
-    rc = rocc_main(["--arch", "smp", "--nodes", "4", "--duration-s", "0.2",
-                    "--lp-workers", "2"])
-    assert rc == 0
-    out, err = capsys.readouterr()
-    assert "Pd CPU/node" in out
-    assert "[--lp-workers ignored, ran the sequential kernel: SMP" in err
+    """--lp-workers 2 is a usage error, not a flag the run ignores."""
+    err = _usage_error(rocc_main, ["--arch", "smp", "--nodes", "4",
+                                   "--duration-s", "0.2", "--lp-workers", "2"],
+                       capsys)
+    assert "unrecognized arguments: --lp-workers 2" in err
+    assert "ignored" not in err
 
 
 def test_rocc_quiet_without_lp_workers(capsys):
@@ -99,10 +102,9 @@ def test_rocc_quiet_without_lp_workers(capsys):
 
 
 def test_experiments_summary_counts_ignored_lp_workers(capsys):
-    """figure22 is an SMP sweep: every cell ignores --lp-workers 2."""
-    rc = experiments_main(["figure22", "--no-cache", "--lp-workers", "2"])
-    assert rc == 0
-    err = capsys.readouterr().err
-    line = next(x for x in err.splitlines() if x.startswith("[engine:"))
-    run = int(line.split("(")[1].split(" run")[0])
-    assert f"{run} ineligible for lp_workers (ran sequential)" in line
+    """--lp-workers 2 stops figure22 before any cell runs: no engine
+    summary is printed, so nothing is counted as ignored."""
+    err = _usage_error(experiments_main,
+                       ["figure22", "--no-cache", "--lp-workers", "2"], capsys)
+    assert "unrecognized arguments: --lp-workers 2" in err
+    assert "[engine:" not in err

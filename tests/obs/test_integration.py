@@ -6,7 +6,7 @@ simulation-run, and resource-occupancy layers, and the trace survives
 export + validation.  Also pins the zero-cost contract: an untraced
 run records nothing and its results carry an empty ``observability``;
 and a traced run's kernel profile reaches the parent's registry across
-engine and LP worker processes.
+engine worker processes.
 """
 
 from __future__ import annotations
@@ -146,28 +146,3 @@ def test_kernel_profile_crosses_engine_workers() -> None:
     assert inline["des.events"] > 0
     assert "des.kind.timeout" in inline
     assert pooled == inline
-
-
-def test_kernel_profile_crosses_lp_workers(monkeypatch) -> None:
-    """Node LPs ship their profile in their registry delta, so a traced
-    partitioned run counts more events than the main LP's own."""
-    from repro.des.profiling import KernelProfiler
-
-    main_lp_events = []  # forked LP workers append to their own copy
-    publish = KernelProfiler.publish
-
-    def spy(self):
-        main_lp_events.append(self.events)
-        publish(self)
-
-    monkeypatch.setattr(KernelProfiler, "publish", spy)
-    config = SimulationConfig(
-        architecture=Architecture.MPP, nodes=8, duration=250_000.0,
-        app_processes_per_node=2, seed=13,
-    )
-    registry().reset()
-    with use_tracing():
-        result = simulate(config, lp_workers=2)
-    assert result.observability["lp_workers"] == 2
-    (own,) = main_lp_events
-    assert registry().get("des.events").value > own > 0

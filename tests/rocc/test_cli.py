@@ -73,10 +73,12 @@ class TestRoccCli:
         assert "Pd CPU/node" in capsys.readouterr().out
 
     def test_lp_workers_rejects_non_positive(self, capsys):
-        for bad in ("0", "-3"):
-            with pytest.raises(SystemExit):
-                main(["--lp-workers", bad, "--duration-s", "0.1"])
-            assert "--lp-workers must be >= 1" in capsys.readouterr().err
+        # Every value is refused: the flag itself no longer exists.
+        for value in ("0", "-3", "2"):
+            with pytest.raises(SystemExit) as exc:
+                main(["--lp-workers", value, "--duration-s", "0.1"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --lp-workers" in capsys.readouterr().err
 
 
 class TestWorkloadCli:

@@ -36,8 +36,6 @@ def test_policy_flags():
         {"batch_flush_timeout": -1.0},
         {"daemons": 0},
         {"pipe_capacity": 0},
-        {"central_ingress": 0.0},
-        {"central_ingress": -5.0},
         {"app_processes_per_node": 0},
         {"duration": 0},
         {"warmup": -1},

@@ -170,69 +170,6 @@ class TestExactAtVolume:
             assert tally.variance == eager.variance
 
 
-class TestMerge:
-    """Cross-LP fragment folding used by the parallel kernel."""
-
-    def test_counters_and_node_counters_sum(self):
-        a, b = Metrics(), Metrics()
-        a.samples_generated = 10
-        b.samples_generated = 3
-        a.note_forward(0, 5)
-        b.note_forward(0, 2)
-        b.note_forward(4, 7)
-        a.note_merge(1)
-        b.note_merge(1)
-        a.pipe_blocked_time = 1.5
-        b.pipe_blocked_time = 0.25
-        a.merge(b)
-        assert a.samples_generated == 13
-        assert a.forwarded_by_node == {0: 7, 4: 7}
-        assert a.merges_by_node == {1: 2}
-        assert a.pipe_blocked_time == 1.75
-
-    def test_latency_recorders_adopted_from_receipt_side(self):
-        main, node = Metrics(), Metrics()
-        node.samples_generated = 4
-        main.note_receipt(now=150.0, created_at=50.0, ready_at=120.0)
-        main.note_receipt(now=200.0, created_at=120.0, ready_at=180.0)
-        main.batches_received = 2
-        merged = Metrics()
-        merged.merge(node)
-        merged.merge(main)
-        assert merged.samples_received == 2
-        assert merged.batches_received == 2
-        assert merged.samples_generated == 4
-        # Both series come over whole, in receipt order.
-        assert list(merged._lat_fwd) == [30.0, 20.0]
-        assert list(merged._lat_total) == [100.0, 80.0]
-        assert merged.latency_total.mean == 90.0
-        assert merged.latency_forwarding.mean == 25.0
-        assert merged.latency_percentiles((0.0, 100.0)) == {0.0: 20.0,
-                                                            100.0: 30.0}
-
-    def test_both_sides_with_receipts_raises(self):
-        a, b = Metrics(), Metrics()
-        a.note_receipt(10.0, 0.0, 5.0)
-        b.note_receipt(20.0, 0.0, 15.0)
-        with pytest.raises(ValueError, match="main-process LP"):
-            a.merge(b)
-
-    def test_epoch_mismatch_raises(self):
-        a, b = Metrics(), Metrics()
-        b.reset(now=100.0)
-        with pytest.raises(ValueError, match="epoch"):
-            a.merge(b)
-
-    def test_merge_preserves_epoch_after_shared_warmup(self):
-        a, b = Metrics(), Metrics()
-        a.reset(now=100.0)
-        b.reset(now=100.0)
-        b.samples_generated = 1
-        a.merge(b)
-        assert a.epoch == 100.0
-        assert a.samples_generated == 1
-
-
 class TestSortedPercentile:
     """``sorted_percentile`` is ``np.percentile`` (linear method), bit for
     bit, without loading ``numpy.ma``."""
