@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Chaos smoke: injected worker kills + cache corruption + resume.
+"""Chaos smoke: injected worker kills + cache corruption + cache resume.
 
-End-to-end proof of the engine's retries, cache quarantine and journal
-resume (`repro.experiments.engine`) against the chaos harness
+End-to-end proof of the engine's retries, cache quarantine and resume
+from the cell cache (`repro.experiments.engine`) against the chaos harness
 (`repro.experiments.chaos`), suitable for CI:
 
 1. **Reference** — a 16-cell sweep on a plain serial engine, no cache:
@@ -10,9 +10,11 @@ resume (`repro.experiments.engine`) against the chaos harness
 2. **Chaos sweep** — the same 16 cells on a 4-worker engine with retries
    with 3 injected worker SIGKILLs and 1 corrupted on-disk cache entry.
    The run must complete via retries/quarantine with identical results.
-3. **Interrupted sweep + resume** — the first 10 cells are journaled,
-   then the full sweep resumes from the journal: the remaining 6 cells
-   (and only those) are simulated, and the results are identical.
+3. **Interrupted sweep + cache resume** — a strict 2-worker sweep on
+   an empty cache aborts at cell 10 on an injected failure.  Pool
+   results arrive in submission order, so cells 0–9 are already cached;
+   the rerun serves those 10 and simulates the remaining 6 (and only
+   those), and the results are identical.
 
 Exit status 0 = all phases passed, 1 = any check failed.
 
@@ -30,6 +32,7 @@ import time
 from pathlib import Path
 
 from repro.experiments.chaos import (
+    ChaosKilled,
     ChaosPlan,
     chaos_key,
     corrupt_cache_entry,
@@ -127,31 +130,31 @@ def main() -> int:
             "quarantine directory holds the damaged entry",
         )
 
-        print(f"[3/3] interrupted sweep + journal resume")
-        journal = tmp / "run.jsonl"
-        with ExperimentEngine(
-            workers=2, cache=CellCache(enabled=False), journal=journal
-        ) as first:
-            first.run_cells(cells[:RESUME_PREFIX])
-        interrupted_runs = first.stats.cells_run
-        with ExperimentEngine(
-            workers=2, cache=CellCache(enabled=False), journal=journal
-        ) as second:
+        print(f"[3/3] interrupted sweep + cache resume")
+        resume_cache = CellCache(root=tmp / "resume-cache", enabled=True)
+        abort = ChaosPlan(
+            state_dir=str(tmp / "abort-state"),
+            raise_once=(chaos_key(cells[RESUME_PREFIX]),),
+        )
+        aborted = False
+        with ExperimentEngine(workers=2, cache=resume_cache) as first:
+            install_chaos(first, abort)
+            try:
+                first.run_cells(cells)
+            except ChaosKilled:
+                aborted = True
+        check(aborted, f"strict sweep aborted at cell {RESUME_PREFIX}")
+        with ExperimentEngine(workers=2, cache=resume_cache) as second:
             resumed = second.run_cells(cells)
         remainder = CELLS - RESUME_PREFIX
         check(
-            interrupted_runs == RESUME_PREFIX,
-            f"interrupted run simulated {RESUME_PREFIX} cells "
-            f"(ran {interrupted_runs})",
-        )
-        check(
-            second.stats.cells_resumed == RESUME_PREFIX,
-            f"resume served {RESUME_PREFIX} cells from the journal "
-            f"(served {second.stats.cells_resumed})",
+            second.stats.cache_hits == RESUME_PREFIX,
+            f"rerun served the {RESUME_PREFIX} finished cells from the "
+            f"cache (served {second.stats.cache_hits})",
         )
         check(
             second.stats.cells_run == remainder,
-            f"resume simulated only the {remainder}-cell remainder "
+            f"rerun simulated only the {remainder}-cell remainder "
             f"(ran {second.stats.cells_run})",
         )
         check(

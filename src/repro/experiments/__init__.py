@@ -16,8 +16,9 @@ Or from the command line::
 Cells (one simulation per ``(config, replication)`` pair) are scheduled
 by an :class:`~repro.experiments.engine.ExperimentEngine` — parallel
 across processes when ``workers > 1`` (or ``REPRO_WORKERS`` is set) and
-memoized on disk by a content-addressed cell cache; retries, per-cell
-deadlines and a resumable run journal are opt-in engine parameters:
+memoized on disk by a content-addressed cell cache, from which a rerun
+resumes an interrupted sweep; retries and per-cell deadlines are opt-in
+engine parameters:
 
 >>> from repro.experiments import ExperimentEngine, use_engine, sweep
 >>> with use_engine(ExperimentEngine(workers=4)) as eng:   # doctest: +SKIP
@@ -43,7 +44,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "CellError": "engine",
     "ExperimentEngine": "engine",
     "RetryPolicy": "resilience",
-    "RunJournal": "resilience",
     "FailureReport": "resilience",
     "EngineStats": "engine",
     "CellCache": "engine",

@@ -63,7 +63,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="bypass the content-addressed cell cache",
+        help="bypass the content-addressed cell cache (such a run "
+        "cannot be resumed: a rerun simulates every cell again)",
     )
     parser.add_argument(
         "--plan",

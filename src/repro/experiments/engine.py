@@ -11,21 +11,24 @@ both properties:
   (``workers=1``, failing fast).  Failures ship back as picklable
   :class:`CellError` artifacts, so ``isolate=True`` semantics survive
   the process boundary — including workers killed mid-cell.
-* **Memoization** — a :class:`CellCache` keys finished
+* **Memoization and resume** — a :class:`CellCache` keys finished
   :class:`~repro.rocc.metrics.SimulationResults` by a stable content
   fingerprint of the config (every dataclass field, nested cost models,
   distributions, replication index) salted with a hash of
   the simulation source code, so re-running a sweep or benchmark
-  recomputes only cells whose inputs or code actually changed.
+  recomputes only cells whose inputs or code actually changed.  Each
+  result is stored the moment its cell finishes, so a sweep killed
+  midway resumes on rerun: only the cells that had not finished run.
+  Entries live under a directory per code version; the first cache
+  opened on a root in a process drops the other versions' entries.
 * **Bounded failure** — long sweeps die in mundane ways: a worker is
   OOM-killed mid-cell, a pathological configuration livelocks the
   kernel, a crash leaves a corrupt cache entry.  Per-cell deadlines,
   retries of transient failures (:class:`~repro.experiments.resilience.RetryPolicy`),
-  a resumable run journal (:class:`~repro.experiments.resilience.RunJournal`),
   degrade-to-serial on repeated pool breakage and, with
   ``strict=False``, partial results plus a
   :class:`~repro.experiments.resilience.FailureReport` make every
-  failure bounded and every sweep restartable.  The chaos harness in
+  failure bounded.  The chaos harness in
   :mod:`repro.experiments.chaos` exercises each failure mode.
 
 Counters (``engine.retries``, ``engine.cell_timeouts``,
@@ -36,7 +39,8 @@ span when tracing is enabled.
 Environment knobs:
 
 * ``REPRO_WORKERS`` — worker count of the ambient engine (default 1).
-* ``REPRO_CELL_CACHE`` — set to ``0``/``off`` to disable the cache.
+* ``REPRO_CELL_CACHE`` — set to ``0``/``off`` to disable the cache
+  (such a run cannot be resumed).
 * ``REPRO_CACHE_DIR`` — cache directory (default
   ``$XDG_CACHE_HOME/repro/cells`` or ``~/.cache/repro/cells``).
 """
@@ -46,6 +50,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import re
 import sys
 import time
 import traceback as _traceback
@@ -55,7 +60,7 @@ from enum import Enum
 from math import inf, isnan, nan
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple, Union,
+    TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Set, Tuple, Union,
 )
 
 from ..obs.metrics import diff_snapshots, registry as obs_registry, timed
@@ -69,7 +74,7 @@ from ..obs.spans import (
 )
 from ..rocc.config import SimulationConfig
 from ..rocc.metrics import SimulationResults
-from .resilience import CellTimeout, FailureReport, RetryPolicy, RunJournal
+from .resilience import CellTimeout, FailureReport, RetryPolicy
 
 if TYPE_CHECKING:  # imported where used: a one-worker run creates no pool
     from concurrent.futures import ProcessPoolExecutor
@@ -260,18 +265,63 @@ def _cache_enabled_by_env() -> bool:
     )
 
 
+#: Cache roots this process has already swept of other code versions.
+_swept: Set[Path] = set()
+
+
+def _drop_stale(root: Path) -> int:
+    """Delete what the cache wrote under *root* for other code versions,
+    once per root and process; returns the number of entries dropped.
+
+    Stale means a version directory (16 hex digits) other than this
+    code's, or the flat layout older code wrote: 2-hex shard directories
+    and ``quarantine/`` that hold only ``*.pkl``/``*.pkl.sha256`` files.
+    Everything else under *root* is left alone.
+    """
+    if root in _swept:
+        return 0
+    _swept.add(root)
+    current = code_version()
+    try:
+        with os.scandir(root) as it:
+            dirs = [d for d in it if d.is_dir(follow_symlinks=False)
+                    and d.name != current]
+    except OSError:
+        return 0
+    dropped = 0
+    for d in dirs:
+        version = re.fullmatch("[0-9a-f]{16}", d.name)
+        if not (version or re.fullmatch("[0-9a-f]{2}|quarantine", d.name)):
+            continue
+        walk = list(os.walk(d.path))
+        files = [name for _, _, names in walk for name in names]
+        if version or len(walk) == 1 and all(
+            name.endswith((".pkl", ".pkl.sha256")) for name in files
+        ):
+            import shutil
+
+            dropped += sum(name.endswith(".pkl") for name in files)
+            shutil.rmtree(d.path, ignore_errors=True)
+    return dropped
+
+
 class CellCache:
     """Content-addressed store of pickled :class:`SimulationResults`
     (and of the plain-data workload characterizations behind Tables 1–3
     and Figure 8, see :mod:`repro.experiments.workload_exp`).
 
-    Entries live at ``<root>/<key[:2]>/<key>.pkl`` with a sha256
-    checksum stored beside each one (``<key>.pkl.sha256``).  Writes are
-    atomic (temp file + fsync + ``os.replace``) so a worker killed
-    mid-``put`` can never leave a torn pickle in place, and reads verify
-    the checksum *before* unpickling: a corrupted or truncated entry is
-    quarantined (moved aside under ``<root>/quarantine/``) and treated
-    as a miss, so the cell simply recomputes.
+    Entries live at ``<root>/<code_version()>/<key[:2]>/<key>.pkl`` with
+    a sha256 checksum stored beside each one (``<key>.pkl.sha256``).
+    Writes are atomic (temp file + fsync + ``os.replace``) so a worker
+    killed mid-``put`` can never leave a torn pickle in place, and reads
+    verify the checksum *before* unpickling: a corrupted, truncated or
+    unchecksummed entry is quarantined (moved aside under
+    ``quarantine/`` in the version directory) and treated as a miss, so
+    the cell simply recomputes.
+
+    The first enabled cache a process opens on a root drops every entry
+    other code versions left there, which this code can never hit
+    (counted in :attr:`stale_dropped`).
     """
 
     def __init__(self, root: Union[str, Path, None] = None,
@@ -281,21 +331,28 @@ class CellCache:
         #: Entries quarantined by this instance (checksum mismatches,
         #: unpicklable blobs); surfaced as ``EngineStats.cache_corrupt``.
         self.corrupt_entries = 0
+        #: Entries of other code versions dropped when this cache opened.
+        self.stale_dropped = _drop_stale(self.root) if self.enabled else 0
+
+    @property
+    def version_dir(self) -> Path:
+        """The directory of this code version's entries."""
+        return self.root / code_version()
 
     def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
+        return self.version_dir / key[:2] / f"{key}.pkl"
 
     def checksum_path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl.sha256"
+        return self.version_dir / key[:2] / f"{key}.pkl.sha256"
 
     @property
     def quarantine_dir(self) -> Path:
-        return self.root / "quarantine"
+        return self.version_dir / "quarantine"
 
     def get(self, key: str, kind: type = SimulationResults) -> Optional[Any]:
-        """The entry under *key*, or None on a miss.  An entry that fails
-        its checksum, does not unpickle or is not a *kind* is quarantined
-        and counts as a miss."""
+        """The entry under *key*, or None on a miss.  An entry that has
+        no checksum or fails it, does not unpickle or is not a *kind* is
+        quarantined and counts as a miss."""
         if not self.enabled:
             return None
         path = self.path_for(key)
@@ -306,8 +363,8 @@ class CellCache:
         try:
             expected = self.checksum_path_for(key).read_text().strip()
         except OSError:
-            expected = None  # pre-checksum entry: fall back to unpickling
-        if expected is not None and hashlib.sha256(blob).hexdigest() != expected:
+            expected = None
+        if hashlib.sha256(blob).hexdigest() != expected:
             self._quarantine(key)
             return None
         try:
@@ -367,16 +424,6 @@ class CellCache:
             except OSError:
                 p.unlink(missing_ok=True)
 
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        n = 0
-        if self.root.is_dir():
-            for path in self.root.rglob("*.pkl"):
-                path.unlink(missing_ok=True)
-                path.with_name(path.name + ".sha256").unlink(missing_ok=True)
-                n += 1
-        return n
-
 
 # ---------------------------------------------------------------------------
 # Engine statistics
@@ -403,8 +450,9 @@ class EngineStats:
     pool_resets: int = 0
     #: Cache entries quarantined as corrupt during lookups.
     cache_corrupt: int = 0
-    #: Cells served from a resumed run journal instead of executing.
-    cells_resumed: int = 0
+    #: Entries of other code versions the engine's cache dropped on
+    #: opening (see :class:`CellCache`).
+    stale_dropped: int = 0
     #: Design cells the experiment planner served as analytic surrogates
     #: instead of simulating (see :mod:`repro.planner`).
     cells_pruned: int = 0
@@ -440,7 +488,7 @@ class EngineStats:
             cell_timeouts=self.cell_timeouts - earlier.cell_timeouts,
             pool_resets=self.pool_resets - earlier.pool_resets,
             cache_corrupt=self.cache_corrupt - earlier.cache_corrupt,
-            cells_resumed=self.cells_resumed - earlier.cells_resumed,
+            stale_dropped=self.stale_dropped - earlier.stale_dropped,
             cells_pruned=self.cells_pruned - earlier.cells_pruned,
             replications_saved=(
                 self.replications_saved - earlier.replications_saved
@@ -458,11 +506,11 @@ class EngineStats:
             for count, label in (
                 (self.cells_pruned, "pruned"),
                 (self.replications_saved, "replications saved"),
-                (self.cells_resumed, "resumed"),
                 (self.retries, "retries"),
                 (self.cell_timeouts, "timeouts"),
                 (self.pool_resets, "pool resets"),
                 (self.cache_corrupt, "corrupt cache entries"),
+                (self.stale_dropped, "stale entries dropped"),
             )
             if count
         ]
@@ -597,8 +645,8 @@ class ExperimentEngine:
     across batches until :meth:`close`.
 
     The remaining parameters default to the plain run — no retries, no
-    deadline, no journal, ``strict=True`` — which leaves a healthy run
-    exactly as if each cell were simulated directly:
+    deadline, ``strict=True`` — which leaves a healthy run exactly as if
+    each cell were simulated directly:
 
     * ``retry`` — the :class:`RetryPolicy` for transient failures
       (default :meth:`RetryPolicy.none`).
@@ -607,9 +655,6 @@ class ExperimentEngine:
       (``max_wall_seconds``) and, for workers hung outside the kernel,
       by a parent-side wait guard (:data:`DEADLINE_GRACE`) that tears
       the pool down.
-    * ``journal`` — a :class:`RunJournal` (or a path) to checkpoint into
-      and resume from: completed cells are served from the journal
-      without executing.
     * ``strict`` — when False, a cell that exhausts its attempts never
       raises: it is returned as a :class:`CellError` artifact (the
       partial-results contract of ``isolate=True``) and recorded in
@@ -629,7 +674,6 @@ class ExperimentEngine:
                  stats: Optional[EngineStats] = None,
                  retry: Optional[RetryPolicy] = None,
                  cell_timeout: Optional[float] = None,
-                 journal: Union[RunJournal, str, Path, None] = None,
                  strict: bool = True):
         if workers is None:
             workers = int(os.environ.get("REPRO_WORKERS", "1") or 1)
@@ -641,12 +685,9 @@ class ExperimentEngine:
         self.cache = cache if cache is not None else CellCache()
         self.stats = stats if stats is not None else EngineStats(workers=workers)
         self.stats.workers = workers
+        self.stats.stale_dropped += self.cache.stale_dropped
         self.retry = retry if retry is not None else RetryPolicy.none()
         self.cell_timeout = cell_timeout
-        self.journal = (
-            journal if isinstance(journal, RunJournal) or journal is None
-            else RunJournal(journal)
-        )
         self.strict = strict
         self.failure_report = FailureReport()
         self._pool_failures = 0
@@ -669,12 +710,10 @@ class ExperimentEngine:
         return self._pool
 
     def close(self) -> None:
-        """Shut the worker pool down and close the journal (idempotent)."""
+        """Shut the worker pool down (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-        if self.journal is not None:
-            self.journal.close()
 
     def __enter__(self) -> "ExperimentEngine":
         return self
@@ -691,8 +730,7 @@ class ExperimentEngine:
     ) -> List[Union[SimulationResults, CellError]]:
         """Run every cell, returning outcomes in submission order.
 
-        Journaled and cached cells are served without executing; the
-        rest run inline (``workers=1``) or on the pool.  Failures become
+        Cached cells are served without executing; the rest run inline (``workers=1``) or on the pool.  Failures become
         :class:`CellError` entries under ``isolate=True`` or
         ``strict=False`` and raise otherwise — the original exception
         when picklable, :class:`EngineCellError` when not.
@@ -734,18 +772,10 @@ class ExperimentEngine:
             self.stats.cells_run += 1
             if out.ok:
                 outcomes[i] = out.result
-                if self.journal is not None:
-                    self.journal.record_success(
-                        key, out.result, attempt=attempt, wall=out.wall
-                    )
                 if key:
                     self.cache.put(key, out.result)
                 continue
             self.stats.cell_errors += 1
-            if self.journal is not None:
-                self.journal.record_failure(
-                    key, attempt, out.error.error.splitlines()[0]
-                )
             self.failure_report.add(config, key, attempt, out.error)
             if not isolate:
                 if out.exc is not None:
@@ -756,21 +786,14 @@ class ExperimentEngine:
 
     def _fingerprint(self, config: SimulationConfig,
                      aggregated: bool) -> Optional[str]:
-        """Cache and journal key of one cell, or None when neither is on."""
-        if not self.cache.enabled and self.journal is None:
+        """Cache key of one cell, or None when the cache is off."""
+        if not self.cache.enabled:
             return None
         return config_fingerprint(config, aggregated)
 
     def _lookup(self, key: Optional[str]) -> Optional[SimulationResults]:
-        """Serve a cell without executing it (journal, then cache)."""
+        """Serve a cell from the cache without executing it."""
         if key is None:
-            return None
-        if self.journal is not None:
-            result = self.journal.result_for(key)
-            if result is not None:
-                self.stats.cells_resumed += 1
-                return result
-        if not self.cache.enabled:
             return None
         corrupt_before = self.cache.corrupt_entries
         hit = self.cache.get(key)
@@ -805,14 +828,13 @@ class ExperimentEngine:
         """Run one cell inline until success or the policy gives up;
         returns the final outcome and the attempt count."""
         while True:
-            self._journal_attempt(key, attempt)
             with maybe_span(
                 "attempt", cat="engine.attempt",
                 args={"attempt": attempt, "key": (key or "")[:12]},
             ):
                 out = self._run_inline(config, aggregated, traced)
             self._book(out)
-            if out.ok or not self._retry(out, key, attempt):
+            if out.ok or not self._retry(out, attempt):
                 return out, attempt
             time.sleep(self.retry.delay(attempt, key or ""))
             attempt += 1
@@ -827,7 +849,6 @@ class ExperimentEngine:
         futures = []
         for item in pending:
             i, config, key, attempt = item
-            self._journal_attempt(key, attempt)
             futures.append((item, pool.submit(
                 self.cell_runner,
                 (self._with_deadline(config), aggregated, traced),
@@ -864,7 +885,7 @@ class ExperimentEngine:
                     if not pool_failed:
                         self._note_pool_failure(hard=False)
                         pool_failed = True
-                    self._count_retry(key, attempt, "BrokenProcessPool")
+                    self._count_retry()
                     next_pending.append(item)
                     if span is not None:
                         span.args["requeued"] = True
@@ -872,7 +893,7 @@ class ExperimentEngine:
                 if span is not None:
                     span.args["ok"] = out.ok
             self._book(out)
-            if not out.ok and self._retry(out, key, attempt):
+            if not out.ok and self._retry(out, attempt):
                 delay = max(delay, self.retry.delay(attempt, key or ""))
                 next_pending.append((i, config, key, attempt + 1))
             else:
@@ -907,8 +928,7 @@ class ExperimentEngine:
             # foreign (worker) deltas need folding in.
             obs_registry().merge_snapshot(out.metrics)
 
-    def _retry(self, out: _CellOutcome, key: Optional[str],
-               attempt: int) -> bool:
+    def _retry(self, out: _CellOutcome, attempt: int) -> bool:
         """Note a failed attempt; True when the policy grants another."""
         if self.retry.error_class(out.error) in ("CellTimeout", "SimulationStalled"):
             self.stats.cell_timeouts += 1
@@ -916,20 +936,13 @@ class ExperimentEngine:
             _TIMEOUTS.inc()
         if not self.retry.should_retry(out.error, attempt):
             return False
-        self._count_retry(key, attempt, out.error.error)
+        self._count_retry()
         return True
 
-    def _count_retry(self, key: Optional[str], attempt: int,
-                     error: str) -> None:
+    def _count_retry(self) -> None:
         self.stats.retries += 1
         self.failure_report.retries += 1
         _RETRIES.inc()
-        if self.journal is not None:
-            self.journal.record_retry(key, attempt, error.splitlines()[0])
-
-    def _journal_attempt(self, key: Optional[str], attempt: int) -> None:
-        if self.journal is not None:
-            self.journal.record_attempt(key, attempt)
 
     # -- deadlines and pool failure ------------------------------------
     def _with_deadline(self, config: SimulationConfig) -> SimulationConfig:

@@ -1,18 +1,14 @@
-"""Formats and policies of bounded, resumable cell execution.
+"""Policies and reports of bounded cell execution.
 
 :class:`~repro.experiments.engine.ExperimentEngine` makes every failure
-bounded and every sweep restartable; this module holds the pieces that
-define *what* it does, independent of the scheduling loop:
+bounded (a sweep restarts from its cell cache); this module holds the
+pieces that define *what* it does, independent of the scheduling loop:
 
 * :class:`RetryPolicy` — which failures are transient (by exception
   class name), how many attempts a cell gets, and the exponential
   backoff with deterministic jitter between them.  Cells are
   deterministic, so a retry that succeeds is indistinguishable from a
   first-attempt success.
-* :class:`RunJournal` — the append-only JSONL checkpoint format, keyed
-  by the engine's content-addressed cell fingerprint.  Re-running with
-  the same journal serves completed cells from it without simulating
-  them again.
 * :class:`FailureReport` — the structured account of lost cells,
   retries, deadline breaches and pool resets returned alongside
   partial results (``strict=False``).
@@ -24,18 +20,11 @@ The module imports nothing from the engine, which imports it.
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import json
-import os
-import pickle
-import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..rocc.config import SimulationConfig
-from ..rocc.metrics import SimulationResults
 
 if TYPE_CHECKING:
     from .engine import CellError
@@ -45,7 +34,6 @@ __all__ = [
     "RetryPolicy",
     "CellFailure",
     "FailureReport",
-    "RunJournal",
 ]
 
 
@@ -195,157 +183,3 @@ class FailureReport:
                 f"(after {f.attempts} attempt(s))"
             )
         return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Run journal (checkpoint / resume)
-# ---------------------------------------------------------------------------
-
-
-class RunJournal:
-    """Append-only JSONL record of a sweep, keyed by cell fingerprint.
-
-    Events: ``journal`` (header), ``attempt``, ``retry``, ``success``
-    (carries the pickled :class:`SimulationResults`, base64-encoded,
-    with a sha256 checksum), and ``failure`` (final, after retries).
-    Because cell fingerprints already content-address the full config
-    *and* the simulation source, resuming from a journal is safe across
-    process restarts: a changed config or changed code simply produces
-    different keys and re-runs.
-
-    Loading tolerates a torn tail (a crash mid-append) and corrupt
-    ``success`` payloads — any record that fails to parse or fails its
-    checksum is ignored, so the worst outcome of journal damage is
-    recomputing a cell, never serving garbage.
-    """
-
-    VERSION = 1
-
-    def __init__(self, path: Union[str, Path], resume: bool = True):
-        self.path = Path(path).expanduser()
-        self._blobs: Dict[str, bytes] = {}
-        self.attempts: Dict[str, int] = {}
-        self.failed: Dict[str, str] = {}
-        #: Lines skipped on load (torn tail, checksum mismatch).
-        self.skipped_records = 0
-        existed = self.path.exists()
-        if resume and existed:
-            self._load()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "a", encoding="utf-8")
-        if not existed:
-            self._write({
-                "event": "journal",
-                "version": self.VERSION,
-                "pid": os.getpid(),
-            })
-
-    # -- persistence ---------------------------------------------------
-    def _load(self) -> None:
-        try:
-            text = self.path.read_text(encoding="utf-8", errors="replace")
-        except OSError:
-            return
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                self.skipped_records += 1  # torn tail / scribbled line
-                continue
-            event = rec.get("event")
-            key = rec.get("key")
-            if event in ("attempt", "retry") and key:
-                self.attempts[key] = max(
-                    self.attempts.get(key, 0), int(rec.get("attempt", 1))
-                )
-            elif event == "success" and key:
-                try:
-                    blob = base64.b64decode(rec["result"])
-                except (KeyError, ValueError):
-                    self.skipped_records += 1
-                    continue
-                if hashlib.sha256(blob).hexdigest() != rec.get("sha256"):
-                    self.skipped_records += 1
-                    continue
-                self._blobs[key] = blob
-                self.failed.pop(key, None)
-            elif event == "failure" and key:
-                self.failed[key] = str(rec.get("error", ""))
-
-    def _write(self, rec: dict, fsync: bool = False) -> None:
-        rec = dict(rec)
-        rec["ts"] = round(time.time(), 3)
-        self._fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-        self._fh.flush()
-        if fsync:
-            try:
-                os.fsync(self._fh.fileno())
-            except OSError:
-                pass
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
-
-    def __enter__(self) -> "RunJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- queries -------------------------------------------------------
-    def completed_keys(self) -> Set[str]:
-        return set(self._blobs)
-
-    def result_for(self, key: str) -> Optional[SimulationResults]:
-        """The journaled result of a completed cell, else None."""
-        blob = self._blobs.get(key)
-        if blob is None:
-            return None
-        try:
-            result = pickle.loads(blob)
-        except Exception:
-            self._blobs.pop(key, None)
-            self.skipped_records += 1
-            return None
-        return result if isinstance(result, SimulationResults) else None
-
-    # -- recording -----------------------------------------------------
-    def record_attempt(self, key: Optional[str], attempt: int) -> None:
-        if key:
-            self.attempts[key] = max(self.attempts.get(key, 0), attempt)
-            self._write({"event": "attempt", "key": key, "attempt": attempt})
-
-    def record_retry(self, key: Optional[str], attempt: int, error: str) -> None:
-        if key:
-            self._write({
-                "event": "retry", "key": key,
-                "attempt": attempt, "error": error,
-            })
-
-    def record_success(self, key: Optional[str], results: SimulationResults,
-                       attempt: int = 1, wall: float = 0.0) -> None:
-        if not key:
-            return
-        blob = pickle.dumps(results, protocol=pickle.HIGHEST_PROTOCOL)
-        self._write({
-            "event": "success",
-            "key": key,
-            "attempt": attempt,
-            "wall": round(wall, 6),
-            "sha256": hashlib.sha256(blob).hexdigest(),
-            "result": base64.b64encode(blob).decode("ascii"),
-        }, fsync=True)
-        self._blobs[key] = blob
-        self.failed.pop(key, None)
-
-    def record_failure(self, key: Optional[str], attempt: int, error: str) -> None:
-        if key:
-            self._write({
-                "event": "failure", "key": key,
-                "attempt": attempt, "error": error,
-            }, fsync=True)
-            self.failed[key] = error

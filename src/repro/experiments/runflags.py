@@ -3,9 +3,10 @@
 ``python -m repro.experiments`` and ``python -m repro.rocc`` run their
 cells through one :class:`~repro.experiments.engine.ExperimentEngine`.
 :func:`add_run_flags` defines the flags that shape such a run —
-deadlines, retries, the resume journal, tracing (which also profiles
-the kernel), and the planner's precision target and budget — and
-:func:`engine_from_args` builds the engine from them.
+deadlines, retries, strictness, tracing (which also profiles the
+kernel), and the planner's precision target and budget — and
+:func:`engine_from_args` builds the engine from them.  There is no
+resume flag: a rerun serves every finished cell from the cell cache.
 
 Each flag has one default.  The values come from outside the program,
 so each is checked as it is parsed: a count below its minimum, or a
@@ -75,10 +76,6 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
          metavar="N",
          help="retries per cell for transient failures (worker death, "
          "stalls, deadline breaches) (default: 0)")
-    flag("--resume", metavar="JOURNAL", default=None,
-         help="record every cell attempt/success/failure to this JSONL "
-         "run journal and, when it already exists, serve completed cells "
-         "from it instead of simulating them again")
     flag("--strict", action=argparse.BooleanOptionalAction, default=True,
          help="with --no-strict, cells that exhaust their retries are "
          "reported in a failure report (exit 1) and the run continues "
@@ -111,6 +108,5 @@ def engine_from_args(args: argparse.Namespace, cache=None,
         cache=cache,
         retry=RetryPolicy(max_attempts=args.max_retries + 1),
         cell_timeout=args.cell_timeout,
-        journal=args.resume,
         strict=args.strict,
     )

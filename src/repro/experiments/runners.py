@@ -12,12 +12,12 @@ All cells are submitted through the ambient
 :func:`~repro.experiments.engine.use_engine`): :func:`sweep` and
 :func:`run_design` flatten every ``(value, replication)`` pair into one
 batch so a multi-worker engine can overlap all of them, and finished
-cells are memoized in the engine's content-addressed cache.
+cells are memoized in the engine's content-addressed cache, the moment
+each finishes, so rerunning an interrupted sweep runs only the rest.
 
-When the ambient engine is given a deadline, a retry policy or a
-journal, the same batch gets per-cell deadlines, transparent retries
-of transient failures, and journal checkpointing — no runner changes
-needed.  Under
+When the ambient engine is given a deadline or a retry policy, the
+same batch gets per-cell deadlines and transparent retries of
+transient failures — no runner changes needed.  Under
 ``strict=False`` a cell that exhausts its attempts arrives here as a
 :class:`CellError` artifact (exactly like ``isolate=True``), so sweeps
 return partial :class:`MeanResults` — the numeric means skip the lost

@@ -210,8 +210,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     trace_out = args.trace_out or trace_path_from_env()
     with ExitStack() as stack:
-        # No memoization surprises for a one-off run: a completed run is
-        # only reused when the user opts into a --resume journal.
+        # No memoization surprises for a one-off run: nothing is reused.
         engine = stack.enter_context(
             engine_from_args(args, cache=CellCache(enabled=False))
         )

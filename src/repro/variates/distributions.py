@@ -64,19 +64,6 @@ class Distribution(ABC):
         """Standard deviation."""
         return math.sqrt(self.var)
 
-    @property
-    def support_min(self) -> float:
-        """Greatest lower bound of the support (infimum).
-
-        Used by the parallel-kernel partitioner to derive conservative
-        lookahead from link latency distributions: no draw is ever below
-        this value.  The base implementation returns 0.0 — every
-        distribution here is over non-negative reals, so zero is always
-        a safe (if loose) bound; subclasses with a tighter known floor
-        (:class:`Deterministic`, :class:`Uniform`) override it.
-        """
-        return 0.0
-
     @abstractmethod
     def sample(self, rng: np.random.Generator, size: Optional[int] = None) -> ArrayLike:
         """Draw one value (``size=None``) or an array of ``size`` values."""
@@ -128,10 +115,6 @@ class Deterministic(Distribution):
     def var(self) -> float:
         return 0.0
 
-    @property
-    def support_min(self) -> float:
-        return self.value
-
     def sample(self, rng: np.random.Generator, size: Optional[int] = None) -> ArrayLike:
         if size is None:
             return self.value
@@ -162,10 +145,6 @@ class Uniform(Distribution):
             raise ValueError("high must exceed low")
         self.low = float(low)
         self.high = float(high)
-
-    @property
-    def support_min(self) -> float:
-        return self.low
 
     @property
     def mean(self) -> float:

@@ -6,12 +6,14 @@ but promise not to change *what* it computes:
 * the kernel watchdog — ``max_events`` forces the ``step()`` loop
   instead of the inlined ``_run_inner``;
 * engine workers — process-pool scheduling vs the serial loop;
-* the cell cache — a result loaded from disk vs freshly computed;
+* the cell cache — a result loaded from disk vs freshly computed (the
+  warm call must simulate nothing);
 * a BF flush timeout under batch size 1 — the flush loop can never see
   a non-empty batch, so enabling it must be a no-op;
-* the engine's failure machinery — armed retries, a generous per-cell
-  deadline and a run journal around a run that needs none of them
-  must leave it untouched, and a journal resume must replay it exactly;
+* the engine's failure machinery — armed retries and a generous
+  per-cell deadline around a run that needs none of them must leave it
+  untouched, and a plain rerun on the same cache must serve it exactly
+  (the deadline does not leak into cache keys);
 * the event scheduler's two phases — a run served by the calendar queue
   from its first event, and the default run (heap, promoted to the
   calendar at depth 512), vs a run kept on the reference binary heap
@@ -28,7 +30,6 @@ from __future__ import annotations
 import tempfile
 from dataclasses import fields
 from math import inf, isnan
-from pathlib import Path
 from typing import Iterable, List, Optional, Tuple
 
 from ..experiments.engine import CellCache, ExperimentEngine
@@ -139,14 +140,25 @@ def check_cache(config: SimulationConfig,
         cache = CellCache(root=root, enabled=True)
         with ExperimentEngine(workers=1, cache=cache) as engine:
             (cold,) = engine.run_cells([config])
+            ran = engine.stats.cells_run
             (warm,) = engine.run_cells([config])
+        out: List[Violation] = []
         diffs = diff_results(cold, warm)
         if diffs:
-            return [_diff_violation(
+            out.append(_diff_violation(
                 "differential.cache", config, diffs,
                 "reloading the run from the cell cache",
-            )]
-        return []
+            ))
+        if engine.stats.cells_run != ran:
+            out.append(Violation(
+                invariant="differential.cache",
+                detail=(
+                    f"the warm call simulated {engine.stats.cells_run - ran} "
+                    "cell(s) instead of serving the cached one"
+                ),
+                subject=_subject(config),
+            ))
+        return out
     finally:
         if created:
             import shutil
@@ -177,10 +189,12 @@ def check_resilient_engine(
 ) -> List[Violation]:
     """The engine's defaults vs the engine with its failure machinery on.
 
-    Retries, the per-cell deadline (set far above what the run needs),
-    the run journal and the attempt accounting wrap *around* the
-    simulation; a healthy run must come out bit-identical, and a second
-    run on the same journal must serve every cell from it unchanged.
+    Retries, the per-cell deadline (set far above what the run needs)
+    and the attempt accounting wrap *around* the simulation; a healthy
+    run must come out bit-identical, and a run with the engine's
+    defaults on the same cache must serve every cell from it unchanged —
+    the deadline the armed engine ships to its cells must not change
+    their cache keys.
     Together with ``check_watchdog`` this licenses the engine's core
     assumption: re-executing a cell under a deadline yields the same
     results as the first try.
@@ -195,16 +209,17 @@ def check_resilient_engine(
     with ExperimentEngine(workers=1, cache=no_cache) as plain:
         expected = plain.run_cells(reps)
     with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
-        journal = Path(tmp) / "run.jsonl"
-        armed = dict(workers=1, cache=no_cache, journal=journal,
-                     retry=RetryPolicy(max_attempts=3), cell_timeout=3600.0)
-        with ExperimentEngine(**armed) as resilient:
+        cache = CellCache(root=tmp, enabled=True)
+        with ExperimentEngine(
+            workers=1, cache=cache, retry=RetryPolicy(max_attempts=3),
+            cell_timeout=3600.0,
+        ) as resilient:
             actual = resilient.run_cells(reps)
-        with ExperimentEngine(**armed) as resumed:
+        with ExperimentEngine(workers=1, cache=cache) as resumed:
             replayed = resumed.run_cells(reps)
     out: List[Violation] = []
     for label, outcomes in (("the armed engine", actual),
-                            ("a journal resume", replayed)):
+                            ("a rerun from its cache", replayed)):
         for i, (e, a) in enumerate(zip(expected, outcomes)):
             diffs = diff_results(e, a)
             if diffs:
@@ -219,7 +234,8 @@ def check_resilient_engine(
             detail=(
                 "a healthy run consumed resilience machinery: "
                 f"{stats.retries} retries, {stats.cell_timeouts} deadline "
-                f"breaches, {resumed.stats.cells_run} cells re-run on resume"
+                f"breaches, {resumed.stats.cells_run} cells re-run on a "
+                "rerun from the cache"
             ),
             subject=_subject(config),
         ))

@@ -2,10 +2,9 @@
 
 ``--plan``/``--ci-target``/``--budget`` ride the real argument parsers
 and engine plumbing: the experiments CLI routes classic table ids to
-their ``planned_*`` variants, forwards the planner config, and keeps
-working with ``--resume`` journal serving; the ROCC CLI turns one
-configuration into an adaptively-replicated run with an analytic
-comparison line.
+their ``planned_*`` variants, forwards the planner config, and serves
+a rerun from the cell cache; the ROCC CLI turns one configuration into
+an adaptively-replicated run with an analytic comparison line.
 """
 
 from __future__ import annotations
@@ -46,26 +45,18 @@ class TestExperimentsCliPlanned:
         with pytest.raises(SystemExit):
             experiments_main(["figure30", "--plan", "--budget", "0"])
 
-    def test_plan_with_resume_journal_serving(self, tmp_path: Path, capsys):
-        """Second planned run replays simulated cells from the journal."""
-        journal = tmp_path / "run.jsonl"
-        rc = experiments_main([
-            "figure30", "--plan", "--no-cache", "--resume", str(journal),
-        ])
-        assert rc == 0
+    def test_plan_rerun_served_from_cache(self, tmp_path: Path, capsys,
+                                          monkeypatch):
+        """A second planned run on the same cache simulates nothing and
+        renders the same table values."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert experiments_main(["figure30", "--plan"]) == 0
         first = capsys.readouterr()
-        assert journal.is_file(), "resume journal was not written"
-        assert "resumed" not in first.err
-
-        rc = experiments_main([
-            "figure30", "--plan", "--no-cache", "--resume", str(journal),
-        ])
-        assert rc == 0
+        assert experiments_main(["figure30", "--plan"]) == 0
         second = capsys.readouterr()
-        assert "resumed" in second.err, (
-            "second planned run did not serve cells from the journal"
+        assert " (0 run, " in second.err, (
+            "second planned run did not serve its cells from the cache"
         )
-        # Served-from-journal results must render the same table values.
         table = lambda text: [  # noqa: E731
             line for line in text.splitlines() if line.startswith("|")
         ]
@@ -99,20 +90,6 @@ class TestRoccCliPlanned:
         assert rc == 0
         out = capsys.readouterr().out
         assert "replications  : 4" in out
-
-    def test_plan_with_resume_journal(self, tmp_path: Path, capsys):
-        journal = tmp_path / "rocc.jsonl"
-        assert rocc_main(
-            [*self._BASE, "--plan", "--resume", str(journal)]
-        ) == 0
-        first = capsys.readouterr().out
-        assert journal.is_file()
-        assert rocc_main(
-            [*self._BASE, "--plan", "--resume", str(journal)]
-        ) == 0
-        second = capsys.readouterr().out
-        # Replayed cells produce the identical printed means.
-        assert first == second
 
     def test_ci_target_validated(self):
         with pytest.raises(SystemExit):

@@ -189,18 +189,96 @@ def test_cache_roundtrip_and_corruption_eviction(cfg, tmp_path):
     assert not cache.path_for(key).exists()
 
 
-def test_cache_clear_and_disable(cfg, tmp_path, monkeypatch):
-    cache = CellCache(tmp_path)
-    engine = ExperimentEngine(workers=1, cache=cache)
-    replicate(cfg, repetitions=2, engine=engine)
-    assert cache.clear() == 2
-    assert cache.clear() == 0
+def test_cache_disable_and_root(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CELL_CACHE", "0")
     assert CellCache(tmp_path).enabled is False
     monkeypatch.setenv("REPRO_CELL_CACHE", "1")
     assert CellCache(tmp_path).enabled is True
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
     assert CellCache().root == tmp_path / "elsewhere"
+
+
+_VERSION_A = "a" * 16
+_VERSION_B = "b" * 16
+
+
+def _open_as(version, root, monkeypatch):
+    """A cache opened on *root* by a fresh process of code *version*."""
+    import repro.experiments.engine as engine_mod
+
+    monkeypatch.setattr(engine_mod, "_code_version", version)
+    monkeypatch.setattr(engine_mod, "_swept", set())
+    return CellCache(root)
+
+
+def _fill_stale(root: Path, cfg, monkeypatch) -> Path:
+    """*root* as a cache of code version A left it (two entries, one of
+    them quarantined), next to the flat layout older code wrote and to
+    files the cache never wrote; returns the version A directory."""
+    old = _open_as(_VERSION_A, root, monkeypatch)
+    for rep in (0, 1):
+        old.put(config_fingerprint(cfg.with_(replication=rep)), rep)
+    old.path_for(config_fingerprint(cfg)).write_bytes(b"damaged")
+    assert old.get(config_fingerprint(cfg), kind=int) is None  # quarantined
+    for shard, name in (("cd", "cd01.pkl"), ("quarantine", "ef02.pkl")):
+        (root / shard).mkdir()
+        (root / shard / name).write_bytes(b"flat")
+        (root / shard / f"{name}.sha256").write_text("0" * 64)
+    (root / "notes.txt").write_text("mine")
+    (root / "ab").mkdir()
+    (root / "ab" / "keep.pkl").write_bytes(b"mine")
+    (root / "ab" / "README").write_text("not a cache entry")
+    (root / "mine").mkdir()
+    (root / "mine" / "x.pkl").write_bytes(b"mine")
+    return old.version_dir
+
+
+def test_cache_drops_other_code_versions(cfg, tmp_path, monkeypatch):
+    old_dir = _fill_stale(tmp_path, cfg, monkeypatch)
+    cache = _open_as(_VERSION_B, tmp_path, monkeypatch)
+    # Two entries of version A (one quarantined) and two flat ones.
+    assert cache.stale_dropped == 4
+    assert not old_dir.exists()
+    assert not (tmp_path / "cd").exists()
+    assert not (tmp_path / "quarantine").exists()
+    # What the cache did not write survives.
+    assert (tmp_path / "notes.txt").read_text() == "mine"
+    assert sorted(os.listdir(tmp_path / "ab")) == ["README", "keep.pkl"]
+    assert os.listdir(tmp_path / "mine") == ["x.pkl"]
+    engine = ExperimentEngine(workers=1, cache=cache)
+    assert engine.stats.summary().endswith(", 4 stale entries dropped")
+    # Only the first open of a root in a process sweeps it.
+    assert CellCache(tmp_path).stale_dropped == 0
+
+
+def test_same_version_rerun_drops_nothing(cfg, tmp_path, monkeypatch):
+    cache = _open_as(_VERSION_A, tmp_path, monkeypatch)
+    key = config_fingerprint(cfg)
+    cache.put(key, 7)
+    again = _open_as(_VERSION_A, tmp_path, monkeypatch)
+    assert again.stale_dropped == 0
+    assert again.get(key, kind=int) == 7
+
+
+def test_engine_line_reports_dropped_entries(cfg, tmp_path, monkeypatch,
+                                             capsys):
+    """The count follows the ``N cells (R run, C cached, F failed)``
+    prefix the e2e harness parses, inside the same brackets."""
+    import re
+
+    from repro.experiments.__main__ import main as experiments_main
+
+    _fill_stale(tmp_path, cfg, monkeypatch)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    # A fresh process of code version B.
+    monkeypatch.setattr("repro.experiments.engine._code_version", _VERSION_B)
+    monkeypatch.setattr("repro.experiments.engine._swept", set())
+    assert experiments_main(["figure9"]) == 0
+    err = capsys.readouterr().err
+    m = re.search(r"\[engine: \d+ cells \(\d+ run, \d+ cached, \d+ failed\)"
+                  r"([^\]]*)\]$", err, re.M)
+    assert m is not None, err
+    assert m.group(1).endswith(", 4 stale entries dropped")
 
 
 def test_suite_cache_is_not_the_users():

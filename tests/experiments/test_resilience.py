@@ -1,12 +1,11 @@
-"""Tests for the resilience layer: retries, deadlines, journal resume.
+"""Tests for the resilience layer: retries, deadlines, cache resume.
 
 The contract under test is the same determinism the engine tests lean
 on, extended across failures: a sweep that loses workers, breaches
-deadlines, or resumes from a journal must converge to results
-bit-identical to an undisturbed serial run.
+deadlines, or is rerun on the cache of an aborted run must converge to
+results bit-identical to an undisturbed serial run.
 """
 
-import json
 import pickle
 
 import pytest
@@ -18,11 +17,15 @@ from repro.experiments import (
     ExperimentEngine,
     FailureReport,
     RetryPolicy,
-    RunJournal,
     config_fingerprint,
     results_equal,
 )
-from repro.experiments.chaos import ChaosPlan, chaos_key, install_chaos
+from repro.experiments.chaos import (
+    ChaosKilled,
+    ChaosPlan,
+    chaos_key,
+    install_chaos,
+)
 from repro.experiments.resilience import DEFAULT_TRANSIENT
 from repro.rocc import SimulationConfig
 
@@ -96,51 +99,6 @@ def test_retry_policy_backoff_is_deterministic_and_bounded():
 
 
 # ---------------------------------------------------------------------------
-# RunJournal
-# ---------------------------------------------------------------------------
-
-
-def test_journal_roundtrip(cfg, tmp_path):
-    path = tmp_path / "run.jsonl"
-    results = _reference([cfg])[0]
-    key = config_fingerprint(cfg)
-    with RunJournal(path) as journal:
-        journal.record_attempt(key, 1)
-        journal.record_success(key, results, attempt=1, wall=0.25)
-    reloaded = RunJournal(path)
-    assert reloaded.completed_keys() == {key}
-    assert results_equal(reloaded.result_for(key), results)
-    assert reloaded.result_for("missing") is None
-    reloaded.close()
-
-
-def test_journal_tolerates_torn_tail_and_bad_checksum(cfg, tmp_path):
-    path = tmp_path / "run.jsonl"
-    results = _reference([cfg])[0]
-    key = config_fingerprint(cfg)
-    with RunJournal(path) as journal:
-        journal.record_success(key, results)
-        journal.record_failure("other-key", 3, "SimulationStalled: boom")
-    # Corrupt the success checksum and append a torn (partial) line.
-    lines = path.read_text().splitlines()
-    patched = []
-    for line in lines:
-        rec = json.loads(line)
-        if rec.get("event") == "success":
-            rec["sha256"] = "0" * 64
-        patched.append(json.dumps(rec))
-    patched.append('{"event": "succ')  # crash mid-append
-    path.write_text("\n".join(patched) + "\n")
-
-    reloaded = RunJournal(path)
-    # The damaged success is not served (worst case: recompute).
-    assert reloaded.result_for(key) is None
-    assert reloaded.skipped_records == 2
-    assert reloaded.failed == {"other-key": "SimulationStalled: boom"}
-    reloaded.close()
-
-
-# ---------------------------------------------------------------------------
 # Cache integrity (checksums, quarantine, crash-safe writes)
 # ---------------------------------------------------------------------------
 
@@ -175,7 +133,9 @@ def test_cache_quarantines_corrupt_entry(cfg, tmp_path):
     assert results_equal(cache.get(key), results)
 
 
-def test_cache_accepts_legacy_entry_without_sidecar(cfg, tmp_path):
+def test_cache_quarantines_entry_without_sidecar(cfg, tmp_path):
+    """Every entry of this code version was written with its checksum,
+    so an entry without one is damaged: a quarantined miss."""
     cache = CellCache(tmp_path)
     results = _reference([cfg])[0]
     key = config_fingerprint(cfg)
@@ -184,7 +144,9 @@ def test_cache_accepts_legacy_entry_without_sidecar(cfg, tmp_path):
         pickle.dumps(results, protocol=pickle.HIGHEST_PROTOCOL)
     )
     assert not cache.checksum_path_for(key).exists()
-    assert results_equal(cache.get(key), results)
+    assert cache.get(key) is None
+    assert cache.corrupt_entries == 1
+    assert not cache.path_for(key).exists()
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +218,11 @@ def test_engine_validates_parameters():
 
 
 def test_engine_defaults_are_plain():
-    """No retries, no deadline, no journal, strict: a failure raises on
-    the first attempt."""
+    """No retries, no deadline, strict: a failure raises on the first
+    attempt."""
     engine = ExperimentEngine(cache=CellCache(enabled=False))
     assert engine.retry == RetryPolicy.none()
     assert engine.cell_timeout is None
-    assert engine.journal is None
     assert engine.strict
 
 
@@ -278,61 +239,28 @@ def test_failure_report_summary_and_format(cfg):
 
 
 # ---------------------------------------------------------------------------
-# Journal resume: zero re-simulation, bit-identical metrics
+# Resume from the cache: zero re-simulation, bit-identical metrics
 # ---------------------------------------------------------------------------
 
 
-def test_resume_skips_completed_cells_and_matches(cfg, tmp_path):
+def test_rerun_resumes_aborted_sweep_from_cache(cfg, tmp_path):
+    """A strict run aborted at cell k has cached exactly cells 0..k-1;
+    the rerun serves those and simulates only the rest."""
     cells = [cfg.with_(replication=i) for i in range(4)]
     reference = _reference(cells)
-    journal = tmp_path / "sweep.jsonl"
+    k = 2
+    cache = CellCache(tmp_path / "cells")
+    plan = ChaosPlan(state_dir=str(tmp_path / "state"),
+                     raise_once=(chaos_key(cells[k]),))
+    with ExperimentEngine(workers=1, cache=cache) as first:
+        install_chaos(first, plan)
+        with pytest.raises(ChaosKilled):
+            first.run_cells(cells)
+    assert len(list(cache.version_dir.rglob("*.pkl"))) == k
 
-    with ExperimentEngine(
-        workers=1, cache=CellCache(enabled=False), journal=journal,
-    ) as first:
-        first.run_cells(cells[:2])  # interrupted after two cells
-    assert first.stats.cells_run == 2
-
-    with ExperimentEngine(
-        workers=1, cache=CellCache(enabled=False), journal=journal,
-    ) as second:
+    with ExperimentEngine(workers=1, cache=cache) as second:
         resumed = second.run_cells(cells)
-    assert second.stats.cells_resumed == 2
-    assert second.stats.cells_run == 2  # only the remainder simulated
+    assert second.stats.cache_hits == k
+    assert second.stats.cells_run == len(cells) - k
     for a, b in zip(reference, resumed):
         assert results_equal(a, b)
-    assert "2 resumed" in second.stats.summary()
-
-
-def test_resume_works_without_cache_and_across_config_changes(cfg, tmp_path):
-    journal = tmp_path / "sweep.jsonl"
-    with ExperimentEngine(
-        workers=1, cache=CellCache(enabled=False), journal=journal,
-    ) as first:
-        first.run_cells([cfg])
-    # A changed config produces a different fingerprint: no false resume.
-    other = cfg.with_(seed=6)
-    with ExperimentEngine(
-        workers=1, cache=CellCache(enabled=False), journal=journal,
-    ) as second:
-        second.run_cells([other])
-    assert second.stats.cells_resumed == 0
-    assert second.stats.cells_run == 1
-
-
-def test_journal_records_failures(cfg, tmp_path):
-    journal_path = tmp_path / "fail.jsonl"
-    slow = cfg.with_(duration=1e10)
-    with ExperimentEngine(
-        workers=1, cache=CellCache(enabled=False),
-        retry=RetryPolicy.none(), cell_timeout=0.2,
-        journal=journal_path, strict=False,
-    ) as engine:
-        engine.run_cells([slow])
-    events = [json.loads(line)["event"]
-              for line in journal_path.read_text().splitlines()]
-    assert events[0] == "journal"
-    assert "attempt" in events and "failure" in events
-    reloaded = RunJournal(journal_path)
-    assert reloaded.failed  # the breach is on record, not resumable
-    reloaded.close()

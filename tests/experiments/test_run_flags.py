@@ -71,7 +71,7 @@ def test_one_default_per_flag():
     assert args.strict and not hasattr(args, "profile")
     engine = engine_from_args(args)
     assert engine.retry.max_attempts == 1
-    assert engine.cell_timeout is None and engine.journal is None
+    assert engine.cell_timeout is None
     assert engine.workers == 1
 
 
@@ -85,26 +85,22 @@ def test_experiments_reports_ignored_plan(capsys):
     assert "--plan ignored" not in capsys.readouterr().err
 
 
-def test_rocc_reports_ignored_lp_workers(capsys):
-    """--lp-workers 2 is a usage error, not a flag the run ignores."""
-    err = _usage_error(rocc_main, ["--arch", "smp", "--nodes", "4",
-                                   "--duration-s", "0.2", "--lp-workers", "2"],
-                       capsys)
-    assert "unrecognized arguments: --lp-workers 2" in err
-    assert "ignored" not in err
+#: Each CLI with arguments that would otherwise start a run.
+_CLIS = {
+    "experiments": (experiments_main, ["figure22", "--no-cache"]),
+    "rocc": (rocc_main, ["--arch", "smp", "--nodes", "4",
+                         "--duration-s", "0.2"]),
+}
 
 
-def test_rocc_quiet_without_lp_workers(capsys):
-    assert rocc_main(["--arch", "smp", "--nodes", "4",
-                      "--duration-s", "0.2"]) == 0
-    out, err = capsys.readouterr()
-    assert "--lp-workers" not in out + err
-
-
-def test_experiments_summary_counts_ignored_lp_workers(capsys):
-    """--lp-workers 2 stops figure22 before any cell runs: no engine
-    summary is printed, so nothing is counted as ignored."""
-    err = _usage_error(experiments_main,
-                       ["figure22", "--no-cache", "--lp-workers", "2"], capsys)
-    assert "unrecognized arguments: --lp-workers 2" in err
+@pytest.mark.parametrize("flags", [["--lp-workers", "2"],
+                                   ["--resume", "x.jsonl"]],
+                         ids=["lp-workers", "resume"])
+@pytest.mark.parametrize("cli", sorted(_CLIS))
+def test_removed_flags_fail_loudly(cli, flags, capsys):
+    """A removed flag is a usage error that stops the run before any
+    cell, not a flag the run ignores."""
+    main, argv = _CLIS[cli]
+    err = _usage_error(main, [*argv, *flags], capsys)
+    assert f"unrecognized arguments: {' '.join(flags)}" in err
     assert "[engine:" not in err

@@ -176,11 +176,17 @@ class TestSortedPercentile:
 
     @staticmethod
     def _same(data, q):
+        """Equal values always; equal signs unless the data hold both
+        zeros, whose order ``np.percentile``'s partition does not fix
+        (it can read ``-0.0`` where the sorted data give ``0.0``)."""
         import numpy as np
 
         got = sorted_percentile(np.sort(np.asarray(data, dtype=float)), q)
         want = float(np.percentile(np.asarray(data, dtype=float), q))
-        assert got == want and math.copysign(1, got) == math.copysign(1, want)
+        assert got == want
+        signs = {math.copysign(1, x) for x in data if x == 0}
+        if len(signs) < 2:
+            assert math.copysign(1, got) == math.copysign(1, want)
 
     @given(
         data=st.lists(
@@ -201,6 +207,7 @@ class TestSortedPercentile:
         ([0.1, 0.7, 0.3], 25.0), ([3.0, 1.0, 2.0, 9.0, 5.0], 12.5),  # t = 0.5
         ([5.0] * 9 + [6.0], 95.0),                               # ties
         ([0.0, -0.0], 100.0),                        # top end: -0.0 + 0.0
+        ([0.0, -0.0, 0.0], 50.0),                    # both signed zeros
     ])
     def test_edge_cases(self, data, q):
         self._same(data, q)

@@ -212,22 +212,6 @@ def test_weibull_ppf_cdf_property(shape, scale):
         assert float(d.cdf(d.ppf(q))) == pytest.approx(q, abs=1e-9)
 
 
-class TestSupportMin:
-    """Lower support bound used for parallel-kernel lookahead."""
-
-    def test_deterministic_is_its_value(self):
-        assert Deterministic(42.0).support_min == 42.0
-
-    def test_uniform_is_low(self):
-        assert Uniform(5.0, 15.0).support_min == 5.0
-
-    @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: type(d).__name__)
-    def test_never_exceeds_samples(self, dist, rng):
-        lo = dist.support_min
-        assert lo >= 0.0
-        assert np.all(dist.sample_block(rng, 500) >= lo)
-
-    def test_unbounded_below_distributions_default_to_zero(self):
-        assert Exponential(100.0).support_min == 0.0
-        assert Lognormal(10.0, 4.0).support_min == 0.0
-        assert Weibull(1.5, 100.0).support_min == 0.0
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: type(d).__name__)
+def test_samples_are_non_negative(dist, rng):
+    assert np.all(dist.sample_block(rng, 500) >= 0.0)
