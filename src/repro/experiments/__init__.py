@@ -17,8 +17,8 @@ Cells (one simulation per ``(config, replication)`` pair) are scheduled
 by an :class:`~repro.experiments.engine.ExperimentEngine` — parallel
 across processes when ``workers > 1`` (or ``REPRO_WORKERS`` is set) and
 memoized on disk by a content-addressed cell cache, from which a rerun
-resumes an interrupted sweep; retries and per-cell deadlines are opt-in
-engine parameters:
+resumes an interrupted sweep or one that lost cells; a per-cell
+deadline is an opt-in engine parameter:
 
 >>> from repro.experiments import ExperimentEngine, use_engine, sweep
 >>> with use_engine(ExperimentEngine(workers=4)) as eng:   # doctest: +SKIP
@@ -43,8 +43,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "MeanResults": "runners",
     "CellError": "engine",
     "ExperimentEngine": "engine",
-    "RetryPolicy": "resilience",
-    "FailureReport": "resilience",
     "EngineStats": "engine",
     "CellCache": "engine",
     "config_fingerprint": "engine",

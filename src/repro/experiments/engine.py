@@ -1,4 +1,4 @@
-"""Experiment engine: parallel, memoized, bounded and resumable cells.
+"""Experiment engine: parallel, memoized and resumable cells.
 
 Every number the paper reports is the outcome of an independent
 *simulation cell* — one ``(SimulationConfig, replication)`` pair — and
@@ -21,20 +21,18 @@ both properties:
   midway resumes on rerun: only the cells that had not finished run.
   Entries live under a directory per code version; the first cache
   opened on a root in a process drops the other versions' entries.
-* **Bounded failure** — long sweeps die in mundane ways: a worker is
-  OOM-killed mid-cell, a pathological configuration livelocks the
-  kernel, a crash leaves a corrupt cache entry.  Per-cell deadlines,
-  retries of transient failures (:class:`~repro.experiments.resilience.RetryPolicy`),
-  degrade-to-serial on repeated pool breakage and, with
-  ``strict=False``, partial results plus a
-  :class:`~repro.experiments.resilience.FailureReport` make every
-  failure bounded.  The chaos harness in
-  :mod:`repro.experiments.chaos` exercises each failure mode.
+* **One failure contract** — a cell that fails (an exception, the
+  kernel watchdog's ``--cell-timeout`` deadline, a worker killed
+  mid-batch) is a :class:`CellError`: returned as an artifact under
+  ``isolate=True`` or ``strict=False`` and listed in
+  :attr:`ExperimentEngine.failure_report`, raised otherwise.  It is
+  never cached and never retried.  Cells are
+  deterministic, so the rerun is the retry: rerunning on the cache
+  serves every finished cell and simulates only the lost ones.
 
-Counters (``engine.retries``, ``engine.cell_timeouts``,
-``engine.pool_resets``, ``engine.cache_corrupt``) are published through
-the :mod:`repro.obs` metrics registry, and every attempt runs under a
-span when tracing is enabled.
+The ``engine.cache_corrupt`` counter is published through the
+:mod:`repro.obs` metrics registry, and every executed cell runs under
+a span when tracing is enabled.
 
 Environment knobs:
 
@@ -74,7 +72,6 @@ from ..obs.spans import (
 )
 from ..rocc.config import SimulationConfig
 from ..rocc.metrics import SimulationResults
-from .resilience import CellTimeout, FailureReport, RetryPolicy
 
 if TYPE_CHECKING:  # imported where used: a one-worker run creates no pool
     from concurrent.futures import ProcessPoolExecutor
@@ -83,6 +80,7 @@ __all__ = [
     "CellError",
     "EngineCellError",
     "EngineStats",
+    "FailureReport",
     "CellCache",
     "ExperimentEngine",
     "config_fingerprint",
@@ -141,6 +139,20 @@ class EngineCellError(RuntimeError):
             f"cell {cell_error.config_summary} failed: {cell_error.error}\n"
             f"{cell_error.traceback}"
         )
+
+
+class FailureReport(List[CellError]):
+    """The cells a run lost, in the order they failed.
+
+    Filled by :meth:`ExperimentEngine.run_cells` (``engine.failure_report``)
+    and truthy once a cell failed; both CLIs print :meth:`format` to
+    stderr and exit 1 then.
+    """
+
+    def format(self) -> str:
+        lines = [f"failure report: {len(self)} cell(s) failed"]
+        lines += [f"  {e.config_summary}: {e.error}" for e in self]
+        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -377,21 +389,28 @@ class CellCache:
             return None
         return result
 
-    def put(self, key: str, results: Any) -> None:
+    def put(self, key: str, results: Any) -> bool:
+        """Store *results* under *key*; False when nothing was stored
+        (the cache is off or the write failed).
+
+        A failed write (an unwritable root, a full disk) never raises:
+        the entry is simply missing, so the next run computes it again.
+        """
         if not self.enabled:
-            return
+            return False
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         blob = pickle.dumps(results, protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(blob).hexdigest()
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
             # Blob first, checksum second: a crash between the two
             # renames leaves a mismatched pair, which get() quarantines
             # and recomputes — never a torn pickle served as a hit.
             self._atomic_write(path, blob)
             self._atomic_write(self.checksum_path_for(key), digest.encode())
         except OSError:
-            pass  # cache is best-effort
+            return False
+        return True
 
     @staticmethod
     def _atomic_write(path: Path, data: bytes) -> None:
@@ -440,16 +459,11 @@ class EngineStats:
     cells_run: int = 0
     cache_hits: int = 0
     cell_errors: int = 0
-    #: Extra attempts executed (beyond each cell's first), including
-    #: re-runs after pool breakage.
-    retries: int = 0
-    #: Cells that exceeded their wall-clock deadline (in-worker watchdog
-    #: or the parent-side wait guard).
-    cell_timeouts: int = 0
-    #: Worker-pool restarts after breakage (killed/hung workers).
-    pool_resets: int = 0
     #: Cache entries quarantined as corrupt during lookups.
     cache_corrupt: int = 0
+    #: Finished cells whose cache write failed (a rerun computes them
+    #: again; see :meth:`CellCache.put`).
+    cache_write_failures: int = 0
     #: Entries of other code versions the engine's cache dropped on
     #: opening (see :class:`CellCache`).
     stale_dropped: int = 0
@@ -484,10 +498,10 @@ class EngineStats:
             cells_run=self.cells_run - earlier.cells_run,
             cache_hits=self.cache_hits - earlier.cache_hits,
             cell_errors=self.cell_errors - earlier.cell_errors,
-            retries=self.retries - earlier.retries,
-            cell_timeouts=self.cell_timeouts - earlier.cell_timeouts,
-            pool_resets=self.pool_resets - earlier.pool_resets,
             cache_corrupt=self.cache_corrupt - earlier.cache_corrupt,
+            cache_write_failures=(
+                self.cache_write_failures - earlier.cache_write_failures
+            ),
             stale_dropped=self.stale_dropped - earlier.stale_dropped,
             cells_pruned=self.cells_pruned - earlier.cells_pruned,
             replications_saved=(
@@ -501,27 +515,23 @@ class EngineStats:
     def summary(self) -> str:
         util = self.worker_utilization
         util_s = f"{100.0 * util:.0f}%" if util == util else "-"
-        resilience_bits = [
+        extra_bits = [
             f"{count} {label}"
             for count, label in (
                 (self.cells_pruned, "pruned"),
                 (self.replications_saved, "replications saved"),
-                (self.retries, "retries"),
-                (self.cell_timeouts, "timeouts"),
-                (self.pool_resets, "pool resets"),
                 (self.cache_corrupt, "corrupt cache entries"),
+                (self.cache_write_failures, "cache writes failed"),
                 (self.stale_dropped, "stale entries dropped"),
             )
             if count
         ]
-        resilience_s = (
-            f", {', '.join(resilience_bits)}" if resilience_bits else ""
-        )
+        extra_s = f", {', '.join(extra_bits)}" if extra_bits else ""
         return (
             f"{self.cells_submitted} cells ({self.cells_run} run, "
             f"{self.cache_hits} cached, {self.cell_errors} failed) in "
             f"{self.wall_time:.2f}s wall / {self.cell_cpu_time:.2f}s cpu, "
-            f"{self.workers} worker(s), {util_s} utilization{resilience_s}"
+            f"{self.workers} worker(s), {util_s} utilization{extra_s}"
         )
 
 
@@ -612,23 +622,10 @@ def _run_cell(payload: Tuple[SimulationConfig, bool, bool]) -> _CellOutcome:
 # The engine
 # ---------------------------------------------------------------------------
 
-#: Pool failures tolerated before an engine demotes itself to serial
-#: in-process execution.
-DEGRADE_AFTER = 3
-#: A pool worker gets ``cell_timeout × DEADLINE_GRACE + 2`` seconds before
-#: the parent-side guard declares it hung and tears the pool down.
-DEADLINE_GRACE = 3.0
-
 # Module-cached instruments (registry().reset() zeroes them in place,
 # so the references stay valid across test isolation).
-_RETRIES = obs_registry().counter(
-    "engine.retries", "cell re-executions scheduled by the engine"
-)
-_TIMEOUTS = obs_registry().counter(
-    "engine.cell_timeouts", "cells that exceeded their wall-clock deadline"
-)
-_ATTEMPT_SECONDS = obs_registry().histogram(
-    "engine.attempt_seconds", "wall seconds per executed cell attempt"
+_CELL_SECONDS = obs_registry().histogram(
+    "engine.cell_seconds", "wall seconds per executed cell"
 )
 _BATCH_SECONDS = obs_registry().histogram(
     "engine.batch_seconds", "wall seconds per run_cells batch"
@@ -644,35 +641,29 @@ class ExperimentEngine:
     :class:`~concurrent.futures.ProcessPoolExecutor` that is reused
     across batches until :meth:`close`.
 
-    The remaining parameters default to the plain run — no retries, no
-    deadline, ``strict=True`` — which leaves a healthy run exactly as if
-    each cell were simulated directly:
+    The remaining parameters default to the plain run — no deadline,
+    ``strict=True`` — which leaves a healthy run exactly as if each
+    cell were simulated directly:
 
-    * ``retry`` — the :class:`RetryPolicy` for transient failures
-      (default :meth:`RetryPolicy.none`).
-    * ``cell_timeout`` — per-cell wall-clock deadline, seconds.
-      Enforced inside the worker via the kernel watchdog
-      (``max_wall_seconds``) and, for workers hung outside the kernel,
-      by a parent-side wait guard (:data:`DEADLINE_GRACE`) that tears
-      the pool down.
-    * ``strict`` — when False, a cell that exhausts its attempts never
-      raises: it is returned as a :class:`CellError` artifact (the
-      partial-results contract of ``isolate=True``) and recorded in
-      :attr:`failure_report`.
+    * ``cell_timeout`` — per-cell wall-clock deadline, seconds, enforced
+      inside the cell by the kernel watchdog (``max_wall_seconds``).
+      Cache keys are taken from the configs as submitted, so a deadline
+      never changes them.
+    * ``strict`` — when False, a failed cell never raises: it is
+      returned as a :class:`CellError` artifact (the partial-results
+      contract of ``isolate=True``).
 
-    Attempt accounting: a failure *inside* a cell (exception, watchdog
-    stall, deadline breach) consumes one of the cell's attempts.  Pool
-    shrapnel — sibling futures that die with ``BrokenProcessPool`` or
-    are cancelled because some *other* cell broke the pool — is requeued
-    without consuming the victim cells' budgets, and is bounded by
-    :data:`DEGRADE_AFTER` pool failures, after which the engine runs
-    serially.
+    Every failed cell is appended to :attr:`failure_report` and never
+    cached.  The engine never retries it: a rerun on the cache is what
+    runs it again.  A worker that dies mid-batch fails the batch's
+    unfinished cells with ``BrokenProcessPool``.  A broken pool, or one
+    still running the wave of a strict run that a failure stopped, is
+    dropped, and the next batch builds a fresh one.
     """
 
     def __init__(self, workers: Optional[int] = None,
                  cache: Optional[CellCache] = None,
                  stats: Optional[EngineStats] = None,
-                 retry: Optional[RetryPolicy] = None,
                  cell_timeout: Optional[float] = None,
                  strict: bool = True):
         if workers is None:
@@ -686,15 +677,12 @@ class ExperimentEngine:
         self.stats = stats if stats is not None else EngineStats(workers=workers)
         self.stats.workers = workers
         self.stats.stale_dropped += self.cache.stale_dropped
-        self.retry = retry if retry is not None else RetryPolicy.none()
         self.cell_timeout = cell_timeout
         self.strict = strict
         self.failure_report = FailureReport()
-        self._pool_failures = 0
         self._pool: Optional[ProcessPoolExecutor] = None
-        #: The picklable callable executed per cell.  The chaos harness
-        #: (:mod:`repro.experiments.chaos`) swaps in a fault-injecting
-        #: wrapper; everything else uses :func:`_run_cell`.
+        #: The picklable callable executed per cell: :func:`_run_cell`,
+        #: or a failing stand-in a test substitutes.
         self.cell_runner: Callable[[Tuple], _CellOutcome] = _run_cell
 
     # -- lifecycle -----------------------------------------------------
@@ -764,20 +752,21 @@ class ExperimentEngine:
             if hit is not None:
                 outcomes[i] = hit
             else:
-                pending.append((i, config, key, 1))
+                pending.append((i, config, key))
 
-        for i, config, key, out, attempt in self._execute(
-            pending, aggregated, isolate
-        ):
+        for i, key, out in self._execute(pending, aggregated):
             self.stats.cells_run += 1
+            self._book(out)
             if out.ok:
                 outcomes[i] = out.result
-                if key:
-                    self.cache.put(key, out.result)
+                if key and not self.cache.put(key, out.result):
+                    self.stats.cache_write_failures += 1
                 continue
             self.stats.cell_errors += 1
-            self.failure_report.add(config, key, attempt, out.error)
+            self.failure_report.append(out.error)
             if not isolate:
+                # The run stops here: cancel the rest of a pool wave.
+                self._drop_pool()
                 if out.exc is not None:
                     raise out.exc
                 raise EngineCellError(out.error)
@@ -803,107 +792,44 @@ class ExperimentEngine:
         return hit
 
     # -- execution -----------------------------------------------------
-    def _execute(self, pending, aggregated: bool, isolate: bool):
-        """Run *pending* ``(i, config, key, attempt)`` cells; yield
-        ``(i, config, key, outcome, attempts)`` for each final outcome."""
+    def _execute(self, pending, aggregated: bool):
+        """Run *pending* ``(i, config, key)`` cells once each, yielding
+        ``(i, key, outcome)`` as each finishes.
+
+        Inline cells run one at a time as the caller asks for them, so a
+        strict caller that raises on a failure starts no later cell.
+        Pool cells are one wave: every cell is submitted up front.
+        """
         traced = tracing_enabled()
-        while pending:
-            if self.workers == 1 or len(pending) == 1:
-                for i, config, key, attempt in pending:
-                    out, attempt = self._serial_attempts(
-                        config, key, aggregated, traced, attempt
-                    )
-                    yield i, config, key, out, attempt
-                    if not out.ok and not isolate:
-                        return  # fail fast: later cells never start
-                return
-            pending, delay = yield from self._pool_round(
-                pending, aggregated, traced
-            )
-            if pending and delay > 0.0:
-                time.sleep(delay)
-
-    def _serial_attempts(self, config, key, aggregated, traced,
-                         attempt: int) -> Tuple[_CellOutcome, int]:
-        """Run one cell inline until success or the policy gives up;
-        returns the final outcome and the attempt count."""
-        while True:
-            with maybe_span(
-                "attempt", cat="engine.attempt",
-                args={"attempt": attempt, "key": (key or "")[:12]},
-            ):
-                out = self._run_inline(config, aggregated, traced)
-            self._book(out)
-            if out.ok or not self._retry(out, attempt):
-                return out, attempt
-            time.sleep(self.retry.delay(attempt, key or ""))
-            attempt += 1
-
-    def _pool_round(self, pending, aggregated, traced):
-        """One parallel wave over *pending*; yields finished cells and
-        returns ``(still_pending, backoff_delay)``."""
-        # Not the builtin TimeoutError: before Python 3.11 they differ.
-        from concurrent.futures import TimeoutError as _FuturesTimeout
+        if self.workers == 1 or len(pending) <= 1:
+            for i, config, key in pending:
+                yield i, key, self._run_inline(config, aggregated, traced)
+            return
+        from concurrent.futures.process import BrokenProcessPool
 
         pool = self._ensure_pool()
-        futures = []
-        for item in pending:
-            i, config, key, attempt = item
-            futures.append((item, pool.submit(
-                self.cell_runner,
-                (self._with_deadline(config), aggregated, traced),
-            )))
-        next_pending: List[Tuple] = []
-        delay = 0.0
-        pool_failed = False
-        for item, future in futures:
-            i, config, key, attempt = item
-            with maybe_span(
-                "attempt", cat="engine.attempt",
-                args={"attempt": attempt, "key": (key or "")[:12]},
-            ) as span:
-                try:
-                    # Once the pool is known broken, the remaining
-                    # futures fail (or were cancelled) immediately —
-                    # keep a short guard instead of a full deadline wait.
-                    wait = 15.0 if pool_failed else self._wait_timeout()
-                    out = future.result(timeout=wait)
-                except KeyboardInterrupt:
-                    raise
-                except _FuturesTimeout:
-                    # The worker is hung somewhere the in-worker
-                    # watchdog cannot reach; kill the pool and charge
-                    # this cell.
-                    out = self._timeout_outcome(config)
-                    self._note_pool_failure(hard=True)
-                    pool_failed = True
-                except BaseException:
-                    # Worker death (BrokenProcessPool) or post-reset
-                    # cancellation: pool-level shrapnel.  Requeue
-                    # without consuming the cell's attempt budget —
-                    # bounded by DEGRADE_AFTER, not max_attempts.
-                    if not pool_failed:
-                        self._note_pool_failure(hard=False)
-                        pool_failed = True
-                    self._count_retry()
-                    next_pending.append(item)
-                    if span is not None:
-                        span.args["requeued"] = True
-                    continue
-                if span is not None:
-                    span.args["ok"] = out.ok
-            self._book(out)
-            if not out.ok and self._retry(out, attempt):
-                delay = max(delay, self.retry.delay(attempt, key or ""))
-                next_pending.append((i, config, key, attempt + 1))
-            else:
-                yield i, config, key, out, attempt
-        return next_pending, delay
+        futures = [
+            pool.submit(self.cell_runner,
+                        (self._with_deadline(config), aggregated, traced))
+            for _, config, _ in pending
+        ]
+        for (i, config, key), future in zip(pending, futures):
+            try:
+                out = future.result()
+            except Exception as exc:
+                # A dead worker breaks the pool: this and every other
+                # unfinished cell of the wave fail with BrokenProcessPool.
+                if isinstance(exc, BrokenProcessPool):
+                    self._drop_pool()
+                out = _CellOutcome(
+                    ok=False, error=CellError.from_exception(config, exc)
+                )
+            yield i, key, out
 
     def _run_inline(self, config: SimulationConfig,
                     aggregated: bool, traced: bool) -> _CellOutcome:
-        """One inline cell; exceptions from a swapped-in ``cell_runner``
-        (chaos wrappers raise by design) become failure artifacts."""
+        """One inline cell; an exception from a substituted
+        ``cell_runner`` becomes its failure artifact."""
         try:
             return self.cell_runner(
                 (self._with_deadline(config), aggregated, traced)
@@ -913,38 +839,13 @@ class ExperimentEngine:
                 ok=False, error=CellError.from_exception(config, exc), exc=exc
             )
 
-    # -- bookkeeping ---------------------------------------------------
-    def _book(self, out: _CellOutcome) -> None:
-        """Account for one executed attempt, final or retried: its wall
-        and CPU time, spans and metrics delta."""
-        _ATTEMPT_SECONDS.observe(out.wall)
-        self.stats.cell_wall_time += out.wall
-        self.stats.cell_cpu_time += out.cpu
-        tracer = current_tracer()
-        if tracer is not None and out.trace is not None:
-            tracer.merge(out.trace)
-        if out.metrics and out.pid != os.getpid():
-            # Inline cells already published into this registry; only
-            # foreign (worker) deltas need folding in.
-            obs_registry().merge_snapshot(out.metrics)
+    def _drop_pool(self) -> None:
+        """Forget the pool (broken, or busy with cells nobody will
+        read) without waiting for it; the next batch builds a fresh one."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
 
-    def _retry(self, out: _CellOutcome, attempt: int) -> bool:
-        """Note a failed attempt; True when the policy grants another."""
-        if self.retry.error_class(out.error) in ("CellTimeout", "SimulationStalled"):
-            self.stats.cell_timeouts += 1
-            self.failure_report.cell_timeouts += 1
-            _TIMEOUTS.inc()
-        if not self.retry.should_retry(out.error, attempt):
-            return False
-        self._count_retry()
-        return True
-
-    def _count_retry(self) -> None:
-        self.stats.retries += 1
-        self.failure_report.retries += 1
-        _RETRIES.inc()
-
-    # -- deadlines and pool failure ------------------------------------
     def _with_deadline(self, config: SimulationConfig) -> SimulationConfig:
         if self.cell_timeout is None:
             return config
@@ -957,49 +858,20 @@ class ExperimentEngine:
             return config
         return config.with_(max_wall_seconds=deadline)
 
-    def _wait_timeout(self) -> Optional[float]:
-        if self.cell_timeout is None:
-            return None
-        return self.cell_timeout * DEADLINE_GRACE + 2.0
-
-    def _timeout_outcome(self, config: SimulationConfig) -> _CellOutcome:
-        exc = CellTimeout(
-            f"cell exceeded its wall-clock deadline of "
-            f"{self.cell_timeout}s (worker unresponsive; pool reset)"
-        )
-        return _CellOutcome(
-            ok=False, error=CellError.from_exception(config, exc), exc=exc
-        )
-
-    def _note_pool_failure(self, hard: bool) -> None:
-        self._pool_failures += 1
-        if hard:
-            # The workers may be hung, not just dead: terminate them
-            # before shutting the executor down.
-            processes = getattr(self._pool, "_processes", None) or {}
-            for proc in list(processes.values()):
-                try:
-                    proc.terminate()
-                except Exception:
-                    pass
-        self._reset_broken_pool()
-        self.failure_report.pool_resets = self.stats.pool_resets
-        if self._pool_failures >= DEGRADE_AFTER and self.workers > 1:
-            # Graceful degradation: the pool keeps dying under us, so
-            # stop using one.  Serial execution cannot lose workers.
-            self.workers = 1
-            self.stats.workers = 1
-            self.failure_report.degraded_to_serial = True
-
-    def _reset_broken_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-            self.stats.pool_resets += 1
-            obs_registry().counter(
-                "engine.pool_resets",
-                "worker-pool restarts after breakage",
-            ).inc()
+    # -- bookkeeping ---------------------------------------------------
+    def _book(self, out: _CellOutcome) -> None:
+        """Account for one executed cell: its wall and CPU time, spans
+        and metrics delta."""
+        _CELL_SECONDS.observe(out.wall)
+        self.stats.cell_wall_time += out.wall
+        self.stats.cell_cpu_time += out.cpu
+        tracer = current_tracer()
+        if tracer is not None and out.trace is not None:
+            tracer.merge(out.trace)
+        if out.metrics and out.pid != os.getpid():
+            # Inline cells already published into this registry; only
+            # foreign (worker) deltas need folding in.
+            obs_registry().merge_snapshot(out.metrics)
 
 # ---------------------------------------------------------------------------
 # Ambient engine

@@ -3,10 +3,11 @@
 ``python -m repro.experiments`` and ``python -m repro.rocc`` run their
 cells through one :class:`~repro.experiments.engine.ExperimentEngine`.
 :func:`add_run_flags` defines the flags that shape such a run —
-deadlines, retries, strictness, tracing (which also profiles the
-kernel), and the planner's precision target and budget — and
+the deadline, strictness, tracing (which also profiles the kernel),
+and the planner's precision target and budget — and
 :func:`engine_from_args` builds the engine from them.  There is no
-resume flag: a rerun serves every finished cell from the cell cache.
+resume or retry flag: a rerun serves every finished cell from the cell
+cache and simulates only the cells that had not finished or failed.
 
 Each flag has one default.  The values come from outside the program,
 so each is checked as it is parsed: a count below its minimum, or a
@@ -69,17 +70,12 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
     flag = parser.add_argument
     flag("--cell-timeout", action=Checked, check=_positive, default=None,
          metavar="SECONDS",
-         help="per-cell wall-clock deadline: a cell exceeding it is "
-         "aborted (in-worker watchdog, plus a parent-side guard for hung "
-         "workers) and retried per --max-retries")
-    flag("--max-retries", action=Checked, check=int_at_least(0), default=0,
-         metavar="N",
-         help="retries per cell for transient failures (worker death, "
-         "stalls, deadline breaches) (default: 0)")
+         help="per-cell wall-clock deadline: the kernel watchdog aborts "
+         "a cell that exceeds it, and the cell fails")
     flag("--strict", action=argparse.BooleanOptionalAction, default=True,
-         help="with --no-strict, cells that exhaust their retries are "
-         "reported in a failure report (exit 1) and the run continues "
-         "with partial results instead of aborting")
+         help="with --no-strict, failed cells are reported in a failure "
+         "report (exit 1) and the run continues with partial results "
+         "instead of aborting; a rerun on the cache runs only those")
     flag("--trace-out", metavar="PATH", default=None,
          help="record spans, occupancy tracks and a kernel profile of "
          "every executed cell, print the des.* profile rows with the "
@@ -101,12 +97,10 @@ def engine_from_args(args: argparse.Namespace, cache=None,
     """The :class:`ExperimentEngine` the shared run flags in *args* ask
     for, with *cache* and *workers* as the caller decides."""
     from .engine import ExperimentEngine
-    from .resilience import RetryPolicy
 
     return ExperimentEngine(
         workers=workers,
         cache=cache,
-        retry=RetryPolicy(max_attempts=args.max_retries + 1),
         cell_timeout=args.cell_timeout,
         strict=args.strict,
     )

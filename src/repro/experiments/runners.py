@@ -15,14 +15,14 @@ batch so a multi-worker engine can overlap all of them, and finished
 cells are memoized in the engine's content-addressed cache, the moment
 each finishes, so rerunning an interrupted sweep runs only the rest.
 
-When the ambient engine is given a deadline or a retry policy, the
-same batch gets per-cell deadlines and transparent retries of
-transient failures — no runner changes needed.  Under
-``strict=False`` a cell that exhausts its attempts arrives here as a
-:class:`CellError` artifact (exactly like ``isolate=True``), so sweeps
-return partial :class:`MeanResults` — the numeric means skip the lost
-replications and the failures ride along in ``errors`` — and the
-engine's ``failure_report`` carries the structured account.
+When the ambient engine is given a deadline, the same batch gets it
+per cell — no runner changes needed.  A cell runs once per run: under
+``strict=False`` a failed cell arrives here as a :class:`CellError`
+artifact (exactly like ``isolate=True``), so sweeps return partial
+:class:`MeanResults` — the numeric means skip the lost replications
+and the failures ride along in ``errors`` — and the engine's
+``failure_report`` lists them.  Rerunning on the cache simulates only
+the lost cells.
 """
 
 from __future__ import annotations

@@ -181,13 +181,10 @@ def _single_run(args, config, engine) -> int:
     """One cell; with default flags exactly ``simulate(config)`` (or
     ``simulate_aggregated``)."""
     (outcome,) = engine.run_cells([config], aggregated=args.aggregated)
-    report = engine.failure_report
     if isinstance(outcome, CellError):
-        print(report.format(), file=sys.stderr)
+        print(engine.failure_report.format(), file=sys.stderr)
         return 1
     print(format_results(outcome))
-    if report.retries or report.cell_timeouts:
-        print(f"[resilience: {report.summary()}]", file=sys.stderr)
     return 0
 
 

@@ -10,10 +10,9 @@ but promise not to change *what* it computes:
   warm call must simulate nothing);
 * a BF flush timeout under batch size 1 — the flush loop can never see
   a non-empty batch, so enabling it must be a no-op;
-* the engine's failure machinery — armed retries and a generous
-  per-cell deadline around a run that needs none of them must leave it
-  untouched, and a plain rerun on the same cache must serve it exactly
-  (the deadline does not leak into cache keys);
+* the engine's per-cell deadline — a deadline far above what a run
+  needs must leave it untouched, and a plain rerun on the same cache
+  must serve it exactly (the deadline does not leak into cache keys);
 * the event scheduler's two phases — a run served by the calendar queue
   from its first event, and the default run (heap, promoted to the
   calendar at depth 512), vs a run kept on the reference binary heap
@@ -187,20 +186,17 @@ def check_bf_flush_noop(config: SimulationConfig) -> List[Violation]:
 def check_resilient_engine(
     config: SimulationConfig, repetitions: int = 2
 ) -> List[Violation]:
-    """The engine's defaults vs the engine with its failure machinery on.
+    """The engine's defaults vs the engine with a per-cell deadline.
 
-    Retries, the per-cell deadline (set far above what the run needs)
-    and the attempt accounting wrap *around* the simulation; a healthy
-    run must come out bit-identical, and a run with the engine's
-    defaults on the same cache must serve every cell from it unchanged —
-    the deadline the armed engine ships to its cells must not change
-    their cache keys.
+    The deadline (set far above what the run needs) arms the kernel
+    watchdog *around* the simulation; a healthy run must come out
+    bit-identical, and a run with the engine's defaults on the same
+    cache must serve every cell from it unchanged — the deadline the
+    armed engine ships to its cells must not change their cache keys.
     Together with ``check_watchdog`` this licenses the engine's core
-    assumption: re-executing a cell under a deadline yields the same
-    results as the first try.
+    assumption: a cell computes the same results under a deadline or
+    none, so a rerun resumes a sweep on the cache it left.
     """
-    from ..experiments.resilience import RetryPolicy
-
     reps = [
         config.with_(replication=config.replication + i)
         for i in range(repetitions)
@@ -211,10 +207,9 @@ def check_resilient_engine(
     with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
         cache = CellCache(root=tmp, enabled=True)
         with ExperimentEngine(
-            workers=1, cache=cache, retry=RetryPolicy(max_attempts=3),
-            cell_timeout=3600.0,
-        ) as resilient:
-            actual = resilient.run_cells(reps)
+            workers=1, cache=cache, cell_timeout=3600.0,
+        ) as armed:
+            actual = armed.run_cells(reps)
         with ExperimentEngine(workers=1, cache=cache) as resumed:
             replayed = resumed.run_cells(reps)
     out: List[Violation] = []
@@ -227,15 +222,12 @@ def check_resilient_engine(
                     "differential.resilience", reps[i], diffs,
                     f"running replication {i} on {label}",
                 ))
-    stats = resilient.stats
-    if stats.retries or stats.cell_timeouts or resumed.stats.cells_run:
+    if resumed.stats.cells_run:
         out.append(Violation(
             invariant="differential.resilience",
             detail=(
-                "a healthy run consumed resilience machinery: "
-                f"{stats.retries} retries, {stats.cell_timeouts} deadline "
-                f"breaches, {resumed.stats.cells_run} cells re-run on a "
-                "rerun from the cache"
+                f"{resumed.stats.cells_run} cells re-run on a rerun from "
+                "the armed engine's cache: the deadline changed their keys"
             ),
             subject=_subject(config),
         ))

@@ -3,14 +3,20 @@
 The load-bearing property is *determinism*: because every cell draws
 from dedicated named substreams, the same sweep must yield identical
 ``SimulationResults`` field-by-field whether it runs serially, across
-worker processes, or from a warm content-addressed cache.
+worker processes, or from a warm content-addressed cache.  The failure
+contract leans on it: a failed cell fails once, is never cached, and a
+rerun on the cache simulates only the lost cells.
 """
 
+import functools
+import hashlib
 import json
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -30,7 +36,12 @@ from repro.experiments import (
     sweep,
     use_engine,
 )
-from repro.experiments.engine import code_version
+from repro.experiments.engine import (
+    EngineCellError,
+    FailureReport,
+    _run_cell,
+    code_version,
+)
 from repro.expdesign.factorial import Factor, FactorialDesign
 from repro.rocc import SimulationConfig
 from repro.rocc.config import DaemonCostModel
@@ -51,6 +62,11 @@ def cfg():
 
 def _no_cache_engine(workers=1):
     return ExperimentEngine(workers=workers, cache=CellCache(enabled=False))
+
+
+def _reference(cells):
+    with _no_cache_engine() as engine:
+        return engine.run_cells(cells)
 
 
 def _assert_cells_identical(cells_a, cells_b):
@@ -298,6 +314,108 @@ def test_failed_cells_are_never_cached(cfg, tmp_path):
     assert cache.get(config_fingerprint(bad)) is None
 
 
+def test_cache_put_writes_checksum_sidecar(cfg, tmp_path):
+    cache = CellCache(tmp_path)
+    results = _reference([cfg])[0]
+    key = config_fingerprint(cfg)
+    assert cache.put(key, results)
+    blob = cache.path_for(key).read_bytes()
+    sidecar = cache.checksum_path_for(key)
+    assert sidecar.read_text().strip() == hashlib.sha256(blob).hexdigest()
+    assert results_equal(cache.get(key), results)
+    # No stray tmp files from the atomic write protocol.
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_cache_quarantines_corrupt_entry(cfg, tmp_path):
+    cache = CellCache(tmp_path)
+    results = _reference([cfg])[0]
+    key = config_fingerprint(cfg)
+    cache.put(key, results)
+    cache.path_for(key).write_bytes(b"scribbled by a crash")
+    assert cache.get(key) is None  # checksum catches it before unpickle
+    assert cache.corrupt_entries == 1
+    assert not cache.path_for(key).exists()
+    assert any(cache.quarantine_dir.iterdir())
+    # The slot is reusable after quarantine.
+    cache.put(key, results)
+    assert results_equal(cache.get(key), results)
+
+
+def test_corrupt_cache_entry_modes(cfg, tmp_path):
+    """Garbage and a torn (truncated) write are both quarantined misses."""
+    cache = CellCache(tmp_path)
+    results = _reference([cfg])[0]
+    damages = {
+        "garbage": lambda blob: b"\x00garbage" * 8,
+        "truncate": lambda blob: blob[: len(blob) // 2],
+    }
+    for i, damage in enumerate(damages.values()):
+        key = config_fingerprint(cfg.with_(seed=100 + i))
+        cache.put(key, results)
+        path = cache.path_for(key)
+        path.write_bytes(damage(path.read_bytes()))
+        assert cache.get(key) is None
+        assert not path.exists()  # quarantined
+    assert cache.corrupt_entries == len(damages)
+
+
+def test_cache_quarantines_entry_without_sidecar(cfg, tmp_path):
+    """Every entry of this code version was written with its checksum,
+    so an entry without one is damaged: a quarantined miss."""
+    cache = CellCache(tmp_path)
+    results = _reference([cfg])[0]
+    key = config_fingerprint(cfg)
+    cache.path_for(key).parent.mkdir(parents=True, exist_ok=True)
+    cache.path_for(key).write_bytes(
+        pickle.dumps(results, protocol=pickle.HIGHEST_PROTOCOL)
+    )
+    assert not cache.checksum_path_for(key).exists()
+    assert cache.get(key) is None
+    assert cache.corrupt_entries == 1
+    assert not cache.path_for(key).exists()
+
+
+def test_unwritable_cache_never_aborts_the_run(cfg, tmp_path, monkeypatch):
+    """A cache that cannot be written, whether its directory cannot be
+    made or a write fails, loses the entry, not the run, and the
+    engine line counts the loss."""
+    afile = tmp_path / "afile"
+    afile.write_text("a regular file, not a directory")
+    reference = _reference([cfg])[0]
+    engine = ExperimentEngine(workers=1, cache=CellCache(afile / "cells"))
+    (out,) = engine.run_cells([cfg])
+    assert results_equal(out, reference)
+    assert engine.stats.cache_write_failures == 1
+    assert engine.stats.summary().endswith(", 1 cache writes failed")
+
+    def full_disk(path, data):
+        raise OSError(28, "No space left on device")
+
+    cache = CellCache(tmp_path / "cells")
+    monkeypatch.setattr(CellCache, "_atomic_write", staticmethod(full_disk))
+    engine = ExperimentEngine(workers=1, cache=cache)
+    engine.run_cells([cfg, cfg.with_(replication=1)])
+    assert engine.stats.cache_write_failures == 2
+    assert cache.get(config_fingerprint(cfg)) is None
+
+
+def test_unwritable_cache_is_reported_on_the_engine_line(tmp_path,
+                                                         monkeypatch, capsys):
+    import re
+
+    from repro.experiments.__main__ import main as experiments_main
+
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(afile / "cells"))
+    assert experiments_main(["figure22"]) == 0
+    line = re.search(r"^\[engine: (\d+) cells \((\d+) run, .*\]$",
+                     capsys.readouterr().err, re.M)
+    assert line is not None
+    assert line.group(0).endswith(f", {line.group(2)} cache writes failed]")
+
+
 # ---------------------------------------------------------------------------
 # Failure semantics across the process boundary
 # ---------------------------------------------------------------------------
@@ -328,6 +446,195 @@ def test_serial_fallback_fails_fast(cfg):
     with pytest.raises(SimulationStalled):
         replicate(cfg.with_(max_events=10), repetitions=3, engine=engine)
     assert engine.stats.cells_run == 1  # reps 2 and 3 never started
+
+
+def _kill_worker_on(replication, payload):
+    """Cell runner that SIGKILLs its worker on one replication."""
+    if payload[0].replication == replication:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _run_cell(payload)
+
+
+def _fail_on(replication, payload):
+    """Cell runner that fails one replication."""
+    if payload[0].replication == replication:
+        raise RuntimeError(f"injected failure of rep {replication}")
+    return _run_cell(payload)
+
+
+def test_worker_death_fails_unfinished_cells(cfg, tmp_path):
+    """A worker killed mid-batch fails that batch's unfinished cells
+    with BrokenProcessPool, once each: nothing is retried, no failed
+    cell is cached, the next batch runs on a fresh pool, and a rerun on
+    the cache simulates only the lost cells."""
+    cells = [cfg.with_(replication=i) for i in range(6)]
+    reference = _reference(cells)
+    cache = CellCache(tmp_path)
+    with ExperimentEngine(workers=2, cache=cache) as engine:
+        engine.cell_runner = functools.partial(_kill_worker_on, 1)
+        out = engine.run_cells(cells[:4], isolate=True)
+        lost = [i for i, o in enumerate(out) if isinstance(o, CellError)]
+        assert 1 in lost
+        for i, outcome in enumerate(out):
+            key = config_fingerprint(cells[i])
+            if i in lost:
+                assert outcome.error.startswith("BrokenProcessPool")
+                assert cache.get(key) is None
+            else:
+                assert results_equal(outcome, reference[i])
+                assert results_equal(cache.get(key), reference[i])
+        assert engine.stats.cells_run == 4
+        assert engine.stats.cell_errors == len(lost)
+        assert engine.failure_report == [out[i] for i in lost]
+        assert engine._pool is None  # the broken pool was dropped
+
+        engine.cell_runner = _run_cell
+        fresh = engine.run_cells(cells[4:])
+        assert engine._pool is not None
+        assert all(results_equal(a, b) for a, b in zip(fresh, reference[4:]))
+
+    with ExperimentEngine(workers=1, cache=cache) as rerun:
+        resumed = rerun.run_cells(cells[:4])
+    assert rerun.stats.cells_run == len(lost)
+    assert rerun.stats.cache_hits == 4 - len(lost)
+    assert all(results_equal(a, b) for a, b in zip(resumed, reference))
+
+
+def test_worker_death_raises_when_strict(cfg):
+    cells = [cfg.with_(replication=i) for i in range(4)]
+    with _no_cache_engine(workers=2) as engine:
+        engine.cell_runner = functools.partial(_kill_worker_on, 1)
+        with pytest.raises(EngineCellError, match="BrokenProcessPool"):
+            engine.run_cells(cells)
+
+
+def _fail_0_kill_1(payload):
+    """Cell runner: rep 0 fails at once, rep 1's worker dies later."""
+    if payload[0].replication == 0:
+        raise RuntimeError("injected failure of rep 0")
+    if payload[0].replication == 1:
+        time.sleep(0.3)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _run_cell(payload)
+
+
+def test_strict_failure_drops_the_pool_it_stops(cfg):
+    """A strict failure stops reading the wave before the worker death
+    breaks the pool; the next batch must not inherit that pool."""
+    cells = [cfg.with_(replication=i) for i in range(6)]
+    with _no_cache_engine(workers=2) as engine:
+        engine.cell_runner = _fail_0_kill_1
+        with pytest.raises(EngineCellError, match="RuntimeError"):
+            engine.run_cells(cells[:4])
+        time.sleep(0.5)  # the worker death has broken the old pool
+        engine.cell_runner = _run_cell
+        fresh = engine.run_cells(cells[4:])
+    assert all(results_equal(a, b) for a, b in zip(fresh, _reference(cells[4:])))
+
+
+def test_failed_cell_runs_once(cfg):
+    """No in-run retry: a failed cell is reported after its one run."""
+    with _no_cache_engine() as engine:
+        engine.cell_runner = functools.partial(_fail_on, 0)
+        out = engine.run_cells([cfg, cfg.with_(replication=1)], isolate=True)
+    assert isinstance(out[0], CellError) and out[0].error.startswith(
+        "RuntimeError: injected failure")
+    assert results_equal(out[1], _reference([cfg.with_(replication=1)])[0])
+    assert engine.stats.cells_run == 2 and engine.stats.cell_errors == 1
+
+
+def test_rerun_resumes_aborted_sweep_from_cache(cfg, tmp_path):
+    """A strict run aborted at cell k has cached exactly cells 0..k-1;
+    the rerun serves those and simulates only the rest."""
+    cells = [cfg.with_(replication=i) for i in range(4)]
+    reference = _reference(cells)
+    k = 2
+    cache = CellCache(tmp_path / "cells")
+    with ExperimentEngine(workers=1, cache=cache) as first:
+        first.cell_runner = functools.partial(_fail_on, k)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            first.run_cells(cells)
+    assert len(list(cache.version_dir.rglob("*.pkl"))) == k
+
+    with ExperimentEngine(workers=1, cache=cache) as second:
+        resumed = second.run_cells(cells)
+    assert second.stats.cache_hits == k
+    assert second.stats.cells_run == len(cells) - k
+    for a, b in zip(reference, resumed):
+        assert results_equal(a, b)
+
+
+def test_deadline_breach_nonstrict_returns_partial_results(cfg):
+    slow = cfg.with_(duration=1e10)  # far more work than 0.2 s allows
+    with ExperimentEngine(
+        workers=1, cache=CellCache(enabled=False),
+        cell_timeout=0.2, strict=False,
+    ) as engine:
+        quick, lost = engine.run_cells([cfg, slow])
+    assert results_equal(quick, _reference([cfg])[0])
+    assert isinstance(lost, CellError)
+    assert lost.error.startswith("SimulationStalled")
+    assert engine.failure_report == [lost]
+    summary, line = engine.failure_report.format().splitlines()
+    assert summary == "failure report: 1 cell(s) failed"
+    assert line.startswith(f"  {lost.config_summary}: SimulationStalled")
+
+
+def test_failure_report_summary_and_format(cfg):
+    report = FailureReport()
+    assert not report
+    lost = CellError.from_exception(cfg, SimulationStalled("stalled"))
+    report.append(lost)
+    assert report  # truthy once a cell failed
+    summary, line = report.format().splitlines()
+    assert summary == "failure report: 1 cell(s) failed"
+    assert line == f"  {lost.config_summary}: SimulationStalled: stalled"
+
+
+def test_deadline_breach_strict_raises(cfg):
+    with ExperimentEngine(
+        workers=1, cache=CellCache(enabled=False), cell_timeout=0.2,
+    ) as engine:
+        with pytest.raises(SimulationStalled):
+            engine.run_cells([cfg.with_(duration=1e10)])
+
+
+def test_deadline_does_not_change_results(cfg):
+    reference = _reference([cfg])
+    with ExperimentEngine(
+        workers=1, cache=CellCache(enabled=False), cell_timeout=3600.0,
+    ) as engine:
+        out = engine.run_cells([cfg])
+    assert results_equal(out[0], reference[0])
+    assert not engine.failure_report
+
+
+def test_deadline_leaves_cache_keys_unchanged(cfg, tmp_path):
+    """Keys come from the configs as submitted, not from the
+    deadline-wrapped ones the cells run: a default engine on the cache a
+    deadline engine filled runs nothing."""
+    cache = CellCache(tmp_path)
+    with ExperimentEngine(workers=1, cache=cache, cell_timeout=3600.0) as armed:
+        (first,) = armed.run_cells([cfg])
+    with ExperimentEngine(workers=1, cache=cache) as plain:
+        (again,) = plain.run_cells([cfg])
+    assert plain.stats.cells_run == 0 and plain.stats.cache_hits == 1
+    assert results_equal(first, again)
+
+
+def test_engine_validates_parameters():
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ExperimentEngine(cell_timeout=bad)
+
+
+def test_engine_defaults_are_plain():
+    """No deadline, strict, nothing lost yet."""
+    engine = ExperimentEngine(cache=CellCache(enabled=False))
+    assert engine.cell_timeout is None
+    assert engine.strict
+    assert isinstance(engine.failure_report, FailureReport)
+    assert not engine.failure_report
 
 
 # ---------------------------------------------------------------------------

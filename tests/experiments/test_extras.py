@@ -96,3 +96,19 @@ def test_warm_rerun_simulates_nothing(tmp_path, id_):
     assert engine.stats.cells_run == 0
     assert engine.stats.cache_hits == engine.stats.cells_submitted > 0
     assert tables[0] == tables[1]
+
+
+def test_adaptive_warm_rerun_serves_the_static_baseline(tmp_path):
+    """The static baseline is an engine cell, served from the cache on a
+    rerun; the two regulated runs read the regulator decisions off the
+    system object, so they run directly each time."""
+    tables = []
+    for _ in range(2):
+        engine = ExperimentEngine(cache=CellCache(tmp_path))
+        table = artifact_to_dict(run("extra_adaptive", quick=True,
+                                     engine=engine))
+        table.pop("notes")
+        tables.append(json.dumps(table, sort_keys=True))
+    assert engine.stats.cells_submitted == engine.stats.cache_hits == 1
+    assert engine.stats.cells_run == 0
+    assert tables[0] == tables[1]

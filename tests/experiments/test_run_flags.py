@@ -26,7 +26,12 @@ BAD_VALUES = [
     (["--cell-timeout", "inf"], "--cell-timeout must be finite and positive"),
     (["--ci-target", "nan"], "--ci-target must be finite and positive"),
     (["--ci-target", "0"], "--ci-target must be finite and positive"),
-    (["--max-retries", "-1"], "--max-retries must be >= 0"),
+    # A failed cell fails once and a rerun on the cache resumes it, so
+    # --max-retries is gone: any value is an unknown flag.  Like the
+    # --lp-workers rows below, the row keeps the id it had when the
+    # flag checked its value.
+    pytest.param(["--max-retries", "1"], "unrecognized arguments: --max-retries",
+                 id="flags6---max-retries must be >= 0"),
     (["--budget", "0"], "--budget must be >= 1"),
     # Cells run only on the sequential kernel; --workers N is the only
     # parallelism.  --lp-workers is gone, so the values it once refused
@@ -65,12 +70,11 @@ def test_one_default_per_flag():
     parser = argparse.ArgumentParser()
     add_run_flags(parser)
     args = parser.parse_args([])
-    assert args.max_retries == 0
     assert args.ci_target == 0.35
     assert args.budget is None and args.cell_timeout is None
     assert args.strict and not hasattr(args, "profile")
+    assert not hasattr(args, "max_retries")
     engine = engine_from_args(args)
-    assert engine.retry.max_attempts == 1
     assert engine.cell_timeout is None
     assert engine.workers == 1
 
@@ -94,8 +98,9 @@ _CLIS = {
 
 
 @pytest.mark.parametrize("flags", [["--lp-workers", "2"],
-                                   ["--resume", "x.jsonl"]],
-                         ids=["lp-workers", "resume"])
+                                   ["--resume", "x.jsonl"],
+                                   ["--max-retries", "1"]],
+                         ids=["lp-workers", "resume", "max-retries"])
 @pytest.mark.parametrize("cli", sorted(_CLIS))
 def test_removed_flags_fail_loudly(cli, flags, capsys):
     """A removed flag is a usage error that stops the run before any

@@ -40,7 +40,7 @@ NOT_USED_IN_SRC = {
     "forced_flow_law": "oracle for the analytic models (test_properties)",
     "littles_law_response": "oracle for the analytic models (test_operational)",
     "EventLog": "the tests' event-order oracle for the kernel",
-    "results_equal": "bit-identity oracle of the engine, resilience and "
+    "results_equal": "bit-identity oracle of the engine, cache-resume and "
                      "kernel-equivalence tests",
     "validate_trace_events": "checks the Chrome traces the CLIs write "
                              "(test_cli_e2e, repro.obs tests)",

@@ -11,6 +11,7 @@ from repro.verify import (
     check_bf_flush_noop,
     check_cache,
     check_event_queue,
+    check_resilient_engine,
     check_watchdog,
     check_workers,
     diff_results,
@@ -89,6 +90,25 @@ def test_bf_flush_noop(small_config):
 
 def test_cache_roundtrip(small_config, tmp_path):
     assert check_cache(small_config, cache_root=str(tmp_path)) == []
+
+
+def test_resilient_engine_equivalence(small_config):
+    assert check_resilient_engine(small_config) == []
+
+
+def test_resilient_engine_sees_a_deadline_in_the_cache_key(small_config,
+                                                           monkeypatch):
+    """Planted fault: keys taken from the deadline-wrapped configs make
+    the default engine's rerun miss the armed engine's cache."""
+    from repro.experiments.engine import ExperimentEngine, config_fingerprint
+
+    def leaky(self, config, aggregated):
+        return config_fingerprint(self._with_deadline(config), aggregated)
+
+    monkeypatch.setattr(ExperimentEngine, "_fingerprint", leaky)
+    violations = check_resilient_engine(small_config)
+    assert [v.invariant for v in violations] == ["differential.resilience"]
+    assert "2 cells re-run" in violations[0].detail
 
 
 def test_workers_equivalence(small_config):
