@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 from functools import partial
 from heapq import heappop, heappush
+from itertools import repeat
 from time import monotonic
 from typing import Any, Generator, Iterable, List, Optional
 
@@ -50,6 +51,10 @@ Infinity: float = float("inf")
 
 #: Cap on the free lists so pathological models cannot hoard memory.
 _POOL_LIMIT = 256
+
+#: Events an armed :meth:`Environment.run` dispatches between two
+#: watchdog checks (the wall clock is read once per chunk).
+_CHUNK = 1024
 
 
 #: Variables that used to select a kernel path, an event scheduler,
@@ -217,60 +222,7 @@ class Environment:
         re-raises the value of any *failed* event that no waiter defused
         (an unhandled simulation error).
         """
-        scheduler = self._scheduler
-        if len(scheduler.heap) >= scheduler.promote_at:
-            self._promote()
-        try:
-            self._now, _, _, event = self._pop()
-        except IndexError:
-            raise EmptySchedule() from None
-
-        if type(event) in ACTOR_CLASSES:
-            if self._tracers:
-                for tracer in self._tracers:
-                    tracer(event, self._now)
-            event._fire()
-            return
-
-        if type(event) is Hold:
-            proc = event.proc
-            if self._tracers:
-                for tracer in self._tracers:
-                    tracer(event, self._now)
-            event.proc = None
-            if len(self._hold_pool) < _POOL_LIMIT:
-                self._hold_pool.append(event)
-            proc._resume(event)
-            return
-
-        if self._tracers:
-            for tracer in self._tracers:
-                tracer(event, self._now)
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks is None:  # pragma: no cover - double-processing guard
-            raise SimulationError(f"{event!r} processed twice")
-        for callback in callbacks:
-            callback(event)
-
-        if type(event) is Timeout:
-            # Recycle iff every waiter was a plain process resume (or
-            # nobody waited): such a timeout can never be re-inspected,
-            # unlike condition constituents whose values are read after
-            # processing.
-            if len(self._timeout_pool) < _POOL_LIMIT:
-                for cb in callbacks:
-                    if getattr(cb, "__func__", None) is not _PROCESS_RESUME:
-                        return
-                # Pooled with callbacks=None: stale references still see a
-                # processed event until the instance is actually reused.
-                self._timeout_pool.append(event)
-            return
-
-        if not event._ok and not event._defused:
-            exc = event._value
-            if isinstance(exc, BaseException):
-                raise exc
-            raise SimulationError(repr(exc))  # pragma: no cover
+        self._dispatch(1)
 
     def run(
         self,
@@ -295,7 +247,10 @@ class Environment:
         run finishes, :class:`SimulationStalled` is raised naming the
         processes blocked at the head of the schedule.  This turns a
         livelocked model (e.g. a zero-delay event loop) into a
-        diagnosable error instead of a hung experiment harness.
+        diagnosable error instead of a hung experiment harness.  An
+        armed run dispatches through the same loop as an unarmed one, in
+        chunks of at most ``_CHUNK`` events, and checks its bounds
+        between chunks.
         """
         if max_events is not None and max_events < 1:
             raise ValueError("max_events must be >= 1")
@@ -318,7 +273,7 @@ class Environment:
 
         try:
             if max_events is None and max_wall_seconds is None:
-                self._run_inner()
+                self._dispatch(None)
             else:
                 deadline = (
                     monotonic() + max_wall_seconds
@@ -327,19 +282,19 @@ class Environment:
                 )
                 steps = 0
                 while True:
-                    self.step()
-                    steps += 1
+                    # Chunks of _CHUNK events land on max_events exactly;
+                    # the wall clock is read once per chunk, not per event.
+                    chunk = (
+                        _CHUNK if max_events is None
+                        else min(_CHUNK, max_events - steps)
+                    )
+                    self._dispatch(chunk)
+                    steps += chunk
                     if max_events is not None and steps >= max_events:
                         raise self._stalled(
                             f"exceeded max_events={max_events}", steps
                         )
-                    # Wall-clock checks are batched so the hot loop pays
-                    # one integer test per event, not a syscall.
-                    if (
-                        deadline is not None
-                        and steps & 0x3FF == 0
-                        and monotonic() >= deadline
-                    ):
+                    if deadline is not None and monotonic() >= deadline:
                         raise self._stalled(
                             f"exceeded max_wall_seconds={max_wall_seconds}", steps
                         )
@@ -352,19 +307,22 @@ class Environment:
                 ) from None
         return None
 
-    def _run_inner(self) -> None:
-        """Inlined dispatch loop for un-watchdogged runs.
+    def _dispatch(self, budget: Optional[int]) -> None:
+        """The dispatch loop: process *budget* events (``None``: all).
 
-        Byte-for-byte the same event semantics as :meth:`step`, with
-        every per-event attribute lookup hoisted into a local.  Exits by
-        raising :class:`StopSimulation` / :class:`EmptySchedule`, which
+        Every event goes through here: an unarmed :meth:`run` passes no
+        budget, an armed one passes chunks, and :meth:`step` passes 1.
+        Every per-event attribute lookup is hoisted into a local.  Returns
+        after exactly *budget* events, or exits by raising
+        :class:`StopSimulation` / :class:`EmptySchedule`, which
         :meth:`run` handles.
 
         ``pop`` is the serving phase's own dequeue.  Before each event
         the loop promotes the heap once it is ``promote_at`` deep (it
         stays empty after that).  A promotion made elsewhere (a nested
         :meth:`step`) empties the heap under the loop's stale ``pop``,
-        which raises ``IndexError`` once; the loop then re-reads it.
+        which raises ``IndexError`` once; the loop then re-reads it and
+        dequeues again for the same event.
         """
         heap = self._scheduler.heap
         promote_at = self._scheduler.promote_at
@@ -377,7 +335,7 @@ class Environment:
         hold_cls = Hold
         timeout_cls = Timeout
         pool_limit = _POOL_LIMIT
-        while True:
+        for _ in repeat(None) if budget is None else repeat(None, budget):
             if len(heap) >= promote_at:
                 pop = self._promote()
             try:
@@ -386,7 +344,10 @@ class Environment:
                 if pop is self._pop:
                     raise EmptySchedule() from None
                 pop = self._pop
-                continue
+                try:
+                    now, _, _, event = pop()
+                except IndexError:
+                    raise EmptySchedule() from None
             self._now = now
             cls = event.__class__
             if cls in actor_classes:
@@ -415,6 +376,11 @@ class Environment:
             for callback in callbacks:
                 callback(event)
             if cls is timeout_cls:
+                # Recycle iff every waiter was a plain process resume (or
+                # nobody waited): such a timeout can never be re-inspected,
+                # unlike condition constituents whose values are read after
+                # processing.  Pooled with callbacks=None, stale references
+                # still see a processed event until the instance is reused.
                 if len(timeout_pool) < pool_limit:
                     for cb in callbacks:
                         if getattr(cb, "__func__", None) is not resume:

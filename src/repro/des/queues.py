@@ -392,9 +392,10 @@ class AutoScheduler:
     fastest on the calendar queue.  The owning
     :class:`~repro.des.core.Environment` drives :attr:`heap` through
     ``functools.partial(heapq.heappush, heap)`` and ``heappop``
-    partials, which run no Python frame.  Its run loop and ``step()``
-    call :meth:`promote` at an event boundary once the heap holds
-    ``promote_at`` entries, then use the calendar's own ``push``/``pop``.
+    partials, which run no Python frame.  Its dispatch loop (behind
+    ``run()`` and ``step()``) calls :meth:`promote` at an event boundary
+    once the heap holds ``promote_at`` entries, then uses the calendar's
+    own ``push``/``pop``.
 
     Promotion is a one-way latch — the queue never demotes back to the
     heap when the schedule drains — so a workload oscillating around

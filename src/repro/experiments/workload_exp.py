@@ -11,7 +11,8 @@ these runners.  Each trace's numbers come from one plain-data record
 engine's cell cache, so a rerun against a warm cache only formats it:
 it synthesizes no trace, fits no distribution and loads neither the
 tracing nor the fitting code.  Each artifact's notes say whether its
-record was ``cached`` or ``computed``.
+record was ``cached`` or ``computed``, and when a computed record
+could not be written to an enabled cache.
 """
 
 from __future__ import annotations
@@ -48,10 +49,12 @@ def _characterize(cfg: TracingConfig) -> Tuple[Dict[str, Any], str]:
     from ..workload.characterize import characterization
 
     record = characterization(cfg, PVMBT)
-    cache.put(key, record)
+    stored = cache.put(key, record)
     note = "workload characterization: computed"
     if cache.corrupt_entries > corrupt:
         note += " (corrupt cache entry quarantined)"
+    if cache.enabled and not stored:
+        note += " (not stored: cache write failed)"
     return record, note
 
 

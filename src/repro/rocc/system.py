@@ -47,7 +47,6 @@ from .pipes import SamplePipe
 
 __all__ = [
     "ParadynISSystem",
-    "RawAggregates",
     "assemble_results",
     "simulate",
 ]
@@ -127,42 +126,27 @@ class _Snapshot:
     pipe_blocked_puts: int = 0
 
 
-@dataclass
-class RawAggregates:
-    """Post-warmup accumulator deltas of one kernel instance.
+def assemble_results(system: ParadynISSystem) -> SimulationResults:
+    """Turn a finished run's metrics and post-warmup accumulator deltas
+    into a :class:`SimulationResults`.
 
-    :meth:`ParadynISSystem._raw_aggregates` extracts these from a
-    finished run; :func:`assemble_results` turns them (plus the
-    :class:`Metrics`) into a :class:`SimulationResults`.
+    The per-CPU deltas keep strictly positive ``(node, owner)`` entries
+    only; per-owner CPU totals are summed over ascending node ids.
     """
-
-    #: ``(global node id, owner) -> busy µs`` (strictly positive only).
-    cpu_busy: Dict[tuple, float] = field(default_factory=dict)
-    #: Main-process busy µs on its host CPU (non-SMP; 0.0 otherwise).
-    main_busy: float = 0.0
-    #: Network busy µs by owning process type.
-    net_busy: Dict[ProcessType, float] = field(default_factory=dict)
-    pipe_blocked_time: float = 0.0
-    pipe_blocked_puts: int = 0
-    n_daemons: int = 0
-    #: Observability summary of this run (trace bookkeeping).
-    obs_info: Dict[str, object] = field(default_factory=dict)
-
-
-def assemble_results(
-    config: SimulationConfig, m: Metrics, agg: RawAggregates
-) -> SimulationResults:
-    """Turn metrics plus raw aggregates into a :class:`SimulationResults`.
-
-    Per-owner CPU totals are summed over ascending node ids.
-    """
-    cfg = config
+    cfg = system.config
+    m = system.metrics
+    snap = system._snapshot
     duration = cfg.measured_duration
     seconds = duration / 1e6
     n = cfg.nodes
     smp = cfg.architecture is Architecture.SMP
 
-    cpu_busy = agg.cpu_busy
+    cpu_busy = {}
+    for node in range(len(system.worker_cpus)):
+        for owner in _WORKER_OWNERS:
+            v = system._busy(node, owner)
+            if v > 0.0:
+                cpu_busy[(node, owner)] = v
     node_order = sorted({node for node, _ in cpu_busy})
 
     def total(owner: ProcessType) -> float:
@@ -178,14 +162,21 @@ def assemble_results(
         worker_cpu_capacity = n  # pooled CPUs
         main_capacity = n
     else:
-        main_busy = agg.main_busy
+        main_busy = (
+            system.host_cpu.busy_by_owner.get(ProcessType.PARADYN_MAIN, 0.0)
+            - snap.host_busy.get(ProcessType.PARADYN_MAIN, 0.0)
+        )
         worker_cpu_capacity = n * cfg.cpus_per_node
         main_capacity = 1
 
-    pd_net_busy = agg.net_busy.get(ProcessType.PARADYN_DAEMON, 0.0)
-    total_net_busy = sum(agg.net_busy.values())
+    net_busy = {
+        k: v - snap.net_busy.get(k, 0.0)
+        for k, v in system.network.busy_by_owner.items()
+    }
+    pd_net_busy = net_busy.get(ProcessType.PARADYN_DAEMON, 0.0)
+    total_net_busy = sum(net_busy.values())
 
-    n_daemons = agg.n_daemons
+    n_daemons = len(system.daemons)
     forwarded = sum(m.forwarded_by_node.values())
     forward_calls = sum(m.forward_calls_by_node.values())
 
@@ -233,13 +224,17 @@ def assemble_results(
         batches_received=m.batches_received,
         forward_calls_per_node=forward_calls / n,
         merges_total=sum(m.merges_by_node.values()),
-        pipe_blocked_time=agg.pipe_blocked_time,
-        pipe_blocked_puts=agg.pipe_blocked_puts,
+        pipe_blocked_time=(
+            sum(p.blocked_time for p in system.pipes) - snap.pipe_blocked_time
+        ),
+        pipe_blocked_puts=(
+            sum(p.blocked_puts for p in system.pipes) - snap.pipe_blocked_puts
+        ),
         barrier_wait_time=m.barrier_wait_time,
         barrier_rounds=m.barrier_rounds,
         app_cycles=m.app_cycles,
-        cpu_busy=dict(cpu_busy),
-        observability=dict(agg.obs_info),
+        cpu_busy=cpu_busy,
+        observability=dict(system._obs_info),
     )
 
 
@@ -526,50 +521,8 @@ class ParadynISSystem:
             base = self._snapshot.cpu_busy[cpu_index].get(owner, 0.0)
         return cpu.busy_by_owner.get(owner, 0.0) - base
 
-    def _raw_aggregates(self) -> RawAggregates:
-        """Post-warmup accumulator deltas of this kernel instance."""
-        smp = self.config.architecture is Architecture.SMP
-
-        cpu_busy = {}
-        for node in range(len(self.worker_cpus)):
-            for owner in _WORKER_OWNERS:
-                v = self._busy(node, owner)
-                if v > 0.0:
-                    cpu_busy[(node, owner)] = v
-
-        if smp:
-            main_busy = 0.0
-        else:
-            host_base = self._snapshot.host_busy.get(ProcessType.PARADYN_MAIN, 0.0)
-            main_busy = (
-                self.host_cpu.busy_by_owner.get(ProcessType.PARADYN_MAIN, 0.0)
-                - host_base
-            )
-
-        net_base = self._snapshot.net_busy
-        net_busy = {
-            k: v - net_base.get(k, 0.0)
-            for k, v in self.network.busy_by_owner.items()
-        }
-
-        return RawAggregates(
-            cpu_busy=cpu_busy,
-            main_busy=main_busy,
-            net_busy=net_busy,
-            pipe_blocked_time=(
-                sum(p.blocked_time for p in self.pipes)
-                - self._snapshot.pipe_blocked_time
-            ),
-            pipe_blocked_puts=(
-                sum(p.blocked_puts for p in self.pipes)
-                - self._snapshot.pipe_blocked_puts
-            ),
-            n_daemons=len(self.daemons),
-            obs_info=dict(self._obs_info),
-        )
-
     def _results(self) -> SimulationResults:
-        return assemble_results(self.config, self.metrics, self._raw_aggregates())
+        return assemble_results(self)
 
 
 def simulate(config: SimulationConfig) -> SimulationResults:

@@ -3,8 +3,8 @@
 The simulator carries several knobs that change *how* a run executes
 but promise not to change *what* it computes:
 
-* the kernel watchdog — ``max_events`` forces the ``step()`` loop
-  instead of the inlined ``_run_inner``;
+* the kernel watchdog — ``max_events`` makes the dispatch loop run in
+  chunks with a check between them instead of in one unbounded call;
 * engine workers — process-pool scheduling vs the serial loop;
 * the cell cache — a result loaded from disk vs freshly computed (the
   warm call must simulate nothing);
@@ -90,10 +90,11 @@ def _diff_violation(invariant: str, config: SimulationConfig,
 
 
 def check_watchdog(config: SimulationConfig) -> List[Violation]:
-    """Watchdog-instrumented ``step()`` loop vs the inlined run loop.
+    """Watchdog-armed run vs the unarmed run.
 
     A ``max_events`` budget far above what the run needs must not change
-    anything — only the dispatch loop differs.
+    anything: the same dispatch loop runs in chunks of events, and only
+    the chunk boundaries where the watchdog checks its bounds differ.
     """
     plain = simulate(config)
     watched = simulate(config.with_(max_events=1_000_000_000))
@@ -270,9 +271,9 @@ def check_event_queue(config: SimulationConfig) -> List[Violation]:
     promotion depth, so without it the check would compare the heap
     with itself.
 
-    The heap/calendar pair is repeated under the watchdog ``step()``
-    loop, which dequeues through the scheduler rather than the cached
-    ``pop`` of the plain run loop.
+    The heap/calendar pair is repeated under an armed watchdog, whose
+    chunked dispatch re-reads the serving ``pop`` at every chunk
+    boundary.
     """
     out: List[Violation] = []
 

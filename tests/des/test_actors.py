@@ -33,7 +33,7 @@ class Ticker(Actor):
 
 @pytest.mark.parametrize("watchdog", [False, True])
 def test_run_loop_and_step_fire_actors(watchdog):
-    """The inlined loop and step() (the watchdog path) both dispatch an
+    """An unarmed and a watchdog-armed (chunked) run both dispatch an
     actor entry with one _fire() call."""
     env = Environment()
     ticker = Ticker(env, 2.0, limit=4)

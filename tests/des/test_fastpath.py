@@ -1,7 +1,7 @@
 """Kernel fast-path tests: holds and event pooling.
 
 The optimizations under test here (``Environment.hold``, the Hold and
-Timeout free lists, the inlined ``_run_inner`` dispatch loop) promise
+Timeout free lists, the inlined ``_dispatch`` loop) promise
 *exact* equivalence with a plain-timeout formulation — same event
 order, same clock, same values — so most tests assert behaviour
 identical to one, plus the object-identity facts (recycling) that make

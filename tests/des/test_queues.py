@@ -250,7 +250,7 @@ def _promotion_trajectory(promote_at, where):
     """Log of (time, tag) for a model whose schedule deepens past
     *promote_at*: 300 timeouts pushed before ``run()``
     (``before_run``), or bursts of 80 pushed from a process
-    (``in_callbacks``, and ``step`` under the watchdog loop)."""
+    (``in_callbacks``, and ``step``: the same under an armed watchdog)."""
     env = Environment()
     env.scheduler.promote_at = promote_at
     rng = random.Random(7)
@@ -296,7 +296,7 @@ def test_run_loop_promotion_gives_the_heap_only_pop_order(where):
 def test_dequeues_equal_events_processed():
     """``stats()["dequeues"]`` counts exactly the events the loop
     processed (every processed entry is seen by a tracer), on the heap
-    and across a promotion, in both loops."""
+    and across a promotion, armed and unarmed."""
     for promote_at in (inf, 16):
         for watchdog in (False, True):
             env = Environment()

@@ -101,6 +101,19 @@ def test_cache_off_recomputes_and_writes_nothing(tmp_path, monkeypatch):
     assert list(Path(tmp_path).iterdir()) == []
 
 
+def test_unwritable_cache_says_the_record_was_not_stored(tmp_path,
+                                                        monkeypatch):
+    afile = tmp_path / "afile"
+    afile.write_text("a regular file, not a directory")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(afile / "cells"))
+    engine = ExperimentEngine()
+    artifact = run("table3", quick=True, engine=engine)
+    assert _notes(artifact) == [
+        "workload characterization: computed (not stored: cache write failed)"
+    ]
+    assert engine.stats.cache_write_failures == 1  # table3's one cell
+
+
 def test_cache_rejects_an_entry_of_another_kind(tmp_path):
     cache = CellCache(tmp_path, enabled=True)
     cache.put("ab" * 32, {"fits": []})

@@ -84,9 +84,9 @@ def test_percentiles_populated_and_ordered(arch):
 
 
 def test_watchdog_step_loop_bit_identical():
-    """A generous max_events budget routes dispatch through the
-    watchdog's step() loop; results must not change, on the kernel or
-    on the reference."""
+    """A generous max_events budget makes the dispatch loop run in
+    watchdog chunks; results must not change, on the kernel or on the
+    reference."""
     for config in (ADAPTIVE, FLUSHED):
         plain = simulate(config)
         watched, generic_watched = _both_kernels(
