@@ -13,17 +13,17 @@ from repro.rocc import (
     simulate,
     simulate_aggregated,
 )
-from repro.rocc.cpu import ProcessorSharingCPU, RoundRobinCPU
+from repro.rocc.cpu import RoundRobinCPU
 from repro.variates.distributions import Exponential
 
 
-def _rr_vs_ps(cpu_cls, n_jobs: int = 40, demand: float = 5_000.0) -> float:
-    """Mean completion time of identical jobs under RR vs PS."""
+def _rr_completions(n_jobs: int = 40, demand: float = 5_000.0) -> list:
+    """Completion times of identical jobs started together on one RR CPU."""
     from repro.des import Environment
     from repro.workload import ProcessType
 
     env = Environment()
-    cpu = cpu_cls(env, n_cpus=1, quantum=10_000.0)
+    cpu = RoundRobinCPU(env, n_cpus=1, quantum=10_000.0)
     finished = []
 
     def job(env):
@@ -33,21 +33,24 @@ def _rr_vs_ps(cpu_cls, n_jobs: int = 40, demand: float = 5_000.0) -> float:
     for _ in range(n_jobs):
         env.process(job(env))
     env.run()
-    return sum(finished) / len(finished)
+    return finished
 
 
 def test_rr_vs_ps(run_once):
     """DESIGN.md §5.2: RR-with-quantum vs processor sharing.
 
     For equal jobs shorter than the quantum, RR serves them serially
-    (mean completion = (n+1)/2 · D) while PS finishes everything at
-    n · D: same makespan, very different per-job latency profile.
+    (mean completion = (n+1)/2 · D) while processor sharing finishes
+    everything at n · D: same makespan, very different per-job latency
+    profile.  PS is its closed form here; only RR is simulated.
     """
-    rr_mean = run_once(_rr_vs_ps, RoundRobinCPU)
-    ps_mean = _rr_vs_ps(ProcessorSharingCPU)
+    finished = run_once(_rr_completions)
     n, d = 40, 5_000.0
+    rr_mean = sum(finished) / len(finished)
+    ps_mean = n * d
     assert rr_mean == pytest.approx((n + 1) / 2 * d, rel=0.01)
-    assert ps_mean == pytest.approx(n * d, rel=0.01)
+    assert max(finished) == pytest.approx(ps_mean, rel=0.01)
+    assert rr_mean < ps_mean
 
 
 def test_full_vs_aggregate(run_once):

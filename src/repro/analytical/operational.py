@@ -99,11 +99,7 @@ class ISDemands:
     def from_cost_models(cls, daemon_costs, main_costs, batch_size: int) -> "ISDemands":
         """Demands per batch under the simulator's cost decomposition."""
         b = int(batch_size)
-        d_pd = (
-            daemon_costs.collection_cpu.mean * b
-            + daemon_costs.forward_cpu.mean
-            + daemon_costs.per_sample_batch_cpu * b
-        )
+        d_pd = daemon_costs.collection_cpu.mean * b + daemon_costs.forward_cpu.mean
         merge = (
             daemon_costs.merge_cpu.mean
             if daemon_costs.merge_cpu is not None
@@ -111,7 +107,7 @@ class ISDemands:
         )
         return cls(
             d_pd_cpu=d_pd,
-            d_pd_network=71.0 + daemon_costs.per_sample_network * max(0, b - 1),
+            d_pd_network=71.0,
             d_main_cpu=main_costs.receive_cpu.mean + main_costs.per_sample_cpu.mean * b,
             d_pdm_cpu=merge,
         )

@@ -2,8 +2,8 @@
 
 This package provides the simulation substrate the ROCC model is built
 on, and only what that model uses: generator-based processes yielding
-events (timeouts, allocation-free holds, ``&``/``|`` conditions),
-actors that schedule themselves, a finite FIFO :class:`Store` (the Unix
+events (timeouts, allocation-free holds, other processes), actors that
+schedule themselves, a finite FIFO :class:`Store` (the Unix
 pipes), O(1) statistics monitors (``Tally``, ``TimeWeighted``), tracers
 and a kernel profiler.
 
@@ -31,10 +31,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "Hold": "events",
     "Actor": "events",
     "Process": "events",
-    "Condition": "events",
-    "ConditionValue": "events",
-    "AllOf": "events",
-    "AnyOf": "events",
     "NORMAL": "events",
     "URGENT": "events",
     "SimulationError": "exceptions",

@@ -21,7 +21,7 @@ from functools import partial
 from heapq import heappop, heappush
 from itertools import repeat
 from time import monotonic
-from typing import Any, Generator, Iterable, List, Optional
+from typing import Any, Generator, List, Optional
 
 from .events import (
     ACTOR_CLASSES,
@@ -29,8 +29,6 @@ from .events import (
     NORMAL,
     URGENT,
     Actor,
-    AllOf,
-    AnyOf,
     Event,
     Hold,
     Process,
@@ -175,8 +173,8 @@ class Environment:
         plain process sleep, but allocation-free: no ``Timeout``, no
         callbacks list — the run loop resumes the process directly off
         the heap.  The return value must be yielded immediately and
-        never composed (``hold(d) | other`` is invalid); use
-        :meth:`timeout` when the event itself is needed.
+        never inspected; use :meth:`timeout` when the event itself is
+        needed.
 
         Falls back to a real :class:`Timeout` when called outside a
         process.
@@ -199,14 +197,6 @@ class Environment:
     ) -> Process:
         """Start a new :class:`Process` running *generator*."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Create a condition satisfied once all *events* fire."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Create a condition satisfied once any of *events* fires."""
-        return AnyOf(self, events)
 
     # ------------------------------------------------------------------
     # Scheduling / execution
@@ -291,6 +281,10 @@ class Environment:
                     self._dispatch(chunk)
                     steps += chunk
                     if max_events is not None and steps >= max_events:
+                        if not self._scheduler:
+                            # The budget ended with the schedule: a
+                            # finished run, not a stalled one.
+                            raise EmptySchedule()
                         raise self._stalled(
                             f"exceeded max_events={max_events}", steps
                         )
@@ -378,9 +372,10 @@ class Environment:
             if cls is timeout_cls:
                 # Recycle iff every waiter was a plain process resume (or
                 # nobody waited): such a timeout can never be re-inspected,
-                # unlike condition constituents whose values are read after
-                # processing.  Pooled with callbacks=None, stale references
-                # still see a processed event until the instance is reused.
+                # unlike one whose other callback may have kept a reference
+                # and read its value after processing.  Pooled with
+                # callbacks=None, stale references still see a processed
+                # event until the instance is reused.
                 if len(timeout_pool) < pool_limit:
                     for cb in callbacks:
                         if getattr(cb, "__func__", None) is not resume:

@@ -12,7 +12,6 @@ Derived events:
 * :class:`Initialize` — internal; starts a freshly created process.
 * :class:`Process` — a running generator; itself an event that fires when
   the generator terminates, which lets processes wait for each other.
-* :class:`Condition` / :class:`AllOf` / :class:`AnyOf` — composite events.
 
 Two schedule entries are not events: :class:`Hold` (a process sleep)
 and :class:`Actor`, a model object that puts *itself* on the schedule
@@ -22,7 +21,7 @@ single ``_fire()`` call.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional
 
 from .exceptions import SimulationError
 
@@ -41,10 +40,6 @@ __all__ = [
     "Timeout",
     "Initialize",
     "Process",
-    "ConditionValue",
-    "Condition",
-    "AllOf",
-    "AnyOf",
 ]
 
 #: Sentinel for "event has no value yet".
@@ -109,24 +104,6 @@ class Event:
             raise AttributeError("value of event is not yet available")
         return self._value
 
-    @property
-    def defused(self) -> bool:
-        """Whether a failure was handled by some waiter (no crash)."""
-        return self._defused
-
-    @defused.setter
-    def defused(self, value: bool) -> None:
-        self._defused = bool(value)
-
-    def trigger(self, event: "Event") -> None:
-        """Trigger with the state (ok/value) copied from *event*.
-
-        Useful as a callback to chain events.
-        """
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with an optional *value*."""
         if self.triggered:
@@ -151,12 +128,6 @@ class Event:
         self._value = exception
         self.env.schedule(self)
         return self
-
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_events, [self, other])
 
 
 class _HoldCompleted:
@@ -387,143 +358,3 @@ class Process(Event):
                 raise  # pragma: no cover
         # Reached only when the generator terminated.
         env._active_proc = None
-
-
-class ConditionValue:
-    """Ordered mapping of events to values produced by a condition."""
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events: List[Event] = []
-
-    def __getitem__(self, key: Event) -> Any:
-        if key not in self.events:
-            raise KeyError(repr(key))
-        return key._value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()!r}>"
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def keys(self):
-        return list(self.events)
-
-    def values(self):
-        return [e._value for e in self.events]
-
-    def items(self):
-        return [(e, e._value) for e in self.events]
-
-    def todict(self) -> dict:
-        return {e: e._value for e in self.events}
-
-
-class Condition(Event):
-    """A composite event triggered when *evaluate(events, count)* is true.
-
-    ``count`` is the number of constituent events that have fired so far.
-    The value of the condition is a :class:`ConditionValue` with every
-    constituent event that has been processed by trigger time.
-    """
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[List[Event], int], bool],
-        events: Iterable[Event],
-    ):
-        super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("events from multiple environments mixed")
-
-        # Check for immediately-satisfied conditions (e.g. empty AllOf).
-        if self._evaluate(self._events, 0) and not self._events:
-            self.succeed(ConditionValue())
-            return
-
-        for event in self._events:
-            if event.callbacks is None:  # already processed
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def __repr__(self) -> str:
-        return (
-            f"<Condition {self._evaluate.__name__} of {len(self._events)} "
-            f"events at {id(self):#x}>"
-        )
-
-    def _populate_value(self, value: ConditionValue) -> None:
-        for event in self._events:
-            if isinstance(event, Condition):
-                event._populate_value(value)
-            elif event.callbacks is None and event._value is not PENDING:
-                value.events.append(event)
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            if not event._ok:
-                event.defused = True
-            return
-        self._count += 1
-        if not event._ok:
-            # Propagate the failure.
-            event.defused = True
-            self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            # Defer value collection so all same-time events are included.
-            self.succeed(None)
-            self.callbacks.insert(0, self._collect)
-
-    def _collect(self, event: Event) -> None:
-        value = ConditionValue()
-        self._populate_value(value)
-        self._value = value
-
-    @staticmethod
-    def all_events(events: List[Event], count: int) -> bool:
-        """True when every constituent event has fired."""
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: List[Event], count: int) -> bool:
-        """True when at least one constituent event has fired."""
-        return count > 0 or len(events) == 0
-
-
-class AllOf(Condition):
-    """Condition satisfied when all *events* have fired (``&`` chain)."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Condition satisfied when any of *events* has fired (``|`` chain)."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, Condition.any_events, events)

@@ -9,7 +9,7 @@ both properties:
 * **Scheduling** — cells submitted through :meth:`ExperimentEngine.run_cells`
   fan out across a process pool (``workers > 1``) or run inline
   (``workers=1``, failing fast).  Failures ship back as picklable
-  :class:`CellError` artifacts, so ``isolate=True`` semantics survive
+  :class:`CellError` artifacts, so ``strict=False`` semantics survive
   the process boundary — including workers killed mid-cell.
 * **Memoization and resume** — a :class:`CellCache` keys finished
   :class:`~repro.rocc.metrics.SimulationResults` by a stable content
@@ -24,7 +24,7 @@ both properties:
 * **One failure contract** — a cell that fails (an exception, the
   kernel watchdog's ``--cell-timeout`` deadline, a worker killed
   mid-batch) is a :class:`CellError`: returned as an artifact under
-  ``isolate=True`` or ``strict=False`` and listed in
+  ``strict=False`` and listed in
   :attr:`ExperimentEngine.failure_report`, raised otherwise.  It is
   never cached and never retried.  Cells are
   deterministic, so the rerun is the retry: rerunning on the cache
@@ -101,7 +101,7 @@ __all__ = [
 class CellError:
     """A failed cell, preserved as an artifact of the sweep.
 
-    With ``isolate=True`` a crashing cell no longer aborts the whole
+    Under ``strict=False`` a crashing cell no longer aborts the whole
     experiment: the error (message + formatted traceback) rides along in
     :attr:`MeanResults.errors` and the sweep completes with whatever
     replications succeeded.  The artifact is plain strings, so it
@@ -129,7 +129,7 @@ class CellError:
 
 
 class EngineCellError(RuntimeError):
-    """Raised (non-isolated runs) when a worker's exception cannot be
+    """Raised (strict runs) when a worker's exception cannot be
     re-raised verbatim in the parent — e.g. an unpicklable exception
     type or a worker process that died mid-cell."""
 
@@ -548,7 +548,7 @@ class _CellOutcome:
     result: Optional[SimulationResults] = None
     error: Optional[CellError] = None
     #: The original exception when it can cross the process boundary
-    #: (re-raised verbatim by non-isolated runs).
+    #: (re-raised verbatim by strict runs).
     exc: Optional[BaseException] = None
     wall: float = 0.0
     cpu: float = 0.0
@@ -650,8 +650,8 @@ class ExperimentEngine:
       Cache keys are taken from the configs as submitted, so a deadline
       never changes them.
     * ``strict`` — when False, a failed cell never raises: it is
-      returned as a :class:`CellError` artifact (the partial-results
-      contract of ``isolate=True``).
+      returned as a :class:`CellError` artifact, so sweeps return
+      partial results.
 
     Every failed cell is appended to :attr:`failure_report` and never
     cached.  The engine never retries it: a rerun on the cache is what
@@ -714,17 +714,16 @@ class ExperimentEngine:
         self,
         configs: Sequence[SimulationConfig],
         aggregated: bool = False,
-        isolate: bool = False,
     ) -> List[Union[SimulationResults, CellError]]:
         """Run every cell, returning outcomes in submission order.
 
-        Cached cells are served without executing; the rest run inline (``workers=1``) or on the pool.  Failures become
-        :class:`CellError` entries under ``isolate=True`` or
-        ``strict=False`` and raise otherwise — the original exception
-        when picklable, :class:`EngineCellError` when not.
+        Cached cells are served without executing; the rest run inline
+        (``workers=1``) or on the pool.  Failures become
+        :class:`CellError` entries under ``strict=False`` and raise
+        otherwise — the original exception when picklable,
+        :class:`EngineCellError` when not.
         """
         configs = list(configs)
-        isolate = isolate or not self.strict
         t_start = time.perf_counter()
         hits_before = self.stats.cache_hits
         try:
@@ -732,7 +731,7 @@ class ExperimentEngine:
                 "run_cells", cat="engine.batch",
                 args={"cells": len(configs), "workers": self.workers},
             ) as span:
-                outcomes = self._run_cells(configs, aggregated, isolate)
+                outcomes = self._run_cells(configs, aggregated)
                 if span is not None:
                     span.args["cache_hits"] = (
                         self.stats.cache_hits - hits_before
@@ -741,7 +740,7 @@ class ExperimentEngine:
         finally:
             self.stats.wall_time += time.perf_counter() - t_start
 
-    def _run_cells(self, configs, aggregated, isolate):
+    def _run_cells(self, configs, aggregated):
         self.stats.cells_submitted += len(configs)
         outcomes: List[Union[SimulationResults, CellError, None]]
         outcomes = [None] * len(configs)
@@ -764,7 +763,7 @@ class ExperimentEngine:
                 continue
             self.stats.cell_errors += 1
             self.failure_report.append(out.error)
-            if not isolate:
+            if self.strict:
                 # The run stops here: cancel the rest of a pool wave.
                 self._drop_pool()
                 if out.exc is not None:

@@ -18,18 +18,17 @@ each finishes, so rerunning an interrupted sweep runs only the rest.
 When the ambient engine is given a deadline, the same batch gets it
 per cell — no runner changes needed.  A cell runs once per run: under
 ``strict=False`` a failed cell arrives here as a :class:`CellError`
-artifact (exactly like ``isolate=True``), so sweeps return partial
-:class:`MeanResults` — the numeric means skip the lost replications
-and the failures ride along in ``errors`` — and the engine's
-``failure_report`` lists them.  Rerunning on the cache simulates only
-the lost cells.
+artifact, so sweeps return partial :class:`MeanResults` — the numeric
+means skip the lost replications and the failures ride along in
+``errors`` — and the engine's ``failure_report`` lists them.
+Rerunning on the cache simulates only the lost cells.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..expdesign.factorial import FactorialDesign
 from ..rocc.config import SimulationConfig
@@ -107,7 +106,8 @@ class MeanResults:
     """
 
     results: List[SimulationResults]
-    #: Replications that crashed (only populated under ``isolate=True``).
+    #: Replications that crashed (only populated by an engine built
+    #: with ``strict=False``).
     errors: List[CellError] = field(default_factory=list)
 
     def __getattr__(self, name: str):
@@ -199,50 +199,38 @@ def replicate(
     config: SimulationConfig,
     repetitions: int = 3,
     aggregated: bool = False,
-    isolate: bool = False,
     engine: Optional[ExperimentEngine] = None,
 ) -> MeanResults:
     """Run *repetitions* independent replications of *config*.
 
-    With ``isolate=True`` a crashing replication (including a
-    watchdog-aborted one) is captured as a :class:`CellError` instead of
-    propagating, so long factorial sweeps survive one bad cell.  Cells
-    go through *engine* (default: the ambient engine), which may run
-    them in parallel and serve repeats from its cell cache.
+    Cells go through *engine* (default: the ambient engine), which may
+    run them in parallel and serve repeats from its cell cache.  An
+    engine built with ``strict=False`` captures a crashing replication
+    (including a watchdog-aborted one) as a :class:`CellError` instead
+    of propagating it, so long factorial sweeps survive one bad cell.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     engine = engine or current_engine()
     outcomes = engine.run_cells(
-        _rep_configs(config, repetitions), aggregated=aggregated, isolate=isolate
+        _rep_configs(config, repetitions), aggregated=aggregated
     )
     return _gather(outcomes)
 
 
 def _run_grouped(
     engine: ExperimentEngine,
-    groups: Mapping[int, List[SimulationConfig]],
-    n_groups: int,
+    groups: Sequence[List[SimulationConfig]],
     aggregated: bool,
-    isolate: bool,
-    pre_failed: Optional[Dict[int, MeanResults]] = None,
 ) -> List[MeanResults]:
     """Run several cell groups as one flat engine batch, then regroup."""
-    order: List[int] = []
-    flat: List[SimulationConfig] = []
-    for gi, configs in groups.items():
-        order.extend([gi] * len(configs))
-        flat.extend(configs)
-    outcomes = engine.run_cells(flat, aggregated=aggregated, isolate=isolate)
-    per_group: Dict[int, List] = {gi: [] for gi in groups}
-    for gi, outcome in zip(order, outcomes):
-        per_group[gi].append(outcome)
+    flat = [config for configs in groups for config in configs]
+    outcomes = engine.run_cells(flat, aggregated=aggregated)
     cells: List[MeanResults] = []
-    for gi in range(n_groups):
-        if pre_failed and gi in pre_failed:
-            cells.append(pre_failed[gi])
-        else:
-            cells.append(_gather(per_group[gi]))
+    start = 0
+    for configs in groups:
+        cells.append(_gather(outcomes[start:start + len(configs)]))
+        start += len(configs)
     return cells
 
 
@@ -252,7 +240,6 @@ def sweep(
     values: Sequence,
     repetitions: int = 3,
     aggregated: bool = False,
-    isolate: bool = False,
     engine: Optional[ExperimentEngine] = None,
     **extra,
 ) -> List[MeanResults]:
@@ -260,9 +247,11 @@ def sweep(
 
     Every ``(value, replication)`` cell of the sweep is submitted to the
     engine as one batch, so a multi-worker engine overlaps the whole
-    sweep.  Under ``isolate=True`` every cell completes (possibly with
-    an empty ``results`` list and the failure recorded in ``errors``),
-    so a sweep always returns one :class:`MeanResults` per value.
+    sweep.  An invalid value raises ``ValueError`` before any cell is
+    submitted.  On an engine built with ``strict=False`` every cell
+    completes (possibly with an empty ``results`` list and the failure
+    recorded in ``errors``), so a sweep returns one :class:`MeanResults`
+    per value.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -275,20 +264,11 @@ def sweep(
             f"unknown config parameter(s) in extras: {', '.join(map(repr, unknown))}"
         )
     engine = engine or current_engine()
-    groups: Dict[int, List[SimulationConfig]] = {}
-    pre_failed: Dict[int, MeanResults] = {}
-    for vi, v in enumerate(values):
-        try:
-            cell_config = base.with_(**{parameter: v}, **extra)
-        except Exception as exc:
-            if not isolate:
-                raise
-            pre_failed[vi] = MeanResults([], [CellError.from_exception(base, exc)])
-            continue
-        groups[vi] = _rep_configs(cell_config, repetitions)
-    return _run_grouped(
-        engine, groups, len(values), aggregated, isolate, pre_failed
-    )
+    groups = [
+        _rep_configs(base.with_(**{parameter: v}, **extra), repetitions)
+        for v in values
+    ]
+    return _run_grouped(engine, groups, aggregated)
 
 
 def run_design(
@@ -296,7 +276,6 @@ def run_design(
     make_config: Callable[[Dict[str, Any]], SimulationConfig],
     repetitions: int = 3,
     aggregated: bool = False,
-    isolate: bool = False,
     engine: Optional[ExperimentEngine] = None,
 ) -> List[MeanResults]:
     """Run a full 2^k·r factorial design through the engine.
@@ -310,20 +289,10 @@ def run_design(
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     engine = engine or current_engine()
-    groups: Dict[int, List[SimulationConfig]] = {}
-    pre_failed: Dict[int, MeanResults] = {}
-    base_configs = design.configs(make_config)
-    for ri, cfg in enumerate(base_configs):
-        if isolate:
-            try:
-                groups[ri] = _rep_configs(cfg, repetitions)
-            except Exception as exc:
-                pre_failed[ri] = MeanResults([], [CellError.from_exception(cfg, exc)])
-        else:
-            groups[ri] = _rep_configs(cfg, repetitions)
-    return _run_grouped(
-        engine, groups, len(base_configs), aggregated, isolate, pre_failed
-    )
+    groups = [
+        _rep_configs(cfg, repetitions) for cfg in design.configs(make_config)
+    ]
+    return _run_grouped(engine, groups, aggregated)
 
 
 def metric_series(

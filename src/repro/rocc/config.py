@@ -72,22 +72,9 @@ class DaemonCostModel:
     forward_cpu: Distribution = field(
         default_factory=lambda: Exponential(267.0 * 2.0 / 3.0)
     )
-    #: Marginal CPU cost of adding one sample to an outgoing batch, µs
-    #: (copying into the send buffer); zero keeps the analytic 1/b law.
-    per_sample_batch_cpu: float = 0.0
     #: CPU cost of merging one received en-route batch (tree forwarding);
     #: ``None`` means "same as forward_cpu", matching D_Pdm = D_Pd.
     merge_cpu: Optional[Distribution] = None
-    #: Marginal network occupancy per extra sample in a batch, µs.  The
-    #: paper's model keeps network occupancy per forward constant
-    #: ("the network occupancy needed for forwarding a merged sample is
-    #: the same as for forwarding a local sample"), hence 0.
-    per_sample_network: float = 0.0
-    #: Maximum samples the daemon drains from the pipe per CPU
-    #: acquisition.  The real daemon reads every available sample per
-    #: wakeup; 1 degenerates to one-scheduling-round-per-sample, which
-    #: starves the daemon behind CPU-bound applications under strict RR.
-    collection_burst: int = 64
 
 
 @dataclass
@@ -197,10 +184,6 @@ class SimulationConfig:
             raise ValueError("app_processes_per_node must be >= 1")
         if self.workload.cpu_quantum <= 0:
             raise ValueError("workload.cpu_quantum must be positive")
-        if self.daemon_costs.per_sample_batch_cpu < 0:
-            raise ValueError("daemon_costs.per_sample_batch_cpu must be >= 0")
-        if self.daemon_costs.per_sample_network < 0:
-            raise ValueError("daemon_costs.per_sample_network must be >= 0")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if not 0 <= self.warmup < self.duration:

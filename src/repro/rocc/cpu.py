@@ -25,10 +25,9 @@ hand the processor on).  :meth:`~RoundRobinCPU.execute` wraps them in a
 completion entry, so both paths share one slice algebra and one
 accounting order.
 
-A processor-sharing variant (:class:`ProcessorSharingCPU`) is provided
-for the ablation study of quantum effects (DESIGN.md §5.2): it services
-each request in one piece but stretches it by the instantaneous load,
-which is the fluid limit the RR policy approaches as quantum → 0.
+Processor sharing, the fluid limit RR approaches as quantum → 0, is
+not simulated: its closed forms are the oracles RR is checked against
+(DESIGN.md §5.2).
 
 Accounting note: busy time is charged when a slice *completes*, so a
 run cut off mid-slice under-counts by at most one quantum per server —
@@ -45,14 +44,14 @@ from ..des.events import NORMAL, PENDING, Event
 from ..des.monitor import TimeWeighted
 from ..workload.records import ProcessType
 
-__all__ = ["CPUJob", "RoundRobinCPU", "ProcessorSharingCPU"]
+__all__ = ["CPUJob", "RoundRobinCPU"]
 
 
 class CPUJob:
     """A CPU occupancy request queued at the scheduler.
 
-    ``event`` is the request's completion entry: a :class:`CPUDone`, a
-    plain event (processor sharing), or an actor.
+    ``event`` is the request's completion entry: a :class:`CPUDone` or
+    an actor.
     """
 
     __slots__ = ("remaining", "owner", "event", "enqueued_at")
@@ -198,7 +197,13 @@ class RoundRobinCPU:
             done._slice = slice_
             env._push((env._now + slice_, NORMAL, next(env._eid), done))
             return
-        self._enqueue(CPUJob(scaled, owner, done, self.env.now))
+        job = CPUJob(scaled, owner, done, self.env.now)
+        if self._free:
+            self._free -= 1
+            self.busy_servers.increment(+1, self.env.now)
+            self._start(job)
+        else:
+            self._ready.append(job)
 
     def release(self, owner: ProcessType, slice_: float) -> None:
         """Completion half: charge *owner*'s final slice, then hand the
@@ -227,14 +232,6 @@ class RoundRobinCPU:
         return self.busy_by_owner.get(owner, 0.0)
 
     # ------------------------------------------------------------------
-    def _enqueue(self, job: CPUJob) -> None:
-        if self._free:
-            self._free -= 1
-            self.busy_servers.increment(+1, self.env.now)
-            self._start(job)
-        else:
-            self._ready.append(job)
-
     def _start(self, job: CPUJob) -> None:
         """Schedule the next slice of *job* on the processor just freed.
 
@@ -252,88 +249,3 @@ class RoundRobinCPU:
             ev._slice = slice_
         env = self.env
         env._push((env._now + slice_, NORMAL, next(env._eid), ev))
-
-
-class ProcessorSharingCPU(RoundRobinCPU):
-    """Idealized processor-sharing CPU (quantum → 0 fluid limit).
-
-    Used only by the ablation benchmark comparing RR-with-quantum to PS.
-    Implementation: virtual-time processor sharing — each job's service
-    advances at rate ``min(1, n_cpus / n_active)``; completions are
-    recomputed whenever the active set changes.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        n_cpus: int = 1,
-        quantum: float = 10_000.0,  # ignored; kept for API parity
-        name: str = "cpu-ps",
-    ):
-        super().__init__(env, n_cpus=n_cpus, quantum=quantum, name=name)
-        self._active: Dict[CPUJob, float] = {}  # job -> remaining
-        self._recalc = Event(env)
-        env.process(self._ps_loop(), name=f"{name}.ps")
-
-    def execute(self, amount: float, owner: ProcessType) -> Event:
-        # PS completions are plain events triggered by the loop below;
-        # the RR slice machinery (CPUDone/CPUSlice) is never engaged.
-        done = Event(self.env)
-        if amount <= 0.0:
-            done.succeed()
-            return done
-        self._enqueue(CPUJob(float(amount), owner, done, self.env.now))
-        return done
-
-    def request(self, *_args, **_kwargs) -> None:
-        raise TypeError(
-            f"{type(self).__name__} completes requests from its sharing "
-            "loop; it has no round-robin request/release halves (use "
-            "execute())"
-        )
-
-    release = request
-
-    def _enqueue(self, job: CPUJob) -> None:  # type: ignore[override]
-        self._active[job] = job.remaining
-        if not self._recalc.triggered:
-            self._recalc.succeed()
-
-    def _rate(self) -> float:
-        n = len(self._active)
-        return min(1.0, self.n_cpus / n) if n else 0.0
-
-    def _ps_loop(self):
-        env = self.env
-        last = env.now
-        while True:
-            if not self._active:
-                self._recalc = Event(env)
-                yield self._recalc
-                last = env.now
-                continue
-            rate = self._rate()
-            self.busy_servers.update(min(len(self._active), self.n_cpus), env.now)
-            # Snapshot the active set: progress accrues only to jobs that
-            # were present during the interval, not to mid-interval arrivals.
-            in_service = list(self._active)
-            soonest = min(self._active.values()) / rate
-            self._recalc = Event(env)
-            timeout = env.timeout(soonest)
-            yield timeout | self._recalc
-            elapsed = env.now - last
-            last = env.now
-            progress = elapsed * rate
-            finished = []
-            for job in in_service:
-                self._active[job] -= progress
-                self.busy_by_owner[job.owner] = (
-                    self.busy_by_owner.get(job.owner, 0.0) + progress
-                )
-                if self._active[job] <= 1e-9:
-                    finished.append(job)
-            for job in finished:
-                del self._active[job]
-                job.event.succeed()
-            if not self._active:
-                self.busy_servers.update(0, env.now)

@@ -29,6 +29,12 @@ __all__ = ["ParadynDaemon"]
 #: A delivery sink: invoked with a Batch at network-delivery time.
 DeliverFn = Callable[[Batch], None]
 
+#: Maximum samples the daemon drains from the pipe per CPU acquisition.
+#: The real daemon reads every available sample per wakeup; 1 would
+#: degenerate to one scheduling round per sample, which starves the
+#: daemon behind CPU-bound applications under strict RR.
+COLLECTION_BURST = 64
+
 
 class ParadynDaemon:
     """A Paradyn daemon process (Pd)."""
@@ -97,7 +103,7 @@ class ParadynDaemon:
         env = self.ctx.env
         cpu = self.ctx.cpu
         pipe = self.pipe
-        burst = max(1, self.ctx.config.daemon_costs.collection_burst)
+        burst = COLLECTION_BURST
         # At most ``burst`` samples, emptied every round: a list, not a deque.
         pending: List[Sample] = []
         while True:
@@ -170,15 +176,15 @@ class ParadynDaemon:
     def _forward(self, batch: Batch):
         """CPU (system call) + network occupancy for one forwarding."""
         ctx = self.ctx
-        costs = ctx.config.daemon_costs
         n = len(batch.samples)
-        cpu_cost = self._forward_cpu() + costs.per_sample_batch_cpu * n
-        yield ctx.cpu.execute(cpu_cost, ProcessType.PARADYN_DAEMON)
+        yield ctx.cpu.execute(self._forward_cpu(), ProcessType.PARADYN_DAEMON)
         self.samples_forwarded += n
         self.forward_calls += 1
         ctx.metrics.note_forward(ctx.node_id, n)
-        net_cost = self._net() + costs.per_sample_network * max(0, n - 1)
+        # Network occupancy per forward is constant: "the network
+        # occupancy needed for forwarding a merged sample is the same as
+        # for forwarding a local sample" (§3.3).
         yield ctx.network.transfer(
-            net_cost, ProcessType.PARADYN_DAEMON,
+            self._net(), ProcessType.PARADYN_DAEMON,
             payload=batch, deliver=self.deliver_up,
         )

@@ -101,11 +101,7 @@ def check_utilization_law(
     # end of the run paid collection but are not in the forwarded
     # count).  The counters therefore bracket the busy time: at least
     # every forwarded sample was collected, at most every generated one.
-    fixed_pd = (
-        forwarded * costs.per_sample_batch_cpu
-        + forward_calls * costs.forward_cpu.mean
-        + r.merges_total * merge_mean
-    )
+    fixed_pd = forward_calls * costs.forward_cpu.mean + r.merges_total * merge_mean
     expected_lo = fixed_pd + forwarded * costs.collection_cpu.mean
     expected_hi = fixed_pd + r.samples_generated * costs.collection_cpu.mean
     measured_pd = r.pd_cpu_time_per_node * config.nodes

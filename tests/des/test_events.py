@@ -1,8 +1,6 @@
-"""Tests for events: life cycle, values, conditions, operators."""
+"""Tests for events: life cycle and values."""
 
 import pytest
-
-from repro.des import AllOf, AnyOf, Environment, Event
 
 
 def test_event_starts_untriggered(env):
@@ -60,139 +58,3 @@ def test_timeout_carries_value(env):
     env.process(proc(env))
     env.run()
     assert result == ["tick"]
-
-
-def test_trigger_copies_state(env):
-    src = env.event()
-    dst = env.event()
-    src.callbacks.append(dst.trigger)
-    src.succeed(7)
-    env.run()
-    assert dst.value == 7
-
-
-def test_all_of_waits_for_every_event(env):
-    order = []
-
-    def waiter(env, events):
-        result = yield env.all_of(events)
-        order.append(("done", env.now, len(result.events)))
-
-    t1, t2, t3 = env.timeout(1), env.timeout(5), env.timeout(3)
-    env.process(waiter(env, [t1, t2, t3]))
-    env.run()
-    assert order == [("done", 5.0, 3)]
-
-
-def test_any_of_fires_on_first(env):
-    got = []
-
-    def waiter(env, events):
-        result = yield env.any_of(events)
-        got.append((env.now, list(result.values())))
-
-    t1, t2 = env.timeout(4, value="a"), env.timeout(2, value="b")
-    env.process(waiter(env, [t1, t2]))
-    env.run()
-    assert got == [(2.0, ["b"])]
-
-
-def test_and_operator(env):
-    done = []
-
-    def proc(env):
-        yield env.timeout(1) & env.timeout(6)
-        done.append(env.now)
-
-    env.process(proc(env))
-    env.run()
-    assert done == [6.0]
-
-
-def test_or_operator(env):
-    done = []
-
-    def proc(env):
-        yield env.timeout(9) | env.timeout(2)
-        done.append(env.now)
-
-    env.process(proc(env))
-    env.run()
-    assert done == [2.0]
-
-
-def test_empty_all_of_fires_immediately(env):
-    done = []
-
-    def proc(env):
-        yield AllOf(env, [])
-        done.append(env.now)
-
-    env.process(proc(env))
-    env.run()
-    assert done == [0.0]
-
-
-def test_empty_any_of_fires_immediately(env):
-    done = []
-
-    def proc(env):
-        yield AnyOf(env, [])
-        done.append(env.now)
-
-    env.process(proc(env))
-    env.run()
-    assert done == [0.0]
-
-
-def test_condition_value_contains_fired_events(env):
-    seen = {}
-
-    def proc(env):
-        t1 = env.timeout(1, value="x")
-        t2 = env.timeout(1, value="y")
-        result = yield t1 & t2
-        seen["t1"] = result[t1]
-        seen["t2"] = result[t2]
-
-    env.process(proc(env))
-    env.run()
-    assert seen == {"t1": "x", "t2": "y"}
-
-
-def test_condition_propagates_failure(env):
-    caught = []
-
-    def proc(env):
-        bad = Event(env)
-        good = env.timeout(10)
-        cond = good & bad
-        bad.fail(ValueError("broken"))
-        try:
-            yield cond
-        except ValueError as exc:
-            caught.append(str(exc))
-
-    env.process(proc(env))
-    env.run()
-    assert caught == ["broken"]
-
-
-def test_mixing_environments_rejected(env):
-    other = Environment()
-    with pytest.raises(ValueError):
-        AllOf(env, [env.timeout(1), other.timeout(1)])
-
-
-def test_condition_over_already_processed_events(env):
-    t = env.timeout(1, value="v")
-    env.run()  # t is processed now
-    done = []
-
-    def proc(env):
-        result = yield AllOf(env, [t])
-        done.append(result[t])
-
-    env.process(proc(env))
-    env.run()
-    assert done == ["v"]

@@ -147,3 +147,28 @@ def test_stale_pop_retry_after_nested_promotion_is_not_an_event(max_events):
     expected = 21 if max_events is None else max_events + 1
     times = [0.5] + [1.0 + i for i in range(expected - 1)]
     assert [e.time for e in log.entries] == times
+
+
+def _eight_ticks(env):
+    # One initialize event, 8 one-µs timeouts and the process's own
+    # completion: a schedule of exactly 10 events, ending at t=8.
+    for _ in range(8):
+        yield env.timeout(1.0)
+
+
+def test_max_events_equal_to_the_whole_schedule_returns():
+    env = Environment()
+    env.process(_eight_ticks(env), name="ticks")
+    with EventLog(env) as log:
+        assert env.run(max_events=10) is None
+    assert len(log.entries) == 10
+    assert env.now == 8.0
+
+
+def test_max_events_one_short_of_the_schedule_still_stalls():
+    env = Environment()
+    env.process(_eight_ticks(env), name="ticks")
+    with pytest.raises(SimulationStalled) as excinfo:
+        env.run(max_events=9)
+    assert excinfo.value.events_processed == 9
+    assert "exceeded max_events=9" in str(excinfo.value)

@@ -60,8 +60,9 @@ def cfg():
     )
 
 
-def _no_cache_engine(workers=1):
-    return ExperimentEngine(workers=workers, cache=CellCache(enabled=False))
+def _no_cache_engine(workers=1, strict=True):
+    return ExperimentEngine(workers=workers, cache=CellCache(enabled=False),
+                            strict=strict)
 
 
 def _reference(cells):
@@ -308,9 +309,9 @@ def test_suite_cache_is_not_the_users():
 
 def test_failed_cells_are_never_cached(cfg, tmp_path):
     cache = CellCache(tmp_path)
-    engine = ExperimentEngine(workers=1, cache=cache)
+    engine = ExperimentEngine(workers=1, cache=cache, strict=False)
     bad = cfg.with_(max_events=10)
-    replicate(bad, repetitions=1, isolate=True, engine=engine)
+    replicate(bad, repetitions=1, engine=engine)
     assert cache.get(config_fingerprint(bad)) is None
 
 
@@ -422,9 +423,9 @@ def test_unwritable_cache_is_reported_on_the_engine_line(tmp_path,
 
 
 def test_parallel_isolate_ships_cell_errors_back(cfg):
-    with _no_cache_engine(workers=2) as engine:
+    with _no_cache_engine(workers=2, strict=False) as engine:
         runs = sweep(cfg, "max_events", [10, 10_000_000], repetitions=1,
-                     isolate=True, engine=engine)
+                     engine=engine)
     assert runs[0].results == [] and len(runs[0].errors) == 1
     assert isinstance(runs[0].errors[0], CellError)
     assert "SimulationStalled" in runs[0].errors[0].error
@@ -470,9 +471,9 @@ def test_worker_death_fails_unfinished_cells(cfg, tmp_path):
     cells = [cfg.with_(replication=i) for i in range(6)]
     reference = _reference(cells)
     cache = CellCache(tmp_path)
-    with ExperimentEngine(workers=2, cache=cache) as engine:
+    with ExperimentEngine(workers=2, cache=cache, strict=False) as engine:
         engine.cell_runner = functools.partial(_kill_worker_on, 1)
-        out = engine.run_cells(cells[:4], isolate=True)
+        out = engine.run_cells(cells[:4])
         lost = [i for i, o in enumerate(out) if isinstance(o, CellError)]
         assert 1 in lost
         for i, outcome in enumerate(out):
@@ -534,9 +535,9 @@ def test_strict_failure_drops_the_pool_it_stops(cfg):
 
 def test_failed_cell_runs_once(cfg):
     """No in-run retry: a failed cell is reported after its one run."""
-    with _no_cache_engine() as engine:
+    with _no_cache_engine(strict=False) as engine:
         engine.cell_runner = functools.partial(_fail_on, 0)
-        out = engine.run_cells([cfg, cfg.with_(replication=1)], isolate=True)
+        out = engine.run_cells([cfg, cfg.with_(replication=1)])
     assert isinstance(out[0], CellError) and out[0].error.startswith(
         "RuntimeError: injected failure")
     assert results_equal(out[1], _reference([cfg.with_(replication=1)])[0])

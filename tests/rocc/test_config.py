@@ -62,13 +62,6 @@ def test_validation_rejects_bad_cpu_quantum():
         SimulationConfig(workload=wl)
 
 
-def test_validation_rejects_negative_cost_rates():
-    with pytest.raises(ValueError, match="per_sample_batch_cpu"):
-        SimulationConfig(daemon_costs=DaemonCostModel(per_sample_batch_cpu=-1.0))
-    with pytest.raises(ValueError, match="per_sample_network"):
-        SimulationConfig(daemon_costs=DaemonCostModel(per_sample_network=-1.0))
-
-
 def test_tree_requires_mpp():
     with pytest.raises(ValueError):
         SimulationConfig(

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.des import Environment
-from repro.rocc import ProcessorSharingCPU, RoundRobinCPU
+from repro.rocc import RoundRobinCPU
 from repro.workload import ProcessType
 
 APP = ProcessType.APPLICATION
@@ -169,42 +169,3 @@ def test_queue_length_visible(env):
         env.process(job(env))
     env.run(until=100)
     assert cpu.queue_length == 2  # one running, two queued
-
-
-def test_processor_sharing_completion_time(env):
-    """Two equal PS jobs on one CPU both finish at 2x their demand."""
-    cpu = ProcessorSharingCPU(env, n_cpus=1)
-    done = []
-
-    def job(env, name):
-        yield cpu.execute(10_000, APP)
-        done.append((name, env.now))
-
-    env.process(job(env, "a"))
-    env.process(job(env, "b"))
-    env.run()
-    assert done[0][1] == pytest.approx(20_000.0)
-    assert done[1][1] == pytest.approx(20_000.0)
-    assert cpu.busy_time(APP) == pytest.approx(20_000.0)
-
-
-def test_processor_sharing_staggered_arrivals(env):
-    cpu = ProcessorSharingCPU(env, n_cpus=1)
-    done = []
-
-    def first(env):
-        yield cpu.execute(10_000, APP)
-        done.append(("first", env.now))
-
-    def second(env):
-        yield env.timeout(5_000)
-        yield cpu.execute(2_500, PD)
-        done.append(("second", env.now))
-
-    env.process(first(env))
-    env.process(second(env))
-    env.run()
-    # first alone [0,5k) does 5k; shared until second done:
-    # second needs 2.5k at rate 1/2 -> done at 10k; first then has 2.5k
-    # left, finishing at 12.5k.
-    assert done == [("second", 10_000.0), ("first", 12_500.0)]

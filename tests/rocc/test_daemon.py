@@ -132,21 +132,6 @@ def test_bf_cpu_cost_amortizes_forward():
     assert ctx.cpu.busy_time(ProcessType.PARADYN_DAEMON) == pytest.approx(400.0)
 
 
-def test_per_sample_batch_cpu_cost():
-    env = Environment()
-    costs = deterministic_costs()
-    costs.per_sample_batch_cpu = 10.0
-    cfg = SimulationConfig(batch_size=2, daemon_costs=costs)
-    ctx = make_ctx(env, cfg)
-    pipe = SamplePipe(env)
-    ParadynDaemon(ctx, pipe, lambda b: None)
-    feed(env, pipe, [1000.0, 2000.0])
-    env.run(until=10_000)
-    from repro.workload import ProcessType
-
-    assert ctx.cpu.busy_time(ProcessType.PARADYN_DAEMON) == pytest.approx(420.0)
-
-
 def test_flush_timeout_forwards_partial_batch():
     env = Environment()
     cfg = SimulationConfig(

@@ -9,7 +9,7 @@ from repro.des import Environment, EventLog, SimulationStalled
 from repro.des.events import ACTOR_CLASSES, Initialize, Process
 from repro.rocc import SimulationConfig, simulate
 from repro.rocc.config import Architecture, NetworkMode
-from repro.rocc.cpu import ProcessorSharingCPU, RoundRobinCPU
+from repro.rocc.cpu import RoundRobinCPU
 from repro.rocc.metrics import Metrics
 from repro.rocc.network import ContentionFreeNetwork, FIFONetwork
 from repro.rocc.node import LoadActor, NodeContext
@@ -134,22 +134,6 @@ def test_actor_and_event_transfers_share_one_fifo_queue():
     assert first.processed
     assert actor.done_at == pytest.approx(40.0)
     assert finished == [pytest.approx(60.0)]
-
-
-@pytest.mark.parametrize("method", ["request", "release"])
-def test_processor_sharing_cpu_refuses_round_robin_halves(method):
-    env = Environment()
-    cpu = ProcessorSharingCPU(env)
-    with pytest.raises(TypeError, match="ProcessorSharingCPU"):
-        getattr(cpu, method)(10.0, ProcessType.OTHER, None)
-
-
-def test_processor_sharing_cpu_refuses_actor_requests():
-    env = Environment()
-    ctx = make_ctx(env, cpu=ProcessorSharingCPU(env))
-    OneShot(ctx, "cpu", 10.0)
-    with pytest.raises(TypeError, match="ProcessorSharingCPU"):
-        env.run(until=100.0)
 
 
 def test_64_node_now_build_has_processes_only_for_daemons_and_main():

@@ -11,7 +11,6 @@ import pytest
 
 from repro.des import Environment, Tally
 from repro.rocc import FIFONetwork, RoundRobinCPU
-from repro.rocc.cpu import ProcessorSharingCPU
 from repro.workload import ProcessType
 
 APP = ProcessType.APPLICATION
@@ -71,18 +70,6 @@ class TestRoundRobinAgainstPS:
 
         def make_submit(env):
             cpu = RoundRobinCPU(env, n_cpus=1, quantum=5.0)
-            return lambda s: cpu.execute(s, APP)
-
-        sojourns = run_queue(make_submit, lam, mu_mean, n=5000)
-        expected = 1.0 / (1.0 / mu_mean - lam)
-        assert sojourns.mean == pytest.approx(expected, rel=0.15)
-
-    def test_exact_ps_matches_formula(self):
-        mu_mean, rho = 100.0, 0.6
-        lam = rho / mu_mean
-
-        def make_submit(env):
-            cpu = ProcessorSharingCPU(env, n_cpus=1)
             return lambda s: cpu.execute(s, APP)
 
         sojourns = run_queue(make_submit, lam, mu_mean, n=5000)

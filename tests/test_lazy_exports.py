@@ -44,8 +44,6 @@ NOT_USED_IN_SRC = {
                      "kernel-equivalence tests",
     "validate_trace_events": "checks the Chrome traces the CLIs write "
                              "(test_cli_e2e, repro.obs tests)",
-    "ProcessorSharingCPU": "the PS reference that RR is compared against "
-                           "(test_bench_ablation, test_queueing_theory)",
     "children_indices": "oracle for parent_index (test_forwarding)",
     "Deterministic": "test fixture for streams and the kernel",
     "Uniform": "test fixture for streams and sampling",
