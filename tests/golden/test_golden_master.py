@@ -1,8 +1,10 @@
 """Golden-master regression suite for the ROCC simulation.
 
 One seeded NOW, SMP, and MPP cell each, a 64-node contention-free NOW
-cell, a NOW cell that drives the application's blocking paths, and one
-under the adaptive overhead regulator, is snapshotted — every field of
+cell, a NOW cell that drives the application's blocking paths, one
+under the adaptive overhead regulator, NOW and SMP cells with a BF
+flush timer, a NOW cell with a warmup, and an aggregated MPP tree cell
+is snapshotted — every field of
 its :class:`~repro.rocc.metrics.SimulationResults` — as JSON under
 ``tests/golden/``.  Any silent model drift (a cost-model tweak, a
 kernel change that perturbs event order, a metrics accounting change)
@@ -27,6 +29,7 @@ import numpy as np
 import pytest
 
 from repro.rocc.adaptive import RegulatorConfig
+from repro.rocc.aggregate import simulate_aggregated
 from repro.rocc.config import (
     Architecture,
     ForwardingTopology,
@@ -107,6 +110,52 @@ CONFIGS = {
         adaptive=RegulatorConfig(budget=0.01, control_interval=50_000.0),
         seed=13,
     ),
+    # BF batching with a flush timer: each daemon's flush loop forwards
+    # the partial batch that went stale.
+    "now_flushed": SimulationConfig(
+        nodes=2,
+        batch_size=8,
+        batch_flush_timeout=30_000.0,
+        duration=2_000_000.0,
+    ),
+    # The same timer on the SMP, where two daemons share the pooled CPUs
+    # with the applications and the main process.
+    "smp_flushed": SimulationConfig(
+        architecture=Architecture.SMP,
+        nodes=4,
+        app_processes_per_node=4,
+        daemons=2,
+        batch_size=4,
+        batch_flush_timeout=40_000.0,
+        duration=2_000_000.0,
+    ),
+    # BF with a warmup: the accumulators are snapshotted and the
+    # counters reset at t = warmup, ahead of every event at that instant.
+    "now_warmup": SimulationConfig(
+        architecture=Architecture.NOW,
+        nodes=4,
+        duration=1_000_000.0,
+        warmup=250_000.0,
+        sampling_period=10_000.0,
+        batch_size=8,
+        seed=17,
+    ),
+}
+
+#: Cells run through the aggregated large-n mode
+#: (:func:`~repro.rocc.aggregate.simulate_aggregated`): one detailed
+#: node, phantom forwarders into the main process and, under tree
+#: forwarding, phantom children into the detailed daemon's merge inbox.
+AGGREGATED_CONFIGS = {
+    "mpp_tree_aggregated": SimulationConfig(
+        architecture=Architecture.MPP,
+        nodes=16,
+        duration=1_000_000.0,
+        sampling_period=10_000.0,
+        batch_size=4,
+        forwarding=ForwardingTopology.TREE,
+        seed=26,
+    ),
 }
 
 
@@ -162,9 +211,16 @@ def golden_path(name: str) -> Path:
     return GOLDEN_DIR / f"{name}.json"
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+def run_golden(name: str) -> SimulationResults:
+    """Simulate the golden cell *name* with the mode it is pinned in."""
+    if name in AGGREGATED_CONFIGS:
+        return simulate_aggregated(AGGREGATED_CONFIGS[name])
+    return simulate(CONFIGS[name])
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS) + sorted(AGGREGATED_CONFIGS))
 def test_golden_master(name: str, request: pytest.FixtureRequest) -> None:
-    actual = snapshot_results(simulate(CONFIGS[name]))
+    actual = snapshot_results(run_golden(name))
     path = golden_path(name)
     if request.config.getoption("--update-golden"):
         path.write_text(json.dumps(actual, indent=2, sort_keys=True) + "\n")
@@ -243,6 +299,14 @@ def test_blocking_goldens_exercise_their_paths() -> None:
     adaptive = json.loads(golden_path("now_adaptive").read_text())
     static = simulate(CONFIGS["now_adaptive"].with_(adaptive=None))
     assert adaptive["samples_generated"] != static.samples_generated
+    # The flush timer forwards partial batches, the warmup discards a
+    # transient, and the aggregated tree cell merges phantom children.
+    flushed = json.loads(golden_path("now_flushed").read_text())
+    assert flushed["samples_received"] < 8 * flushed["batches_received"]
+    warmup = json.loads(golden_path("now_warmup").read_text())
+    assert warmup["duration"] == CONFIGS["now_warmup"].measured_duration
+    aggregated = json.loads(golden_path("mpp_tree_aggregated").read_text())
+    assert aggregated["merges_total"] > 0
 
 
 def test_golden_catches_cost_model_drift(monkeypatch: pytest.MonkeyPatch) -> None:
