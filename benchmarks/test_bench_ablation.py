@@ -6,6 +6,7 @@ and the behavioural consequence of the choice.
 
 import pytest
 
+from repro.des import Actor, Environment
 from repro.rocc import (
     Architecture,
     DaemonCostModel,
@@ -15,23 +16,33 @@ from repro.rocc import (
 )
 from repro.rocc.cpu import RoundRobinCPU
 from repro.variates.distributions import Exponential
+from repro.workload import ProcessType
+
+
+class _Job(Actor):
+    """One CPU request through the CPU's request/release halves: the job
+    is its own completion entry."""
+
+    kind = "cpudone"
+
+    def __init__(self, cpu, demand, finished):
+        self.name = "job"
+        self.cpu = cpu
+        self.finished = finished
+        cpu.request(demand, ProcessType.APPLICATION, self)
+
+    def _fire(self):
+        self.cpu.release(ProcessType.APPLICATION, self._slice)
+        self.finished.append(self.cpu.env.now)
 
 
 def _rr_completions(n_jobs: int = 40, demand: float = 5_000.0) -> list:
     """Completion times of identical jobs started together on one RR CPU."""
-    from repro.des import Environment
-    from repro.workload import ProcessType
-
     env = Environment()
     cpu = RoundRobinCPU(env, n_cpus=1, quantum=10_000.0)
     finished = []
-
-    def job(env):
-        yield cpu.execute(demand, ProcessType.APPLICATION)
-        finished.append(env.now)
-
     for _ in range(n_jobs):
-        env.process(job(env))
+        _Job(cpu, demand, finished)
     env.run()
     return finished
 

@@ -1,23 +1,30 @@
 """``repro.des`` — a from-scratch discrete-event simulation kernel.
 
 This package provides the simulation substrate the ROCC model is built
-on, and only what that model uses: generator-based processes yielding
-events (timeouts, allocation-free holds, other processes), actors that
-schedule themselves, a finite FIFO :class:`Store` (the Unix
-pipes), O(1) statistics monitors (``Tally``, ``TimeWeighted``), tracers
-and a kernel profiler.
+on, and only what that model uses: actors that put themselves on the
+schedule, events with callbacks (timeouts among them), a finite FIFO
+:class:`Store` (the Unix pipes), O(1) statistics monitors (``Tally``,
+``TimeWeighted``), tracers and a kernel profiler.
 
 Quick example::
 
-    from repro.des import Environment
+    from repro.des import NORMAL, Actor, Environment
 
-    def clock(env, period):
-        while True:
-            yield env.timeout(period)
-            print("tick", env.now)
+    class Clock(Actor):
+        kind = "timeout"
+
+        def __init__(self, env, period):
+            self.name = "clock"
+            self.env = env
+            self.period = period
+            env.schedule(self, NORMAL, period)
+
+        def _fire(self):
+            print("tick", self.env.now)
+            self.env.schedule(self, NORMAL, self.period)
 
     env = Environment()
-    env.process(clock(env, 10.0))
+    Clock(env, 10.0)
     env.run(until=35.0)
 """
 
@@ -28,9 +35,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "Infinity": "core",
     "Event": "events",
     "Timeout": "events",
-    "Hold": "events",
     "Actor": "events",
-    "Process": "events",
     "NORMAL": "events",
     "URGENT": "events",
     "SimulationError": "exceptions",

@@ -5,10 +5,9 @@ scheduler (:class:`~repro.des.queues.AutoScheduler`) ordering scheduled
 events by ``(time, priority, sequence)``: a bare ``heapq`` list while
 the schedule is shallow, promoted once, at an event boundary, to a
 calendar queue when it deepens.
-Model code creates events through the factory methods (:meth:`timeout`,
-:meth:`hold`, :meth:`process`, :meth:`event`, ...) and drives the
-simulation with :meth:`run`.  There is one kernel path: holds and
-recycled timeouts are always on.
+Model actors put themselves on the schedule; other code creates events
+through the factory methods (:meth:`timeout`, :meth:`event`) and drives
+the simulation with :meth:`run`.
 
 Time is a plain ``float``; this package uses **microseconds** throughout
 the ROCC model, but the kernel itself is unit-agnostic.
@@ -21,19 +20,9 @@ from functools import partial
 from heapq import heappop, heappush
 from itertools import repeat
 from time import monotonic
-from typing import Any, Generator, List, Optional
+from typing import Any, List, Optional
 
-from .events import (
-    ACTOR_CLASSES,
-    HOLD_COMPLETED,
-    NORMAL,
-    URGENT,
-    Actor,
-    Event,
-    Hold,
-    Process,
-    Timeout,
-)
+from .events import ACTOR_CLASSES, NORMAL, URGENT, Actor, Event, Timeout
 from .exceptions import (
     EmptySchedule,
     SimulationError,
@@ -46,9 +35,6 @@ __all__ = ["Environment", "Infinity"]
 
 #: Convenience alias used for "run forever".
 Infinity: float = float("inf")
-
-#: Cap on the free lists so pathological models cannot hoard memory.
-_POOL_LIMIT = 256
 
 #: Events an armed :meth:`Environment.run` dispatches between two
 #: watchdog checks (the wall clock is read once per chunk).
@@ -65,10 +51,6 @@ _REMOVED_VARIABLES = {
     "REPRO_DES_PARALLEL": "every cell runs on the sequential kernel; "
                           "--workers N runs cells in parallel",
 }
-
-
-#: The one callback the recycler accepts: a bound ``Process._resume``.
-_PROCESS_RESUME = Process._resume
 
 
 class Environment:
@@ -93,17 +75,11 @@ class Environment:
         self._push = partial(heappush, scheduler.heap)
         self._pop = partial(heappop, scheduler.heap)
         self._eid = scheduler.ids
-        self._active_proc: Optional[Process] = None
         #: Optional observers invoked as ``tracer(event, now)`` for every
         #: processed event (see :mod:`repro.des.tracing`).  Kept as a
         #: plain list checked with one truthiness test so the untraced
         #: hot path stays cheap.
         self._tracers: List = []
-        # Free lists for recycled Hold / Timeout objects.  An object is
-        # only ever recycled once it has been popped and fully processed,
-        # so nothing can observe a pooled instance.
-        self._hold_pool: List[Hold] = []
-        self._timeout_pool: List[Timeout] = []
 
     # ------------------------------------------------------------------
     # Introspection
@@ -146,57 +122,8 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create a :class:`Timeout` firing after *delay* time units.
-
-        The instance may come from a free list of recycled timeouts
-        (state fully reset); the observable behaviour is identical to a
-        freshly constructed :class:`Timeout`.
-        """
-        pool = self._timeout_pool
-        if not pool:
-            return Timeout(self, delay, value)
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        t = pool.pop()
-        t.callbacks = []
-        t._value = value
-        t._ok = True
-        t._defused = False
-        t._delay = delay
-        self._push((self._now + delay, NORMAL, next(self._eid), t))
-        return t
-
-    def hold(self, delay: float):
-        """Park the active process for *delay* time units (fast timeout).
-
-        Semantically identical to ``yield env.timeout(delay)`` for a
-        plain process sleep, but allocation-free: no ``Timeout``, no
-        callbacks list — the run loop resumes the process directly off
-        the heap.  The return value must be yielded immediately and
-        never inspected; use :meth:`timeout` when the event itself is
-        needed.
-
-        Falls back to a real :class:`Timeout` when called outside a
-        process.
-        """
-        proc = self._active_proc
-        if proc is None:
-            return self.timeout(delay)
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        pool = self._hold_pool
-        hold = pool.pop() if pool else Hold()
-        hold.proc = proc
-        self._push((self._now + delay, NORMAL, next(self._eid), hold))
-        return HOLD_COMPLETED
-
-    def process(
-        self,
-        generator: Generator[Event, Any, Any],
-        name: Optional[str] = None,
-    ) -> Process:
-        """Start a new :class:`Process` running *generator*."""
-        return Process(self, generator, name=name)
+        """Create a :class:`Timeout` firing after *delay* time units."""
+        return Timeout(self, delay, value)
 
     # ------------------------------------------------------------------
     # Scheduling / execution
@@ -306,7 +233,9 @@ class Environment:
 
         Every event goes through here: an unarmed :meth:`run` passes no
         budget, an armed one passes chunks, and :meth:`step` passes 1.
-        Every per-event attribute lookup is hoisted into a local.  Returns
+        An entry is either an :class:`Actor`, which the loop fires, or
+        an :class:`Event`, whose callbacks it runs.  Every per-event
+        attribute lookup is hoisted into a local.  Returns
         after exactly *budget* events, or exits by raising
         :class:`StopSimulation` / :class:`EmptySchedule`, which
         :meth:`run` handles.
@@ -323,12 +252,6 @@ class Environment:
         pop = self._pop
         actor_classes = ACTOR_CLASSES
         tracers = self._tracers  # mutated in place by add/remove_tracer
-        hold_pool = self._hold_pool
-        timeout_pool = self._timeout_pool
-        resume = _PROCESS_RESUME
-        hold_cls = Hold
-        timeout_cls = Timeout
-        pool_limit = _POOL_LIMIT
         for _ in repeat(None) if budget is None else repeat(None, budget):
             if len(heap) >= promote_at:
                 pop = self._promote()
@@ -343,22 +266,11 @@ class Environment:
                 except IndexError:
                     raise EmptySchedule() from None
             self._now = now
-            cls = event.__class__
-            if cls in actor_classes:
+            if event.__class__ in actor_classes:
                 if tracers:
                     for tracer in tracers:
                         tracer(event, now)
                 event._fire()
-                continue
-            if cls is hold_cls:
-                proc = event.proc
-                if tracers:
-                    for tracer in tracers:
-                        tracer(event, now)
-                event.proc = None
-                if len(hold_pool) < pool_limit:
-                    hold_pool.append(event)
-                resume(proc, event)
                 continue
             if tracers:
                 for tracer in tracers:
@@ -369,20 +281,6 @@ class Environment:
                 raise SimulationError(f"{event!r} processed twice")
             for callback in callbacks:
                 callback(event)
-            if cls is timeout_cls:
-                # Recycle iff every waiter was a plain process resume (or
-                # nobody waited): such a timeout can never be re-inspected,
-                # unlike one whose other callback may have kept a reference
-                # and read its value after processing.  Pooled with
-                # callbacks=None, stale references still see a processed
-                # event until the instance is reused.
-                if len(timeout_pool) < pool_limit:
-                    for cb in callbacks:
-                        if getattr(cb, "__func__", None) is not resume:
-                            break
-                    else:
-                        timeout_pool.append(event)
-                continue
             if not event._ok and not event._defused:
                 exc = event._value
                 if isinstance(exc, BaseException):
@@ -397,20 +295,15 @@ class Environment:
         return calendar.pop
 
     def _stalled(self, reason: str, steps: int) -> SimulationStalled:
-        """Build a :class:`SimulationStalled` naming blocked processes."""
+        """Build a :class:`SimulationStalled` naming the actors at the
+        head of the schedule, and those waiting on its events."""
         blocked: List[str] = []
         for _, _, _, event in self._scheduler.smallest(16):
-            if type(event) is Hold:
-                # Holds carry the parked process directly
-                # instead of a callbacks list.
-                if event.proc.name not in blocked:
-                    blocked.append(event.proc.name)
-                continue
-            if isinstance(event, (Process, Actor)) and event.name not in blocked:
+            if isinstance(event, Actor) and event.name not in blocked:
                 blocked.append(event.name)
             for callback in event.callbacks or ():
                 owner = getattr(callback, "__self__", None)
-                if isinstance(owner, (Process, Actor)) and owner.name not in blocked:
+                if isinstance(owner, Actor) and owner.name not in blocked:
                     blocked.append(owner.name)
         message = (
             f"simulation stalled ({reason}) at t={self._now:g} "

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..obs.metrics import registry as obs_registry
 from .core import Environment
-from .events import Actor, Hold, Process
+from .events import Actor
 from .tracing import event_kind
 
 __all__ = ["KernelProfiler"]
@@ -67,21 +67,15 @@ class KernelProfiler:
         last = self._last_key
         if last is not None:
             self._charge(last, t - self._last_wall, now - self._last_sim)
-        if type(event) is Hold:
-            kind = "timeout"
-            proc = event.proc
-            name = proc.name if proc is not None else None
-        else:
-            kind = event_kind(event)
-            name = getattr(event, "name", None)
-            if name is None:
-                # Attribute anonymous events to the process (or actor)
-                # they resume.
-                for cb in event.callbacks or ():
-                    owner = getattr(cb, "__self__", None)
-                    if isinstance(owner, (Process, Actor)):
-                        name = owner.name
-                        break
+        kind = event_kind(event)
+        name = getattr(event, "name", None)
+        if name is None:
+            # Attribute an anonymous event to the actor it wakes.
+            for cb in event.callbacks or ():
+                owner = getattr(cb, "__self__", None)
+                if isinstance(owner, Actor):
+                    name = owner.name
+                    break
         self.events += 1
         if self.events % self.heap_interval == 0:
             self._heap_depths.append(len(self.env))

@@ -2,7 +2,7 @@
 
 The ROCC study is about instrumenting systems; this module instruments
 the *simulator*: an :class:`EventLog` records every processed event
-(time, kind, process name) for debugging and for the kernel-throughput
+(time, kind, actor name) for debugging and for the kernel-throughput
 benchmarks.  Long runs are counted by the kernel profiler
 (:mod:`repro.des.profiling`) instead, which traced runs attach.
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .core import Environment
-from .events import Actor, Event, Hold, Process, Timeout
+from .events import Actor, Event, Timeout
 
 __all__ = ["TraceEntry", "EventLog", "event_kind"]
 
@@ -30,15 +30,11 @@ def event_kind(event: Event) -> str:
 
     An :class:`~repro.des.events.Actor` is classified by what its entry
     completes (``initialize``, ``timeout``, ``cpudone``, ``transfer``,
-    ...), the kind of the event the equivalent process would wait on.
+    ...); any other event by its class name.
     """
     if isinstance(event, Actor):
         return event.kind
-    if isinstance(event, Process):
-        return "process"
-    if isinstance(event, (Timeout, Hold)):
-        # A fast-path hold is semantically a timeout, so traces stay
-        # identical whichever kernel path produced the event.
+    if isinstance(event, Timeout):
         return "timeout"
     return type(event).__name__.lower()
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..workload.records import ProcessType
-from .node import NodeContext
+from .node import LoadActor, NodeContext
 
 __all__ = ["RegulatorConfig", "RegulatorDecision", "OverheadRegulator"]
 
@@ -92,7 +92,7 @@ class RegulatorDecision:
         return self.new_period != self.old_period or self.new_batch != self.old_batch
 
 
-class OverheadRegulator:
+class OverheadRegulator(LoadActor):
     """Keeps a node's daemon CPU overhead near a budget.
 
     Attach to a node by constructing it with the node's context and the
@@ -103,6 +103,9 @@ class OverheadRegulator:
     and optionally the daemon's batch size.
     """
 
+    __slots__ = ("ctx", "sampler", "config", "daemon", "decisions",
+                 "_last_busy")
+
     def __init__(
         self,
         ctx: NodeContext,
@@ -110,13 +113,15 @@ class OverheadRegulator:
         config: Optional[RegulatorConfig] = None,
         daemon=None,
     ):
+        super().__init__(ctx, ProcessType.PARADYN_DAEMON,
+                         f"node{ctx.node_id}/regulator")
         self.ctx = ctx
         self.sampler = sampler
         self.config = config or RegulatorConfig()
         self.daemon = daemon
         self.decisions: List[RegulatorDecision] = []
         self._last_busy = 0.0
-        ctx.env.process(self._run(), name=f"node{ctx.node_id}/regulator")
+        self.start(OverheadRegulator._wait)
 
     # ------------------------------------------------------------------
     def _observe(self) -> float:
@@ -126,47 +131,47 @@ class OverheadRegulator:
         self._last_busy = busy
         return window / (self.config.control_interval * self.ctx.cpu.n_cpus)
 
-    def _run(self):
-        env = self.ctx.env
+    def _wait(self) -> None:
+        self.sleep(self.config.control_interval, OverheadRegulator._decide)
+
+    def _decide(self) -> None:
         cfg = self.config
-        while True:
-            yield env.hold(cfg.control_interval)
-            util = self._observe()
-            old_period = self.sampler.period
-            old_batch = self._batch()
-            new_period, new_batch = old_period, old_batch
+        util = self._observe()
+        old_period = self.sampler.period
+        old_batch = self._batch()
+        new_period, new_batch = old_period, old_batch
 
-            if util > cfg.budget:
-                if (
-                    cfg.adapt_batch
-                    and self.daemon is not None
-                    and old_batch < cfg.max_batch
-                ):
-                    new_batch = min(cfg.max_batch, max(old_batch * 2, 2))
-                else:
-                    new_period = min(cfg.max_period, old_period * cfg.backoff)
-            elif util < cfg.low_water * cfg.budget:
-                new_period = max(cfg.min_period, old_period * cfg.recovery)
+        if util > cfg.budget:
+            if (
+                cfg.adapt_batch
+                and self.daemon is not None
+                and old_batch < cfg.max_batch
+            ):
+                new_batch = min(cfg.max_batch, max(old_batch * 2, 2))
+            else:
+                new_period = min(cfg.max_period, old_period * cfg.backoff)
+        elif util < cfg.low_water * cfg.budget:
+            new_period = max(cfg.min_period, old_period * cfg.recovery)
 
-            if new_period != old_period:
-                self.sampler.period = new_period
-            if new_batch != old_batch and self.daemon is not None:
-                self._set_batch(new_batch)
-            self.decisions.append(
-                RegulatorDecision(
-                    time=env.now,
-                    observed_utilization=util,
-                    old_period=old_period,
-                    new_period=new_period,
-                    old_batch=old_batch,
-                    new_batch=new_batch,
-                )
+        if new_period != old_period:
+            self.sampler.period = new_period
+        if new_batch != old_batch and self.daemon is not None:
+            self._set_batch(new_batch)
+        self.decisions.append(
+            RegulatorDecision(
+                time=self.env.now,
+                observed_utilization=util,
+                old_period=old_period,
+                new_period=new_period,
+                old_batch=old_batch,
+                new_batch=new_batch,
             )
-            # The controller is instrumentation too: charge its work.
-            if cfg.decision_cost > 0:
-                yield self.ctx.cpu.execute(
-                    cfg.decision_cost, ProcessType.PARADYN_DAEMON
-                )
+        )
+        # The controller is instrumentation too: charge its work.
+        if cfg.decision_cost > 0:
+            self.compute(cfg.decision_cost, OverheadRegulator._wait)
+        else:
+            self._wait()
 
     def _batch(self) -> int:
         if self.daemon is None:

@@ -23,14 +23,37 @@ mode and the full simulation at small n is checked by
 
 from __future__ import annotations
 
+from typing import Callable
+
 from ..variates.distributions import Exponential
 from ..workload.records import ProcessType
 from .config import ForwardingTopology, SimulationConfig
 from .metrics import SimulationResults
+from .node import LoadActor, NodeContext
 from .requests import Batch, Sample
 from .system import ParadynISSystem
 
 __all__ = ["AggregatedParadynISSystem", "simulate_aggregated"]
+
+
+class _PhantomStream(LoadActor):
+    """Batches from the phantom nodes on one Poisson clock: every tick
+    calls *emit*, which makes a batch and sends it on its way."""
+
+    __slots__ = ("_inter", "_emit")
+
+    def __init__(self, ctx: NodeContext, name: str, inter, emit: Callable):
+        super().__init__(ctx, ProcessType.PARADYN_DAEMON, name)
+        self._inter = inter
+        self._emit = emit
+        self.start(_PhantomStream._wait)
+
+    def _wait(self) -> None:
+        self.sleep(self._inter(), _PhantomStream._tick)
+
+    def _tick(self) -> None:
+        self._emit()
+        self._wait()
 
 
 class AggregatedParadynISSystem(ParadynISSystem):
@@ -68,12 +91,30 @@ class AggregatedParadynISSystem(ParadynISSystem):
             self._lambda_batches = apps / (
                 config.sampling_period * config.batch_size
             )
-            self.env.process(self._phantom_mains(), name="phantom-forwarders")
+            ctx = self.main.ctx
+            rate = self._lambda_batches * (self.true_nodes - 1)
+            self._main_net = self.streams.variates(
+                "phantom/main_net", config.workload.pd_network)
+            _PhantomStream(
+                ctx, "phantom-forwarders",
+                self.streams.variates("phantom/main_inter",
+                                      Exponential(1.0 / rate)),
+                self._phantom_main,
+            )
             if self._tree:
                 daemon = self.daemons[0]
                 daemon.enable_tree_inbox()
                 daemon.merge_deliver = lambda batch: None  # sink relays
-                self.env.process(self._phantom_children(), name="phantom-children")
+                # System-average merge arrivals per node: λ (n-1)/n
+                # (see §3.3).
+                n = self.true_nodes
+                rate = self._lambda_batches * (n - 1) / n
+                _PhantomStream(
+                    ctx, "phantom-children",
+                    self.streams.variates("phantom/child_inter",
+                                          Exponential(1.0 / rate)),
+                    self._phantom_child,
+                )
 
     # ------------------------------------------------------------------
     def _make_phantom_batch(self, node: int) -> Batch:
@@ -96,37 +137,22 @@ class AggregatedParadynISSystem(ParadynISSystem):
         batch.sent_at = samples[0].created_at if b == 1 else env.now
         return batch
 
-    def _phantom_mains(self):
-        """Forwarded batches from the n-1 phantom nodes to the main process."""
-        cfg = self.config_true
-        env = self.env
-        rate = self._lambda_batches * (self.true_nodes - 1)
-        inter = self.streams.variates("phantom/main_inter", Exponential(1.0 / rate))
-        net = self.streams.variates("phantom/main_net", cfg.workload.pd_network)
-        while True:
-            yield env.hold(inter())
-            batch = self._make_phantom_batch(node=1)
-            # Fire-and-forget: phantom nodes transfer concurrently.
-            self.network.transfer(
-                net(),
-                ProcessType.PARADYN_DAEMON,
-                payload=batch,
-                deliver=self.main.deliver,
-            )
+    def _phantom_main(self) -> None:
+        """A forwarded batch from the n-1 phantom nodes to the main
+        process, sent fire-and-forget: phantom nodes transfer
+        concurrently."""
+        batch = self._make_phantom_batch(node=1)
+        self.network.transfer(
+            self._main_net(),
+            ProcessType.PARADYN_DAEMON,
+            payload=batch,
+            deliver=self.main.deliver,
+        )
 
-    def _phantom_children(self):
-        """En-route child batches merged by the detailed (average) daemon."""
-        cfg = self.config_true
-        env = self.env
-        n = self.true_nodes
-        # System-average merge arrivals per node: λ (n-1)/n (see §3.3).
-        rate = self._lambda_batches * (n - 1) / n
-        inter = self.streams.variates("phantom/child_inter", Exponential(1.0 / rate))
-        daemon = self.daemons[0]
-        while True:
-            yield env.hold(inter())
-            batch = self._make_phantom_batch(node=2)
-            daemon.deliver(batch)
+    def _phantom_child(self) -> None:
+        """An en-route child batch for the detailed (average) daemon to
+        merge."""
+        self.daemons[0].deliver(self._make_phantom_batch(node=2))
 
     # ------------------------------------------------------------------
     def _results(self) -> SimulationResults:

@@ -19,11 +19,10 @@ wake-up, a hold, and a separate completion event.
 
 A request has two halves, :meth:`RoundRobinCPU.request` (queue or
 start it) and :meth:`RoundRobinCPU.release` (charge the final slice,
-hand the processor on).  :meth:`~RoundRobinCPU.execute` wraps them in a
-:class:`CPUDone` event for processes; the background-load actors
-(:mod:`repro.rocc.node`) call them directly and are their own
-completion entry, so both paths share one slice algebra and one
-accounting order.
+hand the processor on).  The requesting actor
+(:class:`~repro.rocc.node.LoadActor`) is its own completion entry: the
+CPU pushes it for the time its final slice ends, and its handler calls
+:meth:`~RoundRobinCPU.release`.
 
 Processor sharing, the fluid limit RR approaches as quantum → 0, is
 not simulated: its closed forms are the oracles RR is checked against
@@ -40,7 +39,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..des.core import Environment
-from ..des.events import NORMAL, PENDING, Event
+from ..des.events import NORMAL, Event
 from ..des.monitor import TimeWeighted
 from ..workload.records import ProcessType
 
@@ -50,8 +49,7 @@ __all__ = ["CPUJob", "RoundRobinCPU"]
 class CPUJob:
     """A CPU occupancy request queued at the scheduler.
 
-    ``event`` is the request's completion entry: a :class:`CPUDone` or
-    an actor.
+    ``event`` is the request's completion entry, an actor.
     """
 
     __slots__ = ("remaining", "owner", "event", "enqueued_at")
@@ -61,32 +59,6 @@ class CPUJob:
         self.owner = owner
         self.event = event
         self.enqueued_at = now
-
-
-class CPUDone(Event):
-    """Completion event of one CPU request.
-
-    Returned by :meth:`RoundRobinCPU.execute` and scheduled when the
-    job's *final* slice starts.  It stays untriggered until it pops;
-    ``_finish`` (its first callback) charges the slice and hands the
-    processor to the next queued job before any waiter resumes.
-    """
-
-    __slots__ = ("_cpu", "_owner", "_slice")
-
-    def __init__(self, cpu: "RoundRobinCPU", owner: ProcessType):
-        self.env = cpu.env
-        self.callbacks = [self._finish]
-        self._value = PENDING
-        self._ok = True
-        self._defused = False
-        self._cpu = cpu
-        self._owner = owner
-        self._slice = 0.0
-
-    def _finish(self, _event: Event) -> None:
-        self._cpu.release(self._owner, self._slice)
-        self._value = None
 
 
 class CPUSlice(Event):
@@ -163,24 +135,14 @@ class RoundRobinCPU:
         self.busy_servers = TimeWeighted(f"{name}.busy", start_time=env.now)
 
     # ------------------------------------------------------------------
-    def execute(self, amount: float, owner: ProcessType) -> Event:
-        """Submit a CPU occupancy request; the event fires on completion."""
-        if amount <= 0.0:
-            done = Event(self.env)
-            done.succeed()
-            return done
-        done = CPUDone(self, owner)
-        self.request(amount, owner, done)
-        return done
-
     def request(self, amount: float, owner: ProcessType, done) -> None:
         """Request half of a positive-length occupancy request.
 
-        *done* is the kernel entry of the completion — a
-        :class:`CPUDone`, or an :class:`~repro.des.events.Actor` that
-        is its own event.  It gets a ``_slice`` attribute (the final
-        slice's length) and is pushed for the time that slice ends; its
-        handler must then call :meth:`release`.
+        *done* is the kernel entry of the completion, an
+        :class:`~repro.des.events.Actor` that is its own event.  It gets
+        a ``_slice`` attribute (the final slice's length) and is pushed
+        for the time that slice ends; its handler must then call
+        :meth:`release`.
         """
         scaled = float(amount)
         quantum = self.quantum

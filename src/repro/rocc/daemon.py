@@ -12,6 +12,10 @@ processes (SMP).  Its life is the §2.1 loop:
    batches arriving from child daemons: each costs a merge CPU request
    and is forwarded up with the same network occupancy as a local batch
    (§3.3).
+
+Each loop (collect, the optional flush timer, merge) is a
+:class:`~repro.rocc.node.LoadActor`; the three share the daemon's
+partial batch.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Callable, List, Optional
 
 from ..des.stores import Store
 from ..workload.records import ProcessType
-from .node import NodeContext
+from .node import LoadActor, NodeContext
 from .pipes import SamplePipe
 from .requests import Batch, Sample
 
@@ -81,85 +85,21 @@ class ParadynDaemon:
         self.samples_forwarded = 0
         self.forward_calls = 0
 
-        ctx.env.process(self._collect_loop(), name=f"{prefix}/collect")
+        _Collector(self)
         if ctx.config.batch_flush_timeout is not None:
-            ctx.env.process(self._flush_loop(), name=f"{prefix}/flush")
+            _Flusher(self)
 
     def enable_tree_inbox(self) -> None:
         """Attach a child-batch inbox and start the merge loop."""
         if self.inbox is None:
             self.inbox = Store(self.ctx.env)
-            self.ctx.env.process(self._merge_loop(), name=f"{self.name}/merge")
+            _Merger(self)
 
     def deliver(self, batch: Batch) -> None:
         """Delivery sink for child daemons (tree forwarding)."""
         assert self.inbox is not None, "tree inbox not enabled"
         self.inbox.put(batch)  # unbounded: triggers immediately
 
-    # ------------------------------------------------------------------
-    # Worker loops
-    # ------------------------------------------------------------------
-    def _collect_loop(self):
-        env = self.ctx.env
-        cpu = self.ctx.cpu
-        pipe = self.pipe
-        burst = COLLECTION_BURST
-        # At most ``burst`` samples, emptied every round: a list, not a deque.
-        pending: List[Sample] = []
-        while True:
-            pending.append((yield pipe.get()))
-            # Drain everything already waiting (up to the burst limit) so
-            # one CPU acquisition covers the whole backlog — the real
-            # daemon reads all available samples per wakeup.  Without
-            # this, strict round-robin starves the daemon behind
-            # CPU-bound applications (one scheduling round per sample).
-            while len(pipe) > 0 and len(pending) < burst:
-                pending.append(pipe.get().value)
-            cost = self._collect_cpu.take_sum(len(pending))
-            yield cpu.execute(cost, ProcessType.PARADYN_DAEMON)
-            while pending:
-                s = pending.pop(0)
-                if not self._batch:
-                    self._batch_started = env.now
-                self._batch.append(s)
-                if len(self._batch) >= self.batch_size:
-                    yield from self._forward(self._take_batch())
-
-    def _flush_loop(self):
-        """Forward a stale partial batch (BF extension, off by default)."""
-        env = self.ctx.env
-        timeout = self.ctx.config.batch_flush_timeout
-        while True:
-            yield env.hold(timeout)
-            if self._batch and env.now - self._batch_started >= timeout:
-                yield from self._forward(self._take_batch())
-
-    def _merge_loop(self):
-        """Tree forwarding: merge child batches and send them upward."""
-        env = self.ctx.env
-        cpu = self.ctx.cpu
-        network = self.ctx.network
-        metrics = self.ctx.metrics
-        node = self.ctx.node_id
-        while True:
-            batch = yield self.inbox.get()
-            yield cpu.execute(self._merge_cpu(), ProcessType.PARADYN_DAEMON)
-            metrics.note_merge(node)
-            for s in batch.samples:
-                s.hops += 1
-            batch.origin = node
-            batch.sent_at = env.now
-            # "The network occupancy needed for forwarding a merged
-            # sample is the same as for forwarding a local sample"
-            # (§3.3).
-            yield network.transfer(
-                self._net(), ProcessType.PARADYN_DAEMON,
-                payload=batch, deliver=self.merge_deliver,
-            )
-
-    # ------------------------------------------------------------------
-    # Forwarding
-    # ------------------------------------------------------------------
     def _take_batch(self) -> Batch:
         env = self.ctx.env
         samples, self._batch = self._batch, []
@@ -173,18 +113,131 @@ class ParadynDaemon:
             batch.sent_at = env.now
         return batch
 
-    def _forward(self, batch: Batch):
-        """CPU (system call) + network occupancy for one forwarding."""
-        ctx = self.ctx
+
+class _DaemonLoop(LoadActor):
+    """One loop of a daemon, named ``<daemon>/<loop>``."""
+
+    __slots__ = ("pd", "_out", "_then")
+
+    def __init__(self, pd: ParadynDaemon, loop: str, step: Callable):
+        super().__init__(pd.ctx, ProcessType.PARADYN_DAEMON, f"{pd.name}/{loop}")
+        self.pd = pd
+        #: The batch between its CPU work and its network send.
+        self._out: Optional[Batch] = None
+        #: The step after the forwarding in progress.
+        self._then: Optional[Callable] = None
+        self.start(step)
+
+    def forward(self, batch: Batch, step: Callable) -> None:
+        """CPU (system call) + network occupancy for one forwarding,
+        then *step*."""
+        self._out = batch
+        self._then = step
+        self.compute(self.pd._forward_cpu(), _DaemonLoop._forwarded)
+
+    def _forwarded(self) -> None:
+        pd = self.pd
+        ctx = pd.ctx
+        batch, self._out = self._out, None
         n = len(batch.samples)
-        yield ctx.cpu.execute(self._forward_cpu(), ProcessType.PARADYN_DAEMON)
-        self.samples_forwarded += n
-        self.forward_calls += 1
+        pd.samples_forwarded += n
+        pd.forward_calls += 1
         ctx.metrics.note_forward(ctx.node_id, n)
         # Network occupancy per forward is constant: "the network
         # occupancy needed for forwarding a merged sample is the same as
         # for forwarding a local sample" (§3.3).
-        yield ctx.network.transfer(
-            self._net(), ProcessType.PARADYN_DAEMON,
-            payload=batch, deliver=self.deliver_up,
-        )
+        self.send(pd._net(), batch, pd.deliver_up, self._then)
+
+
+class _Collector(_DaemonLoop):
+    """Drain the pipe, pay the collection CPU work, batch and forward."""
+
+    __slots__ = ("pipe", "_samples")
+
+    def __init__(self, pd: ParadynDaemon):
+        super().__init__(pd, "collect", _Collector._wait)
+        self.pipe = pd.pipe
+        # At most COLLECTION_BURST samples, emptied every round: a list,
+        # not a deque.
+        self._samples: List[Sample] = []
+
+    def _wait(self) -> None:
+        self.get(self.pipe, _Collector._collect)
+
+    def _collect(self, sample: Sample) -> None:
+        samples = self._samples
+        samples.append(sample)
+        # Drain everything already waiting (up to the burst limit) so
+        # one CPU acquisition covers the whole backlog — the real
+        # daemon reads all available samples per wakeup.  Without
+        # this, strict round-robin starves the daemon behind
+        # CPU-bound applications (one scheduling round per sample).
+        pipe = self.pipe
+        while len(pipe) > 0 and len(samples) < COLLECTION_BURST:
+            samples.append(pipe.get().value)
+        self.compute(self.pd._collect_cpu.take_sum(len(samples)),
+                     _Collector._batch)
+
+    def _batch(self) -> None:
+        """Add the collected samples to the batch, forwarding each
+        batch that fills, then read the pipe again."""
+        pd = self.pd
+        samples = self._samples
+        while samples:
+            s = samples.pop(0)
+            if not pd._batch:
+                pd._batch_started = self.env._now
+            pd._batch.append(s)
+            if len(pd._batch) >= pd.batch_size:
+                self.forward(pd._take_batch(), _Collector._batch)
+                return
+        self._wait()
+
+
+class _Flusher(_DaemonLoop):
+    """Forward a stale partial batch (BF extension, off by default)."""
+
+    __slots__ = ("_timeout",)
+
+    def __init__(self, pd: ParadynDaemon):
+        super().__init__(pd, "flush", _Flusher._wait)
+        self._timeout = pd.ctx.config.batch_flush_timeout
+
+    def _wait(self) -> None:
+        self.sleep(self._timeout, _Flusher._check)
+
+    def _check(self) -> None:
+        pd = self.pd
+        if pd._batch and self.env._now - pd._batch_started >= self._timeout:
+            self.forward(pd._take_batch(), _Flusher._wait)
+        else:
+            self._wait()
+
+
+class _Merger(_DaemonLoop):
+    """Tree forwarding: merge child batches and send them upward."""
+
+    __slots__ = ()
+
+    def __init__(self, pd: ParadynDaemon):
+        super().__init__(pd, "merge", _Merger._wait)
+
+    def _wait(self) -> None:
+        self.get(self.pd.inbox, _Merger._merge)
+
+    def _merge(self, batch: Batch) -> None:
+        self._out = batch
+        self.compute(self.pd._merge_cpu(), _Merger._merged)
+
+    def _merged(self) -> None:
+        pd = self.pd
+        node = pd.ctx.node_id
+        batch, self._out = self._out, None
+        pd.ctx.metrics.note_merge(node)
+        for s in batch.samples:
+            s.hops += 1
+        batch.origin = node
+        batch.sent_at = self.env._now
+        # "The network occupancy needed for forwarding a merged sample
+        # is the same as for forwarding a local sample" (§3.3).
+        self.send(pd._net(), batch, pd.merge_deliver, _Merger._wait)

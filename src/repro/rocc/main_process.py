@@ -13,23 +13,29 @@ from __future__ import annotations
 from ..des.stores import Store
 from ..workload.records import ProcessType
 from .config import MainCostModel
-from .node import NodeContext
+from .node import LoadActor, NodeContext
 from .requests import Batch
 
 __all__ = ["MainParadynProcess"]
 
 
-class MainParadynProcess:
-    """The multithreaded main Paradyn tool process."""
+class MainParadynProcess(LoadActor):
+    """The multithreaded main Paradyn tool process: a loop that reads a
+    batch from its inbox and pays for it on its host CPU.
+
+    One per run, so it keeps an instance ``__dict__``: its delivery sink
+    can be wrapped per instance (``main.deliver = spy``).
+    """
 
     def __init__(self, ctx: NodeContext):
+        super().__init__(ctx, ProcessType.PARADYN_MAIN, "paradyn-main")
         self.ctx = ctx
         costs: MainCostModel = ctx.config.main_costs
         self.inbox: Store = Store(ctx.env)
         self._receive_cpu = ctx.streams.variates("main/receive_cpu", costs.receive_cpu)
         self._per_sample_rng = ctx.streams.generator("main/per_sample_cpu")
         self._per_sample_dist = costs.per_sample_cpu
-        ctx.env.process(self._run(), name="paradyn-main")
+        self.start(MainParadynProcess._wait)
 
     # ------------------------------------------------------------------
     def deliver(self, batch: Batch) -> None:
@@ -47,18 +53,18 @@ class MainParadynProcess:
             metrics.batches_received += 1
         self.inbox.put(batch)
 
-    def _run(self):
-        cpu = self.ctx.cpu
-        while True:
-            batch = yield self.inbox.get()
-            n = len(batch.samples)
-            cost = self._receive_cpu()
-            if n > 0:
-                # One aggregate draw for the per-sample work: the sum of
-                # n iid costs, drawn vectorized (hot path under BF).
-                cost += float(
-                    self._per_sample_dist.sample(self._per_sample_rng, n).sum()
-                    if n > 1
-                    else self._per_sample_dist.sample(self._per_sample_rng)
-                )
-            yield cpu.execute(cost, ProcessType.PARADYN_MAIN)
+    def _wait(self) -> None:
+        self.get(self.inbox, MainParadynProcess._receive)
+
+    def _receive(self, batch: Batch) -> None:
+        n = len(batch.samples)
+        cost = self._receive_cpu()
+        if n > 0:
+            # One aggregate draw for the per-sample work: the sum of
+            # n iid costs, drawn vectorized (hot path under BF).
+            cost += float(
+                self._per_sample_dist.sample(self._per_sample_rng, n).sum()
+                if n > 1
+                else self._per_sample_dist.sample(self._per_sample_rng)
+            )
+        self.compute(cost, MainParadynProcess._wait)

@@ -187,7 +187,7 @@ class Metrics:
         """Exact order statistics of the forwarding latency.
 
         Raises :class:`ValueError` for quantiles outside [0, 100] and for
-        a series holding non-finite values.  No receipts yield NaNs, the
+        a series holding non-finite values.  No receipts give NaNs, the
         explicit "no data" flag.
         """
         if any(not 0.0 <= q <= 100.0 for q in qs):

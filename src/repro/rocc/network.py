@@ -14,21 +14,15 @@ Both support a ``deliver`` callback per transfer so forwarding
 topologies can hand batches to the receiving daemon or the main Paradyn
 process at delivery time.
 
-A transfer is a *self-scheduling event*: :meth:`BaseNetwork.transfer`
-returns a :class:`Transfer` that sits directly on the kernel schedule
-for its completion time, and resolution (delivery, accounting) happens
-in its first callback when it pops.  That costs one kernel event per
-transfer where the earlier process-per-transfer shape cost four
-(Initialize, the process, its hold, and a separate completion event) —
-the dominant saving for large contention-free cells.
-
 Each network exposes the two halves a transfer is made of:
 :meth:`~BaseNetwork.request` puts a completion entry on the schedule
 (or in the FIFO queue) and :meth:`~BaseNetwork.release` frees the
-server when it pops.  :class:`Transfer` uses them, and so do the
-background-load actors (:mod:`repro.rocc.other`,
-:mod:`repro.rocc.application`), which are their own completion entry
-and carry no payload.
+server when it pops.  The model's actors (:mod:`repro.rocc.node`) are
+their own completion entry and call them directly.
+:meth:`BaseNetwork.transfer` wraps them in a :class:`Transfer`, an
+event that sits on the schedule for its completion time and resolves
+(accounting, delivery) in its first callback: the aggregated mode's
+phantom nodes send through it without waiting for the transfer.
 """
 
 from __future__ import annotations
@@ -49,9 +43,8 @@ DeliverFn = Callable[[object], None]
 class Transfer(Event):
     """A network transfer scheduled directly for its completion time.
 
-    Created untriggered with ``_finish`` as its first callback; waiters
-    registered by ``yield`` run after it, observing the resolved
-    ``ok``/``value`` exactly as with a separately-triggered event.  A
+    Created untriggered with ``_finish`` as its first callback; later
+    callbacks run after it and observe the resolved ``ok``/``value``.  A
     plain :class:`Transfer` holds no server (contention-free), so its
     completion releases nothing.
     """
@@ -128,7 +121,7 @@ class BaseNetwork:
 
         The returned event fires when the transfer completes; *deliver*
         (if given) is invoked with *payload* at completion time, before
-        waiters resume.
+        the event's other callbacks run.
         """
         if amount <= 0.0:
             done = Event(self.env)

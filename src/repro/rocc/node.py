@@ -3,9 +3,10 @@
 :class:`NodeContext` bundles what every process on a node needs — the
 node's CPU scheduler, the interconnect, the metrics sink, the workload
 variate streams, and the run configuration.  :class:`LoadActor` is the
-base of the background load (application, PVM daemon, other
-processes), which runs as direct kernel events.  :class:`CyclicBarrier`
-implements the global synchronization barrier of §4.4.3 (Figure 28).
+base of every ROCC process (application, Paradyn daemon and main
+process, PVM daemon, other processes), each of which runs as direct
+kernel events.  :class:`CyclicBarrier` implements the global
+synchronization barrier of §4.4.3 (Figure 28).
 """
 
 from __future__ import annotations
@@ -39,29 +40,29 @@ class NodeContext:
 
 
 # What a LoadActor's schedule entry completes.
-_START, _SLEEP, _ZERO, _CPU, _NET = range(5)
+_START, _SLEEP, _ZERO, _CPU, _NET, _SEND = range(6)
 _KINDS = ("initialize", "timeout", "event", "cpudone")
 
 
 class LoadActor(Actor):
-    """A loop of sleeps, CPU bursts and network transfers, run as an
-    :class:`~repro.des.events.Actor`.
+    """A loop of sleeps, pipe reads, CPU bursts and network transfers,
+    run as an :class:`~repro.des.events.Actor`.
 
-    The paper's background load (Figures 5 and 7) is a loop that nothing
-    interrupts, so it needs no process: each request pushes the actor
+    Every ROCC process (Figures 5–7) is a loop of resource occupancy
+    requests that nothing interrupts: each request pushes the actor
     itself, through the CPU's and the network's request halves, and
     :meth:`_fire` runs the matching completion half and then the loop's
     next *step*.  A step is a plain function of the actor (``Cls._step``)
-    that issues the next request with :meth:`sleep`, :meth:`compute` or
-    :meth:`transfer`.  Event order and counts are those of the generator
-    process this replaces: :meth:`start` pushes an ``URGENT`` kick where
-    its ``Initialize`` went, a zero-length request pops once at the
-    current time and charges nothing, and :attr:`kind` names the event
-    the process would have waited on.
+    that issues the next request with :meth:`sleep`, :meth:`compute`,
+    :meth:`transfer` or :meth:`send`, or waits for a store's next item
+    with :meth:`get`.  :meth:`start` pushes an ``URGENT`` kick (trace
+    kind ``initialize``), a zero-length request pops once at the current
+    time and charges nothing, and :attr:`kind` names what the pending
+    entry completes.
     """
 
     __slots__ = ("env", "cpu", "network", "owner", "_pending", "_next",
-                 "_slice", "_amount")
+                 "_slice", "_amount", "_payload", "_deliver")
 
     def __init__(self, ctx: NodeContext, owner: ProcessType, name: str):
         self.env = ctx.env
@@ -75,10 +76,13 @@ class LoadActor(Actor):
         self._slice = 0.0
         #: Length of the pending network request.
         self._amount = 0.0
+        #: What the pending :meth:`send` carries, and where it goes.
+        self._payload = None
+        self._deliver: Optional[Callable] = None
 
     @property
     def kind(self) -> str:
-        if self._pending == _NET:
+        if self._pending >= _NET:
             return self.network.transfer_class.__name__.lower()
         return _KINDS[self._pending]
 
@@ -117,6 +121,38 @@ class LoadActor(Actor):
         self._amount = float(amount)
         self.network.request(self)
 
+    def send(self, amount: float, payload, deliver: Callable,
+             step: Callable) -> None:
+        """Carry *payload* over the network for *amount* µs, hand it to
+        ``deliver`` on arrival, then run *step*.
+
+        A zero-length send delivers at once and pops once at the
+        current time, like the zero-length :meth:`transfer`.
+        """
+        self._next = step
+        if amount <= 0.0:
+            deliver(payload)
+            self._now_again()
+            return
+        self._pending = _SEND
+        self._amount = float(amount)
+        self._payload = payload
+        self._deliver = deliver
+        self.network.request(self)
+
+    def get(self, store, step: Callable) -> None:
+        """Run ``step(self, item)`` with *store*'s next item: at once if
+        one is waiting, else when the store's get event fires."""
+        get = store.get()
+        if get.callbacks is None:
+            step(self, get._value)
+            return
+        self._next = step
+        get.callbacks.append(self._got)
+
+    def _got(self, get: Event) -> None:
+        self._next(self, get._value)
+
     def _now_again(self) -> None:
         # A zero-length request: one entry at the current time.
         self._pending = _ZERO
@@ -130,6 +166,14 @@ class LoadActor(Actor):
         elif pending == _NET:
             network = self.network
             network._account(self._amount, self.owner)
+            network.release()
+        elif pending == _SEND:
+            # Account, deliver, then hand the server on: a queued
+            # transfer's completion order.
+            network = self.network
+            network._account(self._amount, self.owner)
+            payload, self._payload = self._payload, None
+            self._deliver(payload)
             network.release()
         self._next(self)
 

@@ -268,7 +268,18 @@ class ParadynISSystem:
             self._build_now_or_mpp()
 
         if config.warmup > 0:
-            self.env.process(self._warmup_reset(), name="warmup-reset")
+            # URGENT, so the reset precedes every NORMAL event sharing
+            # the warmup instant: "created at the epoch" then
+            # deterministically means created *after* the reset, which
+            # is what note_receipt's ``created_at >= epoch`` filter
+            # assumes.  Left to sequence-id tie-breaking, a sample
+            # generated exactly at t == warmup could be counted, erased
+            # by the reset, and still pass the receipt filter —
+            # breaking sample conservation by one.
+            gate = Event(self.env)
+            gate._value = None
+            gate.callbacks.append(self._warmup_reset)
+            self.env.schedule(gate, URGENT, config.warmup)
 
     # ------------------------------------------------------------------
     # Construction
@@ -394,18 +405,8 @@ class ParadynISSystem:
     # ------------------------------------------------------------------
     # Warmup
     # ------------------------------------------------------------------
-    def _warmup_reset(self):
-        # URGENT, so the reset precedes every NORMAL event sharing the
-        # warmup instant: "created at the epoch" then deterministically
-        # means created *after* the reset, which is what note_receipt's
-        # ``created_at >= epoch`` filter assumes.  Left to sequence-id
-        # tie-breaking, a sample generated exactly at t == warmup could
-        # be counted, erased by the reset, and still pass the receipt
-        # filter — breaking sample conservation by one.
-        gate = Event(self.env)
-        gate._value = None
-        self.env.schedule(gate, URGENT, self.config.warmup)
-        yield gate
+    def _warmup_reset(self, _gate: Event) -> None:
+        """Snapshot the accumulators and restart the counters."""
         snap = self._snapshot
         now = self.env.now
         snap.cpu_busy = [dict(c.busy_by_owner) for c in self.worker_cpus]

@@ -6,29 +6,10 @@ from heapq import heappop
 import pytest
 
 from repro.des import Environment, EventLog, SimulationStalled
-from repro.des.events import NORMAL, URGENT, Actor
+from repro.des.events import NORMAL, Actor
 from repro.des.queues import AutoScheduler
 
-
-class Ticker(Actor):
-    """Pushes itself every *period* until it has fired *limit* times."""
-
-    __slots__ = ("env", "period", "limit", "fired")
-
-    kind = "timeout"
-
-    def __init__(self, env, period, limit=None, name="ticker"):
-        self.env = env
-        self.period = period
-        self.limit = limit
-        self.fired = []
-        self.name = name
-        env.schedule(self, URGENT)
-
-    def _fire(self):
-        self.fired.append(self.env.now)
-        if self.limit is None or len(self.fired) < self.limit:
-            self.env.schedule(self, NORMAL, self.period)
+from .support import Ticker
 
 
 @pytest.mark.parametrize("watchdog", [False, True])
@@ -42,24 +23,65 @@ def test_run_loop_and_step_fire_actors(watchdog):
     assert ticker.fired == [0.0, 2.0, 4.0, 6.0]
 
 
-def test_actor_ordering_with_processes():
+def test_actor_ordering_with_events():
     """Actor entries obey the same (time, priority, sequence) order as
-    events: a process timeout scheduled first at the same time pops
-    first."""
+    events: a timeout scheduled first at the same time pops first."""
     env = Environment()
     order = []
-
-    def proc(env):
-        yield env.timeout(1.0)
-        order.append("process")
-
-    env.process(proc(env))
+    env.timeout(1.0).callbacks.append(lambda _ev: order.append("timeout"))
     ticker = Ticker(env, 1.0, limit=2)
     ticker.fired = order
     env.run(until=1.5)
-    # At t = 1 the process's timeout was pushed before the actor's
-    # re-push, so it pops first.
-    assert order == [0.0, "process", 1.0]
+    # At t = 1 the timeout was pushed before the actor's re-push, so it
+    # pops first.
+    assert order == [0.0, "timeout", 1.0]
+
+
+class Raiser(Actor):
+    """Raises from its handler the first time it fires."""
+
+    kind = "timeout"
+
+    def __init__(self, env):
+        self.name = "raiser"
+        env.schedule(self, NORMAL, 1.0)
+
+    def _fire(self):
+        raise KeyError("inner")
+
+
+def test_exception_in_actor_propagates():
+    env = Environment()
+    Raiser(env)
+    with pytest.raises(KeyError):
+        env.run()
+
+
+class Consumer(Actor):
+    """Waits on an event with one of its bound methods; an actor is
+    scheduled only for its own requests, so waiting costs no entry."""
+
+    kind = "event"
+
+    def __init__(self, env, event, log):
+        self.name = "consumer"
+        self.env = env
+        self.log = log
+        event.callbacks.append(self._woken)
+
+    def _woken(self, event):
+        self.log.append((self.env.now, event.value))
+
+
+def test_two_actors_communicate_via_event():
+    env = Environment()
+    log = []
+    ev = env.event()
+    Consumer(env, ev, log)
+    # A producer: three time units of sleep, then it triggers the event.
+    env.timeout(3).callbacks.append(lambda _t: ev.succeed("payload"))
+    env.run()
+    assert log == [(3.0, "payload")]
 
 
 def test_tracers_see_actor_kind_and_name():
@@ -92,15 +114,14 @@ def test_run_loop_serves_promoted_calendar_pop_directly():
     assert env._pop.func is heappop and env._pop.args == (sched.heap,)
     fired = []
 
-    def spawner(env):
+    def spawn(_ev):
         # Cross the promotion threshold mid-run, from inside the loop
         # that holds the heap's pop.
-        yield env.timeout(0.5)
         for i in range(sched.promote_at + 8):
             env.timeout(1.0 + i).callbacks.append(
                 lambda ev, i=i: fired.append(i))
 
-    env.process(spawner(env))
+    env.timeout(0.5).callbacks.append(spawn)
     env.run(until=sched.promote_at + 1.75)
     assert sched.promotions == 1
     assert sched.heap == []

@@ -16,22 +16,18 @@ def test_initial_time_custom():
 def test_timeout_advances_clock(env):
     log = []
 
-    def proc(env):
-        yield env.timeout(10)
+    def woke(_ev):
         log.append(env.now)
-        yield env.timeout(2.5)
-        log.append(env.now)
+        if len(log) == 1:
+            env.timeout(2.5).callbacks.append(woke)
 
-    env.process(proc(env))
+    env.timeout(10).callbacks.append(woke)
     env.run()
     assert log == [10.0, 12.5]
 
 
 def test_run_until_time_advances_clock_exactly(env):
-    def noop(env):
-        yield env.timeout(1)
-
-    env.process(noop(env))
+    env.timeout(1)
     env.run(until=100.0)
     assert env.now == 100.0
 
@@ -46,10 +42,7 @@ def test_run_until_now_is_noop(env):
     assert env.run(until=0.0) is None
     assert env.now == 0.0
 
-    def worker(env):
-        yield env.timeout(5.0)
-
-    env.process(worker(env))
+    env.timeout(5.0)
     env.run(until=5.0)
     # The queue still holds events at t=5; an until==now run must not
     # process them.
@@ -60,12 +53,8 @@ def test_run_until_now_is_noop(env):
 
 
 def test_run_until_event_returns_value(env):
-    def proc(env):
-        yield env.timeout(5)
-        return "done"
-
-    p = env.process(proc(env))
-    assert env.run(until=p) == "done"
+    done = env.timeout(5, value="done")
+    assert env.run(until=done) == "done"
     assert env.now == 5.0
 
 
@@ -87,11 +76,7 @@ def test_step_empty_raises(env):
 
 def test_run_until_event_never_triggered_raises(env):
     ev = env.event()
-
-    def proc(env):
-        yield env.timeout(1)
-
-    env.process(proc(env))
+    env.timeout(1)
     with pytest.raises(RuntimeError, match="until event was not triggered"):
         env.run(until=ev)
 
@@ -114,13 +99,8 @@ def test_len_counts_scheduled_events(env):
 
 def test_events_at_same_time_fifo_order(env):
     log = []
-
-    def proc(env, name):
-        yield env.timeout(10)
-        log.append(name)
-
     for name in "abc":
-        env.process(proc(env, name))
+        env.timeout(10).callbacks.append(lambda _ev, name=name: log.append(name))
     env.run()
     assert log == ["a", "b", "c"]
 
@@ -132,13 +112,8 @@ def test_negative_delay_rejected(env):
 
 def test_clock_is_monotonic_across_many_events(env):
     seen = []
-
-    def proc(env, d):
-        yield env.timeout(d)
-        seen.append(env.now)
-
     for d in (5, 1, 9, 3, 3, 7, 0):
-        env.process(proc(env, d))
+        env.timeout(d).callbacks.append(lambda _ev: seen.append(env.now))
     env.run()
     assert seen == sorted(seen)
 
@@ -151,16 +126,16 @@ def test_failed_event_without_waiter_crashes_simulation(env):
 
 
 def test_failed_event_with_waiter_is_defused(env):
+    """A callback that handles the failure defuses the event, and the
+    run goes on."""
     caught = []
 
-    def proc(env, ev):
-        try:
-            yield ev
-        except RuntimeError as exc:
-            caught.append(str(exc))
+    def handle(ev):
+        ev._defused = True
+        caught.append(str(ev.value))
 
     ev = env.event()
-    env.process(proc(env, ev))
+    ev.callbacks.append(handle)
     ev.fail(RuntimeError("handled"))
     env.run()
     assert caught == ["handled"]

@@ -5,18 +5,16 @@ from hypothesis import strategies as st
 
 from repro.des import Environment, Store
 
+from .support import Reader, Ticker, Writer, when
+
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
 def test_timeouts_fire_in_sorted_order(delays):
     env = Environment()
     fired = []
-
-    def proc(env, d):
-        yield env.timeout(d)
-        fired.append(d)
-
     for d in delays:
-        env.process(proc(env, d))
+        env.timeout(d, value=d).callbacks.append(
+            lambda ev: fired.append(ev.value))
     env.run()
     assert fired == sorted(fired)
     assert len(fired) == len(delays)
@@ -39,16 +37,21 @@ def test_resource_conservation(holds, capacity):
     served = []
     busy = [0.0] * capacity
 
-    def user(env, hold):
-        token = yield servers.get()
-        start = env.now
-        yield env.timeout(hold)
-        busy[token] += env.now - start
-        served.append((start, hold))
-        yield servers.put(token)
+    def user(hold):
+        def got(get):
+            token, start = get.value, env.now
+
+            def done(_timeout):
+                busy[token] += env.now - start
+                served.append((start, hold))
+                servers.put(token)
+
+            env.timeout(hold).callbacks.append(done)
+
+        when(servers.get(), got)
 
     for h in holds:
-        env.process(user(env, h))
+        user(h)
     env.run()
     assert len(served) == len(holds)
     assert sorted(h for _, h in served) == sorted(holds)
@@ -70,41 +73,19 @@ def test_store_item_conservation(n_items, capacity):
     """Everything put into a bounded store comes out, in FIFO order."""
     env = Environment()
     store = Store(env, capacity=capacity)
-    out = []
-
-    def producer(env):
-        for i in range(n_items):
-            yield store.put(i)
-
-    def consumer(env):
-        for _ in range(n_items):
-            item = yield store.get()
-            out.append(item)
-            yield env.timeout(1)
-
-    env.process(producer(env))
-    env.process(consumer(env))
+    Writer(env, store, range(n_items))
+    reader = Reader(env, store, n=n_items, gap=1)
     env.run()
-    assert out == list(range(n_items))
+    assert [item for item, _ in reader.got] == list(range(n_items))
     assert len(store) == 0
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e3), min_size=1, max_size=40))
 def test_clock_never_goes_backwards(delays):
     env = Environment()
-    stamps = []
-
-    def watcher(env):
-        while True:
-            yield env.timeout(0.5)
-            stamps.append(env.now)
-
-    def work(env, d):
-        yield env.timeout(d)
-        stamps.append(env.now)
-
-    env.process(watcher(env))
+    watcher = Ticker(env, 0.5)
+    stamps = watcher.fired
     for d in delays:
-        env.process(work(env, d))
+        env.timeout(d).callbacks.append(lambda _ev: stamps.append(env.now))
     env.run(until=max(delays) + 1 if max(delays) > 0 else 1)
     assert all(a <= b for a, b in zip(stamps, stamps[1:]))

@@ -50,11 +50,7 @@ def test_callbacks_run_on_processing(env):
 
 def test_timeout_carries_value(env):
     result = []
-
-    def proc(env):
-        v = yield env.timeout(3, value="tick")
-        result.append(v)
-
-    env.process(proc(env))
+    env.timeout(3, value="tick").callbacks.append(
+        lambda ev: result.append(ev.value))
     env.run()
     assert result == ["tick"]

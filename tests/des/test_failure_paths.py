@@ -14,12 +14,8 @@ class Boom(Exception):
 def test_unhandled_failed_event_crashes_simulation():
     env = Environment()
     bad = env.event()
-
-    def failer(env):
-        yield env.timeout(1.0)
-        bad.fail(Boom("nobody listens"))
-
-    env.process(failer(env))
+    env.timeout(1.0).callbacks.append(
+        lambda _ev: bad.fail(Boom("nobody listens")))
     with pytest.raises(Boom):
         env.run(until=10.0)
 
@@ -43,12 +39,7 @@ def test_stop_simulation_callback_success_carries_value():
 def test_run_until_failed_event_reraises():
     env = Environment()
     target = env.event()
-
-    def failer(env):
-        yield env.timeout(1.0)
-        target.fail(Boom("until"))
-
-    env.process(failer(env))
+    env.timeout(1.0).callbacks.append(lambda _ev: target.fail(Boom("until")))
     with pytest.raises(Boom):
         env.run(until=target)
 
@@ -56,10 +47,5 @@ def test_run_until_failed_event_reraises():
 def test_run_until_succeeded_event_returns_value():
     env = Environment()
     target = env.event()
-
-    def setter(env):
-        yield env.timeout(1.0)
-        target.succeed("payload")
-
-    env.process(setter(env))
+    env.timeout(1.0).callbacks.append(lambda _ev: target.succeed("payload"))
     assert env.run(until=target) == "payload"

@@ -20,6 +20,7 @@ import pytest
 
 import repro.des.queues as queues
 from repro.des import Environment
+from repro.des.events import NORMAL, Actor
 from repro.des.queues import CalendarQueue
 
 
@@ -249,7 +250,7 @@ def test_auto_rebinds_environment_push():
 def _promotion_trajectory(promote_at, where):
     """Log of (time, tag) for a model whose schedule deepens past
     *promote_at*: 300 timeouts pushed before ``run()``
-    (``before_run``), or bursts of 80 pushed from a process
+    (``before_run``), or bursts of 80 pushed from timeout callbacks
     (``in_callbacks``, and ``step``: the same under an armed watchdog)."""
     env = Environment()
     env.scheduler.promote_at = promote_at
@@ -264,15 +265,15 @@ def _promotion_trajectory(promote_at, where):
             delay = rng.choice((0.0, 1.0, 2.5, rng.random() * 50.0))
             env.timeout(delay, value=base + i).callbacks.append(note)
 
-    def spawner(env):
-        for burst in range(5):
-            yield env.timeout(1.0)
-            spray(80, 1000 * burst)
+    def burst(ev):
+        spray(80, 1000 * ev.value)
+        if ev.value < 4:
+            env.timeout(1.0, value=ev.value + 1).callbacks.append(burst)
 
     if where == "before_run":
         spray(300, 0)
     else:
-        env.process(spawner(env))
+        env.timeout(1.0, value=0).callbacks.append(burst)
     promoted_before_run = env.scheduler.promotions
     if where == "step":
         env.run(max_events=1_000_000)
@@ -293,6 +294,26 @@ def test_run_loop_promotion_gives_the_heap_only_pop_order(where):
     assert stats["enqueues"] == ref_stats["enqueues"]
 
 
+class Alternator(Actor):
+    """Sleeps *period* on a timeout, then *period* on its own entry, and
+    so on until t = 40."""
+
+    kind = "timeout"
+
+    def __init__(self, env, period):
+        self.name = "alternator"
+        self.env = env
+        self.period = period
+        self._fire()
+
+    def _fire(self):
+        if self.env.now < 40.0:
+            self.env.timeout(self.period).callbacks.append(self._slept)
+
+    def _slept(self, _timeout):
+        self.env.schedule(self, NORMAL, self.period)
+
+
 def test_dequeues_equal_events_processed():
     """``stats()["dequeues"]`` counts exactly the events the loop
     processed (every processed entry is seen by a tracer), on the heap
@@ -304,13 +325,8 @@ def test_dequeues_equal_events_processed():
             seen = []
             env.add_tracer(lambda event, now: seen.append(event))
 
-            def proc(env, period):
-                while env.now < 40.0:
-                    yield env.timeout(period)
-                    yield env.hold(period)
-
             for k in range(20):
-                env.process(proc(env, 1.0 + k * 0.25))
+                Alternator(env, 1.0 + k * 0.25)
             kw = {"max_events": 10**6} if watchdog else {}
             env.run(until=50.0, **kw)
             stats = env.scheduler.stats()
@@ -333,13 +349,16 @@ def test_kernel_run_identical_across_schedulers(name, monkeypatch):
         env = Environment()
         log = []
 
-        def ticker(env, period, tag):
-            while env.now < 50.0:
-                yield env.timeout(period)
+        def ticker(period, tag):
+            def woke(_ev):
                 log.append((env.now, tag))
+                if env.now < 50.0:
+                    env.timeout(period).callbacks.append(woke)
 
-        env.process(ticker(env, 3.0, "a"))
-        env.process(ticker(env, 7.0, "b"))
+            env.timeout(period).callbacks.append(woke)
+
+        ticker(3.0, "a")
+        ticker(7.0, "b")
         env.run(until=50.0)
         return log, env.scheduler.stats()["impl"]
 

@@ -4,6 +4,8 @@ import pytest
 
 from repro.des import Store
 
+from .support import Reader, Writer
+
 
 def test_capacity_validation(env):
     with pytest.raises(ValueError):
@@ -12,69 +14,31 @@ def test_capacity_validation(env):
 
 def test_put_get_fifo(env):
     store = Store(env)
-    got = []
-
-    def producer(env):
-        for i in range(3):
-            yield store.put(i)
-
-    def consumer(env):
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    env.process(producer(env))
-    env.process(consumer(env))
+    Writer(env, store, range(3))
+    reader = Reader(env, store, n=3)
     env.run()
-    assert got == [0, 1, 2]
+    assert [item for item, _ in reader.got] == [0, 1, 2]
 
 
 def test_get_blocks_until_item_available(env):
     store = Store(env)
-    got = []
-
-    def consumer(env):
-        item = yield store.get()
-        got.append((item, env.now))
-
-    def producer(env):
-        yield env.timeout(7)
-        yield store.put("x")
-
-    env.process(consumer(env))
-    env.process(producer(env))
+    reader = Reader(env, store, n=1)
+    Writer(env, store, ["x"], delay=7)
     env.run()
-    assert got == [("x", 7.0)]
+    assert reader.got == [("x", 7.0)]
 
 
 def test_put_blocks_when_full(env):
     store = Store(env, capacity=1)
-    log = []
-
-    def producer(env):
-        yield store.put("a")
-        log.append(("a in", env.now))
-        yield store.put("b")
-        log.append(("b in", env.now))
-
-    def consumer(env):
-        yield env.timeout(5)
-        yield store.get()
-
-    env.process(producer(env))
-    env.process(consumer(env))
+    writer = Writer(env, store, ["a", "b"])
+    env.timeout(5).callbacks.append(lambda _ev: store.get())
     env.run()
-    assert log == [("a in", 0.0), ("b in", 5.0)]
+    assert writer.accepted == [("a", 0.0), ("b", 5.0)]
 
 
 def test_len_reports_items(env):
     store = Store(env)
-
-    def producer(env):
-        yield store.put(1)
-        yield store.put(2)
-
-    env.process(producer(env))
+    Writer(env, store, [1, 2])
     env.run()
     assert len(store) == 2
     assert store.items == [1, 2]
@@ -82,39 +46,20 @@ def test_len_reports_items(env):
 
 def test_multiple_getters_fifo(env):
     store = Store(env)
-    got = []
-
-    def getter(env, name):
-        item = yield store.get()
-        got.append((name, item))
-
-    def producer(env):
-        yield env.timeout(1)
-        yield store.put("first")
-        yield store.put("second")
-
-    env.process(getter(env, "g1"))
-    env.process(getter(env, "g2"))
-    env.process(producer(env))
+    g1 = Reader(env, store, n=1, name="g1")
+    g2 = Reader(env, store, n=1, name="g2")
+    Writer(env, store, ["first", "second"], delay=1)
     env.run()
-    assert got == [("g1", "first"), ("g2", "second")]
+    assert g1.got == [("first", 1.0)]
+    assert g2.got == [("second", 1.0)]
 
 
 def test_store_respects_capacity_under_churn(env):
     store = Store(env, capacity=3)
     high_water = []
-
-    def producer(env):
-        for i in range(20):
-            yield store.put(i)
-            high_water.append(len(store.items))
-
-    def consumer(env):
-        while True:
-            yield env.timeout(1)
-            yield store.get()
-
-    env.process(producer(env))
-    env.process(consumer(env))
+    env.add_tracer(lambda _event, _now: high_water.append(len(store.items)))
+    writer = Writer(env, store, range(20))
+    Reader(env, store, gap=1)
     env.run(until=50)
-    assert max(high_water) <= 3
+    assert len(writer.accepted) == 20
+    assert max(high_water) == 3

@@ -1,36 +1,35 @@
 """Tests for kernel event tracing (EventLog)."""
 
 from repro.des import Environment, EventLog, event_kind
-from repro.des.events import Timeout
+
+from .support import Sleeper, Ticker
 
 
-def model(env, ticks=5):
-    for _ in range(ticks):
-        yield env.timeout(10.0)
+def model(env, ticks=5, name="model"):
+    return Sleeper(env, [10.0] * ticks, name=name)
 
 
 def test_event_kind_classification(env):
     t = env.timeout(1)
     assert event_kind(t) == "timeout"
-    p = env.process(model(env, 1))
-    assert event_kind(p) == "process"
+    assert event_kind(model(env, 1)) == "timeout"
     assert event_kind(env.event()) == "event"
 
 
 def test_event_log_records_processed_events(env):
     log = EventLog(env)
     with log:
-        env.process(model(env, 5))
+        model(env, 5)
+        env.timeout(1.0)
         env.run()
-    # 5 timeouts + 1 initialize + 1 process completion.
-    assert log.summary()["timeout"] == 5
-    assert log.summary()["process"] == 1
-    assert len(log) >= 7
+    # 5 actor sleeps + 1 timeout.
+    assert log.summary() == {"timeout": 6}
+    assert len(log) == 6
 
 
 def test_event_log_times_monotonic(env):
     with EventLog(env) as log:
-        env.process(model(env, 4))
+        model(env, 4)
         env.run()
     times = [e.time for e in log.entries]
     assert times == sorted(times)
@@ -39,7 +38,7 @@ def test_event_log_times_monotonic(env):
 def test_event_log_limit_drops_oldest(env):
     log = EventLog(env, limit=3)
     with log:
-        env.process(model(env, 10))
+        model(env, 10)
         env.run()
     assert len(log) == 3
     assert log.dropped > 0
@@ -49,7 +48,7 @@ def test_event_log_limit_drops_oldest(env):
 
 def test_event_log_detach_stops_recording(env):
     log = EventLog(env).attach()
-    env.process(model(env, 2))
+    model(env, 2)
     env.run(until=15.0)
     count_attached = len(log)
     log.detach()
@@ -59,7 +58,7 @@ def test_event_log_detach_stops_recording(env):
 
 def test_event_log_queries(env):
     with EventLog(env) as log:
-        env.process(model(env, 5))
+        model(env, 5)
         env.run()
     assert all(e.kind == "timeout" for e in log.of_kind("timeout"))
     mid = log.between(15.0, 35.0)
@@ -73,24 +72,19 @@ def test_tracers_do_not_disturb_simulation(env):
         e = Environment()
         if traced:
             EventLog(e).attach()
-        done = []
-
-        def proc(e):
-            yield e.timeout(3)
-            done.append(e.now)
-
-        e.process(proc(e))
+        ticker = Ticker(e, 3.0, limit=2)
         e.run()
-        results.append(done[0])
+        results.append(ticker.fired)
 
     run(False)
     run(True)
-    assert results[0] == results[1]
+    assert results[0] == results[1] == [0.0, 3.0]
 
 
 def test_process_names_recorded(env):
+    """Entries carry the name of the model process (actor) they fire."""
     with EventLog(env) as log:
-        env.process(model(env, 1), name="my-proc")
+        model(env, 1, name="my-proc")
         env.run()
-    names = {e.name for e in log.of_kind("process")}
-    assert "my-proc" in names
+    names = {e.name for e in log.of_kind("timeout")}
+    assert names == {"my-proc"}

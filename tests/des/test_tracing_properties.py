@@ -9,9 +9,9 @@ For any workload and any retention ``limit`` — including the degenerate
   (counted independently by a second, counting-only tracer);
 * at most ``limit`` entries are retained.
 
-The workload is written both with ``hold`` (pooled entries resumed
-directly) and with ``timeout`` (recycled events resumed through
-callbacks), so both sleep paths feed the tracers.
+The workload is written both with actors (entries the run loop fires)
+and with timeouts (events whose callbacks it runs), so both kinds of
+schedule entry feed the tracers.
 """
 
 from __future__ import annotations
@@ -22,16 +22,15 @@ from hypothesis import strategies as st
 from repro.des import Environment
 from repro.des.tracing import EventLog
 
+from .support import Sleeper, sleep_on_timeouts
+
 
 def _workload(env: Environment, delays_per_proc, hold: bool = True) -> None:
-    sleep = env.hold if hold else env.timeout
-
-    def proc(delays):
-        for d in delays:
-            yield sleep(d)
-
     for delays in delays_per_proc:
-        env.process(proc(delays))
+        if hold:
+            Sleeper(env, delays)
+        else:
+            sleep_on_timeouts(env, delays)
 
 
 @given(
@@ -88,8 +87,8 @@ def test_eventlog_limit_zero_drops_everything() -> None:
 
 
 def test_eventlog_equivalent_across_kernel_paths() -> None:
-    """The same workload yields the same trace written with ``hold`` and
-    with ``timeout``."""
+    """The same workload yields the same trace written with actors and
+    with timeouts."""
     traces = {}
     for hold in (True, False):
         env = Environment()

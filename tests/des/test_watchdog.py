@@ -4,15 +4,17 @@ import pytest
 
 from repro.des import Environment, EventLog, SimulationStalled
 
+from .support import Ticker
 
-def _spinner(env):
-    while True:
-        yield env.timeout(0)
+
+def _spinner(env, name="spinner"):
+    """A zero-delay loop: an actor that re-pushes itself at once."""
+    return Ticker(env, 0.0, name=name)
 
 
 def test_max_events_raises_and_names_blocked_process():
     env = Environment()
-    env.process(_spinner(env), name="spinner")
+    _spinner(env)
     with pytest.raises(SimulationStalled) as excinfo:
         env.run(until=10.0, max_events=1000)
     exc = excinfo.value
@@ -24,19 +26,14 @@ def test_max_events_raises_and_names_blocked_process():
 
 def test_max_events_is_not_triggered_by_healthy_run():
     env = Environment()
-
-    def worker(env):
-        for _ in range(5):
-            yield env.timeout(1.0)
-
-    env.process(worker(env), name="worker")
+    Ticker(env, 1.0, limit=5, name="worker")
     env.run(until=10.0, max_events=100_000)
     assert env.now == 10.0
 
 
 def test_max_wall_seconds_aborts_livelock():
     env = Environment()
-    env.process(_spinner(env), name="hog")
+    _spinner(env, "hog")
     with pytest.raises(SimulationStalled) as excinfo:
         env.run(until=10.0, max_wall_seconds=0.05)
     assert excinfo.value.events_processed > 0
@@ -53,7 +50,7 @@ def test_watchdog_parameter_validation():
 
 def test_watchdog_off_by_default():
     env = Environment()
-    env.process((env.timeout(1.0) for _ in range(1)), name="one")
+    env.timeout(1.0)
     env.run(until=5.0)
     assert env.now == 5.0
 
@@ -81,7 +78,7 @@ def test_max_events_lands_exactly_across_a_chunk_boundary(max_events):
     """The armed run dispatches in chunks; the last one is cut so the
     watchdog fires after exactly ``max_events`` events."""
     env = Environment()
-    env.process(_spinner(env), name="spinner")
+    _spinner(env)
     with EventLog(env) as log:
         with pytest.raises(SimulationStalled) as excinfo:
             env.run(until=10.0, max_events=max_events)
@@ -89,23 +86,18 @@ def test_max_events_lands_exactly_across_a_chunk_boundary(max_events):
     assert len(log.entries) == max_events
 
 
-def _ticks(env, n):
-    for _ in range(n):
-        yield env.timeout(1.0)
-
-
 @pytest.mark.parametrize("total", [1024, 2048])
 @pytest.mark.parametrize(
     "watchdog", [{"max_events": 10**6}, {"max_wall_seconds": 1e6}]
 )
 def test_run_ending_on_a_chunk_boundary_returns_normally(total, watchdog):
-    # One initialize event, n timeouts and the process's own completion.
+    # The ticker fires at t = 0, 1, ..., total - 1.
     env = Environment()
-    env.process(_ticks(env, total - 2), name="ticks")
+    Ticker(env, 1.0, limit=total, name="ticks")
     with EventLog(env) as log:
         assert env.run(**watchdog) is None
     assert len(log.entries) == total
-    assert env.now == total - 2
+    assert env.now == total - 1
 
 
 def test_step_processes_exactly_one_event_across_a_promotion():
@@ -149,25 +141,23 @@ def test_stale_pop_retry_after_nested_promotion_is_not_an_event(max_events):
     assert [e.time for e in log.entries] == times
 
 
-def _eight_ticks(env):
-    # One initialize event, 8 one-µs timeouts and the process's own
-    # completion: a schedule of exactly 10 events, ending at t=8.
-    for _ in range(8):
-        yield env.timeout(1.0)
+def _ten_ticks(env):
+    # A schedule of exactly 10 events, one a µs, ending at t=9.
+    Ticker(env, 1.0, limit=10, name="ticks")
 
 
 def test_max_events_equal_to_the_whole_schedule_returns():
     env = Environment()
-    env.process(_eight_ticks(env), name="ticks")
+    _ten_ticks(env)
     with EventLog(env) as log:
         assert env.run(max_events=10) is None
     assert len(log.entries) == 10
-    assert env.now == 8.0
+    assert env.now == 9.0
 
 
 def test_max_events_one_short_of_the_schedule_still_stalls():
     env = Environment()
-    env.process(_eight_ticks(env), name="ticks")
+    _ten_ticks(env)
     with pytest.raises(SimulationStalled) as excinfo:
         env.run(max_events=9)
     assert excinfo.value.events_processed == 9

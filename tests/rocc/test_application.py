@@ -17,6 +17,8 @@ from repro.variates.distributions import Deterministic
 from repro.variates.streams import StreamFactory
 from repro.workload import ProcessType, WorkloadParameters
 
+from ..des.support import Reader
+
 
 def make_ctx(env, config):
     return NodeContext(
@@ -73,18 +75,11 @@ def test_samples_carry_creation_time():
     ctx = make_ctx(env, cfg)
     pipe = SamplePipe(env)
     ApplicationProcess(ctx, pid=0, pipe=pipe)
-    collected = []
-
-    def reader(env):
-        while True:
-            s = yield pipe.get()
-            collected.append(s.created_at)
-
-    env.process(reader(env))
+    reader = Reader(env, pipe)
     # Samples are emitted at the application's next cycle boundary, so
     # run slightly past the last sampling tick.
     env.run(until=52_000)
-    assert collected == [10_000.0, 20_000.0, 30_000.0, 40_000.0, 50_000.0]
+    assert [s.created_at for s, _ in reader.got] == [10_000.0, 20_000.0, 30_000.0, 40_000.0, 50_000.0]
 
 
 def test_not_instrumented_generates_nothing():
@@ -114,6 +109,22 @@ def test_full_pipe_blocks_application():
     assert ctx.cpu.busy_time(ProcessType.APPLICATION) < 20_000.0
 
 
+def party(env, barrier, name, delays, log):
+    """A party that sleeps each of *delays* and then waits at *barrier*,
+    logging ``(name, time)`` at each release."""
+    delays = list(delays)
+
+    def arrive(_timeout):
+        barrier.arrive().callbacks.append(released)
+
+    def released(_event):
+        log.append((name, env.now))
+        if delays:
+            env.timeout(delays.pop(0)).callbacks.append(arrive)
+
+    env.timeout(delays.pop(0)).callbacks.append(arrive)
+
+
 class TestCyclicBarrier:
     def test_validation(self):
         env = Environment()
@@ -124,15 +135,9 @@ class TestCyclicBarrier:
         env = Environment()
         barrier = CyclicBarrier(env, 3)
         released = []
-
-        def party(env, name, delay):
-            yield env.timeout(delay)
-            yield barrier.arrive()
-            released.append((name, env.now))
-
-        env.process(party(env, "a", 1))
-        env.process(party(env, "b", 5))
-        env.process(party(env, "c", 3))
+        party(env, barrier, "a", [1], released)
+        party(env, barrier, "b", [5], released)
+        party(env, barrier, "c", [3], released)
         env.run()
         # All release together when the last party arrives (t = 5).
         assert sorted(released) == [("a", 5.0), ("b", 5.0), ("c", 5.0)]
@@ -142,15 +147,8 @@ class TestCyclicBarrier:
         env = Environment()
         barrier = CyclicBarrier(env, 2)
         log = []
-
-        def party(env, name, delays):
-            for d in delays:
-                yield env.timeout(d)
-                yield barrier.arrive()
-                log.append((name, env.now))
-
-        env.process(party(env, "a", [1, 1]))
-        env.process(party(env, "b", [4, 2]))
+        party(env, barrier, "a", [1, 1], log)
+        party(env, barrier, "b", [4, 2], log)
         env.run()
         assert barrier.rounds == 2
         assert log == [("a", 4.0), ("b", 4.0), ("a", 6.0), ("b", 6.0)]
@@ -158,12 +156,8 @@ class TestCyclicBarrier:
     def test_waiting_count(self):
         env = Environment()
         barrier = CyclicBarrier(env, 3)
-
-        def party(env):
-            yield barrier.arrive()
-
-        env.process(party(env))
-        env.process(party(env))
+        barrier.arrive()
+        barrier.arrive()
         env.run()
         assert barrier.waiting == 2
 

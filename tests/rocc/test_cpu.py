@@ -8,6 +8,8 @@ from repro.des import Environment
 from repro.rocc import RoundRobinCPU
 from repro.workload import ProcessType
 
+from .actors import Job, make_ctx
+
 APP = ProcessType.APPLICATION
 PD = ProcessType.PARADYN_DAEMON
 
@@ -21,83 +23,55 @@ def test_validation(env):
 
 def test_single_job_runs_to_completion(env):
     cpu = RoundRobinCPU(env, quantum=10_000)
-    done = []
-
-    def proc(env):
-        yield cpu.execute(2_500, APP)
-        done.append(env.now)
-
-    env.process(proc(env))
+    job = Job(make_ctx(env, cpu=cpu), [("cpu", 2_500)])
     env.run()
-    assert done == [2_500.0]
+    assert job.done == [2_500.0]
     assert cpu.busy_time(APP) == 2_500.0
 
 
 def test_zero_length_request_completes_immediately(env):
     cpu = RoundRobinCPU(env)
-    ev = cpu.execute(0.0, APP)
-    assert ev.triggered
+    job = Job(make_ctx(env, cpu=cpu), [("cpu", 0.0)])
+    env.run()
+    assert job.done == [0.0]
+    assert cpu.busy_by_owner == {}
 
 
 def test_long_job_time_sliced(env):
     """A 25k job with quantum 10k shares the CPU with a short job that
     arrives mid-run: the short job gets a slice after one quantum."""
     cpu = RoundRobinCPU(env, quantum=10_000)
-    log = []
-
-    def long_job(env):
-        yield cpu.execute(25_000, APP)
-        log.append(("long", env.now))
-
-    def short_job(env):
-        yield env.timeout(1_000)
-        yield cpu.execute(2_000, PD)
-        log.append(("short", env.now))
-
-    env.process(long_job(env))
-    env.process(short_job(env))
+    ctx = make_ctx(env, cpu=cpu)
+    long_job = Job(ctx, [("cpu", 25_000)])
+    short_job = Job(ctx, [("cpu", 2_000)], owner=PD, delay=1_000)
     env.run()
     # Long runs [0,10k); short runs [10k,12k); long resumes [12k, 27k).
-    assert log == [("short", 12_000.0), ("long", 27_000.0)]
+    assert short_job.done == [12_000.0]
+    assert long_job.done == [27_000.0]
 
 
 def test_round_robin_fairness_two_long_jobs(env):
     cpu = RoundRobinCPU(env, quantum=10_000)
-    log = []
-
-    def job(env, name, amount):
-        yield cpu.execute(amount, APP)
-        log.append((name, env.now))
-
-    env.process(job(env, "a", 30_000))
-    env.process(job(env, "b", 30_000))
+    ctx = make_ctx(env, cpu=cpu)
+    a = Job(ctx, [("cpu", 30_000)])
+    b = Job(ctx, [("cpu", 30_000)])
     env.run()
     # Interleaved quanta: a finishes at 50k (a,b,a,b,a), b at 60k.
-    assert log == [("a", 50_000.0), ("b", 60_000.0)]
+    assert a.done == [50_000.0]
+    assert b.done == [60_000.0]
 
 
 def test_two_cpus_run_in_parallel(env):
     cpu = RoundRobinCPU(env, n_cpus=2, quantum=10_000)
-    done = []
-
-    def job(env, name):
-        yield cpu.execute(5_000, APP)
-        done.append((name, env.now))
-
-    env.process(job(env, "a"))
-    env.process(job(env, "b"))
+    ctx = make_ctx(env, cpu=cpu)
+    jobs = [Job(ctx, [("cpu", 5_000)]) for _ in range(2)]
     env.run()
-    assert done == [("a", 5_000.0), ("b", 5_000.0)]
+    assert [job.done for job in jobs] == [[5_000.0], [5_000.0]]
 
 
 def test_busy_accounting_by_owner(env):
     cpu = RoundRobinCPU(env, quantum=10_000)
-
-    def proc(env):
-        yield cpu.execute(3_000, APP)
-        yield cpu.execute(1_000, PD)
-
-    env.process(proc(env))
+    Job(make_ctx(env, cpu=cpu), [("cpu", 3_000, APP), ("cpu", 1_000, PD)])
     env.run()
     assert cpu.busy_time(APP) == 3_000.0
     assert cpu.busy_time(PD) == 1_000.0
@@ -106,23 +80,16 @@ def test_busy_accounting_by_owner(env):
 
 def test_utilization(env):
     cpu = RoundRobinCPU(env, quantum=10_000)
-
-    def proc(env):
-        yield cpu.execute(4_000, APP)
-
-    env.process(proc(env))
+    Job(make_ctx(env, cpu=cpu), [("cpu", 4_000)])
     env.run(until=10_000)
     assert cpu.utilization() == pytest.approx(0.4)
 
 
 def test_utilization_multi_cpu(env):
     cpu = RoundRobinCPU(env, n_cpus=2, quantum=10_000)
-
-    def proc(env):
-        yield cpu.execute(4_000, APP)
-
-    env.process(proc(env))
-    env.process(proc(env))
+    ctx = make_ctx(env, cpu=cpu)
+    Job(ctx, [("cpu", 4_000)])
+    Job(ctx, [("cpu", 4_000)])
     env.run(until=10_000)
     assert cpu.utilization() == pytest.approx(0.4)  # 8k busy over 2*10k
 
@@ -142,13 +109,9 @@ def test_work_conservation_many_jobs(amounts, n_cpus):
     env = Environment()
     cpu = RoundRobinCPU(env, n_cpus=n_cpus, quantum=1_000)
     served = []
-
-    def job(env, i, a):
-        yield cpu.execute(a, APP)
-        served.append(i)
-
+    ctx = make_ctx(env, cpu=cpu)
     for i, a in enumerate(amounts):
-        env.process(job(env, i, a))
+        Job(ctx, [("cpu", a)], then=lambda _job, i=i: served.append(i))
     env.run()
     assert sorted(served) == list(range(len(amounts)))
     total = sum(amounts)
@@ -161,11 +124,8 @@ def test_work_conservation_many_jobs(amounts, n_cpus):
 
 def test_queue_length_visible(env):
     cpu = RoundRobinCPU(env, quantum=10_000)
-
-    def job(env):
-        yield cpu.execute(20_000, APP)
-
+    ctx = make_ctx(env, cpu=cpu)
     for _ in range(3):
-        env.process(job(env))
+        Job(ctx, [("cpu", 20_000)])
     env.run(until=100)
     assert cpu.queue_length == 2  # one running, two queued

@@ -39,14 +39,10 @@ def deterministic_costs():
 
 
 def feed(env, pipe, times):
-    def gen(env):
-        last = 0.0
-        for t in times:
-            yield env.timeout(t - last)
-            last = t
-            yield pipe.put(Sample(created_at=t, node=0, pid=0))
-
-    env.process(gen(env))
+    """Write one sample into *pipe* at each of *times*."""
+    for t in times:
+        env.timeout(t).callbacks.append(
+            lambda _ev, t=t: pipe.put(Sample(created_at=t, node=0, pid=0)))
 
 
 def test_cf_forwards_each_sample():

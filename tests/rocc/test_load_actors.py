@@ -1,33 +1,23 @@
-"""The background load as direct kernel events (``rocc.node.LoadActor``)
+"""Every ROCC process as direct kernel events (``rocc.node.LoadActor``)
 and the CPU's and networks' request/release halves it drives."""
 
 import re
+from collections import Counter
 
 import pytest
 
 from repro.des import Environment, EventLog, SimulationStalled
-from repro.des.events import ACTOR_CLASSES, Initialize, Process
+from repro.des.events import Actor
 from repro.rocc import SimulationConfig, simulate
-from repro.rocc.config import Architecture, NetworkMode
+from repro.rocc.adaptive import RegulatorConfig
+from repro.rocc.config import Architecture, ForwardingTopology, NetworkMode
 from repro.rocc.cpu import RoundRobinCPU
-from repro.rocc.metrics import Metrics
 from repro.rocc.network import ContentionFreeNetwork, FIFONetwork
-from repro.rocc.node import LoadActor, NodeContext
+from repro.rocc.node import LoadActor
 from repro.rocc.system import ParadynISSystem
-from repro.variates.streams import StreamFactory
 from repro.workload import ProcessType
 
-
-def make_ctx(env, network=None, cpu=None):
-    return NodeContext(
-        env=env,
-        node_id=0,
-        cpu=cpu or RoundRobinCPU(env, quantum=10_000.0),
-        network=network or ContentionFreeNetwork(env),
-        metrics=Metrics(),
-        config=SimulationConfig(),
-        streams=StreamFactory(seed=1),
-    )
+from .actors import make_ctx
 
 
 class OneShot(LoadActor):
@@ -121,40 +111,69 @@ def test_actor_and_event_transfers_share_one_fifo_queue():
     ctx = make_ctx(env, network=net)
     first = net.transfer(30.0, ProcessType.APPLICATION)
     actor = OneShot(ctx, "network", 10.0)
-
-    def late_sender(env):
-        yield env.timeout(5.0)
-        ev = net.transfer(20.0, ProcessType.APPLICATION)
-        yield ev
-        finished.append(env.now)
-
     finished = []
-    env.process(late_sender(env))
+
+    def late_send(_timeout):
+        net.transfer(20.0, ProcessType.APPLICATION).callbacks.append(
+            lambda _ev: finished.append(env.now))
+
+    env.timeout(5.0).callbacks.append(late_send)
     env.run(until=100.0)
     assert first.processed
     assert actor.done_at == pytest.approx(40.0)
     assert finished == [pytest.approx(60.0)]
 
 
-def test_64_node_now_build_has_processes_only_for_daemons_and_main():
-    """The background load (application cycle and sampler, PVM daemon,
-    other-process clocks) is built as actors: the only kernel processes
-    are the Paradyn daemons' loops and the main Paradyn process."""
-    cfg = SimulationConfig(architecture=Architecture.NOW, nodes=64,
-                           network_mode=NetworkMode.CONTENTION_FREE)
+#: Builds whose schedules hold every kind of model loop: the background
+#: load, collect loops and the main process (NOW, 64 nodes), merge and
+#: flush loops (MPP tree with a flush timer), and the regulator plus
+#: the warmup gate (adaptive NOW with a warmup).
+BUILDS = {
+    "now64": SimulationConfig(
+        architecture=Architecture.NOW, nodes=64,
+        network_mode=NetworkMode.CONTENTION_FREE),
+    "mpp_tree_flush": SimulationConfig(
+        architecture=Architecture.MPP, nodes=8, batch_size=4,
+        forwarding=ForwardingTopology.TREE, batch_flush_timeout=30_000.0),
+    "now_regulated_warmup": SimulationConfig(
+        architecture=Architecture.NOW, nodes=4, warmup=100_000.0,
+        adaptive=RegulatorConfig(budget=0.01, control_interval=50_000.0)),
+}
+
+#: Actors of one node of each build, by name without the ``nodeN/``
+#: prefix, and those outside any node.
+LOAD = {"app0/main": 1, "app0/sampler": 1, "pvmd": 1, "other/cpu": 1,
+        "other/network": 1, "pd/collect": 1}
+EXPECTED = {
+    "now64": ({**LOAD}, 64),
+    # Nodes 0-3 of an 8-node binary tree have children.
+    "mpp_tree_flush": ({**LOAD, "pd/flush": 1, "pd/merge": 0.5}, 8),
+    "now_regulated_warmup": ({**LOAD, "regulator": 1}, 4),
+}
+
+
+@pytest.mark.parametrize("build", sorted(BUILDS))
+def test_every_schedule_entry_after_build_is_an_actor(build):
+    """Every model loop is built as an actor: after building, the
+    schedule holds one actor per loop (its start kick) and, with a
+    warmup, the URGENT gate event whose callback resets the counters."""
+    cfg = BUILDS[build]
     system = ParadynISSystem(cfg)
     entries = [entry[3] for entry in system.env.scheduler]
-    processes = [e.callbacks[0].__self__ for e in entries
-                 if isinstance(e, Initialize)]
-    assert all(isinstance(p, Process) for p in processes)
-    names = sorted(p.name for p in processes)
-    assert names == sorted(["paradyn-main"]
-                           + [f"node{i}/pd/collect" for i in range(64)])
-    actors = [e for e in entries if type(e) in ACTOR_CLASSES]
-    classes = {re.sub(r"^node\d+/", "", a.name) for a in actors}
-    assert classes == {"app0/main", "app0/sampler", "pvmd", "other/cpu",
-                       "other/network"}
-    assert len(actors) == 5 * 64
+    others = [e for e in entries if not isinstance(e, Actor)]
+    if cfg.warmup:
+        (gate,) = others
+        assert gate.callbacks == [system._warmup_reset]
+    else:
+        assert others == []
+    actors = [e for e in entries if isinstance(e, Actor)]
+    assert all(isinstance(a, LoadActor) and a.kind == "initialize"
+               for a in actors)
+    per_node, nodes = EXPECTED[build]
+    expected = Counter({name: int(count * nodes)
+                        for name, count in per_node.items()})
+    expected["paradyn-main"] = 1
+    assert Counter(re.sub(r"^node\d+/", "", a.name) for a in actors) == expected
 
 
 def test_watchdog_names_the_application_actor():

@@ -5,34 +5,28 @@ import pytest
 from repro.rocc import ContentionFreeNetwork, FIFONetwork
 from repro.workload import ProcessType
 
+from .actors import Job, make_ctx
+
 APP = ProcessType.APPLICATION
 PD = ProcessType.PARADYN_DAEMON
 
 
 def test_fifo_serializes_transfers(env):
     net = FIFONetwork(env)
-    done = []
-
-    def proc(env, name, amount):
-        yield net.transfer(amount, APP)
-        done.append((name, env.now))
-
-    env.process(proc(env, "a", 100))
-    env.process(proc(env, "b", 50))
+    ctx = make_ctx(env, network=net)
+    a = Job(ctx, [("network", 100)])
+    b = Job(ctx, [("network", 50)])
     env.run()
-    assert done == [("a", 100.0), ("b", 150.0)]
+    assert a.done == [100.0]
+    assert b.done == [150.0]
 
 
 def test_contention_free_transfers_overlap(env):
     net = ContentionFreeNetwork(env)
     done = []
-
-    def proc(env, name, amount):
-        yield net.transfer(amount, APP)
-        done.append((name, env.now))
-
-    env.process(proc(env, "a", 100))
-    env.process(proc(env, "b", 50))
+    for name, amount in (("a", 100), ("b", 50)):
+        net.transfer(amount, APP).callbacks.append(
+            lambda _ev, name=name: done.append((name, env.now)))
     env.run()
     assert done == [("b", 50.0), ("a", 100.0)]
 
@@ -40,12 +34,7 @@ def test_contention_free_transfers_overlap(env):
 @pytest.mark.parametrize("cls", [FIFONetwork, ContentionFreeNetwork])
 def test_busy_accounting(env, cls):
     net = cls(env)
-
-    def proc(env):
-        yield net.transfer(30, APP)
-        yield net.transfer(20, PD)
-
-    env.process(proc(env))
+    Job(make_ctx(env, network=net), [("network", 30, APP), ("network", 20, PD)])
     env.run()
     assert net.busy_time(APP) == 30.0
     assert net.busy_time(PD) == 20.0
@@ -65,53 +54,42 @@ def test_zero_amount_completes_immediately(env, cls):
 def test_deliver_callback_at_completion_time(env):
     net = FIFONetwork(env)
     deliveries = []
-
-    def proc(env):
-        yield net.transfer(40, PD, payload="batch", deliver=lambda b: deliveries.append((b, env.now)))
-
-    env.process(proc(env))
+    done = net.transfer(40, PD, payload="batch",
+                        deliver=lambda b: deliveries.append((b, env.now)))
+    # Delivery precedes the transfer event's other callbacks.
+    done.callbacks.append(lambda _ev: deliveries.append(("done", env.now)))
     env.run()
-    assert deliveries == [("batch", 40.0)]
+    assert deliveries == [("batch", 40.0), ("done", 40.0)]
 
 
 def test_fifo_utilization(env):
     net = FIFONetwork(env)
-
-    def proc(env):
-        yield net.transfer(25, APP)
-
-    env.process(proc(env))
+    Job(make_ctx(env, network=net), [("network", 25)])
     env.run(until=100)
     assert net.utilization() == pytest.approx(0.25)
 
 
 def test_fifo_queue_length(env):
     net = FIFONetwork(env)
-
-    def proc(env):
-        yield net.transfer(1000, APP)
-
+    ctx = make_ctx(env, network=net)
     for _ in range(3):
-        env.process(proc(env))
+        Job(ctx, [("network", 1000)])
     env.run(until=10)
     assert net.queue_length == 2
 
 
 def test_contention_free_offered_load_can_exceed_one(env):
     net = ContentionFreeNetwork(env)
-
-    def proc(env):
-        yield net.transfer(100, APP)
-
+    ctx = make_ctx(env, network=net)
     for _ in range(5):
-        env.process(proc(env))
+        Job(ctx, [("network", 100)])
     env.run(until=101)
     assert net.total_busy_time() == pytest.approx(500.0)
     assert net.utilization(now=100.0) == pytest.approx(5.0)
 
 
 def test_fire_and_forget_transfer_still_accounts(env):
-    """Transfers issued without yielding (phantom traffic) complete."""
+    """Transfers nobody waits on (phantom traffic) complete."""
     net = FIFONetwork(env)
     net.transfer(10, PD)
     net.transfer(5, PD)
@@ -127,13 +105,9 @@ def test_fifo_in_flight_integrates_server_occupancy(env):
     levels = []
     net.in_flight.on_change = lambda t, value: levels.append((t, value))
 
-    def later(env):
-        yield env.timeout(250)
-        yield net.transfer(50, APP)
-
     net.transfer(100, APP)
     net.transfer(40, PD)
-    env.process(later(env))
+    Job(make_ctx(env, network=net), [("network", 50)], delay=250)
     env.run(until=400)
     # Busy 0-140 (two back-to-back transfers) and 250-300: 190 of 400.
     assert net.in_flight.time_average(400.0) == pytest.approx(190.0 / 400.0)

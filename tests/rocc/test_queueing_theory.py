@@ -13,23 +13,45 @@ from repro.des import Environment, Tally
 from repro.rocc import FIFONetwork, RoundRobinCPU
 from repro.workload import ProcessType
 
+from .actors import Job, make_ctx
+
 APP = ProcessType.APPLICATION
 
 
+def poisson_arrivals(env, rate_per_us, n_max, rng, arrive):
+    """Call ``arrive()`` at each of *n_max* Poisson arrival instants."""
+    left = [n_max]
+
+    def tick(_timeout):
+        arrive()
+        left[0] -= 1
+        if left[0]:
+            env.timeout(rng.exponential(1.0 / rate_per_us)).callbacks.append(tick)
+
+    env.timeout(rng.exponential(1.0 / rate_per_us)).callbacks.append(tick)
+
+
 def poisson_source(env, rate_per_us, service_mean, submit, sojourns, rng, n_max):
-    """Generate Poisson arrivals, each timing its sojourn."""
+    """Generate Poisson arrivals, each timing its sojourn: *submit*
+    starts a request for ``service`` µs and calls ``done()`` when it
+    completes."""
 
-    def customer(env, service):
+    def arrive():
         start = env.now
-        yield submit(service)
-        sojourns.observe(env.now - start)
+        submit(float(rng.exponential(service_mean)),
+               lambda: sojourns.observe(env.now - start))
 
-    def source(env):
-        for _ in range(n_max):
-            yield env.timeout(rng.exponential(1.0 / rate_per_us))
-            env.process(customer(env, float(rng.exponential(service_mean))))
+    poisson_arrivals(env, rate_per_us, n_max, rng, arrive)
 
-    env.process(source(env))
+
+def submit_transfer(net):
+    return lambda s, done: net.transfer(s, APP).callbacks.append(
+        lambda _ev: done())
+
+
+def submit_cpu(env, cpu):
+    ctx = make_ctx(env, cpu=cpu)
+    return lambda s, done: Job(ctx, [("cpu", s)], then=lambda _job: done())
 
 
 def run_queue(make_submit, lam, mu_mean, n=6000, seed=8):
@@ -52,8 +74,7 @@ class TestFIFONetworkAgainstMM1:
         lam = rho / mu_mean
 
         def make_submit(env):
-            net = FIFONetwork(env)
-            return lambda s: net.transfer(s, APP)
+            return submit_transfer(FIFONetwork(env))
 
         sojourns = run_queue(make_submit, lam, mu_mean)
         expected = 1.0 / (1.0 / mu_mean - lam)
@@ -69,8 +90,7 @@ class TestRoundRobinAgainstPS:
         lam = rho / mu_mean
 
         def make_submit(env):
-            cpu = RoundRobinCPU(env, n_cpus=1, quantum=5.0)
-            return lambda s: cpu.execute(s, APP)
+            return submit_cpu(env, RoundRobinCPU(env, n_cpus=1, quantum=5.0))
 
         sojourns = run_queue(make_submit, lam, mu_mean, n=5000)
         expected = 1.0 / (1.0 / mu_mean - lam)
@@ -83,8 +103,7 @@ class TestRoundRobinAgainstPS:
         lam = rho / mu_mean
 
         def make_submit(env):
-            cpu = RoundRobinCPU(env, n_cpus=1, quantum=1e9)
-            return lambda s: cpu.execute(s, APP)
+            return submit_cpu(env, RoundRobinCPU(env, n_cpus=1, quantum=1e9))
 
         sojourns = run_queue(make_submit, lam, mu_mean, n=5000)
         assert sojourns.mean == pytest.approx(
@@ -100,12 +119,10 @@ class TestUtilizationLawOnSimulator:
         cpu = RoundRobinCPU(env, n_cpus=1, quantum=10_000.0)
         lam, mean = 1 / 400.0, 120.0  # rho = 0.3
 
-        def source(env):
-            for _ in range(4000):
-                yield env.timeout(rng.exponential(1.0 / lam))
-                cpu.execute(float(rng.exponential(mean)), APP)
-
-        env.process(source(env))
+        ctx = make_ctx(env, cpu=cpu)
+        poisson_arrivals(
+            env, lam, 4000, rng,
+            lambda: Job(ctx, [("cpu", float(rng.exponential(mean)))]))
         env.run()
         measured = cpu.busy_time(APP) / env.now
         assert measured == pytest.approx(lam * mean, rel=0.08)
@@ -125,24 +142,18 @@ class TestUtilizationLawOnSimulator:
         horizon = n_customers / lam * 1.3
         ticks = int(horizon / 50.0)
 
-        def customer(env, service):
-            start = env.now
-            yield net.transfer(service, APP)
-            waits.observe(env.now - start)
+        left = [ticks]
 
-        def tracker(env):
-            for _ in range(ticks):
-                yield env.timeout(50.0)
-                area[0] += (net.queue_length + net.in_flight.value) * 50.0
+        def track(_timeout):
+            area[0] += (net.queue_length + net.in_flight.value) * 50.0
             area[1] = env.now
+            left[0] -= 1
+            if left[0]:
+                env.timeout(50.0).callbacks.append(track)
 
-        def source(env):
-            for _ in range(n_customers):
-                yield env.timeout(rng.exponential(1.0 / lam))
-                env.process(customer(env, float(rng.exponential(mean))))
-
-        env.process(source(env))
-        env.process(tracker(env))
+        poisson_source(env, lam, mean, submit_transfer(net), waits, rng,
+                       n_customers)
+        env.timeout(50.0).callbacks.append(track)
         env.run()
         L = area[0] / area[1]
         # Effective arrival rate over the observation window.
