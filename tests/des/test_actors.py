@@ -6,10 +6,9 @@ from heapq import heappop
 import pytest
 
 from repro.des import Environment, EventLog, SimulationStalled
-from repro.des.events import NORMAL, Actor
 from repro.des.queues import AutoScheduler
 
-from .support import Ticker
+from .support import Sleeper, Ticker
 
 
 @pytest.mark.parametrize("watchdog", [False, True])
@@ -37,53 +36,6 @@ def test_actor_ordering_with_events():
     assert order == [0.0, "timeout", 1.0]
 
 
-class Raiser(Actor):
-    """Raises from its handler the first time it fires."""
-
-    kind = "timeout"
-
-    def __init__(self, env):
-        self.name = "raiser"
-        env.schedule(self, NORMAL, 1.0)
-
-    def _fire(self):
-        raise KeyError("inner")
-
-
-def test_exception_in_actor_propagates():
-    env = Environment()
-    Raiser(env)
-    with pytest.raises(KeyError):
-        env.run()
-
-
-class Consumer(Actor):
-    """Waits on an event with one of its bound methods; an actor is
-    scheduled only for its own requests, so waiting costs no entry."""
-
-    kind = "event"
-
-    def __init__(self, env, event, log):
-        self.name = "consumer"
-        self.env = env
-        self.log = log
-        event.callbacks.append(self._woken)
-
-    def _woken(self, event):
-        self.log.append((self.env.now, event.value))
-
-
-def test_two_actors_communicate_via_event():
-    env = Environment()
-    log = []
-    ev = env.event()
-    Consumer(env, ev, log)
-    # A producer: three time units of sleep, then it triggers the event.
-    env.timeout(3).callbacks.append(lambda _t: ev.succeed("payload"))
-    env.run()
-    assert log == [(3.0, "payload")]
-
-
 def test_tracers_see_actor_kind_and_name():
     env = Environment()
     Ticker(env, 1.0, limit=3, name="clock")
@@ -101,6 +53,30 @@ def test_watchdog_names_actor_at_head_of_schedule():
         env.run(until=10.0, max_events=500)
     assert "spin-actor" in excinfo.value.blocked
     assert "spin-actor" in str(excinfo.value)
+
+
+def test_actor_sleep_advances_clock_like_timeout():
+    env = Environment()
+    log = []
+    sleeper = Sleeper(env, [10.0, 2.5])
+    env.add_tracer(
+        lambda entry, now: log.append(now) if entry is sleeper else None)
+    env.run()
+    assert log == [10.0, 12.5]
+
+
+def test_actor_sleeps_interleave_with_timeouts_fifo():
+    """Same-time actor entries and timeouts fire in scheduling order
+    (sequence-number ties)."""
+    env = Environment()
+    log = []
+    env.add_tracer(lambda entry, now: log.append(entry.name)
+                   if isinstance(entry, Sleeper) else None)
+    Sleeper(env, [10.0], name="a")
+    env.timeout(10.0).callbacks.append(lambda _ev: log.append("b"))
+    Sleeper(env, [10.0], name="c")
+    env.run()
+    assert log == ["a", "b", "c"]
 
 
 def test_run_loop_serves_promoted_calendar_pop_directly():
@@ -129,3 +105,16 @@ def test_run_loop_serves_promoted_calendar_pop_directly():
     assert fired == list(range(sched.promote_at + 1))
     assert env.peek() == sched.promote_at + 2.5
 
+
+
+def test_package_quick_example_runs(capsys):
+    """The ``repro.des`` docstring's quick example is an actor model
+    that runs as written."""
+    import textwrap
+
+    import repro.des
+
+    doc = repro.des.__doc__
+    code = textwrap.dedent(doc.split("Quick example::", 1)[1])
+    exec(compile(code, "repro.des quick example", "exec"), {})
+    assert capsys.readouterr().out == "tick 10.0\ntick 20.0\ntick 30.0\n"

@@ -1,104 +1,54 @@
-"""Tests for Process: lifecycle, joins, error propagation."""
+"""Model processes are actors: an exception raised in one propagates
+out of the run, and one actor can wait on an event another triggers."""
 
 import pytest
 
 from repro.des import Environment
+from repro.des.events import NORMAL, Actor
 
 
-def test_process_is_event_with_return_value(env):
-    def child(env):
-        yield env.timeout(2)
-        return 42
+class Raiser(Actor):
+    """Raises from its handler the first time it fires."""
 
-    def parent(env):
-        value = yield env.process(child(env))
-        return value * 2
+    kind = "timeout"
 
-    p = env.process(parent(env))
-    assert env.run(until=p) == 84
+    def __init__(self, env):
+        self.name = "raiser"
+        env.schedule(self, NORMAL, 1.0)
 
-
-def test_process_alive_until_generator_ends(env):
-    def proc(env):
-        yield env.timeout(10)
-
-    p = env.process(proc(env))
-    assert p.is_alive
-    env.run()
-    assert not p.is_alive
-
-
-def test_yielding_non_event_raises(env):
-    def proc(env):
-        yield 5
-
-    env.process(proc(env))
-    with pytest.raises(TypeError, match="non-event"):
-        env.run()
-
-
-def test_exception_in_process_propagates(env):
-    def proc(env):
-        yield env.timeout(1)
+    def _fire(self):
         raise KeyError("inner")
 
-    env.process(proc(env))
+
+def test_exception_in_process_propagates():
+    env = Environment()
+    Raiser(env)
     with pytest.raises(KeyError):
         env.run()
 
 
-def test_waiter_sees_child_exception(env):
-    def child(env):
-        yield env.timeout(1)
-        raise ValueError("child died")
+class Consumer(Actor):
+    """Waits on an event with one of its bound methods; an actor is
+    scheduled only for its own requests, so waiting costs no entry."""
 
-    def parent(env):
-        try:
-            yield env.process(child(env))
-        except ValueError as exc:
-            return f"caught: {exc}"
+    kind = "event"
 
-    p = env.process(parent(env))
-    assert env.run(until=p) == "caught: child died"
+    def __init__(self, env, event, log):
+        self.name = "consumer"
+        self.env = env
+        self.log = log
+        event.callbacks.append(self._woken)
 
-
-def test_process_requires_generator(env):
-    with pytest.raises(TypeError):
-        env.process(lambda: None)
+    def _woken(self, event):
+        self.log.append((self.env.now, event.value))
 
 
-def test_process_name_from_function(env):
-    def my_model(env):
-        yield env.timeout(1)
-
-    p = env.process(my_model(env))
-    assert p.name == "my_model"
-    p2 = env.process(my_model(env), name="custom")
-    assert p2.name == "custom"
-
-
-def test_two_processes_communicate_via_event(env):
+def test_two_processes_communicate_via_event():
+    env = Environment()
     log = []
-
-    def producer(env, ev):
-        yield env.timeout(3)
-        ev.succeed("payload")
-
-    def consumer(env, ev):
-        value = yield ev
-        log.append((env.now, value))
-
     ev = env.event()
-    env.process(producer(env, ev))
-    env.process(consumer(env, ev))
+    Consumer(env, ev, log)
+    # A producer: three time units of sleep, then it triggers the event.
+    env.timeout(3).callbacks.append(lambda _t: ev.succeed("payload"))
     env.run()
     assert log == [(3.0, "payload")]
-
-
-def test_immediate_return_process(env):
-    def proc(env):
-        return "quick"
-        yield  # pragma: no cover
-
-    p = env.process(proc(env))
-    assert env.run(until=p) == "quick"

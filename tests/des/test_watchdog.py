@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.des import Environment, EventLog, SimulationStalled
+from repro.des import Environment, EventLog, SimulationStalled, Store
 
-from .support import Ticker
+from .support import Reader, Ticker, Writer
 
 
 def _spinner(env, name="spinner"):
@@ -22,6 +22,21 @@ def test_max_events_raises_and_names_blocked_process():
     assert "spinner" in str(exc)
     assert exc.events_processed == 1000
     assert exc.now == 0.0  # zero-delay loop never advances the clock
+
+
+def test_max_events_names_actors_waiting_on_events_at_the_head():
+    """A zero-delay producer/consumer livelock through a one-slot store:
+    the schedule holds only store events, not actors, and the watchdog
+    names the actor whose callback waits on the one at its head."""
+    env = Environment()
+    store = Store(env, capacity=1)
+    Writer(env, store, range(10**6))
+    Reader(env, store)
+    with pytest.raises(SimulationStalled) as excinfo:
+        env.run(until=10.0, max_events=100)
+    blocked = excinfo.value.blocked
+    assert blocked and set(blocked) <= {"writer", "reader"}
+    assert excinfo.value.now == 0.0
 
 
 def test_max_events_is_not_triggered_by_healthy_run():

@@ -17,29 +17,19 @@ from repro.rocc.node import LoadActor
 from repro.rocc.system import ParadynISSystem
 from repro.workload import ProcessType
 
-from .actors import make_ctx
+from .actors import Job, make_ctx
 
 
-class OneShot(LoadActor):
-    """Issues one request at t = 0 and records when it completed."""
+def one_shot(ctx, resource, amount, name="oneshot"):
+    """An actor that issues one request at t = 0 (see ``Job.done``)."""
+    return Job(ctx, [(resource, amount)], owner=ProcessType.OTHER, name=name)
 
-    __slots__ = ("resource", "amount", "done_at")
 
-    def __init__(self, ctx, resource, amount, name="oneshot"):
-        super().__init__(ctx, ProcessType.OTHER, name)
-        self.resource = resource
-        self.amount = amount
-        self.done_at = None
-        self.start(OneShot._request)
-
-    def _request(self):
-        if self.resource == "cpu":
-            self.compute(self.amount, OneShot._done)
-        else:
-            self.transfer(self.amount, OneShot._done)
-
-    def _done(self):
-        self.done_at = self.env.now
+def test_sleep_negative_delay_rejected():
+    env = Environment()
+    actor = one_shot(make_ctx(env), "cpu", 1.0)
+    with pytest.raises(ValueError, match="negative delay"):
+        actor.sleep(-1.0, Job._completed)
 
 
 @pytest.mark.parametrize("network_cls", [FIFONetwork, ContentionFreeNetwork])
@@ -47,10 +37,10 @@ class OneShot(LoadActor):
 def test_zero_length_request_pops_once_and_charges_nothing(resource, network_cls):
     env = Environment()
     ctx = make_ctx(env, network=network_cls(env))
-    actor = OneShot(ctx, resource, 0.0)
+    actor = one_shot(ctx, resource, 0.0)
     with EventLog(env) as log:
         env.run(until=10.0)
-    assert actor.done_at == 0.0
+    assert actor.done == [0.0]
     # The URGENT kick, then exactly one zero-length completion entry.
     kinds = [e.kind for e in log.entries if e.name == "oneshot"]
     assert kinds == ["initialize", "event"]
@@ -71,8 +61,8 @@ def test_actor_trace_kinds_name_what_the_entry_completes(network_cls,
                                                          transfer_kind):
     env = Environment()
     ctx = make_ctx(env, network=network_cls(env))
-    OneShot(ctx, "cpu", 5.0, name="c")
-    OneShot(ctx, "network", 5.0, name="n")
+    one_shot(ctx, "cpu", 5.0, name="c")
+    one_shot(ctx, "network", 5.0, name="n")
     with EventLog(env) as log:
         env.run(until=10.0)
     assert [e.kind for e in log.entries if e.name == "c"] == ["initialize", "cpudone"]
@@ -84,9 +74,9 @@ def test_multi_slice_actor_request_round_robins():
     slice completes it, with CPU slices in between."""
     env = Environment()
     ctx = make_ctx(env, cpu=RoundRobinCPU(env, quantum=100.0))
-    actor = OneShot(ctx, "cpu", 250.0)
+    actor = one_shot(ctx, "cpu", 250.0)
     env.run(until=1_000.0)
-    assert actor.done_at == pytest.approx(250.0)
+    assert actor.done == [pytest.approx(250.0)]
     assert ctx.cpu.busy_time(ProcessType.OTHER) == pytest.approx(250.0)
     assert ctx.cpu.utilization(1_000.0) == pytest.approx(0.25)
 
@@ -95,9 +85,9 @@ def test_fifo_queued_actor_transfers_hand_the_server_on_in_order():
     env = Environment()
     net = FIFONetwork(env)
     ctx = make_ctx(env, network=net)
-    actors = [OneShot(ctx, "network", 100.0, name=f"a{i}") for i in range(3)]
+    actors = [one_shot(ctx, "network", 100.0, name=f"a{i}") for i in range(3)]
     env.run(until=1_000.0)
-    assert [a.done_at for a in actors] == [100.0, 200.0, 300.0]
+    assert [a.done for a in actors] == [[100.0], [200.0], [300.0]]
     assert net.busy_time(ProcessType.OTHER) == pytest.approx(300.0)
     assert net.transfers == 3
     assert not net._busy and net.queue_length == 0
@@ -110,7 +100,7 @@ def test_actor_and_event_transfers_share_one_fifo_queue():
     net = FIFONetwork(env)
     ctx = make_ctx(env, network=net)
     first = net.transfer(30.0, ProcessType.APPLICATION)
-    actor = OneShot(ctx, "network", 10.0)
+    actor = one_shot(ctx, "network", 10.0)
     finished = []
 
     def late_send(_timeout):
@@ -120,7 +110,7 @@ def test_actor_and_event_transfers_share_one_fifo_queue():
     env.timeout(5.0).callbacks.append(late_send)
     env.run(until=100.0)
     assert first.processed
-    assert actor.done_at == pytest.approx(40.0)
+    assert actor.done == [pytest.approx(40.0)]
     assert finished == [pytest.approx(60.0)]
 
 
