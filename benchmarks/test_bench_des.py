@@ -2,7 +2,7 @@
 
 These are the ablation baseline for DESIGN.md §5.1 — they quantify how
 expensive the kernel is per event, which bounds every ROCC simulation
-above it.  The drivers are actors, the shape every model loop takes.
+above it.  The workloads run as actors, the shape every model loop takes.
 """
 
 from repro.des import Actor, Environment, Store
