@@ -2,10 +2,12 @@
 
 These are the ablation baseline for DESIGN.md §5.1 — they quantify how
 expensive the kernel is per event, which bounds every ROCC simulation
-above it.  The workloads run as actors, the shape every model loop takes.
+above it.  The normalizer measures :class:`Timeout` callback events,
+the store churn :class:`StorePut`/:class:`StoreGet` events; each driver
+is a plain object whose bound methods are those events' callbacks.
 """
 
-from repro.des import Actor, Environment, Store
+from repro.des import Environment, Store
 from repro.rocc.config import Architecture, ForwardingTopology, SimulationConfig
 from repro.rocc.system import simulate
 
@@ -22,14 +24,11 @@ def _kernel_bench(benchmark, fn, n):
                               warmup_rounds=2)
 
 
-class _Clock(Actor):
+class _Clock:
     """Sleeps *n* times for one time unit on a fresh :class:`Timeout`,
     woken by its bound callback."""
 
-    kind = "timeout"
-
     def __init__(self, env, n):
-        self.name = "clock"
         self.env = env
         self.left = n
         self._woke_cb = self._woke
@@ -54,13 +53,10 @@ def test_timeout_event_throughput(benchmark):
     assert result == 20_000.0
 
 
-class _Producer(Actor):
+class _Producer:
     """Puts *n* items into *store*, each once the previous was accepted."""
 
-    kind = "storeput"
-
-    def __init__(self, env, store, n):
-        self.name = "producer"
+    def __init__(self, store, n):
         self.store = store
         self.left = n
         self._put_cb = self._put
@@ -76,13 +72,10 @@ class _Producer(Actor):
                 return
 
 
-class _Consumer(Actor):
+class _Consumer:
     """Gets *n* items from *store*, counting them in :attr:`got`."""
 
-    kind = "storeget"
-
-    def __init__(self, env, store, n):
-        self.name = "consumer"
+    def __init__(self, store, n):
         self.store = store
         self.n = n
         self.got = 0
@@ -106,8 +99,8 @@ class _Consumer(Actor):
 def _store_churn(n_items: int) -> int:
     env = Environment()
     store = Store(env, capacity=64)
-    _Producer(env, store, n_items)
-    consumer = _Consumer(env, store, n_items)
+    _Producer(store, n_items)
+    consumer = _Consumer(store, n_items)
     env.run()
     return consumer.got
 

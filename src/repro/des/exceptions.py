@@ -1,11 +1,11 @@
 """Exception types used by the discrete-event simulation kernel.
 
-The kernel mirrors the process-interaction style popularized by SimPy:
-model logic lives in Python generator functions that ``yield`` events.
-Exceptional control flow — running off the end of the event queue,
+Model logic runs as actors and event callbacks on one schedule (see
+:mod:`repro.des.events`).  Exceptional control flow — running off the end of the event queue,
 stopping at ``run(until=...)``, a runaway run caught by the watchdog —
 is expressed with the exception classes defined here.  A failed event
-carries its own exception and re-raises it in every waiter.
+carries its own exception, which the run raises unless a callback
+defuses it.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ class EmptySchedule(SimulationError):
 class SimulationStalled(SimulationError):
     """Raised by the :meth:`Environment.run` watchdog on a runaway run.
 
-    A simulation that livelocks (e.g. two processes ping-ponging
+    A simulation that livelocks (e.g. two actors ping-ponging
     zero-delay events) never exhausts its schedule and never reaches
     ``until``; without a watchdog the host process spins forever.  The
     exception carries enough context to diagnose the livelock: the
     simulation time it froze at, the number of events processed, and the
-    names of the processes waiting at the head of the schedule.
+    names of the actors waiting at the head of the schedule.
     """
 
     def __init__(
@@ -49,7 +49,7 @@ class SimulationStalled(SimulationError):
         self.now = now
         #: Events processed by this ``run()`` call before the watchdog fired.
         self.events_processed = events_processed
-        #: Names of processes waiting on the earliest scheduled events.
+        #: Names of the actors waiting on the earliest scheduled events.
         self.blocked = list(blocked)
 
 

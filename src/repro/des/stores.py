@@ -69,12 +69,14 @@ class Store:
         """Offer *item* to the store; the returned event fires on accept.
 
         A put that can proceed immediately returns an *already-processed*
-        event: a yielding process continues synchronously instead of
-        taking a trip through the kernel schedule, and a parked getter
-        (if any) is handed the item directly.  Semantics are unchanged —
-        acceptance still happens at the current simulation time — but a
-        producer looping on nothing but non-blocking puts never yields
-        control, so interleave real work (as every model here does).
+        event (``callbacks is None``): the caller — an actor, or a test's
+        ``when()`` — continues synchronously instead of taking a trip
+        through the kernel schedule, and a parked getter (if any) is
+        handed the item directly.  Semantics are unchanged — acceptance
+        still happens at the current simulation time — but a producer
+        looping on nothing but non-blocking puts never hands control
+        back to the kernel, so interleave real work (as every model
+        here does).
         """
         if len(self.items) < self._capacity and not self._put_waiters:
             getters = self._get_waiters
@@ -99,7 +101,8 @@ class Store:
         """Request the next item; the event's value is the item.
 
         Like :meth:`put`, a get that finds an item returns an
-        already-processed event carrying it.
+        already-processed event carrying it, and the caller (say
+        :meth:`~repro.rocc.node.LoadActor.get`) continues at once.
         """
         items = self.items
         if items and not self._get_waiters:

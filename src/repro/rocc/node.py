@@ -62,7 +62,7 @@ class LoadActor(Actor):
     """
 
     __slots__ = ("env", "cpu", "network", "owner", "_pending", "_next",
-                 "_slice", "_amount", "_payload", "_deliver")
+                 "_slice", "_amount", "_payload", "_deliver", "_got_cb")
 
     def __init__(self, ctx: NodeContext, owner: ProcessType, name: str):
         self.env = ctx.env
@@ -79,6 +79,8 @@ class LoadActor(Actor):
         #: What the pending :meth:`send` carries, and where it goes.
         self._payload = None
         self._deliver: Optional[Callable] = None
+        #: :meth:`_got`, bound once on the first :meth:`get` that waits.
+        self._got_cb: Optional[Callable] = None
 
     @property
     def kind(self) -> str:
@@ -148,7 +150,10 @@ class LoadActor(Actor):
             step(self, get._value)
             return
         self._next = step
-        get.callbacks.append(self._got)
+        got = self._got_cb
+        if got is None:
+            got = self._got_cb = self._got
+        get.callbacks.append(got)
 
     def _got(self, get: Event) -> None:
         self._next(self, get._value)

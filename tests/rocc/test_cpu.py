@@ -64,9 +64,12 @@ def test_round_robin_fairness_two_long_jobs(env):
 def test_two_cpus_run_in_parallel(env):
     cpu = RoundRobinCPU(env, n_cpus=2, quantum=10_000)
     ctx = make_ctx(env, cpu=cpu)
-    jobs = [Job(ctx, [("cpu", 5_000)]) for _ in range(2)]
+    done = []
+    for name in ("a", "b"):
+        Job(ctx, [("cpu", 5_000)], name=name,
+            then=lambda job: done.append((job.name, env.now)))
     env.run()
-    assert [job.done for job in jobs] == [[5_000.0], [5_000.0]]
+    assert done == [("a", 5_000.0), ("b", 5_000.0)]
 
 
 def test_busy_accounting_by_owner(env):
