@@ -14,21 +14,26 @@ bursts — augmented with:
 The main cycle and the sampling timer are each a
 :class:`~repro.rocc.node.LoadActor`: the application is background load
 to the instrumentation system and nothing interrupts it, so it runs as
-direct kernel events.  A blocked pipe write or a barrier wait
-hooks the cycle's continuation on the store's or the barrier's event.
+direct kernel events.  Each is a state machine: its ``_fire`` completes
+the pending request (a burst, a transfer, a timer sleep) and issues the
+next one, calling the CPU's and the network's halves directly.  A
+blocked pipe write or a barrier wait hooks the cycle's continuation on
+the store's or the barrier's event.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from ..des.events import Event
+from ..des.events import NORMAL, Event
 from ..workload.records import ProcessType
-from .node import CyclicBarrier, LoadActor, NodeContext
+from .node import _CPU, _NET, _SLEEP, CyclicBarrier, LoadActor, NodeContext
 from .pipes import SamplePipe
 from .requests import Sample
 
 __all__ = ["ApplicationProcess", "SamplingTimer"]
+
+_APPLICATION = ProcessType.APPLICATION
 
 
 class ApplicationProcess(LoadActor):
@@ -86,6 +91,18 @@ class ApplicationProcess(LoadActor):
             self.sampler = SamplingTimer(ctx, pid, self._due, sampler_state)
 
     # ------------------------------------------------------------------
+    def _fire(self) -> None:
+        pending = self._pending
+        if pending == _CPU:
+            self.cpu.release(_APPLICATION, self._slice)
+            self._computed()
+        elif pending == _NET:
+            self.network.finish(self._amount, _APPLICATION)
+            self._transferred()
+        else:
+            # The start kick, or a zero-length burst.
+            self._next(self)
+
     def _cycle(self) -> None:
         """Emit pending samples, then start the next CPU burst."""
         due = self._due
@@ -105,7 +122,11 @@ class ApplicationProcess(LoadActor):
             if work > remaining:
                 work = remaining
         self._work = work
-        self.compute(work, ApplicationProcess._computed)
+        if work <= 0.0:
+            self._zero(ApplicationProcess._computed)
+            return
+        self._pending = _CPU
+        self.cpu.request(work, _APPLICATION, self)
 
     def _computed(self) -> None:
         barrier_period = self._barrier_period
@@ -129,7 +150,13 @@ class ApplicationProcess(LoadActor):
         self._communicate()
 
     def _communicate(self) -> None:
-        self.transfer(self._net_var(), ApplicationProcess._transferred)
+        amount = self._net_var()
+        if amount <= 0.0:
+            self._zero(ApplicationProcess._transferred)
+            return
+        self._pending = _NET
+        self._amount = amount
+        self.network.request(self)
 
     def _transferred(self) -> None:
         self.metrics.app_cycles += 1
@@ -138,7 +165,11 @@ class ApplicationProcess(LoadActor):
 
 class SamplingTimer(LoadActor):
     """Creates one sample per sampling period (Figure 6's timer) and
-    queues it for the application's next cycle boundary."""
+    queues it for the application's next cycle boundary.
+
+    Its only request is a sleep of one period, so :meth:`_fire` needs
+    no step: every entry after the start kick ends a period.
+    """
 
     __slots__ = ("_due", "_state", "_period", "_metrics", "_node", "_pid")
 
@@ -154,15 +185,17 @@ class SamplingTimer(LoadActor):
         self._metrics = ctx.metrics
         self._node = ctx.node_id
         self._pid = pid
-        self.start(SamplingTimer._wait)
+        self.start(None)
 
-    def _wait(self) -> None:
+    def _fire(self) -> None:
+        env = self.env
+        if self._pending == _SLEEP:
+            self._due.append(Sample(created_at=env._now, node=self._node,
+                                    pid=self._pid))
+            self._metrics.samples_generated += 1
+        else:
+            # The start kick: the first period begins.
+            self._pending = _SLEEP
         state = self._state
-        self.sleep(self._period if state is None else state.period,
-                   SamplingTimer._tick)
-
-    def _tick(self) -> None:
-        self._due.append(Sample(created_at=self.env._now, node=self._node,
-                                pid=self._pid))
-        self._metrics.samples_generated += 1
-        self._wait()
+        period = self._period if state is None else state.period
+        env._push((env._now + period, NORMAL, next(env._eid), self))

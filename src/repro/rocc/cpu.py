@@ -22,7 +22,10 @@ start it) and :meth:`RoundRobinCPU.release` (charge the final slice,
 hand the processor on).  The requesting actor
 (:class:`~repro.rocc.node.LoadActor`) is its own completion entry: the
 CPU pushes it for the time its final slice ends, and its handler calls
-:meth:`~RoundRobinCPU.release`.
+:meth:`~RoundRobinCPU.release`.  Each half is a single call: the
+busy-level integral (``busy_servers``) is updated inline unless a
+traced run observes it through ``on_change``, and then through
+:meth:`~repro.des.monitor.TimeWeighted.increment`.
 
 Processor sharing, the fluid limit RR approaches as quantum → 0, is
 not simulated: its closed forms are the oracles RR is checked against
@@ -155,9 +158,22 @@ class RoundRobinCPU:
             # the queued path.
             self._free -= 1
             env = self.env
-            self.busy_servers.increment(+1, env._now)
+            now = env._now
+            level = self.busy_servers
+            if level.on_change is None:
+                # ``TimeWeighted.increment(+1, now)``, inlined: nothing
+                # observes the level outside a traced run.
+                busy = level._value
+                level._area += busy * (now - level._last_time)
+                level._last_time = now
+                busy += 1
+                level._value = busy
+                if busy > level._max:
+                    level._max = busy
+            else:
+                level.increment(+1, now)
             done._slice = slice_
-            env._push((env._now + slice_, NORMAL, next(env._eid), done))
+            env._push((now + slice_, NORMAL, next(env._eid), done))
             return
         job = CPUJob(scaled, owner, done, self.env.now)
         if self._free:
@@ -175,9 +191,19 @@ class RoundRobinCPU:
         ready = self._ready
         if ready:
             self._start(ready.pop(0))
+            return
+        self._free += 1
+        level = self.busy_servers
+        if level.on_change is None:
+            # ``TimeWeighted.increment(-1, now)``, inlined; a falling
+            # level never raises the maximum.
+            now = self.env._now
+            busy = level._value
+            level._area += busy * (now - level._last_time)
+            level._last_time = now
+            level._value = busy - 1
         else:
-            self._free += 1
-            self.busy_servers.increment(-1, self.env._now)
+            level.increment(-1, self.env._now)
 
     @property
     def queue_length(self) -> int:

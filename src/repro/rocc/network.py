@@ -16,9 +16,13 @@ process at delivery time.
 
 Each network exposes the two halves a transfer is made of:
 :meth:`~BaseNetwork.request` puts a completion entry on the schedule
-(or in the FIFO queue) and :meth:`~BaseNetwork.release` frees the
-server when it pops.  The model's actors (:mod:`repro.rocc.node`) are
-their own completion entry and call them directly.
+(or in the FIFO queue) and :meth:`~BaseNetwork.finish` charges the
+transfer and frees the server when it pops, in one call.  A transfer
+that delivers a payload completes in three steps instead —
+:meth:`~BaseNetwork._account`, the delivery, then
+:meth:`~BaseNetwork.release` — so the receiver sees the server still
+held.  The model's actors (:mod:`repro.rocc.node`) are their own
+completion entry and call these directly.
 :meth:`BaseNetwork.transfer` wraps them in a :class:`Transfer`, an
 event that sits on the schedule for its completion time and resolves
 (accounting, delivery) in its first callback: the aggregated mode's
@@ -137,12 +141,19 @@ class BaseNetwork:
         *done* is the kernel entry of the completion — a
         :class:`Transfer`, or an :class:`~repro.des.events.Actor` that
         is its own event — and carries the length in ``_amount``.  Its
-        handler must charge :meth:`_account` and call :meth:`release`.
+        handler must call :meth:`finish`, or, to deliver a payload in
+        between, :meth:`_account` and then :meth:`release`.
         """
         raise NotImplementedError
 
+    def finish(self, amount: float, owner: ProcessType) -> None:
+        """Completion half: charge *owner* the finished transfer's
+        *amount*, then free the server it held."""
+        self._account(amount, owner)
+        self.release()
+
     def release(self) -> None:
-        """Completion half: free the server the finished transfer held."""
+        """Free the server the finished transfer held."""
         raise NotImplementedError
 
     def busy_time(self, owner: ProcessType) -> float:
@@ -197,6 +208,20 @@ class FIFONetwork(BaseNetwork):
         self.in_flight.increment(+1, env._now)
         env._push((env._now + done._amount, NORMAL, next(env._eid), done))
 
+    def finish(self, amount: float, owner: ProcessType) -> None:
+        # ``_account`` then ``release``, inlined into one call.
+        busy = self.busy_by_owner
+        busy[owner] = busy.get(owner, 0.0) + amount
+        self.transfers += 1
+        env = self.env
+        queue = self._queue
+        if queue:
+            done = queue.popleft()
+            env._push((env._now + done._amount, NORMAL, next(env._eid), done))
+        else:
+            self._busy = False
+            self.in_flight.increment(-1, env._now)
+
     def release(self) -> None:
         # Hand the server to the next queued transfer at this instant;
         # the zero-width in_flight -1/+1 pair collapses into no update.
@@ -226,6 +251,9 @@ class ContentionFreeNetwork(BaseNetwork):
     def request(self, done) -> None:
         env = self.env
         env._push((env._now + done._amount, NORMAL, next(env._eid), done))
+
+    #: Nothing to release: the completion half only accounts.
+    finish = BaseNetwork._account
 
     def release(self) -> None:
         pass

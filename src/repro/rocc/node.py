@@ -39,7 +39,7 @@ class NodeContext:
     streams: StreamFactory
 
 
-# What a LoadActor's schedule entry completes.
+# What a LoadActor's schedule entry completes (its ``_pending``).
 _START, _SLEEP, _ZERO, _CPU, _NET, _SEND = range(6)
 _KINDS = ("initialize", "timeout", "event", "cpudone")
 
@@ -59,6 +59,13 @@ class LoadActor(Actor):
     kind ``initialize``), a zero-length request pops once at the current
     time and charges nothing, and :attr:`kind` names what the pending
     entry completes.
+
+    The background load (:mod:`repro.rocc.application`,
+    :mod:`repro.rocc.other`) overrides :meth:`_fire` with a state
+    machine over :attr:`_pending`: it runs the completion half and
+    issues the next request itself, calling the CPU's and network's
+    halves directly.  Only its start kick and zero-length requests go
+    through a step.
     """
 
     __slots__ = ("env", "cpu", "network", "owner", "_pending", "_next",
@@ -106,19 +113,19 @@ class LoadActor(Actor):
 
     def compute(self, amount: float, step: Callable) -> None:
         """Occupy the node's CPU for *amount* µs, then run *step*."""
-        self._next = step
         if amount <= 0.0:
-            self._now_again()
+            self._zero(step)
             return
+        self._next = step
         self._pending = _CPU
         self.cpu.request(amount, self.owner, self)
 
     def transfer(self, amount: float, step: Callable) -> None:
         """Occupy the network for *amount* µs, then run *step*."""
-        self._next = step
         if amount <= 0.0:
-            self._now_again()
+            self._zero(step)
             return
+        self._next = step
         self._pending = _NET
         self._amount = float(amount)
         self.network.request(self)
@@ -131,11 +138,11 @@ class LoadActor(Actor):
         A zero-length send delivers at once and pops once at the
         current time, like the zero-length :meth:`transfer`.
         """
-        self._next = step
         if amount <= 0.0:
             deliver(payload)
-            self._now_again()
+            self._zero(step)
             return
+        self._next = step
         self._pending = _SEND
         self._amount = float(amount)
         self._payload = payload
@@ -158,8 +165,10 @@ class LoadActor(Actor):
     def _got(self, get: Event) -> None:
         self._next(self, get._value)
 
-    def _now_again(self) -> None:
-        # A zero-length request: one entry at the current time.
+    def _zero(self, step: Callable) -> None:
+        """A zero-length request: one entry at the current time, then
+        *step*."""
+        self._next = step
         self._pending = _ZERO
         env = self.env
         env._push((env._now, NORMAL, next(env._eid), self))
@@ -169,9 +178,7 @@ class LoadActor(Actor):
         if pending == _CPU:
             self.cpu.release(self.owner, self._slice)
         elif pending == _NET:
-            network = self.network
-            network._account(self._amount, self.owner)
-            network.release()
+            self.network.finish(self._amount, self.owner)
         elif pending == _SEND:
             # Account, deliver, then hand the server on: a queued
             # transfer's completion order.

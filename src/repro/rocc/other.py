@@ -9,15 +9,21 @@ Pd CPU time only when this background contention is present.
 
 Each clock is a :class:`~repro.rocc.node.LoadActor`: nothing interrupts
 it, so it runs as direct kernel events (one schedule entry per sleep or
-request) instead of a generator process.
+request).  Each is a state machine: its ``_fire`` completes the pending
+sleep or request and issues the next one, calling the CPU's and the
+network's halves directly.
 """
 
 from __future__ import annotations
 
+from ..des.events import NORMAL
 from ..workload.records import ProcessType
-from .node import LoadActor, NodeContext
+from .node import _CPU, _NET, _SLEEP, LoadActor, NodeContext
 
 __all__ = ["PVMDaemon", "OtherProcesses"]
+
+_PVM_DAEMON = ProcessType.PVM_DAEMON
+_OTHER = ProcessType.OTHER
 
 
 class PVMDaemon(LoadActor):
@@ -39,34 +45,105 @@ class PVMDaemon(LoadActor):
         self._net = ctx.streams.variates(f"{prefix}/network", wl.pvmd_network)
         self.start(PVMDaemon._wait)
 
+    def _fire(self) -> None:
+        pending = self._pending
+        if pending == _SLEEP:
+            self._compute()
+        elif pending == _CPU:
+            self.cpu.release(_PVM_DAEMON, self._slice)
+            self._communicate()
+        elif pending == _NET:
+            self.network.finish(self._amount, _PVM_DAEMON)
+            self._wait()
+        else:
+            # The start kick, or a zero-length request.
+            self._next(self)
+
     def _wait(self) -> None:
-        self.sleep(self._inter(), PVMDaemon._compute)
+        _sleep(self, self._inter())
 
     def _compute(self) -> None:
-        self.compute(self._cpu(), PVMDaemon._communicate)
+        amount = self._cpu()
+        if amount <= 0.0:
+            self._zero(PVMDaemon._communicate)
+            return
+        self._pending = _CPU
+        self.cpu.request(amount, _PVM_DAEMON, self)
 
     def _communicate(self) -> None:
-        self.transfer(self._net(), PVMDaemon._wait)
+        amount = self._net()
+        if amount <= 0.0:
+            self._zero(PVMDaemon._wait)
+            return
+        self._pending = _NET
+        self._amount = amount
+        self.network.request(self)
 
 
 class _Clock(LoadActor):
-    """Requests of one resource on their own arrival clock: *request* is
-    :meth:`LoadActor.compute` or :meth:`LoadActor.transfer`."""
+    """Requests of one resource on their own arrival clock: a subclass
+    issues them in :meth:`_use`.
 
-    __slots__ = ("_inter", "_work", "_request")
+    :meth:`_fire` takes no step: every entry but a sleep's end (the
+    start kick, a zero-length request, a completed one) starts the next
+    sleep.
+    """
 
-    def __init__(self, ctx: NodeContext, name: str, inter, work, request):
+    __slots__ = ("_inter", "_work")
+
+    def __init__(self, ctx: NodeContext, name: str, inter, work):
         super().__init__(ctx, ProcessType.OTHER, name)
         self._inter = inter
         self._work = work
-        self._request = request
-        self.start(_Clock._wait)
+        self.start(None)
 
-    def _wait(self) -> None:
-        self.sleep(self._inter(), _Clock._use)
+    def _fire(self) -> None:
+        pending = self._pending
+        if pending == _SLEEP:
+            self._use()
+            return
+        if pending == _CPU:
+            self.cpu.release(_OTHER, self._slice)
+        elif pending == _NET:
+            self.network.finish(self._amount, _OTHER)
+        _sleep(self, self._inter())
 
     def _use(self) -> None:
-        self._request(self, self._work(), _Clock._wait)
+        raise NotImplementedError
+
+
+class _CPUClock(_Clock):
+    __slots__ = ()
+
+    def _use(self) -> None:
+        amount = self._work()
+        if amount <= 0.0:
+            self._zero(None)
+            return
+        self._pending = _CPU
+        self.cpu.request(amount, _OTHER, self)
+
+
+class _NetworkClock(_Clock):
+    __slots__ = ()
+
+    def _use(self) -> None:
+        amount = self._work()
+        if amount <= 0.0:
+            self._zero(None)
+            return
+        self._pending = _NET
+        self._amount = amount
+        self.network.request(self)
+
+
+def _sleep(actor: LoadActor, delay: float) -> None:
+    """Push *actor* to end a sleep of *delay* µs."""
+    if delay < 0:
+        raise ValueError(f"negative delay {delay}")
+    actor._pending = _SLEEP
+    env = actor.env
+    env._push((env._now + delay, NORMAL, next(env._eid), actor))
 
 
 class OtherProcesses:
@@ -87,7 +164,6 @@ class OtherProcesses:
             f"{prefix}/net_inter", wl.other_network_interarrival
         )
         net = streams.variates(f"{prefix}/network", wl.other_network)
-        self.cpu_clock = _Clock(ctx, f"{prefix}/cpu", cpu_inter, cpu,
-                                LoadActor.compute)
-        self.network_clock = _Clock(ctx, f"{prefix}/network", net_inter, net,
-                                    LoadActor.transfer)
+        self.cpu_clock = _CPUClock(ctx, f"{prefix}/cpu", cpu_inter, cpu)
+        self.network_clock = _NetworkClock(ctx, f"{prefix}/network",
+                                           net_inter, net)

@@ -11,9 +11,12 @@ engine worker processes.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import CellCache, ExperimentEngine
+from repro.experiments.engine import results_equal
 from repro.experiments.runners import run_design
 from repro.experiments.validation import design_spec
 from repro.obs import (
@@ -26,6 +29,7 @@ from repro.obs import (
 )
 from repro.rocc import Architecture, SimulationConfig, simulate
 from repro.rocc.config import NetworkMode
+from repro.rocc.system import ParadynISSystem, _OccupancyWatcher
 
 NOW_CONFIG = SimulationConfig(
     architecture=Architecture.NOW,
@@ -88,6 +92,35 @@ def test_tracing_does_not_perturb_results(engine) -> None:
     assert traced.pd_cpu_time_per_node == plain.pd_cpu_time_per_node
     assert traced.samples_received == plain.samples_received
     assert traced.delivery_ratio == plain.delivery_ratio
+
+
+def test_traced_and_untraced_cpu_level_updates_agree() -> None:
+    """The CPU updates its busy level inline when nothing observes it
+    and through ``TimeWeighted.increment`` when a traced run's watcher
+    does: both paths give the same results, and the watcher's busy
+    spans add up to the level's integral."""
+    config = NOW_CONFIG.with_(nodes=2, duration=200_000.0)
+    untraced = ParadynISSystem(config)
+    plain = untraced.run()
+    system = ParadynISSystem(config)
+    tracer = Tracer()
+    with use_tracing(tracer):
+        traced = system.run()
+    # Field for field (NaN equal to NaN), apart from the provenance
+    # record only a traced run fills in.
+    assert traced.observability["occupancy_spans"] > 0
+    assert results_equal(replace(traced, observability={}), plain)
+    now = system.env.now
+    level = system.worker_cpus[0].busy_servers
+    assert level.on_change is None  # the watcher is gone after the run
+    for cpu, other in zip(system.worker_cpus, untraced.worker_cpus):
+        assert cpu.busy_servers.integral(now) == \
+            other.busy_servers.integral(now)
+        assert cpu.busy_servers.maximum == other.busy_servers.maximum
+    spans = [s.dur for s in tracer.batch().spans
+             if s.cat == "occupancy" and s.tid == "node0.cpu"]
+    assert 0 < len(spans) < _OccupancyWatcher.MAX_SPANS  # none dropped
+    assert sum(spans) == pytest.approx(level.integral(now), rel=1e-12)
 
 
 def test_direct_simulate_honours_ambient_tracer() -> None:

@@ -15,6 +15,7 @@ from repro.rocc.cpu import RoundRobinCPU
 from repro.rocc.network import ContentionFreeNetwork, FIFONetwork
 from repro.rocc.node import LoadActor
 from repro.rocc.system import ParadynISSystem
+from repro.variates.distributions import Deterministic
 from repro.workload import ProcessType
 
 from .actors import Job, make_ctx
@@ -53,6 +54,67 @@ def test_zero_length_request_pops_once_and_charges_nothing(resource, network_cls
         assert net.in_flight.time_average(env.now) == 0.0
     else:
         assert not hasattr(net, "in_flight")
+
+
+def _zero_load_ctx(env, **workload):
+    """A node context whose workload draws the given Deterministic
+    values (µs)."""
+    from dataclasses import replace
+
+    ctx = make_ctx(env, network=FIFONetwork(env))
+    params = {k: Deterministic(v) for k, v in workload.items()}
+    ctx.config = SimulationConfig(
+        workload=replace(ctx.config.workload, **params))
+    return ctx
+
+
+@pytest.mark.parametrize("build, workload, expected", [
+    # PVM daemon: sleep, then a zero CPU and a zero network request.
+    ("pvmd", dict(pvmd_interarrival=100.0, pvmd_cpu=0.0, pvmd_network=0.0),
+     ["initialize"] + ["timeout", "event", "event"] * 3),
+    # Other processes' CPU and network clocks, each a sleep and a zero
+    # request.
+    ("other", dict(other_cpu_interarrival=100.0, other_cpu=0.0,
+                   other_network_interarrival=100.0, other_network=0.0),
+     ["initialize"] + ["timeout", "event"] * 3),
+    # The application: a zero burst, then a transfer; then a burst and
+    # a zero transfer.
+    ("app", dict(app_cpu=0.0, app_network=100.0),
+     ["initialize"] + ["event", "queuedtransfer"] * 3 + ["event"]),
+    ("app", dict(app_cpu=100.0, app_network=0.0),
+     ["initialize"] + ["cpudone", "event"] * 3),
+])
+def test_background_zero_length_requests_keep_each_loop_going(
+        build, workload, expected):
+    """The background load's state machines take a zero-length request
+    like any actor: one ``event`` entry at the current time, nothing
+    charged, and the loop carries on where the request would have."""
+    from repro.rocc.application import ApplicationProcess
+    from repro.rocc.other import OtherProcesses, PVMDaemon
+
+    env = Environment()
+    ctx = _zero_load_ctx(env, **workload)
+    if build == "pvmd":
+        PVMDaemon(ctx)
+    elif build == "other":
+        OtherProcesses(ctx)
+    else:
+        ApplicationProcess(ctx, 0, pipe=None)
+    with EventLog(env) as log:
+        env.run(until=350.0)
+    for name in {e.name for e in log.entries} - {None}:
+        assert [e.kind for e in log.entries if e.name == name] == expected
+    charged = 100.0 * 3
+    if build == "app" and workload["app_cpu"]:
+        assert ctx.cpu.busy_by_owner == {ProcessType.APPLICATION: charged}
+        assert ctx.network.busy_by_owner == {}
+    elif build == "app":
+        assert ctx.cpu.busy_by_owner == {}
+        assert ctx.network.busy_by_owner == {ProcessType.APPLICATION: charged}
+    else:
+        assert ctx.cpu.busy_by_owner == {} and ctx.network.transfers == 0
+    if build == "app":
+        assert ctx.metrics.app_cycles == 3
 
 
 @pytest.mark.parametrize("network_cls, transfer_kind", [
