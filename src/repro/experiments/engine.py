@@ -324,12 +324,13 @@ class CellCache:
 
     Entries live at ``<root>/<code_version()>/<key[:2]>/<key>.pkl`` with
     a sha256 checksum stored beside each one (``<key>.pkl.sha256``).
-    Writes are atomic (temp file + fsync + ``os.replace``) so a worker
-    killed mid-``put`` can never leave a torn pickle in place, and reads
-    verify the checksum *before* unpickling: a corrupted, truncated or
-    unchecksummed entry is quarantined (moved aside under
-    ``quarantine/`` in the version directory) and treated as a miss, so
-    the cell simply recomputes.
+    Writes go to a temp file renamed into place with ``os.replace``, so
+    a worker killed mid-``put`` can never leave a torn pickle under the
+    entry's name.  They are not fsynced: reads verify the checksum
+    *before* unpickling, so an entry that a power loss left empty or
+    zero-filled — like any corrupted, truncated or unchecksummed entry —
+    is quarantined (moved aside under ``quarantine/`` in the version
+    directory) and treated as a miss, and the cell simply recomputes.
 
     The first enabled cache a process opens on a root drops every entry
     other code versions left there, which this code can never hit
@@ -418,8 +419,6 @@ class CellCache:
         try:
             with open(tmp, "wb") as f:
                 f.write(data)
-                f.flush()
-                os.fsync(f.fileno())
             os.replace(tmp, path)
         except OSError:
             tmp.unlink(missing_ok=True)

@@ -361,6 +361,28 @@ def test_corrupt_cache_entry_modes(cfg, tmp_path):
     assert cache.corrupt_entries == len(damages)
 
 
+@pytest.mark.parametrize("damage", ["empty", "zero-filled"])
+def test_power_loss_entry_is_quarantined_and_recomputed(cfg, tmp_path,
+                                                         damage):
+    """Writes are not fsynced, so a power loss can leave an entry's blob
+    empty or zero-filled beside its intact sidecar: a quarantined miss
+    that the next run recomputes and stores again."""
+    cache = CellCache(tmp_path)
+    (reference,) = ExperimentEngine(workers=1, cache=cache).run_cells([cfg])
+    key = config_fingerprint(cfg)
+    path = cache.path_for(key)
+    size = len(path.read_bytes())
+    path.write_bytes(b"" if damage == "empty" else bytes(size))
+    assert cache.checksum_path_for(key).exists()
+    engine = ExperimentEngine(workers=1, cache=cache)
+    (again,) = engine.run_cells([cfg])
+    assert engine.stats.cells_run == 1 and engine.stats.cache_hits == 0
+    assert engine.stats.cache_corrupt == 1
+    assert (cache.quarantine_dir / path.name).exists()
+    assert results_equal(again, reference)
+    assert results_equal(cache.get(key), reference)
+
+
 def test_cache_quarantines_entry_without_sidecar(cfg, tmp_path):
     """Every entry of this code version was written with its checksum,
     so an entry without one is damaged: a quarantined miss."""
