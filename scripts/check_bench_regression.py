@@ -21,7 +21,13 @@ Two comparison modes against ``BENCH_DES.json``:
     floor, and the *ratio* is compared.  Machine speed cancels out, so
     this is what CI gates on: it catches one kernel path eroding
     relative to the others (e.g. holds losing their edge over timeouts)
-    without flaking on runner speed variance.
+    without flaking on runner speed variance.  When the baseline sets
+    ``meta.per_round_ratios``, a benchmark's ratio is instead the one
+    it recorded itself as ``extra_info.floor_ratio``: the median over
+    its rounds of each round's time over a floor payload timed just
+    before it (``benchmarks/test_bench_des.py``).  Two mins taken
+    seconds apart move with whichever found the quieter stretch of a
+    shared host; back-to-back pairs slow down together.
 
 ``--update`` rewrites the ``baseline`` section (and the tolerance
 metadata if ``--tolerance`` was given) from the results file, keeping
@@ -72,7 +78,9 @@ def load_baseline(path: Path) -> dict:
 
 
 def load_results(path: Path) -> dict:
-    """Map benchmark name -> min seconds from a --benchmark-json file."""
+    """Map benchmark name -> ``{"min": seconds}``, plus the
+    ``floor_ratio`` the benchmark recorded in its ``extra_info`` if
+    any, from a --benchmark-json file."""
     try:
         data = json.loads(path.read_text())
     except OSError as exc:
@@ -82,7 +90,11 @@ def load_results(path: Path) -> dict:
     out = {}
     try:
         for bench in data.get("benchmarks", []):
-            out[bench["name"]] = float(bench["stats"]["min"])
+            entry = {"min": float(bench["stats"]["min"])}
+            extra = bench.get("extra_info") or {}
+            if "floor_ratio" in extra:
+                entry["floor_ratio"] = float(extra["floor_ratio"])
+            out[bench["name"]] = entry
     except (TypeError, KeyError, AttributeError) as exc:
         raise ValueError(
             f"results {path} is not pytest --benchmark-json output: "
@@ -108,13 +120,10 @@ def check(
     entries = baseline["baseline"]
     regressions = []
 
-    floor = None
-    if mode == "relative":
-        if normalize_to not in results:
-            raise ValueError(
-                f"relative mode needs the {normalize_to!r} benchmark in the results"
-            )
-        floor = results[normalize_to]
+    if mode == "relative" and normalize_to not in results:
+        raise ValueError(
+            f"relative mode needs the {normalize_to!r} benchmark in the results"
+        )
 
     for name, entry in entries.items():
         if name not in results:
@@ -122,11 +131,11 @@ def check(
             print(f"  MISS {name}: {detail}")
             regressions.append((name, None, None, detail))
             continue
-        measured = results[name]
+        measured = results[name]["min"]
         if mode == "relative":
             if name == normalize_to:
                 continue  # the floor is 1.0 by construction
-            measured_ratio = measured / floor
+            measured_ratio = ratio_of(name, results, baseline)
             allowed = entry["ratio"] * (1.0 + tolerance)
             ok = measured_ratio <= allowed
             detail = (
@@ -149,13 +158,29 @@ def check(
     return regressions
 
 
+def ratio_of(name: str, results: dict, baseline: dict) -> float:
+    """Benchmark *name*'s time relative to the floor: its recorded
+    per-round ``floor_ratio`` when the baseline sets
+    ``meta.per_round_ratios``, else its min over the floor's min."""
+    meta = baseline["meta"]
+    if meta.get("per_round_ratios"):
+        if "floor_ratio" not in results[name]:
+            raise ValueError(
+                f"the baseline gates per-round ratios, but {name!r} "
+                f"recorded no extra_info.floor_ratio"
+            )
+        return results[name]["floor_ratio"]
+    return results[name]["min"] / results[meta.get("normalize_to")]["min"]
+
+
 def update_baseline(baseline_path: Path, baseline: dict, results: dict, tolerance) -> None:
     normalize_to = baseline["meta"].get("normalize_to")
-    floor = results.get(normalize_to)
     new = {}
-    for name, measured in sorted(results.items()):
-        ratio = measured / floor if floor else 1.0
-        new[name] = {"min": round(measured, 5), "ratio": round(ratio, 3)}
+    for name, stats in sorted(results.items()):
+        ratio = (ratio_of(name, results, baseline)
+                 if normalize_to in results and name != normalize_to
+                 else 1.0)
+        new[name] = {"min": round(stats["min"], 5), "ratio": round(ratio, 3)}
     baseline["baseline"] = new
     if tolerance is not None:
         baseline["meta"]["tolerance"] = tolerance
@@ -196,7 +221,11 @@ def main(argv=None) -> int:
         return 2
 
     if args.update:
-        update_baseline(args.baseline, baseline, results, args.tolerance)
+        try:
+            update_baseline(args.baseline, baseline, results, args.tolerance)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         return 0
 
     try:

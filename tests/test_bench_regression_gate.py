@@ -2,7 +2,8 @@
 
 A baseline entry the results file does not contain must fail the gate
 and be named, so a benchmark deleted or renamed by mistake cannot pass
-unnoticed.
+unnoticed.  A baseline that gates per-round ratios compares the ratio
+each benchmark recorded, not the ratio of its min to the floor's.
 """
 
 import json
@@ -50,3 +51,61 @@ def test_a_deleted_benchmark_fails_the_gate(tmp_path):
         assert "MISS test_deleted" in proc.stdout
         assert "test_deleted: missing" in proc.stdout
         assert "test_kept" not in proc.stdout.split("or missing:")[1]
+
+
+def _per_round_gate(tmp_path, floor_min, kept_min, kept_ratio, update=False):
+    """Gate ``test_kept`` (min *kept_min*, recorded per-round ratio
+    *kept_ratio*, none if None) against a per-round baseline."""
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(json.dumps({
+        "meta": {"normalize_to": "test_floor", "per_round_ratios": True,
+                 "tolerance": 0.25},
+        "baseline": {
+            "test_floor": {"min": 0.01, "ratio": 1.0},
+            "test_kept": {"min": 0.02, "ratio": 2.0},
+        },
+    }))
+    kept = {"name": "test_kept", "stats": {"min": kept_min}}
+    if kept_ratio is not None:
+        kept["extra_info"] = {"floor_ratio": kept_ratio}
+    results = tmp_path / "results.json"
+    results.write_text(json.dumps({"benchmarks": [
+        {"name": "test_floor", "stats": {"min": floor_min}}, kept]}))
+    args = ["--update"] if update else ["--mode", "relative"]
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), str(results), "--baseline",
+         str(baseline), *args],
+        capture_output=True, text=True, timeout=60,
+    )
+    return proc, json.loads(baseline.read_text())
+
+
+def test_per_round_ratio_ignores_a_quiet_floor_min(tmp_path):
+    """A floor min that fell 40 % in one quiet stretch would put the
+    ratio of mins at 3.33, over the bound; the recorded per-round ratio
+    gates instead."""
+    proc, _ = _per_round_gate(tmp_path, 0.006, 0.02, 2.0)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "ratio 2.000 vs baseline 2.000" in proc.stdout
+
+
+def test_per_round_ratio_still_fails_a_30_percent_slowdown(tmp_path):
+    proc, _ = _per_round_gate(tmp_path, 0.01, 0.026, 2.6)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAIL test_kept: ratio 2.600 vs baseline 2.000" in proc.stdout
+
+
+def test_per_round_baseline_needs_the_recorded_ratio(tmp_path):
+    for update in (False, True):
+        proc, _ = _per_round_gate(tmp_path, 0.01, 0.02, None, update)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "'test_kept' recorded no extra_info.floor_ratio" in proc.stderr
+
+
+def test_per_round_update_writes_the_recorded_ratio(tmp_path):
+    proc, written = _per_round_gate(tmp_path, 0.01, 0.03, 2.7, update=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert written["baseline"] == {
+        "test_floor": {"min": 0.01, "ratio": 1.0},
+        "test_kept": {"min": 0.03, "ratio": 2.7},
+    }
