@@ -148,9 +148,9 @@ class BaseNetwork:
 
     def finish(self, amount: float, owner: ProcessType) -> None:
         """Completion half: charge *owner* the finished transfer's
-        *amount*, then free the server it held."""
-        self._account(amount, owner)
-        self.release()
+        *amount* (:meth:`_account`), then free the server it held
+        (:meth:`release`), in one call."""
+        raise NotImplementedError
 
     def release(self) -> None:
         """Free the server the finished transfer held."""
