@@ -20,8 +20,8 @@ Each network exposes the two halves a transfer is made of:
 transfer and frees the server when it pops, in one call.  A transfer
 that delivers a payload completes in three steps instead —
 :meth:`~BaseNetwork._account`, the delivery, then
-:meth:`~BaseNetwork.release` — so the receiver sees the server still
-held.  The model's actors (:mod:`repro.rocc.node`) are their own
+:meth:`~BaseNetwork.release` — the order a :class:`QueuedTransfer`
+resolves in.  The model's actors (:mod:`repro.rocc.node`) are their own
 completion entry and call these directly.
 :meth:`BaseNetwork.transfer` wraps them in a :class:`Transfer`, an
 event that sits on the schedule for its completion time and resolves
