@@ -21,13 +21,15 @@ Two comparison modes against ``BENCH_DES.json``:
     floor, and the *ratio* is compared.  Machine speed cancels out, so
     this is what CI gates on: it catches one kernel path eroding
     relative to the others (e.g. holds losing their edge over timeouts)
-    without flaking on runner speed variance.  When the baseline sets
-    ``meta.per_round_ratios``, a benchmark's ratio is instead the one
-    it recorded itself as ``extra_info.floor_ratio``: the median over
-    its rounds of each round's time over a floor payload timed just
-    before it (``benchmarks/test_bench_des.py``).  Two mins taken
-    seconds apart move with whichever found the quieter stretch of a
-    shared host; back-to-back pairs slow down together.
+    without flaking on runner speed variance.  A benchmark that records
+    its own ``extra_info.floor_ratio`` is gated on that instead: the
+    median over its rounds of each round's time over a floor payload
+    timed just before it (``benchmarks/test_bench_des.py``).  Two mins
+    taken seconds apart move with whichever found the quieter stretch
+    of a shared host; back-to-back pairs slow down together.  Its
+    baseline entry says ``"per_round": true``, so a result that stops
+    recording the ratio is a data error, not a silent switch to the
+    ratio of mins.
 
 ``--update`` rewrites the ``baseline`` section (and the tolerance
 metadata if ``--tolerance`` was given) from the results file, keeping
@@ -135,7 +137,12 @@ def check(
         if mode == "relative":
             if name == normalize_to:
                 continue  # the floor is 1.0 by construction
-            measured_ratio = ratio_of(name, results, baseline)
+            if entry.get("per_round") and "floor_ratio" not in results[name]:
+                raise ValueError(
+                    f"the baseline gates {name!r} on per-round ratios, "
+                    f"but it recorded no extra_info.floor_ratio"
+                )
+            measured_ratio = ratio_of(name, results, normalize_to)
             allowed = entry["ratio"] * (1.0 + tolerance)
             ok = measured_ratio <= allowed
             detail = (
@@ -158,29 +165,26 @@ def check(
     return regressions
 
 
-def ratio_of(name: str, results: dict, baseline: dict) -> float:
+def ratio_of(name: str, results: dict, normalize_to: str) -> float:
     """Benchmark *name*'s time relative to the floor: its recorded
-    per-round ``floor_ratio`` when the baseline sets
-    ``meta.per_round_ratios``, else its min over the floor's min."""
-    meta = baseline["meta"]
-    if meta.get("per_round_ratios"):
-        if "floor_ratio" not in results[name]:
-            raise ValueError(
-                f"the baseline gates per-round ratios, but {name!r} "
-                f"recorded no extra_info.floor_ratio"
-            )
-        return results[name]["floor_ratio"]
-    return results[name]["min"] / results[meta.get("normalize_to")]["min"]
+    per-round ``floor_ratio`` if it has one, else its min over the
+    floor's min."""
+    result = results[name]
+    if "floor_ratio" in result:
+        return result["floor_ratio"]
+    return result["min"] / results[normalize_to]["min"]
 
 
 def update_baseline(baseline_path: Path, baseline: dict, results: dict, tolerance) -> None:
     normalize_to = baseline["meta"].get("normalize_to")
     new = {}
     for name, stats in sorted(results.items()):
-        ratio = (ratio_of(name, results, baseline)
+        ratio = (ratio_of(name, results, normalize_to)
                  if normalize_to in results and name != normalize_to
                  else 1.0)
         new[name] = {"min": round(stats["min"], 5), "ratio": round(ratio, 3)}
+        if "floor_ratio" in stats:
+            new[name]["per_round"] = True
     baseline["baseline"] = new
     if tolerance is not None:
         baseline["meta"]["tolerance"] = tolerance
@@ -221,11 +225,7 @@ def main(argv=None) -> int:
         return 2
 
     if args.update:
-        try:
-            update_baseline(args.baseline, baseline, results, args.tolerance)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        update_baseline(args.baseline, baseline, results, args.tolerance)
         return 0
 
     try:

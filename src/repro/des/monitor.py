@@ -135,8 +135,8 @@ class TimeWeighted:
 
         Hot-path variant of :meth:`update`: the body is inlined and the
         monotonic-time guard dropped — kernel callers pass ``env.now``,
-        which cannot go backwards.  ``RoundRobinCPU`` repeats this body
-        inline for its busy level while ``on_change`` is unset.
+        which cannot go backwards.  ``RoundRobinCPU`` inlines this body
+        for its busy level.
         """
         value = self._value + delta
         self._area += self._value * (now - self._last_time)

@@ -14,9 +14,9 @@ bursts — augmented with:
 The main cycle and the sampling timer are each a
 :class:`~repro.rocc.node.LoadActor`: the application is background load
 to the instrumentation system and nothing interrupts it, so it runs as
-direct kernel events.  Each is a state machine: its ``_fire`` completes
-the pending request (a burst, a transfer, a timer sleep) and issues the
-next one, calling the CPU's and the network's halves directly.  A
+direct kernel events.  Each is a state machine: its ``_fire`` runs the
+completion half of the pending request (a burst, a transfer, a timer
+sleep) and goes on to the loop's next request without a step.  A
 blocked pipe write or a barrier wait hooks the cycle's continuation on
 the store's or the barrier's event.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..des.events import NORMAL, Event
+from ..des.events import Event
 from ..workload.records import ProcessType
 from .node import _CPU, _NET, _SLEEP, CyclicBarrier, LoadActor, NodeContext
 from .pipes import SamplePipe
@@ -122,11 +122,7 @@ class ApplicationProcess(LoadActor):
             if work > remaining:
                 work = remaining
         self._work = work
-        if work <= 0.0:
-            self._zero(ApplicationProcess._computed)
-            return
-        self._pending = _CPU
-        self.cpu.request(work, _APPLICATION, self)
+        self.compute(work, ApplicationProcess._computed)
 
     def _computed(self) -> None:
         barrier_period = self._barrier_period
@@ -150,13 +146,7 @@ class ApplicationProcess(LoadActor):
         self._communicate()
 
     def _communicate(self) -> None:
-        amount = self._net_var()
-        if amount <= 0.0:
-            self._zero(ApplicationProcess._transferred)
-            return
-        self._pending = _NET
-        self._amount = amount
-        self.network.request(self)
+        self.transfer(self._net_var(), ApplicationProcess._transferred)
 
     def _transferred(self) -> None:
         self.metrics.app_cycles += 1
@@ -188,14 +178,10 @@ class SamplingTimer(LoadActor):
         self.start(None)
 
     def _fire(self) -> None:
-        env = self.env
         if self._pending == _SLEEP:
-            self._due.append(Sample(created_at=env._now, node=self._node,
-                                    pid=self._pid))
+            self._due.append(Sample(created_at=self.env._now,
+                                    node=self._node, pid=self._pid))
             self._metrics.samples_generated += 1
-        else:
-            # The start kick: the first period begins.
-            self._pending = _SLEEP
+        # After the start kick, too: the next period begins.
         state = self._state
-        period = self._period if state is None else state.period
-        env._push((env._now + period, NORMAL, next(env._eid), self))
+        self.sleep(self._period if state is None else state.period, None)

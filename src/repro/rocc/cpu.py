@@ -22,10 +22,10 @@ start it) and :meth:`RoundRobinCPU.release` (charge the final slice,
 hand the processor on).  The requesting actor
 (:class:`~repro.rocc.node.LoadActor`) is its own completion entry: the
 CPU pushes it for the time its final slice ends, and its handler calls
-:meth:`~RoundRobinCPU.release`.  Each half is a single call: the
-busy-level integral (``busy_servers``) is updated inline unless a
-traced run observes it through ``on_change``, and then through
-:meth:`~repro.des.monitor.TimeWeighted.increment`.
+:meth:`~RoundRobinCPU.release`.  Each half is a single call: it
+updates the busy-level integral (``busy_servers``) with an inlined
+:meth:`~repro.des.monitor.TimeWeighted.increment`, which still calls
+the level's ``on_change`` when a traced run has set one.
 
 Processor sharing, the fluid limit RR approaches as quantum → 0, is
 not simulated: its closed forms are the oracles RR is checked against
@@ -159,19 +159,18 @@ class RoundRobinCPU:
             self._free -= 1
             env = self.env
             now = env._now
+            # ``busy_servers.increment(+1, now)``, inlined.
             level = self.busy_servers
-            if level.on_change is None:
-                # ``TimeWeighted.increment(+1, now)``, inlined: nothing
-                # observes the level outside a traced run.
-                busy = level._value
-                level._area += busy * (now - level._last_time)
-                level._last_time = now
-                busy += 1
-                level._value = busy
-                if busy > level._max:
-                    level._max = busy
-            else:
-                level.increment(+1, now)
+            busy = level._value
+            level._area += busy * (now - level._last_time)
+            level._last_time = now
+            busy += 1
+            level._value = busy
+            if busy > level._max:
+                level._max = busy
+            on_change = level.on_change
+            if on_change is not None:
+                on_change(now, busy)
             done._slice = slice_
             env._push((now + slice_, NORMAL, next(env._eid), done))
             return
@@ -193,17 +192,17 @@ class RoundRobinCPU:
             self._start(ready.pop(0))
             return
         self._free += 1
+        # ``busy_servers.increment(-1, now)``, inlined; a falling level
+        # never raises the maximum.
+        now = self.env._now
         level = self.busy_servers
-        if level.on_change is None:
-            # ``TimeWeighted.increment(-1, now)``, inlined; a falling
-            # level never raises the maximum.
-            now = self.env._now
-            busy = level._value
-            level._area += busy * (now - level._last_time)
-            level._last_time = now
-            level._value = busy - 1
-        else:
-            level.increment(-1, self.env._now)
+        busy = level._value - 1
+        level._area += level._value * (now - level._last_time)
+        level._last_time = now
+        level._value = busy
+        on_change = level.on_change
+        if on_change is not None:
+            on_change(now, busy)
 
     @property
     def queue_length(self) -> int:

@@ -209,18 +209,11 @@ class FIFONetwork(BaseNetwork):
         env._push((env._now + done._amount, NORMAL, next(env._eid), done))
 
     def finish(self, amount: float, owner: ProcessType) -> None:
-        # ``_account`` then ``release``, inlined into one call.
+        # ``_account``, inlined, then the one hand-on in ``release``.
         busy = self.busy_by_owner
         busy[owner] = busy.get(owner, 0.0) + amount
         self.transfers += 1
-        env = self.env
-        queue = self._queue
-        if queue:
-            done = queue.popleft()
-            env._push((env._now + done._amount, NORMAL, next(env._eid), done))
-        else:
-            self._busy = False
-            self.in_flight.increment(-1, env._now)
+        self.release()
 
     def release(self) -> None:
         # Hand the server to the next queued transfer at this instant;

@@ -63,9 +63,9 @@ class LoadActor(Actor):
     The background load (:mod:`repro.rocc.application`,
     :mod:`repro.rocc.other`) overrides :meth:`_fire` with a state
     machine over :attr:`_pending`: it runs the completion half and
-    issues the next request itself, calling the CPU's and network's
-    halves directly.  Only its start kick and zero-length requests go
-    through a step.
+    then the loop's next request itself, still through :meth:`sleep`,
+    :meth:`compute` and :meth:`transfer`.  Only its start kick and
+    zero-length requests go through a step.
     """
 
     __slots__ = ("env", "cpu", "network", "owner", "_pending", "_next",

@@ -9,14 +9,13 @@ Pd CPU time only when this background contention is present.
 
 Each clock is a :class:`~repro.rocc.node.LoadActor`: nothing interrupts
 it, so it runs as direct kernel events (one schedule entry per sleep or
-request).  Each is a state machine: its ``_fire`` completes the pending
-sleep or request and issues the next one, calling the CPU's and the
-network's halves directly.
+request).  Each is a state machine: its ``_fire`` runs the completion
+half of the pending sleep or request and goes on to the loop's next
+request without a step.
 """
 
 from __future__ import annotations
 
-from ..des.events import NORMAL
 from ..workload.records import ProcessType
 from .node import _CPU, _NET, _SLEEP, LoadActor, NodeContext
 
@@ -60,90 +59,43 @@ class PVMDaemon(LoadActor):
             self._next(self)
 
     def _wait(self) -> None:
-        _sleep(self, self._inter())
+        self.sleep(self._inter(), PVMDaemon._compute)
 
     def _compute(self) -> None:
-        amount = self._cpu()
-        if amount <= 0.0:
-            self._zero(PVMDaemon._communicate)
-            return
-        self._pending = _CPU
-        self.cpu.request(amount, _PVM_DAEMON, self)
+        self.compute(self._cpu(), PVMDaemon._communicate)
 
     def _communicate(self) -> None:
-        amount = self._net()
-        if amount <= 0.0:
-            self._zero(PVMDaemon._wait)
-            return
-        self._pending = _NET
-        self._amount = amount
-        self.network.request(self)
+        self.transfer(self._net(), PVMDaemon._wait)
 
 
 class _Clock(LoadActor):
-    """Requests of one resource on their own arrival clock: a subclass
-    issues them in :meth:`_use`.
+    """Requests of one resource on their own arrival clock: *request* is
+    :meth:`LoadActor.compute` or :meth:`LoadActor.transfer`.
 
     :meth:`_fire` takes no step: every entry but a sleep's end (the
     start kick, a zero-length request, a completed one) starts the next
     sleep.
     """
 
-    __slots__ = ("_inter", "_work")
+    __slots__ = ("_inter", "_work", "_request")
 
-    def __init__(self, ctx: NodeContext, name: str, inter, work):
+    def __init__(self, ctx: NodeContext, name: str, inter, work, request):
         super().__init__(ctx, ProcessType.OTHER, name)
         self._inter = inter
         self._work = work
+        self._request = request
         self.start(None)
 
     def _fire(self) -> None:
         pending = self._pending
         if pending == _SLEEP:
-            self._use()
+            self._request(self, self._work(), None)
             return
         if pending == _CPU:
             self.cpu.release(_OTHER, self._slice)
         elif pending == _NET:
             self.network.finish(self._amount, _OTHER)
-        _sleep(self, self._inter())
-
-    def _use(self) -> None:
-        raise NotImplementedError
-
-
-class _CPUClock(_Clock):
-    __slots__ = ()
-
-    def _use(self) -> None:
-        amount = self._work()
-        if amount <= 0.0:
-            self._zero(None)
-            return
-        self._pending = _CPU
-        self.cpu.request(amount, _OTHER, self)
-
-
-class _NetworkClock(_Clock):
-    __slots__ = ()
-
-    def _use(self) -> None:
-        amount = self._work()
-        if amount <= 0.0:
-            self._zero(None)
-            return
-        self._pending = _NET
-        self._amount = amount
-        self.network.request(self)
-
-
-def _sleep(actor: LoadActor, delay: float) -> None:
-    """Push *actor* to end a sleep of *delay* µs."""
-    if delay < 0:
-        raise ValueError(f"negative delay {delay}")
-    actor._pending = _SLEEP
-    env = actor.env
-    env._push((env._now + delay, NORMAL, next(env._eid), actor))
+        self.sleep(self._inter(), None)
 
 
 class OtherProcesses:
@@ -164,6 +116,7 @@ class OtherProcesses:
             f"{prefix}/net_inter", wl.other_network_interarrival
         )
         net = streams.variates(f"{prefix}/network", wl.other_network)
-        self.cpu_clock = _CPUClock(ctx, f"{prefix}/cpu", cpu_inter, cpu)
-        self.network_clock = _NetworkClock(ctx, f"{prefix}/network",
-                                           net_inter, net)
+        self.cpu_clock = _Clock(ctx, f"{prefix}/cpu", cpu_inter, cpu,
+                                LoadActor.compute)
+        self.network_clock = _Clock(ctx, f"{prefix}/network", net_inter, net,
+                                    LoadActor.transfer)

@@ -95,10 +95,9 @@ def test_tracing_does_not_perturb_results(engine) -> None:
 
 
 def test_traced_and_untraced_cpu_level_updates_agree() -> None:
-    """The CPU updates its busy level inline when nothing observes it
-    and through ``TimeWeighted.increment`` when a traced run's watcher
-    does: both paths give the same results, and the watcher's busy
-    spans add up to the level's integral."""
+    """A traced run, whose watcher observes each CPU's busy level
+    through ``on_change``, gives the untraced run's results and level
+    integrals, and the watcher's busy spans add up to the integral."""
     config = NOW_CONFIG.with_(nodes=2, duration=200_000.0)
     untraced = ParadynISSystem(config)
     plain = untraced.run()

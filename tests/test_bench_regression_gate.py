@@ -2,8 +2,8 @@
 
 A baseline entry the results file does not contain must fail the gate
 and be named, so a benchmark deleted or renamed by mistake cannot pass
-unnoticed.  A baseline that gates per-round ratios compares the ratio
-each benchmark recorded, not the ratio of its min to the floor's.
+unnoticed.  A benchmark that records a per-round ratio is gated on
+it, not on the ratio of its min to the floor's.
 """
 
 import json
@@ -55,14 +55,14 @@ def test_a_deleted_benchmark_fails_the_gate(tmp_path):
 
 def _per_round_gate(tmp_path, floor_min, kept_min, kept_ratio, update=False):
     """Gate ``test_kept`` (min *kept_min*, recorded per-round ratio
-    *kept_ratio*, none if None) against a per-round baseline."""
+    *kept_ratio*, none if None) against a baseline entry marked
+    ``per_round``."""
     baseline = tmp_path / "baseline.json"
     baseline.write_text(json.dumps({
-        "meta": {"normalize_to": "test_floor", "per_round_ratios": True,
-                 "tolerance": 0.25},
+        "meta": {"normalize_to": "test_floor", "tolerance": 0.25},
         "baseline": {
             "test_floor": {"min": 0.01, "ratio": 1.0},
-            "test_kept": {"min": 0.02, "ratio": 2.0},
+            "test_kept": {"min": 0.02, "ratio": 2.0, "per_round": True},
         },
     }))
     kept = {"name": "test_kept", "stats": {"min": kept_min}}
@@ -96,10 +96,15 @@ def test_per_round_ratio_still_fails_a_30_percent_slowdown(tmp_path):
 
 
 def test_per_round_baseline_needs_the_recorded_ratio(tmp_path):
-    for update in (False, True):
-        proc, _ = _per_round_gate(tmp_path, 0.01, 0.02, None, update)
-        assert proc.returncode == 2, proc.stdout + proc.stderr
-        assert "'test_kept' recorded no extra_info.floor_ratio" in proc.stderr
+    proc, _ = _per_round_gate(tmp_path, 0.01, 0.02, None)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "gates 'test_kept' on per-round ratios" in proc.stderr
+
+
+def test_update_without_a_recorded_ratio_gates_the_ratio_of_mins(tmp_path):
+    proc, written = _per_round_gate(tmp_path, 0.01, 0.03, None, update=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert written["baseline"]["test_kept"] == {"min": 0.03, "ratio": 3.0}
 
 
 def test_per_round_update_writes_the_recorded_ratio(tmp_path):
@@ -107,5 +112,5 @@ def test_per_round_update_writes_the_recorded_ratio(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert written["baseline"] == {
         "test_floor": {"min": 0.01, "ratio": 1.0},
-        "test_kept": {"min": 0.03, "ratio": 2.7},
+        "test_kept": {"min": 0.03, "ratio": 2.7, "per_round": True},
     }
