@@ -122,7 +122,13 @@ class ApplicationProcess(LoadActor):
             if work > remaining:
                 work = remaining
         self._work = work
-        self.compute(work, ApplicationProcess._computed)
+        # ``self.compute(work, ApplicationProcess._computed)``, inlined
+        # to save a call per burst.
+        if work <= 0.0:
+            self._zero(ApplicationProcess._computed)
+            return
+        self._pending = _CPU
+        self.cpu.request(work, _APPLICATION, self)
 
     def _computed(self) -> None:
         barrier_period = self._barrier_period
@@ -146,7 +152,14 @@ class ApplicationProcess(LoadActor):
         self._communicate()
 
     def _communicate(self) -> None:
-        self.transfer(self._net_var(), ApplicationProcess._transferred)
+        # ``self.transfer(...)``, inlined like ``compute`` in ``_cycle``.
+        amount = self._net_var()
+        if amount <= 0.0:
+            self._zero(ApplicationProcess._transferred)
+            return
+        self._pending = _NET
+        self._amount = amount
+        self.network.request(self)
 
     def _transferred(self) -> None:
         self.metrics.app_cycles += 1

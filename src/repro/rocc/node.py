@@ -63,9 +63,11 @@ class LoadActor(Actor):
     The background load (:mod:`repro.rocc.application`,
     :mod:`repro.rocc.other`) overrides :meth:`_fire` with a state
     machine over :attr:`_pending`: it runs the completion half and
-    then the loop's next request itself, still through :meth:`sleep`,
-    :meth:`compute` and :meth:`transfer`.  Only its start kick and
-    zero-length requests go through a step.
+    then the loop's next request itself.  The application and the PVM
+    daemon, most of every run's events, inline :meth:`compute` and
+    :meth:`transfer` to save a call per request; the other loops
+    request through them.  Only a start kick and a zero-length request
+    go through a step.
     """
 
     __slots__ = ("env", "cpu", "network", "owner", "_pending", "_next",

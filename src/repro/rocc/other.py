@@ -62,10 +62,23 @@ class PVMDaemon(LoadActor):
         self.sleep(self._inter(), PVMDaemon._compute)
 
     def _compute(self) -> None:
-        self.compute(self._cpu(), PVMDaemon._communicate)
+        # ``self.compute(...)`` and ``self.transfer(...)``, inlined to
+        # save a call per request, as in ``ApplicationProcess``.
+        amount = self._cpu()
+        if amount <= 0.0:
+            self._zero(PVMDaemon._communicate)
+            return
+        self._pending = _CPU
+        self.cpu.request(amount, _PVM_DAEMON, self)
 
     def _communicate(self) -> None:
-        self.transfer(self._net(), PVMDaemon._wait)
+        amount = self._net()
+        if amount <= 0.0:
+            self._zero(PVMDaemon._wait)
+            return
+        self._pending = _NET
+        self._amount = amount
+        self.network.request(self)
 
 
 class _Clock(LoadActor):
