@@ -27,9 +27,10 @@ class _Job(Actor):
 
     def __init__(self, cpu, demand, finished):
         self.name = "job"
+        self.owner = ProcessType.APPLICATION
         self.cpu = cpu
         self.finished = finished
-        cpu.request(demand, ProcessType.APPLICATION, self)
+        cpu.request(demand, self)
 
     def _fire(self):
         self.cpu.release(ProcessType.APPLICATION, self._slice)

@@ -3,8 +3,8 @@
 This package provides the simulation substrate the ROCC model is built
 on, and only what that model uses: actors that put themselves on the
 schedule, events with callbacks (timeouts among them), a finite FIFO
-:class:`Store` (the Unix pipes), O(1) statistics monitors (``Tally``,
-``TimeWeighted``), tracers and a kernel profiler.
+:class:`Store` (the Unix pipes), an O(1) statistics monitor
+(``Tally``), tracers and a kernel profiler.
 
 Quick example::
 
@@ -44,7 +44,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "SimulationStalled": "exceptions",
     "Store": "stores",
     "Tally": "monitor",
-    "TimeWeighted": "monitor",
     "EventLog": "tracing",
     "TraceEntry": "tracing",
     "event_kind": "tracing",

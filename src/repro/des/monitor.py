@@ -1,25 +1,22 @@
-"""Statistics accumulators for observing a running simulation.
+"""Statistics accumulator for observing a running simulation.
 
-Two accumulator flavours cover the metrics the ROCC study needs:
+:class:`Tally` covers the discrete observations the ROCC study reports
+(e.g. per-sample monitoring latency): count, mean, variance, min/max.
+It is cheap (O(1) per observation, Welford updates) and keeps no
+observations: a caller that needs order statistics keeps its own series
+(the ROCC metrics keep every receipt's latencies and fold them in with
+:meth:`Tally.observe_all`, see :class:`repro.rocc.metrics.Metrics`).
 
-* :class:`Tally` — discrete observations (e.g. per-sample monitoring
-  latency): count, mean, variance, min/max.
-* :class:`TimeWeighted` — piecewise-constant signals integrated over
-  time (e.g. number of busy CPUs, queue length): time-average and
-  integral ("busy time").
-
-Both are cheap (O(1) per observation, Welford updates) so they can be
-attached to hot paths of the simulator.  Neither keeps the observations
-themselves: a caller that needs order statistics keeps its own series
-(the ROCC metrics keep every receipt's latencies, see
-:class:`repro.rocc.metrics.Metrics`).
+Resource busy time is plain per-owner accounting in the resources
+(:mod:`repro.rocc.cpu`, :mod:`repro.rocc.network`); no time-weighted
+level is kept, since no result reads one.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["Tally", "TimeWeighted"]
+__all__ = ["Tally"]
 
 
 class Tally:
@@ -38,15 +35,33 @@ class Tally:
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        self._n += 1
-        delta = value - self._mean
-        self._mean += delta / self._n
-        self._m2 += delta * (value - self._mean)
-        self._total += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
+        self.observe_all((value,))
+
+    def observe_all(self, values) -> None:
+        """Record every value of *values* in order: one Welford update
+        per value, run over local variables."""
+        n = self._n
+        mean = self._mean
+        m2 = self._m2
+        total = self._total
+        low = self._min
+        high = self._max
+        for value in values:
+            n += 1
+            delta = value - mean
+            mean += delta / n
+            m2 += delta * (value - mean)
+            total += value
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+        self._n = n
+        self._mean = mean
+        self._m2 = m2
+        self._total = total
+        self._min = low
+        self._max = high
 
     @property
     def count(self) -> int:
@@ -84,83 +99,3 @@ class Tally:
             f"Tally({self.name!r}, n={self._n}, mean={self.mean:.4g}, "
             f"std={self.std:.4g})"
         )
-
-
-class TimeWeighted:
-    """Integrates a piecewise-constant signal over simulation time.
-
-    Call :meth:`update` whenever the signal changes; read
-    :meth:`integral` (area under the curve up to *now*) or
-    :meth:`time_average`.
-
-    An optional ``on_change(now, value)`` callback fires after every
-    level change — observability watchers use it to sample occupancy
-    without the accumulator knowing about them.  It defaults to ``None``
-    and costs one attribute test per update.
-    """
-
-    __slots__ = ("name", "_value", "_last_time", "_start_time", "_area",
-                 "_max", "on_change")
-
-    def __init__(self, name: str = "", initial: float = 0.0, start_time: float = 0.0):
-        self.name = name
-        self._value = float(initial)
-        self._last_time = float(start_time)
-        self._start_time = float(start_time)
-        self._area = 0.0
-        self._max = float(initial)
-        self.on_change = None
-
-    @property
-    def value(self) -> float:
-        """Current level of the signal."""
-        return self._value
-
-    def update(self, value: float, now: float) -> None:
-        """Set the signal to *value* at time *now*."""
-        if now < self._last_time:
-            raise ValueError(
-                f"time went backwards: {now} < {self._last_time} ({self.name})"
-            )
-        self._area += self._value * (now - self._last_time)
-        self._last_time = now
-        self._value = float(value)
-        if value > self._max:
-            self._max = float(value)
-        if self.on_change is not None:
-            self.on_change(now, self._value)
-
-    def increment(self, delta: float, now: float) -> None:
-        """Adjust the signal by *delta* at time *now*.
-
-        Hot-path variant of :meth:`update`: the body is inlined and the
-        monotonic-time guard dropped — kernel callers pass ``env.now``,
-        which cannot go backwards.  ``RoundRobinCPU`` inlines this body
-        for its busy level.
-        """
-        value = self._value + delta
-        self._area += self._value * (now - self._last_time)
-        self._last_time = now
-        self._value = value
-        if value > self._max:
-            self._max = value
-        if self.on_change is not None:
-            self.on_change(now, value)
-
-    def integral(self, now: float) -> float:
-        """Area under the signal from start to *now*."""
-        if now < self._last_time:
-            raise ValueError("time went backwards")
-        return self._area + self._value * (now - self._last_time)
-
-    def time_average(self, now: float) -> float:
-        """Time-weighted mean of the signal from start to *now*."""
-        span = now - self._start_time
-        return self.integral(now) / span if span > 0 else math.nan
-
-    @property
-    def maximum(self) -> float:
-        return self._max
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"TimeWeighted({self.name!r}, value={self._value:.4g})"

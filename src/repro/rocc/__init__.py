@@ -30,7 +30,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "SimulationResults": "metrics",
     "Metrics": "metrics",
     "RoundRobinCPU": "cpu",
-    "CPUJob": "cpu",
     "FIFONetwork": "network",
     "ContentionFreeNetwork": "network",
     "BaseNetwork": "network",

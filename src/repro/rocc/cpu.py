@@ -11,7 +11,7 @@ exactly: occupancy requests join a FIFO ready queue; each of the
 The scheduler is *event-driven*: there are no server processes.  A
 request that finds a free processor schedules its first slice directly;
 slice-expiry and completion are kernel events whose callbacks charge
-accounting and dispatch the next queued job.  A request shorter than
+accounting and dispatch the next queued request.  A request shorter than
 one quantum — the overwhelmingly common case for daemon collect/forward
 costs against a 10 ms quantum — therefore costs exactly one kernel
 event (its completion), where the process-per-server shape cost a
@@ -20,12 +20,12 @@ wake-up, a hold, and a separate completion event.
 A request has two halves, :meth:`RoundRobinCPU.request` (queue or
 start it) and :meth:`RoundRobinCPU.release` (charge the final slice,
 hand the processor on).  The requesting actor
-(:class:`~repro.rocc.node.LoadActor`) is its own completion entry: the
-CPU pushes it for the time its final slice ends, and its handler calls
-:meth:`~RoundRobinCPU.release`.  Each half is a single call: it
-updates the busy-level integral (``busy_servers``) with an inlined
-:meth:`~repro.des.monitor.TimeWeighted.increment`, which still calls
-the level's ``on_change`` when a traced run has set one.
+(:class:`~repro.rocc.node.LoadActor`) is its own completion entry and
+its own ready-queue entry: it holds its unserved work in ``_remaining``
+while it waits, the CPU pushes it for the time its final slice ends,
+and its handler calls :meth:`~RoundRobinCPU.release`.  The busy level
+is the plain free-processor count; a traced run sets
+:attr:`RoundRobinCPU.on_change` to hear every change of it.
 
 Processor sharing, the fluid limit RR approaches as quantum → 0, is
 not simulated: its closed forms are the oracles RR is checked against
@@ -39,61 +39,45 @@ metric and consistent between compared configurations.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..des.core import Environment
 from ..des.events import NORMAL, Event
-from ..des.monitor import TimeWeighted
 from ..workload.records import ProcessType
 
-__all__ = ["CPUJob", "RoundRobinCPU"]
-
-
-class CPUJob:
-    """A CPU occupancy request queued at the scheduler.
-
-    ``event`` is the request's completion entry, an actor.
-    """
-
-    __slots__ = ("remaining", "owner", "event", "enqueued_at")
-
-    def __init__(self, amount: float, owner: ProcessType, event, now: float):
-        self.remaining = amount
-        self.owner = owner
-        self.event = event
-        self.enqueued_at = now
+__all__ = ["RoundRobinCPU"]
 
 
 class CPUSlice(Event):
     """An intermediate round-robin quantum of a longer request.
 
     Pure kernel bookkeeping: nobody waits on it, so it is created
-    already-triggered and defused; its callback re-queues the job at
+    already-triggered and defused; its callback re-queues the actor at
     the ready-queue tail and dispatches the head ("time out").
     """
 
-    __slots__ = ("_cpu", "_job")
+    __slots__ = ("_cpu", "_actor")
 
-    def __init__(self, cpu: "RoundRobinCPU", job: CPUJob):
+    def __init__(self, cpu: "RoundRobinCPU", actor):
         self.env = cpu.env
         self.callbacks = [self._expire]
         self._value = None
         self._ok = True
         self._defused = True
         self._cpu = cpu
-        self._job = job
+        self._actor = actor
 
     def _expire(self, _event: Event) -> None:
         # An intermediate slice is always exactly one quantum (anything
         # shorter would have been the final slice).
         cpu = self._cpu
-        job = self._job
+        actor = self._actor
         quantum = cpu.quantum
         busy = cpu.busy_by_owner
-        busy[job.owner] = busy.get(job.owner, 0.0) + quantum
-        job.remaining -= quantum
+        busy[actor.owner] = busy.get(actor.owner, 0.0) + quantum
+        actor._remaining -= quantum
         ready = cpu._ready
-        ready.append(job)
+        ready.append(actor)
         cpu._start(ready.pop(0))
 
 
@@ -128,63 +112,53 @@ class RoundRobinCPU:
         self.n_cpus = int(n_cpus)
         self.quantum = float(quantum)
         self.name = name
-        # At most one job per process on the node, so a list (56 B
-        # empty, a deque 760 B).
-        self._ready: List[CPUJob] = []
+        # At most one request per process on the node, so a list (56 B
+        # empty, a deque 760 B) of the waiting actors.
+        self._ready: List = []
         self._free = self.n_cpus
         #: Accumulated busy time per owning process class, µs.
         self.busy_by_owner: Dict[ProcessType, float] = {}
-        #: Time-weighted number of busy servers (for utilization).
-        self.busy_servers = TimeWeighted(f"{name}.busy", start_time=env.now)
+        #: ``on_change(now, level)`` after every change of the number of
+        #: busy processors (a float), or ``None``: a traced run's hook.
+        self.on_change = None
 
     # ------------------------------------------------------------------
-    def request(self, amount: float, owner: ProcessType, done) -> None:
+    def request(self, amount: float, done) -> None:
         """Request half of a positive-length occupancy request.
 
-        *done* is the kernel entry of the completion, an
-        :class:`~repro.des.events.Actor` that is its own event.  It gets
-        a ``_slice`` attribute (the final slice's length) and is pushed
-        for the time that slice ends; its handler must then call
-        :meth:`release`.
+        *done* is the requesting :class:`~repro.rocc.node.LoadActor`,
+        an :class:`~repro.des.events.Actor` that is its own event and
+        is charged as its ``owner``.  It gets a ``_slice`` attribute
+        (the final slice's length) and is pushed for the time that
+        slice ends; its handler must then call :meth:`release`.
         """
         scaled = float(amount)
+        if not self._free:
+            done._remaining = scaled
+            self._ready.append(done)
+            return
+        self._free -= 1
+        env = self.env
+        now = env._now
+        on_change = self.on_change
+        if on_change is not None:
+            on_change(now, float(self.n_cpus - self._free))
         quantum = self.quantum
         slice_ = scaled if scaled < quantum else quantum
-        if self._free and scaled - slice_ <= 1e-9:
-            # Free processor, fits one slice (the common case for daemon
-            # collect/forward costs against a 10 ms quantum): schedule
-            # completion directly, no ready-queue job.  The slice algebra
-            # mirrors ``_start`` exactly so timestamps are identical to
-            # the queued path.
-            self._free -= 1
-            env = self.env
-            now = env._now
-            # ``busy_servers.increment(+1, now)``, inlined.
-            level = self.busy_servers
-            busy = level._value
-            level._area += busy * (now - level._last_time)
-            level._last_time = now
-            busy += 1
-            level._value = busy
-            if busy > level._max:
-                level._max = busy
-            on_change = level.on_change
-            if on_change is not None:
-                on_change(now, busy)
+        if scaled - slice_ <= 1e-9:
+            # Fits one slice (the common case for daemon collect/forward
+            # costs against a 10 ms quantum): schedule the completion
+            # directly.  The slice algebra mirrors ``_start`` exactly so
+            # timestamps are identical to the queued path.
             done._slice = slice_
             env._push((now + slice_, NORMAL, next(env._eid), done))
             return
-        job = CPUJob(scaled, owner, done, self.env.now)
-        if self._free:
-            self._free -= 1
-            self.busy_servers.increment(+1, self.env.now)
-            self._start(job)
-        else:
-            self._ready.append(job)
+        done._remaining = scaled
+        self._start(done)
 
     def release(self, owner: ProcessType, slice_: float) -> None:
         """Completion half: charge *owner*'s final slice, then hand the
-        processor to the next ready job (or free it)."""
+        processor to the next ready actor (or free it)."""
         busy = self.busy_by_owner
         busy[owner] = busy.get(owner, 0.0) + slice_
         ready = self._ready
@@ -192,47 +166,34 @@ class RoundRobinCPU:
             self._start(ready.pop(0))
             return
         self._free += 1
-        # ``busy_servers.increment(-1, now)``, inlined; a falling level
-        # never raises the maximum.
-        now = self.env._now
-        level = self.busy_servers
-        busy = level._value - 1
-        level._area += level._value * (now - level._last_time)
-        level._last_time = now
-        level._value = busy
-        on_change = level.on_change
+        on_change = self.on_change
         if on_change is not None:
-            on_change(now, busy)
+            on_change(self.env._now, float(self.n_cpus - self._free))
 
     @property
     def queue_length(self) -> int:
-        """Jobs currently in the ready queue (excludes running slices)."""
+        """Requests currently in the ready queue (excludes running
+        slices)."""
         return len(self._ready)
-
-    def utilization(self, now: Optional[float] = None) -> float:
-        """Time-averaged fraction of CPUs busy up to *now*."""
-        t = self.env.now if now is None else now
-        return self.busy_servers.time_average(t) / self.n_cpus
 
     def busy_time(self, owner: ProcessType) -> float:
         """Total CPU time consumed by *owner*'s requests so far, µs."""
         return self.busy_by_owner.get(owner, 0.0)
 
     # ------------------------------------------------------------------
-    def _start(self, job: CPUJob) -> None:
-        """Schedule the next slice of *job* on the processor just freed.
+    def _start(self, actor) -> None:
+        """Schedule the next slice of *actor* on a processor it holds.
 
         Back-to-back dispatch from a finishing slice's callback leaves
-        ``busy_servers`` untouched — the zero-width -1/+1 dip would
-        contribute nothing to the time integral.
+        the busy level untouched: the processor never goes idle.
         """
-        remaining = job.remaining
+        remaining = actor._remaining
         quantum = self.quantum
         slice_ = remaining if remaining < quantum else quantum
         if remaining - slice_ > 1e-9:
-            ev = CPUSlice(self, job)
+            ev = CPUSlice(self, actor)
         else:
-            ev = job.event
+            ev = actor
             ev._slice = slice_
         env = self.env
         env._push((env._now + slice_, NORMAL, next(env._eid), ev))

@@ -62,9 +62,7 @@ def sorted_percentile(ordered, q: float) -> float:
 def _fold(name: str, series) -> Tally:
     """A :class:`Tally` that observed *series* in order."""
     tally = Tally(name)
-    observe = tally.observe
-    for value in series:
-        observe(value)
+    tally.observe_all(series)
     return tally
 
 

@@ -7,8 +7,8 @@ Three interconnect models cover the paper's architectures:
   represented by the arrivals to a single server buffer" — Figure 2).
 * :class:`ContentionFreeNetwork` — the MPP assumption (§4.4): transfers
   never queue against each other; occupancy is still accounted so
-  utilization-style metrics remain meaningful.  It keeps no in-flight
-  signal: only a traced run's occupancy row would read it.
+  utilization-style metrics remain meaningful.  It has no busy level:
+  only a traced run's occupancy row would read it.
 
 Both support a ``deliver`` callback per transfer so forwarding
 topologies can hand batches to the receiving daemon or the main Paradyn
@@ -36,7 +36,6 @@ from typing import Callable, Deque, Dict, Optional
 
 from ..des.core import Environment
 from ..des.events import NORMAL, PENDING, Event
-from ..des.monitor import TimeWeighted
 from ..workload.records import ProcessType
 
 __all__ = ["BaseNetwork", "FIFONetwork", "ContentionFreeNetwork", "Transfer"]
@@ -187,6 +186,8 @@ class FIFONetwork(BaseNetwork):
     Event-driven: there is no server process.  An arriving transfer
     starts immediately when the server is free; otherwise it waits in
     ``_queue`` and is started by the finishing transfer's callback.
+    The busy level is the ``_busy`` flag; a traced run sets
+    :attr:`on_change` to hear every change of it.
     """
 
     transfer_class = QueuedTransfer
@@ -195,9 +196,9 @@ class FIFONetwork(BaseNetwork):
         super().__init__(env, name)
         self._queue: Deque = deque()
         self._busy = False
-        #: Time-weighted number of transfers in service (0 or 1),
-        #: updated only when the server goes idle or busy.
-        self.in_flight = TimeWeighted(f"{name}.in_flight", start_time=env.now)
+        #: ``on_change(now, level)`` when the server goes busy (1.0) or
+        #: idle (0.0), or ``None``: a traced run's hook.
+        self.on_change = None
 
     def request(self, done) -> None:
         if self._busy:
@@ -205,7 +206,9 @@ class FIFONetwork(BaseNetwork):
             return
         self._busy = True
         env = self.env
-        self.in_flight.increment(+1, env._now)
+        on_change = self.on_change
+        if on_change is not None:
+            on_change(env._now, 1.0)
         env._push((env._now + done._amount, NORMAL, next(env._eid), done))
 
     def finish(self, amount: float, owner: ProcessType) -> None:
@@ -216,8 +219,8 @@ class FIFONetwork(BaseNetwork):
         self.release()
 
     def release(self) -> None:
-        # Hand the server to the next queued transfer at this instant;
-        # the zero-width in_flight -1/+1 pair collapses into no update.
+        # Hand the server to the next queued transfer at this instant:
+        # the server never goes idle, so the level does not change.
         env = self.env
         queue = self._queue
         if queue:
@@ -225,7 +228,9 @@ class FIFONetwork(BaseNetwork):
             env._push((env._now + done._amount, NORMAL, next(env._eid), done))
         else:
             self._busy = False
-            self.in_flight.increment(-1, env._now)
+            on_change = self.on_change
+            if on_change is not None:
+                on_change(env._now, 0.0)
 
     @property
     def queue_length(self) -> int:

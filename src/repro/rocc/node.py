@@ -64,14 +64,17 @@ class LoadActor(Actor):
     :mod:`repro.rocc.other`) overrides :meth:`_fire` with a state
     machine over :attr:`_pending`: it runs the completion half and
     then the loop's next request itself.  The application and the PVM
-    daemon, most of every run's events, inline :meth:`compute` and
-    :meth:`transfer` to save a call per request; the other loops
-    request through them.  Only a start kick and a zero-length request
-    go through a step.
+    daemon, most of every run's events, issue that request inside
+    :meth:`_fire`, inlining :meth:`compute`, :meth:`transfer` and
+    :meth:`sleep` to save the calls; the other loops request through
+    them.  Only a start kick, a zero-length request, the application's
+    barrier runs and its cycles with samples to write go through a
+    step.
     """
 
     __slots__ = ("env", "cpu", "network", "owner", "_pending", "_next",
-                 "_slice", "_amount", "_payload", "_deliver", "_got_cb")
+                 "_slice", "_remaining", "_amount", "_payload", "_deliver",
+                 "_got_cb")
 
     def __init__(self, ctx: NodeContext, owner: ProcessType, name: str):
         self.env = ctx.env
@@ -83,6 +86,9 @@ class LoadActor(Actor):
         self._next: Optional[Callable] = None
         #: Final-slice length of the pending CPU request (set by the CPU).
         self._slice = 0.0
+        #: Unserved work of a CPU request in the ready queue (set by the
+        #: CPU, which queues the actor itself).
+        self._remaining = 0.0
         #: Length of the pending network request.
         self._amount = 0.0
         #: What the pending :meth:`send` carries, and where it goes.
@@ -120,7 +126,7 @@ class LoadActor(Actor):
             return
         self._next = step
         self._pending = _CPU
-        self.cpu.request(amount, self.owner, self)
+        self.cpu.request(amount, self)
 
     def transfer(self, amount: float, step: Callable) -> None:
         """Occupy the network for *amount* µs, then run *step*."""

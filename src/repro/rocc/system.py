@@ -61,10 +61,10 @@ _WORKER_OWNERS = (
 
 
 class _OccupancyWatcher:
-    """Turns one :class:`TimeWeighted` signal into trace tracks.
+    """Turns one resource's busy level into trace tracks.
 
-    Installed as the accumulator's ``on_change`` hook while a run is
-    traced: busy intervals (level leaving / returning to zero) become
+    Installed as the CPU's or FIFO network's ``on_change`` hook while a
+    run is traced: busy intervals (level leaving / returning to zero) become
     sim-time spans — the Gantt bars of a node — and every level change
     becomes a counter sample.  Both are capped so a long run cannot
     balloon the trace.
@@ -119,7 +119,6 @@ class _Snapshot:
     """Accumulator values at warmup time, subtracted from final values."""
 
     cpu_busy: List[Dict[ProcessType, float]] = field(default_factory=list)
-    cpu_busy_integral: List[float] = field(default_factory=list)
     host_busy: Dict[ProcessType, float] = field(default_factory=dict)
     net_busy: Dict[ProcessType, float] = field(default_factory=dict)
     pipe_blocked_time: float = 0.0
@@ -258,7 +257,7 @@ class ParadynISSystem:
         #: Overhead regulators, one per node, when config.adaptive is set.
         self.regulators: List = []
         self._snapshot = _Snapshot()
-        #: ``(signal, watcher)`` pairs installed for a traced run.
+        #: ``(resource, watcher)`` pairs installed for a traced run.
         self._watchers: List[tuple] = []
         self._obs_info: Dict[str, int] = {}
 
@@ -410,9 +409,6 @@ class ParadynISSystem:
         snap = self._snapshot
         now = self.env.now
         snap.cpu_busy = [dict(c.busy_by_owner) for c in self.worker_cpus]
-        snap.cpu_busy_integral = [
-            c.busy_servers.integral(now) for c in self.worker_cpus
-        ]
         if self.host_cpu is not None:
             snap.host_busy = dict(self.host_cpu.busy_by_owner)
         snap.net_busy = dict(self.network.busy_by_owner)
@@ -440,31 +436,30 @@ class ParadynISSystem:
         Each simulation run gets one synthetic sim-time process track
         (:func:`sim_track_pid` of the run label) holding a Gantt row per
         worker CPU, the host CPU, and the shared (FIFO) interconnect.
-        A contention-free network keeps no in-flight signal, so it has
-        no row.
+        A contention-free network has no busy level, so it has no row.
         """
         label = self._run_label()
         pid = sim_track_pid(label)
         tracer.name_process(pid, f"sim: {label}")
         tracked: List[tuple] = [
-            (f"node{node}.cpu", cpu.busy_servers)
+            (f"node{node}.cpu", cpu)
             for node, cpu in enumerate(self.worker_cpus)
         ]
         if self.host_cpu is not None:
-            tracked.append(("host.cpu", self.host_cpu.busy_servers))
+            tracked.append(("host.cpu", self.host_cpu))
         if isinstance(self.network, FIFONetwork):
-            tracked.append(("network", self.network.in_flight))
-        for tid, signal in tracked:
+            tracked.append(("network", self.network))
+        for tid, resource in tracked:
             watcher = _OccupancyWatcher(tracer, pid, tid, f"{tid}.level")
-            signal.on_change = watcher
-            self._watchers.append((signal, watcher))
+            resource.on_change = watcher
+            self._watchers.append((resource, watcher))
 
     def _finish_observability(self) -> None:
         now = self.env.now
         spans = samples = 0
-        for signal, watcher in self._watchers:
+        for resource, watcher in self._watchers:
             watcher.finish(now)
-            signal.on_change = None
+            resource.on_change = None
             spans += watcher.spans
             samples += watcher.samples
         self._watchers = []

@@ -1,13 +1,14 @@
-"""Tests for the Tally and TimeWeighted statistics accumulators."""
+"""Tests for the Tally statistics accumulator."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.des import Tally, TimeWeighted
+from repro.des import Tally
 
 
 class TestTally:
@@ -45,66 +46,47 @@ class TestTally:
             float(np.var(data, ddof=1)), rel=1e-6, abs=1e-6
         )
 
-
-class TestTimeWeighted:
-    def test_integral_of_constant(self):
-        tw = TimeWeighted(initial=2.0)
-        assert tw.integral(10.0) == 20.0
-
-    def test_step_function(self):
-        tw = TimeWeighted()
-        tw.update(1.0, 5.0)  # 0 until t=5
-        tw.update(3.0, 10.0)  # 1 on [5,10)
-        assert tw.integral(20.0) == pytest.approx(0 * 5 + 1 * 5 + 3 * 10)
-        assert tw.time_average(20.0) == pytest.approx(35.0 / 20.0)
-
-    def test_increment(self):
-        tw = TimeWeighted()
-        tw.increment(2, 1.0)
-        tw.increment(-1, 3.0)
-        assert tw.value == 1.0
-        assert tw.integral(4.0) == pytest.approx(0 + 2 * 2 + 1 * 1)
-
-    def test_time_cannot_go_backwards(self):
-        tw = TimeWeighted()
-        tw.update(1.0, 5.0)
-        with pytest.raises(ValueError):
-            tw.update(2.0, 4.0)
-        with pytest.raises(ValueError):
-            tw.integral(4.0)
-
-    def test_maximum_tracked(self):
-        tw = TimeWeighted()
-        tw.update(7.0, 1.0)
-        tw.update(2.0, 2.0)
-        assert tw.maximum == 7.0
-
-    def test_time_average_with_nonzero_start(self):
-        tw = TimeWeighted(initial=4.0, start_time=10.0)
-        assert tw.time_average(20.0) == pytest.approx(4.0)
-
-    def test_zero_span_is_nan(self):
-        tw = TimeWeighted()
-        assert math.isnan(tw.time_average(0.0))
-
     @given(
         st.lists(
-            st.tuples(
-                st.floats(min_value=0.01, max_value=100),  # dt
-                st.floats(min_value=-50, max_value=50),  # new value
+            st.one_of(
+                st.just(-0.0),
+                st.just(0.0),
+                st.sampled_from([1.5, -2.25, 1e-300, 7.0]),
+                st.floats(min_value=-1e6, max_value=1e6),
             ),
-            min_size=1,
-            max_size=30,
-        )
+            max_size=60,
+        ),
+        st.integers(min_value=0, max_value=60),
     )
-    def test_integral_matches_direct_sum(self, steps):
-        tw = TimeWeighted()
-        now = 0.0
-        expected = 0.0
-        value = 0.0
-        for dt, new in steps:
-            expected += value * dt
-            now += dt
-            tw.update(new, now)
-            value = new
-        assert tw.integral(now) == pytest.approx(expected, rel=1e-9, abs=1e-6)
+    def test_observe_all_is_per_value_welford_bit_for_bit(self, data, split):
+        """``observe_all`` gives, bit for bit, the state a per-value
+        Welford loop reaches, also when it continues a tally that has
+        already observed values."""
+        n, mean, m2, total = 0, 0.0, 0.0, 0.0
+        low, high = math.inf, -math.inf
+        for value in data:
+            n += 1
+            delta = value - mean
+            mean += delta / n
+            m2 += delta * (value - mean)
+            total += value
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+
+        folded = Tally()
+        folded.observe_all(data[:split])
+        folded.observe_all(iter(data[split:]))
+        observed = Tally()
+        for value in data:
+            observed.observe(value)
+
+        def bits(x):
+            return struct.pack("<d", x)
+
+        expected = [bits(v) for v in (mean, m2, total, low, high)]
+        for tally in (folded, observed):
+            assert tally.count == n
+            assert [bits(v) for v in (tally._mean, tally._m2, tally._total,
+                                      tally._min, tally._max)] == expected

@@ -29,6 +29,7 @@ from repro.obs import (
 )
 from repro.rocc import Architecture, SimulationConfig, simulate
 from repro.rocc.config import NetworkMode
+from repro.rocc.network import FIFONetwork
 from repro.rocc.system import ParadynISSystem, _OccupancyWatcher
 
 NOW_CONFIG = SimulationConfig(
@@ -95,12 +96,13 @@ def test_tracing_does_not_perturb_results(engine) -> None:
 
 
 def test_traced_and_untraced_cpu_level_updates_agree() -> None:
-    """A traced run, whose watcher observes each CPU's busy level
-    through ``on_change``, gives the untraced run's results and level
-    integrals, and the watcher's busy spans add up to the integral."""
+    """A traced run, whose watchers hear each CPU's and the FIFO
+    network's busy level through ``on_change``, gives the untraced run's
+    results; its hooks are gone after the run, and a 1-CPU node's busy
+    spans add up to the node's charged busy time, within the slice
+    still running at the end."""
     config = NOW_CONFIG.with_(nodes=2, duration=200_000.0)
-    untraced = ParadynISSystem(config)
-    plain = untraced.run()
+    plain = ParadynISSystem(config).run()
     system = ParadynISSystem(config)
     tracer = Tracer()
     with use_tracing(tracer):
@@ -109,17 +111,21 @@ def test_traced_and_untraced_cpu_level_updates_agree() -> None:
     # record only a traced run fills in.
     assert traced.observability["occupancy_spans"] > 0
     assert results_equal(replace(traced, observability={}), plain)
-    now = system.env.now
-    level = system.worker_cpus[0].busy_servers
-    assert level.on_change is None  # the watcher is gone after the run
-    for cpu, other in zip(system.worker_cpus, untraced.worker_cpus):
-        assert cpu.busy_servers.integral(now) == \
-            other.busy_servers.integral(now)
-        assert cpu.busy_servers.maximum == other.busy_servers.maximum
-    spans = [s.dur for s in tracer.batch().spans
-             if s.cat == "occupancy" and s.tid == "node0.cpu"]
-    assert 0 < len(spans) < _OccupancyWatcher.MAX_SPANS  # none dropped
-    assert sum(spans) == pytest.approx(level.integral(now), rel=1e-12)
+    assert isinstance(system.network, FIFONetwork)
+    for resource in (*system.worker_cpus, system.host_cpu, system.network):
+        assert resource.on_change is None  # the watcher is gone
+    for node, cpu in enumerate(system.worker_cpus):
+        assert cpu.n_cpus == 1
+        spans = [s.dur for s in tracer.batch().spans
+                 if s.cat == "occupancy" and s.tid == f"node{node}.cpu"]
+        assert 0 < len(spans) < _OccupancyWatcher.MAX_SPANS  # none dropped
+        # Busy time is charged when a slice ends, so the span the run's
+        # end closes holds up to one quantum nobody has been charged.
+        charged = sum(cpu.busy_by_owner.values())
+        if cpu._free:
+            assert sum(spans) == pytest.approx(charged, rel=1e-12)
+        else:
+            assert charged < sum(spans) <= charged + cpu.quantum + 1e-6
 
 
 def test_direct_simulate_honours_ambient_tracer() -> None:

@@ -85,7 +85,7 @@ def test_utilization(env):
     cpu = RoundRobinCPU(env, quantum=10_000)
     Job(make_ctx(env, cpu=cpu), [("cpu", 4_000)])
     env.run(until=10_000)
-    assert cpu.utilization() == pytest.approx(0.4)
+    assert cpu.busy_time(APP) / env.now == pytest.approx(0.4)
 
 
 def test_utilization_multi_cpu(env):
@@ -94,7 +94,8 @@ def test_utilization_multi_cpu(env):
     Job(ctx, [("cpu", 4_000)])
     Job(ctx, [("cpu", 4_000)])
     env.run(until=10_000)
-    assert cpu.utilization() == pytest.approx(0.4)  # 8k busy over 2*10k
+    # 8k busy over 2*10k.
+    assert cpu.busy_time(APP) / (cpu.n_cpus * env.now) == pytest.approx(0.4)
 
 
 @given(

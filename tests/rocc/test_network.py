@@ -98,26 +98,29 @@ def test_fire_and_forget_transfer_still_accounts(env):
 
 
 def test_fifo_in_flight_integrates_server_occupancy(env):
-    """The FIFO network's ``in_flight`` is the time-weighted server
-    state: 1 while any transfer is in service (queued ones hand the
-    server on without a 0 in between), 0 while idle."""
+    """The FIFO network's busy level, heard through ``on_change``, is
+    the server state: 1.0 while any transfer is in service (queued ones
+    hand the server on without a 0.0 in between), 0.0 while idle; the
+    busy intervals it marks add up to the charged busy time."""
     net = FIFONetwork(env)
     levels = []
-    net.in_flight.on_change = lambda t, value: levels.append((t, value))
+    net.on_change = lambda t, value: levels.append((t, value))
 
     net.transfer(100, APP)
     net.transfer(40, PD)
     Job(make_ctx(env, network=net), [("network", 50)], delay=250)
     env.run(until=400)
     # Busy 0-140 (two back-to-back transfers) and 250-300: 190 of 400.
-    assert net.in_flight.time_average(400.0) == pytest.approx(190.0 / 400.0)
-    assert net.in_flight.value == 0
-    assert [v for _, v in levels] == [1, 0, 1, 0]
+    assert levels == [(0.0, 1.0), (140.0, 0.0), (250.0, 1.0), (300.0, 0.0)]
+    assert all(type(value) is float for _, value in levels)
+    busy = sum(t1 - t0 for (t0, _), (t1, _) in zip(levels[::2], levels[1::2]))
+    assert busy == net.total_busy_time() == 190.0
+    assert not net._busy
 
 
 def test_contention_free_network_keeps_no_in_flight_signal(env):
     net = ContentionFreeNetwork(env)
-    assert not hasattr(net, "in_flight")
+    assert not hasattr(net, "on_change")
     net.transfer(10, APP)
     env.run()
     assert net.transfers == 1 and net.total_busy_time() == 10.0

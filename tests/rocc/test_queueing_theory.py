@@ -145,7 +145,7 @@ class TestUtilizationLawOnSimulator:
         left = [ticks]
 
         def track(_timeout):
-            area[0] += (net.queue_length + net.in_flight.value) * 50.0
+            area[0] += (net.queue_length + net._busy) * 50.0
             area[1] = env.now
             left[0] -= 1
             if left[0]:
