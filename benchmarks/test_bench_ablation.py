@@ -33,7 +33,7 @@ class _Job(Actor):
         cpu.request(demand, self)
 
     def _fire(self):
-        self.cpu.release(ProcessType.APPLICATION, self._slice)
+        self.cpu.release(self)
         self.finished.append(self.cpu.env.now)
 
 

@@ -4,8 +4,8 @@
 (e.g. per-sample monitoring latency): count, mean, variance, min/max.
 It is cheap (O(1) per observation, Welford updates) and keeps no
 observations: a caller that needs order statistics keeps its own series
-(the ROCC metrics keep every receipt's latencies and fold them in with
-:meth:`Tally.observe_all`, see :class:`repro.rocc.metrics.Metrics`).
+(the ROCC metrics keep every receipt's latencies, see
+:class:`repro.rocc.metrics.Metrics`).
 
 Resource busy time is plain per-owner accounting in the resources
 (:mod:`repro.rocc.cpu`, :mod:`repro.rocc.network`); no time-weighted
@@ -35,33 +35,15 @@ class Tally:
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        self.observe_all((value,))
-
-    def observe_all(self, values) -> None:
-        """Record every value of *values* in order: one Welford update
-        per value, run over local variables."""
-        n = self._n
-        mean = self._mean
-        m2 = self._m2
-        total = self._total
-        low = self._min
-        high = self._max
-        for value in values:
-            n += 1
-            delta = value - mean
-            mean += delta / n
-            m2 += delta * (value - mean)
-            total += value
-            if value < low:
-                low = value
-            if value > high:
-                high = value
-        self._n = n
-        self._mean = mean
-        self._m2 = m2
-        self._total = total
-        self._min = low
-        self._max = high
+        self._n += 1
+        delta = value - self._mean
+        self._mean += delta / self._n
+        self._m2 += delta * (value - self._mean)
+        self._total += value
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
 
     @property
     def count(self) -> int:

@@ -16,10 +16,9 @@ The main cycle and the sampling timer are each a
 to the instrumentation system and nothing interrupts it, so it runs as
 direct kernel events.  Each is a state machine: its ``_fire`` runs the
 completion half of the pending request (a burst, a transfer, a timer
-sleep) and issues the loop's next request itself.  Only the start kick,
-a zero-length request, a barrier run and a cycle with samples to write
-go through the cycle's steps; a blocked pipe write or a barrier wait
-hooks the cycle's continuation on the store's or the barrier's event.
+sleep) and goes on to the loop's next request without a step.  A
+blocked pipe write or a barrier wait hooks the cycle's continuation on
+the store's or the barrier's event.
 """
 
 from __future__ import annotations
@@ -93,35 +92,13 @@ class ApplicationProcess(LoadActor):
 
     # ------------------------------------------------------------------
     def _fire(self) -> None:
-        # A finished burst starts the transfer and a finished transfer
-        # the next burst, inline; a barrier run and a cycle with samples
-        # to write go through the steps.
         pending = self._pending
         if pending == _CPU:
-            self.cpu.release(_APPLICATION, self._slice)
-            if self._barrier_period is not None:
-                self._computed()
-                return
-            amount = self._net_var()
-            if amount <= 0.0:
-                self._zero(ApplicationProcess._transferred)
-                return
-            self._pending = _NET
-            self._amount = amount
-            self.network.request(self)
+            self.cpu.release(self)
+            self._computed()
         elif pending == _NET:
             self.network.finish(self._amount, _APPLICATION)
-            self.metrics.app_cycles += 1
-            if self._due or self._barrier_period is not None:
-                self._cycle()
-                return
-            # Only a barrier run reads ``_work``.
-            work = self._cpu_var()
-            if work <= 0.0:
-                self._zero(ApplicationProcess._computed)
-                return
-            self._pending = _CPU
-            self.cpu.request(work, self)
+            self._transferred()
         else:
             # The start kick, or a zero-length request.
             self._next(self)
@@ -145,7 +122,8 @@ class ApplicationProcess(LoadActor):
             if work > remaining:
                 work = remaining
         self._work = work
-        # ``self.compute(work, ApplicationProcess._computed)``, inlined.
+        # ``self.compute(work, ApplicationProcess._computed)``, inlined
+        # to save a call per burst.
         if work <= 0.0:
             self._zero(ApplicationProcess._computed)
             return

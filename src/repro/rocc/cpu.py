@@ -130,7 +130,7 @@ class RoundRobinCPU:
         an :class:`~repro.des.events.Actor` that is its own event and
         is charged as its ``owner``.  It gets a ``_slice`` attribute
         (the final slice's length) and is pushed for the time that
-        slice ends; its handler must then call :meth:`release`.
+        slice ends; its handler must then call ``release(done)``.
         """
         scaled = float(amount)
         if not self._free:
@@ -156,11 +156,13 @@ class RoundRobinCPU:
         done._remaining = scaled
         self._start(done)
 
-    def release(self, owner: ProcessType, slice_: float) -> None:
-        """Completion half: charge *owner*'s final slice, then hand the
+    def release(self, done) -> None:
+        """Completion half: charge *done*'s final slice to its ``owner``,
+        as :class:`CPUSlice` charges the earlier ones, then hand the
         processor to the next ready actor (or free it)."""
+        owner = done.owner
         busy = self.busy_by_owner
-        busy[owner] = busy.get(owner, 0.0) + slice_
+        busy[owner] = busy.get(owner, 0.0) + done._slice
         ready = self._ready
         if ready:
             self._start(ready.pop(0))

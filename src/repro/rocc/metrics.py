@@ -62,7 +62,9 @@ def sorted_percentile(ordered, q: float) -> float:
 def _fold(name: str, series) -> Tally:
     """A :class:`Tally` that observed *series* in order."""
     tally = Tally(name)
-    tally.observe_all(series)
+    observe = tally.observe
+    for value in series:
+        observe(value)
     return tally
 
 

@@ -184,7 +184,7 @@ class LoadActor(Actor):
     def _fire(self) -> None:
         pending = self._pending
         if pending == _CPU:
-            self.cpu.release(self.owner, self._slice)
+            self.cpu.release(self)
         elif pending == _NET:
             self.network.finish(self._amount, self.owner)
         elif pending == _SEND:

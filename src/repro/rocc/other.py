@@ -16,7 +16,6 @@ request without a step.
 
 from __future__ import annotations
 
-from ..des.events import NORMAL
 from ..workload.records import ProcessType
 from .node import _CPU, _NET, _SLEEP, LoadActor, NodeContext
 
@@ -46,40 +45,31 @@ class PVMDaemon(LoadActor):
         self.start(PVMDaemon._wait)
 
     def _fire(self) -> None:
-        # Each completion issues the next request inline: the CPU burst
-        # after a sleep, the transfer after a burst, the next sleep
-        # after a transfer.
         pending = self._pending
         if pending == _SLEEP:
-            amount = self._cpu()
-            if amount <= 0.0:
-                self._zero(PVMDaemon._communicate)
-                return
-            self._pending = _CPU
-            self.cpu.request(amount, self)
+            self._compute()
         elif pending == _CPU:
-            self.cpu.release(_PVM_DAEMON, self._slice)
-            amount = self._net()
-            if amount <= 0.0:
-                self._zero(PVMDaemon._wait)
-                return
-            self._pending = _NET
-            self._amount = amount
-            self.network.request(self)
+            self.cpu.release(self)
+            self._communicate()
         elif pending == _NET:
             self.network.finish(self._amount, _PVM_DAEMON)
-            delay = self._inter()
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
-            self._pending = _SLEEP
-            env = self.env
-            env._push((env._now + delay, NORMAL, next(env._eid), self))
+            self._wait()
         else:
             # The start kick, or a zero-length request.
             self._next(self)
 
     def _wait(self) -> None:
-        self.sleep(self._inter(), None)
+        self.sleep(self._inter(), PVMDaemon._compute)
+
+    def _compute(self) -> None:
+        # ``self.compute(...)`` and ``self.transfer(...)``, inlined to
+        # save a call per request, as in ``ApplicationProcess``.
+        amount = self._cpu()
+        if amount <= 0.0:
+            self._zero(PVMDaemon._communicate)
+            return
+        self._pending = _CPU
+        self.cpu.request(amount, self)
 
     def _communicate(self) -> None:
         amount = self._net()
@@ -115,7 +105,7 @@ class _Clock(LoadActor):
             self._request(self, self._work(), None)
             return
         if pending == _CPU:
-            self.cpu.release(_OTHER, self._slice)
+            self.cpu.release(self)
         elif pending == _NET:
             self.network.finish(self._amount, _OTHER)
         self.sleep(self._inter(), None)

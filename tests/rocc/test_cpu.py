@@ -78,6 +78,17 @@ def test_busy_accounting_by_owner(env):
     env.run()
     assert cpu.busy_time(APP) == 3_000.0
     assert cpu.busy_time(PD) == 1_000.0
+
+
+def test_every_slice_charged_to_the_requesting_actor(env):
+    """The intermediate quanta and the final slice of a time-sliced
+    request are all charged to the requesting actor's owner."""
+    cpu = RoundRobinCPU(env, quantum=10_000)
+    ctx = make_ctx(env, cpu=cpu)
+    Job(ctx, [("cpu", 25_000)], owner=APP)
+    Job(ctx, [("cpu", 15_000)], owner=PD)
+    env.run()
+    assert cpu.busy_by_owner == {APP: 25_000.0, PD: 15_000.0}
     assert cpu.busy_time(ProcessType.OTHER) == 0.0
 
 
